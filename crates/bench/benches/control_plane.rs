@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use chamelemon::control::threshold_for_target;
 use chm_fermat::{FermatConfig, FermatSketch};
-use chm_tower::{mrac_em, MracConfig, TowerConfig, TowerSketch};
+use chm_tower::{mrac_em, MracConfig, MracScratch, TowerConfig, TowerSketch};
 use chm_workloads::caida_like_trace;
 
 fn bench_tower_estimators(c: &mut Criterion) {
@@ -29,6 +29,41 @@ fn bench_tower_estimators(c: &mut Criterion) {
         b.iter(|| {
             let hist = tower.level_histogram(0);
             mrac_em(&hist, 32_768, &MracConfig::default())
+        })
+    });
+    g.finish();
+}
+
+/// The estimate as the controller pays for it each epoch: the paper's tower
+/// under a testbed-sized load (50 k flows over 4 edges, sizes uncapped so
+/// the 16-bit level holds a few hundred distinct values out of 65 536).
+fn bench_flow_size_distribution(c: &mut Criterion) {
+    let trace = caida_like_trace(12_500, 0xc0de);
+    let mut tower = TowerSketch::new(TowerConfig::paper_default(1));
+    for (f, pkts) in &trace.flows {
+        tower.insert_burst(*f as u64, *pkts, 1, 1);
+    }
+    let mut g = c.benchmark_group("flow_size_distribution");
+    g.bench_function("mrac_realtime_16bit_level", |b| {
+        b.iter(|| {
+            let hist = tower.level_histogram(1);
+            mrac_em(&hist, 16_384, &MracConfig::realtime())
+        })
+    });
+    g.bench_function("paper_default_fresh_scratch", |b| {
+        b.iter(|| tower.flow_size_distribution(black_box(&[70_000, 81_234]), &MracConfig::realtime()))
+    });
+    let mut scratch = MracScratch::default();
+    g.bench_function("paper_default_reused_scratch", |b| {
+        b.iter(|| {
+            let mut dist = Vec::new();
+            tower.flow_size_distribution_into(
+                black_box(&[70_000, 81_234]),
+                &MracConfig::realtime(),
+                &mut scratch,
+                &mut dist,
+            );
+            dist
         })
     });
     g.finish();
@@ -92,6 +127,7 @@ fn fast() -> Criterion {
 criterion_group! {
     name = benches;
     config = fast();
-    targets = bench_tower_estimators, bench_delta_construction, bench_threshold_search
+    targets = bench_tower_estimators, bench_flow_size_distribution, bench_delta_construction,
+        bench_threshold_search
 }
 criterion_main!(benches);

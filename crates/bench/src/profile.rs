@@ -7,10 +7,11 @@
 //! stage the ISSUE names gets its own span: the engine's fate `prologue`,
 //! `phase_a/shard_{i}` / `phase_b/shard_{i}`, the fragment `merge`
 //! (absorbed from [`ShardedReplay::last_profile`]), the controller's
-//! `analyze/decode/{edge_i,delta_hl,delta_ll,sparse,loaded}` split, and
-//! `localize`. Alongside the spans it attributes **global allocation
-//! counts** to the five coarse stages via the injected counter from the
-//! binary's counting allocator.
+//! `analyze/decode/{edge_i,delta_hl,delta_ll,sparse,loaded}` split and its
+//! `analyze/{cardinality,fsd,delta_hl_build,delta_ll_build,victims}`
+//! blocks, and `localize`. Alongside the spans it attributes **global
+//! allocation counts** to the five coarse stages via the injected counter
+//! from the binary's counting allocator.
 //!
 //! Two artifacts per run:
 //!
@@ -353,6 +354,10 @@ mod tests {
             &["epoch", "merge"],
             &["epoch", "collect"],
             &["epoch", "analyze"],
+            &["epoch", "analyze", "cardinality"],
+            &["epoch", "analyze", "fsd"],
+            &["epoch", "analyze", "delta_hl_build"],
+            &["epoch", "analyze", "victims"],
             &["epoch", "reconfigure"],
             &["epoch", "localize"],
         ] {

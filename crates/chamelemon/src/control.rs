@@ -25,7 +25,7 @@ use chm_fermat::{DecodeScratch, FermatSketch};
 use chm_netsim::sim::Routable;
 use chm_netsim::{QueueDepthStat, SwitchId, Topology};
 use chm_obs::SpanProfiler;
-use chm_tower::MracConfig;
+use chm_tower::{MracConfig, MracScratch};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
@@ -172,11 +172,28 @@ pub struct Controller<F: FlowId> {
     /// this scratch, so the controller never clones a sketch to decode it
     /// and its peeling allocations persist across epochs.
     scratch: RefCell<DecodeScratch<F>>,
+    /// Reusable MRAC workspace, for the same reason: the per-edge
+    /// flow-size-distribution estimates of every epoch run through it.
+    mrac_scratch: RefCell<MracScratch>,
     /// Cross-epoch victim-localization state, present once
     /// [`enable_localization`](Self::enable_localization) gave the
     /// controller the fabric topology.
     localizer: Option<Localizer>,
     _f: std::marker::PhantomData<F>,
+}
+
+/// Start of a block of the analysis that gets its own span: the injected
+/// clock's reading, `0.0` when the pass is not profiled.
+fn span_start(obs: &mut Option<ObsCtx<'_>>) -> f64 {
+    obs.as_mut().map_or(0.0, |(_, clock)| clock())
+}
+
+/// Records the block started at `t0` as the child `name` of the open span.
+fn span_end(obs: &mut Option<ObsCtx<'_>>, name: &str, t0: f64) {
+    if let Some((spans, clock)) = obs.as_mut() {
+        let dur = clock() - t0;
+        spans.record(&[name], dur);
+    }
 }
 
 impl<F: FlowId> Controller<F> {
@@ -193,6 +210,7 @@ impl<F: FlowId> Controller<F> {
             mrac: MracConfig::realtime(),
             failed_hl_sizes: std::collections::HashSet::new(),
             scratch: RefCell::new(DecodeScratch::new()),
+            mrac_scratch: RefCell::new(MracScratch::default()),
             localizer: None,
             _f: std::marker::PhantomData,
         }
@@ -405,7 +423,10 @@ impl<F: FlowId> Controller<F> {
     /// whole pass runs under an `analyze` span, and every Fermat decode
     /// records `decode/edge_{i}` (upstream HH per edge), `decode/delta_hl`,
     /// `decode/delta_ll`, plus a `decode/sparse` or `decode/loaded` span
-    /// for the strategy the peel took ([`chm_fermat::DecodeStats`]).
+    /// for the strategy the peel took ([`chm_fermat::DecodeStats`]). The
+    /// blocks between the decodes record `cardinality` (linear counting per
+    /// edge), `fsd` (MRAC per edge), `delta_hl_build` / `delta_ll_build`
+    /// (the sketch clone/add/sub chains) and `victims`.
     ///
     /// The clock is **injected** (chm_obs discipline): production callers
     /// pass `&mut || 0.0`, which keeps every duration at exactly `0.0`
@@ -453,14 +474,15 @@ impl<F: FlowId> Controller<F> {
         }
         let scratch = &mut *self.scratch.borrow_mut();
         let runtime = collected[0].runtime;
-        let d = self.cfg.arrays as f64;
 
         // --- flows & flow-size distribution per switch -------------------
+        let t0 = span_start(obs);
         let est_flows_per_switch: Vec<f64> = collected
             .iter()
             .map(|g| g.classifier.cardinality_estimate())
             .collect();
         let est_flows: f64 = est_flows_per_switch.iter().sum();
+        span_end(obs, "cardinality", t0);
 
         // --- decode upstream HH encoders ---------------------------------
         let mut hh_flowsets = Vec::with_capacity(collected.len());
@@ -470,7 +492,7 @@ impl<F: FlowId> Controller<F> {
                 hh_flowsets.push(HashMap::new());
                 continue;
             }
-            let t0 = obs.as_mut().map_or(0.0, |(_, clock)| clock());
+            let t0 = span_start(obs);
             let r = g.up_hh.decode_with(scratch);
             if let Some((spans, clock)) = obs.as_mut() {
                 let dur = clock() - t0;
@@ -485,20 +507,20 @@ impl<F: FlowId> Controller<F> {
         }
 
         // Aggregate flow-size distribution (classifier MRAC + HH tail).
-        let mut flow_size_dist: Vec<f64> = Vec::new();
-        for (g, hh) in collected.iter().zip(&hh_flowsets) {
-            let tail: Vec<u64> = hh
-                .iter()
-                .map(|(_, &q)| runtime.th + q.max(0) as u64)
-                .collect();
-            let dist = g.classifier.flow_size_distribution(&tail, &self.mrac);
-            if dist.len() > flow_size_dist.len() {
-                flow_size_dist.resize(dist.len(), 0.0);
+        let t0 = span_start(obs);
+        let flow_size_dist = {
+            let mut dist: Vec<f64> = Vec::new();
+            let mrac_scratch = &mut *self.mrac_scratch.borrow_mut();
+            let mut tail: Vec<u64> = Vec::new();
+            for (g, hh) in collected.iter().zip(&hh_flowsets) {
+                tail.clear();
+                tail.extend(hh.values().map(|&q| runtime.th + q.max(0) as u64));
+                g.classifier
+                    .flow_size_distribution_into(&tail, &self.mrac, mrac_scratch, &mut dist);
             }
-            for (s, v) in dist.iter().enumerate() {
-                flow_size_dist[s] += v;
-            }
-        }
+            dist
+        };
+        span_end(obs, "fsd", t0);
 
         // --- delta HL encoder ---------------------------------------------
         // If any HH decode failed we cannot re-insert; monitoring stops for
@@ -506,6 +528,7 @@ impl<F: FlowId> Controller<F> {
         let p = runtime.partition;
         let mut delta_hl: Option<FermatSketch<F>> = None;
         if p.m_hl > 0 {
+            let t0 = span_start(obs);
             let mut cum_up = collected[0].up_hl.clone();
             if hh_decode_ok {
                 for (f, c) in &hh_flowsets[0] {
@@ -528,6 +551,7 @@ impl<F: FlowId> Controller<F> {
             }
             cum_up.sub_assign_sketch(&cum_down);
             delta_hl = Some(cum_up);
+            span_end(obs, "delta_hl_build", t0);
         }
         // On a failed decode the flows peeled before the stall are still
         // verified extractions (pure-bucket test + negative-flow
@@ -537,7 +561,7 @@ impl<F: FlowId> Controller<F> {
         let mut hl_partial: HashMap<F, i64> = HashMap::new();
         let (hl_flowset, est_hls) = match &delta_hl {
             Some(delta) if hh_decode_ok => {
-                let t0 = obs.as_mut().map_or(0.0, |(_, clock)| clock());
+                let t0 = span_start(obs);
                 let r = delta.decode_with(scratch);
                 if let Some((spans, clock)) = obs.as_mut() {
                     let dur = clock() - t0;
@@ -560,6 +584,7 @@ impl<F: FlowId> Controller<F> {
         // --- delta LL encoder ---------------------------------------------
         let mut delta_ll: Option<FermatSketch<F>> = None;
         if p.m_ll > 0 {
+            let t0 = span_start(obs);
             let mut cum_up = collected[0].up_ll.clone();
             for g in collected.iter().skip(1) {
                 cum_up.add_assign_sketch(&g.up_ll);
@@ -570,10 +595,11 @@ impl<F: FlowId> Controller<F> {
             }
             cum_up.sub_assign_sketch(&cum_down);
             delta_ll = Some(cum_up);
+            span_end(obs, "delta_ll_build", t0);
         }
         let (ll_flowset, est_lls) = match &delta_ll {
             Some(delta) => {
-                let t0 = obs.as_mut().map_or(0.0, |(_, clock)| clock());
+                let t0 = span_start(obs);
                 let r = delta.decode_with(scratch);
                 if let Some((spans, clock)) = obs.as_mut() {
                     let dur = clock() - t0;
@@ -625,6 +651,7 @@ impl<F: FlowId> Controller<F> {
         }
 
         // --- victim estimates (§4.3.2 "Monitoring real-time network state")
+        let t0 = span_start(obs);
         let rate = runtime.sample_rate();
         let (est_victims, victim_size_dist) = match self.state {
             NetworkState::Healthy => (est_hls, None),
@@ -672,7 +699,8 @@ impl<F: FlowId> Controller<F> {
             }
         };
 
-        let _ = d;
+        span_end(obs, "victims", t0);
+
         EpochAnalysis {
             hh_flowsets,
             hh_decode_ok,

@@ -14,7 +14,7 @@
 
 pub mod mrac;
 
-pub use mrac::{mrac_em, MracConfig};
+pub use mrac::{mrac_em, MracConfig, MracScratch};
 
 use chm_common::hash::{BatchHasher, FastRange, HashFamily};
 
@@ -260,37 +260,58 @@ impl TowerSketch {
     /// remaining range `[2^{δ_l} − 1, ∞)` comes from the HH-flowset tail
     /// sizes supplied by the caller.
     pub fn flow_size_distribution(&self, hh_tail_sizes: &[u64], em: &MracConfig) -> Vec<f64> {
+        let mut dist = Vec::new();
+        self.flow_size_distribution_into(hh_tail_sizes, em, &mut MracScratch::default(), &mut dist);
+        dist
+    }
+
+    /// [`flow_size_distribution`](Self::flow_size_distribution) *added* into
+    /// `dist` (grown with zeros when too short), with the EM's working memory
+    /// in `scratch` — so summing the estimates of many sketches costs one
+    /// dense vector in all. Only the sizes the estimate puts flows on are
+    /// touched; adding `k` sketches this way equals the element-wise sum of
+    /// their `flow_size_distribution`s bit for bit.
+    pub fn flow_size_distribution_into(
+        &self,
+        hh_tail_sizes: &[u64],
+        em: &MracConfig,
+        scratch: &mut MracScratch,
+        dist: &mut Vec<f64>,
+    ) {
+        // One slot per size up to the top level's saturation value or the
+        // largest tail size.
         let top_sat = self
             .cfg
             .levels
             .last()
             .expect("TowerSketch::new asserts at least one level")
-            .saturation() as usize;
-        let max_size = hh_tail_sizes
-            .iter()
-            .map(|&s| s as usize)
-            .max()
-            .unwrap_or(0)
-            .max(top_sat);
-        let mut dist = vec![0.0; max_size + 1];
+            .saturation();
+        let len = hh_tail_sizes.iter().copied().fold(top_sat, u64::max) as usize + 1;
+        if dist.is_empty() {
+            // Zeroed lazily by the allocator: the pages of sizes nothing
+            // lands on are never written.
+            *dist = vec![0.0; len];
+        } else if dist.len() < len {
+            dist.resize(len, 0.0);
+        }
         let mut prev_bound = 1usize; // sizes below 1 don't exist
-        for (i, level) in self.cfg.levels.iter().enumerate() {
-            let hist = self.level_histogram(i);
-            let est = mrac_em(&hist, level.width, em);
+        for (level, counters) in self.cfg.levels.iter().zip(&self.counters) {
             let upper = level.saturation() as usize; // exclusive bound
-            for (s, v) in est.iter().enumerate().take(upper).skip(prev_bound) {
-                dist[s] += v;
+            scratch.load_counters(counters, upper);
+            scratch.run(level.width, em);
+            for (s, n) in scratch.estimate() {
+                if (prev_bound..upper).contains(&s) {
+                    dist[s] += n;
+                }
             }
             prev_bound = upper;
         }
         // Tail from the HH flowset (flows ≥ top saturation).
         for &s in hh_tail_sizes {
-            let s = s as usize;
-            if s >= prev_bound && s < dist.len() {
-                dist[s] += 1.0;
+            if s as usize >= prev_bound {
+                dist[s as usize] += 1.0;
             }
         }
-        dist
     }
 }
 

@@ -21,6 +21,27 @@
 //! the paper runs (≪ 1 flow/counter on the wide arrays) counters with ≥ 4
 //! colliding flows are vanishingly rare, so the cap preserves the estimator's
 //! behaviour while keeping the controller's epoch-time budget.
+//!
+//! **Cost.** The EM runs over the *support*: the ascending list of counter
+//! values that were actually observed, never over `0..=saturation`. `λ`
+//! cannot leave the support — the initial guess is the histogram itself, and
+//! an iteration only adds mass to a size whose `λ` is already positive (a
+//! partition with a zero-weight part has weight zero) or, in the fallback,
+//! to the observed value `v` — so a partition of `v` matters only when every
+//! part is a support value. For each observed `v` the 2-part E-step walks the
+//! support values `s2 ≤ v/2` upwards while a second cursor walks downwards to
+//! `s1 = v − s2` (the 3-part step does the same per `s3 ≤ v/3`). Work per
+//! iteration is therefore `Σ_v |support ∩ [1, v]|` — at most the square of
+//! the number of distinct values — and memory is a handful of vectors that
+//! long, all living in a reusable [`MracScratch`]. A 16-bit level holding a
+//! few hundred distinct values pays for those few hundred, where indexing by
+//! value swept (and page-faulted) several 512 kB arrays per iteration.
+//!
+//! The result is **bit-identical** to the dense formulation (one slot per
+//! value up to saturation, kept as the oracle in `tests/mrac_differential.rs`):
+//! that loop skips every zero-weight term, and the terms that remain are
+//! exactly the all-support partitions, which the cursors meet in the same
+//! ascending `s3`, `s2` order — the same float additions in the same order.
 
 /// Tuning knobs for [`mrac_em`].
 #[derive(Debug, Clone, Copy)]
@@ -48,110 +69,216 @@ impl MracConfig {
     }
 }
 
+/// Working memory of the MRAC EM, reusable across calls: every vector is as
+/// long as the number of *distinct* observed counter values, plus one count
+/// table as long as the largest value seen so far. A caller that estimates
+/// every epoch (the controller) keeps one, which stops allocating once it has
+/// grown to its sketches; nothing of one call is visible to the next.
+#[derive(Debug, Clone, Default)]
+pub struct MracScratch {
+    /// Occurrences per counter value during the histogram pass. All zero
+    /// between calls: each call clears exactly the slots it filled.
+    table: Vec<u32>,
+    /// The support: observed counter values ≥ 1, ascending.
+    values: Vec<usize>,
+    /// `observed[i]` = number of counters holding `values[i]`.
+    observed: Vec<f64>,
+    /// `est[i]` = estimated number of flows of size `values[i]`.
+    est: Vec<f64>,
+    lambda: Vec<f64>,
+    next: Vec<f64>,
+    contrib: Vec<f64>,
+}
+
+impl MracScratch {
+    /// Loads the histogram of a counter array, values clamped to `sat`, with
+    /// one counting pass — the array may hold tens of thousands of non-zero
+    /// counters, the support only a few hundred values.
+    pub(crate) fn load_counters(&mut self, counters: &[u32], sat: usize) {
+        self.values.clear();
+        for &c in counters {
+            if c == 0 {
+                continue;
+            }
+            let v = (c as usize).min(sat);
+            if v >= self.table.len() {
+                self.table.resize(v + 1, 0);
+            }
+            if self.table[v] == 0 {
+                self.values.push(v);
+            }
+            self.table[v] += 1;
+        }
+        self.values.sort_unstable();
+        self.observed.clear();
+        for &v in &self.values {
+            self.observed.push(f64::from(self.table[v]));
+            self.table[v] = 0;
+        }
+    }
+
+    /// Loads a dense histogram (`hist[v]` = number of counters holding `v`).
+    fn load_histogram(&mut self, hist: &[f64]) {
+        self.values.clear();
+        self.observed.clear();
+        for (v, &c) in hist.iter().enumerate().skip(1) {
+            if c != 0.0 {
+                self.values.push(v);
+                self.observed.push(c);
+            }
+        }
+    }
+
+    /// The estimate of the last [`run`](Self::run): `(size, flows)` pairs in
+    /// ascending size; sizes not listed are estimated at zero flows.
+    pub(crate) fn estimate(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.values.iter().copied().zip(self.est.iter().copied())
+    }
+
+    /// Runs the EM on the loaded histogram of an array of `m` counters.
+    pub(crate) fn run(&mut self, m: usize, cfg: &MracConfig) {
+        let k = self.values.len();
+        // Initial guess: no collisions (each non-zero counter is one flow).
+        self.est.clear();
+        self.est.extend_from_slice(&self.observed);
+        self.lambda.resize(k, 0.0);
+        self.next.resize(k, 0.0);
+        // Cleared after each value, so it is all zero whenever a value starts.
+        self.contrib.clear();
+        self.contrib.resize(k, 0.0);
+        let (values, observed) = (&self.values[..], &self.observed[..]);
+        let (est, lambda) = (&mut self.est[..], &mut self.lambda[..]);
+        let (next, contrib) = (&mut self.next[..], &mut self.contrib[..]);
+        for _ in 0..cfg.iterations {
+            for (l, &n) in lambda.iter_mut().zip(est.iter()) {
+                *l = n / m as f64;
+            }
+            next.fill(0.0);
+            for (j, &v) in values.iter().enumerate() {
+                // Enumerate partitions of v into at most `parts` parts, weight
+                // each by Π λ_s^{c_s}/c_s!, and take the conditional
+                // expectation. Parts smaller than v sit at indices below j.
+                let parts = if v <= cfg.three_part_limit {
+                    cfg.max_parts
+                } else {
+                    cfg.max_parts.min(2)
+                };
+                let mut total_w = 0.0;
+                // 1 part
+                if lambda[j] > 0.0 {
+                    total_w += lambda[j];
+                    contrib[j] += lambda[j];
+                }
+                // 2 parts: s1 >= s2 >= 1, s1 + s2 = v
+                if parts >= 2 {
+                    let mut hi = j;
+                    for (i2, &s2) in values[..j].iter().enumerate() {
+                        if s2 > v / 2 {
+                            break;
+                        }
+                        let Some(i1) = descend_to(values, &mut hi, v - s2) else {
+                            continue;
+                        };
+                        let w = if i1 == i2 {
+                            lambda[i1] * lambda[i2] / 2.0
+                        } else {
+                            lambda[i1] * lambda[i2]
+                        };
+                        if w > 0.0 {
+                            total_w += w;
+                            contrib[i1] += w;
+                            contrib[i2] += w;
+                        }
+                    }
+                }
+                // 3 parts: s1 >= s2 >= s3 >= 1
+                if parts >= 3 {
+                    // Where the s1 cursor starts for each s3: at s2 = s3,
+                    // which falls as s3 grows, so it is itself a cursor.
+                    let mut start = j;
+                    for (i3, &s3) in values[..j].iter().enumerate() {
+                        if s3 > v / 3 {
+                            break;
+                        }
+                        descend_to(values, &mut start, v - 2 * s3);
+                        let mut hi = start;
+                        for (i2, &s2) in values[..j].iter().enumerate().skip(i3) {
+                            if s2 > (v - s3) / 2 {
+                                break;
+                            }
+                            let Some(i1) = descend_to(values, &mut hi, v - s2 - s3) else {
+                                continue;
+                            };
+                            let raw = lambda[i1] * lambda[i2] * lambda[i3];
+                            if raw <= 0.0 {
+                                continue;
+                            }
+                            // Multiset permutation correction 1/Π c_s!.
+                            let w = if i1 == i2 && i2 == i3 {
+                                raw / 6.0
+                            } else if i1 == i2 || i2 == i3 {
+                                raw / 2.0
+                            } else {
+                                raw
+                            };
+                            total_w += w;
+                            contrib[i1] += w;
+                            contrib[i2] += w;
+                            contrib[i3] += w;
+                        }
+                    }
+                }
+                if total_w > 0.0 {
+                    let scale = observed[j] / total_w;
+                    for (n, &c) in next[..=j].iter_mut().zip(&contrib[..=j]) {
+                        if c > 0.0 {
+                            *n += c * scale;
+                        }
+                    }
+                } else {
+                    // No partition has support (can happen after mass
+                    // collapses); fall back to the single-flow interpretation.
+                    next[j] += observed[j];
+                }
+                contrib[..=j].fill(0.0);
+            }
+            est.copy_from_slice(next);
+        }
+    }
+}
+
+/// Lowers the cursor `hi` (an exclusive upper index into the ascending
+/// `values`) past every value above `target`, and returns the index holding
+/// `target` if it is a support value. Successive targets must not increase.
+#[inline]
+fn descend_to(values: &[usize], hi: &mut usize, target: usize) -> Option<usize> {
+    while *hi > 0 && values[*hi - 1] > target {
+        *hi -= 1;
+    }
+    (*hi > 0 && values[*hi - 1] == target).then(|| *hi - 1)
+}
+
 /// Runs MRAC EM.
 ///
 /// * `counter_hist[v]` — number of counters holding value `v` (index 0 =
 ///   empty counters).
 /// * `m` — total number of counters in the array.
 ///
-/// Returns `est[s]` = estimated number of flows of size `s` (index 0 unused).
+/// Returns `est[s]` = estimated number of flows of size `s` (index 0 unused),
+/// as long as `counter_hist`.
 pub fn mrac_em(counter_hist: &[f64], m: usize, cfg: &MracConfig) -> Vec<f64> {
-    let vmax = counter_hist.len().saturating_sub(1);
-    if vmax == 0 || m == 0 {
+    if counter_hist.len() <= 1 || m == 0 {
         return vec![0.0];
     }
-    // Initial guess: no collisions (each non-zero counter is one flow).
-    let mut n: Vec<f64> = counter_hist.to_vec();
-    n[0] = 0.0;
-    // Scratch buffer reused across counter values (cleared sparsely after
-    // each value so the E-step stays O(Σ v) rather than O(vmax · #values)).
-    let mut contrib = vec![0.0; vmax + 1];
-    for _ in 0..cfg.iterations {
-        let lambda: Vec<f64> = n.iter().map(|&c| c / m as f64).collect();
-        let mut next = vec![0.0; vmax + 1];
-        for v in 1..=vmax {
-            let observed = counter_hist[v];
-            if observed == 0.0 {
-                continue;
-            }
-            // Enumerate partitions of v into at most `parts` parts, weight
-            // each by Π λ_s^{c_s}/c_s!, and take the conditional expectation.
-            let parts = if v <= cfg.three_part_limit {
-                cfg.max_parts
-            } else {
-                cfg.max_parts.min(2)
-            };
-            let mut total_w = 0.0;
-            // 1 part
-            if lambda[v] > 0.0 {
-                total_w += lambda[v];
-                contrib[v] += lambda[v];
-            }
-            // 2 parts: s1 >= s2 >= 1, s1 + s2 = v
-            if parts >= 2 {
-                for s2 in 1..=v / 2 {
-                    let s1 = v - s2;
-                    let w = if s1 == s2 {
-                        lambda[s1] * lambda[s2] / 2.0
-                    } else {
-                        lambda[s1] * lambda[s2]
-                    };
-                    if w > 0.0 {
-                        total_w += w;
-                        contrib[s1] += w;
-                        contrib[s2] += w;
-                    }
-                }
-            }
-            // 3 parts: s1 >= s2 >= s3 >= 1
-            if parts >= 3 {
-                for s3 in 1..=v / 3 {
-                    for s2 in s3..=(v - s3) / 2 {
-                        let s1 = v - s2 - s3;
-                        if s1 < s2 {
-                            break;
-                        }
-                        let raw = lambda[s1] * lambda[s2] * lambda[s3];
-                        if raw <= 0.0 {
-                            continue;
-                        }
-                        // Multiset permutation correction 1/Π c_s!.
-                        let w = if s1 == s2 && s2 == s3 {
-                            raw / 6.0
-                        } else if s1 == s2 || s2 == s3 {
-                            raw / 2.0
-                        } else {
-                            raw
-                        };
-                        total_w += w;
-                        contrib[s1] += w;
-                        contrib[s2] += w;
-                        contrib[s3] += w;
-                    }
-                }
-            }
-            if total_w > 0.0 {
-                let scale = observed / total_w;
-                for s in 1..=v {
-                    if contrib[s] > 0.0 {
-                        next[s] += contrib[s] * scale;
-                    }
-                }
-            } else {
-                // No partition has support (can happen after mass collapses);
-                // fall back to the single-flow interpretation.
-                next[v] += observed;
-            }
-            // Sparse clear of the scratch buffer for the next value.
-            for c in contrib[1..=v].iter_mut() {
-                *c = 0.0;
-            }
-        }
-        n = next;
+    let mut scratch = MracScratch::default();
+    scratch.load_histogram(counter_hist);
+    scratch.run(m, cfg);
+    let mut est = vec![0.0; counter_hist.len()];
+    for (s, n) in scratch.estimate() {
+        est[s] = n;
     }
-    n
+    est
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
