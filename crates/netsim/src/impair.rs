@@ -32,7 +32,7 @@
 
 use crate::congestion::CongestionModel;
 use crate::queue::QueueModel;
-use crate::sim::spread_drop;
+use crate::sim::spread_drop_nth;
 use chm_common::hash::mix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -217,8 +217,18 @@ impl ImpairmentSet {
     /// identified by `epoch_seed`, writing the outcome into `out` (buffers
     /// are reused across calls). `base_lost` is the loss plan's realized
     /// drop count for this flow; plan drops are spread over the flow exactly
-    /// as [`spread_drop`] spreads them, then the impairments perturb the
-    /// pattern.
+    /// as [`spread_drop`](crate::sim::spread_drop) spreads them (laid down
+    /// by [`spread_drop_nth`], one write per drop), then the impairments
+    /// perturb the pattern.
+    ///
+    /// The per-flow RNG is seeded only when a stage that draws from it is
+    /// active for this flow: link loss with a positive probability somewhere
+    /// on the route (`Static`/`Slotted` views whose probabilities are all
+    /// zero count as lossless, like [`LinkLoss::None`]), Gilbert–Elliott,
+    /// reordering, or duplication. Plan drops, drop hops and clock skew are
+    /// hashes, not draws. This is exact, not an approximation: the
+    /// generator is local to the call, so one that is never drawn from
+    /// cannot influence any output.
     ///
     /// `route_len` is the number of switches on the flow's ECMP route
     /// (every drop is attributed to one of them); `link_loss` is the
@@ -248,16 +258,44 @@ impl ImpairmentSet {
             debug_assert_eq!(probs.len(), route_len * n_slots, "probs must cover route x slots");
             debug_assert_eq!(slot_counts.iter().sum::<u64>(), pkts, "slots must cover the flow");
         }
+        // Bulk-fill the quiet outcome (everything delivered, nothing
+        // duplicated), then lay the plan's drops down by enumerating their
+        // positions: O(drops) for a flow nothing else touches.
+        let n = pkts as usize;
         out.delivered_mask.clear();
-        out.dup.clear();
+        out.delivered_mask.resize(n, true);
         out.drop_hop.clear();
-        out.drop_hop.resize(pkts as usize, 0);
-        for i in 0..pkts {
-            let dead = spread_drop(i, pkts, base_lost);
-            out.delivered_mask.push(!dead);
-            if dead {
-                out.drop_hop[i as usize] = hash_hop(epoch_seed, flow_key, i, route_len);
+        out.drop_hop.resize(n, 0);
+        out.dup.clear();
+        out.dup.resize(n, false);
+        for k in 0..base_lost.min(pkts) {
+            let i = spread_drop_nth(k, pkts, base_lost);
+            out.delivered_mask[i as usize] = false;
+            out.drop_hop[i as usize] = hash_hop(epoch_seed, flow_key, i, route_len);
+        }
+        out.skew_split = {
+            let frac = self.edge_skew_frac(in_edge);
+            if frac > 0.0 && pkts > 0 {
+                // Packets are uniformly spread over the epoch; the flow's
+                // phase acts as stochastic rounding so a 5% skew mis-stamps
+                // ~5% of packets in expectation even for tiny flows.
+                let phase =
+                    (mix64(flow_key ^ epoch_seed ^ PHASE_SALT) >> 11) as f64
+                        / (1u64 << 53) as f64;
+                ((frac * pkts as f64 + phase).floor() as u64).min(pkts)
+            } else {
+                0
             }
+        };
+        let link_lossy = !link_loss.is_lossless();
+        if !(link_lossy
+            || self.gilbert_elliott.is_some()
+            || self.reordering.is_some()
+            || self.duplication.is_some())
+        {
+            // No stage below can draw for this flow, so the RNG is never
+            // built: a generator nobody draws from is unobservable.
+            return;
         }
         let mut rng = StdRng::seed_from_u64(
             mix64(self.seed ^ epoch_seed).wrapping_add(mix64(flow_key)),
@@ -267,7 +305,7 @@ impl ImpairmentSet {
         // packet already claimed by the plan is not offered to later links.
         // When no link on this route can drop, no RNG state is consumed, so
         // congestion-free scenarios realize exactly as before.
-        if !link_loss.is_lossless() {
+        if link_lossy {
             match link_loss {
                 LinkLoss::Static(hop_probs) => {
                     for i in 0..pkts as usize {
@@ -340,29 +378,11 @@ impl ImpairmentSet {
                 }
             }
         }
-        match self.duplication {
-            Some(du) => {
-                out.dup.extend(
-                    (0..pkts as usize)
-                        .map(|i| out.delivered_mask[i] && rng.gen_bool(du.prob)),
-                );
+        if let Some(du) = self.duplication {
+            for i in 0..n {
+                out.dup[i] = out.delivered_mask[i] && rng.gen_bool(du.prob);
             }
-            None => out.dup.extend((0..pkts).map(|_| false)),
         }
-        out.skew_split = {
-            let frac = self.edge_skew_frac(in_edge);
-            if frac > 0.0 && pkts > 0 {
-                // Packets are uniformly spread over the epoch; the flow's
-                // phase acts as stochastic rounding so a 5% skew mis-stamps
-                // ~5% of packets in expectation even for tiny flows.
-                let phase =
-                    (mix64(flow_key ^ epoch_seed ^ PHASE_SALT) >> 11) as f64
-                        / (1u64 << 53) as f64;
-                ((frac * pkts as f64 + phase).floor() as u64).min(pkts)
-            } else {
-                0
-            }
-        };
     }
 }
 
@@ -411,11 +431,291 @@ impl FabricFates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::spread_drop;
 
     fn realize(imp: &ImpairmentSet, key: u64, pkts: u64, lost: u64) -> FabricFates {
         let mut f = FabricFates::default();
         imp.realize_flow(&mut f, key, pkts, lost, 0x1234, 0, 5, LinkLoss::None);
         f
+    }
+
+    /// The per-packet realization this module shipped before the closed-form
+    /// fill and the lazily built RNG — kept verbatim (only `self` renamed) as
+    /// the oracle [`ImpairmentSet::realize_flow`] is compared against: every
+    /// packet tested with [`spread_drop`], the RNG seeded unconditionally.
+    #[allow(clippy::too_many_arguments)]
+    fn realize_flow_per_packet(
+        imp: &ImpairmentSet,
+        out: &mut FabricFates,
+        flow_key: u64,
+        pkts: u64,
+        base_lost: u64,
+        epoch_seed: u64,
+        in_edge: usize,
+        route_len: usize,
+        link_loss: LinkLoss<'_>,
+    ) {
+        if let LinkLoss::Static(hop_probs) = link_loss {
+            debug_assert!(
+                hop_probs.is_empty() || hop_probs.len() == route_len,
+                "hop_probs must cover the route"
+            );
+        }
+        if let LinkLoss::Slotted { probs, slot_counts, n_slots } = link_loss {
+            debug_assert_eq!(probs.len(), route_len * n_slots, "probs must cover route x slots");
+            debug_assert_eq!(slot_counts.iter().sum::<u64>(), pkts, "slots must cover the flow");
+        }
+        out.delivered_mask.clear();
+        out.dup.clear();
+        out.drop_hop.clear();
+        out.drop_hop.resize(pkts as usize, 0);
+        for i in 0..pkts {
+            let dead = spread_drop(i, pkts, base_lost);
+            out.delivered_mask.push(!dead);
+            if dead {
+                out.drop_hop[i as usize] = hash_hop(epoch_seed, flow_key, i, route_len);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(
+            mix64(imp.seed ^ epoch_seed).wrapping_add(mix64(flow_key)),
+        );
+        // Link loss first: it is the fabric's own loss (the saturated
+        // link/queue), everything below is channel/plan noise on top. A
+        // packet already claimed by the plan is not offered to later links.
+        // When no link on this route can drop, no RNG state is consumed, so
+        // congestion-free scenarios realize exactly as before.
+        if !link_loss.is_lossless() {
+            match link_loss {
+                LinkLoss::Static(hop_probs) => {
+                    for i in 0..pkts as usize {
+                        if !out.delivered_mask[i] {
+                            continue;
+                        }
+                        for (h, &p) in hop_probs.iter().enumerate() {
+                            if p > 0.0 && rng.gen_bool(p) {
+                                out.delivered_mask[i] = false;
+                                out.drop_hop[i] = h as u8;
+                                break;
+                            }
+                        }
+                    }
+                }
+                LinkLoss::Slotted { probs, slot_counts, n_slots } => {
+                    // Packets occupy slots in index order (index order is
+                    // time order within an epoch), so each packet tests the
+                    // drop probability of every hop *in its slot*.
+                    let mut i = 0usize;
+                    for (t, &cnt) in slot_counts.iter().enumerate() {
+                        for _ in 0..cnt {
+                            if out.delivered_mask[i] {
+                                for h in 0..route_len {
+                                    let p = probs[h * n_slots + t];
+                                    if p > 0.0 && rng.gen_bool(p) {
+                                        out.delivered_mask[i] = false;
+                                        out.drop_hop[i] = h as u8;
+                                        break;
+                                    }
+                                }
+                            }
+                            i += 1;
+                        }
+                    }
+                }
+                LinkLoss::None => unreachable!("lossless is handled above"),
+            }
+        }
+        if let Some(ge) = imp.gilbert_elliott {
+            // Start the chain in its stationary distribution so short flows
+            // see the same loss statistics as long ones.
+            let denom = ge.p_enter_bad + ge.p_exit_bad;
+            let p_bad0 = if denom > 0.0 { ge.p_enter_bad / denom } else { 0.0 };
+            let mut bad = rng.gen_bool(p_bad0);
+            for i in 0..pkts as usize {
+                let p = if bad { ge.loss_bad } else { ge.loss_good };
+                if p > 0.0 && rng.gen_bool(p) && out.delivered_mask[i] {
+                    out.delivered_mask[i] = false;
+                    out.drop_hop[i] = hash_hop(epoch_seed, flow_key, i as u64, route_len);
+                }
+                bad = if bad {
+                    !rng.gen_bool(ge.p_exit_bad)
+                } else {
+                    rng.gen_bool(ge.p_enter_bad)
+                };
+            }
+        }
+        if let Some(ro) = imp.reordering {
+            let w = ro.window.max(1);
+            for i in 0..pkts {
+                if rng.gen_bool(ro.prob) {
+                    let j = i + rng.gen_range(1..=w);
+                    if j < pkts {
+                        // The whole fate moves with the packet: delivery
+                        // flag and drop point swap together.
+                        out.delivered_mask.swap(i as usize, j as usize);
+                        out.drop_hop.swap(i as usize, j as usize);
+                    }
+                }
+            }
+        }
+        match imp.duplication {
+            Some(du) => {
+                out.dup.extend(
+                    (0..pkts as usize)
+                        .map(|i| out.delivered_mask[i] && rng.gen_bool(du.prob)),
+                );
+            }
+            None => out.dup.extend((0..pkts).map(|_| false)),
+        }
+        out.skew_split = {
+            let frac = imp.edge_skew_frac(in_edge);
+            if frac > 0.0 && pkts > 0 {
+                // Packets are uniformly spread over the epoch; the flow's
+                // phase acts as stochastic rounding so a 5% skew mis-stamps
+                // ~5% of packets in expectation even for tiny flows.
+                let phase =
+                    (mix64(flow_key ^ epoch_seed ^ PHASE_SALT) >> 11) as f64
+                        / (1u64 << 53) as f64;
+                ((frac * pkts as f64 + phase).floor() as u64).min(pkts)
+            } else {
+                0
+            }
+        };
+    }
+
+    /// A per-slot packet layout for `pkts` packets over 4 slots (sums to
+    /// `pkts`, as `realize_flow` requires).
+    fn slot_layout(pkts: u64) -> Vec<u64> {
+        let mut counts = vec![pkts / 4; 4];
+        counts[0] += pkts - counts.iter().sum::<u64>();
+        counts
+    }
+
+    /// Every single impairment, nothing, and the `perfect-storm` scenario's
+    /// combination of all four.
+    fn impairment_sweep() -> Vec<(&'static str, ImpairmentSet)> {
+        let one = |seed| ImpairmentSet { seed, ..ImpairmentSet::none() };
+        vec![
+            ("none", one(1)),
+            (
+                "gilbert-elliott",
+                ImpairmentSet { gilbert_elliott: Some(GilbertElliott::bursty()), ..one(2) },
+            ),
+            (
+                "duplication",
+                ImpairmentSet { duplication: Some(Duplication { prob: 0.3 }), ..one(3) },
+            ),
+            (
+                "reordering",
+                ImpairmentSet { reordering: Some(Reordering { prob: 0.25, window: 8 }), ..one(4) },
+            ),
+            (
+                "clock-skew",
+                ImpairmentSet { clock_skew: Some(ClockSkew { max_frac: 0.3 }), ..one(5) },
+            ),
+            (
+                "perfect-storm",
+                ImpairmentSet {
+                    gilbert_elliott: Some(GilbertElliott {
+                        p_enter_bad: 0.01,
+                        p_exit_bad: 0.3,
+                        loss_good: 0.0,
+                        loss_bad: 0.4,
+                    }),
+                    duplication: Some(Duplication { prob: 0.02 }),
+                    reordering: Some(Reordering { prob: 0.1, window: 4 }),
+                    clock_skew: Some(ClockSkew { max_frac: 0.02 }),
+                    ..one(0xA119)
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn closed_form_realization_equals_the_per_packet_oracle() {
+        const ROUTE: usize = 3;
+        const SLOTS: usize = 4;
+        let static_zero = [0.0; ROUTE];
+        let static_hot = [0.0, 0.2, 0.05];
+        let slotted_zero = [0.0; ROUTE * SLOTS];
+        let mut slotted_hot = [0.0; ROUTE * SLOTS];
+        slotted_hot[SLOTS + 2] = 0.3; // hop 1, slot 2
+        slotted_hot[2 * SLOTS] = 0.1; // hop 2, slot 0
+        let mut cases = 0u32;
+        // One pair of buffers for the whole sweep: every realization must
+        // fully overwrite whatever the previous (often longer) flow left.
+        let (mut got, mut want) = (FabricFates::default(), FabricFates::default());
+        for (name, imp) in impairment_sweep() {
+            for pkts in [0u64, 1, 2, 7, 64, 1500] {
+                let slots = slot_layout(pkts);
+                let views = [
+                    ("none", LinkLoss::None),
+                    ("static-zero", LinkLoss::Static(&static_zero)),
+                    ("static", LinkLoss::Static(&static_hot)),
+                    (
+                        "slotted-zero",
+                        LinkLoss::Slotted { probs: &slotted_zero, slot_counts: &slots, n_slots: SLOTS },
+                    ),
+                    (
+                        "slotted",
+                        LinkLoss::Slotted { probs: &slotted_hot, slot_counts: &slots, n_slots: SLOTS },
+                    ),
+                ];
+                for base_lost in [0, 1, pkts / 3, pkts, pkts + 3] {
+                    for (view, link_loss) in views {
+                        for key in [7u64, 0xdead_beef] {
+                            let epoch_seed = 0x1234 ^ key.rotate_left(17);
+                            let in_edge = (key % 4) as usize;
+                            imp.realize_flow(
+                                &mut got, key, pkts, base_lost, epoch_seed, in_edge, ROUTE, link_loss,
+                            );
+                            realize_flow_per_packet(
+                                &imp, &mut want, key, pkts, base_lost, epoch_seed, in_edge, ROUTE,
+                                link_loss,
+                            );
+                            assert_eq!(
+                                got, want,
+                                "{name} pkts={pkts} base_lost={base_lost} link={view} key={key:#x}"
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 6 * 6 * 5 * 5 * 2);
+    }
+
+    /// The RNG is skipped only when nothing can draw. Each stage that draws,
+    /// switched on alone, must still see the seeded stream: the realization
+    /// equals the oracle's (which always seeds) *and* shows the stage's
+    /// effect, so the draws demonstrably happened.
+    #[test]
+    fn each_drawing_stage_alone_still_builds_the_rng() {
+        let run = |imp: &ImpairmentSet, link_loss: LinkLoss<'_>| {
+            let (mut got, mut want) = (FabricFates::default(), FabricFates::default());
+            imp.realize_flow(&mut got, 91, 1500, 40, 0x77, 1, 3, link_loss);
+            realize_flow_per_packet(imp, &mut want, 91, 1500, 40, 0x77, 1, 3, link_loss);
+            assert_eq!(got, want);
+            got
+        };
+        let sweep = impairment_sweep();
+        let quiet = run(&sweep[0].1, LinkLoss::None);
+        assert_eq!(quiet.n_delivered(), 1460);
+
+        let link = run(&sweep[0].1, LinkLoss::Static(&[0.0, 0.2, 0.0]));
+        assert!(link.n_delivered() < 1460, "link loss must drop beyond the plan");
+        let ge = run(&sweep[1].1, LinkLoss::None);
+        assert!(ge.n_delivered() < 1460, "Gilbert–Elliott must drop beyond the plan");
+        let dup = run(&sweep[2].1, LinkLoss::None);
+        assert!(dup.dup.iter().any(|&d| d), "duplication must duplicate something");
+        let ro = run(&sweep[3].1, LinkLoss::None);
+        assert_eq!(ro.n_delivered(), 1460);
+        assert_ne!(ro.delivered_mask, quiet.delivered_mask, "reordering must move drops");
+        // Clock skew is a hash, not a draw: it changes the split and
+        // nothing else.
+        let skew = run(&sweep[4].1, LinkLoss::None);
+        assert!(skew.skew_split > 0);
+        assert_eq!(skew.delivered_mask, quiet.delivered_mask);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   (phase A), and the owning shard applies them in deterministic
 //!   (source-shard, record) order after a barrier (phase B).
 //! * **Randomness is split-seed.** Loss plans realize in a serial prologue
-//!   (one global RNG stream, untouched); per-flow impairment fates are pure
+//!   (one global RNG stream, untouched; the scenario paths realize the
+//!   victims' lost counts only); per-flow impairment fates are pure
 //!   functions of `(seed, epoch_seed, flow_key)` — the same discipline that
 //!   makes `chm_bench::parallel` byte-identical at any worker count — so a
 //!   shard realizes exactly what the serial loop would.
@@ -136,15 +137,19 @@ impl Sharding {
 }
 
 /// One shard's slice of an [`EpochReport`]: everything a shard accumulates
-/// locally in phase A. Per-flow maps are disjoint across shards (every flow
-/// lives on exactly one shard); per-switch and histogram maps overlap and
-/// merge by addition — both reductions are order-independent, which is what
-/// makes [`merge_fragments`] permutation-invariant (property-tested).
+/// locally in phase A. Per-flow entries are disjoint across shards (every
+/// flow lives on exactly one shard); per-switch and histogram maps overlap
+/// and merge by addition — both reductions are order-independent, which is
+/// what makes [`merge_fragments`] permutation-invariant (property-tested).
 #[derive(Debug, Clone)]
 pub struct ReportFragment<F> {
     /// Realized per-flow deliveries (scenario paths; clean paths take these
-    /// from the loss plan's global application instead).
-    pub delivered: HashMap<F, u64>,
+    /// from the loss plan's global application instead), as a dense column:
+    /// one `(flow, delivered)` entry per flow the shard owns, in partition
+    /// order. Every flow has an entry, so a keyed map here would hash the
+    /// whole trace once per shard and again in the merge; the column is
+    /// appended to, and [`merge_fragments`] hashes each flow exactly once.
+    pub delivered: Vec<(F, u64)>,
     /// Realized per-flow losses (scenario paths).
     pub lost: HashMap<F, u64>,
     /// Per-switch drop totals for this shard's flows.
@@ -160,7 +165,7 @@ pub struct ReportFragment<F> {
 impl<F> Default for ReportFragment<F> {
     fn default() -> Self {
         ReportFragment {
-            delivered: HashMap::new(),
+            delivered: Vec::new(),
             lost: HashMap::new(),
             dropped_at: BTreeMap::new(),
             lost_at: HashMap::new(),
@@ -190,14 +195,14 @@ impl<F: Copy + Eq + std::hash::Hash> ReportFragment<F> {
 }
 
 /// Merges one fragment into the accumulator, draining the source so its
-/// map capacity is reused next epoch. Per-flow maps are disjoint unions;
+/// capacity is reused next epoch. Per-flow entries are disjoint unions;
 /// per-switch and histogram maps are keyed sums — both order-independent.
 // chm-lint: hot
 fn merge_one<F: Copy + Eq + std::hash::Hash>(
-    acc: &mut ReportFragment<F>,
+    acc: &mut EpochReport<F>,
     frag: &mut ReportFragment<F>,
 ) {
-    acc.delivered.extend(frag.delivered.drain());
+    acc.delivered.extend(frag.delivered.drain(..));
     acc.lost.extend(frag.lost.drain());
     acc.lost_at.extend(frag.lost_at.drain());
     for (&s, &c) in frag.dropped_at.iter() {
@@ -215,24 +220,28 @@ fn merge_one<F: Copy + Eq + std::hash::Hash>(
 /// result is invariant under any permutation of `frags` as long as the
 /// per-flow key sets are disjoint — which the ingress-edge partition
 /// guarantees and the proptest in `tests/shard_differential.rs` pins.
+///
+/// The report's keyed maps are sized from the summed fragment sizes before
+/// anything is inserted: `delivered` — the one trace-sized map of an epoch —
+/// is built here in a single pass, never regrown.
 pub fn merge_fragments<F: FlowId>(
     epoch: u64,
     queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
     frags: &mut [ReportFragment<F>],
 ) -> EpochReport<F> {
-    let mut acc = ReportFragment::default();
+    let mut acc = EpochReport {
+        delivered: HashMap::with_capacity(frags.iter().map(|f| f.delivered.len()).sum()),
+        lost: HashMap::with_capacity(frags.iter().map(|f| f.lost.len()).sum()),
+        dropped_at: BTreeMap::new(),
+        lost_at: HashMap::with_capacity(frags.iter().map(|f| f.lost_at.len()).sum()),
+        hops_histogram: BTreeMap::new(),
+        queue_depth,
+        epoch,
+    };
     for frag in frags.iter_mut() {
         merge_one(&mut acc, frag);
     }
-    EpochReport {
-        delivered: acc.delivered,
-        lost: acc.lost,
-        dropped_at: acc.dropped_at,
-        lost_at: acc.lost_at,
-        hops_histogram: acc.hops_histogram,
-        queue_depth,
-        epoch,
-    }
+    acc
 }
 
 /// Per-shard timing of one sharded epoch, in the caller's injected clock
@@ -269,29 +278,6 @@ impl ShardTiming {
             + self.phase_a.iter().sum::<f64>()
             + self.phase_b.iter().sum::<f64>()
             + self.merge_s
-    }
-
-    /// Reconstructs the timing struct as a view over a recorded span tree
-    /// (`prologue`, `phase_a/shard_{i}`, `phase_b/shard_{i}`, `merge`).
-    /// Shard vectors are read back in index order, so the result is
-    /// value-identical to the struct the engine used to build directly.
-    pub fn from_profile(prof: &SpanProfiler) -> Self {
-        let total = |path: &[&str]| prof.get(path).map_or(0.0, |(_, t)| t);
-        let shard_vec = |phase: &str| {
-            let mut out = Vec::new();
-            let mut i = 0usize;
-            while let Some((_, t)) = prof.get(&[phase, &format!("shard_{i}")]) {
-                out.push(t);
-                i += 1;
-            }
-            out
-        };
-        ShardTiming {
-            prologue_s: total(&["prologue"]),
-            phase_a: shard_vec("phase_a"),
-            phase_b: shard_vec("phase_b"),
-            merge_s: total(&["merge"]),
-        }
     }
 }
 
@@ -339,7 +325,18 @@ struct EgressRun<F> {
 /// Per-shard reusable working state: the egress outboxes (one per
 /// destination shard), the report fragment, and the per-flow scratch
 /// buffers the serial replay paths keep as locals.
+///
+/// The engine keeps one per shard in a `Vec`, and phase A has every worker
+/// rewrite its own entry's vector headers on every flow (`fates` lengths,
+/// the `delivered` column's length). Aligned to a cache-line pair (Intel
+/// prefetches lines in pairs) so that neighbouring entries never share one:
+/// unaligned (344 bytes, 8-aligned), entry `i`'s `fates` headers and entry
+/// `i + 1`'s `outbox`/`delivered` headers sat in one line that two workers
+/// fought over per flow — ~10 ms of a 40 ms phase A at 250 k flows, more or
+/// less of it depending on where the allocator put the `Vec` and how the
+/// workers' timing fell, so the fastest epoch of a run was a matter of luck.
 #[derive(Debug)]
+#[repr(align(128))]
 struct ShardScratch<F> {
     outbox: Vec<Vec<EgressRun<F>>>,
     frag: ReportFragment<F>,
@@ -572,12 +569,12 @@ fn scenario_realize<F: Routable>(
     route_len
 }
 
-/// Fold one realized flow's outcome into the fragment (delivered/lost maps
-/// plus attribution) — shared by both scenario phase-A bodies.
+/// Fold one realized flow's outcome into the fragment (delivered column,
+/// lost map, attribution) — shared by both scenario phase-A bodies.
 // chm-lint: hot
 fn scenario_account<F: Routable>(a: FlowArgs<F>, sc: &mut ShardScratch<F>) {
     let del = sc.fates.n_delivered();
-    sc.frag.delivered.insert(a.f, del);
+    sc.frag.delivered.push((a.f, del));
     if del < a.pkts {
         sc.frag.lost.insert(a.f, a.pkts - del);
         attribute_fates(
@@ -749,16 +746,22 @@ struct TaskB<'a, E> {
 
 /// The sharded replay engine. Construct once with a [`Sharding`], then
 /// drive any number of epochs; partitions, outboxes, fragments, and scratch
-/// buffers are reused across epochs (arena-style — no steady-state
-/// allocation once capacities stabilize).
+/// buffers are reused across epochs (arena-style). Once their capacities
+/// stabilize, what an epoch allocates is the [`EpochReport`] it returns —
+/// one `delivered` entry per flow, the victims' `lost`/`lost_at` entries —
+/// plus the plan's victim-sized lost-count map and a handful of per-phase
+/// task vectors; `netsim/tests/alloc_budget.rs` holds an epoch to twice the
+/// report's own size.
 #[derive(Debug)]
 pub struct ShardedReplay<F> {
     sharding: Sharding,
     parts: Vec<ShardFlows>,
     scratches: Vec<ShardScratch<F>>,
+    /// `shard_{i}` span names, one per shard, built once.
+    shard_names: Vec<String>,
     /// Span tree of the most recent epoch (`prologue`, `phase_a/shard_i`,
-    /// `phase_b/shard_i`, `merge`) — the [`ShardTiming`] the timed entry
-    /// points return is a [`ShardTiming::from_profile`] view over it.
+    /// `phase_b/shard_i`, `merge`) — the same durations the timed entry
+    /// points return as a [`ShardTiming`].
     last_profile: SpanProfiler,
 }
 
@@ -770,6 +773,7 @@ impl<F: Routable> ShardedReplay<F> {
             sharding,
             parts: (0..sharding.shards).map(|_| ShardFlows::default()).collect(),
             scratches: (0..sharding.shards).map(|_| ShardScratch::default()).collect(),
+            shard_names: (0..sharding.shards).map(|i| format!("shard_{i}")).collect(),
             last_profile: SpanProfiler::new(),
         }
     }
@@ -915,7 +919,7 @@ impl<F: Routable> ShardedReplay<F> {
         let ts_bit = sim.current_ts_bit();
         let prev_bit = ts_bit ^ 1;
         let epoch_seed = sim.epoch_seed();
-        let (_, base_lost) = plan.apply_to_trace(trace, epoch_seed);
+        let base_lost = plan.realize_losses(trace, epoch_seed);
         let queue = imp
             .queue
             .as_ref()
@@ -980,7 +984,7 @@ impl<F: Routable> ShardedReplay<F> {
         let ts_bit = sim.current_ts_bit();
         let prev_bit = ts_bit ^ 1;
         let epoch_seed = sim.epoch_seed();
-        let (_, base_lost) = plan.apply_to_trace(trace, epoch_seed);
+        let base_lost = plan.realize_losses(trace, epoch_seed);
         let queue = imp
             .queue
             .as_ref()
@@ -1139,20 +1143,19 @@ impl<F: Routable> ShardedReplay<F> {
         }
         let merge_s = clock() - m0;
 
-        // Record the epoch as a span tree and hand back the classic
-        // timing struct as a view over it (value-identical fields).
-        let mut prof = SpanProfiler::new();
+        // Record the epoch as a span tree; the timing struct handed back
+        // carries the same durations.
+        let prof = &mut self.last_profile;
+        prof.clear();
         prof.record(&["prologue"], partition_s);
-        for (i, t) in phase_a.iter().enumerate() {
-            prof.record(&["phase_a", &format!("shard_{i}")], *t);
+        for (name, t) in self.shard_names.iter().zip(&phase_a) {
+            prof.record(&["phase_a", name], *t);
         }
-        for (i, t) in phase_b.iter().enumerate() {
-            prof.record(&["phase_b", &format!("shard_{i}")], *t);
+        for (name, t) in self.shard_names.iter().zip(&phase_b) {
+            prof.record(&["phase_b", name], *t);
         }
         prof.record(&["merge"], merge_s);
-        let timing = ShardTiming::from_profile(&prof);
-        self.last_profile = prof;
-        (report, timing)
+        (report, ShardTiming { prologue_s: partition_s, phase_a, phase_b, merge_s })
     }
 }
 
@@ -1292,7 +1295,14 @@ mod tests {
         let (_, timing) = eng.run_epoch_timed(&mut sim, &trace, &plan, &mut s, &clock);
         let prof = eng.last_profile();
         assert!(prof.balanced());
-        assert_eq!(ShardTiming::from_profile(prof), timing);
+        let span = |path: &[&str]| prof.get(path).map(|(_, t)| t);
+        assert_eq!(span(&["prologue"]), Some(timing.prologue_s));
+        assert_eq!(span(&["merge"]), Some(timing.merge_s));
+        for (i, name) in ["shard_0", "shard_1", "shard_2"].iter().enumerate() {
+            assert_eq!(span(&["phase_a", name]), Some(timing.phase_a[i]));
+            assert_eq!(span(&["phase_b", name]), Some(timing.phase_b[i]));
+        }
+        assert_eq!((timing.phase_a.len(), timing.phase_b.len()), (3, 3));
         assert_eq!(prof.get(&["phase_a", "shard_2"]).map(|(c, _)| c), Some(1));
         assert!(prof.get(&["phase_a", "shard_3"]).is_none());
         assert!(timing.total_work_s() > 0.0);
@@ -1357,7 +1367,7 @@ mod tests {
         let mk = |salt: u64| {
             let mut frag = ReportFragment::<FiveTuple>::default();
             let f = FiveTuple::unpack(salt as u128);
-            frag.delivered.insert(f, 10 + salt);
+            frag.delivered.push((f, 10 + salt));
             frag.lost.insert(f, salt);
             let mut at = BTreeMap::new();
             at.insert(SwitchId { role: SwitchRole::Edge, index: salt as usize }, salt);

@@ -449,7 +449,7 @@ impl Simulator {
         let ts_bit = self.current_ts_bit();
         let prev_bit = ts_bit ^ 1;
         let epoch_seed = self.epoch_seed();
-        let (_, base_lost) = plan.apply_to_trace(trace, epoch_seed);
+        let base_lost = plan.realize_losses(trace, epoch_seed);
         // The queue model supersedes the static congestion model: both are
         // link-level loss generators, and exactly one realization feeds the
         // fates so the two layers can never double-drop.
@@ -564,7 +564,7 @@ impl Simulator {
         let ts_bit = self.current_ts_bit();
         let prev_bit = ts_bit ^ 1;
         let epoch_seed = self.epoch_seed();
-        let (_, base_lost) = plan.apply_to_trace(trace, epoch_seed);
+        let base_lost = plan.realize_losses(trace, epoch_seed);
         // Identical link-loss layering to the per-packet scenario path:
         // queue supersedes static congestion, one realization feeds both.
         let queue = imp
@@ -780,7 +780,7 @@ mod tests {
 
     #[test]
     fn spread_drop_excess_losses_clamp_to_flow_size() {
-        // n_lost > pkts cannot happen from a LossPlan (apply_to_trace caps),
+        // n_lost > pkts cannot happen from a LossPlan (realize_losses caps),
         // but the function is public: clamp instead of relying on the raw
         // formula's accidental behavior.
         for (pkts, n_lost) in [(5u64, 6u64), (5, 100), (1, u32::MAX as u64)] {

@@ -1,0 +1,122 @@
+//! Allocation budget of the scenario replay path: a steady-state epoch may
+//! request little more than the [`EpochReport`] it hands back.
+//!
+//! The report's `delivered` map has one entry per flow, so it *is* the
+//! epoch's allocation; everything else (partitions, outboxes, fragment
+//! columns, fate buffers) lives in arenas that persist across epochs. What
+//! this guards against is a second trace-sized map that is built and thrown
+//! away — the loss plan's whole-trace `delivered` map the scenario paths
+//! used to discard, or a merge accumulator regrown from empty — which costs
+//! tens of milliseconds at 250 k flows and is invisible to every equality
+//! test. Verified with a counting global allocator (bytes requested), the
+//! pattern of the root `tests/alloc_audit.rs`.
+
+use chm_common::FiveTuple;
+use chm_netsim::{
+    EdgeSite, FatTree, ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray,
+};
+use chm_workloads::{testbed_trace, LossPlan, VictimSelection, WorkloadKind};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAlloc;
+
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+// chm-lint: allow(unsafe-block, "counting-allocator shim: implementing GlobalAlloc is inherently unsafe and this type exists only in this test binary")
+unsafe impl GlobalAlloc for CountingAlloc {
+    // chm-lint: allow(unsafe-block, "adds the requested size to a counter then delegates to System.alloc with the caller's layout unchanged")
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    // chm-lint: allow(unsafe-block, "pure delegation to System.dealloc; pointer and layout come straight from the caller")
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    // chm-lint: allow(unsafe-block, "adds the new size to a counter then delegates to System.realloc with the caller's arguments unchanged")
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn bytes_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = BYTES.load(Ordering::SeqCst);
+    let out = f();
+    (BYTES.load(Ordering::SeqCst) - before, out)
+}
+
+/// A site that keeps counters only, so the measured bytes are the replay
+/// engine's own.
+#[derive(Default)]
+struct CountingSite {
+    ingress: u64,
+    egress: u64,
+}
+
+impl EdgeSite<FiveTuple> for CountingSite {
+    fn site_ingress(&mut self, _f: &FiveTuple, _ts: u8) -> u8 {
+        self.ingress += 1;
+        0
+    }
+    fn site_egress(&mut self, _f: &FiveTuple, _ts: u8, _tag: u8) {
+        self.egress += 1;
+    }
+    fn site_ingress_burst(&mut self, _f: &FiveTuple, _ts: u8, pkts: u64) -> [(u8, u64); 3] {
+        self.ingress += pkts;
+        [(0, pkts), (1, 0), (2, 0)]
+    }
+    fn site_egress_burst(&mut self, _f: &FiveTuple, _ts: u8, _tag: u8, delivered: u64) {
+        self.egress += delivered;
+    }
+}
+
+/// One `#[test]` on purpose: the byte counter is process-global.
+#[test]
+fn a_scenario_epoch_allocates_little_more_than_its_report() {
+    let topo = FatTree::testbed();
+    let trace = testbed_trace(WorkloadKind::Dctcp, 20_000, 8, 0xa110c);
+    let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.01), 0.02, 0x10ad);
+    let imp = ImpairmentSet::none();
+    let new_sites = || (0..4).map(|_| CountingSite::default()).collect::<Vec<_>>();
+
+    // Sharded engine, steady state: epoch 0 grows the arenas, then the
+    // smaller of two epochs is compared with what its report holds —
+    // measured as the bytes a clone of that report requests.
+    let mut sim = Simulator::new(topo.clone(), SimConfig::default());
+    let mut eng = ShardedReplay::new(Sharding::of(2));
+    let mut sites = new_sites();
+    eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut sites);
+    let mut epoch = || {
+        bytes_during(|| eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut sites))
+    };
+    let (a, _) = epoch();
+    let (b, report) = epoch();
+    let (held, copy) = bytes_during(|| report.clone());
+    assert_eq!(copy.delivered.len(), 20_000);
+    assert!(held > 20_000 * 24, "a report holds at least its delivered entries: {held} B");
+    let requested = a.min(b);
+    assert!(
+        requested < 2 * held,
+        "sharded scenario epoch requested {requested} B, its report holds {held} B"
+    );
+
+    // Serial path: it has no arenas, but it must not build a trace-sized
+    // map it does not return — the report's own `delivered` is the only one
+    // (1x), the victims' maps and route buffers are noise beside it.
+    let mut sim = Simulator::new(topo, SimConfig::default());
+    let mut sites = new_sites();
+    sim.run_epoch_burst_scenario(&trace, &plan, &imp, &mut SiteArray(&mut sites));
+    let (requested, report) = bytes_during(|| {
+        sim.run_epoch_burst_scenario(&trace, &plan, &imp, &mut SiteArray(&mut sites))
+    });
+    let (held, _copy) = bytes_during(|| report.clone());
+    assert!(
+        2 * requested < 3 * held,
+        "serial scenario epoch requested {requested} B, its report holds {held} B"
+    );
+}

@@ -201,6 +201,35 @@ fn all_paths_match_unsharded_on_every_fabric() {
     }
 }
 
+/// The scenario paths' `delivered` report is assembled from per-shard
+/// columns, so the degenerate partitions matter: more shards than edges
+/// (shards 4..9 own no edge and contribute empty columns) and an empty
+/// trace (every column empty) must still reproduce the serial report.
+#[test]
+fn scenario_paths_survive_idle_shards_and_an_empty_trace() {
+    let topo: Topology = FatTree::testbed().into();
+    let (trace, plan) = workload(&topo, 0xc01);
+    let empty = Trace { flows: Vec::new() };
+    let imp = impairments();
+    let sim0 = Simulator::new(topo.clone(), SimConfig::default());
+    for (what, trace) in [("idle shards", &trace), ("empty trace", &empty)] {
+        for path in [Path::Scenario, Path::ScenarioBurst] {
+            let mut sim_ref = sim0.clone();
+            let mut ref_sites = sites(topo.n_edges());
+            let mut sim = sim0.clone();
+            let mut s = sites(topo.n_edges());
+            let mut eng = ShardedReplay::new(Sharding { shards: 9, workers: 16 });
+            for epoch in 0..2 {
+                let r_ref = run_unsharded(path, &mut sim_ref, trace, &plan, &imp, &mut ref_sites);
+                let r = run_sharded(path, &mut eng, &mut sim, trace, &plan, &imp, &mut s);
+                assert_eq!(r, r_ref, "{what}: {path:?} epoch {epoch}");
+                assert_eq!(r.delivered.len(), trace.num_flows(), "{what}: {path:?}");
+            }
+            assert_eq!(s, ref_sites, "{what}: {path:?} site state");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Merge permutation invariance (proptest)
 // ---------------------------------------------------------------------
@@ -213,7 +242,7 @@ fn build_fragment(frag_id: u64, flows: &[(u64, u64, u64, u8)]) -> ReportFragment
     let mut frag = ReportFragment::<FiveTuple>::default();
     for &(salt, delivered, lost, hops) in flows {
         let f = FiveTuple::unpack(((frag_id << 32) | salt) as u128 | 1 << 96);
-        frag.delivered.insert(f, delivered);
+        frag.delivered.push((f, delivered));
         if lost > 0 {
             frag.lost.insert(f, lost);
             let sw = SwitchId { role: SwitchRole::Edge, index: (salt % 5) as usize };

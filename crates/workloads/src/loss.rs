@@ -89,10 +89,39 @@ impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
         }
     }
 
-    /// Deterministically splits each victim flow's packets into
-    /// (delivered, lost), guaranteeing **at least one** lost packet per
-    /// victim (so every planned victim is a real victim, as on the testbed
-    /// where loss rates and flow sizes are chosen to make victims actual).
+    /// Deterministically realizes each victim flow's lost-packet count,
+    /// guaranteeing **at least one** lost packet per victim (so every
+    /// planned victim is a real victim, as on the testbed where loss rates
+    /// and flow sizes are chosen to make victims actual) and never more
+    /// than the flow carries.
+    ///
+    /// Returns the lost counts of the victims only — the map is as large as
+    /// the victim set, not the trace. Draws come from one RNG stream walked
+    /// in trace order, so the counts depend on `(self, trace, seed)` alone.
+    pub fn realize_losses(&self, trace: &Trace<F>, seed: u64) -> HashMap<F, u64> {
+        if self.victims.is_empty() {
+            return HashMap::new();
+        }
+        let mut lost = HashMap::with_capacity(self.victims.len());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for &(f, pkts) in &trace.flows {
+            if let Some(&p) = self.victims.get(&f) {
+                let mut dropped = 0u64;
+                for _ in 0..pkts {
+                    if rng.gen_bool(p) {
+                        dropped += 1;
+                    }
+                }
+                // Victims must lose at least one packet, and at most all.
+                lost.insert(f, dropped.max(1).min(pkts));
+            }
+        }
+        lost
+    }
+
+    /// Splits every flow's packets into (delivered, lost):
+    /// [`realize_losses`](Self::realize_losses) plus the delivered count of
+    /// every flow in the trace.
     ///
     /// Returns `(delivered_counts, lost_counts)` for the whole trace.
     pub fn apply_to_trace(
@@ -100,32 +129,12 @@ impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
         trace: &Trace<F>,
         seed: u64,
     ) -> (HashMap<F, u64>, HashMap<F, u64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut delivered = HashMap::with_capacity(trace.num_flows());
-        let mut lost = HashMap::new();
-        for &(f, pkts) in &trace.flows {
-            match self.victims.get(&f) {
-                Some(&p) => {
-                    let mut dropped = 0u64;
-                    for _ in 0..pkts {
-                        if rng.gen_bool(p) {
-                            dropped += 1;
-                        }
-                    }
-                    if dropped == 0 {
-                        dropped = 1; // victims must lose at least one packet
-                    }
-                    if dropped > pkts {
-                        dropped = pkts;
-                    }
-                    delivered.insert(f, pkts - dropped);
-                    lost.insert(f, dropped);
-                }
-                None => {
-                    delivered.insert(f, pkts);
-                }
-            }
-        }
+        let lost = self.realize_losses(trace, seed);
+        let delivered = trace
+            .flows
+            .iter()
+            .map(|&(f, pkts)| (f, pkts - lost.get(&f).copied().unwrap_or(0)))
+            .collect();
         (delivered, lost)
     }
 }

@@ -69,6 +69,31 @@ proptest! {
         prop_assert_eq!(total_delivered + total_lost, t.total_packets());
     }
 
+    /// `realize_losses` is the lost half of `apply_to_trace` (one RNG loop
+    /// behind both), and `delivered` is derived from it: every flow's
+    /// delivered + lost is its packet count — for a built plan and for the
+    /// empty plan, which realizes nothing.
+    #[test]
+    fn realize_losses_is_the_lost_half_of_apply_to_trace(
+        n in 50usize..500,
+        ratio in 0.01f64..0.5,
+        rate in 0.005f64..0.9,
+        seed in any::<u64>(),
+    ) {
+        let t = caida_like_trace(n, seed);
+        let built = LossPlan::build(&t, VictimSelection::RandomRatio(ratio), rate, seed ^ 1);
+        for plan in [built, LossPlan::none()] {
+            let lost_only = plan.realize_losses(&t, seed ^ 2);
+            let (delivered, lost) = plan.apply_to_trace(&t, seed ^ 2);
+            prop_assert_eq!(&lost_only, &lost);
+            prop_assert_eq!(lost.len(), plan.num_victims());
+            prop_assert_eq!(delivered.len(), t.num_flows());
+            for &(f, pkts) in &t.flows {
+                prop_assert_eq!(delivered[&f] + lost.get(&f).copied().unwrap_or(0), pkts);
+            }
+        }
+    }
+
     /// Testbed traces route between distinct hosts within range.
     #[test]
     fn testbed_hosts_in_range(n in 10usize..500, hosts in 2u32..16, seed in any::<u64>()) {
