@@ -422,9 +422,7 @@ impl FastEdge {
     /// the reusable scratch, flip.
     fn end_epoch(&mut self) -> usize {
         let group = self.dp.take_group(0);
-        let r = group.up_hh.decode_with(&mut self.scratch);
-        let n = r.flows.len();
-        self.scratch.recycle(r);
+        let n = group.up_hh.decode_with(&mut self.scratch).flows.len();
         self.dp.flip(0);
         n
     }
@@ -779,7 +777,9 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
     let hash_mops_legacy = pc.hash_keys as f64 * 3.0 / mod_s / 1e6;
     let hash_mops_fast = pc.hash_keys as f64 * 3.0 / fast_hash_s / 1e6;
 
-    // --- decode latency: loaded sketch (dense path) ----------------------
+    // --- decode latency: loaded sketch ------------------------------------
+    // The `_fast` decodes allocate the flowset they return, as the
+    // controller's do (it keeps every flowset in its `EpochAnalysis`).
     let dec_cfg = FermatConfig::standard(
         (pc.decode_flows as f64 / 0.70 / 3.0).ceil() as usize,
         0xdec0,
@@ -791,9 +791,8 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
         legacy_loaded.insert(&f);
     }
     let mut scratch = DecodeScratch::new();
-    let r = loaded.decode_with(&mut scratch); // warm the scratch buffers
-    let decoded_flows = r.flows.len();
-    scratch.recycle(r);
+    // Warms the scratch buffers.
+    let decoded_flows = loaded.decode_with(&mut scratch).flows.len();
     let (decode_s_legacy, _) = best_of(pc.reps, || {
         let t0 = Instant::now();
         let (flows, _) = legacy_loaded.decode_cloned();
@@ -802,12 +801,10 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
     let (decode_s_fast, _) = best_of(pc.reps, || {
         let t0 = Instant::now();
         let r = loaded.decode_with(&mut scratch);
-        let n = r.flows.len();
-        scratch.recycle(r);
-        (t0.elapsed().as_secs_f64(), std::hint::black_box(n))
+        (t0.elapsed().as_secs_f64(), std::hint::black_box(r.flows.len()))
     });
 
-    // --- decode latency: sparse delta (overlay path) ---------------------
+    // --- decode latency: sparse delta -------------------------------------
     // A big encoder (the healthy-state HH geometry) holding few victims:
     // the controller's per-epoch delta decode.
     let delta_cfg = FermatConfig::standard(cfg.m_uf, 0xde17a);
@@ -826,9 +823,7 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
     let (delta_s_fast, _) = best_of(pc.reps, || {
         let t0 = Instant::now();
         let r = delta.decode_with(&mut scratch);
-        let n = r.flows.len();
-        scratch.recycle(r);
-        (t0.elapsed().as_secs_f64(), std::hint::black_box(n))
+        (t0.elapsed().as_secs_f64(), std::hint::black_box(r.flows.len()))
     });
 
     // --- sharded-pipeline scaling sweep ----------------------------------

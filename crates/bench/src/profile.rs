@@ -367,14 +367,14 @@ mod tests {
             assert!(count >= epochs, "span {path:?} count {count} < {epochs}");
             assert_eq!(total, 0.0, "zero clock must keep {path:?} at 0.0");
         }
-        // The decode strategy split is present (sparse or loaded fired;
+        // The decode occupancy-class split is present (sparse or loaded fired;
         // only leaves carry counts — `decode` itself is a pure parent).
-        let strategy_decodes = ["sparse", "loaded"]
+        let classed_decodes = ["sparse", "loaded"]
             .iter()
             .filter_map(|s| r.spans.get(&["epoch", "analyze", "decode", s]))
             .map(|(c, _)| c)
             .sum::<u64>();
-        assert!(strategy_decodes > 0, "no decode spans recorded");
+        assert!(classed_decodes > 0, "no decode spans recorded");
         assert!(r.packets > 0);
     }
 

@@ -423,7 +423,7 @@ impl<F: FlowId> Controller<F> {
     /// whole pass runs under an `analyze` span, and every Fermat decode
     /// records `decode/edge_{i}` (upstream HH per edge), `decode/delta_hl`,
     /// `decode/delta_ll`, plus a `decode/sparse` or `decode/loaded` span
-    /// for the strategy the peel took ([`chm_fermat::DecodeStats`]). The
+    /// for the sketch's occupancy class ([`chm_fermat::DecodeStats`]). The
     /// blocks between the decodes record `cardinality` (linear counting per
     /// edge), `fsd` (MRAC per edge), `delta_hl_build` / `delta_ll_build`
     /// (the sketch clone/add/sub chains) and `victims`.
@@ -497,8 +497,8 @@ impl<F: FlowId> Controller<F> {
             if let Some((spans, clock)) = obs.as_mut() {
                 let dur = clock() - t0;
                 spans.record(&["decode", &format!("edge_{i}")], dur);
-                let strategy = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
-                spans.record(&["decode", strategy], dur);
+                let class = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
+                spans.record(&["decode", class], dur);
             }
             if !r.success {
                 hh_decode_ok = false;
@@ -566,8 +566,8 @@ impl<F: FlowId> Controller<F> {
                 if let Some((spans, clock)) = obs.as_mut() {
                     let dur = clock() - t0;
                     spans.record(&["decode", "delta_hl"], dur);
-                    let strategy = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
-                    spans.record(&["decode", strategy], dur);
+                    let class = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
+                    spans.record(&["decode", class], dur);
                 }
                 if r.success {
                     let n = r.flows.len() as f64;
@@ -604,8 +604,8 @@ impl<F: FlowId> Controller<F> {
                 if let Some((spans, clock)) = obs.as_mut() {
                     let dur = clock() - t0;
                     spans.record(&["decode", "delta_ll"], dur);
-                    let strategy = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
-                    spans.record(&["decode", strategy], dur);
+                    let class = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
+                    spans.record(&["decode", class], dur);
                 }
                 if r.success {
                     let n = r.flows.len() as f64;

@@ -327,131 +327,45 @@ impl<F: FlowId> FermatSketch<F> {
     /// the fallback when decoding fails).
     pub fn linear_count(&self, i: usize) -> f64 {
         let m = self.cfg.buckets_per_array;
-        if m == 0 {
-            return 0.0;
-        }
-        let zero = m - self.nonzero_in_array(i);
-        if zero == 0 {
-            // Saturated array: linear counting diverges. Apply the standard
-            // half-count continuity correction (V₀ = 0.5/m), yielding
-            // m·ln(2m) — a deliberately *large* estimate so the controller
-            // treats a saturated encoder as badly overloaded.
-            return m as f64 * (2.0 * m as f64).ln();
-        }
-        -(m as f64) * ((zero as f64) / (m as f64)).ln()
+        linear_count_of(m, m - self.nonzero_in_array(i))
     }
 
-    /// Decodes the sketch non-destructively.
-    ///
-    /// Unlike earlier revisions this **never clones the sketch**: peeling
-    /// runs against a scratch workspace ([`DecodeScratch`]) that shadows
-    /// only the touched bucket state. This convenience form allocates a
-    /// fresh scratch; epoch loops should hold one and call
-    /// [`decode_with`](Self::decode_with) to reuse the queue/flows/bucket
-    /// allocations across epochs.
+    /// Decodes the sketch non-destructively (Algorithm 2) with a fresh
+    /// workspace. Epoch loops should hold a [`DecodeScratch`] and call
+    /// [`decode_with`](Self::decode_with), which reuses the bucket copy and
+    /// the peeling queue.
     pub fn decode(&self) -> DecodeResult<F> {
-        let mut scratch = DecodeScratch::new();
-        self.decode_with(&mut scratch)
+        self.decode_with(&mut DecodeScratch::new())
     }
 
-    /// Decodes the sketch non-destructively, reusing `scratch`'s
-    /// allocations (peeling queue, flowset map, bucket shadow).
+    /// Decodes the sketch non-destructively: copies the bucket state into
+    /// `scratch` (three memcpys, no allocation once the scratch has seen a
+    /// sketch this large) and runs the peel [`decode_in_place`] runs, over
+    /// the copy. One path at every occupancy; the only allocation of a
+    /// warmed call is the returned flowset, reserved once.
     ///
-    /// Strategy is picked by occupancy: a sparsely loaded sketch (e.g. a
-    /// delta encoder holding few victims) peels through a hash-map overlay
-    /// of the touched buckets only; a loaded sketch copies its bucket state
-    /// into the scratch's reusable dense buffers (a memcpy, no allocation
-    /// after the first epoch). Both paths run the identical peel and return
-    /// bit-identical results.
+    /// [`decode_in_place`]: Self::decode_in_place
     pub fn decode_with(&self, scratch: &mut DecodeScratch<F>) -> DecodeResult<F> {
-        scratch.queue.clear();
-        let mut flows = std::mem::take(&mut scratch.flows);
-        flows.clear();
-        let m = self.cfg.buckets_per_array;
-        // Step 1: push all non-zero buckets.
-        let mut hot = 0usize;
-        for i in 0..self.cfg.arrays {
-            for j in 0..m {
-                if self.counts[i * m + j] != 0 {
-                    scratch.queue.push_back((i as u32, j as u32));
-                    hot += 1;
-                }
-            }
-        }
-        let total = self.cfg.total_buckets();
-        // ≤ 1/8 occupancy: the overlay touches far less memory than a full
-        // copy. Above that, the dense copy's linear memcpy wins.
-        if hot * 8 <= total {
-            let mut store = OverlayStore {
-                base_counts: &self.counts,
-                base_idsums: &self.idsums,
-                base_fpsums: &self.fpsums,
-                overlay: &mut scratch.overlay,
-                lanes: F::FRAGMENTS,
-            };
-            store.overlay.clear();
-            self.peel(&mut store, &mut scratch.queue, &mut flows);
-            // Remaining = non-zero buckets of the base state, adjusted by
-            // the overlay's touched buckets — a branchy-but-linear scan
-            // plus O(|overlay|), instead of a hash lookup per bucket.
-            let base_nonzero =
-                |b: usize| -> bool {
-                    self.counts[b] != 0
-                        || self.idsums[b * F::FRAGMENTS..(b + 1) * F::FRAGMENTS]
-                            .iter()
-                            .any(|&s| s != 0)
-                };
-            let mut remaining = count_remaining(&self.counts, &self.idsums, F::FRAGMENTS);
-            for (&b, o) in scratch.overlay.iter() {
-                let now = o.count != 0 || o.idsums[..F::FRAGMENTS].iter().any(|&s| s != 0);
-                match (base_nonzero(b), now) {
-                    (true, false) => remaining -= 1,
-                    (false, true) => remaining += 1,
-                    _ => {}
-                }
-            }
-            scratch.last_stats = DecodeStats {
-                sparse: true,
-                hot_buckets: hot,
-                total_buckets: total,
-                decoded_flows: flows.len(),
-            };
-            DecodeResult {
-                flows,
-                success: remaining == 0,
-                remaining_nonzero: remaining,
-            }
-        } else {
-            scratch.counts.clear();
-            scratch.counts.extend_from_slice(&self.counts);
-            scratch.idsums.clear();
-            scratch.idsums.extend_from_slice(&self.idsums);
-            scratch.fpsums.clear();
-            scratch.fpsums.extend_from_slice(&self.fpsums);
-            let mut store = DirectStore {
-                counts: &mut scratch.counts,
-                idsums: &mut scratch.idsums,
-                fpsums: &mut scratch.fpsums,
-                lanes: F::FRAGMENTS,
-            };
-            self.peel(&mut store, &mut scratch.queue, &mut flows);
-            let remaining = count_remaining(&scratch.counts, &scratch.idsums, F::FRAGMENTS);
-            scratch.last_stats = DecodeStats {
-                sparse: false,
-                hot_buckets: hot,
-                total_buckets: total,
-                decoded_flows: flows.len(),
-            };
-            DecodeResult {
-                flows,
-                success: remaining == 0,
-                remaining_nonzero: remaining,
-            }
-        }
+        let DecodeScratch { queue, counts, idsums, fpsums, last_stats, .. } = scratch;
+        counts.clear();
+        counts.extend_from_slice(&self.counts);
+        idsums.clear();
+        idsums.extend_from_slice(&self.idsums);
+        fpsums.clear();
+        fpsums.extend_from_slice(&self.fpsums);
+        let (result, hot_buckets) = self.peel(counts, idsums, fpsums, queue);
+        let total_buckets = self.cfg.total_buckets();
+        *last_stats = DecodeStats {
+            sparse: hot_buckets * 8 <= total_buckets,
+            hot_buckets,
+            total_buckets,
+            decoded_flows: result.flows.len(),
+        };
+        result
     }
 
     /// Decoding operation (Algorithm 2) consuming the bucket contents —
-    /// the fastest path when the caller owns the sketch and is done with it.
+    /// the path for a caller that owns the sketch and is done with it.
     ///
     /// A work budget bounds the peeling: on overloaded sketches,
     /// false-positive extractions can otherwise cycle forever (a wrongly
@@ -459,87 +373,175 @@ impl<F: FlowId> FermatSketch<F> {
     /// cancellation, §A.2). Exhausting the budget leaves non-zero buckets,
     /// which correctly reports decode failure.
     pub fn decode_in_place(mut self) -> DecodeResult<F> {
-        let m = self.cfg.buckets_per_array;
-        let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
+        let mut counts = std::mem::take(&mut self.counts);
+        let mut idsums = std::mem::take(&mut self.idsums);
+        let mut fpsums = std::mem::take(&mut self.fpsums);
+        self.peel(&mut counts, &mut idsums, &mut fpsums, &mut VecDeque::new()).0
+    }
+
+    /// The queue-driven pure-bucket peel (Algorithm 2) over bucket state
+    /// laid out like `self`'s, which it drains in place. Returns the result
+    /// and the number of buckets that were hot (non-zero count) at the
+    /// start.
+    fn peel(
+        &self,
+        counts: &mut [i64],
+        idsums: &mut [u64],
+        fpsums: &mut [u64],
+        queue: &mut VecDeque<(u32, u32)>,
+    ) -> (DecodeResult<F>, usize) {
+        let cfg = &self.cfg;
+        let m = cfg.buckets_per_array;
+        let lanes = F::FRAGMENTS;
+        let hashes = self.hashes.as_slice();
+        let fp_mask = (1u64 << cfg.fingerprint_bits) - 1;
         // Step 1: push all non-zero buckets.
-        for i in 0..self.cfg.arrays {
+        queue.clear();
+        let mut hot_in_first_array = 0;
+        for i in 0..cfg.arrays {
             for j in 0..m {
-                if self.counts[i * m + j] != 0 {
+                if counts[i * m + j] != 0 {
                     queue.push_back((i as u32, j as u32));
                 }
             }
+            if i == 0 {
+                hot_in_first_array = queue.len();
+            }
         }
-        let mut flows: HashMap<F, i64> = HashMap::new();
-        let mut store = DirectStore {
-            counts: &mut self.counts,
-            idsums: &mut self.idsums,
-            fpsums: &mut self.fpsums,
-            lanes: F::FRAGMENTS,
-        };
-        // Split borrows: peel needs cfg/hashes immutably, the store fields
-        // mutably — route through a free function taking both.
-        peel_impl(
-            &self.cfg,
-            &self.hashes,
-            &self.fp_hash,
-            self.reducer,
-            &mut store,
-            &mut queue,
-            &mut flows,
+        let hot = queue.len();
+        // Reserve the flowset once, from the estimate the queue implies for
+        // the first array plus 6 % for its error. Never more than one entry
+        // per bucket: a sketch holding more flows than that cannot decode.
+        let estimate = linear_count_of(m, m - hot_in_first_array);
+        let mut flows: HashMap<F, i64> = HashMap::with_capacity(
+            ((estimate * 1.06).ceil() as usize).min(cfg.total_buckets()),
         );
-        let remaining = count_remaining(&self.counts, &self.idsums, F::FRAGMENTS);
-        DecodeResult {
-            flows,
-            success: remaining == 0,
-            remaining_nonzero: remaining,
+        let mut budget: u64 = 32 * (cfg.total_buckets() as u64 + 64);
+        while let Some((i, j)) = queue.pop_front() {
+            if budget == 0 {
+                break;
+            }
+            budget -= 1;
+            let (i, j) = (i as usize, j as usize);
+            let b = i * m + j;
+            let count = counts[b];
+            let ids = &idsums[b * lanes..(b + 1) * lanes];
+            if count == 0 && ids.iter().all(|&s| s == 0) {
+                continue; // already drained by an earlier extraction
+            }
+            // Steps 3-4: pure-bucket verification (§3.1): recover the candidate
+            // flow via Fermat's little theorem, re-hash it, check fingerprints.
+            let cmod = signed_to_mod(count);
+            if cmod == 0 {
+                continue;
+            }
+            let Some(inv) = inv_mod(cmod) else { continue };
+            let mut frags = [0u64; MAX_FRAGMENTS];
+            for (frag, &s) in frags.iter_mut().zip(ids) {
+                *frag = mul_mod(s, inv);
+            }
+            let Some(f) = F::try_from_fragments(&frags[..lanes]) else {
+                continue;
+            };
+            let bh = BatchHasher::new(f.key64());
+            if bh.index(&hashes[i], self.reducer) != j {
+                continue;
+            }
+            let fp_sub = if cfg.fingerprint_bits > 0 {
+                let weighted = mul_mod(cmod, bh.raw(&self.fp_hash) & fp_mask);
+                if fpsums[b] != weighted {
+                    continue;
+                }
+                weighted
+            } else {
+                0
+            };
+            // Single-flow extraction from every mapped bucket, requeueing the
+            // ones still hot (steps 4-6).
+            let mut subs = [0u64; MAX_FRAGMENTS];
+            for (k, s) in subs.iter_mut().enumerate().take(lanes) {
+                *s = if cmod == 1 { f.fragment(k) } else { mul_mod(cmod, f.fragment(k)) };
+            }
+            for (i2, h) in hashes.iter().enumerate() {
+                let j2 = bh.index(h, self.reducer);
+                let b2 = i2 * m + j2;
+                counts[b2] -= count;
+                let mut drained = counts[b2] == 0;
+                for (lane, &sub) in idsums[b2 * lanes..(b2 + 1) * lanes].iter_mut().zip(&subs) {
+                    *lane = sub_mod(*lane, sub);
+                    drained &= *lane == 0;
+                }
+                if cfg.fingerprint_bits > 0 {
+                    fpsums[b2] = sub_mod(fpsums[b2], fp_sub);
+                }
+                if !drained {
+                    queue.push_back((i2 as u32, j2 as u32));
+                }
+            }
+            // Step 5: record in the Flowset.
+            *flows.entry(f).or_insert(0) += count;
         }
-    }
-
-    fn peel<S: BucketStore>(
-        &self,
-        store: &mut S,
-        queue: &mut VecDeque<(u32, u32)>,
-        flows: &mut HashMap<F, i64>,
-    ) {
-        peel_impl::<F, S>(
-            &self.cfg,
-            &self.hashes,
-            &self.fp_hash,
-            self.reducer,
-            store,
-            queue,
-            flows,
-        );
+        // False-positive extraction pairs cancel to zero (§A.2); drop them.
+        flows.retain(|_, c| *c != 0);
+        let remaining_nonzero = counts
+            .iter()
+            .zip(idsums.chunks_exact(lanes))
+            .filter(|&(&c, ids)| c != 0 || ids.iter().any(|&s| s != 0))
+            .count();
+        (
+            DecodeResult {
+                flows,
+                success: remaining_nonzero == 0,
+                remaining_nonzero,
+            },
+            hot,
+        )
     }
 }
 
-/// Reusable decode workspace: the peeling queue, the flowset accumulator,
-/// and a bucket shadow (sparse overlay or dense copy, chosen per decode).
+/// Linear-counting estimate `n̂ = −m·ln(zero/m)` of the flows hashed into an
+/// array of `m` buckets of which `zero` stayed empty (§4.3).
+fn linear_count_of(m: usize, zero: usize) -> f64 {
+    if m == 0 {
+        return 0.0;
+    }
+    if zero == 0 {
+        // Saturated array: linear counting diverges. Apply the standard
+        // half-count continuity correction (V₀ = 0.5/m), yielding
+        // m·ln(2m) — a deliberately *large* estimate so the controller
+        // treats a saturated encoder as badly overloaded.
+        return m as f64 * (2.0 * m as f64).ln();
+    }
+    -(m as f64) * ((zero as f64) / (m as f64)).ln()
+}
+
+/// Reusable decode workspace: the copy of the bucket state that
+/// [`FermatSketch::decode_with`] peels, and the peeling queue.
 ///
-/// Holding one of these across epochs makes [`FermatSketch::decode_with`]
-/// allocation-free in steady state — the controller decodes every epoch's
+/// Holding one of these across epochs leaves the returned flowset as the
+/// only allocation of a decode — the controller decodes every epoch's
 /// encoders without cloning a single sketch.
 #[derive(Debug, Clone)]
 pub struct DecodeScratch<F: FlowId> {
     queue: VecDeque<(u32, u32)>,
-    overlay: HashMap<usize, OverlayBucket>,
     counts: Vec<i64>,
     idsums: Vec<u64>,
     fpsums: Vec<u64>,
-    flows: HashMap<F, i64>,
     /// Telemetry from the most recent [`FermatSketch::decode_with`] call
-    /// through this scratch (strategy choice + peel size). Read-only for
+    /// through this scratch (occupancy class + peel size). Read-only for
     /// callers; observability layers fold it into span counters.
     pub last_stats: DecodeStats,
+    _id: PhantomData<F>,
 }
 
-/// What the most recent `decode_with` did: which strategy ran and how big
-/// the peel was. Purely integer/flag data, deterministic for a given
-/// sketch state.
+/// What the most recent `decode_with` saw: how occupied the sketch was and
+/// how big the peel was. Purely integer/flag data, deterministic for a
+/// given sketch state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
-    /// True when the sparse overlay path ran (≤ 1/8 bucket occupancy);
-    /// false for the dense bucket-copy path.
+    /// Occupancy class: true when at most 1/8 of the buckets were hot (a
+    /// delta encoder holding few victims), false for a loaded sketch. It
+    /// labels the decode; every decode takes the same path.
     pub sparse: bool,
     /// Non-zero buckets at decode start.
     pub hot_buckets: usize,
@@ -553,12 +555,11 @@ impl<F: FlowId> Default for DecodeScratch<F> {
     fn default() -> Self {
         DecodeScratch {
             queue: VecDeque::new(),
-            overlay: HashMap::new(),
             counts: Vec::new(),
             idsums: Vec::new(),
             fpsums: Vec::new(),
-            flows: HashMap::new(),
             last_stats: DecodeStats::default(),
+            _id: PhantomData,
         }
     }
 }
@@ -568,209 +569,6 @@ impl<F: FlowId> DecodeScratch<F> {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Hands a finished [`DecodeResult`]'s flowset allocation back to the
-    /// scratch so the next decode reuses its capacity. Purely an
-    /// optimization — dropping the result instead is always correct.
-    pub fn recycle(&mut self, result: DecodeResult<F>) {
-        if result.flows.capacity() > self.flows.capacity() {
-            self.flows = result.flows;
-        }
-    }
-}
-
-/// Shadow state of one touched bucket in the sparse overlay.
-#[derive(Debug, Clone, Copy)]
-struct OverlayBucket {
-    count: i64,
-    idsums: [u64; MAX_FRAGMENTS],
-    fpsum: u64,
-}
-
-/// Bucket state the peel reads and extracts from; implemented by the dense
-/// (owned/copied arrays) and sparse (overlay of touched buckets) stores.
-trait BucketStore {
-    fn count(&self, b: usize) -> i64;
-    fn idsum(&self, b: usize, k: usize) -> u64;
-    fn fpsum(&self, b: usize) -> u64;
-    /// Removes `count` packets of a flow with weighted fragment values
-    /// `subs` (and weighted fingerprint `fp_sub`) from bucket `b`.
-    fn extract(&mut self, b: usize, count: i64, subs: &[u64], fp_sub: Option<u64>);
-}
-
-struct DirectStore<'a> {
-    counts: &'a mut [i64],
-    idsums: &'a mut [u64],
-    fpsums: &'a mut [u64],
-    lanes: usize,
-}
-
-impl BucketStore for DirectStore<'_> {
-    #[inline]
-    fn count(&self, b: usize) -> i64 {
-        self.counts[b]
-    }
-    #[inline]
-    fn idsum(&self, b: usize, k: usize) -> u64 {
-        self.idsums[b * self.lanes + k]
-    }
-    #[inline]
-    fn fpsum(&self, b: usize) -> u64 {
-        self.fpsums[b]
-    }
-    #[inline]
-    fn extract(&mut self, b: usize, count: i64, subs: &[u64], fp_sub: Option<u64>) {
-        self.counts[b] -= count;
-        for (k, &sub) in subs.iter().enumerate() {
-            let lane = b * self.lanes + k;
-            self.idsums[lane] = sub_mod(self.idsums[lane], sub);
-        }
-        if let Some(fp) = fp_sub {
-            self.fpsums[b] = sub_mod(self.fpsums[b], fp);
-        }
-    }
-}
-
-struct OverlayStore<'a> {
-    base_counts: &'a [i64],
-    base_idsums: &'a [u64],
-    base_fpsums: &'a [u64],
-    overlay: &'a mut HashMap<usize, OverlayBucket>,
-    lanes: usize,
-}
-
-impl BucketStore for OverlayStore<'_> {
-    #[inline]
-    fn count(&self, b: usize) -> i64 {
-        match self.overlay.get(&b) {
-            Some(o) => o.count,
-            None => self.base_counts[b],
-        }
-    }
-    #[inline]
-    fn idsum(&self, b: usize, k: usize) -> u64 {
-        match self.overlay.get(&b) {
-            Some(o) => o.idsums[k],
-            None => self.base_idsums[b * self.lanes + k],
-        }
-    }
-    #[inline]
-    fn fpsum(&self, b: usize) -> u64 {
-        match self.overlay.get(&b) {
-            Some(o) => o.fpsum,
-            None => self.base_fpsums[b],
-        }
-    }
-    #[inline]
-    fn extract(&mut self, b: usize, count: i64, subs: &[u64], fp_sub: Option<u64>) {
-        let (base_counts, base_idsums, base_fpsums, lanes) =
-            (self.base_counts, self.base_idsums, self.base_fpsums, self.lanes);
-        let o = self.overlay.entry(b).or_insert_with(|| {
-            let mut idsums = [0u64; MAX_FRAGMENTS];
-            idsums[..lanes].copy_from_slice(&base_idsums[b * lanes..(b + 1) * lanes]);
-            OverlayBucket {
-                count: base_counts[b],
-                idsums,
-                fpsum: base_fpsums.get(b).copied().unwrap_or(0),
-            }
-        });
-        o.count -= count;
-        for (k, &sub) in subs.iter().enumerate() {
-            o.idsums[k] = sub_mod(o.idsums[k], sub);
-        }
-        if let Some(fp) = fp_sub {
-            o.fpsum = sub_mod(o.fpsum, fp);
-        }
-    }
-}
-
-/// True when a bucket still holds state after peeling.
-fn count_remaining(counts: &[i64], idsums: &[u64], lanes: usize) -> usize {
-    counts
-        .iter()
-        .enumerate()
-        .filter(|&(b, &c)| {
-            c != 0 || idsums[b * lanes..(b + 1) * lanes].iter().any(|&s| s != 0)
-        })
-        .count()
-}
-
-/// The queue-driven pure-bucket peel (Algorithm 2), generic over the bucket
-/// store so the consuming and non-destructive decodes share one loop.
-fn peel_impl<F: FlowId, S: BucketStore>(
-    cfg: &FermatConfig,
-    hashes: &HashFamily,
-    fp_hash: &PairwiseHash,
-    reducer: FastRange,
-    store: &mut S,
-    queue: &mut VecDeque<(u32, u32)>,
-    flows: &mut HashMap<F, i64>,
-) {
-    let m = cfg.buckets_per_array;
-    let fp_mask = if cfg.fingerprint_bits > 0 {
-        (1u64 << cfg.fingerprint_bits) - 1
-    } else {
-        0
-    };
-    let mut budget: u64 = 32 * (cfg.total_buckets() as u64 + 64);
-    while let Some((i, j)) = queue.pop_front() {
-        if budget == 0 {
-            break;
-        }
-        budget -= 1;
-        let (i, j) = (i as usize, j as usize);
-        let b = i * m + j;
-        let count = store.count(b);
-        if count == 0 && (0..F::FRAGMENTS).all(|k| store.idsum(b, k) == 0) {
-            continue; // already drained by an earlier extraction
-        }
-        // Steps 3-4: pure-bucket verification (§3.1): recover the candidate
-        // flow via Fermat's little theorem, re-hash it, check fingerprints.
-        let cmod = signed_to_mod(count);
-        if cmod == 0 {
-            continue;
-        }
-        let Some(inv) = inv_mod(cmod) else { continue };
-        let mut frags = [0u64; MAX_FRAGMENTS];
-        for (k, frag) in frags.iter_mut().enumerate().take(F::FRAGMENTS) {
-            *frag = mul_mod(store.idsum(b, k), inv);
-        }
-        let Some(f) = F::try_from_fragments(&frags[..F::FRAGMENTS]) else {
-            continue;
-        };
-        let bh = BatchHasher::new(f.key64());
-        if bh.index(hashes.get(i), reducer) != j {
-            continue;
-        }
-        let fp_of_key = if cfg.fingerprint_bits > 0 {
-            let fpv = bh.raw(fp_hash) & fp_mask;
-            if store.fpsum(b) != mul_mod(cmod, fpv) {
-                continue;
-            }
-            Some(fpv)
-        } else {
-            None
-        };
-        // Single-flow extraction from every mapped bucket, requeueing the
-        // ones still hot (steps 4-6).
-        let mut subs = [0u64; MAX_FRAGMENTS];
-        for (k, s) in subs.iter_mut().enumerate().take(F::FRAGMENTS) {
-            *s = if cmod == 1 { f.fragment(k) } else { mul_mod(cmod, f.fragment(k)) };
-        }
-        let fp_sub = fp_of_key.map(|fpv| mul_mod(cmod, fpv));
-        for (i2, h) in hashes.as_slice().iter().enumerate() {
-            let j2 = bh.index(h, reducer);
-            let b2 = i2 * m + j2;
-            store.extract(b2, count, &subs[..F::FRAGMENTS], fp_sub);
-            if store.count(b2) != 0 || (0..F::FRAGMENTS).any(|k| store.idsum(b2, k) != 0) {
-                queue.push_back((i2 as u32, j2 as u32));
-            }
-        }
-        // Step 5: record in the Flowset.
-        *flows.entry(f).or_insert(0) += count;
-    }
-    // False-positive extraction pairs cancel to zero (§A.2); drop them.
-    flows.retain(|_, c| *c != 0);
 }
 
 #[cfg(test)]
@@ -984,8 +782,8 @@ mod tests {
 
     #[test]
     fn decode_with_matches_decode_in_place_across_occupancies() {
-        // Sparse (overlay path), loaded (dense-copy path), and overloaded
-        // (failing) sketches must all agree with the consuming decode.
+        // Sparse, loaded and overloaded (failing) sketches must all agree
+        // with the consuming decode.
         for &(m, flows) in &[(4096usize, 40u32), (400, 700), (100, 900)] {
             let mut s = FermatSketch::<u32>::new(cfg(m));
             let mut rng = StdRng::seed_from_u64(m as u64 ^ flows as u64);
@@ -1020,7 +818,6 @@ mod tests {
             let r = s.decode_with(&mut scratch);
             assert!(r.success, "epoch {epoch}");
             assert_eq!(r.flows, truth);
-            scratch.recycle(r);
         }
     }
 

@@ -186,7 +186,7 @@ impl ServeRuntime {
         let (trace, plan) = self.stream.at(epoch);
 
         // The service pipeline runs under the zero clock: span *counts*
-        // accumulate (stages per epoch, decodes per edge, strategy picks)
+        // accumulate (stages per epoch, decodes per edge and occupancy class)
         // while every duration stays exactly 0.0 — telemetry output is
         // byte-identical across runs and shard layouts. Real time only
         // ever enters via the bench harness.

@@ -1,25 +1,29 @@
 //! Allocation audit of the per-packet hot path: `TowerSketch` and
 //! `FermatSketch` inserts must never allocate — the packet engine's speed
-//! rests on it. Verified with a counting global allocator (the
-//! test-binary equivalent of a debug-assertion-gated allocation counter:
-//! it only exists here, costs nothing in the shipped crates, and fails the
-//! suite loudly if an allocation sneaks into the hot path).
+//! rests on it — and a warmed `FermatSketch::decode_with` allocates its
+//! result, once, and nothing else. Verified with a counting global
+//! allocator (the test-binary equivalent of a debug-assertion-gated
+//! allocation counter: it only exists here, costs nothing in the shipped
+//! crates, and fails the suite loudly if an allocation sneaks into the hot
+//! path).
 
-use chamelemon_repro::chm_fermat::{DecodeScratch, FermatConfig, FermatSketch};
+use chamelemon_repro::chm_fermat::{DecodeResult, DecodeScratch, FermatConfig, FermatSketch};
 use chamelemon_repro::chm_tower::{TowerConfig, TowerSketch};
-use chamelemon_repro::chm_common::FiveTuple;
+use chamelemon_repro::chm_common::{FiveTuple, FlowId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // chm-lint: allow(unsafe-block, "counting-allocator shim: implementing GlobalAlloc is inherently unsafe and this type exists only in this test binary")
 unsafe impl GlobalAlloc for CountingAlloc {
     // chm-lint: allow(unsafe-block, "bumps a counter then delegates to System.alloc with the caller's layout unchanged")
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     // chm-lint: allow(unsafe-block, "pure delegation to System.dealloc; pointer and layout come straight from the caller")
@@ -29,6 +33,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // chm-lint: allow(unsafe-block, "bumps a counter then delegates to System.realloc with the caller's arguments unchanged")
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -69,7 +74,7 @@ fn tuple(i: u32) -> FiveTuple {
 fn hot_paths_do_not_allocate() {
     tower_insert_does_not_allocate();
     fermat_insert_does_not_allocate();
-    warmed_dense_decode_reuses_scratch_buffers();
+    warmed_decode_allocates_only_its_flowset();
 }
 
 fn tower_insert_does_not_allocate() {
@@ -111,25 +116,77 @@ fn fermat_insert_does_not_allocate() {
     assert_eq!(n, 0, "FermatSketch::insert_weighted allocated {n} times");
 }
 
-fn warmed_dense_decode_reuses_scratch_buffers() {
-    // After one warm-up decode, the dense-path scratch decode should not
-    // grow its bucket buffers or queue again; only the result flowset may
-    // allocate. We bound it loosely: far fewer allocations than flows.
-    let mut s = FermatSketch::<u32>::new(FermatConfig::standard(2048, 3));
-    for i in 0..3_000u32 {
-        s.insert(&i);
+/// Decodes `s` through a scratch warmed by an earlier decode of it, keeping
+/// the result as `Controller::analyze_epoch` does, and asserts that the
+/// decode allocated once — the flowset — and requested no more bytes than
+/// that table holds. Returns the bytes requested and the result.
+fn warmed_decode<F: FlowId>(
+    what: &str,
+    s: &FermatSketch<F>,
+    scratch: &mut DecodeScratch<F>,
+) -> (u64, DecodeResult<F>) {
+    drop(s.decode_with(scratch));
+    let mut result = None;
+    let mut bytes = 0;
+    let n = steady_allocations_during(|| {
+        let before = BYTES.load(Ordering::SeqCst);
+        result = Some(std::hint::black_box(s.decode_with(scratch)));
+        bytes = BYTES.load(Ordering::SeqCst) - before;
+    });
+    let r = result.expect("the closure ran");
+    assert_eq!(n, 1, "warmed {what} decode_with allocated {n} times, not once for its flowset");
+    let holds = table_bytes::<F>(r.flows.capacity());
+    assert!(bytes <= holds, "{what} decode requested {bytes} B for a {holds} B flowset");
+    (bytes, r)
+}
+
+/// Upper bound on the bytes of a `HashMap<F, i64>` table that holds
+/// `capacity` entries: its power-of-two bucket count (capacity is 7/8 of
+/// it) times one entry and one control byte, plus a group of padding.
+fn table_bytes<F>(capacity: usize) -> u64 {
+    let buckets = (capacity * 8).div_ceil(7).next_power_of_two();
+    (buckets * (std::mem::size_of::<(F, i64)>() + 1) + 64) as u64
+}
+
+fn warmed_decode_allocates_only_its_flowset() {
+    // The repo benchmark's `fermat_codec` geometry: 8 000 flows in 3 × 3584
+    // buckets (load 0.74), then the delta of the 320 that lost packets.
+    let cfg = FermatConfig::standard(3584, 5);
+    let mut up = FermatSketch::<FiveTuple>::new(cfg);
+    let mut down = FermatSketch::<FiveTuple>::new(cfg);
+    for i in 0..8_000u32 {
+        let sent = 1 + i64::from(i % 200);
+        up.insert_weighted(&tuple(i), sent);
+        let lost = if i % 25 == 0 { (sent / 10).max(1) } else { 0 };
+        if sent > lost {
+            down.insert_weighted(&tuple(i), sent - lost);
+        }
     }
     let mut scratch = DecodeScratch::new();
-    let r = s.decode_with(&mut scratch);
+    let (_, r) = warmed_decode("loaded", &up, &mut scratch);
+    assert!(r.success && r.flows.len() == 8_000);
+    up.sub_assign_sketch(&down);
+    let (_, r) = warmed_decode("delta", &up, &mut scratch);
+    assert!(r.success && r.flows.len() == 320);
+
+    // A one-lane flow ID at a different geometry and load (0.49).
+    let mut small = FermatSketch::<u32>::new(FermatConfig::standard(2048, 3));
+    for i in 0..3_000u32 {
+        small.insert(&i);
+    }
+    let (_, r) = warmed_decode("u32", &small, &mut DecodeScratch::new());
     assert!(r.success);
-    scratch.recycle(r);
-    let n = steady_allocations_during(|| {
-        let r = s.decode_with(&mut scratch);
-        assert!(r.success);
-        std::hint::black_box(r.flows.len());
-    });
-    assert!(
-        n < 100,
-        "warmed decode_with allocated {n} times (buffers not reused?)"
-    );
+
+    // Every bucket of array 0 hot: linear counting's saturated estimate is
+    // m·ln(2m) flows; the reservation stops at one entry per bucket.
+    let cfg = FermatConfig::standard(256, 6);
+    let mut over = FermatSketch::<u32>::new(cfg);
+    for i in 0..4_000u32 {
+        over.insert(&i);
+    }
+    assert_eq!(over.nonzero_in_array(0), 256);
+    let (bytes, r) = warmed_decode("overloaded", &over, &mut DecodeScratch::new());
+    assert!(!r.success);
+    let cap = table_bytes::<u32>(cfg.total_buckets());
+    assert!(bytes <= cap, "overloaded decode requested {bytes} B, one entry per bucket is {cap} B");
 }

@@ -31,6 +31,15 @@ proptest! {
         }
     }
 
+    /// Bucket counts of either sign take `inv_mod`'s table (`k < 4096`) or,
+    /// beyond it, the ladder; both sides of both edges equal `a^(p−2)`.
+    #[test]
+    fn inv_mod_table_equals_the_ladder_on_both_signs(k in 1u64..8192) {
+        for a in [k, MERSENNE_P - k] {
+            prop_assert_eq!(inv_mod(a), Some(pow_mod(a, MERSENNE_P - 2)));
+        }
+    }
+
     /// Every (flow set, weights) at sane load decodes to exactly itself.
     /// Decode *can* legitimately fail even at low load — two flows that
     /// collide in all `d` arrays leave no pure bucket (the 2-core of the
