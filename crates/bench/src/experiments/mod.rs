@@ -1,8 +1,9 @@
 //! One module per paper table/figure; each exposes `run() -> Vec<Table>`.
 //! The `src/bin/` wrappers call these, and `all_experiments` runs the lot.
 //!
-//! The per-experiment index (workload, parameters, implementing modules)
-//! lives in DESIGN.md; EXPERIMENTS.md records paper-vs-measured values.
+//! The README's "Running experiments" section indexes the binaries; each
+//! module's doc comment quotes the paper's value, and the measured values
+//! land in `results/*.json`.
 
 pub mod ablations;
 pub mod fig04_06;

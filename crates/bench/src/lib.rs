@@ -1,8 +1,8 @@
 //! Experiment harness shared by the figure/table binaries (`src/bin/`) and
 //! the Criterion benches (`benches/`).
 //!
-//! The per-experiment index lives in DESIGN.md; measured-vs-paper results
-//! are recorded in EXPERIMENTS.md. Every binary prints a human-readable
+//! The README's "Running experiments" section indexes them; measured
+//! results are recorded in `results/*.json`. Every binary prints a human-readable
 //! table to stdout and, when `--json <path>` conventions are used via
 //! [`report::Table::write_json`], a machine-readable record under
 //! `results/`.

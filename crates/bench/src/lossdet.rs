@@ -2,7 +2,7 @@
 //! a common scenario type, fast batched replay into each detector, and the
 //! minimum-memory search.
 //!
-//! **Methodology note** (recorded in EXPERIMENTS.md): the paper reports "the
+//! **Methodology note**: the paper reports "the
 //! minimum memory required to achieve 99.9% decoding success rate". We
 //! approximate that operating point as the smallest memory at which
 //! `trials` independent trials (fresh hash seeds) all decode — with the

@@ -25,7 +25,8 @@ use chm_common::{FiveTuple, FlowId};
 use chm_fermat::{DecodeScratch, FermatConfig, FermatSketch};
 use chm_netsim::sim::EpochReport;
 use chm_netsim::{
-    KaryFatTree, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray, SwitchId, Topology,
+    ImpairmentSet, KaryFatTree, ReplayMode, ShardedReplay, Sharding, SimConfig, Simulator,
+    SiteArray, SwitchId, Topology,
 };
 use chm_tower::TowerConfig;
 use chm_workloads::{testbed_trace, LossPlan, Trace, VictimSelection, WorkloadKind};
@@ -633,6 +634,7 @@ fn sweep_tier(
     }
     let digests: Vec<u64> = ref_reports.iter().map(digest_report).collect();
 
+    let clean = ImpairmentSet::none();
     let mut rows = Vec::new();
     for &t in threads {
         let mut edges = new_edges();
@@ -641,7 +643,10 @@ fn sweep_tier(
         let t0 = Instant::now();
         let mut reports = Vec::new();
         for _ in 0..epochs {
-            reports.push(eng.run_epoch_burst(&mut sim, &trace, &plan, &mut edges));
+            reports.push(
+                eng.run_epoch(&mut sim, &trace, &plan, &clean, ReplayMode::Burst, &mut edges, &|| 0.0)
+                    .0,
+            );
         }
         let wall_s = t0.elapsed().as_secs_f64();
         assert_matches_reference(&reports, &edges, &ref_reports, &ref_edges, t, "wall");
@@ -654,8 +659,15 @@ fn sweep_tier(
         let mut crit_s = 0.0;
         let mut reports = Vec::new();
         for _ in 0..epochs {
-            let (r, timing) =
-                eng.run_epoch_burst_timed(&mut sim, &trace, &plan, &mut edges, &clock);
+            let (r, timing) = eng.run_epoch(
+                &mut sim,
+                &trace,
+                &plan,
+                &clean,
+                ReplayMode::Burst,
+                &mut edges,
+                &clock,
+            );
             crit_s += timing.critical_path_s();
             reports.push(r);
         }

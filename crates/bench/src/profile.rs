@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use chamelemon::CollectedGroup;
 use chm_common::FiveTuple;
-use chm_netsim::{ShardedReplay, Sharding};
+use chm_netsim::{ReplayMode, ShardedReplay, Sharding};
 use chm_obs::SpanProfiler;
 use chm_scenarios::{Scenario, ScenarioStack};
 
@@ -134,11 +134,12 @@ pub fn run(
         // under the open `epoch` span. Shard count is fixed, so the paths
         // are identical at any worker count.
         let a0 = alloc_count();
-        let (report, _timing) = eng.run_epoch_burst_scenario_timed(
+        let (report, _timing) = eng.run_epoch(
             &mut stack.simulator,
             &trace,
             &plan,
             &s.impairments,
+            ReplayMode::Burst,
             &mut stack.edges,
             clock,
         );

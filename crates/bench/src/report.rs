@@ -1,5 +1,5 @@
 //! Result recording: aligned stdout tables plus JSON rows under `results/`,
-//! so EXPERIMENTS.md can cite machine-readable numbers.
+//! so the README and CI can cite machine-readable numbers.
 //!
 //! JSON is emitted by hand (the offline build has no serde): the schema is
 //! the fixed four-field record below, so a small writer is all we need.

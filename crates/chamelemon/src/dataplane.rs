@@ -336,7 +336,7 @@ impl<F: FlowId> EdgeDataPlane<F> {
 
 /// The data plane as a shard-ownable measurement site: this is what lets
 /// `chm_netsim::ShardedReplay` drive ChameleMon edges directly (and, via
-/// [`chm_netsim::SiteArray`], what the serial replay paths use too — the
+/// [`chm_netsim::SiteArray`], what the serial driver uses too — the
 /// adapter that used to be copied into every consumer crate).
 ///
 /// The 2-bit wire tag is the [`Hierarchy`] encoding of §3.2.3; ingress

@@ -1,7 +1,7 @@
-//! The burst replay (`Simulator::run_epoch_burst`) must be observationally
-//! identical to the per-packet replay (`Simulator::run_epoch`): same epoch
-//! report, same sketch state on every edge switch — the batching is purely
-//! a speed optimization.
+//! The burst walker (`ReplayMode::Burst`) must be observationally identical
+//! to the per-packet walker (`ReplayMode::PerPacket`): same epoch report,
+//! same sketch state on every edge switch — the batching is purely a speed
+//! optimization.
 
 use chamelemon::config::DataPlaneConfig;
 use chamelemon::dataplane::{EdgeDataPlane, Hierarchy};
@@ -11,7 +11,7 @@ use chm_netsim::impair::{
     ClockSkew, Duplication, GilbertElliott, ImpairmentSet, Reordering,
 };
 use chm_netsim::sim::{BurstHooks, EdgeHooks};
-use chm_netsim::{FatTree, SimConfig, Simulator};
+use chm_netsim::{FatTree, ReplayMode, SimConfig, Simulator};
 use chm_workloads::{testbed_trace, LossPlan, VictimSelection, WorkloadKind};
 
 struct Edges(Vec<EdgeDataPlane<FiveTuple>>);
@@ -92,8 +92,8 @@ fn burst_replay_is_byte_identical_to_per_packet_replay() {
 #[test]
 fn impaired_burst_replay_is_byte_identical_to_per_packet_replay() {
     // The PR-2 equivalence contract must survive every fabric impairment:
-    // the impairment layer lives above the hook boundary, so the scenario
-    // replay paths consult one per-flow realization and stay identical.
+    // the impairment layer lives above the hook boundary, so both walkers
+    // consult one per-flow realization and stay identical.
     let topo = FatTree::testbed();
     let n_edges = topo.n_edge();
     let cfg = DataPlaneConfig::small(0xb1b1);
@@ -128,8 +128,9 @@ fn impaired_burst_replay_is_byte_identical_to_per_packet_replay() {
     let mut sim_b = Simulator::new(topo, SimConfig::default());
 
     for _ in 0..3 {
-        let ra = sim_a.run_epoch_scenario(&trace, &plan, &imp, &mut per_packet);
-        let rb = sim_b.run_epoch_burst_scenario(&trace, &plan, &imp, &mut burst);
+        let ra =
+            sim_a.run_epoch_scenario(&trace, &plan, &imp, ReplayMode::PerPacket, &mut per_packet);
+        let rb = sim_b.run_epoch_scenario(&trace, &plan, &imp, ReplayMode::Burst, &mut burst);
         assert_eq!(ra.delivered, rb.delivered);
         assert_eq!(ra.lost, rb.lost);
         assert_eq!(ra.dropped_at, rb.dropped_at);

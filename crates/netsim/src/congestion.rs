@@ -106,8 +106,8 @@ impl CongestionModel {
     /// Realizes the model for one epoch over one trace: offered load per
     /// directed link from every flow's ECMP route, class-mean capacities,
     /// and the resulting per-link drop probabilities. Pure function of
-    /// `(self, topology, trace, epoch)` — both replay paths call this with
-    /// identical inputs and get identical probabilities.
+    /// `(self, topology, trace, epoch)` — the epoch prologue calls it once,
+    /// so both walkers and both drivers see identical probabilities.
     pub fn realize<F: Routable>(
         &self,
         topology: &Topology,

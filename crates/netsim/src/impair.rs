@@ -11,18 +11,19 @@
 //! hop of the flow's ECMP route each lost packet died**, which delivered
 //! packets carry a duplicate, and how many leading packets are mis-stamped
 //! by clock skew.
-//! Both replay paths ([`run_epoch_scenario`](crate::Simulator::run_epoch_scenario)
-//! and [`run_epoch_burst_scenario`](crate::Simulator::run_epoch_burst_scenario))
-//! consult the *same* realization, so the per-packet and burst replays stay
-//! byte-identical under any scenario (property-tested in
+//! Both walkers ([`ReplayMode::PerPacket`](crate::ReplayMode) and
+//! [`ReplayMode::Burst`](crate::ReplayMode)) consult the *same* realization
+//! through [`FabricFates`]' accessors, so the per-packet and burst replays
+//! stay byte-identical under any scenario (property-tested in
 //! `chm_scenarios/tests/differential.rs`). Nothing impairment-specific is
-//! bolted into either path.
+//! bolted into either walker, and the clean fabric is simply
+//! [`ImpairmentSet::none`].
 //!
 //! Loss has two sources here: the flat plan/channel losses (spread drops,
 //! Gilbert–Elliott bursts), whose drop hop is a seeded hash over the route,
 //! and the [`CongestionModel`]'s
 //! per-link losses, whose drop hop *is* the saturated link. Either way the
-//! hop lands in [`FabricFates::drop_hop`], which
+//! hop is what [`FabricFates::for_each_drop`] reports, which
 //! [`EpochReport`](crate::sim::EpochReport) turns into per-switch drop
 //! attribution — the ground truth for victim localization.
 //!
@@ -32,7 +33,7 @@
 
 use crate::congestion::CongestionModel;
 use crate::queue::QueueModel;
-use crate::sim::spread_drop_nth;
+use crate::sim::{spread_drop, spread_drop_nth, spread_drop_prefix};
 use chm_common::hash::mix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,7 +193,8 @@ impl ImpairmentSet {
         ImpairmentSet::default()
     }
 
-    /// True when no impairment is configured (the clean fast paths apply).
+    /// True when no impairment is configured: every flow then replays from
+    /// the closed-form spread rule alone (see [`FabricFates`]).
     pub fn is_none(&self) -> bool {
         self.congestion.is_none()
             && self.queue.is_none()
@@ -217,18 +219,20 @@ impl ImpairmentSet {
     /// identified by `epoch_seed`, writing the outcome into `out` (buffers
     /// are reused across calls). `base_lost` is the loss plan's realized
     /// drop count for this flow; plan drops are spread over the flow exactly
-    /// as [`spread_drop`](crate::sim::spread_drop) spreads them (laid down
-    /// by [`spread_drop_nth`], one write per drop), then the impairments
-    /// perturb the pattern.
+    /// as [`spread_drop`] spreads them, then the impairments perturb the
+    /// pattern.
     ///
-    /// The per-flow RNG is seeded only when a stage that draws from it is
-    /// active for this flow: link loss with a positive probability somewhere
-    /// on the route (`Static`/`Slotted` views whose probabilities are all
-    /// zero count as lossless, like [`LinkLoss::None`]), Gilbert–Elliott,
-    /// reordering, or duplication. Plan drops, drop hops and clock skew are
-    /// hashes, not draws. This is exact, not an approximation: the
-    /// generator is local to the call, so one that is never drawn from
-    /// cannot influence any output.
+    /// A stage *draws* for this flow when it consumes the per-flow RNG: link
+    /// loss with a positive probability somewhere on the route
+    /// (`Static`/`Slotted` views whose probabilities are all zero count as
+    /// lossless, like [`LinkLoss::None`]), Gilbert–Elliott, reordering, or
+    /// duplication. Plan drops, drop hops and clock skew are hashes, not
+    /// draws. A flow no stage draws for is *quiet*: its fates are the spread
+    /// rule itself, so `out` records the rule's parameters and answers every
+    /// accessor in closed form — no per-packet column is written and the RNG
+    /// is never built. This is exact, not an approximation: the generator is
+    /// local to the call, so one that is never drawn from cannot influence
+    /// any output. Every other flow gets the dense per-packet columns.
     ///
     /// `route_len` is the number of switches on the flow's ECMP route
     /// (every drop is attributed to one of them); `link_loss` is the
@@ -258,21 +262,6 @@ impl ImpairmentSet {
             debug_assert_eq!(probs.len(), route_len * n_slots, "probs must cover route x slots");
             debug_assert_eq!(slot_counts.iter().sum::<u64>(), pkts, "slots must cover the flow");
         }
-        // Bulk-fill the quiet outcome (everything delivered, nothing
-        // duplicated), then lay the plan's drops down by enumerating their
-        // positions: O(drops) for a flow nothing else touches.
-        let n = pkts as usize;
-        out.delivered_mask.clear();
-        out.delivered_mask.resize(n, true);
-        out.drop_hop.clear();
-        out.drop_hop.resize(n, 0);
-        out.dup.clear();
-        out.dup.resize(n, false);
-        for k in 0..base_lost.min(pkts) {
-            let i = spread_drop_nth(k, pkts, base_lost);
-            out.delivered_mask[i as usize] = false;
-            out.drop_hop[i as usize] = hash_hop(epoch_seed, flow_key, i, route_len);
-        }
         out.skew_split = {
             let frac = self.edge_skew_frac(in_edge);
             if frac > 0.0 && pkts > 0 {
@@ -293,9 +282,30 @@ impl ImpairmentSet {
             || self.reordering.is_some()
             || self.duplication.is_some())
         {
-            // No stage below can draw for this flow, so the RNG is never
-            // built: a generator nobody draws from is unobservable.
+            out.quiet = Some(QuietFlow {
+                pkts,
+                lost: base_lost.min(pkts),
+                epoch_seed,
+                flow_key,
+                route_len,
+            });
             return;
+        }
+        out.quiet = None;
+        // Bulk-fill the untouched outcome (everything delivered, nothing
+        // duplicated), then lay the plan's drops down by enumerating their
+        // positions before the drawing stages perturb them.
+        let n = pkts as usize;
+        out.delivered_mask.clear();
+        out.delivered_mask.resize(n, true);
+        out.drop_hop.clear();
+        out.drop_hop.resize(n, 0);
+        out.dup.clear();
+        out.dup.resize(n, false);
+        for k in 0..base_lost.min(pkts) {
+            let i = spread_drop_nth(k, pkts, base_lost);
+            out.delivered_mask[i as usize] = false;
+            out.drop_hop[i as usize] = hash_hop(epoch_seed, flow_key, i, route_len);
         }
         let mut rng = StdRng::seed_from_u64(
             mix64(self.seed ^ epoch_seed).wrapping_add(mix64(flow_key)),
@@ -386,52 +396,165 @@ impl ImpairmentSet {
     }
 }
 
+/// The spread rule's parameters for a quiet flow (see
+/// [`ImpairmentSet::realize_flow`]): `lost` of `pkts` packets drop at the
+/// indices [`spread_drop`] marks, each at its [`hash_hop`].
+#[derive(Debug, Clone, Copy)]
+struct QuietFlow {
+    pkts: u64,
+    /// Plan drops, clamped to the flow.
+    lost: u64,
+    epoch_seed: u64,
+    flow_key: u64,
+    route_len: usize,
+}
+
 /// The realized fate of one flow's packets in one epoch: which indices are
 /// delivered, **where on the route** each lost packet died, which delivered
 /// indices are duplicated in the fabric, and how many leading packets carry
 /// the previous epoch's timestamp bit.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Read through the accessors only. Behind them sit two representations,
+/// chosen per flow by [`ImpairmentSet::realize_flow`] from its inputs: a
+/// quiet flow is the spread rule in closed form (`O(1)` to realize, `O(1)`
+/// per range query, `O(drops)` to attribute), any other flow is three dense
+/// per-packet columns. The buffers persist across calls.
+#[derive(Debug, Clone, Default)]
 pub struct FabricFates {
     /// `delivered_mask[i]` — packet `i` exits the network.
-    pub delivered_mask: Vec<bool>,
+    delivered_mask: Vec<bool>,
     /// `drop_hop[i]` — the route position (0 = ingress ToR) whose switch
     /// dropped packet `i`. Meaningful only where `delivered_mask[i]` is false.
-    pub drop_hop: Vec<u8>,
+    drop_hop: Vec<u8>,
     /// `dup[i]` — packet `i` additionally traverses egress a second time
     /// (only ever true for delivered packets).
-    pub dup: Vec<bool>,
-    /// The first `skew_split` packets are stamped with the previous epoch's
-    /// timestamp bit at ingress (and carry it to egress).
-    pub skew_split: u64,
+    dup: Vec<bool>,
+    skew_split: u64,
+    /// `Some` when the flow is quiet; the columns above are then stale.
+    quiet: Option<QuietFlow>,
 }
 
 impl FabricFates {
+    /// The first `skew_split` packets are stamped with the previous epoch's
+    /// timestamp bit at ingress (and carry it to egress).
+    #[inline]
+    pub fn skew_split(&self) -> u64 {
+        self.skew_split
+    }
+
     /// Packets of the flow that exit the network (duplicates not counted).
+    #[inline]
     pub fn n_delivered(&self) -> u64 {
-        self.delivered_mask.iter().filter(|&&d| d).count() as u64
+        match self.quiet {
+            Some(q) => q.pkts - q.lost,
+            None => self.delivered_mask.iter().filter(|&&d| d).count() as u64,
+        }
+    }
+
+    /// Packet `i` exits the network.
+    #[inline]
+    pub fn delivered(&self, i: u64) -> bool {
+        match self.quiet {
+            Some(q) => q.lost == 0 || !spread_drop(i, q.pkts, q.lost),
+            None => self.delivered_mask[i as usize],
+        }
+    }
+
+    /// Packet `i` traverses egress a second time (delivered packets only).
+    #[inline]
+    pub fn dup(&self, i: u64) -> bool {
+        self.quiet.is_none() && self.dup[i as usize]
     }
 
     /// Delivered packets with index in `[start, start + len)`.
+    #[inline]
     pub fn delivered_in(&self, start: u64, len: u64) -> u64 {
-        self.delivered_mask[start as usize..(start + len) as usize]
-            .iter()
-            .filter(|&&d| d)
-            .count() as u64
+        match self.quiet {
+            Some(q) if q.lost == 0 => len,
+            Some(q) => {
+                len - (spread_drop_prefix(start + len, q.pkts, q.lost)
+                    - spread_drop_prefix(start, q.pkts, q.lost))
+            }
+            None => self.delivered_mask[start as usize..(start + len) as usize]
+                .iter()
+                .filter(|&&d| d)
+                .count() as u64,
+        }
     }
 
     /// Fabric duplicates with index in `[start, start + len)`.
+    #[inline]
     pub fn dups_in(&self, start: u64, len: u64) -> u64 {
-        self.dup[start as usize..(start + len) as usize]
-            .iter()
-            .filter(|&&d| d)
-            .count() as u64
+        match self.quiet {
+            Some(_) => 0,
+            None => self.dup[start as usize..(start + len) as usize]
+                .iter()
+                .filter(|&&d| d)
+                .count() as u64,
+        }
+    }
+
+    /// Calls `f(i, hop)` for every dropped packet `i`, in index order, with
+    /// the route position (0 = ingress ToR) whose switch dropped it.
+    #[inline]
+    pub fn for_each_drop(&self, mut f: impl FnMut(u64, u8)) {
+        match self.quiet {
+            Some(q) => {
+                for k in 0..q.lost {
+                    let i = spread_drop_nth(k, q.pkts, q.lost);
+                    f(i, hash_hop(q.epoch_seed, q.flow_key, i, q.route_len));
+                }
+            }
+            None => {
+                for (i, &d) in self.delivered_mask.iter().enumerate() {
+                    if !d {
+                        f(i as u64, self.drop_hop[i]);
+                    }
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::spread_drop;
+
+    /// Everything a walker or the drop fold can read of one flow's fates.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        delivered: Vec<bool>,
+        dup: Vec<bool>,
+        /// `(index, hop)` of every dropped packet, in index order.
+        drops: Vec<(u64, u8)>,
+        skew_split: u64,
+    }
+
+    /// Reads `f` through the accessors only — whichever representation it
+    /// holds.
+    fn observe(f: &FabricFates, pkts: u64) -> Observed {
+        let mut drops = Vec::new();
+        f.for_each_drop(|i, h| drops.push((i, h)));
+        Observed {
+            delivered: (0..pkts).map(|i| f.delivered(i)).collect(),
+            dup: (0..pkts).map(|i| f.dup(i)).collect(),
+            drops,
+            skew_split: f.skew_split(),
+        }
+    }
+
+    /// Reads the dense columns directly — the form the oracle writes.
+    fn observe_columns(f: &FabricFates) -> Observed {
+        Observed {
+            delivered: f.delivered_mask.clone(),
+            dup: f.dup.clone(),
+            drops: (0..f.delivered_mask.len())
+                .filter(|&i| !f.delivered_mask[i])
+                .map(|i| (i as u64, f.drop_hop[i]))
+                .collect(),
+            skew_split: f.skew_split,
+        }
+    }
 
     fn realize(imp: &ImpairmentSet, key: u64, pkts: u64, lost: u64) -> FabricFates {
         let mut f = FabricFates::default();
@@ -440,9 +563,11 @@ mod tests {
     }
 
     /// The per-packet realization this module shipped before the closed-form
-    /// fill and the lazily built RNG — kept verbatim (only `self` renamed) as
-    /// the oracle [`ImpairmentSet::realize_flow`] is compared against: every
-    /// packet tested with [`spread_drop`], the RNG seeded unconditionally.
+    /// representation and the lazily built RNG — kept verbatim (only `self`
+    /// renamed, and the columns marked as the live representation) as the
+    /// oracle [`ImpairmentSet::realize_flow`] is compared against: every
+    /// packet tested with [`spread_drop`], the RNG seeded unconditionally,
+    /// always dense.
     #[allow(clippy::too_many_arguments)]
     fn realize_flow_per_packet(
         imp: &ImpairmentSet,
@@ -465,6 +590,7 @@ mod tests {
             debug_assert_eq!(probs.len(), route_len * n_slots, "probs must cover route x slots");
             debug_assert_eq!(slot_counts.iter().sum::<u64>(), pkts, "slots must cover the flow");
         }
+        out.quiet = None;
         out.delivered_mask.clear();
         out.dup.clear();
         out.drop_hop.clear();
@@ -640,7 +766,7 @@ mod tests {
         let mut slotted_hot = [0.0; ROUTE * SLOTS];
         slotted_hot[SLOTS + 2] = 0.3; // hop 1, slot 2
         slotted_hot[2 * SLOTS] = 0.1; // hop 2, slot 0
-        let mut cases = 0u32;
+        let (mut cases, mut closed_form) = (0u32, 0u32);
         // One pair of buffers for the whole sweep: every realization must
         // fully overwrite whatever the previous (often longer) flow left.
         let (mut got, mut want) = (FabricFates::default(), FabricFates::default());
@@ -672,17 +798,39 @@ mod tests {
                                 &imp, &mut want, key, pkts, base_lost, epoch_seed, in_edge, ROUTE,
                                 link_loss,
                             );
-                            assert_eq!(
-                                got, want,
+                            let tag = format!(
                                 "{name} pkts={pkts} base_lost={base_lost} link={view} key={key:#x}"
                             );
+                            let oracle = observe_columns(&want);
+                            assert_eq!(observe(&got, pkts), oracle, "{tag}");
+                            let count = |m: &[bool]| m.iter().filter(|&&d| d).count() as u64;
+                            assert_eq!(got.n_delivered(), count(&oracle.delivered), "{tag}");
+                            // Range helpers at every cut of a 3-way split.
+                            let (a, b) = (pkts / 3, pkts - pkts / 4);
+                            for (start, end) in [(0, a), (a, b), (b, pkts), (0, pkts)] {
+                                let r = start as usize..end as usize;
+                                assert_eq!(
+                                    got.delivered_in(start, end - start),
+                                    count(&oracle.delivered[r.clone()]),
+                                    "{tag} delivered_in({start}..{end})"
+                                );
+                                assert_eq!(
+                                    got.dups_in(start, end - start),
+                                    count(&oracle.dup[r]),
+                                    "{tag} dups_in({start}..{end})"
+                                );
+                            }
                             cases += 1;
+                            closed_form += u32::from(got.quiet.is_some());
                         }
                     }
                 }
             }
         }
         assert_eq!(cases, 6 * 6 * 5 * 5 * 2);
+        // Both representations are under test: quiet flows are exactly the
+        // `none` and `clock-skew` sets under the three lossless link views.
+        assert_eq!(closed_form, 2 * 6 * 5 * 3 * 2);
     }
 
     /// The RNG is skipped only when nothing can draw. Each stage that draws,
@@ -695,7 +843,7 @@ mod tests {
             let (mut got, mut want) = (FabricFates::default(), FabricFates::default());
             imp.realize_flow(&mut got, 91, 1500, 40, 0x77, 1, 3, link_loss);
             realize_flow_per_packet(imp, &mut want, 91, 1500, 40, 0x77, 1, 3, link_loss);
-            assert_eq!(got, want);
+            assert_eq!(observe(&got, 1500), observe_columns(&want));
             got
         };
         let sweep = impairment_sweep();
@@ -707,15 +855,19 @@ mod tests {
         let ge = run(&sweep[1].1, LinkLoss::None);
         assert!(ge.n_delivered() < 1460, "Gilbert–Elliott must drop beyond the plan");
         let dup = run(&sweep[2].1, LinkLoss::None);
-        assert!(dup.dup.iter().any(|&d| d), "duplication must duplicate something");
+        assert!(dup.dups_in(0, 1500) > 0, "duplication must duplicate something");
         let ro = run(&sweep[3].1, LinkLoss::None);
         assert_eq!(ro.n_delivered(), 1460);
-        assert_ne!(ro.delivered_mask, quiet.delivered_mask, "reordering must move drops");
+        assert_ne!(
+            observe(&ro, 1500).delivered,
+            observe(&quiet, 1500).delivered,
+            "reordering must move drops"
+        );
         // Clock skew is a hash, not a draw: it changes the split and
         // nothing else.
         let skew = run(&sweep[4].1, LinkLoss::None);
-        assert!(skew.skew_split > 0);
-        assert_eq!(skew.delivered_mask, quiet.delivered_mask);
+        assert!(skew.skew_split() > 0);
+        assert_eq!(observe(&skew, 1500).delivered, observe(&quiet, 1500).delivered);
     }
 
     #[test]
@@ -725,10 +877,10 @@ mod tests {
         let f = realize(&imp, 7, 100, 13);
         assert_eq!(f.n_delivered(), 87);
         for i in 0..100u64 {
-            assert_eq!(!f.delivered_mask[i as usize], spread_drop(i, 100, 13));
+            assert_eq!(!f.delivered(i), spread_drop(i, 100, 13));
         }
-        assert_eq!(f.skew_split, 0);
-        assert!(f.dup.iter().all(|&d| !d));
+        assert_eq!(f.skew_split(), 0);
+        assert_eq!(f.dups_in(0, 100), 0);
     }
 
     #[test]
@@ -744,13 +896,10 @@ mod tests {
         };
         let a = realize(&imp, 42, 500, 20);
         let b = realize(&imp, 42, 500, 20);
-        assert_eq!(a.delivered_mask, b.delivered_mask);
-        assert_eq!(a.drop_hop, b.drop_hop);
-        assert_eq!(a.dup, b.dup);
-        assert_eq!(a.skew_split, b.skew_split);
+        assert_eq!(observe(&a, 500), observe(&b, 500));
         // A different flow sees a different realization.
         let c = realize(&imp, 43, 500, 20);
-        assert_ne!(a.delivered_mask, c.delivered_mask);
+        assert_ne!(observe(&a, 500).delivered, observe(&c, 500).delivered);
     }
 
     #[test]
@@ -771,8 +920,8 @@ mod tests {
         // Burstiness: among lost packets, the fraction whose successor is
         // also lost must far exceed the marginal loss rate.
         let mut runs_of_two = 0u64;
-        for i in 0..4_999 {
-            if !f.delivered_mask[i] && !f.delivered_mask[i + 1] {
+        for i in 0..4_999u64 {
+            if !f.delivered(i) && !f.delivered(i + 1) {
                 runs_of_two += 1;
             }
         }
@@ -794,7 +943,7 @@ mod tests {
         assert_eq!(f.n_delivered(), 360, "reordering must not change counts");
         // But the drop pattern must differ from the clean spread.
         let clean = realize(&ImpairmentSet::none(), 21, 400, 40);
-        assert_ne!(f.delivered_mask, clean.delivered_mask);
+        assert_ne!(observe(&f, 400).delivered, observe(&clean, 400).delivered);
     }
 
     #[test]
@@ -806,7 +955,7 @@ mod tests {
         };
         let f = realize(&imp, 31, 100, 30);
         for i in 0..100 {
-            assert_eq!(f.dup[i], f.delivered_mask[i]);
+            assert_eq!(f.dup(i), f.delivered(i));
         }
     }
 
@@ -825,12 +974,12 @@ mod tests {
         );
         let mut f = FabricFates::default();
         imp.realize_flow(&mut f, 77, 1_000, 0, 1, 2, 5, LinkLoss::None);
-        assert!(f.skew_split <= 1_000);
+        assert!(f.skew_split() <= 1_000);
         let expected = imp.edge_skew_frac(2) * 1_000.0;
         assert!(
-            (f.skew_split as f64 - expected).abs() <= 1.0,
+            (f.skew_split() as f64 - expected).abs() <= 1.0,
             "split {} vs expected {expected}",
-            f.skew_split
+            f.skew_split()
         );
     }
 
@@ -851,11 +1000,7 @@ mod tests {
         );
         let lost = 2_000 - f.n_delivered();
         assert!(lost > 500, "a 0.4 link must drop plenty, got {lost}");
-        for i in 0..2_000usize {
-            if !f.delivered_mask[i] {
-                assert_eq!(f.drop_hop[i], 2, "packet {i} blamed the wrong hop");
-            }
-        }
+        f.for_each_drop(|i, hop| assert_eq!(hop, 2, "packet {i} blamed the wrong hop"));
     }
 
     #[test]
@@ -872,22 +1017,19 @@ mod tests {
         let mut b = FabricFates::default();
         imp.realize_flow(&mut a, 7, 600, 11, 0x42, 1, 5, LinkLoss::None);
         imp.realize_flow(&mut b, 7, 600, 11, 0x42, 1, 5, LinkLoss::Static(&[0.0; 5]));
-        assert_eq!(a, b);
+        assert_eq!(observe(&a, 600), observe(&b, 600));
     }
 
     #[test]
     fn plan_drops_get_on_route_hash_hops() {
         let f = realize(&ImpairmentSet::none(), 31, 200, 17);
-        for i in 0..200usize {
-            if !f.delivered_mask[i] {
-                assert!(f.drop_hop[i] < 5, "hop out of route");
-                assert_eq!(
-                    f.drop_hop[i],
-                    hash_hop(0x1234, 31, i as u64, 5),
-                    "plan drops must use the shared hash rule"
-                );
-            }
-        }
+        let mut drops = 0;
+        f.for_each_drop(|i, hop| {
+            assert!(hop < 5, "hop out of route");
+            assert_eq!(hop, hash_hop(0x1234, 31, i, 5), "plan drops must use the shared hash rule");
+            drops += 1;
+        });
+        assert_eq!(drops, 17);
     }
 
     #[test]
@@ -908,6 +1050,6 @@ mod tests {
             pos += len;
         }
         assert_eq!(del, f.n_delivered());
-        assert_eq!(dups, f.dup.iter().filter(|&&d| d).count() as u64);
+        assert_eq!(dups, (0..257).filter(|&i| f.dup(i)).count() as u64);
     }
 }

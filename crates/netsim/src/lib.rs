@@ -15,9 +15,14 @@
 //!   1-bit epoch timestamp logic of Appendix B;
 //! * [`collect`] — the collection cost model of Appendix D.2/F (per-sketch
 //!   collection times, per-epoch bandwidth);
-//! * [`sim`] — the packet loop: replays a trace through ingress hooks,
-//!   drop decisions, and egress hooks, epoch by epoch, attributing every
-//!   drop to the switch that caused it;
+//! * [`sim`] — the replay kernel and its serial driver: one epoch
+//!   prologue, one per-flow realize step and two walkers (per-packet and
+//!   burst, [`ReplayMode`]) replay a trace through ingress hooks, drop
+//!   decisions, and egress hooks, epoch by epoch, attributing every drop to
+//!   the switch that caused it; the clean fabric is the replay under
+//!   [`ImpairmentSet::none`];
+//! * [`shard`] — the second driver of the same kernel: per-edge shards on
+//!   scoped threads, byte-identical to the serial driver at any layout;
 //! * [`congestion`] — the per-link congestion model: offered load from
 //!   every flow's ECMP route, utilization-driven drop probabilities,
 //!   structural derates (incast ToRs, browned-out cores, rolling
@@ -30,8 +35,9 @@
 //! * [`impair`] — adversarial fabric impairments (per-link congestion
 //!   loss, time-resolved queue loss, Gilbert–Elliott bursty loss,
 //!   duplication, bounded reordering, per-edge clock skew), realized per
-//!   flow above the hook boundary so the per-packet and burst replays stay
-//!   byte-identical under any scenario.
+//!   flow above the hook boundary into one [`FabricFates`] both walkers
+//!   read, so the per-packet and burst replays stay byte-identical under
+//!   any scenario; a flow no random stage touches is held in closed form.
 
 #![forbid(unsafe_code)]
 
@@ -58,7 +64,7 @@ pub use shard::{
     merge_fragments, EdgeSite, ReportFragment, ShardTiming, ShardedReplay, Sharding,
     SiteArray,
 };
-pub use sim::{BurstHooks, EdgeHooks, EpochReport, SimConfig, Simulator};
+pub use sim::{BurstHooks, EdgeHooks, EpochReport, ReplayMode, SimConfig, Simulator};
 pub use topology::{
     Fabric, FatTree, KaryFatTree, LeafSpine, SwitchId, SwitchRole, Topology, WanGraph,
 };

@@ -53,7 +53,7 @@
 //! order, and the only seeded quantity is the microburst window position.
 //! Per-flow slot layouts come from the same
 //! [`ArrivalProfile::slot_counts`] closed form the offered-load accounting
-//! uses, so both replay paths hand
+//! uses, so both drivers hand
 //! [`ImpairmentSet::realize_flow`](crate::impair::ImpairmentSet::realize_flow)
 //! identical [`LinkLoss::Slotted`](crate::impair::LinkLoss) views and stay
 //! byte-identical.

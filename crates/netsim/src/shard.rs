@@ -1,7 +1,9 @@
 //! The sharded epoch pipeline: intra-trial parallel replay.
 //!
-//! [`Simulator`]'s four replay paths walk a trace single-threaded. This
-//! module partitions the same work by **ingress edge** — every flow is
+//! [`Simulator`] walks a trace single-threaded. This module is the second
+//! driver of the same replay kernel (one epoch prologue, one per-flow
+//! realize step, the two walkers of [`ReplayMode`]): it partitions the work
+//! by **ingress edge** — every flow is
 //! pinned to the shard that owns `edge_of_host(src)` — and replays the
 //! shards on scoped threads, merging per-shard [`ReportFragment`]s into the
 //! identical [`EpochReport`]. The contract is *byte-identity at any shard
@@ -23,8 +25,8 @@
 //!   (phase A), and the owning shard applies them in deterministic
 //!   (source-shard, record) order after a barrier (phase B).
 //! * **Randomness is split-seed.** Loss plans realize in a serial prologue
-//!   (one global RNG stream, untouched; the scenario paths realize the
-//!   victims' lost counts only); per-flow impairment fates are pure
+//!   (one global RNG stream, untouched; the victims' lost counts only);
+//!   per-flow impairment fates are pure
 //!   functions of `(seed, epoch_seed, flow_key)` — the same discipline that
 //!   makes `chm_bench::parallel` byte-identical at any worker count — so a
 //!   shard realizes exactly what the serial loop would.
@@ -41,21 +43,20 @@
 //! `workers` only scales execution — any worker count replays the same
 //! shard set in the same per-shard order, so it never affects output.
 //!
-//! Timing is injected: [`ShardedReplay::run_epoch_burst_timed`] (and the
-//! other `_timed` variants) accept a monotonic-seconds closure from the
-//! caller, because only `crates/bench` may read wall clocks. Per-shard
+//! Timing is injected: [`ShardedReplay::run_epoch`] accepts a
+//! monotonic-seconds closure from the caller (`&|| 0.0` when nobody is
+//! timing), because only `crates/bench` may read wall clocks. Per-shard
 //! phase times make the scaling curve honest on any builder: the critical
 //! path `prologue + max(phase A) + max(phase B) + merge` is what an
 //! `n`-core machine would pay.
 
-use crate::impair::{ImpairmentSet, LinkLoss};
+use crate::impair::ImpairmentSet;
 use crate::queue::QueueDepthStat;
 use crate::sim::{
-    attribute_fates, attribute_spread, spread_drop, spread_drop_prefix, BurstHooks,
-    EdgeHooks, EpochReport, Routable, Simulator,
+    BurstHooks, EdgeHooks, EpochReport, EpochSetup, FlowScratch, Port, ReplayMode, Routable,
+    Simulator,
 };
 use crate::topology::{SwitchId, Topology};
-use crate::{CongestionRealization, FabricFates, QueueRealization};
 use chm_common::FlowId;
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
@@ -67,8 +68,8 @@ use std::collections::{BTreeMap, HashMap};
 /// operations without the `edge` index (the shard already holds the site it
 /// owns). `Send` is required so shards can carry their sites across scoped
 /// threads. Blanket adapters go the other way: [`SiteArray`] presents a
-/// `&mut [E]` of sites as `EdgeHooks`/`BurstHooks` for the serial replay
-/// paths, so one implementation serves both engines.
+/// `&mut [E]` of sites as `EdgeHooks`/`BurstHooks` for the serial driver,
+/// so one implementation serves both.
 pub trait EdgeSite<F>: Send {
     /// Packet of `f` enters the network here; returns the carried 2-bit tag.
     fn site_ingress(&mut self, f: &F, ts_bit: u8) -> u8;
@@ -81,7 +82,7 @@ pub trait EdgeSite<F>: Send {
 }
 
 /// Presents a slice of [`EdgeSite`]s as the [`EdgeHooks`]/[`BurstHooks`]
-/// pair the serial [`Simulator`] paths expect — the shared replacement for
+/// pair the serial [`Simulator`] expects — the shared replacement for
 /// the per-crate `EdgeArray` adapters that used to live in `chamelemon`,
 /// `chm_scenarios`, and `chm_serve`.
 pub struct SiteArray<'a, E>(pub &'a mut [E]);
@@ -143,14 +144,13 @@ impl Sharding {
 /// what makes [`merge_fragments`] permutation-invariant (property-tested).
 #[derive(Debug, Clone)]
 pub struct ReportFragment<F> {
-    /// Realized per-flow deliveries (scenario paths; clean paths take these
-    /// from the loss plan's global application instead), as a dense column:
+    /// Realized per-flow deliveries, as a dense column:
     /// one `(flow, delivered)` entry per flow the shard owns, in partition
     /// order. Every flow has an entry, so a keyed map here would hash the
     /// whole trace once per shard and again in the merge; the column is
     /// appended to, and [`merge_fragments`] hashes each flow exactly once.
     pub delivered: Vec<(F, u64)>,
-    /// Realized per-flow losses (scenario paths).
+    /// Realized per-flow losses.
     pub lost: HashMap<F, u64>,
     /// Per-switch drop totals for this shard's flows.
     pub dropped_at: BTreeMap<SwitchId, u64>,
@@ -324,7 +324,7 @@ struct EgressRun<F> {
 
 /// Per-shard reusable working state: the egress outboxes (one per
 /// destination shard), the report fragment, and the per-flow scratch
-/// buffers the serial replay paths keep as locals.
+/// buffers the serial driver keeps as a local.
 ///
 /// The engine keeps one per shard in a `Vec`, and phase A has every worker
 /// rewrite its own entry's vector headers on every flow (`fates` lengths,
@@ -340,10 +340,7 @@ struct EgressRun<F> {
 struct ShardScratch<F> {
     outbox: Vec<Vec<EgressRun<F>>>,
     frag: ReportFragment<F>,
-    route: Vec<SwitchId>,
-    hop_probs: Vec<f64>,
-    slot_counts: Vec<u64>,
-    fates: FabricFates,
+    flow: FlowScratch,
 }
 
 impl<F> Default for ShardScratch<F> {
@@ -351,337 +348,71 @@ impl<F> Default for ShardScratch<F> {
         ShardScratch {
             outbox: Vec::new(),
             frag: ReportFragment::default(),
-            route: Vec::new(),
-            hop_probs: Vec::new(),
-            slot_counts: Vec::new(),
-            fates: FabricFates::default(),
+            flow: FlowScratch::default(),
         }
     }
 }
 
-/// Everything a per-flow phase-A body needs, copied out of the SoA arrays.
-#[derive(Clone, Copy)]
-struct FlowArgs<F> {
-    f: F,
-    pkts: u64,
-    in_edge: usize,
-    out_shard: usize,
-    out_local: u32,
+/// The sharded driver's port: ingress on the owned site, egress recorded
+/// into the outbox of the shard that owns the egress edge. Per-packet egress
+/// is run-length encoded — consecutive packets of the flow with identical
+/// `(ts, tag)` extend the outbox's last run — so per-packet replay ships
+/// runs, not packets, across the shard boundary.
+struct OutboxPort<'a, F, E> {
+    site: &'a mut E,
+    outbox: &'a mut Vec<EgressRun<F>>,
+    /// Outbox length when the flow started: runs before it belong to other
+    /// flows and are never extended.
+    start: usize,
+    edge_local: u32,
 }
 
-/// Run-length emitter: merges consecutive egress packets with identical
-/// `(ts, tag)` into one [`EgressRun`] so per-packet replay ships runs, not
-/// packets, across the shard boundary.
-struct RunEmitter {
-    ts: u8,
-    tag: u8,
-    count: u64,
-}
-
-impl RunEmitter {
-    fn start() -> Self {
-        RunEmitter { ts: 0, tag: 0, count: 0 }
+impl<F: Copy, E: EdgeSite<F>> Port<F> for OutboxPort<'_, F, E> {
+    #[inline]
+    fn ingress(&mut self, f: &F, ts_bit: u8) -> u8 {
+        self.site.site_ingress(f, ts_bit)
     }
-
     // chm-lint: hot
     #[inline]
-    fn emit<F: FlowId>(
-        &mut self,
-        ob: &mut Vec<EgressRun<F>>,
-        edge_local: u32,
-        f: &F,
-        ts: u8,
-        tag: u8,
-        n: u64,
-    ) {
-        if self.count > 0 && self.ts == ts && self.tag == tag {
-            self.count += n;
-            return;
+    fn egress(&mut self, f: &F, ts_bit: u8, tag: u8) {
+        match self.outbox[self.start..].last_mut() {
+            Some(run) if run.ts == ts_bit && run.tag == tag => run.pkts += 1,
+            _ => self.egress_burst(f, ts_bit, tag, 1),
         }
-        self.flush(ob, edge_local, f);
-        self.ts = ts;
-        self.tag = tag;
-        self.count = n;
     }
-
+    #[inline]
+    fn ingress_burst(&mut self, f: &F, ts_bit: u8, pkts: u64) -> [(u8, u64); 3] {
+        self.site.site_ingress_burst(f, ts_bit, pkts)
+    }
     // chm-lint: hot
     #[inline]
-    fn flush<F: FlowId>(&mut self, ob: &mut Vec<EgressRun<F>>, edge_local: u32, f: &F) {
-        if self.count > 0 {
-            ob.push(EgressRun {
-                edge_local,
-                ts: self.ts,
-                tag: self.tag,
+    fn egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64) {
+        // A weight-0 egress is a state no-op on every data plane.
+        if delivered > 0 {
+            self.outbox.push(EgressRun {
+                edge_local: self.edge_local,
+                ts: ts_bit,
+                tag,
                 f: *f,
-                pkts: self.count,
+                pkts: delivered,
             });
-            self.count = 0;
         }
     }
 }
 
-/// Phase-A body of the clean per-packet path — the sharded twin of the flow
-/// loop in [`Simulator::run_epoch`].
+/// Phase-B application of one run: `pkts` individual egress calls under the
+/// per-packet walker — exactly what the serial driver issues — or a single
+/// weighted egress under the burst walker.
 // chm-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn clean_flow_per_packet<F: Routable, E: EdgeSite<F>>(
-    a: FlowArgs<F>,
-    n_lost: u64,
-    ts_bit: u8,
-    epoch_seed: u64,
-    topo: &Topology,
-    site: &mut E,
-    sc: &mut ShardScratch<F>,
-) {
-    let f = &a.f;
-    let pkts = a.pkts;
-    topo.route_into(f.src_host(), f.dst_host(), f.key64(), &mut sc.route);
-    *sc.frag.hops_histogram.entry(sc.route.len()).or_insert(0) += pkts;
-    let mut em = RunEmitter::start();
-    if n_lost == 0 {
-        // Lossless fast path, exactly as the serial loop takes it.
-        for _ in 0..pkts {
-            let tag = site.site_ingress(f, ts_bit);
-            em.emit(&mut sc.outbox[a.out_shard], a.out_local, f, ts_bit, tag, 1);
-        }
-        em.flush(&mut sc.outbox[a.out_shard], a.out_local, f);
-        return;
-    }
-    attribute_spread(
-        f,
-        f.key64(),
-        pkts,
-        n_lost,
-        epoch_seed,
-        &sc.route,
-        &mut sc.frag.dropped_at,
-        &mut sc.frag.lost_at,
-    );
-    for i in 0..pkts {
-        let tag = site.site_ingress(f, ts_bit);
-        if spread_drop(i, pkts, n_lost) {
-            continue;
-        }
-        em.emit(&mut sc.outbox[a.out_shard], a.out_local, f, ts_bit, tag, 1);
-    }
-    em.flush(&mut sc.outbox[a.out_shard], a.out_local, f);
-}
-
-/// Phase-A body of the clean burst path — the sharded twin of the flow loop
-/// in [`Simulator::run_epoch_burst`]. Zero-delivery runs are skipped: a
-/// weight-0 egress is a state no-op on every data plane.
-// chm-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn clean_flow_burst<F: Routable, E: EdgeSite<F>>(
-    a: FlowArgs<F>,
-    n_lost: u64,
-    ts_bit: u8,
-    epoch_seed: u64,
-    topo: &Topology,
-    site: &mut E,
-    sc: &mut ShardScratch<F>,
-) {
-    let f = &a.f;
-    let pkts = a.pkts;
-    topo.route_into(f.src_host(), f.dst_host(), f.key64(), &mut sc.route);
-    *sc.frag.hops_histogram.entry(sc.route.len()).or_insert(0) += pkts;
-    if n_lost > 0 {
-        attribute_spread(
-            f,
-            f.key64(),
-            pkts,
-            n_lost,
-            epoch_seed,
-            &sc.route,
-            &mut sc.frag.dropped_at,
-            &mut sc.frag.lost_at,
-        );
-    }
-    let runs = site.site_ingress_burst(f, ts_bit, pkts);
-    let ob = &mut sc.outbox[a.out_shard];
-    let mut pos = 0u64;
-    for (tag, len) in runs {
-        if len == 0 {
-            continue;
-        }
-        let dropped = spread_drop_prefix(pos + len, pkts, n_lost)
-            - spread_drop_prefix(pos, pkts, n_lost);
-        let out = len - dropped;
-        if out > 0 {
-            ob.push(EgressRun { edge_local: a.out_local, ts: ts_bit, tag, f: a.f, pkts: out });
-        }
-        pos += len;
-    }
-    debug_assert_eq!(pos, pkts, "tag runs must cover the whole burst");
-}
-
-/// Shared scenario prologue per flow: route, link-loss view, and the fate
-/// realization — identical inputs to the serial scenario paths, so the
-/// realization is bit-equal.
-// chm-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn scenario_realize<F: Routable>(
-    a: FlowArgs<F>,
-    n_lost: u64,
-    epoch_seed: u64,
-    topo: &Topology,
-    imp: &ImpairmentSet,
-    queue: Option<&QueueRealization>,
-    cong: Option<&CongestionRealization>,
-    sc: &mut ShardScratch<F>,
-) -> usize {
-    let f = &a.f;
-    let pkts = a.pkts;
-    sc.hop_probs.clear();
-    topo.route_into(f.src_host(), f.dst_host(), f.key64(), &mut sc.route);
-    let route_len = match (queue, cong) {
-        (Some(q), _) => {
-            q.hop_slot_probs(&sc.route, f.dst_host(), &mut sc.hop_probs);
-            q.flow_slot_counts(f.key64(), pkts, &mut sc.slot_counts);
-            sc.route.len()
-        }
-        (None, Some(c)) => {
-            c.hop_probs(&sc.route, f.dst_host(), &mut sc.hop_probs);
-            sc.route.len()
-        }
-        (None, None) => sc.route.len(),
-    };
-    *sc.frag.hops_histogram.entry(route_len).or_insert(0) += pkts;
-    let link_loss = match queue {
-        Some(q) => LinkLoss::Slotted {
-            probs: &sc.hop_probs,
-            slot_counts: &sc.slot_counts,
-            n_slots: q.n_slots(),
-        },
-        None if cong.is_some() => LinkLoss::Static(&sc.hop_probs),
-        None => LinkLoss::None,
-    };
-    imp.realize_flow(
-        &mut sc.fates,
-        f.key64(),
-        pkts,
-        n_lost,
-        epoch_seed,
-        a.in_edge,
-        route_len,
-        link_loss,
-    );
-    route_len
-}
-
-/// Fold one realized flow's outcome into the fragment (delivered column,
-/// lost map, attribution) — shared by both scenario phase-A bodies.
-// chm-lint: hot
-fn scenario_account<F: Routable>(a: FlowArgs<F>, sc: &mut ShardScratch<F>) {
-    let del = sc.fates.n_delivered();
-    sc.frag.delivered.push((a.f, del));
-    if del < a.pkts {
-        sc.frag.lost.insert(a.f, a.pkts - del);
-        attribute_fates(
-            &a.f,
-            &sc.route,
-            &sc.fates,
-            &mut sc.frag.dropped_at,
-            &mut sc.frag.lost_at,
-        );
-    }
-}
-
-/// Phase-A body of the scenario per-packet path — the sharded twin of
-/// [`Simulator::run_epoch_scenario`]'s flow loop.
-// chm-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn scenario_flow_per_packet<F: Routable, E: EdgeSite<F>>(
-    a: FlowArgs<F>,
-    n_lost: u64,
-    ts_bit: u8,
-    prev_bit: u8,
-    epoch_seed: u64,
-    topo: &Topology,
-    imp: &ImpairmentSet,
-    queue: Option<&QueueRealization>,
-    cong: Option<&CongestionRealization>,
-    site: &mut E,
-    sc: &mut ShardScratch<F>,
-) {
-    scenario_realize(a, n_lost, epoch_seed, topo, imp, queue, cong, sc);
-    let f = &a.f;
-    let mut em = RunEmitter::start();
-    for i in 0..a.pkts {
-        let ts = if i < sc.fates.skew_split { prev_bit } else { ts_bit };
-        let tag = site.site_ingress(f, ts);
-        if sc.fates.delivered_mask[i as usize] {
-            em.emit(&mut sc.outbox[a.out_shard], a.out_local, f, ts, tag, 1);
-            if sc.fates.dup[i as usize] {
-                em.emit(&mut sc.outbox[a.out_shard], a.out_local, f, ts, tag, 1);
+fn apply_run<F, E: EdgeSite<F>>(mode: ReplayMode, site: &mut E, run: &EgressRun<F>) {
+    match mode {
+        ReplayMode::PerPacket => {
+            for _ in 0..run.pkts {
+                site.site_egress(&run.f, run.ts, run.tag);
             }
         }
+        ReplayMode::Burst => site.site_egress_burst(&run.f, run.ts, run.tag, run.pkts),
     }
-    em.flush(&mut sc.outbox[a.out_shard], a.out_local, f);
-    scenario_account(a, sc);
-}
-
-/// Phase-A body of the scenario burst path — the sharded twin of
-/// [`Simulator::run_epoch_burst_scenario`]'s flow loop.
-// chm-lint: hot
-#[allow(clippy::too_many_arguments)]
-fn scenario_flow_burst<F: Routable, E: EdgeSite<F>>(
-    a: FlowArgs<F>,
-    n_lost: u64,
-    ts_bit: u8,
-    prev_bit: u8,
-    epoch_seed: u64,
-    topo: &Topology,
-    imp: &ImpairmentSet,
-    queue: Option<&QueueRealization>,
-    cong: Option<&CongestionRealization>,
-    site: &mut E,
-    sc: &mut ShardScratch<F>,
-) {
-    scenario_realize(a, n_lost, epoch_seed, topo, imp, queue, cong, sc);
-    let f = &a.f;
-    let pkts = a.pkts;
-    let k = sc.fates.skew_split;
-    let mut pos = 0u64;
-    for (seg_ts, seg_len) in [(prev_bit, k), (ts_bit, pkts - k)] {
-        if seg_len == 0 {
-            continue;
-        }
-        let runs = site.site_ingress_burst(f, seg_ts, seg_len);
-        for (tag, len) in runs {
-            if len == 0 {
-                continue;
-            }
-            let out = sc.fates.delivered_in(pos, len) + sc.fates.dups_in(pos, len);
-            if out > 0 {
-                sc.outbox[a.out_shard].push(EgressRun {
-                    edge_local: a.out_local,
-                    ts: seg_ts,
-                    tag,
-                    f: a.f,
-                    pkts: out,
-                });
-            }
-            pos += len;
-        }
-    }
-    debug_assert_eq!(pos, pkts, "tag runs must cover the whole burst");
-    scenario_account(a, sc);
-}
-
-/// Phase-B application of one per-packet-path run: `pkts` individual egress
-/// calls, exactly what the serial per-packet loop issues.
-// chm-lint: hot
-fn apply_run_per_packet<F, E: EdgeSite<F>>(site: &mut E, run: &EgressRun<F>) {
-    for _ in 0..run.pkts {
-        site.site_egress(&run.f, run.ts, run.tag);
-    }
-}
-
-/// Phase-B application of one burst-path run: a single weighted egress.
-// chm-lint: hot
-fn apply_run_burst<F, E: EdgeSite<F>>(site: &mut E, run: &EgressRun<F>) {
-    site.site_egress_burst(&run.f, run.ts, run.tag, run.pkts);
 }
 
 /// Round-robin split of the edge-site slice: shard `s` owns sites
@@ -791,172 +522,35 @@ impl<F: Routable> ShardedReplay<F> {
         &self.last_profile
     }
 
-    /// Sharded [`Simulator::run_epoch`]: byte-identical report and sketch
-    /// state at any shard/worker count.
+    /// One sharded epoch: [`Simulator::run_epoch_scenario`] at this engine's
+    /// layout — byte-identical report and sketch state at any shard/worker
+    /// count, under any `imp` ([`ImpairmentSet::none`] is the clean fabric)
+    /// and either `mode`. `clock` is the injected monotonic-seconds source
+    /// the returned per-phase timing (and [`last_profile`](Self::last_profile))
+    /// is measured with; pass `&|| 0.0` when nobody is timing.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_epoch<E: EdgeSite<F>>(
         &mut self,
         sim: &mut Simulator,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
-        edges: &mut [E],
-    ) -> EpochReport<F> {
-        self.run_epoch_timed(sim, trace, plan, edges, &|| 0.0).0
-    }
-
-    /// [`run_epoch`](Self::run_epoch) with per-phase timing from the
-    /// injected `clock` (monotonic seconds; only `crates/bench` owns one).
-    pub fn run_epoch_timed<E: EdgeSite<F>>(
-        &mut self,
-        sim: &mut Simulator,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
-        edges: &mut [E],
-        clock: &(dyn Fn() -> f64 + Sync),
-    ) -> (EpochReport<F>, ShardTiming) {
-        let t0 = clock();
-        let epoch = sim.current_epoch();
-        let ts_bit = sim.current_ts_bit();
-        let epoch_seed = sim.epoch_seed();
-        let (delivered, lost) = plan.apply_to_trace(trace, epoch_seed);
-        let prologue = clock() - t0;
-        let topo = &sim.topology;
-        let lost_by_flow = &lost;
-        let (mut report, mut timing) = self.drive(
-            topo,
-            trace,
-            edges,
-            clock,
-            epoch,
-            BTreeMap::new(),
-            |a: FlowArgs<F>, site: &mut E, sc: &mut ShardScratch<F>| {
-                let n_lost = lost_by_flow.get(&a.f).copied().unwrap_or(0);
-                clean_flow_per_packet(a, n_lost, ts_bit, epoch_seed, topo, site, sc);
-            },
-            apply_run_per_packet,
-        );
-        timing.prologue_s += prologue;
-        self.last_profile.record(&["prologue"], prologue);
-        install_globals(&mut report, delivered, lost);
-        sim.set_epoch(epoch + 1);
-        (report, timing)
-    }
-
-    /// Sharded [`Simulator::run_epoch_burst`]: byte-identical report and
-    /// sketch state at any shard/worker count.
-    pub fn run_epoch_burst<E: EdgeSite<F>>(
-        &mut self,
-        sim: &mut Simulator,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
-        edges: &mut [E],
-    ) -> EpochReport<F> {
-        self.run_epoch_burst_timed(sim, trace, plan, edges, &|| 0.0).0
-    }
-
-    /// [`run_epoch_burst`](Self::run_epoch_burst) with per-phase timing —
-    /// what `chm-bench perf --threads` builds the scaling curve from.
-    pub fn run_epoch_burst_timed<E: EdgeSite<F>>(
-        &mut self,
-        sim: &mut Simulator,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
-        edges: &mut [E],
-        clock: &(dyn Fn() -> f64 + Sync),
-    ) -> (EpochReport<F>, ShardTiming) {
-        let t0 = clock();
-        let epoch = sim.current_epoch();
-        let ts_bit = sim.current_ts_bit();
-        let epoch_seed = sim.epoch_seed();
-        let (delivered, lost) = plan.apply_to_trace(trace, epoch_seed);
-        let prologue = clock() - t0;
-        let topo = &sim.topology;
-        let lost_by_flow = &lost;
-        let (mut report, mut timing) = self.drive(
-            topo,
-            trace,
-            edges,
-            clock,
-            epoch,
-            BTreeMap::new(),
-            |a: FlowArgs<F>, site: &mut E, sc: &mut ShardScratch<F>| {
-                let n_lost = lost_by_flow.get(&a.f).copied().unwrap_or(0);
-                clean_flow_burst(a, n_lost, ts_bit, epoch_seed, topo, site, sc);
-            },
-            apply_run_burst,
-        );
-        timing.prologue_s += prologue;
-        self.last_profile.record(&["prologue"], prologue);
-        install_globals(&mut report, delivered, lost);
-        sim.set_epoch(epoch + 1);
-        (report, timing)
-    }
-
-    /// Sharded [`Simulator::run_epoch_scenario`]: byte-identical report and
-    /// sketch state at any shard/worker count.
-    pub fn run_epoch_scenario<E: EdgeSite<F>>(
-        &mut self,
-        sim: &mut Simulator,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
         imp: &ImpairmentSet,
-        edges: &mut [E],
-    ) -> EpochReport<F> {
-        self.run_epoch_scenario_timed(sim, trace, plan, imp, edges, &|| 0.0).0
-    }
-
-    /// [`run_epoch_scenario`](Self::run_epoch_scenario) with timing.
-    pub fn run_epoch_scenario_timed<E: EdgeSite<F>>(
-        &mut self,
-        sim: &mut Simulator,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
-        imp: &ImpairmentSet,
+        mode: ReplayMode,
         edges: &mut [E],
         clock: &(dyn Fn() -> f64 + Sync),
     ) -> (EpochReport<F>, ShardTiming) {
         let t0 = clock();
-        let epoch = sim.current_epoch();
-        let ts_bit = sim.current_ts_bit();
-        let prev_bit = ts_bit ^ 1;
-        let epoch_seed = sim.epoch_seed();
-        let base_lost = plan.realize_losses(trace, epoch_seed);
-        let queue = imp
-            .queue
-            .as_ref()
-            .map(|q| q.realize(&sim.topology, trace, epoch, imp.seed));
-        let cong = match &queue {
-            Some(_) => None,
-            None => imp.congestion.as_ref().map(|m| m.realize(&sim.topology, trace, epoch)),
-        };
-        let queue_depth = queue.as_ref().map(|q| q.depths().clone()).unwrap_or_default();
+        let setup = sim.begin_epoch(trace, plan, imp);
         let prologue = clock() - t0;
-        let topo = &sim.topology;
-        let base = &base_lost;
-        let q = queue.as_ref();
-        let c = cong.as_ref();
-        let (report, mut timing) = self.drive(
-            topo,
-            trace,
-            edges,
-            clock,
-            epoch,
-            queue_depth,
-            |a: FlowArgs<F>, site: &mut E, sc: &mut ShardScratch<F>| {
-                let n_lost = base.get(&a.f).copied().unwrap_or(0);
-                scenario_flow_per_packet(
-                    a, n_lost, ts_bit, prev_bit, epoch_seed, topo, imp, q, c, site, sc,
-                );
-            },
-            apply_run_per_packet,
-        );
+        let (report, mut timing) = self.drive(trace, mode, &setup, edges, clock);
         timing.prologue_s += prologue;
         self.last_profile.record(&["prologue"], prologue);
-        sim.set_epoch(epoch + 1);
+        sim.set_epoch(report.epoch + 1);
         (report, timing)
     }
 
-    /// Sharded [`Simulator::run_epoch_burst_scenario`]: byte-identical
-    /// report and sketch state at any shard/worker count.
+    /// [`run_epoch`](Self::run_epoch) with [`ReplayMode::Burst`] under the
+    /// zero clock.
     pub fn run_epoch_burst_scenario<E: EdgeSite<F>>(
         &mut self,
         sim: &mut Simulator,
@@ -965,11 +559,10 @@ impl<F: Routable> ShardedReplay<F> {
         imp: &ImpairmentSet,
         edges: &mut [E],
     ) -> EpochReport<F> {
-        self.run_epoch_burst_scenario_timed(sim, trace, plan, imp, edges, &|| 0.0).0
+        self.run_epoch(sim, trace, plan, imp, ReplayMode::Burst, edges, &|| 0.0).0
     }
 
-    /// [`run_epoch_burst_scenario`](Self::run_epoch_burst_scenario) with
-    /// timing.
+    /// [`run_epoch`](Self::run_epoch) with [`ReplayMode::Burst`].
     pub fn run_epoch_burst_scenario_timed<E: EdgeSite<F>>(
         &mut self,
         sim: &mut Simulator,
@@ -979,45 +572,7 @@ impl<F: Routable> ShardedReplay<F> {
         edges: &mut [E],
         clock: &(dyn Fn() -> f64 + Sync),
     ) -> (EpochReport<F>, ShardTiming) {
-        let t0 = clock();
-        let epoch = sim.current_epoch();
-        let ts_bit = sim.current_ts_bit();
-        let prev_bit = ts_bit ^ 1;
-        let epoch_seed = sim.epoch_seed();
-        let base_lost = plan.realize_losses(trace, epoch_seed);
-        let queue = imp
-            .queue
-            .as_ref()
-            .map(|q| q.realize(&sim.topology, trace, epoch, imp.seed));
-        let cong = match &queue {
-            Some(_) => None,
-            None => imp.congestion.as_ref().map(|m| m.realize(&sim.topology, trace, epoch)),
-        };
-        let queue_depth = queue.as_ref().map(|q| q.depths().clone()).unwrap_or_default();
-        let prologue = clock() - t0;
-        let topo = &sim.topology;
-        let base = &base_lost;
-        let q = queue.as_ref();
-        let c = cong.as_ref();
-        let (report, mut timing) = self.drive(
-            topo,
-            trace,
-            edges,
-            clock,
-            epoch,
-            queue_depth,
-            |a: FlowArgs<F>, site: &mut E, sc: &mut ShardScratch<F>| {
-                let n_lost = base.get(&a.f).copied().unwrap_or(0);
-                scenario_flow_burst(
-                    a, n_lost, ts_bit, prev_bit, epoch_seed, topo, imp, q, c, site, sc,
-                );
-            },
-            apply_run_burst,
-        );
-        timing.prologue_s += prologue;
-        self.last_profile.record(&["prologue"], prologue);
-        sim.set_epoch(epoch + 1);
-        (report, timing)
+        self.run_epoch(sim, trace, plan, imp, ReplayMode::Burst, edges, clock)
     }
 
     /// Rebuilds the SoA partition for this trace (buffers reused).
@@ -1054,23 +609,15 @@ impl<F: Routable> ShardedReplay<F> {
     /// The shared engine: partition → phase A (parallel ingress + fragment
     /// accounting into outboxes) → barrier → phase B (parallel egress inbox
     /// drain in deterministic source order) → serial fragment merge.
-    #[allow(clippy::too_many_arguments)]
-    fn drive<E, PA, PB>(
+    fn drive<E: EdgeSite<F>>(
         &mut self,
-        topo: &Topology,
         trace: &Trace<F>,
+        mode: ReplayMode,
+        setup: &EpochSetup<'_, F>,
         edges: &mut [E],
         clock: &(dyn Fn() -> f64 + Sync),
-        epoch: u64,
-        queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
-        flow_fn: PA,
-        run_fn: PB,
-    ) -> (EpochReport<F>, ShardTiming)
-    where
-        E: EdgeSite<F>,
-        PA: Fn(FlowArgs<F>, &mut E, &mut ShardScratch<F>) + Sync,
-        PB: Fn(&mut E, &EgressRun<F>) + Sync,
-    {
+    ) -> (EpochReport<F>, ShardTiming) {
+        let topo = setup.topo;
         assert_eq!(
             edges.len(),
             topo.n_edges(),
@@ -1095,16 +642,20 @@ impl<F: Routable> ShardedReplay<F> {
         run_tasks(workers, &mut tasks, |_, t| {
             let start = clock();
             let part = t.part;
+            let ShardScratch { outbox, frag, flow } = &mut *t.scratch;
             for k in 0..part.idx.len() {
                 let (f, pkts) = trace.flows[part.idx[k] as usize];
-                let args = FlowArgs {
-                    f,
-                    pkts,
-                    in_edge: part.in_edge[k] as usize,
-                    out_shard: part.out_shard[k] as usize,
-                    out_local: part.out_local[k],
+                let in_edge = part.in_edge[k] as usize;
+                let del = setup.realize_flow(&f, pkts, in_edge, flow, frag);
+                frag.delivered.push((f, del));
+                let outbox = &mut outbox[part.out_shard[k] as usize];
+                let mut port = OutboxPort {
+                    site: &mut *t.edges[part.in_local[k] as usize],
+                    start: outbox.len(),
+                    outbox,
+                    edge_local: part.out_local[k],
                 };
-                flow_fn(args, &mut *t.edges[part.in_local[k] as usize], t.scratch);
+                mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
             }
             t.time = clock() - start;
         });
@@ -1121,7 +672,7 @@ impl<F: Routable> ShardedReplay<F> {
             let start = clock();
             for sc in scratches.iter() {
                 for run in &sc.outbox[shard] {
-                    run_fn(&mut *t.edges[run.edge_local as usize], run);
+                    apply_run(mode, &mut *t.edges[run.edge_local as usize], run);
                 }
             }
             t.time = clock() - start;
@@ -1137,7 +688,7 @@ impl<F: Routable> ShardedReplay<F> {
             .iter_mut()
             .map(|s| std::mem::take(&mut s.frag))
             .collect();
-        let report = merge_fragments(epoch, queue_depth, &mut frags);
+        let report = merge_fragments(setup.epoch, setup.queue_depth(), &mut frags);
         for (s, frag) in self.scratches.iter_mut().zip(frags) {
             s.frag = frag; // drained, capacity retained for the next epoch
         }
@@ -1156,24 +707,6 @@ impl<F: Routable> ShardedReplay<F> {
         }
         prof.record(&["merge"], merge_s);
         (report, ShardTiming { prologue_s: partition_s, phase_a, phase_b, merge_s })
-    }
-}
-
-/// Installs the clean paths' globally-applied plan outcome into the merged
-/// report (fragments carry no per-flow maps on those paths). Scenario paths
-/// pass empty maps and keep the fragment-accumulated ones.
-fn install_globals<F: FlowId>(
-    report: &mut EpochReport<F>,
-    delivered: HashMap<F, u64>,
-    lost: HashMap<F, u64>,
-) {
-    if !delivered.is_empty() {
-        debug_assert!(report.delivered.is_empty(), "clean fragments carry no deliveries");
-        report.delivered = delivered;
-    }
-    if !lost.is_empty() {
-        debug_assert!(report.lost.is_empty(), "clean fragments carry no losses");
-        report.lost = lost;
     }
 }
 
@@ -1244,6 +777,21 @@ mod tests {
         (0..n).map(|_| Site::default()).collect()
     }
 
+    /// One zero-clock epoch through the sharded driver.
+    fn sharded(
+        eng: &mut ShardedReplay<FiveTuple>,
+        sim: &mut Simulator,
+        trace: &Trace<FiveTuple>,
+        plan: &LossPlan<FiveTuple>,
+        imp: &ImpairmentSet,
+        mode: ReplayMode,
+        edges: &mut [Site],
+    ) -> EpochReport<FiveTuple> {
+        eng.run_epoch(sim, trace, plan, imp, mode, edges, &|| 0.0).0
+    }
+
+    const MODES: [ReplayMode; 2] = [ReplayMode::PerPacket, ReplayMode::Burst];
+
     fn setup() -> (Trace<FiveTuple>, LossPlan<FiveTuple>, Simulator) {
         let trace = testbed_trace(WorkloadKind::Dctcp, 600, 8, 7);
         let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.1), 0.05, 9);
@@ -1254,14 +802,17 @@ mod tests {
     #[test]
     fn sharded_clean_paths_match_unsharded_at_any_layout() {
         let (trace, plan, sim0) = setup();
-        for burst in [false, true] {
+        let imp = ImpairmentSet::none();
+        for mode in MODES {
             let mut sim_ref = sim0.clone();
             let mut ref_sites = sites(4);
-            let r_ref = if burst {
-                sim_ref.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut ref_sites))
-            } else {
-                sim_ref.run_epoch(&trace, &plan, &mut SiteArray(&mut ref_sites))
-            };
+            let r_ref = sim_ref.run_epoch_scenario(
+                &trace,
+                &plan,
+                &imp,
+                mode,
+                &mut SiteArray(&mut ref_sites),
+            );
             for sharding in [
                 Sharding::single(),
                 Sharding::of(2),
@@ -1271,13 +822,9 @@ mod tests {
                 let mut sim = sim0.clone();
                 let mut s = sites(4);
                 let mut eng = ShardedReplay::new(sharding);
-                let r = if burst {
-                    eng.run_epoch_burst(&mut sim, &trace, &plan, &mut s)
-                } else {
-                    eng.run_epoch(&mut sim, &trace, &plan, &mut s)
-                };
-                assert_eq!(r, r_ref, "report differs at {sharding:?} burst={burst}");
-                assert_eq!(s, ref_sites, "site state differs at {sharding:?} burst={burst}");
+                let r = sharded(&mut eng, &mut sim, &trace, &plan, &imp, mode, &mut s);
+                assert_eq!(r, r_ref, "report differs at {sharding:?} {mode:?}");
+                assert_eq!(s, ref_sites, "site state differs at {sharding:?} {mode:?}");
                 assert_eq!(sim.current_epoch(), sim_ref.current_epoch());
             }
         }
@@ -1292,7 +839,15 @@ mod tests {
         // Deterministic strictly-increasing fake clock (not wall time).
         let ticks = AtomicU64::new(0);
         let clock = move || ticks.fetch_add(1, Ordering::SeqCst) as f64;
-        let (_, timing) = eng.run_epoch_timed(&mut sim, &trace, &plan, &mut s, &clock);
+        let (_, timing) = eng.run_epoch(
+            &mut sim,
+            &trace,
+            &plan,
+            &ImpairmentSet::none(),
+            ReplayMode::PerPacket,
+            &mut s,
+            &clock,
+        );
         let prof = eng.last_profile();
         assert!(prof.balanced());
         let span = |path: &[&str]| prof.get(path).map(|(_, t)| t);
@@ -1318,30 +873,23 @@ mod tests {
             clock_skew: Some(crate::impair::ClockSkew { max_frac: 0.2 }),
             ..ImpairmentSet::none()
         };
-        for burst in [false, true] {
+        for mode in MODES {
             let mut sim_ref = sim0.clone();
             let mut ref_sites = sites(4);
-            let r_ref = if burst {
-                sim_ref.run_epoch_burst_scenario(
-                    &trace,
-                    &plan,
-                    &imp,
-                    &mut SiteArray(&mut ref_sites),
-                )
-            } else {
-                sim_ref.run_epoch_scenario(&trace, &plan, &imp, &mut SiteArray(&mut ref_sites))
-            };
+            let r_ref = sim_ref.run_epoch_scenario(
+                &trace,
+                &plan,
+                &imp,
+                mode,
+                &mut SiteArray(&mut ref_sites),
+            );
             for n in [1usize, 2, 4] {
                 let mut sim = sim0.clone();
                 let mut s = sites(4);
                 let mut eng = ShardedReplay::new(Sharding::of(n));
-                let r = if burst {
-                    eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut s)
-                } else {
-                    eng.run_epoch_scenario(&mut sim, &trace, &plan, &imp, &mut s)
-                };
-                assert_eq!(r, r_ref, "scenario report differs at {n} shards burst={burst}");
-                assert_eq!(s, ref_sites, "site state differs at {n} shards burst={burst}");
+                let r = sharded(&mut eng, &mut sim, &trace, &plan, &imp, mode, &mut s);
+                assert_eq!(r, r_ref, "report differs at {n} shards {mode:?}");
+                assert_eq!(s, ref_sites, "site state differs at {n} shards {mode:?}");
             }
         }
     }
@@ -1356,7 +904,13 @@ mod tests {
         let mut eng = ShardedReplay::new(Sharding::of(3));
         for _ in 0..4 {
             let r_ref = sim_ref.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut ref_sites));
-            let r = eng.run_epoch_burst(&mut sim, &trace, &plan, &mut s);
+            let r = eng.run_epoch_burst_scenario(
+                &mut sim,
+                &trace,
+                &plan,
+                &ImpairmentSet::none(),
+                &mut s,
+            );
             assert_eq!(r, r_ref);
         }
         assert_eq!(s, ref_sites);
@@ -1408,7 +962,13 @@ mod tests {
         let mut sim = sim0.clone();
         let mut s = sites(4);
         let mut eng = ShardedReplay::new(Sharding { shards: 9, workers: 16 });
-        let r = eng.run_epoch_burst(&mut sim, &trace, &plan, &mut s);
+        let r = eng.run_epoch_burst_scenario(
+            &mut sim,
+            &trace,
+            &plan,
+            &ImpairmentSet::none(),
+            &mut s,
+        );
         assert_eq!(r, r_ref);
         assert_eq!(s, ref_sites);
     }

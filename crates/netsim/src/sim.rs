@@ -3,9 +3,19 @@
 //! applying the loss plan in between — the software equivalent of the §5.2
 //! testbed run (DPDK senders, proactive ECN drops, ChameleMon on all four
 //! ToR switches), generalized to any [`Topology`] in the zoo.
+//!
+//! The fabric has one behaviour, so it is written down once: an epoch
+//! prologue (`Simulator::begin_epoch`), a per-flow realize-and-account
+//! step, and two walkers ([`ReplayMode`]) that differ only in how many hook
+//! calls a flow costs. [`Simulator`] drives them serially and is the
+//! reference; [`ShardedReplay`](crate::ShardedReplay) drives the same
+//! pieces per edge shard. The clean fabric of §5.2 is the replay under
+//! [`ImpairmentSet::none`].
 
-use crate::impair::{hash_hop, FabricFates, ImpairmentSet, LinkLoss};
-use crate::queue::QueueDepthStat;
+use crate::congestion::CongestionRealization;
+use crate::impair::{FabricFates, ImpairmentSet, LinkLoss};
+use crate::queue::{QueueDepthStat, QueueRealization};
+use crate::shard::ReportFragment;
 use crate::topology::{SwitchId, Topology};
 use chm_common::{FiveTuple, FlowId};
 use chm_workloads::trace::ip_host;
@@ -31,7 +41,7 @@ pub trait EdgeHooks<F> {
 /// Burst-capable measurement hooks: a data plane that can ingest a run of
 /// consecutive same-flow packets in one call, producing the same state as
 /// the per-packet path (ChameleMon's engine classifies a burst in closed
-/// form — [`run_epoch_burst`](Simulator::run_epoch_burst) exploits it).
+/// form — [`ReplayMode::Burst`] exploits it).
 pub trait BurstHooks<F>: EdgeHooks<F> {
     /// Ingests a burst of `pkts` packets of `f`; returns the carried tags
     /// as `(tag, count)` runs **in packet order** (zero-count runs allowed).
@@ -99,9 +109,8 @@ pub struct EpochReport<F> {
     pub hops_histogram: BTreeMap<usize, u64>,
     /// Per-switch queue-depth telemetry from the time-resolved queue model
     /// (empty when the epoch ran without one) — what the switches would
-    /// export via INT/queue-occupancy counters. Computed identically by
-    /// both scenario replay paths from the shared realization; the clean
-    /// paths have no queues and leave it empty.
+    /// export via INT/queue-occupancy counters. Read off the epoch's one
+    /// queue realization, so it does not depend on the walker or the driver.
     pub queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
     /// Epoch index this report covers.
     pub epoch: u64,
@@ -197,62 +206,234 @@ pub fn spread_drop_nth(k: u64, pkts: u64, n_lost: u64) -> u64 {
     ((k + 1) * pkts).div_ceil(l) - 1
 }
 
-/// Folds one victim's drop points into the epoch accumulators, for losses
-/// realized by the spread rule (the clean replay paths): each of the
-/// `min(n_lost, pkts)` drops picks its switch by [`hash_hop`] over the
-/// flow's route — both clean paths call this with identical inputs, so
-/// their attribution is byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn attribute_spread<F: Copy + Eq + Hash>(
-    f: &F,
-    flow_key: u64,
-    pkts: u64,
-    n_lost: u64,
-    epoch_seed: u64,
-    route: &[SwitchId],
-    dropped_at: &mut BTreeMap<SwitchId, u64>,
-    lost_at: &mut HashMap<F, BTreeMap<SwitchId, u64>>,
-) {
-    if n_lost == 0 || pkts == 0 {
-        return;
-    }
-    let mut at: BTreeMap<SwitchId, u64> = BTreeMap::new();
-    for k in 0..n_lost.min(pkts) {
-        let i = spread_drop_nth(k, pkts, n_lost);
-        let h = hash_hop(epoch_seed, flow_key, i, route.len());
-        *at.entry(route[h as usize]).or_insert(0) += 1;
-    }
-    for (&s, &c) in &at {
-        *dropped_at.entry(s).or_insert(0) += c;
-    }
-    lost_at.insert(*f, at);
+/// Which walker replays a flow's packets through the hooks. Both read the
+/// same per-flow [`FabricFates`] and must be observationally identical under
+/// every scenario — that is the burst-replay equivalence contract the
+/// impairment layer preserves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplayMode {
+    /// One hook call per packet — the reference walker.
+    PerPacket,
+    /// One ingress call per flow segment and one egress call per tag run.
+    Burst,
 }
 
-/// Folds one flow's realized [`FabricFates`] drop points into the epoch
-/// accumulators (the scenario replay paths). No-op for lossless flows.
-pub(crate) fn attribute_fates<F: Copy + Eq + Hash>(
+/// Where a walker's packets go: ingress at the flow's ingress edge, egress
+/// toward its egress edge. The serial driver calls the hooks on the spot;
+/// the sharded driver ingests on the site it owns and queues egress as runs
+/// for the shard that owns the egress edge.
+pub(crate) trait Port<F> {
+    fn ingress(&mut self, f: &F, ts_bit: u8) -> u8;
+    fn egress(&mut self, f: &F, ts_bit: u8, tag: u8);
+    fn ingress_burst(&mut self, f: &F, ts_bit: u8, pkts: u64) -> [(u8, u64); 3];
+    fn egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64);
+}
+
+/// The serial driver's port: immediate hook calls.
+struct HookPort<'a, H> {
+    hooks: &'a mut H,
+    in_edge: usize,
+    out_edge: usize,
+}
+
+impl<F, H: BurstHooks<F>> Port<F> for HookPort<'_, H> {
+    #[inline]
+    fn ingress(&mut self, f: &F, ts_bit: u8) -> u8 {
+        self.hooks.on_ingress(self.in_edge, f, ts_bit)
+    }
+    #[inline]
+    fn egress(&mut self, f: &F, ts_bit: u8, tag: u8) {
+        self.hooks.on_egress(self.out_edge, f, ts_bit, tag)
+    }
+    #[inline]
+    fn ingress_burst(&mut self, f: &F, ts_bit: u8, pkts: u64) -> [(u8, u64); 3] {
+        self.hooks.on_ingress_burst(self.in_edge, f, ts_bit, pkts)
+    }
+    #[inline]
+    fn egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64) {
+        self.hooks.on_egress_burst(self.out_edge, f, ts_bit, tag, delivered)
+    }
+}
+
+impl ReplayMode {
+    /// Replays one realized flow through `port` with this mode's walker.
+    #[inline]
+    pub(crate) fn walk<F>(
+        self,
+        f: &F,
+        pkts: u64,
+        ts_bit: u8,
+        fates: &FabricFates,
+        port: &mut impl Port<F>,
+    ) {
+        match self {
+            ReplayMode::PerPacket => walk_per_packet(f, pkts, ts_bit, fates, port),
+            ReplayMode::Burst => walk_burst(f, pkts, ts_bit, fates, port),
+        }
+    }
+}
+
+/// The per-packet walker: ingress fires for every packet, egress for the
+/// delivered ones (twice for a fabric duplicate); the clock-skewed prefix
+/// carries the previous epoch's timestamp bit.
+// chm-lint: hot
+fn walk_per_packet<F>(
+    f: &F,
+    pkts: u64,
+    ts_bit: u8,
+    fates: &FabricFates,
+    port: &mut impl Port<F>,
+) {
+    for i in 0..pkts {
+        let ts = if i < fates.skew_split() { ts_bit ^ 1 } else { ts_bit };
+        let tag = port.ingress(f, ts);
+        // Drops are spread across the flow's lifetime (the testbed marks
+        // ECN on a rate basis): the classifier's per-packet hierarchy
+        // decision depends on the flow's size *so far*, so dropping only
+        // early packets would push every loss into the LL phase and starve
+        // the HL encoders.
+        if fates.delivered(i) {
+            port.egress(f, ts, tag);
+            if fates.dup(i) {
+                port.egress(f, ts, tag);
+            }
+        }
+    }
+}
+
+/// The burst walker: a clock-skewed flow splits into two ingress bursts
+/// (the mis-stamped prefix carries the previous epoch's bit); each tag
+/// run's egress weight is the run's delivered count plus its fabric
+/// duplicates, read off the same fates the per-packet walker indexes.
+// chm-lint: hot
+fn walk_burst<F>(f: &F, pkts: u64, ts_bit: u8, fates: &FabricFates, port: &mut impl Port<F>) {
+    let k = fates.skew_split();
+    let mut pos = 0u64;
+    for (seg_ts, seg_len) in [(ts_bit ^ 1, k), (ts_bit, pkts - k)] {
+        if seg_len == 0 {
+            continue;
+        }
+        for (tag, len) in port.ingress_burst(f, seg_ts, seg_len) {
+            if len == 0 {
+                continue;
+            }
+            let out = fates.delivered_in(pos, len) + fates.dups_in(pos, len);
+            port.egress_burst(f, seg_ts, tag, out);
+            pos += len;
+        }
+    }
+    debug_assert_eq!(pos, pkts, "tag runs must cover the whole burst");
+}
+
+/// Per-flow buffers the realize step reuses from flow to flow.
+#[derive(Debug, Default)]
+pub(crate) struct FlowScratch {
+    route: Vec<SwitchId>,
+    hop_probs: Vec<f64>,
+    slot_counts: Vec<u64>,
+    pub(crate) fates: FabricFates,
+}
+
+/// What one epoch fixes before any flow replays: the fabric and its
+/// impairments, the timestamp bit, the seed, the plan's realized losses and
+/// the link-loss realization. Built once per epoch by
+/// [`Simulator::begin_epoch`]; both drivers replay every flow against it.
+pub(crate) struct EpochSetup<'a, F> {
+    pub(crate) topo: &'a Topology,
+    imp: &'a ImpairmentSet,
+    pub(crate) epoch: u64,
+    pub(crate) ts_bit: u8,
+    epoch_seed: u64,
+    base_lost: HashMap<F, u64>,
+    queue: Option<QueueRealization>,
+    cong: Option<CongestionRealization>,
+}
+
+impl<F: Routable> EpochSetup<'_, F> {
+    /// Per-switch queue telemetry of the epoch (empty without a queue model).
+    pub(crate) fn queue_depth(&self) -> BTreeMap<SwitchId, QueueDepthStat> {
+        self.queue.as_ref().map(|q| q.depths().clone()).unwrap_or_default()
+    }
+
+    /// The plan's victim count this epoch — a floor for the report's `lost`.
+    pub(crate) fn planned_victims(&self) -> usize {
+        self.base_lost.len()
+    }
+
+    /// The per-flow step both drivers share: route the flow, read the
+    /// link-loss view off the route, realize its fates into `sc.fates`, and
+    /// account it in `acc` (hop histogram, and for a victim its loss and
+    /// per-switch drop attribution). Returns the delivered count, which each
+    /// driver records in its own `delivered` layout.
+    // chm-lint: hot
+    pub(crate) fn realize_flow(
+        &self,
+        f: &F,
+        pkts: u64,
+        in_edge: usize,
+        sc: &mut FlowScratch,
+        acc: &mut ReportFragment<F>,
+    ) -> u64 {
+        // The route lands in a reusable buffer (allocation-free); its length
+        // is the hop count by definition, and the link-level loss layers
+        // read their per-hop probabilities off it.
+        let dst = f.dst_host();
+        self.topo.route_into(f.src_host(), dst, f.key64(), &mut sc.route);
+        *acc.hops_histogram.entry(sc.route.len()).or_insert(0) += pkts;
+        sc.hop_probs.clear();
+        let link_loss = match (&self.queue, &self.cong) {
+            (Some(q), _) => {
+                q.hop_slot_probs(&sc.route, dst, &mut sc.hop_probs);
+                q.flow_slot_counts(f.key64(), pkts, &mut sc.slot_counts);
+                LinkLoss::Slotted {
+                    probs: &sc.hop_probs,
+                    slot_counts: &sc.slot_counts,
+                    n_slots: q.n_slots(),
+                }
+            }
+            (None, Some(c)) => {
+                c.hop_probs(&sc.route, dst, &mut sc.hop_probs);
+                LinkLoss::Static(&sc.hop_probs)
+            }
+            (None, None) => LinkLoss::None,
+        };
+        self.imp.realize_flow(
+            &mut sc.fates,
+            f.key64(),
+            pkts,
+            self.base_lost.get(f).copied().unwrap_or(0),
+            self.epoch_seed,
+            in_edge,
+            sc.route.len(),
+            link_loss,
+        );
+        let del = sc.fates.n_delivered();
+        if del < pkts {
+            acc.lost.insert(*f, pkts - del);
+            attribute_drops(f, &sc.route, &sc.fates, acc);
+        }
+        del
+    }
+}
+
+/// Folds one victim's drop points into the accumulators: every dropped
+/// packet is charged to the switch at its drop hop on the flow's route.
+fn attribute_drops<F: Copy + Eq + Hash>(
     f: &F,
     route: &[SwitchId],
     fates: &FabricFates,
-    dropped_at: &mut BTreeMap<SwitchId, u64>,
-    lost_at: &mut HashMap<F, BTreeMap<SwitchId, u64>>,
+    acc: &mut ReportFragment<F>,
 ) {
     let mut at: BTreeMap<SwitchId, u64> = BTreeMap::new();
-    for (i, &d) in fates.delivered_mask.iter().enumerate() {
-        if !d {
-            *at.entry(route[fates.drop_hop[i] as usize]).or_insert(0) += 1;
-        }
-    }
-    if at.is_empty() {
-        return;
-    }
+    fates.for_each_drop(|_, hop| *at.entry(route[hop as usize]).or_insert(0) += 1);
     for (&s, &c) in &at {
-        *dropped_at.entry(s).or_insert(0) += c;
+        *acc.dropped_at.entry(s).or_insert(0) += c;
     }
-    lost_at.insert(*f, at);
+    acc.lost_at.insert(*f, at);
 }
 
-/// The fabric simulator.
+/// The fabric simulator: the serial replay driver, and the reference the
+/// sharded driver ([`ShardedReplay`](crate::ShardedReplay)) is held to.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     /// The fabric wiring.
@@ -279,281 +460,43 @@ impl Simulator {
         (self.epoch & 1) as u8
     }
 
-    /// Fast-forwards (or rewinds) the simulator to `epoch`. Every replay
-    /// path derives its randomness from `(seed, epoch)` alone, so a
-    /// simulator positioned here behaves bit-identically to one that
-    /// actually ran the preceding epochs — this is what lets a restored
-    /// streaming runtime (`chm-serve` snapshots) resume mid-stream.
+    /// Fast-forwards (or rewinds) the simulator to `epoch`. The replay
+    /// derives its randomness from `(seed, epoch)` alone, so a simulator
+    /// positioned here behaves bit-identically to one that actually ran the
+    /// preceding epochs — this is what lets a restored streaming runtime
+    /// (`chm-serve` snapshots) resume mid-stream.
     pub fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
     }
 
-    /// Replays one epoch: every flow in `trace` sends its full packet count;
-    /// packets of victim flows are dropped per `plan` (realized fresh each
-    /// epoch — every victim loses at least one packet). Ingress hooks fire
-    /// for *all* packets, egress hooks only for delivered ones, matching
-    /// where the upstream/downstream encoders sit (§3.2).
+    /// Replays one clean epoch per packet: every flow in `trace` sends its
+    /// full packet count; packets of victim flows are dropped per `plan`
+    /// (realized fresh each epoch — every victim that sent anything loses at
+    /// least one packet). Ingress hooks fire for *all* packets, egress hooks
+    /// only for delivered ones, matching where the upstream/downstream
+    /// encoders sit (§3.2).
     pub fn run_epoch<F: Routable>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
-        hooks: &mut impl EdgeHooks<F>,
+        hooks: &mut impl BurstHooks<F>,
     ) -> EpochReport<F> {
-        let ts_bit = self.current_ts_bit();
-        let epoch_seed = self.epoch_seed();
-        let (delivered, lost) = plan.apply_to_trace(trace, epoch_seed);
-        let mut dropped_at = BTreeMap::new();
-        let mut lost_at = HashMap::new();
-        let mut hops_histogram = BTreeMap::new();
-        let mut route = Vec::with_capacity(self.topology.max_hops());
-        for &(f, pkts) in &trace.flows {
-            let (src, dst) = (f.src_host(), f.dst_host());
-            let in_edge = self.topology.edge_of_host(src);
-            let out_edge = self.topology.edge_of_host(dst);
-            // Hop counts are definitionally the route length; the route
-            // lands in a reusable buffer, so this stays allocation-free.
-            self.topology.route_into(src, dst, f.key64(), &mut route);
-            *hops_histogram.entry(route.len()).or_insert(0) += pkts;
-            let n_lost = lost.get(&f).copied().unwrap_or(0);
-            if n_lost == 0 {
-                // Lossless fast path — the overwhelmingly common case (most
-                // flows are not victims): skip the per-packet drop test.
-                for _ in 0..pkts {
-                    let tag = hooks.on_ingress(in_edge, &f, ts_bit);
-                    hooks.on_egress(out_edge, &f, ts_bit, tag);
-                }
-                continue;
-            }
-            attribute_spread(
-                &f,
-                f.key64(),
-                pkts,
-                n_lost,
-                epoch_seed,
-                &route,
-                &mut dropped_at,
-                &mut lost_at,
-            );
-            for i in 0..pkts {
-                let tag = hooks.on_ingress(in_edge, &f, ts_bit);
-                // Drops must be spread across the flow's lifetime (the
-                // testbed marks ECN on a rate basis): the classifier's
-                // per-packet hierarchy decision depends on the flow's size
-                // *so far*, so dropping only early packets would push every
-                // loss into the LL phase and starve the HL encoders.
-                if spread_drop(i, pkts, n_lost) {
-                    continue;
-                }
-                hooks.on_egress(out_edge, &f, ts_bit, tag);
-            }
-        }
-        let report = EpochReport {
-            delivered,
-            lost,
-            dropped_at,
-            lost_at,
-            hops_histogram,
-            queue_depth: BTreeMap::new(),
-            epoch: self.epoch,
-        };
-        self.epoch += 1;
-        report
+        self.run_epoch_scenario(trace, plan, &ImpairmentSet::none(), ReplayMode::PerPacket, hooks)
     }
 
-    /// The batched replay: one [`BurstHooks`] call per flow instead of one
-    /// [`EdgeHooks`] call per packet, with drops distributed across the
-    /// burst's tag runs by the same spread formula — the resulting sketch
-    /// state and report are identical to [`run_epoch`](Self::run_epoch)
-    /// (property-tested), at a fraction of the replay cost.
+    /// [`run_epoch`](Self::run_epoch) through the burst walker: identical
+    /// sketch state and report at a fraction of the replay cost.
     pub fn run_epoch_burst<F: Routable>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
         hooks: &mut impl BurstHooks<F>,
     ) -> EpochReport<F> {
-        let ts_bit = self.current_ts_bit();
-        let epoch_seed = self.epoch_seed();
-        let (delivered, lost) = plan.apply_to_trace(trace, epoch_seed);
-        let mut dropped_at = BTreeMap::new();
-        let mut lost_at = HashMap::new();
-        let mut hops_histogram = BTreeMap::new();
-        let mut route = Vec::with_capacity(self.topology.max_hops());
-        for &(f, pkts) in &trace.flows {
-            let (src, dst) = (f.src_host(), f.dst_host());
-            let in_edge = self.topology.edge_of_host(src);
-            let out_edge = self.topology.edge_of_host(dst);
-            // Hop counts are definitionally the route length (reused
-            // buffer, allocation-free).
-            self.topology.route_into(src, dst, f.key64(), &mut route);
-            *hops_histogram.entry(route.len()).or_insert(0) += pkts;
-            let n_lost = lost.get(&f).copied().unwrap_or(0);
-            if n_lost > 0 {
-                attribute_spread(
-                    &f,
-                    f.key64(),
-                    pkts,
-                    n_lost,
-                    epoch_seed,
-                    &route,
-                    &mut dropped_at,
-                    &mut lost_at,
-                );
-            }
-            let runs = hooks.on_ingress_burst(in_edge, &f, ts_bit, pkts);
-            // Packets dropped before position x (exclusive): ⌊x·L/P⌋ — the
-            // prefix form of `spread_drop`.
-            let mut pos = 0u64;
-            for (tag, len) in runs {
-                if len == 0 {
-                    continue;
-                }
-                let dropped = spread_drop_prefix(pos + len, pkts, n_lost)
-                    - spread_drop_prefix(pos, pkts, n_lost);
-                hooks.on_egress_burst(out_edge, &f, ts_bit, tag, len - dropped);
-                pos += len;
-            }
-            debug_assert_eq!(pos, pkts, "tag runs must cover the whole burst");
-        }
-        let report = EpochReport {
-            delivered,
-            lost,
-            dropped_at,
-            lost_at,
-            hops_histogram,
-            queue_depth: BTreeMap::new(),
-            epoch: self.epoch,
-        };
-        self.epoch += 1;
-        report
+        self.run_epoch_scenario(trace, plan, &ImpairmentSet::none(), ReplayMode::Burst, hooks)
     }
 
-    /// Scenario replay, per-packet path: like [`run_epoch`](Self::run_epoch)
-    /// but with an [`ImpairmentSet`] perturbing the fabric — per-link
-    /// congestion drops, extra correlated losses, duplicates re-traversing
-    /// egress, reordered drop positions, and clock-skewed timestamp bits.
-    /// The epoch report's `delivered`/`lost` reflect the *realized* fates
-    /// (plan losses ∪ congestion losses ∪ impairment losses; duplicates are
-    /// fabric noise and never counted as deliveries), and every drop is
-    /// attributed to the switch the shared [`FabricFates`] realization pins
-    /// it to.
-    ///
-    /// With [`ImpairmentSet::none`] this is observationally identical to
-    /// [`run_epoch`](Self::run_epoch), drop attribution included.
-    pub fn run_epoch_scenario<F: Routable>(
-        &mut self,
-        trace: &Trace<F>,
-        plan: &LossPlan<F>,
-        imp: &ImpairmentSet,
-        hooks: &mut impl EdgeHooks<F>,
-    ) -> EpochReport<F> {
-        let ts_bit = self.current_ts_bit();
-        let prev_bit = ts_bit ^ 1;
-        let epoch_seed = self.epoch_seed();
-        let base_lost = plan.realize_losses(trace, epoch_seed);
-        // The queue model supersedes the static congestion model: both are
-        // link-level loss generators, and exactly one realization feeds the
-        // fates so the two layers can never double-drop.
-        let queue = imp
-            .queue
-            .as_ref()
-            .map(|q| q.realize(&self.topology, trace, self.epoch, imp.seed));
-        let cong = match &queue {
-            Some(_) => None,
-            None => imp
-                .congestion
-                .as_ref()
-                .map(|m| m.realize(&self.topology, trace, self.epoch)),
-        };
-        let queue_depth = queue.as_ref().map(|q| q.depths().clone()).unwrap_or_default();
-        let mut delivered = HashMap::with_capacity(trace.num_flows());
-        let mut lost = HashMap::new();
-        let mut dropped_at = BTreeMap::new();
-        let mut lost_at = HashMap::new();
-        let mut hops_histogram = BTreeMap::new();
-        let mut fates = FabricFates::default();
-        let mut route = Vec::with_capacity(self.topology.max_hops());
-        let mut hop_probs = Vec::with_capacity(self.topology.max_hops());
-        let mut slot_counts = Vec::new();
-        for &(f, pkts) in &trace.flows {
-            let (src, dst) = (f.src_host(), f.dst_host());
-            let in_edge = self.topology.edge_of_host(src);
-            let out_edge = self.topology.edge_of_host(dst);
-            // The route lands in a reusable buffer (allocation-free); its
-            // length is the hop count by definition, and the link-level
-            // loss layers read their per-hop probabilities off it.
-            hop_probs.clear();
-            self.topology.route_into(src, dst, f.key64(), &mut route);
-            let route_len = match (&queue, &cong) {
-                (Some(q), _) => {
-                    q.hop_slot_probs(&route, dst, &mut hop_probs);
-                    q.flow_slot_counts(f.key64(), pkts, &mut slot_counts);
-                    route.len()
-                }
-                (None, Some(c)) => {
-                    c.hop_probs(&route, dst, &mut hop_probs);
-                    route.len()
-                }
-                (None, None) => route.len(),
-            };
-            *hops_histogram.entry(route_len).or_insert(0) += pkts;
-            let n_lost = base_lost.get(&f).copied().unwrap_or(0);
-            let link_loss = match &queue {
-                Some(q) => LinkLoss::Slotted {
-                    probs: &hop_probs,
-                    slot_counts: &slot_counts,
-                    n_slots: q.n_slots(),
-                },
-                None if cong.is_some() => LinkLoss::Static(&hop_probs),
-                None => LinkLoss::None,
-            };
-            imp.realize_flow(
-                &mut fates,
-                f.key64(),
-                pkts,
-                n_lost,
-                epoch_seed,
-                in_edge,
-                route_len,
-                link_loss,
-            );
-            for i in 0..pkts {
-                let ts = if i < fates.skew_split { prev_bit } else { ts_bit };
-                let tag = hooks.on_ingress(in_edge, &f, ts);
-                if fates.delivered_mask[i as usize] {
-                    hooks.on_egress(out_edge, &f, ts, tag);
-                    if fates.dup[i as usize] {
-                        hooks.on_egress(out_edge, &f, ts, tag);
-                    }
-                }
-            }
-            let del = fates.n_delivered();
-            delivered.insert(f, del);
-            if del < pkts {
-                lost.insert(f, pkts - del);
-                attribute_fates(&f, &route, &fates, &mut dropped_at, &mut lost_at);
-            }
-        }
-        let report = EpochReport {
-            delivered,
-            lost,
-            dropped_at,
-            lost_at,
-            hops_histogram,
-            queue_depth,
-            epoch: self.epoch,
-        };
-        self.epoch += 1;
-        report
-    }
-
-    /// Scenario replay, burst path: the batched twin of
-    /// [`run_epoch_scenario`](Self::run_epoch_scenario). Both paths consult
-    /// the same per-flow [`FabricFates`] realization, so the resulting sketch
-    /// state and epoch report are byte-identical — impairments live above
-    /// the hook boundary, not inside one path. A clock-skewed flow splits
-    /// into two ingress bursts (the mis-stamped prefix carries the previous
-    /// epoch's bit); each tag run's egress weight is the run's delivered
-    /// count plus its fabric duplicates.
+    /// [`run_epoch_scenario`](Self::run_epoch_scenario) with
+    /// [`ReplayMode::Burst`].
     pub fn run_epoch_burst_scenario<F: Routable>(
         &mut self,
         trace: &Trace<F>,
@@ -561,12 +504,70 @@ impl Simulator {
         imp: &ImpairmentSet,
         hooks: &mut impl BurstHooks<F>,
     ) -> EpochReport<F> {
-        let ts_bit = self.current_ts_bit();
-        let prev_bit = ts_bit ^ 1;
-        let epoch_seed = self.epoch_seed();
-        let base_lost = plan.realize_losses(trace, epoch_seed);
-        // Identical link-loss layering to the per-packet scenario path:
-        // queue supersedes static congestion, one realization feeds both.
+        self.run_epoch_scenario(trace, plan, imp, ReplayMode::Burst, hooks)
+    }
+
+    /// Replays one epoch with `imp` perturbing the fabric — per-link
+    /// congestion or queue drops, extra correlated losses, duplicates
+    /// re-traversing egress, reordered drop positions, and clock-skewed
+    /// timestamp bits — through `mode`'s walker. The report's
+    /// `delivered`/`lost` reflect the *realized* fates (plan losses ∪ link
+    /// losses ∪ impairment losses; duplicates are fabric noise and never
+    /// counted as deliveries), and every drop is attributed to the switch
+    /// the flow's [`FabricFates`] pins it to. The report and the hooks'
+    /// state do not depend on `mode`.
+    ///
+    /// [`ImpairmentSet::none`] is the clean fabric: plan losses only.
+    pub fn run_epoch_scenario<F: Routable>(
+        &mut self,
+        trace: &Trace<F>,
+        plan: &LossPlan<F>,
+        imp: &ImpairmentSet,
+        mode: ReplayMode,
+        hooks: &mut impl BurstHooks<F>,
+    ) -> EpochReport<F> {
+        let setup = self.begin_epoch(trace, plan, imp);
+        let mut delivered = HashMap::with_capacity(trace.num_flows());
+        let mut acc = ReportFragment::default();
+        acc.lost.reserve(setup.planned_victims());
+        let mut sc = FlowScratch::default();
+        for &(f, pkts) in &trace.flows {
+            let in_edge = self.topology.edge_of_host(f.src_host());
+            let out_edge = self.topology.edge_of_host(f.dst_host());
+            let del = setup.realize_flow(&f, pkts, in_edge, &mut sc, &mut acc);
+            delivered.insert(f, del);
+            let mut port = HookPort { hooks: &mut *hooks, in_edge, out_edge };
+            mode.walk(&f, pkts, setup.ts_bit, &sc.fates, &mut port);
+        }
+        let report = EpochReport {
+            delivered,
+            lost: acc.lost,
+            dropped_at: acc.dropped_at,
+            lost_at: acc.lost_at,
+            hops_histogram: acc.hops_histogram,
+            queue_depth: setup.queue_depth(),
+            epoch: setup.epoch,
+        };
+        self.epoch += 1;
+        report
+    }
+
+    /// The epoch prologue both drivers share: realizes the plan's losses
+    /// (victims only) and the fabric's link-loss layer for the epoch about
+    /// to run. The queue model supersedes the static congestion model: both
+    /// are link-level loss generators, and exactly one realization feeds the
+    /// fates so the two layers can never double-drop.
+    pub(crate) fn begin_epoch<'a, F: Routable>(
+        &'a self,
+        trace: &Trace<F>,
+        plan: &LossPlan<F>,
+        imp: &'a ImpairmentSet,
+    ) -> EpochSetup<'a, F> {
+        let epoch_seed = self
+            .config
+            .seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(self.epoch);
         let queue = imp
             .queue
             .as_ref()
@@ -578,102 +579,16 @@ impl Simulator {
                 .as_ref()
                 .map(|m| m.realize(&self.topology, trace, self.epoch)),
         };
-        let queue_depth = queue.as_ref().map(|q| q.depths().clone()).unwrap_or_default();
-        let mut delivered = HashMap::with_capacity(trace.num_flows());
-        let mut lost = HashMap::new();
-        let mut dropped_at = BTreeMap::new();
-        let mut lost_at = HashMap::new();
-        let mut hops_histogram = BTreeMap::new();
-        let mut fates = FabricFates::default();
-        let mut route = Vec::with_capacity(self.topology.max_hops());
-        let mut hop_probs = Vec::with_capacity(self.topology.max_hops());
-        let mut slot_counts = Vec::new();
-        for &(f, pkts) in &trace.flows {
-            let (src, dst) = (f.src_host(), f.dst_host());
-            let in_edge = self.topology.edge_of_host(src);
-            let out_edge = self.topology.edge_of_host(dst);
-            // Reused route buffer — identical policy to the per-packet
-            // scenario path, so attribution stays byte-equal.
-            hop_probs.clear();
-            self.topology.route_into(src, dst, f.key64(), &mut route);
-            let route_len = match (&queue, &cong) {
-                (Some(q), _) => {
-                    q.hop_slot_probs(&route, dst, &mut hop_probs);
-                    q.flow_slot_counts(f.key64(), pkts, &mut slot_counts);
-                    route.len()
-                }
-                (None, Some(c)) => {
-                    c.hop_probs(&route, dst, &mut hop_probs);
-                    route.len()
-                }
-                (None, None) => route.len(),
-            };
-            *hops_histogram.entry(route_len).or_insert(0) += pkts;
-            let n_lost = base_lost.get(&f).copied().unwrap_or(0);
-            let link_loss = match &queue {
-                Some(q) => LinkLoss::Slotted {
-                    probs: &hop_probs,
-                    slot_counts: &slot_counts,
-                    n_slots: q.n_slots(),
-                },
-                None if cong.is_some() => LinkLoss::Static(&hop_probs),
-                None => LinkLoss::None,
-            };
-            imp.realize_flow(
-                &mut fates,
-                f.key64(),
-                pkts,
-                n_lost,
-                epoch_seed,
-                in_edge,
-                route_len,
-                link_loss,
-            );
-            let k = fates.skew_split;
-            let mut pos = 0u64;
-            for (seg_ts, seg_len) in [(prev_bit, k), (ts_bit, pkts - k)] {
-                if seg_len == 0 {
-                    continue;
-                }
-                let runs = hooks.on_ingress_burst(in_edge, &f, seg_ts, seg_len);
-                for (tag, len) in runs {
-                    if len == 0 {
-                        continue;
-                    }
-                    let out = fates.delivered_in(pos, len) + fates.dups_in(pos, len);
-                    hooks.on_egress_burst(out_edge, &f, seg_ts, tag, out);
-                    pos += len;
-                }
-            }
-            debug_assert_eq!(pos, pkts, "tag runs must cover the whole burst");
-            let del = fates.n_delivered();
-            delivered.insert(f, del);
-            if del < pkts {
-                lost.insert(f, pkts - del);
-                attribute_fates(&f, &route, &fates, &mut dropped_at, &mut lost_at);
-            }
-        }
-        let report = EpochReport {
-            delivered,
-            lost,
-            dropped_at,
-            lost_at,
-            hops_histogram,
-            queue_depth,
+        EpochSetup {
+            topo: &self.topology,
+            imp,
             epoch: self.epoch,
-        };
-        self.epoch += 1;
-        report
-    }
-
-    /// The per-epoch seed every replay path derives loss realizations from
-    /// (the sharded engine in [`crate::shard`] must use the identical
-    /// derivation, hence the crate visibility).
-    pub(crate) fn epoch_seed(&self) -> u64 {
-        self.config
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(self.epoch)
+            ts_bit: self.current_ts_bit(),
+            epoch_seed,
+            base_lost: plan.realize_losses(trace, epoch_seed),
+            queue,
+            cong,
+        }
     }
 }
 
@@ -700,6 +615,21 @@ mod tests {
         fn on_egress(&mut self, edge: usize, _f: &FiveTuple, _ts: u8, tag: u8) {
             assert_eq!(tag, 2, "tag must round-trip");
             *self.egress.entry(edge).or_insert(0) += 1;
+        }
+    }
+
+    impl BurstHooks<FiveTuple> for Counter {
+        fn on_ingress_burst(&mut self, edge: usize, f: &FiveTuple, ts: u8, pkts: u64)
+            -> [(u8, u64); 3] {
+            for _ in 0..pkts {
+                self.on_ingress(edge, f, ts);
+            }
+            [(2, pkts), (2, 0), (2, 0)]
+        }
+        fn on_egress_burst(&mut self, edge: usize, f: &FiveTuple, ts: u8, tag: u8, delivered: u64) {
+            for _ in 0..delivered {
+                self.on_egress(edge, f, ts, tag);
+            }
         }
     }
 
@@ -819,25 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_replay_with_no_impairments_matches_plain_replay() {
-        let trace = testbed_trace(WorkloadKind::Dctcp, 400, 8, 9);
-        let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.1), 0.05, 9);
-        let mut sim_a = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut sim_b = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut ha = Counter::default();
-        let mut hb = Counter::default();
-        let ra = sim_a.run_epoch(&trace, &plan, &mut ha);
-        let rb = sim_b.run_epoch_scenario(&trace, &plan, &ImpairmentSet::none(), &mut hb);
-        assert_eq!(ra.delivered, rb.delivered);
-        assert_eq!(ra.lost, rb.lost);
-        assert_eq!(ra.dropped_at, rb.dropped_at, "attribution must agree too");
-        assert_eq!(ra.lost_at, rb.lost_at);
-        assert_eq!(ra.hops_histogram, rb.hops_histogram);
-        assert_eq!(ha.ingress, hb.ingress);
-        assert_eq!(ha.egress, hb.egress);
-    }
-
-    #[test]
     fn attribution_conserves_and_stays_on_route() {
         let trace = testbed_trace(WorkloadKind::Vl2, 600, 8, 21);
         let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.2), 0.1, 22);
@@ -880,7 +791,7 @@ mod tests {
         };
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
         let mut hooks = Counter::default();
-        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, &mut hooks);
+        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, ReplayMode::PerPacket, &mut hooks);
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
         assert!(report.lost.is_empty(), "duplication is not loss");
         assert_eq!(report.total_sent(), total);
@@ -899,7 +810,7 @@ mod tests {
         };
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
         let mut hooks = Counter::default();
-        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, &mut hooks);
+        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, ReplayMode::PerPacket, &mut hooks);
         let lost: u64 = report.lost.values().sum();
         assert!(lost > 0, "GE must create victims without any loss plan");
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
@@ -916,7 +827,7 @@ mod tests {
         };
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
         let mut hooks = Counter::default();
-        sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, &mut hooks);
+        sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, ReplayMode::PerPacket, &mut hooks);
         // Epoch 0 (bit 0): mis-stamped packets carry bit 1.
         let skewed = hooks.ts_bits.iter().filter(|&&b| b == 1).count();
         assert!(skewed > 0, "0.3 max skew must mis-stamp something");

@@ -304,7 +304,7 @@ mod queue {
                 chm_netsim::SimConfig { epoch_ms: 50.0, seed },
             );
             for _ in 0..2 {
-                let r = sim.run_epoch_scenario(&trace, &plan, &imp, &mut fabric::Null);
+                let r = fabric::replay(&mut sim, &trace, &plan, &imp);
                 fabric::check_attribution(&r, &topo);
                 prop_assert!(!r.queue_depth.is_empty(), "derated ToR must buffer");
             }
@@ -321,9 +321,9 @@ mod queue {
 mod fabric {
     use super::*;
     use chm_common::{FiveTuple, FlowId};
-    use chm_netsim::sim::{EdgeHooks, EpochReport, Routable};
+    use chm_netsim::sim::{BurstHooks, EdgeHooks, EpochReport, Routable};
     use chm_netsim::{
-        CongestionModel, Derate, ImpairmentSet, SimConfig, Simulator,
+        CongestionModel, Derate, ImpairmentSet, ReplayMode, SimConfig, Simulator,
     };
     use chm_workloads::{testbed_trace, LossPlan, VictimSelection, WorkloadKind};
 
@@ -334,6 +334,49 @@ mod fabric {
             0
         }
         fn on_egress(&mut self, _e: usize, _f: &FiveTuple, _ts: u8, _tag: u8) {}
+    }
+    impl BurstHooks<FiveTuple> for Null {
+        fn on_ingress_burst(&mut self, _e: usize, _f: &FiveTuple, _ts: u8, pkts: u64)
+            -> [(u8, u64); 3] {
+            [(0, pkts), (1, 0), (2, 0)]
+        }
+        fn on_egress_burst(&mut self, _e: usize, _f: &FiveTuple, _ts: u8, _tag: u8, _n: u64) {}
+    }
+
+    /// One per-packet epoch of the serial driver with the null hooks.
+    pub fn replay(
+        sim: &mut Simulator,
+        trace: &chm_workloads::Trace<FiveTuple>,
+        plan: &LossPlan<FiveTuple>,
+        imp: &ImpairmentSet,
+    ) -> EpochReport<FiveTuple> {
+        sim.run_epoch_scenario(trace, plan, imp, ReplayMode::PerPacket, &mut Null)
+    }
+
+    /// A planned victim that sent nothing this epoch is not a victim: no
+    /// `lost` entry (not even a zero), no `lost_at` entry, and the walkers
+    /// agree on it — while it still counts as a flow that was present.
+    #[test]
+    fn a_flow_that_sent_nothing_is_never_a_victim() {
+        let topo: Topology = FatTree::testbed().into();
+        let mut trace = testbed_trace(WorkloadKind::Dctcp, 40, 8, 0x1d1e);
+        let idle = trace.flows[7].0;
+        trace.flows[7].1 = 0;
+        let plan = LossPlan {
+            victims: [idle, trace.flows[3].0, trace.flows[20].0]
+                .into_iter()
+                .map(|f| (f, 0.3))
+                .collect(),
+        };
+        for mode in [ReplayMode::PerPacket, ReplayMode::Burst] {
+            let mut sim = Simulator::new(topo.clone(), SimConfig::default());
+            let r = sim.run_epoch_scenario(&trace, &plan, &ImpairmentSet::none(), mode, &mut Null);
+            check_attribution(&r, &topo);
+            assert_eq!(r.delivered[&idle], 0, "{mode:?}");
+            assert!(!r.lost.contains_key(&idle), "{mode:?}: an idle flow lost nothing");
+            assert_eq!(r.victim_flows(), 2, "{mode:?}");
+            assert_eq!(r.total_flows(), 40, "{mode:?}");
+        }
     }
 
     fn congested_imp(seed: u64, derate: Derate) -> ImpairmentSet {
@@ -381,7 +424,7 @@ mod fabric {
             let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.05), 0.05, seed);
             let mut sim = Simulator::new(topo.clone(), SimConfig { epoch_ms: 50.0, seed });
             for _ in 0..2 {
-                let r = sim.run_epoch_scenario(&trace, &plan, &imp, &mut Null);
+                let r = replay(&mut sim, &trace, &plan, &imp);
                 check_attribution(&r, &topo);
             }
         }
@@ -419,7 +462,7 @@ mod fabric {
             {
                 let mut sim =
                     Simulator::new(topo.clone(), SimConfig { epoch_ms: 50.0, seed });
-                let r = sim.run_epoch_scenario(&trace, &LossPlan::none(), imp, &mut Null);
+                let r = replay(&mut sim, &trace, &LossPlan::none(), imp);
                 check_attribution(&r, &topo);
                 drops[i] = r.dropped_at.get(&culprit).copied().unwrap_or(0);
             }
@@ -553,7 +596,7 @@ mod zoo {
                 let mut sim =
                     Simulator::new(topo.clone(), SimConfig { epoch_ms: 50.0, seed });
                 for _ in 0..2 {
-                    let r = sim.run_epoch_scenario(&trace, &plan, &imp, &mut fabric::Null);
+                    let r = fabric::replay(&mut sim, &trace, &plan, &imp);
                     fabric::check_attribution(&r, &topo);
                 }
             }

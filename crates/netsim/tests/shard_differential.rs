@@ -1,84 +1,29 @@
-//! Differential suite for the sharded epoch pipeline: every replay path ×
-//! every topology variant must produce byte-identical reports and edge
-//! state at any shard/worker layout, and the fragment merge must be
-//! invariant under fragment permutation.
+//! Differential suite for the sharded epoch pipeline: both walkers × the
+//! clean fabric and two impaired ones × every topology variant must produce
+//! byte-identical reports and edge state at any shard/worker layout — the
+//! serial driver is the reference — and the fragment merge must be invariant
+//! under fragment permutation.
 //!
 //! The in-crate unit tests pin the same property on the testbed fabric;
 //! this suite widens the fabric axis to the full topology zoo (testbed,
 //! k=4 and k=8 fat-trees, leaf-spine, Abilene WAN) and randomizes the
 //! merge inputs with proptest.
 
+mod common;
+
 use chm_netsim::sim::EpochReport;
+use common::{sites, Site};
 use chm_netsim::{
-    merge_fragments, ClockSkew, Duplication, EdgeSite, FatTree, GilbertElliott,
-    ImpairmentSet, KaryFatTree, LeafSpine, ReportFragment, ShardedReplay, Sharding,
-    SimConfig, Simulator, SiteArray, SwitchId, SwitchRole, Topology, WanGraph,
+    merge_fragments, ClockSkew, Derate, Duplication, FatTree, GilbertElliott,
+    ImpairmentSet, KaryFatTree, LeafSpine, QueueModel, RedDrop, Reordering, ReplayMode,
+    ReportFragment, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray, SwitchId,
+    SwitchRole, Topology, WanGraph,
 };
-use chm_common::{FiveTuple, FlowId};
+use chm_workloads::ArrivalProfile;
+use chm_common::FiveTuple;
 use chm_workloads::{testbed_trace, LossPlan, Trace, VictimSelection, WorkloadKind};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
-
-/// A stateful site double, deliberately order-sensitive on ingress (a
-/// hash chain detects any reordering of the per-edge packet stream) and
-/// commutative on egress (wrapping adds, mirroring the real data plane's
-/// modular counters). Per-(flow, ts) counts drive a 3-level tag threshold
-/// so the burst path emits genuine multi-run bursts.
-#[derive(Default, Clone, PartialEq, Debug)]
-struct Site {
-    chain: u64,
-    egress_acc: u64,
-    ingress_pkts: u64,
-    egress_pkts: u64,
-    seen: HashMap<(u64, u8), u64>,
-}
-
-fn tag_for(count: u64) -> u8 {
-    match count {
-        0..=2 => 0,
-        3..=9 => 1,
-        _ => 2,
-    }
-}
-
-impl EdgeSite<FiveTuple> for Site {
-    fn site_ingress(&mut self, f: &FiveTuple, ts: u8) -> u8 {
-        let c = self.seen.entry((f.key64(), ts)).or_insert(0);
-        let tag = tag_for(*c);
-        *c += 1;
-        self.ingress_pkts += 1;
-        self.chain = chm_common::hash::mix64(self.chain ^ f.key64() ^ u64::from(ts));
-        tag
-    }
-    fn site_egress(&mut self, f: &FiveTuple, ts: u8, tag: u8) {
-        self.egress_pkts += 1;
-        self.egress_acc = self.egress_acc.wrapping_add(chm_common::hash::mix64(
-            f.key64() ^ (u64::from(ts) << 8) ^ u64::from(tag),
-        ));
-    }
-    fn site_ingress_burst(&mut self, f: &FiveTuple, ts: u8, pkts: u64) -> [(u8, u64); 3] {
-        let mut runs = [(0u8, 0u64), (1, 0), (2, 0)];
-        for _ in 0..pkts {
-            let tag = self.site_ingress(f, ts);
-            runs[tag as usize].1 += 1;
-        }
-        runs
-    }
-    fn site_egress_burst(&mut self, f: &FiveTuple, ts: u8, tag: u8, delivered: u64) {
-        if delivered == 0 {
-            return;
-        }
-        self.egress_pkts += delivered;
-        self.egress_acc = self.egress_acc.wrapping_add(
-            chm_common::hash::mix64(f.key64() ^ (u64::from(ts) << 8) ^ u64::from(tag))
-                .wrapping_mul(delivered),
-        );
-    }
-}
-
-fn sites(n: usize) -> Vec<Site> {
-    (0..n).map(|_| Site::default()).collect()
-}
+use std::collections::BTreeMap;
 
 /// The topology zoo under test, with a workload sized to each fabric.
 fn fabrics() -> Vec<(&'static str, Topology)> {
@@ -97,46 +42,58 @@ fn workload(topo: &Topology, seed: u64) -> (Trace<FiveTuple>, LossPlan<FiveTuple
     (trace, plan)
 }
 
-fn impairments() -> ImpairmentSet {
-    ImpairmentSet {
+/// The fabrics a flow can replay under: the clean one, the channel
+/// impairments (bursty loss, duplication, clock skew), and the queue
+/// torture of `chm_scenarios/tests/differential.rs` — a synchronized
+/// microburst on a slow-draining ToR with RED early drop, composed with
+/// every channel impairment.
+fn impairment_sets() -> Vec<(&'static str, ImpairmentSet)> {
+    let channel = ImpairmentSet {
         seed: 23,
         gilbert_elliott: Some(GilbertElliott::bursty()),
         duplication: Some(Duplication { prob: 0.05 }),
         clock_skew: Some(ClockSkew { max_frac: 0.2 }),
         ..ImpairmentSet::none()
-    }
+    };
+    let queue_torture = ImpairmentSet {
+        seed: 0xBA_D0_0B,
+        queue: Some(QueueModel {
+            profile: ArrivalProfile::Microburst { frac: 0.6, width: 2 },
+            red: Some(RedDrop { min_depth: 0.2, max_depth: 1.5, max_prob: 0.3 }),
+            derates: vec![Derate::Switch { role: SwitchRole::Edge, index: 2, factor: 0.35 }],
+            ..QueueModel::calibrated(6)
+        }),
+        gilbert_elliott: Some(GilbertElliott {
+            p_enter_bad: 0.1,
+            p_exit_bad: 0.3,
+            loss_good: 0.02,
+            loss_bad: 0.7,
+        }),
+        duplication: Some(Duplication { prob: 0.3 }),
+        reordering: Some(Reordering { prob: 0.5, window: 16 }),
+        clock_skew: Some(ClockSkew { max_frac: 0.3 }),
+        ..ImpairmentSet::none()
+    };
+    vec![("none", ImpairmentSet::none()), ("channel", channel), ("queue-torture", queue_torture)]
 }
 
-/// The four replay paths, dispatched uniformly so one loop covers them all.
-#[derive(Clone, Copy, Debug)]
-enum Path {
-    Clean,
-    CleanBurst,
-    Scenario,
-    ScenarioBurst,
-}
+const MODES: [ReplayMode; 2] = [ReplayMode::PerPacket, ReplayMode::Burst];
 
-const PATHS: [Path; 4] = [Path::Clean, Path::CleanBurst, Path::Scenario, Path::ScenarioBurst];
-
+/// One epoch through the serial driver — the reference.
 fn run_unsharded(
-    path: Path,
+    mode: ReplayMode,
     sim: &mut Simulator,
     trace: &Trace<FiveTuple>,
     plan: &LossPlan<FiveTuple>,
     imp: &ImpairmentSet,
     edges: &mut [Site],
 ) -> EpochReport<FiveTuple> {
-    let mut hooks = SiteArray(edges);
-    match path {
-        Path::Clean => sim.run_epoch(trace, plan, &mut hooks),
-        Path::CleanBurst => sim.run_epoch_burst(trace, plan, &mut hooks),
-        Path::Scenario => sim.run_epoch_scenario(trace, plan, imp, &mut hooks),
-        Path::ScenarioBurst => sim.run_epoch_burst_scenario(trace, plan, imp, &mut hooks),
-    }
+    sim.run_epoch_scenario(trace, plan, imp, mode, &mut SiteArray(edges))
 }
 
+/// One zero-clock epoch through the sharded driver.
 fn run_sharded(
-    path: Path,
+    mode: ReplayMode,
     eng: &mut ShardedReplay<FiveTuple>,
     sim: &mut Simulator,
     trace: &Trace<FiveTuple>,
@@ -144,88 +101,74 @@ fn run_sharded(
     imp: &ImpairmentSet,
     edges: &mut [Site],
 ) -> EpochReport<FiveTuple> {
-    match path {
-        Path::Clean => eng.run_epoch(sim, trace, plan, edges),
-        Path::CleanBurst => eng.run_epoch_burst(sim, trace, plan, edges),
-        Path::Scenario => eng.run_epoch_scenario(sim, trace, plan, imp, edges),
-        Path::ScenarioBurst => eng.run_epoch_burst_scenario(sim, trace, plan, imp, edges),
-    }
+    eng.run_epoch(sim, trace, plan, imp, mode, edges, &|| 0.0).0
 }
 
-/// Every path × every fabric × every shard/worker layout reproduces the
-/// unsharded replay exactly: same report, same per-edge state, same epoch
-/// counter. Two epochs per configuration so the second epoch runs on
-/// reused (dirty) engine scratch.
+/// Every walker × every fabric state × every fabric × every shard/worker
+/// layout reproduces the unsharded replay exactly: same report, same
+/// per-edge state, same epoch counter. Two epochs per configuration so the
+/// second epoch runs on reused (dirty) engine scratch.
 #[test]
 fn all_paths_match_unsharded_on_every_fabric() {
     for (name, topo) in fabrics() {
         let (trace, plan) = workload(&topo, 0x5eed ^ topo.n_hosts() as u64);
-        let imp = impairments();
         let sim0 = Simulator::new(topo.clone(), SimConfig::default());
-        for path in PATHS {
-            let mut sim_ref = sim0.clone();
-            let mut ref_sites = sites(topo.n_edges());
-            let mut ref_reports = Vec::new();
-            for _ in 0..2 {
-                ref_reports.push(run_unsharded(
-                    path,
-                    &mut sim_ref,
-                    &trace,
-                    &plan,
-                    &imp,
-                    &mut ref_sites,
-                ));
-            }
-            for shards in [1usize, 2, 3, 7] {
-                for workers in [1usize, 2] {
-                    let mut sim = sim0.clone();
-                    let mut s = sites(topo.n_edges());
-                    let mut eng = ShardedReplay::new(Sharding { shards, workers });
-                    for (epoch, r_ref) in ref_reports.iter().enumerate() {
-                        let r =
-                            run_sharded(path, &mut eng, &mut sim, &trace, &plan, &imp, &mut s);
-                        assert_eq!(
-                            &r, r_ref,
-                            "report differs: {name} {path:?} epoch {epoch} \
-                             shards={shards} workers={workers}"
-                        );
+        for (imp_name, imp) in impairment_sets() {
+            for mode in MODES {
+                let mut sim_ref = sim0.clone();
+                let mut ref_sites = sites(topo.n_edges());
+                let ref_reports: Vec<_> = (0..2)
+                    .map(|_| run_unsharded(mode, &mut sim_ref, &trace, &plan, &imp, &mut ref_sites))
+                    .collect();
+                for shards in [1usize, 2, 3, 7] {
+                    for workers in [1usize, 2] {
+                        let tag =
+                            format!("{name} {imp_name} {mode:?} shards={shards} workers={workers}");
+                        let mut sim = sim0.clone();
+                        let mut s = sites(topo.n_edges());
+                        let mut eng = ShardedReplay::new(Sharding { shards, workers });
+                        for (epoch, r_ref) in ref_reports.iter().enumerate() {
+                            let r =
+                                run_sharded(mode, &mut eng, &mut sim, &trace, &plan, &imp, &mut s);
+                            assert_eq!(&r, r_ref, "report differs: {tag} epoch {epoch}");
+                        }
+                        assert_eq!(s, ref_sites, "site state differs: {tag}");
+                        assert_eq!(sim.current_epoch(), sim_ref.current_epoch());
                     }
-                    assert_eq!(
-                        s, ref_sites,
-                        "site state differs: {name} {path:?} shards={shards} workers={workers}"
-                    );
-                    assert_eq!(sim.current_epoch(), sim_ref.current_epoch());
                 }
             }
         }
     }
 }
 
-/// The scenario paths' `delivered` report is assembled from per-shard
-/// columns, so the degenerate partitions matter: more shards than edges
-/// (shards 4..9 own no edge and contribute empty columns) and an empty
-/// trace (every column empty) must still reproduce the serial report.
+/// The report's `delivered` map is assembled from per-shard columns, so the
+/// degenerate partitions matter: more shards than edges (shards 4..9 own no
+/// edge and contribute empty columns) and an empty trace (every column
+/// empty) must still reproduce the serial report.
 #[test]
 fn scenario_paths_survive_idle_shards_and_an_empty_trace() {
     let topo: Topology = FatTree::testbed().into();
     let (trace, plan) = workload(&topo, 0xc01);
     let empty = Trace { flows: Vec::new() };
-    let imp = impairments();
     let sim0 = Simulator::new(topo.clone(), SimConfig::default());
-    for (what, trace) in [("idle shards", &trace), ("empty trace", &empty)] {
-        for path in [Path::Scenario, Path::ScenarioBurst] {
-            let mut sim_ref = sim0.clone();
-            let mut ref_sites = sites(topo.n_edges());
-            let mut sim = sim0.clone();
-            let mut s = sites(topo.n_edges());
-            let mut eng = ShardedReplay::new(Sharding { shards: 9, workers: 16 });
-            for epoch in 0..2 {
-                let r_ref = run_unsharded(path, &mut sim_ref, trace, &plan, &imp, &mut ref_sites);
-                let r = run_sharded(path, &mut eng, &mut sim, trace, &plan, &imp, &mut s);
-                assert_eq!(r, r_ref, "{what}: {path:?} epoch {epoch}");
-                assert_eq!(r.delivered.len(), trace.num_flows(), "{what}: {path:?}");
+    for (imp_name, imp) in impairment_sets() {
+        for (what, trace) in [("idle shards", &trace), ("empty trace", &empty)] {
+            for mode in MODES {
+                let tag = format!("{what}: {imp_name} {mode:?}");
+                let mut sim_ref = sim0.clone();
+                let mut ref_sites = sites(topo.n_edges());
+                let mut sim = sim0.clone();
+                let mut s = sites(topo.n_edges());
+                let mut eng = ShardedReplay::new(Sharding { shards: 9, workers: 16 });
+                for epoch in 0..2 {
+                    let r_ref =
+                        run_unsharded(mode, &mut sim_ref, trace, &plan, &imp, &mut ref_sites);
+                    let r = run_sharded(mode, &mut eng, &mut sim, trace, &plan, &imp, &mut s);
+                    assert_eq!(r, r_ref, "{tag} epoch {epoch}");
+                    assert_eq!(r.delivered.len(), trace.num_flows(), "{tag}");
+                }
+                assert_eq!(s, ref_sites, "{tag} site state");
             }
-            assert_eq!(s, ref_sites, "{what}: {path:?} site state");
         }
     }
 }

@@ -116,7 +116,8 @@ pub fn render_json_metrics(reg: &Registry) -> String {
     format!("{{{}}}", rows.join(","))
 }
 
-fn json_escape(s: &str) -> String {
+/// JSON string-body escaping shared by this crate's emitters.
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -129,7 +130,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn json_f64(v: f64) -> String {
+/// JSON number for `v`; non-finite values become `null`. Shared by this
+/// crate's emitters.
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

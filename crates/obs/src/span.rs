@@ -13,6 +13,7 @@
 //! so every traversal ([`SpanProfiler::flatten`], the JSON emitters) is
 //! bit-stable.
 
+use crate::expo::{json_escape, json_f64};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Default)]
@@ -202,27 +203,6 @@ impl SpanProfiler {
             ));
         }
         out
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -20,21 +20,10 @@ use chm_baselines::{FlowRadar, LossDetector, LossRadar};
 use chm_common::metrics::{average_relative_error, detection_score};
 use chm_common::FiveTuple;
 use chm_netsim::sim::EpochReport;
+pub use chm_netsim::ReplayMode;
 use chm_netsim::{ShardedReplay, Sharding, SimConfig, Simulator, SiteArray};
 use chm_workloads::Trace;
 use std::collections::{HashMap, HashSet};
-
-/// Which replay path drives the epoch. Both must be observationally
-/// identical under every scenario — that is the burst-replay equivalence
-/// contract the impairment layer preserves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayMode {
-    /// One hook call per packet ([`Simulator::run_epoch_scenario`]).
-    PerPacket,
-    /// One hook call per flow segment
-    /// ([`Simulator::run_epoch_burst_scenario`]).
-    Burst,
-}
 
 /// One epoch's scorecard.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,37 +214,15 @@ impl ScenarioStack {
         let epoch = self.simulator.current_epoch();
         let trace = s.trace_for_epoch(base, epoch);
         let plan = s.plan_for_epoch(&trace, epoch);
-        let report = match (&mut self.sharded, mode) {
-            (Some(eng), ReplayMode::PerPacket) => eng.run_epoch_scenario(
-                &mut self.simulator,
-                &trace,
-                &plan,
-                &s.impairments,
-                &mut self.edges,
-            ),
-            (Some(eng), ReplayMode::Burst) => eng.run_epoch_burst_scenario(
-                &mut self.simulator,
-                &trace,
-                &plan,
-                &s.impairments,
-                &mut self.edges,
-            ),
-            (None, mode) => {
+        let imp = &s.impairments;
+        let report = match &mut self.sharded {
+            Some(eng) => {
+                eng.run_epoch(&mut self.simulator, &trace, &plan, imp, mode, &mut self.edges, &|| 0.0)
+                    .0
+            }
+            None => {
                 let mut hooks = SiteArray(&mut self.edges);
-                match mode {
-                    ReplayMode::PerPacket => self.simulator.run_epoch_scenario(
-                        &trace,
-                        &plan,
-                        &s.impairments,
-                        &mut hooks,
-                    ),
-                    ReplayMode::Burst => self.simulator.run_epoch_burst_scenario(
-                        &trace,
-                        &plan,
-                        &s.impairments,
-                        &mut hooks,
-                    ),
-                }
+                self.simulator.run_epoch_scenario(&trace, &plan, imp, mode, &mut hooks)
             }
         };
         let ts_bit = (report.epoch & 1) as u8;

@@ -195,37 +195,15 @@ impl ServeRuntime {
 
         // 1. Replay through the fabric and the edge data planes.
         let imp = &self.serve.scenario.impairments;
-        let report = match (&mut self.sharded, self.serve.mode) {
-            (Some(eng), ReplayMode::PerPacket) => eng.run_epoch_scenario(
-                &mut self.simulator,
-                &trace,
-                &plan,
-                imp,
-                &mut self.edges,
-            ),
-            (Some(eng), ReplayMode::Burst) => eng.run_epoch_burst_scenario(
-                &mut self.simulator,
-                &trace,
-                &plan,
-                imp,
-                &mut self.edges,
-            ),
-            (None, mode) => {
+        let mode = self.serve.mode;
+        let report = match &mut self.sharded {
+            Some(eng) => {
+                eng.run_epoch(&mut self.simulator, &trace, &plan, imp, mode, &mut self.edges, &|| 0.0)
+                    .0
+            }
+            None => {
                 let mut hooks = SiteArray(&mut self.edges);
-                match mode {
-                    ReplayMode::PerPacket => self.simulator.run_epoch_scenario(
-                        &trace,
-                        &plan,
-                        imp,
-                        &mut hooks,
-                    ),
-                    ReplayMode::Burst => self.simulator.run_epoch_burst_scenario(
-                        &trace,
-                        &plan,
-                        imp,
-                        &mut hooks,
-                    ),
-                }
+                self.simulator.run_epoch_scenario(&trace, &plan, imp, mode, &mut hooks)
             }
         };
         let ts_bit = (report.epoch & 1) as u8;

@@ -93,7 +93,8 @@ impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
     /// guaranteeing **at least one** lost packet per victim (so every
     /// planned victim is a real victim, as on the testbed where loss rates
     /// and flow sizes are chosen to make victims actual) and never more
-    /// than the flow carries.
+    /// than the flow carries. A planned victim that sent nothing this epoch
+    /// has no packet to lose and gets no entry — it is not a victim.
     ///
     /// Returns the lost counts of the victims only — the map is as large as
     /// the victim set, not the trace. Draws come from one RNG stream walked
@@ -105,6 +106,9 @@ impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
         let mut lost = HashMap::with_capacity(self.victims.len());
         let mut rng = StdRng::seed_from_u64(seed);
         for &(f, pkts) in &trace.flows {
+            if pkts == 0 {
+                continue;
+            }
             if let Some(&p) = self.victims.get(&f) {
                 let mut dropped = 0u64;
                 for _ in 0..pkts {
@@ -303,6 +307,21 @@ mod tests {
             assert!(l <= sizes[f]);
             assert_eq!(delivered[f] + l, sizes[f]);
         }
+    }
+
+    #[test]
+    fn a_victim_that_sent_nothing_loses_nothing() {
+        // Flow 2 is a planned victim but idle this epoch: no `lost` entry
+        // (not even a zero), and the draws of the other victims are the
+        // ones they get when flow 2 is absent from the trace altogether.
+        let plan = LossPlan { victims: [(1u32, 0.5), (2, 0.5), (3, 0.5)].into() };
+        let with_idle = Trace { flows: vec![(1u32, 40), (2, 0), (3, 40), (4, 10)] };
+        let without = Trace { flows: vec![(1u32, 40), (3, 40), (4, 10)] };
+        let (delivered, lost) = plan.apply_to_trace(&with_idle, 9);
+        assert!(!lost.contains_key(&2), "an idle flow is never a victim");
+        assert_eq!(delivered[&2], 0);
+        assert_eq!(lost.len(), 2);
+        assert_eq!(lost, plan.realize_losses(&without, 9));
     }
 
     #[test]
