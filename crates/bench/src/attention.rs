@@ -97,7 +97,7 @@ pub fn stable_point(
         tl: rt.tl,
         sample_rate: rt.sample_rate(),
         ill: out.analysis.state_during == NetworkState::Ill,
-        // `None` = not measured (no clock injected); json_number renders the
+        // `None` = not measured (no clock injected); `json_f64` renders the
         // resulting NaN as null rather than inventing a 0.0 response time.
         response_ms: out.response_time_s.map_or(f64::NAN, |s| s * 1000.0),
     }

@@ -315,10 +315,8 @@ fn main() {
                         None => usage(),
                     },
                     "--profile" => match it.next() {
-                        Some(p) if matches!(p.as_str(), "none" | "standard" | "stress") => {
-                            cfg.profile = p.clone()
-                        }
-                        _ => usage(),
+                        Some(p) => cfg.profile = p.clone(),
+                        None => usage(),
                     },
                     "--out" => match it.next() {
                         Some(d) => out_dir = d.clone(),
@@ -327,7 +325,10 @@ fn main() {
                     _ => usage(),
                 }
             }
-            let report = soak::run(&cfg, &|| ALLOCATIONS.load(Ordering::SeqCst));
+            // `None`: `--profile` named no fault profile.
+            let Some(report) = soak::run(&cfg, &|| ALLOCATIONS.load(Ordering::SeqCst)) else {
+                usage()
+            };
             report.print();
             if let Err(e) = report.write_json(&out_dir) {
                 eprintln!("error: could not write {out_dir}/SOAK.json: {e}");

@@ -2,11 +2,16 @@
 //! full pipeline epoch, measured with the `chm_obs` span profiler over the
 //! sharded engine and the profiled controller entry points.
 //!
-//! The harness drives the serve/soak congested preset through a hand-rolled
-//! epoch loop (replay → collect → analyze → reconfigure → localize) so every
-//! stage the ISSUE names gets its own span: the engine's fate `prologue`,
-//! `phase_a/shard_{i}` / `phase_b/shard_{i}`, the fragment `merge`
-//! (absorbed from [`ShardedReplay::last_profile`]), the controller's
+//! The harness steps the congested serve preset on the scenario engine's own
+//! stack ([`ScenarioStack`], sharded through [`ScenarioStack::replay`] like
+//! any other caller) and brackets each stage of the epoch — replay, collect,
+//! analyze, reconfigure, localize — with a span and an allocation reading.
+//! `step_epoch` runs the same stages unprofiled and scores them, which is
+//! not what is measured here, so the stages stay spelled out; the
+//! deployment, the driver choice and the decode verdict are the stack's.
+//! The tree it builds: the engine's fate `prologue`, `phase_a/shard_{i}` /
+//! `phase_b/shard_{i}` and fragment `merge` (absorbed from
+//! [`ScenarioStack::replay_profile`]), the controller's
 //! `analyze/decode/{edge_i,delta_hl,delta_ll,sparse,loaded}` split and its
 //! `analyze/{cardinality,fsd,delta_hl_build,delta_ll_build,victims}`
 //! blocks, and `localize`. Alongside the spans it attributes **global
@@ -32,11 +37,9 @@ use std::time::Instant;
 
 use chamelemon::CollectedGroup;
 use chm_common::FiveTuple;
-use chm_netsim::{ReplayMode, ShardedReplay, Sharding};
-use chm_obs::SpanProfiler;
+use chm_netsim::{ReplayMode, Sharding};
+use chm_obs::{json_f64, json_string, SpanProfiler};
 use chm_scenarios::{Scenario, ScenarioStack};
-
-use crate::report::{json_number, json_string};
 
 /// The coarse stages allocations are attributed to, in emission order.
 pub const STAGES: [&str; 5] = ["replay", "collect", "analyze", "reconfigure", "localize"];
@@ -84,20 +87,6 @@ pub struct ProfileReport {
     pub decode_ok_epochs: u64,
 }
 
-/// The profiled workload: the serve CLI's `congested` preset (same shape
-/// as the soak's), so profile numbers describe the configuration the
-/// service runs.
-fn profile_scenario(cfg: &ProfileConfig) -> Scenario {
-    Scenario::builder("profile")
-        .seed(cfg.seed)
-        .flows(cfg.flows)
-        .congestion()
-        .queue_model(8)
-        .microburst(0.3, 2)
-        .slow_drain_tor(1, 0.55)
-        .build()
-}
-
 /// A real wall clock for the binary (the workspace's one allowed timing
 /// source outside `chm-serve`'s main loop). Tests inject `&|| 0.0` instead.
 pub fn wall_clock() -> impl Fn() -> f64 + Sync {
@@ -113,10 +102,11 @@ pub fn run(
     clock: &(dyn Fn() -> f64 + Sync),
     alloc_count: &dyn Fn() -> u64,
 ) -> ProfileReport {
-    let s = profile_scenario(cfg);
+    // The serve CLI's `congested` preset (the soak's too), so profile
+    // numbers describe the configuration the service runs.
+    let s = Scenario::serve_congested(cfg.seed, cfg.flows);
     let mut stack = ScenarioStack::new(&s);
-    let mut eng: ShardedReplay<FiveTuple> =
-        ShardedReplay::new(Sharding { shards: cfg.shards, workers: cfg.workers });
+    stack.set_sharding(Sharding { shards: cfg.shards, workers: cfg.workers });
     let base = s.base_trace();
     let mut spans = SpanProfiler::new();
     let mut span_clock = || clock();
@@ -134,16 +124,8 @@ pub fn run(
         // under the open `epoch` span. Shard count is fixed, so the paths
         // are identical at any worker count.
         let a0 = alloc_count();
-        let (report, _timing) = eng.run_epoch(
-            &mut stack.simulator,
-            &trace,
-            &plan,
-            &s.impairments,
-            ReplayMode::Burst,
-            &mut stack.edges,
-            clock,
-        );
-        spans.absorb(eng.last_profile(), &[]);
+        let report = stack.replay(&trace, &plan, &s.impairments, ReplayMode::Burst, clock);
+        spans.absorb(stack.replay_profile().expect("sharding is set above"), &[]);
         stage_allocs[0] += alloc_count() - a0;
 
         // Collect: take the ended-timestamp groups off every edge. The
@@ -186,13 +168,7 @@ pub fn run(
 
         spans.exit(&mut span_clock);
         packets += report.total_sent();
-        let rt = analysis.runtime;
-        decode_ok_epochs += u64::from(
-            analysis.switches_reporting > 0
-                && analysis.hh_decode_ok
-                && (rt.partition.m_hl == 0 || analysis.hl_flowset.is_some())
-                && (rt.partition.m_ll == 0 || analysis.ll_flowset.is_some()),
-        );
+        decode_ok_epochs += u64::from(analysis.fully_decoded());
     }
     assert!(spans.balanced(), "profile epochs leave no span open");
     ProfileReport { config: cfg.clone(), spans, stage_allocs, packets, decode_ok_epochs }
@@ -238,8 +214,8 @@ impl ProfileReport {
                     "    {}: {{\"count\": {}, \"total_s\": {}, \"mean_us\": {}}}",
                     json_string(path),
                     count,
-                    json_number(*total),
-                    json_number(mean_us)
+                    json_f64(*total),
+                    json_f64(mean_us)
                 )
             })
             .collect();

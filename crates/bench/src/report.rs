@@ -4,6 +4,7 @@
 //! JSON is emitted by hand (the offline build has no serde): the schema is
 //! the fixed four-field record below, so a small writer is all we need.
 
+use chm_obs::{json_f64, json_string};
 use std::fs;
 use std::path::Path;
 
@@ -87,7 +88,7 @@ impl Table {
             .rows
             .iter()
             .map(|row| {
-                let cells = row.iter().map(|v| json_number(*v)).collect::<Vec<_>>().join(", ");
+                let cells = row.iter().map(|v| json_f64(*v)).collect::<Vec<_>>().join(", ");
                 format!("    [{cells}]")
             })
             .collect::<Vec<_>>()
@@ -99,34 +100,6 @@ impl Table {
             columns,
             rows
         )
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON number (JSON has no NaN/Inf — map to null).
-pub(crate) fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

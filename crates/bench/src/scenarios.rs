@@ -21,10 +21,10 @@
 //!   headline numbers never move when bands are requested.
 
 use crate::parallel::run_trials;
-use crate::report::{json_number, json_string};
 use chamelemon::config::DataPlaneConfig;
 use chm_common::hash::mix64;
-use chm_scenarios::{run_with_config, ReplayMode, Scenario, ScenarioResult};
+use chm_obs::{json_f64, json_string};
+use chm_scenarios::{run_with_config, ReplayMode, Scenario, ScenarioResult, TrackScore};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -68,7 +68,8 @@ pub struct MatrixRun {
     pub n_seeds: usize,
 }
 
-fn config_for(quick: bool, seed: u64) -> DataPlaneConfig {
+/// The data plane a matrix or sweep run deploys.
+pub(crate) fn config_for(quick: bool, seed: u64) -> DataPlaneConfig {
     if quick {
         DataPlaneConfig::small(seed ^ chm_scenarios::CFG_SALT)
     } else {
@@ -146,13 +147,61 @@ pub fn print_table(run: &MatrixRun) {
             r.decode_success,
             r.mean_loc_top1,
             r.mean_loc_top3,
-            r.lr_mean_f1,
-            r.fr_mean_f1,
+            r.lossradar.f1,
+            r.flowradar.f1,
             r.mean_qdepth_max,
             victims,
             band,
         );
     }
+}
+
+/// One comparison track's scenario-level JSON object.
+fn track_json(t: &TrackScore<f64>) -> String {
+    format!(
+        "{{\"mean_f1\": {}, \"decode_success\": {}, \"mean_loc_top1\": {}, \
+         \"mean_loc_top3\": {}}}",
+        json_f64(t.f1),
+        json_f64(t.decode_ok),
+        json_f64(t.top1),
+        json_f64(t.top3),
+    )
+}
+
+/// One comparison track's per-epoch columns, flattened under `prefix`.
+fn epoch_track(prefix: &str, t: TrackScore) -> String {
+    format!(
+        "\"{prefix}_f1\": {}, \"{prefix}_decode_ok\": {}, \"{prefix}_top1\": {}, \
+         \"{prefix}_top3\": {}",
+        json_f64(t.f1),
+        t.decode_ok,
+        json_f64(t.top1),
+        json_f64(t.top3),
+    )
+}
+
+/// The scenario-level block `SCENARIOS.json` and `TOPOLOGY_SWEEP.json`
+/// share: 6-space-indented `"key": value` lines, comma-separated, no
+/// trailing comma or newline. Only the matrix has scenarios with a lossy
+/// report channel, so only it prints `report_delivery`.
+pub(crate) fn result_block(r: &ScenarioResult, report_delivery: bool) -> String {
+    [
+        Some(("epochs", r.epochs.len().to_string())),
+        Some(("mean_f1", json_f64(r.mean_f1))),
+        Some(("mean_are", json_f64(r.mean_are))),
+        Some(("decode_success", json_f64(r.decode_success))),
+        report_delivery.then(|| ("report_delivery", json_f64(r.report_delivery))),
+        Some(("mean_loc_top1", json_f64(r.mean_loc_top1))),
+        Some(("mean_loc_top3", json_f64(r.mean_loc_top3))),
+        Some(("lossradar", track_json(&r.lossradar))),
+        Some(("flowradar", track_json(&r.flowradar))),
+        Some(("mean_qdepth_max", json_f64(r.mean_qdepth_max))),
+    ]
+    .into_iter()
+    .flatten()
+    .map(|(key, value)| format!("      \"{key}\": {value}"))
+    .collect::<Vec<_>>()
+    .join(",\n")
 }
 
 /// Renders the matrix as the `SCENARIOS.json` document.
@@ -166,47 +215,7 @@ pub fn to_json(run: &MatrixRun, quick: bool) -> String {
     for (i, r) in results.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"name\": {},\n", json_string(&r.name)));
-        out.push_str(&format!("      \"epochs\": {},\n", r.epochs.len()));
-        out.push_str(&format!("      \"mean_f1\": {},\n", json_number(r.mean_f1)));
-        out.push_str(&format!("      \"mean_are\": {},\n", json_number(r.mean_are)));
-        out.push_str(&format!(
-            "      \"decode_success\": {},\n",
-            json_number(r.decode_success)
-        ));
-        out.push_str(&format!(
-            "      \"report_delivery\": {},\n",
-            json_number(r.report_delivery)
-        ));
-        out.push_str(&format!(
-            "      \"mean_loc_top1\": {},\n",
-            json_number(r.mean_loc_top1)
-        ));
-        out.push_str(&format!(
-            "      \"mean_loc_top3\": {},\n",
-            json_number(r.mean_loc_top3)
-        ));
-        out.push_str("      \"lossradar\": {");
-        out.push_str(&format!(
-            "\"mean_f1\": {}, \"decode_success\": {}, \"mean_loc_top1\": {}, \
-             \"mean_loc_top3\": {}}},\n",
-            json_number(r.lr_mean_f1),
-            json_number(r.lr_decode_success),
-            json_number(r.lr_mean_top1),
-            json_number(r.lr_mean_top3),
-        ));
-        out.push_str("      \"flowradar\": {");
-        out.push_str(&format!(
-            "\"mean_f1\": {}, \"decode_success\": {}, \"mean_loc_top1\": {}, \
-             \"mean_loc_top3\": {}}},\n",
-            json_number(r.fr_mean_f1),
-            json_number(r.fr_decode_success),
-            json_number(r.fr_mean_top1),
-            json_number(r.fr_mean_top3),
-        ));
-        out.push_str(&format!(
-            "      \"mean_qdepth_max\": {},\n",
-            json_number(r.mean_qdepth_max)
-        ));
+        out.push_str(&(result_block(r, true) + ",\n"));
         if run.n_seeds > 1 {
             let b = &run.bands[i];
             let (f1_m, f1_s) = b.stats(|r| r.mean_f1);
@@ -218,12 +227,12 @@ pub fn to_json(run: &MatrixRun, quick: bool) -> String {
                  \"loc_top1_mean\": {}, \"loc_top1_std\": {}, \
                  \"loc_top3_mean\": {}, \"loc_top3_std\": {}}},\n",
                 run.n_seeds,
-                json_number(f1_m),
-                json_number(f1_s),
-                json_number(l1_m),
-                json_number(l1_s),
-                json_number(l3_m),
-                json_number(l3_s),
+                json_f64(f1_m),
+                json_f64(f1_s),
+                json_f64(l1_m),
+                json_f64(l1_s),
+                json_f64(l3_m),
+                json_f64(l3_s),
             ));
         }
         out.push_str("      \"per_epoch\": [\n");
@@ -233,32 +242,23 @@ pub fn to_json(run: &MatrixRun, quick: bool) -> String {
                  \"recall\": {}, \"are\": {}, \"decode_ok\": {}, \
                  \"reports\": {}, \"true_victims\": {}, \
                  \"reported_victims\": {}, \"flows\": {}, \"packets\": {}, \
-                 \"loc_top1\": {}, \"loc_top3\": {}, \"lr_f1\": {}, \
-                 \"lr_decode_ok\": {}, \"lr_top1\": {}, \"lr_top3\": {}, \
-                 \"fr_f1\": {}, \"fr_decode_ok\": {}, \"fr_top1\": {}, \
-                 \"fr_top3\": {}, \"qdepth_max\": {}}}{}\n",
+                 \"loc_top1\": {}, \"loc_top3\": {}, {}, {}, \"qdepth_max\": {}}}{}\n",
                 e.epoch,
-                json_number(e.f1),
-                json_number(e.precision),
-                json_number(e.recall),
-                json_number(e.are),
+                json_f64(e.f1),
+                json_f64(e.precision),
+                json_f64(e.recall),
+                json_f64(e.are),
                 e.decode_ok,
                 e.reports_received,
                 e.true_victims,
                 e.reported_victims,
                 e.flows,
                 e.packets_sent,
-                json_number(e.loc_top1),
-                json_number(e.loc_top3),
-                json_number(e.lr_f1),
-                e.lr_decode_ok,
-                json_number(e.lr_top1),
-                json_number(e.lr_top3),
-                json_number(e.fr_f1),
-                e.fr_decode_ok,
-                json_number(e.fr_top1),
-                json_number(e.fr_top3),
-                json_number(e.qdepth_max),
+                json_f64(e.loc_top1),
+                json_f64(e.loc_top3),
+                epoch_track("lr", e.lossradar),
+                epoch_track("fr", e.flowradar),
+                json_f64(e.qdepth_max),
                 if j + 1 < r.epochs.len() { "," } else { "" },
             ));
         }

@@ -105,30 +105,15 @@ pub fn windows_are_flat(windows: &[WindowStats]) -> bool {
     max <= bound(min) && last.allocations <= bound(first.allocations)
 }
 
-/// The soak scenario: the serve CLI's `congested` preset under the named
-/// fault profile.
-fn serve_config(cfg: &SoakConfig) -> ServeConfig {
-    let scenario = Scenario::builder("soak")
-        .seed(cfg.seed)
-        .flows(600)
-        .congestion()
-        .queue_model(8)
-        .microburst(0.3, 2)
-        .slow_drain_tor(1, 0.55)
-        .build();
-    let faults = match cfg.profile.as_str() {
-        "none" => FaultPlan::none(cfg.seed),
-        "stress" => FaultPlan::stress(cfg.seed),
-        _ => FaultPlan::standard(cfg.seed),
-    };
-    ServeConfig::new(scenario, faults)
-}
-
-/// Runs the soak. `alloc_count` reads the process-global allocation
-/// counter (injected by the binary; `|| 0` disables the flatness gate's
-/// teeth but keeps the latency measurement).
-pub fn run(cfg: &SoakConfig, alloc_count: &dyn Fn() -> u64) -> SoakReport {
-    let mut rt = ServeRuntime::new(serve_config(cfg));
+/// Runs the soak: the serve CLI's `congested` preset under the fault
+/// profile `cfg.profile` names — `None`, before any epoch is served, when
+/// [`FaultPlan::named`] does not know the name. `alloc_count` reads the
+/// process-global allocation counter (injected by the binary; `|| 0`
+/// disables the flatness gate's teeth but keeps the latency measurement).
+pub fn run(cfg: &SoakConfig, alloc_count: &dyn Fn() -> u64) -> Option<SoakReport> {
+    let faults = FaultPlan::named(&cfg.profile, cfg.seed)?;
+    let scenario = Scenario::serve_congested(cfg.seed, 600);
+    let mut rt = ServeRuntime::new(ServeConfig::new(scenario, faults));
     for _ in 0..cfg.warmup {
         rt.step();
     }
@@ -159,7 +144,7 @@ pub fn run(cfg: &SoakConfig, alloc_count: &dyn Fn() -> u64) -> SoakReport {
         });
     }
     let measured = per_window * windows as u64;
-    SoakReport {
+    Some(SoakReport {
         config: cfg.clone(),
         alloc_flat: windows_are_flat(&window_stats),
         windows: window_stats,
@@ -173,7 +158,7 @@ pub fn run(cfg: &SoakConfig, alloc_count: &dyn Fn() -> u64) -> SoakReport {
         degraded_epochs,
         blind_epochs,
         mean_f1: f1_sum / measured as f64,
-    }
+    })
 }
 
 impl SoakReport {
@@ -278,11 +263,20 @@ mod tests {
             seed: 3,
             profile: "standard".to_string(),
         };
-        let report = run(&cfg, &|| 0);
+        let report = run(&cfg, &|| 0).expect("standard is a known profile");
         assert_eq!(report.windows.len(), 2);
         assert!(report.alloc_flat, "disabled counter must read flat");
         let json = report.to_json();
         assert!(json.contains("\"alloc_flat\": true"));
         assert!(!json.contains("NaN"));
+    }
+
+    #[test]
+    fn unknown_profile_never_yields_a_report() {
+        for name in ["", "Standard", "stres", "standard ", "chaos"] {
+            let cfg =
+                SoakConfig { epochs: 2, warmup: 0, profile: name.to_string(), ..SoakConfig::quick() };
+            assert!(run(&cfg, &|| 0).is_none(), "profile {name:?} produced a report");
+        }
     }
 }

@@ -19,12 +19,9 @@
 //! reads.
 
 use crate::parallel::run_trials;
-use crate::report::{json_number, json_string};
-use crate::scenarios::check_regressions;
-use chamelemon::config::DataPlaneConfig;
-use chm_scenarios::{
-    run_with_config, ReplayMode, Scenario, ScenarioResult, TopologySpec, CFG_SALT,
-};
+use crate::scenarios::{check_regressions, config_for, result_block};
+use chm_obs::json_string;
+use chm_scenarios::{run_with_config, ReplayMode, Scenario, ScenarioResult, TopologySpec};
 use chm_workloads::VictimSelection;
 use std::fs;
 use std::io;
@@ -106,14 +103,6 @@ pub struct SweepRun {
     pub rows: Vec<(SweepEntry, ScenarioResult)>,
 }
 
-fn config_for(quick: bool, seed: u64) -> DataPlaneConfig {
-    if quick {
-        DataPlaneConfig::small(seed ^ CFG_SALT)
-    } else {
-        DataPlaneConfig::paper_default(seed ^ CFG_SALT)
-    }
-}
-
 /// Runs the sweep, one scenario per fabric, fanned out on the parallel
 /// trial executor with ordered collection (byte-identical at any worker
 /// count).
@@ -145,8 +134,8 @@ pub fn print_table(run: &SweepRun) {
             r.mean_f1,
             r.mean_loc_top1,
             r.mean_loc_top3,
-            r.lr_mean_f1,
-            r.fr_mean_f1,
+            r.lossradar.f1,
+            r.flowradar.f1,
         );
     }
 }
@@ -169,43 +158,7 @@ pub fn to_json(run: &SweepRun, quick: bool) -> String {
         out.push_str(&format!("      \"n_hosts\": {},\n", t.n_hosts()));
         out.push_str(&format!("      \"n_links\": {},\n", t.links().len()));
         out.push_str(&format!("      \"max_hops\": {},\n", t.max_hops()));
-        out.push_str(&format!("      \"epochs\": {},\n", r.epochs.len()));
-        out.push_str(&format!("      \"mean_f1\": {},\n", json_number(r.mean_f1)));
-        out.push_str(&format!("      \"mean_are\": {},\n", json_number(r.mean_are)));
-        out.push_str(&format!(
-            "      \"decode_success\": {},\n",
-            json_number(r.decode_success)
-        ));
-        out.push_str(&format!(
-            "      \"mean_loc_top1\": {},\n",
-            json_number(r.mean_loc_top1)
-        ));
-        out.push_str(&format!(
-            "      \"mean_loc_top3\": {},\n",
-            json_number(r.mean_loc_top3)
-        ));
-        out.push_str("      \"lossradar\": {");
-        out.push_str(&format!(
-            "\"mean_f1\": {}, \"decode_success\": {}, \"mean_loc_top1\": {}, \
-             \"mean_loc_top3\": {}}},\n",
-            json_number(r.lr_mean_f1),
-            json_number(r.lr_decode_success),
-            json_number(r.lr_mean_top1),
-            json_number(r.lr_mean_top3),
-        ));
-        out.push_str("      \"flowradar\": {");
-        out.push_str(&format!(
-            "\"mean_f1\": {}, \"decode_success\": {}, \"mean_loc_top1\": {}, \
-             \"mean_loc_top3\": {}}},\n",
-            json_number(r.fr_mean_f1),
-            json_number(r.fr_decode_success),
-            json_number(r.fr_mean_top1),
-            json_number(r.fr_mean_top3),
-        ));
-        out.push_str(&format!(
-            "      \"mean_qdepth_max\": {}\n",
-            json_number(r.mean_qdepth_max)
-        ));
+        out.push_str(&(result_block(r, false) + "\n"));
         out.push_str(&format!(
             "    }}{}\n",
             if i + 1 < run.rows.len() { "," } else { "" }

@@ -152,6 +152,17 @@ impl<F: FlowId> EpochAnalysis<F> {
             + self.hl_count()
             + self.ll_count()
     }
+
+    /// The epoch's decode verdict: every encoder that had memory decoded —
+    /// HH at every reporting switch, and each delta encoder whose partition
+    /// was non-empty. A blind analysis (no report arrived) has
+    /// `hh_decode_ok == false`, so it is never fully decoded.
+    pub fn fully_decoded(&self) -> bool {
+        let p = self.runtime.partition;
+        self.hh_decode_ok
+            && (p.m_hl == 0 || self.hl_flowset.is_some())
+            && (p.m_ll == 0 || self.ll_flowset.is_some())
+    }
 }
 
 /// The central controller.
@@ -1018,6 +1029,58 @@ mod tests {
     fn threshold_for_target_degenerate() {
         assert_eq!(threshold_for_target(&[], 100.0, 10.0), 1);
         assert_eq!(threshold_for_target(&[0.0, 5.0], 0.0, 10.0), 1);
+    }
+
+    /// `fully_decoded` against the expression the scenario scorer, the serve
+    /// runtime and the profile harness each spelled out before it existed.
+    #[test]
+    fn fully_decoded_truth_table() {
+        let c: Controller<u64> = Controller::new(DataPlaneConfig::small(7));
+        let spelled_out = |a: &EpochAnalysis<u64>| {
+            let rt = a.runtime;
+            a.switches_reporting > 0
+                && a.hh_decode_ok
+                && (rt.partition.m_hl == 0 || a.hl_flowset.is_some())
+                && (rt.partition.m_ll == 0 || a.ll_flowset.is_some())
+        };
+        let blind = c.analyze_epoch(&[]);
+        let mut all_ok = c.analyze_epoch(&[]);
+        all_ok.switches_reporting = 4;
+        all_ok.hh_decode_ok = true;
+        all_ok.runtime.partition = Partition { m_hh: 32, m_hl: 16, m_ll: 8 };
+        all_ok.hl_flowset = Some(HashMap::new());
+        all_ok.ll_flowset = Some(HashMap::new());
+        let case = |edit: &dyn Fn(&mut EpochAnalysis<u64>)| {
+            let mut a = all_ok.clone();
+            edit(&mut a);
+            a
+        };
+        for (name, a, want) in [
+            ("blind", blind, false),
+            ("everything decoded", all_ok.clone(), true),
+            ("HH stalled", case(&|a| a.hh_decode_ok = false), false),
+            ("HL stalled with memory", case(&|a| a.hl_flowset = None), false),
+            ("LL stalled with memory", case(&|a| a.ll_flowset = None), false),
+            (
+                "m_hl == 0: nothing to decode",
+                case(&|a| {
+                    a.runtime.partition.m_hl = 0;
+                    a.hl_flowset = None;
+                }),
+                true,
+            ),
+            (
+                "m_ll == 0: nothing to decode",
+                case(&|a| {
+                    a.runtime.partition.m_ll = 0;
+                    a.ll_flowset = None;
+                }),
+                true,
+            ),
+        ] {
+            assert_eq!(a.fully_decoded(), want, "{name}");
+            assert_eq!(a.fully_decoded(), spelled_out(&a), "{name}: left the old expression");
+        }
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub fn render_json_metrics(reg: &Registry) -> String {
     let mut rows: Vec<String> = Vec::with_capacity(reg.index.len());
     for ((name, _), &id) in &reg.index {
         let series = &reg.series[id as usize];
-        let key = json_escape(&format!("{name}{}", series.labels));
+        let key = json_string(&format!("{name}{}", series.labels));
         let val = match &series.value {
             Value::Counter(c) => format!("{c}"),
             Value::Gauge(g) => json_f64(*g),
@@ -111,28 +111,37 @@ pub fn render_json_metrics(reg: &Registry) -> String {
                 format!("{{\"sum\":{},\"count\":{count}}}", json_f64(*sum))
             }
         };
-        rows.push(format!("\"{key}\":{val}"));
+        rows.push(format!("{key}:{val}"));
     }
     format!("{{{}}}", rows.join(","))
 }
 
-/// JSON string-body escaping shared by this crate's emitters.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// `s` as a JSON string literal, quotes included: `"`, `\\` and every
+/// control character below 0x20 escaped (`\n`, `\r`, `\t`, else `\u00XX`).
+/// The workspace's one JSON string escaper (`chm_lint` keeps its own copy:
+/// it is a zero-dependency crate).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            _ => out.push(c),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
-/// JSON number for `v`; non-finite values become `null`. Shared by this
-/// crate's emitters.
-pub(crate) fn json_f64(v: f64) -> String {
+/// JSON number for `v`: shortest-roundtrip decimal, `null` when non-finite
+/// (JSON has no NaN/Inf; an unmeasured value is `null`, never a fake `0.0`).
+/// The workspace's one JSON number formatter.
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -50,7 +50,7 @@ pub mod expo;
 pub mod registry;
 pub mod span;
 
-pub use expo::{render_json_metrics, render_prometheus};
+pub use expo::{json_f64, json_string, render_json_metrics, render_prometheus};
 pub use registry::{
     metric_name_error, MetricId, MetricKind, Registry, ShardBuf, UNIT_SUFFIXES,
 };

@@ -13,7 +13,7 @@
 //! so every traversal ([`SpanProfiler::flatten`], the JSON emitters) is
 //! bit-stable.
 
-use crate::expo::{json_escape, json_f64};
+use crate::expo::{json_f64, json_string};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Default)]
@@ -180,8 +180,8 @@ impl SpanProfiler {
             .iter()
             .map(|(path, count, total)| {
                 format!(
-                    "\"{}\":{{\"count\":{},\"total_s\":{}}}",
-                    json_escape(path),
+                    "{}:{{\"count\":{},\"total_s\":{}}}",
+                    json_string(path),
                     count,
                     json_f64(*total)
                 )
@@ -196,8 +196,8 @@ impl SpanProfiler {
         let mut out = String::new();
         for (path, count, total) in self.flatten() {
             out.push_str(&format!(
-                "{{\"span\":\"{}\",\"count\":{},\"total_s\":{}}}\n",
-                json_escape(&path),
+                "{{\"span\":{},\"count\":{},\"total_s\":{}}}\n",
+                json_string(&path),
                 count,
                 json_f64(total)
             ));

@@ -112,3 +112,84 @@ fn span_tree_renders_byte_identically_under_zero_clock() {
     assert!(obj.contains("\"epoch/phase_a/shard_2\":{\"count\":5,\"total_s\":0}"));
     assert!(trace.contains("{\"span\":\"epoch/decode/edge_0\",\"count\":6,\"total_s\":0}\n"));
 }
+
+/// Minimal JSON syntax check (the workspace has no parser by design):
+/// consumes one value from `s` and returns the rest, or `None` when the text
+/// is not JSON — in particular when a string holds a raw control character.
+fn json_value(s: &str) -> Option<&str> {
+    let s = s.trim_start();
+    match s.chars().next()? {
+        '{' | '[' => {
+            let (close, keyed) = if s.starts_with('{') { ('}', true) } else { (']', false) };
+            let mut rest = s[1..].trim_start();
+            if let Some(after) = rest.strip_prefix(close) {
+                return Some(after);
+            }
+            loop {
+                if keyed {
+                    rest = json_value(rest).filter(|_| rest.trim_start().starts_with('"'))?;
+                    rest = rest.trim_start().strip_prefix(':')?;
+                }
+                rest = json_value(rest)?.trim_start();
+                if let Some(after) = rest.strip_prefix(close) {
+                    return Some(after);
+                }
+                rest = rest.strip_prefix(',')?;
+            }
+        }
+        '"' => {
+            let mut chars = s[1..].char_indices();
+            while let Some((i, c)) = chars.next() {
+                match c {
+                    '"' => return Some(&s[i + 2..]),
+                    '\\' => match chars.next()?.1 {
+                        'u' => {
+                            for _ in 0..4 {
+                                chars.next().filter(|(_, h)| h.is_ascii_hexdigit())?;
+                            }
+                        }
+                        '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' => {}
+                        _ => return None,
+                    },
+                    c if (c as u32) < 0x20 => return None,
+                    _ => {}
+                }
+            }
+            None
+        }
+        _ => {
+            let end = s.find([',', '}', ']', ' ', '\n']).unwrap_or(s.len());
+            let tok = &s[..end];
+            (matches!(tok, "null" | "true" | "false") || tok.parse::<f64>().is_ok())
+                .then_some(&s[end..])
+        }
+    }
+}
+
+fn is_json(s: &str) -> bool {
+    json_value(s).is_some_and(|rest| rest.trim().is_empty())
+}
+
+/// A scenario name becomes a label value (`chm_scenarios::matrix_registry`)
+/// and a span name becomes a key, so both must survive control characters:
+/// `\t` / `\r` by their short escapes, the rest as `\u00XX`.
+#[test]
+fn control_characters_in_labels_and_span_names_render_valid_json() {
+    assert!(is_json("{\"a\":[1,null,{\"b\":\"\\u0001\\t\"}]}") && !is_json("{\"a\":\"\t\"}"));
+
+    let mut r = Registry::new();
+    let g = r.register_gauge("chm_t_f1_ratio", "F1.", &[("scenario", "a\tb\r\u{1}c")]);
+    r.set(g, 0.5);
+    let line = render_json_metrics(&r);
+    assert_eq!(line, "{\"chm_t_f1_ratio{scenario=\\\"a\\tb\\r\\u0001c\\\"}\":0.5}");
+    assert!(is_json(&line), "not JSON: {line}");
+
+    let mut p = SpanProfiler::new();
+    p.record(&["decode\tedge", "\u{1f}"], 0.0);
+    let obj = p.json_object();
+    assert!(obj.contains("\"decode\\tedge/\\u001f\":{\"count\":1"), "got: {obj}");
+    assert!(is_json(&obj), "not JSON: {obj}");
+    for row in p.trace_jsonl().lines() {
+        assert!(is_json(row), "not JSON: {row}");
+    }
+}

@@ -53,7 +53,7 @@ pub use obs::matrix_registry;
 pub use stream::EpochStream;
 pub use runner::{
     localization_hits, run, run_with_config, EpochMetrics, EpochTrace, ReplayMode,
-    ScenarioResult, ScenarioStack, CFG_SALT,
+    ScenarioResult, ScenarioStack, TrackScore, CFG_SALT,
 };
 
 use chm_netsim::impair::{ClockSkew, Duplication, GilbertElliott, ImpairmentSet, Reordering};
@@ -200,6 +200,22 @@ impl Scenario {
                 report_loss: 0.0,
             },
         }
+    }
+
+    /// The congested service preset: the queue model with microbursts and a
+    /// slow-draining ToR, so localization has something to find. `chm-serve
+    /// --scenario congested`, the soak and `chm-bench profile` all run it
+    /// (600 flows, except where the profile sizing says otherwise); the
+    /// name is a label only — it feeds no seed.
+    pub fn serve_congested(seed: u64, flows: usize) -> Scenario {
+        Scenario::builder("serve_congested")
+            .seed(seed)
+            .flows(flows)
+            .congestion()
+            .queue_model(8)
+            .microburst(0.3, 2)
+            .slow_drain_tor(1, 0.55)
+            .build()
     }
 
     /// Re-pins the master seed, re-deriving every dependent sub-seed the

@@ -4,26 +4,68 @@
 //! scores every epoch's loss detection against the simulator's ground
 //! truth.
 //!
-//! The stack mirrors `chamelemon::ChameleMon` but keeps every stage
-//! explicit so the differential tests can compare the per-packet and burst
-//! replay paths epoch by epoch: [`ScenarioStack::step_epoch`] returns the
-//! epoch's ground truth, the collected sketch groups of **all** switches
-//! (before report loss filters them), and the controller's decoded view.
+//! The stack is a `chamelemon::ChameleMon` deployment with localization
+//! enabled and every stage kept explicit, so the differential tests can
+//! compare the per-packet and burst replay paths epoch by epoch:
+//! [`ScenarioStack::step_epoch`] returns the epoch's ground truth, the
+//! collected sketch groups of **all** switches (before report loss filters
+//! them), and the controller's decoded view.
 
 use crate::Scenario;
 use chamelemon::config::DataPlaneConfig;
 use chamelemon::{
-    CollectedGroup, Controller, EdgeDataPlane, EpochEvidence, Localization, Localizer,
-    RuntimeConfig,
+    ChameleMon, CollectedGroup, Controller, EdgeDataPlane, EpochEvidence, Localization,
+    Localizer, RuntimeConfig,
 };
 use chm_baselines::{FlowRadar, LossDetector, LossRadar};
 use chm_common::metrics::{average_relative_error, detection_score};
 use chm_common::FiveTuple;
 use chm_netsim::sim::EpochReport;
 pub use chm_netsim::ReplayMode;
-use chm_netsim::{ShardedReplay, Sharding, SimConfig, Simulator, SiteArray};
-use chm_workloads::Trace;
+use chm_netsim::{ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray};
+use chm_obs::SpanProfiler;
+use chm_workloads::{LossPlan, Trace};
 use std::collections::{HashMap, HashSet};
+
+/// One comparison track's score — a baseline detector's decoded victims,
+/// scored against ground truth and fed through the same blame localizer as
+/// ChameleMon's. `D = bool` is one epoch (did the sketch decode?); `D = f64`
+/// is the mean over a scenario's epochs (the fraction that decoded).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrackScore<D = bool> {
+    /// Victim-detection F1.
+    pub f1: f64,
+    /// The sketch's decode outcome.
+    pub decode_ok: D,
+    /// Localization top-1 hit rate.
+    pub top1: f64,
+    /// Localization top-3 hit rate.
+    pub top3: f64,
+}
+
+impl TrackScore<f64> {
+    /// The mean over `epochs` of the track `track` picks.
+    pub fn mean(epochs: &[EpochMetrics], track: impl Fn(&EpochMetrics) -> TrackScore) -> Self {
+        TrackScore {
+            f1: mean(epochs, |e| track(e).f1),
+            decode_ok: share(epochs, |e| track(e).decode_ok),
+            top1: mean(epochs, |e| track(e).top1),
+            top3: mean(epochs, |e| track(e).top3),
+        }
+    }
+}
+
+/// A scorecard column averaged over `epochs`: summed in epoch order and
+/// divided once, so every mean in a [`ScenarioResult`] keeps the bits of a
+/// hand-written `sum / n` (0 over no epochs).
+fn mean(epochs: &[EpochMetrics], col: impl Fn(&EpochMetrics) -> f64) -> f64 {
+    epochs.iter().map(col).sum::<f64>() / epochs.len().max(1) as f64
+}
+
+/// The fraction of `epochs` that `pred` holds in.
+fn share(epochs: &[EpochMetrics], pred: impl Fn(&EpochMetrics) -> bool) -> f64 {
+    epochs.iter().filter(|e| pred(e)).count() as f64 / epochs.len().max(1) as f64
+}
 
 /// One epoch's scorecard.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,26 +99,13 @@ pub struct EpochMetrics {
     pub loc_top1: f64,
     /// Localization top-3 hit rate.
     pub loc_top3: f64,
-    /// LossRadar baseline: victim-detection F1 over the same epoch (0 when
-    /// its IBF fails to decode).
-    pub lr_f1: f64,
-    /// LossRadar baseline: did the delta IBF decode?
-    pub lr_decode_ok: bool,
-    /// LossRadar baseline: localization top-1 hit rate (its decoded victims
-    /// fed through the same blame localizer).
-    pub lr_top1: f64,
-    /// LossRadar baseline: localization top-3 hit rate.
-    pub lr_top3: f64,
-    /// FlowRadar baseline: victim-detection F1 over the same epoch (0 when
-    /// either direction's counting table fails to decode).
-    pub fr_f1: f64,
-    /// FlowRadar baseline: did both counting tables decode? (Its memory
-    /// scales with *flows*, so flow-heavy epochs are what break it.)
-    pub fr_decode_ok: bool,
-    /// FlowRadar baseline: localization top-1 hit rate.
-    pub fr_top1: f64,
-    /// FlowRadar baseline: localization top-3 hit rate.
-    pub fr_top3: f64,
+    /// The LossRadar comparison track over the same epoch (F1 is 0 when its
+    /// delta IBF fails to decode).
+    pub lossradar: TrackScore,
+    /// The FlowRadar comparison track (F1 is 0 when either direction's
+    /// counting table fails to decode; its memory scales with *flows*, so
+    /// flow-heavy epochs are what break it).
+    pub flowradar: TrackScore,
     /// Deepest per-switch queue this epoch (packets; 0 when the scenario
     /// runs without the queue model).
     pub qdepth_max: f64,
@@ -123,22 +152,10 @@ pub struct ScenarioResult {
     pub mean_loc_top1: f64,
     /// Mean localization top-3 hit rate over all epochs.
     pub mean_loc_top3: f64,
-    /// LossRadar baseline: mean victim-detection F1.
-    pub lr_mean_f1: f64,
-    /// LossRadar baseline: fraction of epochs whose delta IBF decoded.
-    pub lr_decode_success: f64,
-    /// LossRadar baseline: mean localization top-1 hit rate.
-    pub lr_mean_top1: f64,
-    /// LossRadar baseline: mean localization top-3 hit rate.
-    pub lr_mean_top3: f64,
-    /// FlowRadar baseline: mean victim-detection F1.
-    pub fr_mean_f1: f64,
-    /// FlowRadar baseline: fraction of epochs whose tables decoded.
-    pub fr_decode_success: f64,
-    /// FlowRadar baseline: mean localization top-1 hit rate.
-    pub fr_mean_top1: f64,
-    /// FlowRadar baseline: mean localization top-3 hit rate.
-    pub fr_mean_top3: f64,
+    /// The LossRadar comparison track, averaged over all epochs.
+    pub lossradar: TrackScore<f64>,
+    /// The FlowRadar comparison track, averaged over all epochs.
+    pub flowradar: TrackScore<f64>,
     /// Mean over epochs of the deepest per-switch queue (packets).
     pub mean_qdepth_max: f64,
 }
@@ -152,20 +169,15 @@ pub struct ScenarioStack {
     pub controller: Controller<FiveTuple>,
     /// The fabric simulator.
     pub simulator: Simulator,
-    /// The LossRadar comparison track's localizer (its decoded victims run
-    /// through the same blame accumulation as ChameleMon's).
-    lr_localizer: Localizer,
-    /// The FlowRadar comparison track's localizer.
-    fr_localizer: Localizer,
-    /// When set, epochs replay through the sharded engine instead of the
-    /// serial paths — byte-identical output at any shard/worker count (the
-    /// `sharded_matrix` differential suite pins it), so this is purely an
-    /// execution-strategy knob.
+    /// The comparison tracks' localizers, LossRadar's then FlowRadar's (their
+    /// decoded victims run through the same blame accumulation as ours).
+    track_localizers: [Localizer; 2],
+    /// The sharded engine, once [`set_sharding`](Self::set_sharding) chose it.
     sharded: Option<ShardedReplay<FiveTuple>>,
 }
 
 impl ScenarioStack {
-    /// Builds the stack for `s` over the §5.2 testbed topology with the
+    /// Builds the stack for `s` over the scenario's topology with the
     /// scaled-down data-plane configuration (the scenario engine's default;
     /// the matrix sizes workloads to it).
     pub fn new(s: &Scenario) -> Self {
@@ -175,30 +187,57 @@ impl ScenarioStack {
     /// Builds the stack with an explicit data-plane configuration.
     pub fn with_config(s: &Scenario, cfg: DataPlaneConfig) -> Self {
         let topology = s.build_topology();
-        let runtime = RuntimeConfig::initial(&cfg);
-        let edges = (0..topology.n_edges())
-            .map(|_| EdgeDataPlane::new(cfg.clone(), runtime))
-            .collect();
-        let mut controller = Controller::new(cfg);
+        let ChameleMon { edges, mut controller, simulator } = ChameleMon::new(
+            cfg,
+            topology.clone(),
+            SimConfig { epoch_ms: 50.0, seed: s.seed ^ 0x51b },
+        );
         controller.enable_localization(topology.clone());
         ScenarioStack {
             edges,
             controller,
-            lr_localizer: Localizer::new(topology.clone()),
-            fr_localizer: Localizer::new(topology.clone()),
-            simulator: Simulator::new(
-                topology,
-                SimConfig { epoch_ms: 50.0, seed: s.seed ^ 0x51b },
-            ),
+            simulator,
+            track_localizers: [Localizer::new(topology.clone()), Localizer::new(topology)],
             sharded: None,
         }
     }
 
     /// Replays subsequent epochs through the sharded engine with `sharding`.
-    /// Output is byte-identical to the serial paths at any layout; the knob
-    /// only changes how the replay work is scheduled.
+    /// Output is byte-identical to the serial driver at any shard/worker
+    /// count (the `sharded_matrix` differential suite pins it); the knob only
+    /// changes how the replay work is scheduled.
     pub fn set_sharding(&mut self, sharding: Sharding) {
         self.sharded = Some(ShardedReplay::new(sharding));
+    }
+
+    /// Replays one epoch through the fabric and every edge data plane: the
+    /// one place that chooses between the serial driver and the sharded
+    /// engine. `clock` times the engine's span tree
+    /// ([`replay_profile`](Self::replay_profile)); `&|| 0.0` when nobody is.
+    pub fn replay(
+        &mut self,
+        trace: &Trace<FiveTuple>,
+        plan: &LossPlan<FiveTuple>,
+        imp: &ImpairmentSet,
+        mode: ReplayMode,
+        clock: &(dyn Fn() -> f64 + Sync),
+    ) -> EpochReport<FiveTuple> {
+        match &mut self.sharded {
+            Some(eng) => {
+                eng.run_epoch(&mut self.simulator, trace, plan, imp, mode, &mut self.edges, clock).0
+            }
+            None => {
+                let mut hooks = SiteArray(&mut self.edges);
+                self.simulator.run_epoch_scenario(trace, plan, imp, mode, &mut hooks)
+            }
+        }
+    }
+
+    /// The sharded engine's span tree of the last [`replay`](Self::replay)
+    /// (`prologue`, `phase_a/shard_i`, `phase_b/shard_i`, `merge`); `None` on
+    /// the serial driver, which has no phases to time.
+    pub fn replay_profile(&self) -> Option<&SpanProfiler> {
+        self.sharded.as_ref().map(ShardedReplay::last_profile)
     }
 
     /// Runs one epoch of `s` under `mode`: evolve the workload, replay with
@@ -214,17 +253,7 @@ impl ScenarioStack {
         let epoch = self.simulator.current_epoch();
         let trace = s.trace_for_epoch(base, epoch);
         let plan = s.plan_for_epoch(&trace, epoch);
-        let imp = &s.impairments;
-        let report = match &mut self.sharded {
-            Some(eng) => {
-                eng.run_epoch(&mut self.simulator, &trace, &plan, imp, mode, &mut self.edges, &|| 0.0)
-                    .0
-            }
-            None => {
-                let mut hooks = SiteArray(&mut self.edges);
-                self.simulator.run_epoch_scenario(&trace, &plan, imp, mode, &mut hooks)
-            }
-        };
+        let report = self.replay(&trace, &plan, &s.impairments, mode, &|| 0.0);
         let ts_bit = (report.epoch & 1) as u8;
         let collected: Vec<CollectedGroup<FiveTuple>> =
             self.edges.iter_mut().map(|e| e.take_group(ts_bit)).collect();
@@ -258,64 +287,40 @@ impl ScenarioStack {
             .expect("stack always enables localization");
         let (loc_top1, loc_top3) = localization_hits(&report, &localization);
 
+        let truth: HashSet<FiveTuple> = report.lost.keys().copied().collect();
         // The LossRadar comparison track: an idealized per-packet IBF pair
         // fed from the realized ground truth (upstream sees every packet,
         // downstream the delivered ones), provisioned for ~1.5% packet
         // loss — the paper's premise that its memory scales with *lost
         // packets*, which heavy scenarios are expected to overflow.
-        let (lr_report, lr_decode_ok) = lossradar_epoch(s, &trace, &report);
-        let lr_score = {
-            let truth: HashSet<FiveTuple> = report.lost.keys().copied().collect();
-            detection_score(lr_report.keys().copied(), &truth)
-        };
-        // LossRadar decodes victims only — it has no flowsets to exonerate
-        // with, so its localizer runs on pure victim blame. It *does* get
-        // the same fabric queue telemetry as ChameleMon's localizer: the
-        // INT-style exports come from the switches, not from the
-        // measurement system, so a fair three-way comparison hands every
-        // track the same corroborating evidence.
-        let lr_loc = self.lr_localizer.observe_evidence(EpochEvidence {
-            loss_report: &lr_report,
-            confidence: &HashMap::new(),
-            traffic: &HashMap::new(),
-            queue_depth: &report.queue_depth,
-        });
-        let (lr_top1, lr_top3) = localization_hits(&report, &lr_loc);
-
+        let lossradar = score_track(
+            &mut self.track_localizers[0],
+            &report,
+            &truth,
+            lossradar_epoch(s, &trace, &report),
+        );
         // The FlowRadar comparison track: Bloom filter + IBLT counting
         // tables recording *every flow's* exact size on both sides of the
         // fabric, provisioned for the scenario's base flow count — the
         // paper's premise that its memory scales with the number of
         // *flows* (category 3), so flow-heavy epochs (floods, churn
         // arrivals) are what overflow it, not loss-heavy ones.
-        let (fr_report, fr_decode_ok) = flowradar_epoch(s, &trace, &report);
-        let fr_score = {
-            let truth: HashSet<FiveTuple> = report.lost.keys().copied().collect();
-            detection_score(fr_report.keys().copied(), &truth)
-        };
-        let fr_loc = self.fr_localizer.observe_evidence(EpochEvidence {
-            loss_report: &fr_report,
-            confidence: &HashMap::new(),
-            traffic: &HashMap::new(),
-            queue_depth: &report.queue_depth,
-        });
-        let (fr_top1, fr_top3) = localization_hits(&report, &fr_loc);
+        let flowradar = score_track(
+            &mut self.track_localizers[1],
+            &report,
+            &truth,
+            flowradar_epoch(s, &trace, &report),
+        );
 
-        let truth: HashSet<FiveTuple> = report.lost.keys().copied().collect();
         let score = detection_score(analysis.loss_report.keys().copied(), &truth);
         let are = average_relative_error(&report.lost, &analysis.loss_report);
-        let rt = analysis.runtime;
-        let decode_ok = analysis.switches_reporting > 0
-            && analysis.hh_decode_ok
-            && (rt.partition.m_hl == 0 || analysis.hl_flowset.is_some())
-            && (rt.partition.m_ll == 0 || analysis.ll_flowset.is_some());
         let metrics = EpochMetrics {
             epoch: report.epoch,
             f1: score.f1,
             precision: score.precision,
             recall: score.recall,
             are,
-            decode_ok,
+            decode_ok: analysis.fully_decoded(),
             reports_received: analysis.switches_reporting,
             true_victims: truth.len(),
             reported_victims: analysis.loss_report.len(),
@@ -323,14 +328,8 @@ impl ScenarioStack {
             packets_sent: report.total_sent(),
             loc_top1,
             loc_top3,
-            lr_f1: lr_score.f1,
-            lr_decode_ok,
-            lr_top1,
-            lr_top3,
-            fr_f1: fr_score.f1,
-            fr_decode_ok,
-            fr_top1,
-            fr_top3,
+            lossradar,
+            flowradar,
             qdepth_max: report
                 .queue_depth
                 .values()
@@ -386,13 +385,40 @@ pub fn localization_hits(
     }
 }
 
+/// Scores one comparison track's epoch: the baseline's decoded victims (none
+/// when its sketch failed to decode), then the track's own localizer.
+///
+/// A baseline decodes victims only — it has no flowsets to exonerate with,
+/// so its localizer runs on pure victim blame. It *does* get the same
+/// fabric queue telemetry as ChameleMon's localizer: the INT-style exports
+/// come from the switches, not from the measurement system, so a fair
+/// three-way comparison hands every track the same corroborating evidence.
+fn score_track(
+    localizer: &mut Localizer,
+    report: &EpochReport<FiveTuple>,
+    truth: &HashSet<FiveTuple>,
+    decoded: Option<HashMap<FiveTuple, u64>>,
+) -> TrackScore {
+    let decode_ok = decoded.is_some();
+    let loss_report = decoded.unwrap_or_default();
+    let loc = localizer.observe_evidence(EpochEvidence {
+        loss_report: &loss_report,
+        confidence: &HashMap::new(),
+        traffic: &HashMap::new(),
+        queue_depth: &report.queue_depth,
+    });
+    let (top1, top3) = localization_hits(report, &loc);
+    let f1 = detection_score(loss_report.keys().copied(), truth).f1;
+    TrackScore { f1, decode_ok, top1, top3 }
+}
+
 /// Runs the per-epoch LossRadar baseline and returns its decoded victim
-/// loss map (empty on decode failure) plus the decode outcome.
+/// loss map, `None` on decode failure.
 fn lossradar_epoch(
     s: &Scenario,
     trace: &Trace<FiveTuple>,
     report: &EpochReport<FiveTuple>,
-) -> (HashMap<FiveTuple, u64>, bool) {
+) -> Option<HashMap<FiveTuple, u64>> {
     let cells = (report.total_sent() as f64 * 0.015).max(256.0);
     let memory_bytes = (cells * 10.0) as usize;
     let mut lr: LossRadar<FiveTuple> =
@@ -406,23 +432,20 @@ fn lossradar_epoch(
             lr.observe_downstream(&f, seq as u32);
         }
     }
-    match lr.decode_losses() {
-        Some(m) => (m, true),
-        None => (HashMap::new(), false),
-    }
+    lr.decode_losses()
 }
 
 /// Runs the per-epoch FlowRadar baseline and returns its decoded victim
-/// loss map (empty on decode failure) plus the decode outcome. Memory is
-/// provisioned for ~1.3 cells per *base-trace flow* (decode succeeds w.h.p.
-/// just above the 3-hash IBLT threshold), so the table budget tracks the
-/// flow count the operator planned for — epochs with materially more flows
-/// than planned are the ones that stall the peel.
+/// loss map, `None` on decode failure. Memory is provisioned for ~1.3 cells
+/// per *base-trace flow* (decode succeeds w.h.p. just above the 3-hash IBLT
+/// threshold), so the table budget tracks the flow count the operator
+/// planned for — epochs with materially more flows than planned are the
+/// ones that stall the peel.
 fn flowradar_epoch(
     s: &Scenario,
     trace: &Trace<FiveTuple>,
     report: &EpochReport<FiveTuple>,
-) -> (HashMap<FiveTuple, u64>, bool) {
+) -> Option<HashMap<FiveTuple, u64>> {
     let cells = (s.n_flows as f64 * 1.3).max(64.0);
     // The counting table gets 90% of FlowRadar's memory (12 B/cell).
     let memory_bytes = (cells * 12.0 / 0.9) as usize;
@@ -433,10 +456,7 @@ fn flowradar_epoch(
         fr.observe_upstream_flow(&f, pkts);
         fr.observe_downstream_flow(&f, pkts - lost);
     }
-    match fr.decode_losses() {
-        Some(m) => (m, true),
-        None => (HashMap::new(), false),
-    }
+    fr.decode_losses()
 }
 
 /// Salt separating the LossRadar hash seeds from the scenario seed.
@@ -473,47 +493,87 @@ pub fn run_with_config(
         total_reports += stack.edges.len();
         epochs.push(t.metrics);
     }
-    let n = epochs.len().max(1) as f64;
-    let mean_f1 = epochs.iter().map(|e| e.f1).sum::<f64>() / n;
-    let mean_are = epochs.iter().map(|e| e.are).sum::<f64>() / n;
-    let decode_success =
-        epochs.iter().filter(|e| e.decode_ok).count() as f64 / n;
     let report_delivery = if total_reports == 0 {
         1.0
     } else {
         delivered_reports as f64 / total_reports as f64
     };
-    let mean_loc_top1 = epochs.iter().map(|e| e.loc_top1).sum::<f64>() / n;
-    let mean_loc_top3 = epochs.iter().map(|e| e.loc_top3).sum::<f64>() / n;
-    let lr_mean_f1 = epochs.iter().map(|e| e.lr_f1).sum::<f64>() / n;
-    let lr_decode_success =
-        epochs.iter().filter(|e| e.lr_decode_ok).count() as f64 / n;
-    let lr_mean_top1 = epochs.iter().map(|e| e.lr_top1).sum::<f64>() / n;
-    let lr_mean_top3 = epochs.iter().map(|e| e.lr_top3).sum::<f64>() / n;
-    let fr_mean_f1 = epochs.iter().map(|e| e.fr_f1).sum::<f64>() / n;
-    let fr_decode_success =
-        epochs.iter().filter(|e| e.fr_decode_ok).count() as f64 / n;
-    let fr_mean_top1 = epochs.iter().map(|e| e.fr_top1).sum::<f64>() / n;
-    let fr_mean_top3 = epochs.iter().map(|e| e.fr_top3).sum::<f64>() / n;
-    let mean_qdepth_max = epochs.iter().map(|e| e.qdepth_max).sum::<f64>() / n;
     ScenarioResult {
         name: s.name.clone(),
         mode,
-        epochs,
-        mean_f1,
-        mean_are,
-        decode_success,
+        mean_f1: mean(&epochs, |e| e.f1),
+        mean_are: mean(&epochs, |e| e.are),
+        decode_success: share(&epochs, |e| e.decode_ok),
         report_delivery,
-        mean_loc_top1,
-        mean_loc_top3,
-        lr_mean_f1,
-        lr_decode_success,
-        lr_mean_top1,
-        lr_mean_top3,
-        fr_mean_f1,
-        fr_decode_success,
-        fr_mean_top1,
-        fr_mean_top3,
-        mean_qdepth_max,
+        mean_loc_top1: mean(&epochs, |e| e.loc_top1),
+        mean_loc_top3: mean(&epochs, |e| e.loc_top3),
+        lossradar: TrackScore::mean(&epochs, |e| e.lossradar),
+        flowradar: TrackScore::mean(&epochs, |e| e.flowradar),
+        mean_qdepth_max: mean(&epochs, |e| e.qdepth_max),
+        epochs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `TrackScore::mean` against the per-field `sum / n` lines
+    /// `run_with_config` carried for each track before it existed: same
+    /// summation order, so the same bits, not "within tolerance".
+    #[test]
+    fn track_mean_is_bit_identical_to_the_per_field_sums() {
+        let epoch = |epoch: u64, lossradar: TrackScore, flowradar: TrackScore| EpochMetrics {
+            epoch,
+            f1: 1.0,
+            precision: 1.0,
+            recall: 1.0,
+            are: 0.0,
+            decode_ok: true,
+            reports_received: 4,
+            true_victims: 10,
+            reported_victims: 10,
+            flows: 100,
+            packets_sent: 1_000,
+            loc_top1: 1.0,
+            loc_top3: 1.0,
+            lossradar,
+            flowradar,
+            qdepth_max: 0.0,
+        };
+        // Thirds and tenths: sums whose rounding depends on the order.
+        let epochs = [
+            epoch(
+                0,
+                TrackScore { f1: 0.1, decode_ok: true, top1: 1.0 / 3.0, top3: 0.7 },
+                TrackScore { f1: 0.9, decode_ok: false, top1: 0.0, top3: 0.3 },
+            ),
+            epoch(
+                1,
+                TrackScore { f1: 0.2, decode_ok: false, top1: 2.0 / 3.0, top3: 0.1 },
+                TrackScore { f1: 1.0 / 7.0, decode_ok: false, top1: 0.6, top3: 0.6 },
+            ),
+            epoch(
+                2,
+                TrackScore { f1: 0.3, decode_ok: true, top1: 0.1, top3: 0.2 },
+                TrackScore { f1: 0.7, decode_ok: true, top1: 0.3, top3: 1.0 },
+            ),
+        ];
+        let tracks: [fn(&EpochMetrics) -> TrackScore; 2] = [|e| e.lossradar, |e| e.flowradar];
+        for track in tracks {
+            let n = epochs.len().max(1) as f64;
+            let mean_f1 = epochs.iter().map(|e| track(e).f1).sum::<f64>() / n;
+            let decode_success = epochs.iter().filter(|e| track(e).decode_ok).count() as f64 / n;
+            let mean_top1 = epochs.iter().map(|e| track(e).top1).sum::<f64>() / n;
+            let mean_top3 = epochs.iter().map(|e| track(e).top3).sum::<f64>() / n;
+            let got = TrackScore::mean(&epochs, track);
+            assert_eq!(got.f1.to_bits(), mean_f1.to_bits());
+            assert_eq!(got.decode_ok.to_bits(), decode_success.to_bits());
+            assert_eq!(got.top1.to_bits(), mean_top1.to_bits());
+            assert_eq!(got.top3.to_bits(), mean_top3.to_bits());
+        }
+        // No epochs: every column is 0 / 1, never NaN.
+        let empty = TrackScore::mean(&[], |e| e.lossradar);
+        assert_eq!(empty, TrackScore { f1: 0.0, decode_ok: 0.0, top1: 0.0, top3: 0.0 });
     }
 }

@@ -52,19 +52,11 @@ fn fail(msg: String) -> ! {
 }
 
 /// The two serve-mode workload presets. `calm` is the scenario engine's
-/// baseline traffic; `congested` adds the queue model with microbursts and
-/// a slow-draining ToR so localization has something to find.
+/// baseline traffic; `congested` is [`Scenario::serve_congested`].
 fn scenario_for(name: &str, seed: u64) -> Scenario {
     match name {
         "calm" => Scenario::builder("serve_calm").seed(seed).flows(600).build(),
-        "congested" => Scenario::builder("serve_congested")
-            .seed(seed)
-            .flows(600)
-            .congestion()
-            .queue_model(8)
-            .microburst(0.3, 2)
-            .slow_drain_tor(1, 0.55)
-            .build(),
+        "congested" => Scenario::serve_congested(seed, 600),
         _ => usage(),
     }
 }
@@ -139,12 +131,7 @@ fn main() {
             _ => usage(),
         }
     }
-    let faults = match profile.as_str() {
-        "none" => FaultPlan::none(seed),
-        "standard" => FaultPlan::standard(seed),
-        "stress" => FaultPlan::stress(seed),
-        _ => usage(),
-    };
+    let Some(faults) = FaultPlan::named(&profile, seed) else { usage() };
     if snapshot_every.is_some() && snapshot_path.is_none() {
         fail("--snapshot-every needs --snapshot <path>".to_string());
     }

@@ -158,6 +158,18 @@ impl FaultPlan {
         }
     }
 
+    /// The fault profile called `name` — `none`, `standard` or `stress`, the
+    /// one table behind every `--profile` flag — or `None` for any other
+    /// name.
+    pub fn named(name: &str, seed: u64) -> Option<Self> {
+        match name {
+            "none" => Some(Self::none(seed)),
+            "standard" => Some(Self::standard(seed)),
+            "stress" => Some(Self::stress(seed)),
+            _ => None,
+        }
+    }
+
     /// Realizes this plan for one epoch over `n_edges` switches — pure in
     /// `(self.seed, epoch)`: calling twice returns identical faults, and
     /// realizations of different epochs are independent.

@@ -12,6 +12,8 @@
 //! values become JSON `null` — an unmeasured latency is `null`, never a
 //! fake `0.0`.
 
+pub use chm_obs::json_f64;
+
 /// Everything the runtime knows about one served epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochRecord {
@@ -47,9 +49,10 @@ pub struct EpochRecord {
     pub true_victims: usize,
     /// Victim flows the controller reported.
     pub reported_victims: usize,
-    /// Victim detection precision (null when nothing was reported).
+    /// Victim detection precision (`1.0` when nothing was reported; the
+    /// empty-set conventions are stated at `runtime::score_detection`).
     pub precision: f64,
-    /// Victim detection recall (null when there were no victims).
+    /// Victim detection recall (`1.0` when there were no victims).
     pub recall: f64,
     /// Victim detection F1.
     pub f1: f64,
@@ -68,16 +71,6 @@ pub struct EpochRecord {
     /// Virtual controller reaction latency (collection + retry backoff),
     /// `None` when the clock stalled this epoch.
     pub reaction_ms: Option<f64>,
-}
-
-/// Formats a float for JSON: shortest-roundtrip decimal, `null` for
-/// non-finite values (NaN percentages from 0/0 epochs, unmeasured values).
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 impl EpochRecord {

@@ -28,13 +28,11 @@ use std::collections::BTreeMap;
 
 use chamelemon::control::EpochAnalysis;
 use chamelemon::dataplane::CollectedGroup;
-use chamelemon::{
-    Controller, DataPlaneConfig, EdgeDataPlane, Localization, RuntimeConfig,
-};
+use chamelemon::{EdgeDataPlane, Localization, RuntimeConfig};
 use chm_common::FiveTuple;
 use chm_netsim::sim::EpochReport;
-use chm_netsim::{ShardedReplay, Sharding, SimConfig, Simulator, SiteArray};
-use chm_scenarios::{localization_hits, EpochStream, ReplayMode, Scenario, CFG_SALT};
+use chm_netsim::Sharding;
+use chm_scenarios::{localization_hits, EpochStream, ReplayMode, Scenario, ScenarioStack};
 
 use crate::fault::{EpochFaults, FaultPlan, ReportFate};
 use crate::metrics::EpochRecord;
@@ -51,9 +49,13 @@ const PER_REPORT_MS: f64 = 0.25;
 /// Static configuration of a serve run.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The workload/impairment scenario streamed endlessly.
+    /// The workload/impairment scenario streamed endlessly. Serve takes
+    /// the workload and the fabric impairments from it and nothing else:
+    /// [`Scenario::reports_received`] (the scorer's report-loss channel) is
+    /// never consulted.
     pub scenario: Scenario,
-    /// The control-plane fault model.
+    /// The control-plane fault model — the one source of control-channel
+    /// faults in serve mode.
     pub faults: FaultPlan,
     /// Replay mode (burst by default; per-packet for differential runs).
     pub mode: ReplayMode,
@@ -98,18 +100,16 @@ struct CollectionTally {
 /// The streaming controller runtime. Build with [`new`](Self::new), drive
 /// with [`step`](Self::step), persist with [`snapshot`](Self::snapshot).
 pub struct ServeRuntime {
-    cfg: DataPlaneConfig,
     serve: ServeConfig,
     stream: EpochStream,
-    edges: Vec<EdgeDataPlane<FiveTuple>>,
-    controller: Controller<FiveTuple>,
-    simulator: Simulator,
+    /// The deployment — edges, controller, simulator, and the replay driver
+    /// choice — exactly as the scenario scorer builds and replays it, so
+    /// serve-mode results are comparable with the scenario matrix. The
+    /// driver choice is never part of a snapshot (execution strategy, not
+    /// stream state).
+    stack: ScenarioStack,
     watchdog: Watchdog,
     last_good: RuntimeConfig,
-    /// When set, epochs replay through the sharded engine — byte-identical
-    /// output at any layout, so this is never part of a snapshot (execution
-    /// strategy, not stream state).
-    sharded: Option<ShardedReplay<FiveTuple>>,
     /// Telemetry (metric registry + span tree), fed once per epoch. Like a
     /// restarted Prometheus target, this is process-lifetime state — it is
     /// deliberately *not* part of a [`ServeSnapshot`] and restarts at zero.
@@ -117,35 +117,17 @@ pub struct ServeRuntime {
 }
 
 impl ServeRuntime {
-    /// Builds the runtime over the scenario's topology with the scenario
-    /// engine's data-plane configuration (so serve-mode results are
-    /// comparable with the scenario matrix).
+    /// Builds the runtime on the scenario engine's stack
+    /// ([`ScenarioStack::new`]: same topology, data-plane configuration and
+    /// simulator seed as the scenario matrix).
     pub fn new(serve: ServeConfig) -> Self {
-        let s = &serve.scenario;
-        let topology = s.build_topology();
-        let cfg = DataPlaneConfig::small(s.seed ^ CFG_SALT);
-        let runtime = RuntimeConfig::initial(&cfg);
-        let edges = (0..topology.n_edges())
-            .map(|_| EdgeDataPlane::new(cfg.clone(), runtime))
-            .collect();
-        let mut controller = Controller::new(cfg.clone());
-        controller.enable_localization(topology.clone());
-        let simulator = Simulator::new(
-            topology,
-            SimConfig { epoch_ms: 50.0, seed: s.seed ^ 0x51b },
-        );
-        let watchdog = Watchdog::new(serve.stall_threshold, serve.base_recovery);
-        let stream = EpochStream::new(s.clone());
+        let stack = ScenarioStack::new(&serve.scenario);
         ServeRuntime {
-            cfg,
+            stream: EpochStream::new(serve.scenario.clone()),
+            watchdog: Watchdog::new(serve.stall_threshold, serve.base_recovery),
+            last_good: *stack.controller.deployed_runtime(),
+            stack,
             serve,
-            stream,
-            edges,
-            controller,
-            simulator,
-            watchdog,
-            last_good: runtime,
-            sharded: None,
             obs: ServeObs::new(),
         }
     }
@@ -160,12 +142,12 @@ impl ServeRuntime {
     /// The metrics stream stays byte-identical at any shard/worker count;
     /// snapshots taken under sharding restore into any other layout.
     pub fn set_sharding(&mut self, sharding: Sharding) {
-        self.sharded = Some(ShardedReplay::new(sharding));
+        self.stack.set_sharding(sharding);
     }
 
     /// The epoch [`step`](Self::step) will serve next.
     pub fn next_epoch(&self) -> u64 {
-        self.simulator.current_epoch()
+        self.stack.simulator.current_epoch()
     }
 
     /// Current serving state (live/degraded).
@@ -181,8 +163,8 @@ impl ServeRuntime {
     /// Serves one epoch and returns its record. See the module docs for
     /// the pipeline.
     pub fn step(&mut self) -> EpochRecord {
-        let epoch = self.simulator.current_epoch();
-        let config_in_effect = *self.controller.deployed_runtime();
+        let epoch = self.next_epoch();
+        let config_in_effect = *self.stack.controller.deployed_runtime();
         let (trace, plan) = self.stream.at(epoch);
 
         // The service pipeline runs under the zero clock: span *counts*
@@ -195,22 +177,12 @@ impl ServeRuntime {
 
         // 1. Replay through the fabric and the edge data planes.
         let imp = &self.serve.scenario.impairments;
-        let mode = self.serve.mode;
-        let report = match &mut self.sharded {
-            Some(eng) => {
-                eng.run_epoch(&mut self.simulator, &trace, &plan, imp, mode, &mut self.edges, &|| 0.0)
-                    .0
-            }
-            None => {
-                let mut hooks = SiteArray(&mut self.edges);
-                self.simulator.run_epoch_scenario(&trace, &plan, imp, mode, &mut hooks)
-            }
-        };
+        let report = self.stack.replay(&trace, &plan, imp, self.serve.mode, &|| 0.0);
         let ts_bit = (report.epoch & 1) as u8;
         self.obs.spans.record(&["replay"], 0.0);
 
         // 2. Faulted collection.
-        let faults = self.serve.faults.realize(epoch, self.edges.len());
+        let faults = self.serve.faults.realize(epoch, self.stack.edges.len());
         let (inbox, tally) = self.collect(ts_bit, config_in_effect, &faults, epoch);
         self.obs.spans.record(&["collect"], 0.0);
 
@@ -219,20 +191,21 @@ impl ServeRuntime {
         //    an epoch whose groups are about to be recycled).
         let collected: &[CollectedGroup<FiveTuple>] =
             if faults.controller_paused { &[] } else { &inbox };
-        let analysis =
-            self.controller
-                .analyze_epoch_profiled(collected, &mut self.obs.spans, &mut zero);
+        let controller = &mut self.stack.controller;
+        let analysis = controller.analyze_epoch_profiled(collected, &mut self.obs.spans, &mut zero);
         let blind = analysis.switches_reporting == 0;
-        let decode_ok = decode_healthy(&analysis);
+        // The decode verdict fed to the watchdog is the scenario scorer's
+        // `decode_ok`: every encoder that had memory decoded.
+        let decode_ok = analysis.fully_decoded();
 
         // 4. Watchdog + reconfiguration. Degraded mode never acts on a
         //    garbage decode: it re-stages the last-known-good runtime.
         let state_after = self.watchdog.observe(!blind && decode_ok);
         let staged = if state_after == ServeState::Degraded {
-            self.controller.hold_runtime(self.last_good);
+            controller.hold_runtime(self.last_good);
             self.last_good
         } else {
-            let staged = self.controller.reconfigure(&analysis);
+            let staged = controller.reconfigure(&analysis);
             if !blind && decode_ok {
                 self.last_good = staged;
             }
@@ -244,7 +217,7 @@ impl ServeRuntime {
         //    fabric telemetry either.
         let empty_depths = BTreeMap::new();
         let depths = if faults.controller_paused { &empty_depths } else { &report.queue_depth };
-        let localization = self.controller.localize_with_telemetry_profiled(
+        let localization = controller.localize_with_telemetry_profiled(
             &analysis,
             depths,
             &mut self.obs.spans,
@@ -253,7 +226,7 @@ impl ServeRuntime {
         let (loc_top1, loc_top3) = hits_or_miss(&report, localization.as_ref());
 
         // 6. Stage + flip: the new runtime functions next epoch.
-        for e in &mut self.edges {
+        for e in &mut self.stack.edges {
             e.stage_runtime(staged);
             e.flip(ts_bit);
         }
@@ -317,16 +290,17 @@ impl ServeRuntime {
         epoch: u64,
     ) -> (Vec<CollectedGroup<FiveTuple>>, CollectionTally) {
         let mut tally = CollectionTally::default();
-        let capacity = self.serve.inbox_capacity.unwrap_or(self.edges.len());
-        let mut inbox = Vec::with_capacity(capacity.min(self.edges.len()));
-        for i in 0..self.edges.len() {
+        let edges = &mut self.stack.edges;
+        let capacity = self.serve.inbox_capacity.unwrap_or(edges.len());
+        let mut inbox = Vec::with_capacity(capacity.min(edges.len()));
+        for (i, edge) in edges.iter_mut().enumerate() {
             if faults.rebooted[i] {
                 // The reboot wiped both sketch groups; the switch still
                 // answers collection — with nothing in it.
-                self.edges[i] = EdgeDataPlane::new(self.cfg.clone(), config_in_effect);
+                *edge = EdgeDataPlane::new(edge.config().clone(), config_in_effect);
                 tally.reboots += 1;
             }
-            let group = self.edges[i].take_group(ts_bit);
+            let group = edge.take_group(ts_bit);
             let arrived = match faults.fates[i] {
                 ReportFate::Delivered => {
                     tally.delivered += 1;
@@ -375,8 +349,8 @@ impl ServeRuntime {
     /// runtime, so [`restore`](Self::restore) rebuilds them exactly.
     pub fn snapshot(&self) -> ServeSnapshot {
         ServeSnapshot {
-            epoch: self.simulator.current_epoch(),
-            controller: self.controller.snapshot(),
+            epoch: self.next_epoch(),
+            controller: self.stack.controller.snapshot(),
             watchdog: self.watchdog.snapshot(),
             last_good: self.last_good,
         }
@@ -387,24 +361,15 @@ impl ServeRuntime {
     /// results — decisions *and* metrics bytes — is identical to the
     /// uninterrupted run's.
     pub fn restore(&mut self, snap: &ServeSnapshot) {
-        self.controller.restore(&snap.controller);
+        self.stack.controller.restore(&snap.controller);
         self.watchdog.restore(&snap.watchdog);
         self.last_good = snap.last_good;
-        self.simulator.set_epoch(snap.epoch);
-        let deployed = *self.controller.deployed_runtime();
-        for e in &mut self.edges {
-            *e = EdgeDataPlane::new(self.cfg.clone(), deployed);
+        self.stack.simulator.set_epoch(snap.epoch);
+        let deployed = *self.stack.controller.deployed_runtime();
+        for e in &mut self.stack.edges {
+            *e = EdgeDataPlane::new(e.config().clone(), deployed);
         }
     }
-}
-
-/// The decode-health verdict fed to the watchdog: every encoder that had
-/// memory must have decoded (mirrors the scenario scorer's `decode_ok`).
-fn decode_healthy(a: &EpochAnalysis<FiveTuple>) -> bool {
-    let p = a.runtime.partition;
-    a.hh_decode_ok
-        && (p.m_hl == 0 || a.hl_flowset.is_some())
-        && (p.m_ll == 0 || a.ll_flowset.is_some())
 }
 
 /// Localization hit rates; a blind epoch localizes nothing, so every
@@ -430,9 +395,17 @@ fn hits_or_miss(
     }
 }
 
-/// Victim-detection precision/recall/F1 against ground truth. Epochs with
-/// neither true nor reported victims are perfect; a metric whose
-/// denominator is zero on one side only comes out 0.
+/// Victim-detection precision/recall/F1 against ground truth — the values
+/// behind [`EpochRecord::precision`], [`recall`](EpochRecord::recall) and
+/// [`f1`](EpochRecord::f1) (pinned by the `--metrics` bytes).
+///
+/// Empty-set conventions, stated once for both scorers. Epochs with neither
+/// true nor reported victims are perfect in both (all three 1.0). When only
+/// one side is empty, **serve** scores the ratio whose denominator is zero
+/// as vacuously met: precision is `1.0` when nothing was reported, recall is
+/// `1.0` when there were no victims (never `null`). The **scenario scorer**
+/// (`chm_common::metrics::detection_score`) scores the same ratio `0.0`.
+/// F1 is `0.0` in both, since the other ratio has a zero numerator.
 fn score_detection(
     report: &EpochReport<FiveTuple>,
     analysis: &EpochAnalysis<FiveTuple>,

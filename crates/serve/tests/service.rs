@@ -189,3 +189,47 @@ fn delayed_reports_pay_backoff_latency() {
     );
     assert_eq!(delayed.delayed, 4);
 }
+
+/// Serve ≡ scorer when nothing is injected: under `FaultPlan::none`, on a
+/// scenario without `report_loss`, while the watchdog stays live, the serve
+/// runtime and the scenario scorer are the same procedure on the same
+/// stack — they agree epoch by epoch on what was replayed, what the
+/// controller reported and staged, and where it localized the loss.
+#[test]
+fn faultless_serve_agrees_with_the_scenario_scorer() {
+    use chm_netsim::Sharding;
+    use chm_scenarios::{ReplayMode, ScenarioStack};
+
+    let calm = Scenario::builder("svc_calm").seed(13).flows(300).build();
+    for s in [calm, scenario(13)] {
+        assert_eq!(s.report_loss, 0.0);
+        for sharding in [None, Some(Sharding { shards: 3, workers: 2 })] {
+            let mut rt = ServeRuntime::new(ServeConfig::new(s.clone(), FaultPlan::none(13)));
+            let mut stack = ScenarioStack::new(&s);
+            if let Some(sh) = sharding {
+                rt.set_sharding(sh);
+                stack.set_sharding(sh);
+            }
+            let base = s.base_trace();
+            for epoch in 0..40 {
+                let tag = format!("{} {sharding:?} epoch {epoch}", s.name);
+                let served = rt.step();
+                let scored = stack.step_epoch(&s, &base, ReplayMode::Burst);
+                assert_eq!(served.state, "live", "{tag}: the comparison needs a live run");
+                assert_eq!(served.epoch, scored.metrics.epoch, "{tag}");
+                assert_eq!(served.packets, scored.metrics.packets_sent, "{tag}");
+                assert_eq!(served.reported_victims, scored.metrics.reported_victims, "{tag}");
+                assert_eq!(served.decode_ok, scored.metrics.decode_ok, "{tag}");
+                let p = scored.staged.partition;
+                assert_eq!((served.m_hh, served.m_hl, served.m_ll), (p.m_hh, p.m_hl, p.m_ll), "{tag}");
+                assert_eq!(
+                    served.sample_rate.to_bits(),
+                    scored.staged.sample_rate().to_bits(),
+                    "{tag}"
+                );
+                assert_eq!(served.loc_top1.to_bits(), scored.metrics.loc_top1.to_bits(), "{tag}");
+                assert_eq!(served.loc_top3.to_bits(), scored.metrics.loc_top3.to_bits(), "{tag}");
+            }
+        }
+    }
+}
