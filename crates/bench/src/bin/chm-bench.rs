@@ -10,11 +10,11 @@
 //! chm-bench profile [--quick] [--workers <n>] [--seed <s>] [--out <dir>]
 //! ```
 //!
-//! `perf` measures the hot-path packet engine (packets/sec, decode latency)
-//! against the in-tree legacy replica of the pre-fast-path implementation,
-//! then sweeps the sharded epoch pipeline across thread counts (`--threads`
-//! takes a comma list like `1,2,4,8` or `auto` for a doubling ladder up to
-//! the machine) and writes the combined schema-v2 table to
+//! `perf` measures the hot-path packet engine (packets/sec, hash throughput,
+//! decode latency), then sweeps the sharded epoch pipeline across thread
+//! counts (`--threads` takes a comma list like `1,2,4,8` or `auto` for a
+//! doubling ladder up to the machine) and writes the combined schema-v3
+//! table to
 //! `results/BENCH_hotpath.json` plus one thread-count-independent
 //! `SHARD_DIGEST_T<t>.json` per swept count (see `chm_bench::perf`). Every
 //! sweep pass is cross-checked against the unsharded replay — reports and
@@ -166,20 +166,16 @@ fn main() {
                 eprintln!("error: could not write {out_dir}/BENCH_hotpath.json: {e}");
                 std::process::exit(1);
             }
-            let row = &table.rows[0];
-            let speedup = row[2];
             eprintln!(
-                "\nreplay: {:.2} Mpps legacy -> {:.2} Mpps fast ({speedup:.2}x); \
-                 json: {out_dir}/BENCH_hotpath.json",
-                row[0] / 1e6,
-                row[1] / 1e6,
+                "\nreplay: {:.2} Mpps; json: {out_dir}/BENCH_hotpath.json",
+                table.rows[0][0] / 1e6,
             );
-            // The scaling curve, one line per sweep row (columns 11..).
+            // The scaling curve, one line per sweep row (columns 6..).
             for row in &table.rows[1..] {
                 eprintln!(
                     "scaling: t={} n_flows={} crit {:.2} Mpps ({:.2}x, \
                      efficiency {:.0}%)",
-                    row[11], row[13], row[15] / 1e6, row[16], row[18] * 100.0
+                    row[6], row[8], row[10] / 1e6, row[11], row[13] * 100.0
                 );
             }
         }

@@ -1,26 +1,18 @@
 //! The `chm-bench perf` hot-path benchmark: packets/sec through the
-//! data-plane packet engine and decode latency at the controller, measured
-//! against a frozen **legacy replica** of the pre-fast-path implementation.
+//! data-plane packet engine, hash throughput and decode latency at the
+//! controller, then the sharded epoch pipeline's scaling curve across
+//! thread counts, each pass cross-checked against the unsharded replay.
 //!
-//! The legacy replica reproduces, operation for operation, what the packet
-//! engine did before the fast-path rework:
-//!
-//! * range reduction by `u64 %` on every hash ([`PairwiseHash::index_mod`]),
-//! * the SplitMix64 key mix re-run inside **every** per-array hash call,
-//! * epoch snapshots taken by deep-cloning the sketch group, and
-//! * decoding by cloning the whole sketch first.
-//!
-//! Keeping the baseline in-tree makes the speedup self-measuring: every run
-//! of `chm-bench perf` re-times both paths on the same machine and records
-//! both numbers in `results/BENCH_hotpath.json`, so perf regressions show
-//! up as a shrinking ratio rather than a stale anchor. Run `--quick` for
-//! the CI smoke datapoint.
+//! Results land in `results/BENCH_hotpath.json` (row 0 is the engine row,
+//! rows 1.. the scaling curve) plus one thread-count-independent
+//! `SHARD_DIGEST_T<t>.json` per swept count. Run `--quick` for the CI
+//! smoke datapoint. The engine's outputs are held to a `%`-based reference
+//! sketch by `tests/hotpath_equivalence.rs`, not here.
 
 use crate::report::Table;
 use chamelemon::config::{DataPlaneConfig, RuntimeConfig};
-use chamelemon::dataplane::{EdgeDataPlane, Hierarchy};
-use chm_common::hash::{mix64, HashFamily, PairwiseHash};
-use chm_common::prime::{add_mod, signed_to_mod, sub_mod, MERSENNE_P};
+use chamelemon::dataplane::EdgeDataPlane;
+use chm_common::hash::HashFamily;
 use chm_common::{FiveTuple, FlowId};
 use chm_fermat::{DecodeScratch, FermatConfig, FermatSketch};
 use chm_netsim::sim::EpochReport;
@@ -28,366 +20,12 @@ use chm_netsim::{
     ImpairmentSet, KaryFatTree, ReplayMode, ShardedReplay, Sharding, SimConfig, Simulator,
     SiteArray, SwitchId, Topology,
 };
-use chm_tower::TowerConfig;
 use chm_workloads::{testbed_trace, LossPlan, Trace, VictimSelection, WorkloadKind};
-use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
-// Legacy replica: the pre-fast-path packet engine, frozen for comparison.
-// The arithmetic primitives are pinned copies of the pre-PR versions —
-// the shared `chm_common::prime` functions have since been optimized, and
-// a baseline that silently inherits those wins would under-report the
-// speedup.
-// ---------------------------------------------------------------------
-
-/// The pre-PR `reduce128`: three 61-bit limbs summed in 128-bit arithmetic.
-#[inline]
-fn legacy_reduce128(x: u128) -> u64 {
-    let lo = (x & MERSENNE_P as u128) as u64;
-    let mid = ((x >> 61) & MERSENNE_P as u128) as u64;
-    let hi = (x >> 122) as u64;
-    let mut r = lo as u128 + mid as u128 + hi as u128;
-    if r >= MERSENNE_P as u128 {
-        r -= MERSENNE_P as u128;
-    }
-    if r >= MERSENNE_P as u128 {
-        r -= MERSENNE_P as u128;
-    }
-    r as u64
-}
-
-#[inline]
-fn legacy_mul_mod(a: u64, b: u64) -> u64 {
-    legacy_reduce128(a as u128 * b as u128)
-}
-
-#[inline]
-fn legacy_reduce64(x: u64) -> u64 {
-    let r = (x >> 61) + (x & MERSENNE_P);
-    if r >= MERSENNE_P {
-        r - MERSENNE_P
-    } else {
-        r
-    }
-}
-
-/// The pre-PR pairwise hash evaluation: key re-mixed on **every** call,
-/// `mod m` range reduction. `(a, b)` are the hash function's coefficients,
-/// precomputed at construction — exactly what the old `PairwiseHash` held.
-#[inline]
-fn legacy_index(a: u64, b: u64, key: u64, m: usize) -> usize {
-    (legacy_raw(a, b, key) % m as u64) as usize
-}
-
-#[inline]
-fn legacy_raw(a: u64, b: u64, key: u64) -> u64 {
-    let x = legacy_reduce64(mix64(key));
-    let ax = legacy_mul_mod(a, x);
-    let s = ax + b;
-    if s >= MERSENNE_P {
-        s - MERSENNE_P
-    } else {
-        s
-    }
-}
-
-/// Recovers a hash function's `(a, b)` coefficients (private in
-/// `chm_common`) by probing: `raw_premixed(0) = b` and
-/// `raw_premixed(1) = a + b (mod p)`. Used once per hash function at
-/// replica construction, never in a timed loop.
-fn legacy_coeffs(h: &PairwiseHash) -> (u64, u64) {
-    let b = h.raw_premixed(0);
-    let a_plus_b = h.raw_premixed(1);
-    let a = if a_plus_b >= b { a_plus_b - b } else { a_plus_b + MERSENNE_P - b };
-    (a, b)
-}
-
-/// Coefficients of every function in a family, precomputed.
-fn family_coeffs(fam: &HashFamily) -> Vec<(u64, u64)> {
-    fam.as_slice().iter().map(legacy_coeffs).collect()
-}
-
-/// The pre-PR modular inverse: always the 61-squaring exponentiation.
-fn legacy_inv_mod(a: u64) -> Option<u64> {
-    let a = legacy_reduce64(a);
-    if a == 0 {
-        return None;
-    }
-    let mut base = a;
-    let mut e = MERSENNE_P - 2;
-    let mut acc = 1u64;
-    while e > 0 {
-        if e & 1 == 1 {
-            acc = legacy_mul_mod(acc, base);
-        }
-        base = legacy_mul_mod(base, base);
-        e >>= 1;
-    }
-    Some(acc)
-}
-
-/// TowerSketch as it was: per-level `mod` indexing, key re-mixed per level.
-struct LegacyTower {
-    cfg: TowerConfig,
-    coeffs: Vec<(u64, u64)>,
-    counters: Vec<Vec<u32>>,
-}
-
-impl LegacyTower {
-    fn new(cfg: TowerConfig) -> Self {
-        let hashes = HashFamily::new(cfg.seed, cfg.levels.len());
-        let counters = cfg.levels.iter().map(|l| vec![0u32; l.width]).collect();
-        LegacyTower { coeffs: family_coeffs(&hashes), cfg, counters }
-    }
-
-    #[inline]
-    fn insert_and_query(&mut self, key: u64) -> u64 {
-        let mut min = u64::MAX;
-        for (i, level) in self.cfg.levels.iter().enumerate() {
-            // The legacy cost model: one full hash (mix + pairwise) plus a
-            // 64-bit integer division, per level.
-            let (a, b) = self.coeffs[i];
-            let j = legacy_index(a, b, key, level.width);
-            let sat = level.saturation() as u32;
-            let c = &mut self.counters[i][j];
-            if *c < sat {
-                *c += 1;
-            }
-            let v = if *c >= sat { u64::MAX } else { *c as u64 };
-            min = min.min(v);
-        }
-        min
-    }
-}
-
-/// FermatSketch as it was: per-array `mod` indexing, key re-mixed per
-/// array, decode by cloning the bucket state.
-///
-/// Public so the hot-path equivalence tests can assert that the fast-range
-/// engine decodes the **identical flowset** the `%`-based engine did — the
-/// range reduction remaps which bucket each flow lands in, but the sketch's
-/// decoded contents are unchanged.
-#[derive(Clone)]
-pub struct LegacyFermat<F: FlowId> {
-    cfg: FermatConfig,
-    coeffs: Vec<(u64, u64)>,
-    counts: Vec<i64>,
-    idsums: Vec<u64>,
-    _f: std::marker::PhantomData<F>,
-}
-
-impl<F: FlowId> LegacyFermat<F> {
-    /// Creates an empty legacy sketch (no fingerprint support — the
-    /// comparison workloads don't use fingerprints).
-    pub fn new(cfg: FermatConfig) -> Self {
-        let n = cfg.total_buckets();
-        let hashes = HashFamily::new(cfg.seed, cfg.arrays);
-        LegacyFermat {
-            cfg,
-            coeffs: family_coeffs(&hashes),
-            counts: vec![0; n],
-            idsums: vec![0; n * F::FRAGMENTS],
-            _f: std::marker::PhantomData,
-        }
-    }
-
-    /// Legacy insert: key re-mixed per array, `mod m` range reduction.
-    #[inline]
-    pub fn insert_weighted(&mut self, f: &F, weight: i64) {
-        let key = f.key64();
-        let wmod = signed_to_mod(weight);
-        let m = self.cfg.buckets_per_array;
-        for i in 0..self.cfg.arrays {
-            let (a, bb) = self.coeffs[i];
-            let j = legacy_index(a, bb, key, m);
-            let b = i * m + j;
-            self.counts[b] += weight;
-            for k in 0..F::FRAGMENTS {
-                let lane = b * F::FRAGMENTS + k;
-                let add = legacy_mul_mod(wmod, f.fragment(k));
-                self.idsums[lane] = add_mod(self.idsums[lane], add);
-            }
-        }
-    }
-
-    /// Legacy unit insert.
-    #[inline]
-    pub fn insert(&mut self, f: &F) {
-        self.insert_weighted(f, 1);
-    }
-
-    /// The legacy decode: clone the whole sketch, then peel in place with
-    /// `mod` indexing and a per-flow key re-mix on every verification.
-    /// Returns `(flowset, success)`.
-    pub fn decode_cloned(&self) -> (HashMap<F, i64>, bool) {
-        self.clone().peel_in_place()
-    }
-
-    fn peel_in_place(mut self) -> (HashMap<F, i64>, bool) {
-        let m = self.cfg.buckets_per_array;
-        let lanes = F::FRAGMENTS;
-        let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-        for i in 0..self.cfg.arrays {
-            for j in 0..m {
-                if self.counts[i * m + j] != 0 {
-                    queue.push_back((i, j));
-                }
-            }
-        }
-        let mut budget: u64 = 32 * (self.cfg.total_buckets() as u64 + 64);
-        let mut flows: HashMap<F, i64> = HashMap::new();
-        while let Some((i, j)) = queue.pop_front() {
-            if budget == 0 {
-                break;
-            }
-            budget -= 1;
-            let b = i * m + j;
-            let count = self.counts[b];
-            if count == 0 && (0..lanes).all(|k| self.idsums[b * lanes + k] == 0) {
-                continue;
-            }
-            let cmod = signed_to_mod(count);
-            if cmod == 0 {
-                continue;
-            }
-            let Some(inv) = legacy_inv_mod(cmod) else { continue };
-            let mut frags = [0u64; chm_common::flowid::MAX_FRAGMENTS];
-            for (k, frag) in frags.iter_mut().enumerate().take(lanes) {
-                *frag = legacy_mul_mod(self.idsums[b * lanes + k], inv);
-            }
-            let Some(f) = F::try_from_fragments(&frags[..lanes]) else {
-                continue;
-            };
-            let key = f.key64();
-            let (ca, cb) = self.coeffs[i];
-            if legacy_index(ca, cb, key, m) != j {
-                continue;
-            }
-            for i2 in 0..self.cfg.arrays {
-                let (ca2, cb2) = self.coeffs[i2];
-                let j2 = legacy_index(ca2, cb2, key, m);
-                let b2 = i2 * m + j2;
-                self.counts[b2] -= count;
-                for k in 0..lanes {
-                    let lane = b2 * lanes + k;
-                    let sub = legacy_mul_mod(cmod, f.fragment(k));
-                    self.idsums[lane] = sub_mod(self.idsums[lane], sub);
-                }
-                if self.counts[b2] != 0 || (0..lanes).any(|k| self.idsums[b2 * lanes + k] != 0)
-                {
-                    queue.push_back((i2, j2));
-                }
-            }
-            *flows.entry(f).or_insert(0) += count;
-        }
-        flows.retain(|_, c| *c != 0);
-        let success = self
-            .counts
-            .iter()
-            .enumerate()
-            .all(|(b, &c)| c == 0 && self.idsums[b * lanes..(b + 1) * lanes].iter().all(|&s| s == 0));
-        (flows, success)
-    }
-}
-
-/// One legacy sketch group: classifier + the encoders a healthy-state epoch
-/// exercises (`m_ll = 0`, so LL encoders are omitted in both engines).
-struct LegacyGroup {
-    classifier: LegacyTower,
-    up_hh: LegacyFermat<FiveTuple>,
-    up_hl: LegacyFermat<FiveTuple>,
-    down_hl: LegacyFermat<FiveTuple>,
-}
-
-impl LegacyGroup {
-    fn new(cfg: &DataPlaneConfig, rt: &RuntimeConfig) -> Self {
-        LegacyGroup {
-            classifier: LegacyTower::new(cfg.tower.clone()),
-            up_hh: LegacyFermat::new(cfg.fermat_for(rt.partition.m_hh, 0x48_48)),
-            up_hl: LegacyFermat::new(cfg.fermat_for(rt.partition.m_hl, 0x48_4c)),
-            down_hl: LegacyFermat::new(cfg.fermat_for(rt.partition.m_hl, 0x48_4c)),
-        }
-    }
-
-    fn deep_clone(&self) -> Self {
-        LegacyGroup {
-            classifier: LegacyTower {
-                cfg: self.classifier.cfg.clone(),
-                coeffs: self.classifier.coeffs.clone(),
-                counters: self.classifier.counters.clone(),
-            },
-            up_hh: self.up_hh.clone(),
-            up_hl: self.up_hl.clone(),
-            down_hl: self.down_hl.clone(),
-        }
-    }
-}
-
-/// The pre-fast-path edge data plane: legacy hashing in the packet path,
-/// epoch snapshots by deep clone, decode by clone, epoch flip rebuilding
-/// **both** groups (exactly what the old `collect_group` + `flip` did).
-struct LegacyEdge {
-    cfg: DataPlaneConfig,
-    rt: RuntimeConfig,
-    group: LegacyGroup,
-    idle_group: LegacyGroup,
-    sample_coeffs: (u64, u64),
-}
-
-impl LegacyEdge {
-    fn new(cfg: DataPlaneConfig) -> Self {
-        let rt = RuntimeConfig::initial(&cfg);
-        LegacyEdge {
-            group: LegacyGroup::new(&cfg, &rt),
-            idle_group: LegacyGroup::new(&cfg, &rt),
-            sample_coeffs: legacy_coeffs(&PairwiseHash::from_seed(cfg.seed ^ 0x5a3b_1e00)),
-            cfg,
-            rt,
-        }
-    }
-
-    #[inline]
-    fn on_packet(&mut self, f: &FiveTuple, delivered: bool) {
-        let key = f.key64();
-        // Replicates the legacy ingress pipeline: sampling hash (full
-        // re-mix), classifier, threshold compare, encoder insert — under
-        // the initial runtime every flow is a HH candidate, exactly like
-        // the real data plane's first epochs.
-        let (sa, sb) = self.sample_coeffs;
-        let sample16 = (legacy_raw(sa, sb, key) >> 16) as u32 & 0xffff;
-        let size = self.group.classifier.insert_and_query(key);
-        let h = if size >= self.rt.th {
-            Hierarchy::HhCandidate
-        } else if sample16 < self.rt.sample_threshold {
-            Hierarchy::SampledLl
-        } else {
-            Hierarchy::NonSampledLl
-        };
-        if h == Hierarchy::HhCandidate {
-            self.group.up_hh.insert(f);
-            if delivered {
-                self.group.down_hl.insert(f);
-            }
-        }
-    }
-
-    /// Legacy epoch end: snapshot the monitoring group by deep clone,
-    /// decode the snapshot's HH encoder (which clones again), then rebuild
-    /// **both** groups — the old flip's behavior.
-    fn end_epoch(&mut self) -> usize {
-        let snapshot = self.group.deep_clone();
-        let (flows, _ok) = snapshot.up_hh.decode_cloned();
-        let rt = self.rt;
-        self.group = LegacyGroup::new(&self.cfg, &rt);
-        self.idle_group = LegacyGroup::new(&self.cfg, &rt);
-        flows.len()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fast path: the real data plane, zero-clone epoch pipeline
+// The engine under test: the real data plane, zero-clone epoch pipeline
 // ---------------------------------------------------------------------
 
 struct FastEdge {
@@ -452,8 +90,8 @@ pub struct PerfConfig {
 impl PerfConfig {
     /// The full run (default). Flow count stays under the HH encoder's
     /// decodable load (≈7.5K flows at the paper-default 3×3584 buckets) so
-    /// both engines fully decode every epoch and their outputs can be
-    /// cross-checked.
+    /// every epoch fully decodes and the decoded count can be checked
+    /// against the trace.
     pub fn full() -> Self {
         PerfConfig { flows: 6_000, epochs: 8, hash_keys: 2_000_000, decode_flows: 8_000, reps: 3 }
     }
@@ -700,9 +338,9 @@ fn replay_flows(trace: &Trace<FiveTuple>) -> Vec<(FiveTuple, u64, u64)> {
     trace.flows.iter().map(|&(f, pkts)| (f, pkts, pkts / 50)).collect()
 }
 
-/// Runs the full measurement suite — the single-edge engine comparison
+/// Runs the full measurement suite — the single-edge engine measurements
 /// plus the sharded-pipeline scaling sweep — and returns the results table
-/// (schema v2: row 0 is the engine row, rows 1.. are the scaling curve).
+/// (schema v3: row 0 is the engine row, rows 1.. are the scaling curve).
 ///
 /// Writes one `SHARD_DIGEST_T<t>.json` per swept thread count into
 /// `out_dir`; their contents are thread-count-independent by construction,
@@ -715,29 +353,9 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
     let total_packets = (epoch_packets * pc.epochs as u64) as f64;
 
     // --- end-to-end replay: packets/sec through the packet engine --------
-    // Same logical packet stream through both engines: the legacy replica
-    // processes it the only way the old engine could — one packet at a
-    // time; the fast engine ingests each flow's burst through the batched
-    // classifier/encoder path (state-identical, property-tested).
-    eprintln!(
-        "replaying {epoch_packets} packets x {} epochs through both engines...",
-        pc.epochs
-    );
-    let (legacy_s, legacy_decoded) = best_of(pc.reps, || {
-        let mut edge = LegacyEdge::new(cfg.clone());
-        let t0 = Instant::now();
-        let mut decoded = 0usize;
-        for _ in 0..pc.epochs {
-            for &(f, pkts, n_lost) in &flows {
-                for i in 0..pkts {
-                    let dropped = (i + 1) * n_lost / pkts > i * n_lost / pkts;
-                    edge.on_packet(&f, !dropped);
-                }
-            }
-            decoded += edge.end_epoch();
-        }
-        (t0.elapsed().as_secs_f64(), decoded)
-    });
+    // Each flow's burst goes through the batched classifier/encoder path
+    // (state-identical to per-packet ingest, property-tested).
+    eprintln!("replaying {epoch_packets} packets x {} epochs...", pc.epochs);
     let (fast_s, fast_decoded) = best_of(pc.reps, || {
         let mut edge = FastEdge::new(cfg.clone());
         let t0 = Instant::now();
@@ -750,31 +368,20 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
         }
         (t0.elapsed().as_secs_f64(), decoded)
     });
-    // Both engines see identical traffic; the decode totals differing would
-    // mean the replica diverged from the real pipeline.
+    // Under the initial runtime every flow is a HH candidate, so a fully
+    // decoded epoch returns the whole trace.
     assert_eq!(
-        legacy_decoded, fast_decoded,
-        "legacy replica and fast path decoded different flow counts"
+        fast_decoded,
+        flows.len() * pc.epochs,
+        "the HH encoder did not decode every flow of every epoch"
     );
-    let replay_pps_legacy = total_packets / legacy_s;
     let replay_pps_fast = total_packets / fast_s;
 
     // --- hash micro-benchmark: 3-array index derivation ------------------
     let fam = HashFamily::new(0x1234, 3);
     let m = 4096usize;
     let reducer = chm_common::FastRange::new(m);
-    let coeffs = family_coeffs(&fam);
-    let (mod_s, acc1) = best_of(pc.reps, || {
-        let t0 = Instant::now();
-        let mut acc = 0usize;
-        for key in 0..pc.hash_keys as u64 {
-            for &(a, b) in &coeffs {
-                acc = acc.wrapping_add(legacy_index(a, b, key, m));
-            }
-        }
-        (t0.elapsed().as_secs_f64(), acc)
-    });
-    let (fast_hash_s, acc2) = best_of(pc.reps, || {
+    let (fast_hash_s, acc) = best_of(pc.reps, || {
         let t0 = Instant::now();
         let mut acc = 0usize;
         for key in 0..pc.hash_keys as u64 {
@@ -785,8 +392,7 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
         }
         (t0.elapsed().as_secs_f64(), acc)
     });
-    std::hint::black_box((acc1, acc2));
-    let hash_mops_legacy = pc.hash_keys as f64 * 3.0 / mod_s / 1e6;
+    std::hint::black_box(acc);
     let hash_mops_fast = pc.hash_keys as f64 * 3.0 / fast_hash_s / 1e6;
 
     // --- decode latency: loaded sketch ------------------------------------
@@ -797,19 +403,12 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
         0xdec0,
     );
     let mut loaded = FermatSketch::<FiveTuple>::new(dec_cfg);
-    let mut legacy_loaded = LegacyFermat::<FiveTuple>::new(dec_cfg);
     for &(f, _) in trace.flows.iter().take(pc.decode_flows) {
         loaded.insert(&f);
-        legacy_loaded.insert(&f);
     }
     let mut scratch = DecodeScratch::new();
     // Warms the scratch buffers.
     let decoded_flows = loaded.decode_with(&mut scratch).flows.len();
-    let (decode_s_legacy, _) = best_of(pc.reps, || {
-        let t0 = Instant::now();
-        let (flows, _) = legacy_loaded.decode_cloned();
-        (t0.elapsed().as_secs_f64(), std::hint::black_box(flows.len()))
-    });
     let (decode_s_fast, _) = best_of(pc.reps, || {
         let t0 = Instant::now();
         let r = loaded.decode_with(&mut scratch);
@@ -822,16 +421,9 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
     let delta_cfg = FermatConfig::standard(cfg.m_uf, 0xde17a);
     let victims = (pc.decode_flows / 40).max(32);
     let mut delta = FermatSketch::<FiveTuple>::new(delta_cfg);
-    let mut legacy_delta = LegacyFermat::<FiveTuple>::new(delta_cfg);
     for &(f, _) in trace.flows.iter().take(victims) {
         delta.insert_weighted(&f, 3);
-        legacy_delta.insert_weighted(&f, 3);
     }
-    let (delta_s_legacy, _) = best_of(pc.reps, || {
-        let t0 = Instant::now();
-        let (flows, _) = legacy_delta.decode_cloned();
-        (t0.elapsed().as_secs_f64(), std::hint::black_box(flows.len()))
-    });
     let (delta_s_fast, _) = best_of(pc.reps, || {
         let t0 = Instant::now();
         let r = delta.decode_with(&mut scratch);
@@ -860,22 +452,17 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
         Vec::new()
     };
 
-    // Schema v2: the 12 v1 columns keep their positions (row 0 stays
-    // parseable by v1 consumers), followed by the sweep columns. Cells a
-    // row kind does not measure are NaN, which the JSON writer emits as
-    // null — "not measured", never a fake zero.
+    // Schema v3: v2 without the five columns of the retired engine race;
+    // every surviving column keeps its name and relative order. Cells a row kind does not
+    // measure are NaN, which the JSON writer emits as null — "not
+    // measured", never a fake zero.
     let mut t = Table::new(
         "BENCH_hotpath",
-        "Hot-path packet engine vs legacy replica, plus sharded-pipeline scaling curve",
+        "Hot-path packet engine, plus sharded-pipeline scaling curve",
         &[
-            "replay_pps_legacy",
             "replay_pps_fast",
-            "replay_speedup",
-            "hash_mops_legacy",
             "hash_mops_fast",
-            "decode_ms_legacy",
             "decode_ms_fast",
-            "delta_decode_ms_legacy",
             "delta_decode_ms_fast",
             "replay_packets",
             "decoded_flows",
@@ -891,19 +478,14 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
     );
     let na = f64::NAN;
     t.push(vec![
-        replay_pps_legacy,
         replay_pps_fast,
-        replay_pps_fast / replay_pps_legacy,
-        hash_mops_legacy,
         hash_mops_fast,
-        decode_s_legacy * 1e3,
         decode_s_fast * 1e3,
-        delta_s_legacy * 1e3,
         delta_s_fast * 1e3,
         total_packets,
         decoded_flows as f64,
         1.0,
-        2.0,
+        3.0,
         pc.flows as f64,
         na,
         na,
@@ -927,15 +509,10 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
                 na,
                 na,
                 na,
-                na,
-                na,
-                na,
-                na,
-                na,
                 r.packets,
                 na,
                 r.threads as f64,
-                2.0,
+                3.0,
                 r.flows as f64,
                 r.packets / r.wall_s,
                 r.packets / r.crit_s,
@@ -953,24 +530,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn legacy_replica_decodes_what_the_fast_path_decodes() {
-        // The replica is only a valid baseline if it computes the same
-        // result (mapping differs, flowsets must not).
-        let cfg = FermatConfig::standard(256, 0x1e9a);
-        let mut legacy = LegacyFermat::<FiveTuple>::new(cfg);
-        let mut fast = FermatSketch::<FiveTuple>::new(cfg);
-        let trace = testbed_trace(WorkloadKind::Dctcp, 300, 8, 7);
-        for &(f, _) in trace.flows.iter().take(300) {
-            legacy.insert(&f);
-            fast.insert(&f);
-        }
-        let (lf, lok) = legacy.decode_cloned();
-        let fr = fast.decode();
-        assert!(lok && fr.success);
-        assert_eq!(lf, fr.flows);
-    }
-
-    #[test]
     fn perf_run_produces_consistent_rows() {
         let dir = std::env::temp_dir().join("chm_bench_perf_test");
         let sweep = SweepConfig { threads: vec![1, 2], flows: 400, big_flows: 0, epochs: 1 };
@@ -979,21 +538,42 @@ mod tests {
             &sweep,
             &dir,
         );
-        // Row 0: the engine row — v1 columns all measured.
+        // Schema 3 is exactly these columns: the engine's own, then the sweep's.
+        assert_eq!(
+            t.columns,
+            [
+                "replay_pps_fast",
+                "hash_mops_fast",
+                "decode_ms_fast",
+                "delta_decode_ms_fast",
+                "replay_packets",
+                "decoded_flows",
+                "threads",
+                "schema_version",
+                "n_flows",
+                "sweep_pps_wall",
+                "sweep_pps_crit",
+                "speedup_crit",
+                "pps_per_thread",
+                "scaling_efficiency",
+            ]
+        );
+        // Row 0: the engine row — every engine column measured.
         assert_eq!(t.rows.len(), 3, "engine row + one sweep row per thread count");
         for row in &t.rows {
             assert_eq!(row.len(), t.columns.len());
         }
-        for v in &t.rows[0][..12] {
+        for v in &t.rows[0][..7] {
             assert!(v.is_finite() && *v > 0.0, "bad engine metric {v}");
         }
+        assert_eq!(t.rows[0][7], 3.0, "schema_version");
         // Sweep rows: thread counts ascend, sweep metrics measured, the
         // 1-thread row is its own baseline.
-        assert_eq!(t.rows[1][11], 1.0);
-        assert_eq!(t.rows[2][11], 2.0);
-        assert!((t.rows[1][16] - 1.0).abs() < 1e-12, "t=1 speedup_crit is 1.0");
+        assert_eq!(t.rows[1][6], 1.0);
+        assert_eq!(t.rows[2][6], 2.0);
+        assert!((t.rows[1][11] - 1.0).abs() < 1e-12, "t=1 speedup_crit is 1.0");
         for row in &t.rows[1..] {
-            for v in &row[12..] {
+            for v in &row[7..] {
                 assert!(v.is_finite() && *v > 0.0, "bad sweep metric {v}");
             }
         }

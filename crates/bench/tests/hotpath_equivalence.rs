@@ -10,19 +10,241 @@
 //!   `%`-based sketch fed the same stream — the bucket *positions* are
 //!   remapped, the sketch *contents* as observed by any consumer are not.
 
-use chm_bench::perf::LegacyFermat;
-use chm_common::hash::{BatchHasher, FastRange, HashFamily, PairwiseHash};
-use chm_common::prime::MERSENNE_P;
+use chm_common::hash::{mix64, BatchHasher, FastRange, HashFamily, PairwiseHash};
+use chm_common::prime::{add_mod, signed_to_mod, sub_mod, MERSENNE_P};
+use chm_common::{FiveTuple, FlowId};
 use chm_fermat::{FermatConfig, FermatSketch};
+use chm_workloads::{testbed_trace, WorkloadKind};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+
+// ---------------------------------------------------------------------
+// The reference: FermatSketch (Algorithms 1–2) as the pre-fast-path engine
+// computed it, frozen — `%` range reduction, key re-mixed per array, decode
+// by clone. The arithmetic primitives are pinned copies of the pre-PR-2
+// versions — the shared `chm_common::prime` functions have since been
+// optimized, and a reference that silently inherits them would stop being
+// a second implementation.
+// ---------------------------------------------------------------------
+
+/// The pre-PR `reduce128`: three 61-bit limbs summed in 128-bit arithmetic.
+#[inline]
+fn legacy_reduce128(x: u128) -> u64 {
+    let lo = (x & MERSENNE_P as u128) as u64;
+    let mid = ((x >> 61) & MERSENNE_P as u128) as u64;
+    let hi = (x >> 122) as u64;
+    let mut r = lo as u128 + mid as u128 + hi as u128;
+    if r >= MERSENNE_P as u128 {
+        r -= MERSENNE_P as u128;
+    }
+    if r >= MERSENNE_P as u128 {
+        r -= MERSENNE_P as u128;
+    }
+    r as u64
+}
+
+#[inline]
+fn legacy_mul_mod(a: u64, b: u64) -> u64 {
+    legacy_reduce128(a as u128 * b as u128)
+}
+
+#[inline]
+fn legacy_reduce64(x: u64) -> u64 {
+    let r = (x >> 61) + (x & MERSENNE_P);
+    if r >= MERSENNE_P {
+        r - MERSENNE_P
+    } else {
+        r
+    }
+}
+
+/// The pre-PR pairwise hash evaluation: key re-mixed on **every** call,
+/// `mod m` range reduction. `(a, b)` are the hash function's coefficients,
+/// precomputed at construction — exactly what the old `PairwiseHash` held.
+#[inline]
+fn legacy_index(a: u64, b: u64, key: u64, m: usize) -> usize {
+    (legacy_raw(a, b, key) % m as u64) as usize
+}
+
+#[inline]
+fn legacy_raw(a: u64, b: u64, key: u64) -> u64 {
+    let x = legacy_reduce64(mix64(key));
+    let ax = legacy_mul_mod(a, x);
+    let s = ax + b;
+    if s >= MERSENNE_P {
+        s - MERSENNE_P
+    } else {
+        s
+    }
+}
+
+/// Recovers a hash function's `(a, b)` coefficients (private in
+/// `chm_common`) by probing: `raw_premixed(0) = b` and
+/// `raw_premixed(1) = a + b (mod p)`. Used once per hash function at
+/// replica construction, never in a timed loop.
+fn legacy_coeffs(h: &PairwiseHash) -> (u64, u64) {
+    let b = h.raw_premixed(0);
+    let a_plus_b = h.raw_premixed(1);
+    let a = if a_plus_b >= b { a_plus_b - b } else { a_plus_b + MERSENNE_P - b };
+    (a, b)
+}
+
+/// Coefficients of every function in a family, precomputed.
+fn family_coeffs(fam: &HashFamily) -> Vec<(u64, u64)> {
+    fam.as_slice().iter().map(legacy_coeffs).collect()
+}
+
+/// The pre-PR modular inverse: always the 61-squaring exponentiation.
+fn legacy_inv_mod(a: u64) -> Option<u64> {
+    let a = legacy_reduce64(a);
+    if a == 0 {
+        return None;
+    }
+    let mut base = a;
+    let mut e = MERSENNE_P - 2;
+    let mut acc = 1u64;
+    while e > 0 {
+        if e & 1 == 1 {
+            acc = legacy_mul_mod(acc, base);
+        }
+        base = legacy_mul_mod(base, base);
+        e >>= 1;
+    }
+    Some(acc)
+}
+
+/// FermatSketch as it was: per-array `mod` indexing, key re-mixed per
+/// array, decode by cloning the bucket state. The range reduction remaps
+/// which bucket each flow lands in; the decoded contents must not change.
+#[derive(Clone)]
+struct LegacyFermat<F: FlowId> {
+    cfg: FermatConfig,
+    coeffs: Vec<(u64, u64)>,
+    counts: Vec<i64>,
+    idsums: Vec<u64>,
+    _f: std::marker::PhantomData<F>,
+}
+
+impl<F: FlowId> LegacyFermat<F> {
+    /// Creates an empty legacy sketch (no fingerprint support — the
+    /// comparison workloads don't use fingerprints).
+    fn new(cfg: FermatConfig) -> Self {
+        let n = cfg.total_buckets();
+        let hashes = HashFamily::new(cfg.seed, cfg.arrays);
+        LegacyFermat {
+            cfg,
+            coeffs: family_coeffs(&hashes),
+            counts: vec![0; n],
+            idsums: vec![0; n * F::FRAGMENTS],
+            _f: std::marker::PhantomData,
+        }
+    }
+
+    /// Legacy insert: key re-mixed per array, `mod m` range reduction.
+    #[inline]
+    fn insert_weighted(&mut self, f: &F, weight: i64) {
+        let key = f.key64();
+        let wmod = signed_to_mod(weight);
+        let m = self.cfg.buckets_per_array;
+        for i in 0..self.cfg.arrays {
+            let (a, bb) = self.coeffs[i];
+            let j = legacy_index(a, bb, key, m);
+            let b = i * m + j;
+            self.counts[b] += weight;
+            for k in 0..F::FRAGMENTS {
+                let lane = b * F::FRAGMENTS + k;
+                let add = legacy_mul_mod(wmod, f.fragment(k));
+                self.idsums[lane] = add_mod(self.idsums[lane], add);
+            }
+        }
+    }
+
+    /// Legacy unit insert.
+    #[inline]
+    fn insert(&mut self, f: &F) {
+        self.insert_weighted(f, 1);
+    }
+
+    /// The legacy decode: clone the whole sketch, then peel in place with
+    /// `mod` indexing and a per-flow key re-mix on every verification.
+    /// Returns `(flowset, success)`.
+    fn decode_cloned(&self) -> (HashMap<F, i64>, bool) {
+        self.clone().peel_in_place()
+    }
+
+    fn peel_in_place(mut self) -> (HashMap<F, i64>, bool) {
+        let m = self.cfg.buckets_per_array;
+        let lanes = F::FRAGMENTS;
+        let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
+        for i in 0..self.cfg.arrays {
+            for j in 0..m {
+                if self.counts[i * m + j] != 0 {
+                    queue.push_back((i, j));
+                }
+            }
+        }
+        let mut budget: u64 = 32 * (self.cfg.total_buckets() as u64 + 64);
+        let mut flows: HashMap<F, i64> = HashMap::new();
+        while let Some((i, j)) = queue.pop_front() {
+            if budget == 0 {
+                break;
+            }
+            budget -= 1;
+            let b = i * m + j;
+            let count = self.counts[b];
+            if count == 0 && (0..lanes).all(|k| self.idsums[b * lanes + k] == 0) {
+                continue;
+            }
+            let cmod = signed_to_mod(count);
+            if cmod == 0 {
+                continue;
+            }
+            let Some(inv) = legacy_inv_mod(cmod) else { continue };
+            let mut frags = [0u64; chm_common::flowid::MAX_FRAGMENTS];
+            for (k, frag) in frags.iter_mut().enumerate().take(lanes) {
+                *frag = legacy_mul_mod(self.idsums[b * lanes + k], inv);
+            }
+            let Some(f) = F::try_from_fragments(&frags[..lanes]) else {
+                continue;
+            };
+            let key = f.key64();
+            let (ca, cb) = self.coeffs[i];
+            if legacy_index(ca, cb, key, m) != j {
+                continue;
+            }
+            for i2 in 0..self.cfg.arrays {
+                let (ca2, cb2) = self.coeffs[i2];
+                let j2 = legacy_index(ca2, cb2, key, m);
+                let b2 = i2 * m + j2;
+                self.counts[b2] -= count;
+                for k in 0..lanes {
+                    let lane = b2 * lanes + k;
+                    let sub = legacy_mul_mod(cmod, f.fragment(k));
+                    self.idsums[lane] = sub_mod(self.idsums[lane], sub);
+                }
+                if self.counts[b2] != 0 || (0..lanes).any(|k| self.idsums[b2 * lanes + k] != 0)
+                {
+                    queue.push_back((i2, j2));
+                }
+            }
+            *flows.entry(f).or_insert(0) += count;
+        }
+        flows.retain(|_, c| *c != 0);
+        let success = self
+            .counts
+            .iter()
+            .enumerate()
+            .all(|(b, &c)| c == 0 && self.idsums[b * lanes..(b + 1) * lanes].iter().all(|&s| s == 0));
+        (flows, success)
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Both reductions are functions of the same raw value; fast-range is
-    /// in-range, matches its closed form, and agrees with the batched path.
+    /// Fast-range is a function of the raw value alone: in range, equal to
+    /// its closed form, and in agreement with the batched path.
     #[test]
     fn fast_range_is_a_pure_remapping_of_raw(
         seed in any::<u64>(),
@@ -34,12 +256,11 @@ proptest! {
         for &key in &keys {
             let raw = h.raw(key);
             prop_assert!(raw < MERSENNE_P);
-            // Closed forms of both reductions, from the same raw value.
+            // Closed form of the reduction, from the raw value.
             let fast = ((raw as u128 * m as u128) >> 61) as usize;
             prop_assert_eq!(h.index(key, m), fast);
             prop_assert_eq!(r.reduce(raw), fast);
             prop_assert!(fast < m);
-            prop_assert_eq!(h.index_mod(key, m), (raw % m as u64) as usize);
             // Batched derivation is bit-identical.
             let bh = BatchHasher::new(key);
             prop_assert_eq!(bh.raw(&h), raw);
@@ -134,4 +355,23 @@ fn fast_and_mod_engines_agree_on_fixed_ensemble() {
         }
     }
     assert!(both_ok >= 55, "only {both_ok}/60 trials decoded on both engines");
+}
+
+/// The `FiveTuple` case (moved from `chm_bench::perf`'s unit tests): the
+/// reference is only a valid reference if, fed the same multi-fragment
+/// flows, it decodes the same flowset (mapping differs, flowsets must not).
+#[test]
+fn legacy_replica_decodes_what_the_fast_path_decodes() {
+    let cfg = FermatConfig::standard(256, 0x1e9a);
+    let mut legacy = LegacyFermat::<FiveTuple>::new(cfg);
+    let mut fast = FermatSketch::<FiveTuple>::new(cfg);
+    let trace = testbed_trace(WorkloadKind::Dctcp, 300, 8, 7);
+    for &(f, _) in trace.flows.iter().take(300) {
+        legacy.insert(&f);
+        fast.insert(&f);
+    }
+    let (lf, lok) = legacy.decode_cloned();
+    let fr = fast.decode();
+    assert!(lok && fr.success);
+    assert_eq!(lf, fr.flows);
 }

@@ -21,7 +21,7 @@ use crate::localize::{
 };
 use chm_common::hash::PairwiseHash;
 use chm_common::FlowId;
-use chm_fermat::{DecodeScratch, FermatSketch};
+use chm_fermat::{DecodeResult, DecodeScratch, FermatSketch};
 use chm_netsim::sim::Routable;
 use chm_netsim::{QueueDepthStat, SwitchId, Topology};
 use chm_obs::SpanProfiler;
@@ -207,6 +207,55 @@ fn span_end(obs: &mut Option<ObsCtx<'_>>, name: &str, t0: f64) {
     }
 }
 
+/// Decodes `sketch` through the shared scratch and records the decode twice:
+/// as `decode/{label}` and under its occupancy class (`decode/sparse` or
+/// `decode/loaded`, [`chm_fermat::DecodeStats`]). The label is formatted
+/// only when the pass is profiled.
+fn decode_spanned<F: FlowId>(
+    sketch: &FermatSketch<F>,
+    scratch: &mut DecodeScratch<F>,
+    obs: &mut Option<ObsCtx<'_>>,
+    label: std::fmt::Arguments<'_>,
+) -> DecodeResult<F> {
+    let t0 = span_start(obs);
+    let r = sketch.decode_with(scratch);
+    if let Some((spans, clock)) = obs.as_mut() {
+        let dur = clock() - t0;
+        spans.record(&["decode", &label.to_string()], dur);
+        let class = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
+        spans.record(&["decode", class], dur);
+    }
+    r
+}
+
+/// The cumulative delta encoder of §4.2 — every edge's upstream sketch plus
+/// the decoded HH flows in `reinsert` (empty when they must not be
+/// re-inserted), minus every edge's downstream sketch — folded into one
+/// accumulator. Counts are plain `i64` adds and the ID/fingerprint lanes
+/// canonical residues mod p, so the order of the folds does not show in the
+/// result.
+fn delta_encoder<F: FlowId>(
+    collected: &[CollectedGroup<F>],
+    up: impl Fn(&CollectedGroup<F>) -> &FermatSketch<F>,
+    down: impl Fn(&CollectedGroup<F>) -> &FermatSketch<F>,
+    reinsert: &[HashMap<F, i64>],
+) -> FermatSketch<F> {
+    let mut delta = up(&collected[0]).clone();
+    for g in &collected[1..] {
+        delta.add_assign_sketch(up(g));
+    }
+    for hh in reinsert {
+        // chm-lint: allow(map-iter-order, "sketch insertion is commutative counter addition mod p; final sketch state is independent of insert order")
+        for (f, c) in hh {
+            delta.insert_weighted(f, *c);
+        }
+    }
+    for g in collected {
+        delta.sub_assign_sketch(down(g));
+    }
+    delta
+}
+
 impl<F: FlowId> Controller<F> {
     /// Creates a controller for switches running `cfg`, starting in the
     /// healthy state with the initial runtime.
@@ -228,7 +277,8 @@ impl<F: FlowId> Controller<F> {
     }
 
     /// Gives the controller the fabric topology, enabling the per-epoch
-    /// victim-localization pass ([`localize`](Self::localize)).
+    /// victim-localization pass
+    /// ([`localize_with_telemetry`](Self::localize_with_telemetry)).
     pub fn enable_localization(&mut self, topology: impl Into<Topology>) {
         self.localizer = Some(Localizer::new(topology));
     }
@@ -242,23 +292,15 @@ impl<F: FlowId> Controller<F> {
     ///
     /// Call once per epoch, after [`analyze_epoch`](Self::analyze_epoch) —
     /// on a blind epoch (empty analysis) the tables simply decay.
-    pub fn localize(&mut self, a: &EpochAnalysis<F>) -> Option<Localization<F>>
-    where
-        F: Routable,
-    {
-        self.localize_with_telemetry(a, &BTreeMap::new())
-    }
-
-    /// The localization pass with fabric queue telemetry: like
-    /// [`localize`](Self::localize), but per-switch queue-depth exports
-    /// (INT/queue-occupancy counters, e.g.
-    /// [`EpochReport::queue_depth`](chm_netsim::sim::EpochReport)) boost
-    /// the suspicion of switches that buffered heavily this epoch. Blame is
-    /// additionally weighted by decode confidence: victims recovered from a
-    /// *partial* delta-HL decode (the encoder stalled; the flow is only
-    /// HH-attested) count at [`PARTIAL_DECODE_CONFIDENCE`] instead of 1.0,
-    /// so an epoch of shaky decodes cannot swing the ranking as hard as a
-    /// clean one.
+    ///
+    /// Per-switch queue-depth exports (INT/queue-occupancy counters, e.g.
+    /// [`EpochReport::queue_depth`](chm_netsim::sim::EpochReport); an empty
+    /// map when the fabric exports none) boost the suspicion of switches
+    /// that buffered heavily this epoch. Blame is weighted by decode
+    /// confidence: victims recovered from a *partial* delta-HL decode (the
+    /// encoder stalled; the flow is only HH-attested) count at
+    /// [`PARTIAL_DECODE_CONFIDENCE`] instead of 1.0, so an epoch of shaky
+    /// decodes cannot swing the ranking as hard as a clean one.
     pub fn localize_with_telemetry(
         &mut self,
         a: &EpochAnalysis<F>,
@@ -410,11 +452,6 @@ impl<F: FlowId> Controller<F> {
         self.state
     }
 
-    /// Override the MRAC effort (tests / offline analysis).
-    pub fn set_mrac_config(&mut self, c: MracConfig) {
-        self.mrac = c;
-    }
-
     /// §4.2 packet loss detection + §4.3 network-state monitoring over the
     /// collected groups of the edge switches whose reports arrived.
     ///
@@ -437,7 +474,7 @@ impl<F: FlowId> Controller<F> {
     /// for the sketch's occupancy class ([`chm_fermat::DecodeStats`]). The
     /// blocks between the decodes record `cardinality` (linear counting per
     /// edge), `fsd` (MRAC per edge), `delta_hl_build` / `delta_ll_build`
-    /// (the sketch clone/add/sub chains) and `victims`.
+    /// (the delta-encoder folds) and `victims`.
     ///
     /// The clock is **injected** (chm_obs discipline): production callers
     /// pass `&mut || 0.0`, which keeps every duration at exactly `0.0`
@@ -503,14 +540,7 @@ impl<F: FlowId> Controller<F> {
                 hh_flowsets.push(HashMap::new());
                 continue;
             }
-            let t0 = span_start(obs);
-            let r = g.up_hh.decode_with(scratch);
-            if let Some((spans, clock)) = obs.as_mut() {
-                let dur = clock() - t0;
-                spans.record(&["decode", &format!("edge_{i}")], dur);
-                let class = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
-                spans.record(&["decode", class], dur);
-            }
+            let r = decode_spanned(&g.up_hh, scratch, obs, format_args!("edge_{i}"));
             if !r.success {
                 hh_decode_ok = false;
             }
@@ -540,28 +570,8 @@ impl<F: FlowId> Controller<F> {
         let mut delta_hl: Option<FermatSketch<F>> = None;
         if p.m_hl > 0 {
             let t0 = span_start(obs);
-            let mut cum_up = collected[0].up_hl.clone();
-            if hh_decode_ok {
-                for (f, c) in &hh_flowsets[0] {
-                    cum_up.insert_weighted(f, *c);
-                }
-            }
-            for (g, hh) in collected.iter().zip(&hh_flowsets).skip(1) {
-                let mut up = g.up_hl.clone();
-                if hh_decode_ok {
-                    // chm-lint: allow(map-iter-order, "sketch insertion is commutative counter addition mod p; final sketch state is independent of insert order")
-                    for (f, c) in hh {
-                        up.insert_weighted(f, *c);
-                    }
-                }
-                cum_up.add_assign_sketch(&up);
-            }
-            let mut cum_down = collected[0].down_hl.clone();
-            for g in collected.iter().skip(1) {
-                cum_down.add_assign_sketch(&g.down_hl);
-            }
-            cum_up.sub_assign_sketch(&cum_down);
-            delta_hl = Some(cum_up);
+            let reinsert: &[HashMap<F, i64>] = if hh_decode_ok { &hh_flowsets } else { &[] };
+            delta_hl = Some(delta_encoder(collected, |g| &g.up_hl, |g| &g.down_hl, reinsert));
             span_end(obs, "delta_hl_build", t0);
         }
         // On a failed decode the flows peeled before the stall are still
@@ -572,14 +582,7 @@ impl<F: FlowId> Controller<F> {
         let mut hl_partial: HashMap<F, i64> = HashMap::new();
         let (hl_flowset, est_hls) = match &delta_hl {
             Some(delta) if hh_decode_ok => {
-                let t0 = span_start(obs);
-                let r = delta.decode_with(scratch);
-                if let Some((spans, clock)) = obs.as_mut() {
-                    let dur = clock() - t0;
-                    spans.record(&["decode", "delta_hl"], dur);
-                    let class = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
-                    spans.record(&["decode", class], dur);
-                }
+                let r = decode_spanned(delta, scratch, obs, format_args!("delta_hl"));
                 if r.success {
                     let n = r.flows.len() as f64;
                     (Some(r.flows), n)
@@ -596,28 +599,12 @@ impl<F: FlowId> Controller<F> {
         let mut delta_ll: Option<FermatSketch<F>> = None;
         if p.m_ll > 0 {
             let t0 = span_start(obs);
-            let mut cum_up = collected[0].up_ll.clone();
-            for g in collected.iter().skip(1) {
-                cum_up.add_assign_sketch(&g.up_ll);
-            }
-            let mut cum_down = collected[0].down_ll.clone();
-            for g in collected.iter().skip(1) {
-                cum_down.add_assign_sketch(&g.down_ll);
-            }
-            cum_up.sub_assign_sketch(&cum_down);
-            delta_ll = Some(cum_up);
+            delta_ll = Some(delta_encoder(collected, |g| &g.up_ll, |g| &g.down_ll, &[]));
             span_end(obs, "delta_ll_build", t0);
         }
         let (ll_flowset, est_lls) = match &delta_ll {
             Some(delta) => {
-                let t0 = span_start(obs);
-                let r = delta.decode_with(scratch);
-                if let Some((spans, clock)) = obs.as_mut() {
-                    let dur = clock() - t0;
-                    spans.record(&["decode", "delta_ll"], dur);
-                    let class = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
-                    spans.record(&["decode", class], dur);
-                }
+                let r = decode_spanned(delta, scratch, obs, format_args!("delta_ll"));
                 if r.success {
                     let n = r.flows.len() as f64;
                     (Some(r.flows), n)
@@ -1081,6 +1068,70 @@ mod tests {
             assert_eq!(a.fully_decoded(), want, "{name}");
             assert_eq!(a.fully_decoded(), spelled_out(&a), "{name}: left the old expression");
         }
+    }
+
+    /// The folded delta encoder equals the clone chain it replaced — each
+    /// edge's upstream HL sketch cloned and given that edge's decoded HH
+    /// flows, the clones summed, a separately summed downstream subtracted —
+    /// on four edges with traffic in every hierarchy and losses in between.
+    #[test]
+    fn folded_delta_equals_the_clone_chain() {
+        use crate::dataplane::EdgeDataPlane;
+        let cfg = DataPlaneConfig::small(0xde17a);
+        let mut rt = RuntimeConfig::initial(&cfg);
+        rt.partition = crate::Partition { m_hh: 256, m_hl: 192, m_ll: 64 };
+        rt.th = 12;
+        rt.tl = 4;
+        let mut edges: Vec<EdgeDataPlane<u64>> =
+            (0..4).map(|_| EdgeDataPlane::new(cfg.clone(), rt)).collect();
+        for f in 0..400u64 {
+            let (src, dst) = ((f % 4) as usize, ((f / 4 + 1) % 4) as usize);
+            let pkts = 1 + f % 40;
+            let mut pos = 0;
+            for (h, len) in edges[src].on_ingress_burst(&f, 0, pkts) {
+                // Every third packet of every third flow is lost.
+                let lost = if f % 3 == 0 { (pos + len) / 3 - pos / 3 } else { 0 };
+                edges[dst].on_egress_burst(&f, 0, h, len - lost);
+                pos += len;
+            }
+        }
+        let collected: Vec<CollectedGroup<u64>> =
+            edges.iter_mut().map(|e| e.take_group(0)).collect();
+        let hh: Vec<HashMap<u64, i64>> = collected
+            .iter()
+            .map(|g| {
+                let r = g.up_hh.decode();
+                assert!(r.success && !r.flows.is_empty(), "fixture must re-insert something");
+                r.flows
+            })
+            .collect();
+
+        let mut want = FermatSketch::new(*collected[0].up_hl.config());
+        let mut cum_down = want.clone();
+        for (g, hh) in collected.iter().zip(&hh) {
+            let mut up = g.up_hl.clone();
+            for (f, c) in hh {
+                up.insert_weighted(f, *c);
+            }
+            want.add_assign_sketch(&up);
+            cum_down.add_assign_sketch(&g.down_hl);
+        }
+        want.sub_assign_sketch(&cum_down);
+
+        let got = delta_encoder(&collected, |g| &g.up_hl, |g| &g.down_hl, &hh);
+        assert!(!got.is_zero(), "the fixture loses packets");
+        assert_eq!(got, want);
+        // The LL form: no re-insertion, and the old chain summed the
+        // downstream side separately there too.
+        let mut want_ll = collected[0].up_ll.clone();
+        let mut cum_down_ll = collected[0].down_ll.clone();
+        for g in &collected[1..] {
+            want_ll.add_assign_sketch(&g.up_ll);
+            cum_down_ll.add_assign_sketch(&g.down_ll);
+        }
+        want_ll.sub_assign_sketch(&cum_down_ll);
+        assert!(!want_ll.is_zero(), "the fixture loses LL packets too");
+        assert_eq!(delta_encoder(&collected, |g| &g.up_ll, |g| &g.down_ll, &[]), want_ll);
     }
 
     #[test]

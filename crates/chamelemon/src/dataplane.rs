@@ -334,10 +334,10 @@ impl<F: FlowId> EdgeDataPlane<F> {
     }
 }
 
-/// The data plane as a shard-ownable measurement site: this is what lets
-/// `chm_netsim::ShardedReplay` drive ChameleMon edges directly (and, via
-/// [`chm_netsim::SiteArray`], what the serial driver uses too — the
-/// adapter that used to be copied into every consumer crate).
+/// The data plane as a measurement site — the one hook boundary both replay
+/// drivers cross: `chm_netsim::ShardedReplay` hands each shard the sites it
+/// owns, the serial `Simulator` indexes the same slice through
+/// [`chm_netsim::SiteArray`].
 ///
 /// The 2-bit wire tag is the [`Hierarchy`] encoding of §3.2.3; ingress
 /// returns it, egress decodes it — exactly the ToS-field contract between a

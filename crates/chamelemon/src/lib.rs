@@ -161,7 +161,7 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
         let config_in_effect = *self.controller.deployed_runtime();
         let report = {
             // `EdgeDataPlane` implements `chm_netsim::EdgeSite`; `SiteArray`
-            // adapts the edge slice to the simulator's hook traits.
+            // hands the simulator the edge slice.
             let mut hooks = SiteArray(&mut self.edges);
             // Burst replay: one hook call per flow, sketch state identical
             // to the per-packet path (see `TowerSketch::insert_burst`).

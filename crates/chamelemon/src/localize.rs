@@ -39,7 +39,8 @@ use chm_netsim::sim::Routable;
 use chm_netsim::{QueueDepthStat, SwitchId, Topology};
 use std::collections::{BTreeMap, HashMap};
 
-/// Default per-epoch decay of accumulated blame.
+/// Per-epoch decay of accumulated blame (0 would be memoryless, 1 never
+/// forgets).
 pub const BLAME_DECAY: f64 = 0.5;
 
 /// Blame weight of a victim recovered from a *partial* delta-HL decode.
@@ -110,7 +111,7 @@ pub struct Localizer {
 }
 
 impl Localizer {
-    /// A localizer over `topology` with the default [`BLAME_DECAY`].
+    /// A localizer over `topology`, decaying blame by [`BLAME_DECAY`].
     pub fn new(topology: impl Into<Topology>) -> Self {
         Localizer {
             topology: topology.into(),
@@ -119,14 +120,6 @@ impl Localizer {
             telemetry: BTreeMap::new(),
             decay: BLAME_DECAY,
         }
-    }
-
-    /// Overrides the per-epoch blame decay (0 = memoryless, 1 = never
-    /// forget).
-    pub fn with_decay(mut self, decay: f64) -> Self {
-        assert!((0.0..=1.0).contains(&decay), "decay out of range");
-        self.decay = decay;
-        self
     }
 
     /// The current blame of `switch` (victims' loss mass routed through

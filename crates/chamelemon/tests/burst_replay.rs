@@ -4,41 +4,17 @@
 //! optimization.
 
 use chamelemon::config::DataPlaneConfig;
-use chamelemon::dataplane::{EdgeDataPlane, Hierarchy};
+use chamelemon::dataplane::EdgeDataPlane;
 use chamelemon::RuntimeConfig;
 use chm_common::FiveTuple;
 use chm_netsim::impair::{
     ClockSkew, Duplication, GilbertElliott, ImpairmentSet, Reordering,
 };
-use chm_netsim::sim::{BurstHooks, EdgeHooks};
-use chm_netsim::{FatTree, ReplayMode, SimConfig, Simulator};
+use chm_netsim::{FatTree, ReplayMode, SimConfig, Simulator, SiteArray};
 use chm_workloads::{testbed_trace, LossPlan, VictimSelection, WorkloadKind};
 
-struct Edges(Vec<EdgeDataPlane<FiveTuple>>);
-
-impl EdgeHooks<FiveTuple> for Edges {
-    fn on_ingress(&mut self, edge: usize, f: &FiveTuple, ts: u8) -> u8 {
-        self.0[edge].on_ingress(f, ts).to_tag()
-    }
-    fn on_egress(&mut self, edge: usize, f: &FiveTuple, ts: u8, tag: u8) {
-        self.0[edge].on_egress(f, ts, Hierarchy::from_tag(tag));
-    }
-}
-
-impl BurstHooks<FiveTuple> for Edges {
-    fn on_ingress_burst(&mut self, edge: usize, f: &FiveTuple, ts: u8, pkts: u64)
-        -> [(u8, u64); 3] {
-        self.0[edge]
-            .on_ingress_burst(f, ts, pkts)
-            .map(|(h, n)| (h.to_tag(), n))
-    }
-    fn on_egress_burst(&mut self, edge: usize, f: &FiveTuple, ts: u8, tag: u8, delivered: u64) {
-        self.0[edge].on_egress_burst(f, ts, Hierarchy::from_tag(tag), delivered);
-    }
-}
-
-fn edges(cfg: &DataPlaneConfig, rt: &RuntimeConfig, n: usize) -> Edges {
-    Edges((0..n).map(|_| EdgeDataPlane::new(cfg.clone(), *rt)).collect())
+fn edges(cfg: &DataPlaneConfig, rt: &RuntimeConfig, n: usize) -> Vec<EdgeDataPlane<FiveTuple>> {
+    (0..n).map(|_| EdgeDataPlane::new(cfg.clone(), *rt)).collect()
 }
 
 #[test]
@@ -63,8 +39,8 @@ fn burst_replay_is_byte_identical_to_per_packet_replay() {
     let mut sim_b = Simulator::new(topo, SimConfig::default());
 
     for _ in 0..2 {
-        let ra = sim_a.run_epoch(&trace, &plan, &mut per_packet);
-        let rb = sim_b.run_epoch_burst(&trace, &plan, &mut burst);
+        let ra = sim_a.run_epoch(&trace, &plan, &mut SiteArray(&mut per_packet));
+        let rb = sim_b.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut burst));
         assert_eq!(ra.delivered, rb.delivered);
         assert_eq!(ra.lost, rb.lost);
         assert_eq!(ra.dropped_at, rb.dropped_at);
@@ -74,7 +50,7 @@ fn burst_replay_is_byte_identical_to_per_packet_replay() {
         assert_eq!(ra.epoch, rb.epoch);
     }
 
-    for (e, (a, b)) in per_packet.0.iter().zip(&burst.0).enumerate() {
+    for (e, (a, b)) in per_packet.iter().zip(&burst).enumerate() {
         for ts in 0..2u8 {
             let (ga, gb) = (a.group(ts), b.group(ts));
             assert_eq!(ga.classifier, gb.classifier, "edge {e} ts {ts} classifier");
@@ -129,8 +105,8 @@ fn impaired_burst_replay_is_byte_identical_to_per_packet_replay() {
 
     for _ in 0..3 {
         let ra =
-            sim_a.run_epoch_scenario(&trace, &plan, &imp, ReplayMode::PerPacket, &mut per_packet);
-        let rb = sim_b.run_epoch_scenario(&trace, &plan, &imp, ReplayMode::Burst, &mut burst);
+            sim_a.run_epoch_scenario(&trace, &plan, &imp, ReplayMode::PerPacket, &mut SiteArray(&mut per_packet));
+        let rb = sim_b.run_epoch_scenario(&trace, &plan, &imp, ReplayMode::Burst, &mut SiteArray(&mut burst));
         assert_eq!(ra.delivered, rb.delivered);
         assert_eq!(ra.lost, rb.lost);
         assert_eq!(ra.dropped_at, rb.dropped_at);
@@ -140,7 +116,7 @@ fn impaired_burst_replay_is_byte_identical_to_per_packet_replay() {
         assert_eq!(ra.epoch, rb.epoch);
     }
 
-    for (e, (a, b)) in per_packet.0.iter().zip(&burst.0).enumerate() {
+    for (e, (a, b)) in per_packet.iter().zip(&burst).enumerate() {
         for ts in 0..2u8 {
             let (ga, gb) = (a.group(ts), b.group(ts));
             assert_eq!(ga.classifier, gb.classifier, "edge {e} ts {ts} classifier");

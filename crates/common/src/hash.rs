@@ -22,8 +22,8 @@
 //!   derives every per-array/per-lane value from the premixed word, instead
 //!   of re-running the mixer inside each of the `d` per-array hash calls.
 //!
-//! [`PairwiseHash::index_mod`] keeps the original `mod m` reduction as the
-//! reference implementation; property tests pin the fast path against it.
+//! Property tests (`chm_bench`'s `hotpath_equivalence`) pin both against
+//! their closed forms and against a `%`-based reference sketch.
 
 use crate::prime::{mul_mod, reduce64, MERSENNE_P};
 
@@ -113,16 +113,6 @@ impl PairwiseHash {
     pub fn index(&self, key: u64, m: usize) -> usize {
         debug_assert!(m > 0);
         FastRange::new(m).reduce(self.raw(key))
-    }
-
-    /// The original `mod m` range reduction, kept as the reference
-    /// implementation for the fast-range property tests and the
-    /// `chm-bench perf` legacy baseline. Semantically a valid index
-    /// function, but pays a 64-bit integer division per call.
-    #[inline]
-    pub fn index_mod(&self, key: u64, m: usize) -> usize {
-        debug_assert!(m > 0);
-        (self.raw(key) % m as u64) as usize
     }
 
     /// The full-range hash value in `[0, p)` before range reduction.
@@ -358,22 +348,6 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             let dev = (c as f64 - expect).abs() / expect;
             assert!(dev < 0.25, "bin {i} count {c} deviates {dev:.2} from {expect}");
-        }
-    }
-
-    #[test]
-    fn index_mod_reference_stays_in_range_and_uniform() {
-        let h = PairwiseHash::from_seed(13);
-        let m = 48;
-        let mut counts = vec![0u32; m];
-        for key in 0..48_000u64 {
-            let j = h.index_mod(key, m);
-            assert!(j < m);
-            counts[j] += 1;
-        }
-        let expect = 1000.0;
-        for &c in &counts {
-            assert!((c as f64 - expect).abs() / expect < 0.25);
         }
     }
 

@@ -463,8 +463,7 @@ fn rule_hot_path(ctx: &FileCtx<'_>, code: &[(usize, &Tok)], out: &mut Vec<Diagno
                     "hot-path-mod",
                     format!(
                         "`%` reduction in hot function `{}`: use the precomputed \
-                         `FastRange` multiply-shift instead (the `index_mod` legacy \
-                         reference lives outside hot paths)",
+                         `FastRange` multiply-shift instead",
                         f.name
                     ),
                 ));

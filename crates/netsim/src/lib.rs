@@ -19,7 +19,8 @@
 //!   prologue, one per-flow realize step and two walkers (per-packet and
 //!   burst, [`ReplayMode`]) replay a trace through ingress hooks, drop
 //!   decisions, and egress hooks, epoch by epoch, attributing every drop to
-//!   the switch that caused it; the clean fabric is the replay under
+//!   the switch that caused it; the hooks are one trait, [`EdgeSite`], one
+//!   implementor per edge switch; the clean fabric is the replay under
 //!   [`ImpairmentSet::none`];
 //! * [`shard`] — the second driver of the same kernel: per-edge shards on
 //!   scoped threads, byte-identical to the serial driver at any layout;
@@ -60,11 +61,8 @@ pub use impair::{
 };
 pub use collect::CollectionModel;
 pub use queue::{QueueDepthStat, QueueLinkStats, QueueModel, QueueRealization, RedDrop};
-pub use shard::{
-    merge_fragments, EdgeSite, ReportFragment, ShardTiming, ShardedReplay, Sharding,
-    SiteArray,
-};
-pub use sim::{BurstHooks, EdgeHooks, EpochReport, ReplayMode, SimConfig, Simulator};
+pub use shard::{merge_fragments, ReportFragment, ShardTiming, ShardedReplay, Sharding};
+pub use sim::{EdgeSite, EpochReport, ReplayMode, SimConfig, Simulator, SiteArray};
 pub use topology::{
     Fabric, FatTree, KaryFatTree, LeafSpine, SwitchId, SwitchRole, Topology, WanGraph,
 };

@@ -53,58 +53,13 @@
 use crate::impair::ImpairmentSet;
 use crate::queue::QueueDepthStat;
 use crate::sim::{
-    BurstHooks, EdgeHooks, EpochReport, EpochSetup, FlowScratch, Port, ReplayMode, Routable,
-    Simulator,
+    EdgeSite, EpochReport, EpochSetup, FlowScratch, Port, ReplayMode, Routable, Simulator,
 };
 use crate::topology::{SwitchId, Topology};
 use chm_common::FlowId;
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
 use std::collections::{BTreeMap, HashMap};
-
-/// One edge switch's measurement pipeline, as the sharded replay drives it.
-///
-/// This is the per-site twin of [`EdgeHooks`]/[`BurstHooks`]: the same four
-/// operations without the `edge` index (the shard already holds the site it
-/// owns). `Send` is required so shards can carry their sites across scoped
-/// threads. Blanket adapters go the other way: [`SiteArray`] presents a
-/// `&mut [E]` of sites as `EdgeHooks`/`BurstHooks` for the serial driver,
-/// so one implementation serves both.
-pub trait EdgeSite<F>: Send {
-    /// Packet of `f` enters the network here; returns the carried 2-bit tag.
-    fn site_ingress(&mut self, f: &F, ts_bit: u8) -> u8;
-    /// Packet of `f` exits the network here.
-    fn site_egress(&mut self, f: &F, ts_bit: u8, tag: u8);
-    /// Burst ingress: `pkts` packets of `f`, tag runs in packet order.
-    fn site_ingress_burst(&mut self, f: &F, ts_bit: u8, pkts: u64) -> [(u8, u64); 3];
-    /// Burst egress for `delivered` packets of one tag run.
-    fn site_egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64);
-}
-
-/// Presents a slice of [`EdgeSite`]s as the [`EdgeHooks`]/[`BurstHooks`]
-/// pair the serial [`Simulator`] expects — the shared replacement for
-/// the per-crate `EdgeArray` adapters that used to live in `chamelemon`,
-/// `chm_scenarios`, and `chm_serve`.
-pub struct SiteArray<'a, E>(pub &'a mut [E]);
-
-impl<F, E: EdgeSite<F>> EdgeHooks<F> for SiteArray<'_, E> {
-    fn on_ingress(&mut self, edge: usize, f: &F, ts_bit: u8) -> u8 {
-        self.0[edge].site_ingress(f, ts_bit)
-    }
-    fn on_egress(&mut self, edge: usize, f: &F, ts_bit: u8, tag: u8) {
-        self.0[edge].site_egress(f, ts_bit, tag)
-    }
-}
-
-impl<F, E: EdgeSite<F>> BurstHooks<F> for SiteArray<'_, E> {
-    fn on_ingress_burst(&mut self, edge: usize, f: &F, ts_bit: u8, pkts: u64)
-        -> [(u8, u64); 3] {
-        self.0[edge].site_ingress_burst(f, ts_bit, pkts)
-    }
-    fn on_egress_burst(&mut self, edge: usize, f: &F, ts_bit: u8, tag: u8, delivered: u64) {
-        self.0[edge].site_egress_burst(f, ts_bit, tag, delivered)
-    }
-}
 
 /// How a trial is sharded.
 ///
@@ -713,6 +668,7 @@ impl<F: Routable> ShardedReplay<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SiteArray;
     use crate::topology::{FatTree, SwitchRole};
     use chm_common::FiveTuple;
     use chm_workloads::{testbed_trace, VictimSelection, WorkloadKind};

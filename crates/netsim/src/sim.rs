@@ -23,34 +23,32 @@ use chm_workloads::{LossPlan, Trace};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
-/// Measurement hooks an edge-switch data plane exposes to the simulator.
+/// One edge switch's measurement pipeline: the hooks a data plane exposes
+/// to the replay, the one boundary both drivers cross.
 ///
 /// `ts_bit` is the 1-bit epoch timestamp the packet reads at its ingress
 /// edge and carries through the network (Appendix B); `tag` is the 2-bit
 /// flow-hierarchy tag the ingress pipeline writes into the ToS field so the
-/// egress pipeline knows which encoder to use (§3.2.3).
-pub trait EdgeHooks<F> {
-    /// Called when a packet enters the network. Returns the hierarchy tag
-    /// the packet carries to its egress edge.
-    fn on_ingress(&mut self, edge: usize, f: &F, ts_bit: u8) -> u8;
-
-    /// Called when a packet exits the network (unless it was dropped).
-    fn on_egress(&mut self, edge: usize, f: &F, ts_bit: u8, tag: u8);
+/// egress pipeline knows which encoder to use (§3.2.3). The burst forms
+/// ingest a run of consecutive same-flow packets in one call and must leave
+/// the same state as the per-packet forms (ChameleMon's engine classifies a
+/// burst in closed form — [`ReplayMode::Burst`] exploits it). `Send` is
+/// required so shards can carry their sites across scoped threads.
+pub trait EdgeSite<F>: Send {
+    /// Packet of `f` enters the network here; returns the tag it carries.
+    fn site_ingress(&mut self, f: &F, ts_bit: u8) -> u8;
+    /// Packet of `f` exits the network here (unless it was dropped).
+    fn site_egress(&mut self, f: &F, ts_bit: u8, tag: u8);
+    /// Burst ingress: `pkts` packets of `f`; returns the carried tags as
+    /// `(tag, count)` runs **in packet order** (zero-count runs allowed).
+    fn site_ingress_burst(&mut self, f: &F, ts_bit: u8, pkts: u64) -> [(u8, u64); 3];
+    /// Burst egress for `delivered` packets of one tag run.
+    fn site_egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64);
 }
 
-/// Burst-capable measurement hooks: a data plane that can ingest a run of
-/// consecutive same-flow packets in one call, producing the same state as
-/// the per-packet path (ChameleMon's engine classifies a burst in closed
-/// form — [`ReplayMode::Burst`] exploits it).
-pub trait BurstHooks<F>: EdgeHooks<F> {
-    /// Ingests a burst of `pkts` packets of `f`; returns the carried tags
-    /// as `(tag, count)` runs **in packet order** (zero-count runs allowed).
-    fn on_ingress_burst(&mut self, edge: usize, f: &F, ts_bit: u8, pkts: u64)
-        -> [(u8, u64); 3];
-
-    /// Egress for `delivered` packets of one tag run.
-    fn on_egress_burst(&mut self, edge: usize, f: &F, ts_bit: u8, tag: u8, delivered: u64);
-}
+/// The fabric's edge sites as the serial [`Simulator`] takes them: one
+/// [`EdgeSite`] per edge switch, indexed by edge.
+pub struct SiteArray<'a, E>(pub &'a mut [E]);
 
 /// Flows the simulator can route: they name their endpoints.
 pub trait Routable: FlowId {
@@ -219,7 +217,7 @@ pub enum ReplayMode {
 }
 
 /// Where a walker's packets go: ingress at the flow's ingress edge, egress
-/// toward its egress edge. The serial driver calls the hooks on the spot;
+/// toward its egress edge. The serial driver calls the two sites on the spot;
 /// the sharded driver ingests on the site it owns and queues egress as runs
 /// for the shard that owns the egress edge.
 pub(crate) trait Port<F> {
@@ -229,29 +227,31 @@ pub(crate) trait Port<F> {
     fn egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64);
 }
 
-/// The serial driver's port: immediate hook calls.
-struct HookPort<'a, H> {
-    hooks: &'a mut H,
+/// The serial driver's port: immediate calls on the flow's two sites —
+/// held by index, not as two `&mut`, because a same-rack flow enters and
+/// leaves at one site.
+struct SitePort<'a, E> {
+    sites: &'a mut [E],
     in_edge: usize,
     out_edge: usize,
 }
 
-impl<F, H: BurstHooks<F>> Port<F> for HookPort<'_, H> {
+impl<F, E: EdgeSite<F>> Port<F> for SitePort<'_, E> {
     #[inline]
     fn ingress(&mut self, f: &F, ts_bit: u8) -> u8 {
-        self.hooks.on_ingress(self.in_edge, f, ts_bit)
+        self.sites[self.in_edge].site_ingress(f, ts_bit)
     }
     #[inline]
     fn egress(&mut self, f: &F, ts_bit: u8, tag: u8) {
-        self.hooks.on_egress(self.out_edge, f, ts_bit, tag)
+        self.sites[self.out_edge].site_egress(f, ts_bit, tag)
     }
     #[inline]
     fn ingress_burst(&mut self, f: &F, ts_bit: u8, pkts: u64) -> [(u8, u64); 3] {
-        self.hooks.on_ingress_burst(self.in_edge, f, ts_bit, pkts)
+        self.sites[self.in_edge].site_ingress_burst(f, ts_bit, pkts)
     }
     #[inline]
     fn egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64) {
-        self.hooks.on_egress_burst(self.out_edge, f, ts_bit, tag, delivered)
+        self.sites[self.out_edge].site_egress_burst(f, ts_bit, tag, delivered)
     }
 }
 
@@ -475,34 +475,34 @@ impl Simulator {
     /// least one packet). Ingress hooks fire for *all* packets, egress hooks
     /// only for delivered ones, matching where the upstream/downstream
     /// encoders sit (§3.2).
-    pub fn run_epoch<F: Routable>(
+    pub fn run_epoch<F: Routable, E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
-        hooks: &mut impl BurstHooks<F>,
+        hooks: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         self.run_epoch_scenario(trace, plan, &ImpairmentSet::none(), ReplayMode::PerPacket, hooks)
     }
 
     /// [`run_epoch`](Self::run_epoch) through the burst walker: identical
     /// sketch state and report at a fraction of the replay cost.
-    pub fn run_epoch_burst<F: Routable>(
+    pub fn run_epoch_burst<F: Routable, E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
-        hooks: &mut impl BurstHooks<F>,
+        hooks: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         self.run_epoch_scenario(trace, plan, &ImpairmentSet::none(), ReplayMode::Burst, hooks)
     }
 
     /// [`run_epoch_scenario`](Self::run_epoch_scenario) with
     /// [`ReplayMode::Burst`].
-    pub fn run_epoch_burst_scenario<F: Routable>(
+    pub fn run_epoch_burst_scenario<F: Routable, E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
         imp: &ImpairmentSet,
-        hooks: &mut impl BurstHooks<F>,
+        hooks: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         self.run_epoch_scenario(trace, plan, imp, ReplayMode::Burst, hooks)
     }
@@ -518,13 +518,13 @@ impl Simulator {
     /// state do not depend on `mode`.
     ///
     /// [`ImpairmentSet::none`] is the clean fabric: plan losses only.
-    pub fn run_epoch_scenario<F: Routable>(
+    pub fn run_epoch_scenario<F: Routable, E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
         imp: &ImpairmentSet,
         mode: ReplayMode,
-        hooks: &mut impl BurstHooks<F>,
+        hooks: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         let setup = self.begin_epoch(trace, plan, imp);
         let mut delivered = HashMap::with_capacity(trace.num_flows());
@@ -536,7 +536,7 @@ impl Simulator {
             let out_edge = self.topology.edge_of_host(f.dst_host());
             let del = setup.realize_flow(&f, pkts, in_edge, &mut sc, &mut acc);
             delivered.insert(f, del);
-            let mut port = HookPort { hooks: &mut *hooks, in_edge, out_edge };
+            let mut port = SitePort { sites: &mut *hooks.0, in_edge, out_edge };
             mode.walk(&f, pkts, setup.ts_bit, &sc.fates, &mut port);
         }
         let report = EpochReport {
@@ -598,50 +598,59 @@ mod tests {
     use crate::topology::FatTree;
     use chm_workloads::{testbed_trace, VictimSelection, WorkloadKind};
 
-    /// Hooks that just count calls per edge.
+    /// A site that just counts its calls.
     #[derive(Default)]
     struct Counter {
-        ingress: HashMap<usize, u64>,
-        egress: HashMap<usize, u64>,
+        ingress: u64,
+        egress: u64,
         ts_bits: Vec<u8>,
     }
 
-    impl EdgeHooks<FiveTuple> for Counter {
-        fn on_ingress(&mut self, edge: usize, _f: &FiveTuple, ts: u8) -> u8 {
-            *self.ingress.entry(edge).or_insert(0) += 1;
+    impl EdgeSite<FiveTuple> for Counter {
+        fn site_ingress(&mut self, _f: &FiveTuple, ts: u8) -> u8 {
+            self.ingress += 1;
             self.ts_bits.push(ts);
             2 // arbitrary tag
         }
-        fn on_egress(&mut self, edge: usize, _f: &FiveTuple, _ts: u8, tag: u8) {
+        fn site_egress(&mut self, _f: &FiveTuple, _ts: u8, tag: u8) {
             assert_eq!(tag, 2, "tag must round-trip");
-            *self.egress.entry(edge).or_insert(0) += 1;
+            self.egress += 1;
         }
-    }
-
-    impl BurstHooks<FiveTuple> for Counter {
-        fn on_ingress_burst(&mut self, edge: usize, f: &FiveTuple, ts: u8, pkts: u64)
-            -> [(u8, u64); 3] {
+        fn site_ingress_burst(&mut self, f: &FiveTuple, ts: u8, pkts: u64) -> [(u8, u64); 3] {
             for _ in 0..pkts {
-                self.on_ingress(edge, f, ts);
+                self.site_ingress(f, ts);
             }
             [(2, pkts), (2, 0), (2, 0)]
         }
-        fn on_egress_burst(&mut self, edge: usize, f: &FiveTuple, ts: u8, tag: u8, delivered: u64) {
+        fn site_egress_burst(&mut self, f: &FiveTuple, ts: u8, tag: u8, delivered: u64) {
             for _ in 0..delivered {
-                self.on_egress(edge, f, ts, tag);
+                self.site_egress(f, ts, tag);
             }
         }
+    }
+
+    /// One counter per testbed edge.
+    fn counters() -> Vec<Counter> {
+        (0..4).map(|_| Counter::default()).collect()
+    }
+
+    fn ingress(sites: &[Counter]) -> u64 {
+        sites.iter().map(|s| s.ingress).sum()
+    }
+
+    fn egress(sites: &[Counter]) -> u64 {
+        sites.iter().map(|s| s.egress).sum()
     }
 
     #[test]
     fn lossless_epoch_balances_ingress_egress() {
         let trace = testbed_trace(WorkloadKind::Dctcp, 500, 8, 1);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let report = sim.run_epoch(&trace, &LossPlan::none(), &mut hooks);
+        let mut sites = counters();
+        let report = sim.run_epoch(&trace, &LossPlan::none(), &mut SiteArray(&mut sites));
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
-        assert_eq!(hooks.ingress.values().sum::<u64>(), total);
-        assert_eq!(hooks.egress.values().sum::<u64>(), total);
+        assert_eq!(ingress(&sites), total);
+        assert_eq!(egress(&sites), total);
         assert_eq!(report.total_sent(), total);
         assert!(report.lost.is_empty());
     }
@@ -651,13 +660,13 @@ mod tests {
         let trace = testbed_trace(WorkloadKind::Dctcp, 500, 8, 2);
         let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.1), 0.05, 3);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let report = sim.run_epoch(&trace, &plan, &mut hooks);
+        let mut sites = counters();
+        let report = sim.run_epoch(&trace, &plan, &mut SiteArray(&mut sites));
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
         let lost: u64 = report.lost.values().sum();
         assert!(lost > 0);
-        assert_eq!(hooks.ingress.values().sum::<u64>(), total);
-        assert_eq!(hooks.egress.values().sum::<u64>(), total - lost);
+        assert_eq!(ingress(&sites), total);
+        assert_eq!(egress(&sites), total - lost);
         assert_eq!(report.victim_flows(), plan.num_victims());
     }
 
@@ -665,14 +674,14 @@ mod tests {
     fn ts_bit_flips_between_epochs() {
         let trace = testbed_trace(WorkloadKind::Cache, 50, 8, 3);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
+        let mut sites = counters();
         assert_eq!(sim.current_ts_bit(), 0);
-        sim.run_epoch(&trace, &LossPlan::none(), &mut hooks);
-        assert!(hooks.ts_bits.iter().all(|&b| b == 0));
+        sim.run_epoch(&trace, &LossPlan::none(), &mut SiteArray(&mut sites));
+        assert!(sites.iter().flat_map(|s| &s.ts_bits).all(|&b| b == 0));
         assert_eq!(sim.current_ts_bit(), 1);
-        hooks.ts_bits.clear();
-        sim.run_epoch(&trace, &LossPlan::none(), &mut hooks);
-        assert!(hooks.ts_bits.iter().all(|&b| b == 1));
+        sites.iter_mut().for_each(|s| s.ts_bits.clear());
+        sim.run_epoch(&trace, &LossPlan::none(), &mut SiteArray(&mut sites));
+        assert!(sites.iter().flat_map(|s| &s.ts_bits).all(|&b| b == 1));
     }
 
     #[test]
@@ -680,9 +689,9 @@ mod tests {
         let trace = testbed_trace(WorkloadKind::Vl2, 300, 8, 4);
         let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.2), 0.1, 5);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let r1 = sim.run_epoch(&trace, &plan, &mut hooks);
-        let r2 = sim.run_epoch(&trace, &plan, &mut hooks);
+        let mut sites = counters();
+        let r1 = sim.run_epoch(&trace, &plan, &mut SiteArray(&mut sites));
+        let r2 = sim.run_epoch(&trace, &plan, &mut SiteArray(&mut sites));
         // Victim sets identical (plan is fixed) but realized loss counts
         // should differ somewhere.
         assert_eq!(r1.victim_flows(), r2.victim_flows());
@@ -753,8 +762,8 @@ mod tests {
         let trace = testbed_trace(WorkloadKind::Vl2, 600, 8, 21);
         let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.2), 0.1, 22);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let r = sim.run_epoch(&trace, &plan, &mut hooks);
+        let mut sites = counters();
+        let r = sim.run_epoch(&trace, &plan, &mut SiteArray(&mut sites));
         // Every lost packet is attributed exactly once.
         assert_eq!(r.total_attributed(), r.lost.values().sum::<u64>());
         let topo = FatTree::testbed();
@@ -790,14 +799,14 @@ mod tests {
             ..ImpairmentSet::none()
         };
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, ReplayMode::PerPacket, &mut hooks);
+        let mut sites = counters();
+        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, ReplayMode::PerPacket, &mut SiteArray(&mut sites));
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
         assert!(report.lost.is_empty(), "duplication is not loss");
         assert_eq!(report.total_sent(), total);
-        assert_eq!(hooks.ingress.values().sum::<u64>(), total);
+        assert_eq!(ingress(&sites), total);
         // Every delivered packet egressed twice.
-        assert_eq!(hooks.egress.values().sum::<u64>(), 2 * total);
+        assert_eq!(egress(&sites), 2 * total);
     }
 
     #[test]
@@ -809,12 +818,12 @@ mod tests {
             ..ImpairmentSet::none()
         };
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, ReplayMode::PerPacket, &mut hooks);
+        let mut sites = counters();
+        let report = sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, ReplayMode::PerPacket, &mut SiteArray(&mut sites));
         let lost: u64 = report.lost.values().sum();
         assert!(lost > 0, "GE must create victims without any loss plan");
         let total: u64 = trace.flows.iter().map(|&(_, s)| s).sum();
-        assert_eq!(hooks.egress.values().sum::<u64>(), total - lost);
+        assert_eq!(egress(&sites), total - lost);
     }
 
     #[test]
@@ -826,23 +835,23 @@ mod tests {
             ..ImpairmentSet::none()
         };
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, ReplayMode::PerPacket, &mut hooks);
+        let mut sites = counters();
+        sim.run_epoch_scenario(&trace, &LossPlan::none(), &imp, ReplayMode::PerPacket, &mut SiteArray(&mut sites));
         // Epoch 0 (bit 0): mis-stamped packets carry bit 1.
-        let skewed = hooks.ts_bits.iter().filter(|&&b| b == 1).count();
+        let skewed = sites.iter().flat_map(|s| &s.ts_bits).filter(|&&b| b == 1).count();
         assert!(skewed > 0, "0.3 max skew must mis-stamp something");
-        assert!(skewed < hooks.ts_bits.len() / 2, "skew must stay a minority");
+        assert!(skewed < ingress(&sites) as usize / 2, "skew must stay a minority");
     }
 
     #[test]
     fn all_edges_carry_traffic() {
         let trace = testbed_trace(WorkloadKind::Hadoop, 2000, 8, 6);
         let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
-        let mut hooks = Counter::default();
-        sim.run_epoch(&trace, &LossPlan::none(), &mut hooks);
-        for e in 0..4 {
-            assert!(hooks.ingress.get(&e).copied().unwrap_or(0) > 0, "edge {e} idle");
-            assert!(hooks.egress.get(&e).copied().unwrap_or(0) > 0, "edge {e} idle");
+        let mut sites = counters();
+        sim.run_epoch(&trace, &LossPlan::none(), &mut SiteArray(&mut sites));
+        for (e, site) in sites.iter().enumerate() {
+            assert!(site.ingress > 0, "edge {e} idle");
+            assert!(site.egress > 0, "edge {e} idle");
         }
     }
 }

@@ -321,36 +321,40 @@ mod queue {
 mod fabric {
     use super::*;
     use chm_common::{FiveTuple, FlowId};
-    use chm_netsim::sim::{BurstHooks, EdgeHooks, EpochReport, Routable};
+    use chm_netsim::sim::{EpochReport, Routable};
     use chm_netsim::{
-        CongestionModel, Derate, ImpairmentSet, ReplayMode, SimConfig, Simulator,
+        CongestionModel, Derate, EdgeSite, ImpairmentSet, ReplayMode, SimConfig, Simulator,
+        SiteArray,
     };
     use chm_workloads::{testbed_trace, LossPlan, VictimSelection, WorkloadKind};
 
-    /// Hooks that ignore everything (ground truth is what's under test).
+    /// A site that ignores everything (ground truth is what's under test).
     pub struct Null;
-    impl EdgeHooks<FiveTuple> for Null {
-        fn on_ingress(&mut self, _e: usize, _f: &FiveTuple, _ts: u8) -> u8 {
+    impl EdgeSite<FiveTuple> for Null {
+        fn site_ingress(&mut self, _f: &FiveTuple, _ts: u8) -> u8 {
             0
         }
-        fn on_egress(&mut self, _e: usize, _f: &FiveTuple, _ts: u8, _tag: u8) {}
-    }
-    impl BurstHooks<FiveTuple> for Null {
-        fn on_ingress_burst(&mut self, _e: usize, _f: &FiveTuple, _ts: u8, pkts: u64)
-            -> [(u8, u64); 3] {
+        fn site_egress(&mut self, _f: &FiveTuple, _ts: u8, _tag: u8) {}
+        fn site_ingress_burst(&mut self, _f: &FiveTuple, _ts: u8, pkts: u64) -> [(u8, u64); 3] {
             [(0, pkts), (1, 0), (2, 0)]
         }
-        fn on_egress_burst(&mut self, _e: usize, _f: &FiveTuple, _ts: u8, _tag: u8, _n: u64) {}
+        fn site_egress_burst(&mut self, _f: &FiveTuple, _ts: u8, _tag: u8, _n: u64) {}
     }
 
-    /// One per-packet epoch of the serial driver with the null hooks.
+    /// One null site per edge of the simulator's fabric.
+    fn nulls(sim: &Simulator) -> Vec<Null> {
+        (0..sim.topology.n_edges()).map(|_| Null).collect()
+    }
+
+    /// One per-packet epoch of the serial driver with the null sites.
     pub fn replay(
         sim: &mut Simulator,
         trace: &chm_workloads::Trace<FiveTuple>,
         plan: &LossPlan<FiveTuple>,
         imp: &ImpairmentSet,
     ) -> EpochReport<FiveTuple> {
-        sim.run_epoch_scenario(trace, plan, imp, ReplayMode::PerPacket, &mut Null)
+        let mut sites = nulls(sim);
+        sim.run_epoch_scenario(trace, plan, imp, ReplayMode::PerPacket, &mut SiteArray(&mut sites))
     }
 
     /// A planned victim that sent nothing this epoch is not a victim: no
@@ -370,7 +374,14 @@ mod fabric {
         };
         for mode in [ReplayMode::PerPacket, ReplayMode::Burst] {
             let mut sim = Simulator::new(topo.clone(), SimConfig::default());
-            let r = sim.run_epoch_scenario(&trace, &plan, &ImpairmentSet::none(), mode, &mut Null);
+            let mut sites = nulls(&sim);
+            let r = sim.run_epoch_scenario(
+                &trace,
+                &plan,
+                &ImpairmentSet::none(),
+                mode,
+                &mut SiteArray(&mut sites),
+            );
             check_attribution(&r, &topo);
             assert_eq!(r.delivered[&idle], 0, "{mode:?}");
             assert!(!r.lost.contains_key(&idle), "{mode:?}: an idle flow lost nothing");

@@ -147,7 +147,8 @@ fn main() {
             .unwrap_or_else(|e| fail(format!("could not read snapshot {path}: {e}")));
         let snap = ServeSnapshot::parse(&text)
             .unwrap_or_else(|e| fail(format!("could not parse snapshot {path}: {e}")));
-        rt.restore(&snap);
+        rt.restore(&snap)
+            .unwrap_or_else(|e| fail(format!("could not restore snapshot {path}: {e}")));
     }
 
     let stdout = std::io::stdout();

@@ -360,7 +360,31 @@ impl ServeRuntime {
     /// [`ServeConfig`]. After this, the stream of [`step`](Self::step)
     /// results — decisions *and* metrics bytes — is identical to the
     /// uninterrupted run's.
-    pub fn restore(&mut self, snap: &ServeSnapshot) {
+    ///
+    /// A snapshot is outside input: one that parses but does not fit this
+    /// deployment — a deployed or last-good runtime that is invalid under
+    /// the stack's [`DataPlaneConfig`](chamelemon::config::DataPlaneConfig),
+    /// or localizer tables for a controller without localization — is an
+    /// `Err`, checked before anything is mutated, so the runtime is
+    /// untouched by a failed call.
+    pub fn restore(&mut self, snap: &ServeSnapshot) -> Result<(), String> {
+        let cfg = self.stack.edges[0].config();
+        snap.controller
+            .deployed
+            .validate(cfg)
+            .map_err(|e| format!("deployed runtime does not fit this configuration: {e}"))?;
+        // Unchecked, an invalid hold would only surface epochs later, as a
+        // panic the first time the watchdog degrades.
+        snap.last_good
+            .validate(cfg)
+            .map_err(|e| format!("last_good runtime does not fit this configuration: {e}"))?;
+        // The controller only says whether localization is on through its
+        // own snapshot; this runs once per process.
+        if snap.controller.localizer.is_some()
+            && self.stack.controller.snapshot().localizer.is_none()
+        {
+            return Err("snapshot has localizer tables but localization is not enabled".into());
+        }
         self.stack.controller.restore(&snap.controller);
         self.watchdog.restore(&snap.watchdog);
         self.last_good = snap.last_good;
@@ -369,6 +393,7 @@ impl ServeRuntime {
         for e in &mut self.stack.edges {
             *e = EdgeDataPlane::new(e.config().clone(), deployed);
         }
+        Ok(())
     }
 }
 
@@ -424,4 +449,59 @@ fn score_detection(
         0.0
     };
     (precision, recall, f1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chamelemon::Controller;
+
+    fn runtime_after(epochs: u64) -> ServeRuntime {
+        let scenario = Scenario::builder("restore_test").seed(11).flows(200).build();
+        let mut rt = ServeRuntime::new(ServeConfig::new(scenario, FaultPlan::none(11)));
+        for _ in 0..epochs {
+            rt.step();
+        }
+        rt
+    }
+
+    /// `restore` must refuse `bad` and leave `rt` exactly as it was.
+    fn assert_rejected(rt: &mut ServeRuntime, bad: &ServeSnapshot, needle: &str) {
+        let before = rt.snapshot();
+        let err = rt.restore(bad).expect_err("an unfit snapshot must be refused");
+        assert!(err.contains(needle), "{err:?} does not name {needle:?}");
+        assert_eq!(rt.snapshot(), before, "a refused restore must not touch the runtime");
+    }
+
+    #[test]
+    fn restore_refuses_a_snapshot_that_does_not_fit_and_stays_untouched() {
+        // The donor is at another epoch with other tables, so any partial
+        // restore would show in the runtime's next snapshot.
+        let good = runtime_after(5).snapshot();
+        assert!(good.controller.localizer.is_some());
+        let mut rt = runtime_after(2);
+
+        let mut bad = good.clone();
+        bad.controller.deployed.partition.m_hh = 9999;
+        assert_rejected(&mut rt, &bad, "deployed");
+
+        let mut bad = good.clone();
+        bad.controller.deployed.tl = bad.controller.deployed.th + 1;
+        assert_rejected(&mut rt, &bad, "deployed");
+
+        // Never validated before: it used to panic epochs later, inside
+        // `hold_runtime`, the first time the watchdog degraded.
+        let mut bad = good.clone();
+        bad.last_good.tl = bad.last_good.th + 1;
+        assert_rejected(&mut rt, &bad, "last_good");
+
+        // The same donor fits once nothing is wrong with it.
+        rt.restore(&good).expect("a fitting snapshot restores");
+        assert_eq!(rt.snapshot(), good);
+
+        // Localizer tables for a controller that has no localizer.
+        let cfg = rt.stack.edges[0].config().clone();
+        rt.stack.controller = Controller::new(cfg);
+        assert_rejected(&mut rt, &good, "localiz");
+    }
 }

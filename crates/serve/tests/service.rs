@@ -57,7 +57,7 @@ fn crash_restore_at_every_boundary_is_byte_identical() {
         // New process: parse, restore, continue.
         let snap = ServeSnapshot::parse(&wire).expect("snapshot parses");
         let mut second = ServeRuntime::new(cfg.clone());
-        second.restore(&snap);
+        second.restore(&snap).unwrap();
         assert_eq!(second.next_epoch(), k, "restore must reposition the stream");
         let suffix = run_epochs(&mut second, EPOCHS - k);
 
@@ -114,7 +114,7 @@ fn sustained_pauses_degrade_then_service_recovers() {
         scenario(13),
         FaultPlan::none(13),
     ));
-    healed.restore(&snap);
+    healed.restore(&snap).unwrap();
     let after = run_epochs(&mut healed, 4);
     assert_eq!(after[0].state, "degraded", "recovery needs consecutive proof");
     assert_eq!(healed.state(), ServeState::Live, "service must self-heal");
