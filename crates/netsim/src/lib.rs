@@ -62,7 +62,9 @@ pub use impair::{
 pub use collect::CollectionModel;
 pub use queue::{QueueDepthStat, QueueLinkStats, QueueModel, QueueRealization, RedDrop};
 pub use shard::{merge_fragments, ReportFragment, ShardTiming, ShardedReplay, Sharding};
-pub use sim::{EdgeSite, EpochReport, ReplayMode, SimConfig, Simulator, SiteArray};
+pub use sim::{
+    EdgeSite, EpochReport, FlowColumn, ReplayMode, SimConfig, Simulator, SiteArray,
+};
 pub use topology::{
     Fabric, FatTree, KaryFatTree, LeafSpine, SwitchId, SwitchRole, Topology, WanGraph,
 };

@@ -31,13 +31,17 @@
 //!   makes `chm_bench::parallel` byte-identical at any worker count — so a
 //!   shard realizes exactly what the serial loop would.
 //!
-//! # SoA layout
+//! # Layout
 //!
-//! `ShardFlows` keeps the partition as flat parallel arrays (trace slot,
-//! global/local ingress edge, destination shard/local edge) indexed by flow
-//! slot, and `ShardScratch` reuses route/probability/fate buffers across
-//! epochs — shards stream cache-linearly instead of chasing per-flow heap
-//! objects.
+//! The partition is one flat column per shard — `ShardFlows`, the trace
+//! indices of the shard's flows, ascending. Everything else phase A needs
+//! about a flow (its global ingress edge, which of the shard's sites that
+//! is, which shard and site it leaves through) is re-derived from the
+//! flow's endpoints and two per-edge tables (`EdgeTables`), and
+//! `ShardScratch` reuses route/probability/fate buffers across epochs —
+//! shards stream cache-linearly instead of chasing per-flow heap objects.
+//! No step hashes a flow: the plan's losses arrive by trace index, and the
+//! fragments' `delivered` rows carry theirs, so the merge is an interleave.
 //!
 //! `shards` fixes the partition (and is what byte-identity is proven over);
 //! `workers` only scales execution — any worker count replays the same
@@ -53,7 +57,8 @@
 use crate::impair::ImpairmentSet;
 use crate::queue::QueueDepthStat;
 use crate::sim::{
-    EdgeSite, EpochReport, EpochSetup, FlowScratch, Port, ReplayMode, Routable, Simulator,
+    EdgeSite, EpochReport, EpochSetup, FlowColumn, FlowScratch, Port, ReplayMode, Routable,
+    Simulator,
 };
 use crate::topology::{SwitchId, Topology};
 use chm_common::FlowId;
@@ -95,16 +100,17 @@ impl Sharding {
 /// One shard's slice of an [`EpochReport`]: everything a shard accumulates
 /// locally in phase A. Per-flow entries are disjoint across shards (every
 /// flow lives on exactly one shard); per-switch and histogram maps overlap
-/// and merge by addition — both reductions are order-independent, which is
-/// what makes [`merge_fragments`] permutation-invariant (property-tested).
+/// and merge by addition, and the `delivered` rows interleave on their trace
+/// index — all three reductions are order-independent, which is what makes
+/// [`merge_fragments`] permutation-invariant (property-tested).
 #[derive(Debug, Clone)]
 pub struct ReportFragment<F> {
-    /// Realized per-flow deliveries, as a dense column:
-    /// one `(flow, delivered)` entry per flow the shard owns, in partition
-    /// order. Every flow has an entry, so a keyed map here would hash the
-    /// whole trace once per shard and again in the merge; the column is
-    /// appended to, and [`merge_fragments`] hashes each flow exactly once.
-    pub delivered: Vec<(F, u64)>,
+    /// Realized per-flow deliveries, as a dense column: one
+    /// `(trace index, flow, delivered)` row per flow the shard owns, in
+    /// ascending trace index (the order a shard walks its flows in). The
+    /// index is what lets [`merge_fragments`] rebuild the report's
+    /// trace-order column by interleaving, without hashing a flow.
+    pub delivered: Vec<(u32, F, u64)>,
     /// Realized per-flow losses.
     pub lost: HashMap<F, u64>,
     /// Per-switch drop totals for this shard's flows.
@@ -149,15 +155,16 @@ impl<F: Copy + Eq + std::hash::Hash> ReportFragment<F> {
     }
 }
 
-/// Merges one fragment into the accumulator, draining the source so its
-/// capacity is reused next epoch. Per-flow entries are disjoint unions;
-/// per-switch and histogram maps are keyed sums — both order-independent.
+/// Merges one fragment's victim- and switch-sized maps into the
+/// accumulator, draining the source so its capacity is reused next epoch.
+/// Per-victim entries are disjoint unions; per-switch and histogram maps are
+/// keyed sums — both order-independent.
 // chm-lint: hot
 fn merge_one<F: Copy + Eq + std::hash::Hash>(
     acc: &mut EpochReport<F>,
     frag: &mut ReportFragment<F>,
 ) {
-    acc.delivered.extend(frag.delivered.drain(..));
+    frag.delivered.clear();
     acc.lost.extend(frag.lost.drain());
     acc.lost_at.extend(frag.lost_at.drain());
     for (&s, &c) in frag.dropped_at.iter() {
@@ -170,22 +177,51 @@ fn merge_one<F: Copy + Eq + std::hash::Hash>(
     frag.hops_histogram.clear();
 }
 
+/// Interleaves the fragments' `delivered` rows into `out` by trace index:
+/// each step appends the smallest index any fragment still has at its head.
+/// Every fragment is ascending, so the result is ascending whatever order
+/// the fragments come in.
+// chm-lint: hot
+fn interleave_delivered<F: Copy>(heads: &mut [&[(u32, F, u64)]], out: &mut FlowColumn<F>) {
+    loop {
+        let mut next: Option<(usize, u32)> = None;
+        for (k, head) in heads.iter().enumerate() {
+            if let Some(&(i, ..)) = head.first() {
+                if next.is_none_or(|(_, least)| i < least) {
+                    next = Some((k, i));
+                }
+            }
+        }
+        let Some((k, _)) = next else { break };
+        let (_, f, del) = heads[k][0];
+        out.push(f, del);
+        heads[k] = &heads[k][1..];
+    }
+}
+
 /// The deterministic, order-independent reduction of per-shard fragments
 /// into one [`EpochReport`]. Fragments are drained (capacity kept). The
 /// result is invariant under any permutation of `frags` as long as the
-/// per-flow key sets are disjoint — which the ingress-edge partition
-/// guarantees and the proptest in `tests/shard_differential.rs` pins.
+/// fragments' flows (and so their trace indices) are disjoint — which the
+/// ingress-edge partition guarantees and the proptest in
+/// `tests/shard_differential.rs` pins.
 ///
-/// The report's keyed maps are sized from the summed fragment sizes before
-/// anything is inserted: `delivered` — the one trace-sized map of an epoch —
-/// is built here in a single pass, never regrown.
+/// `delivered` — the one trace-sized piece of an epoch — is allocated once
+/// at the summed fragment length and filled by interleaving the fragments'
+/// ascending rows on their trace index: it comes out in trace order, the
+/// serial driver's order, and no flow is hashed. The victim-sized keyed
+/// maps are sized from the summed fragment sizes before anything is
+/// inserted.
 pub fn merge_fragments<F: FlowId>(
     epoch: u64,
     queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
     frags: &mut [ReportFragment<F>],
 ) -> EpochReport<F> {
+    let mut delivered = FlowColumn::with_capacity(frags.iter().map(|f| f.delivered.len()).sum());
+    let mut heads: Vec<&[(u32, F, u64)]> = frags.iter().map(|f| &f.delivered[..]).collect();
+    interleave_delivered(&mut heads, &mut delivered);
     let mut acc = EpochReport {
-        delivered: HashMap::with_capacity(frags.iter().map(|f| f.delivered.len()).sum()),
+        delivered,
         lost: HashMap::with_capacity(frags.iter().map(|f| f.lost.len()).sum()),
         dropped_at: BTreeMap::new(),
         lost_at: HashMap::with_capacity(frags.iter().map(|f| f.lost_at.len()).sum()),
@@ -236,32 +272,29 @@ impl ShardTiming {
     }
 }
 
-/// The flow partition, struct-of-arrays: one entry per flow owned by this
-/// shard, in trace order. Global ingress edges ride along because
-/// [`ImpairmentSet::realize_flow`] derives per-edge clock skew from the
-/// *global* edge index — a local index would silently change realizations.
+/// The flow partition: the flows owned by this shard, in trace order.
 #[derive(Debug, Default)]
 struct ShardFlows {
-    /// Index into `trace.flows`.
+    /// Index into `trace.flows`, ascending.
     idx: Vec<u32>,
-    /// Global ingress edge (for impairment realization).
-    in_edge: Vec<u32>,
-    /// Ingress edge's index into this shard's owned-site list.
-    in_local: Vec<u32>,
-    /// Destination shard (`out_edge % shards`, precomputed — hot loops may
-    /// not reduce).
-    out_shard: Vec<u32>,
-    /// Egress edge's index into the destination shard's owned-site list.
-    out_local: Vec<u32>,
 }
 
-impl ShardFlows {
-    fn clear(&mut self) {
-        self.idx.clear();
-        self.in_edge.clear();
-        self.in_local.clear();
-        self.out_shard.clear();
-        self.out_local.clear();
+/// Where each edge switch lives under the round-robin split, built once per
+/// epoch so the per-flow loops index a table instead of reducing: edge `e`
+/// belongs to shard `e % shards` and is site `e / shards` of that shard's
+/// owned-site list.
+#[derive(Debug, Default)]
+struct EdgeTables {
+    shard: Vec<u32>,
+    local: Vec<u32>,
+}
+
+impl EdgeTables {
+    fn rebuild(&mut self, n_edges: usize, shards: usize) {
+        self.shard.clear();
+        self.shard.extend((0..n_edges).map(|e| (e % shards) as u32));
+        self.local.clear();
+        self.local.extend((0..n_edges).map(|e| (e / shards) as u32));
     }
 }
 
@@ -372,7 +405,7 @@ fn apply_run<F, E: EdgeSite<F>>(mode: ReplayMode, site: &mut E, run: &EgressRun<
 
 /// Round-robin split of the edge-site slice: shard `s` owns sites
 /// `{e : e % shards == s}` in ascending order, so site `e`'s local index is
-/// `e / shards` everywhere.
+/// `e / shards` everywhere (what `EdgeTables` tabulates).
 fn split_edges<E>(edges: &mut [E], shards: usize) -> Vec<Vec<&mut E>> {
     let mut buckets: Vec<Vec<&mut E>> = (0..shards).map(|_| Vec::new()).collect();
     for (e, site) in edges.iter_mut().enumerate() {
@@ -414,6 +447,41 @@ where
     });
 }
 
+/// Phase A for one shard: replays the shard's flows in ascending trace
+/// index — realize, record the `delivered` row, walk the packets through the
+/// owned ingress site and into the outbox of the shard owning the egress
+/// edge. The flow's edges come from its endpoints; their shard and site
+/// index from `tables`. The *global* ingress edge goes to the realize step
+/// because [`ImpairmentSet::realize_flow`] derives per-edge clock skew from
+/// it — a local index would silently change realizations.
+// chm-lint: hot
+fn replay_shard<F: Routable, E: EdgeSite<F>>(
+    trace: &Trace<F>,
+    mode: ReplayMode,
+    setup: &EpochSetup<'_>,
+    tables: &EdgeTables,
+    t: &mut TaskA<'_, '_, F, E>,
+) {
+    let ShardScratch { outbox, frag, flow } = &mut *t.scratch;
+    let mut plan_lost = setup.plan_losses();
+    for &idx in &t.part.idx {
+        let (f, pkts) = trace.flows[idx as usize];
+        let in_edge = setup.topo.edge_of_host(f.src_host());
+        let out_edge = setup.topo.edge_of_host(f.dst_host());
+        let base_lost = plan_lost.take(idx as usize);
+        let del = setup.realize_flow(&f, pkts, base_lost, in_edge, flow, frag);
+        frag.delivered.push((idx, f, del));
+        let outbox = &mut outbox[tables.shard[out_edge] as usize];
+        let mut port = OutboxPort {
+            site: &mut *t.edges[tables.local[in_edge] as usize],
+            start: outbox.len(),
+            outbox,
+            edge_local: tables.local[out_edge],
+        };
+        mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
+    }
+}
+
 /// Phase-A work unit: one shard's partition, scratch, and owned sites.
 /// The scratch borrow gets its own lifetime so it can end at the phase
 /// barrier while the site borrows continue into phase B.
@@ -434,14 +502,15 @@ struct TaskB<'a, E> {
 /// drive any number of epochs; partitions, outboxes, fragments, and scratch
 /// buffers are reused across epochs (arena-style). Once their capacities
 /// stabilize, what an epoch allocates is the [`EpochReport`] it returns —
-/// one `delivered` entry per flow, the victims' `lost`/`lost_at` entries —
-/// plus the plan's victim-sized lost-count map and a handful of per-phase
+/// one `delivered` row per flow, the victims' `lost`/`lost_at` entries —
+/// plus the plan's victim-sized lost-count list and a handful of per-phase
 /// task vectors; `netsim/tests/alloc_budget.rs` holds an epoch to twice the
 /// report's own size.
 #[derive(Debug)]
 pub struct ShardedReplay<F> {
     sharding: Sharding,
     parts: Vec<ShardFlows>,
+    tables: EdgeTables,
     scratches: Vec<ShardScratch<F>>,
     /// `shard_{i}` span names, one per shard, built once.
     shard_names: Vec<String>,
@@ -458,6 +527,7 @@ impl<F: Routable> ShardedReplay<F> {
         ShardedReplay {
             sharding,
             parts: (0..sharding.shards).map(|_| ShardFlows::default()).collect(),
+            tables: EdgeTables::default(),
             scratches: (0..sharding.shards).map(|_| ShardScratch::default()).collect(),
             shard_names: (0..sharding.shards).map(|i| format!("shard_{i}")).collect(),
             last_profile: SpanProfiler::new(),
@@ -530,15 +600,17 @@ impl<F: Routable> ShardedReplay<F> {
         self.run_epoch(sim, trace, plan, imp, ReplayMode::Burst, edges, clock)
     }
 
-    /// Rebuilds the SoA partition for this trace (buffers reused).
+    /// Rebuilds the edge tables and the flow partition for this trace
+    /// (buffers reused).
     fn partition(&mut self, topo: &Topology, trace: &Trace<F>) {
         let shards = self.sharding.shards;
         assert!(
             trace.flows.len() <= u32::MAX as usize,
             "shard partition indexes flows with u32"
         );
+        self.tables.rebuild(topo.n_edges(), shards);
         for p in &mut self.parts {
-            p.clear();
+            p.idx.clear();
         }
         for sc in &mut self.scratches {
             if sc.outbox.len() < shards {
@@ -551,13 +623,7 @@ impl<F: Routable> ShardedReplay<F> {
         }
         for (i, &(f, _)) in trace.flows.iter().enumerate() {
             let in_edge = topo.edge_of_host(f.src_host());
-            let out_edge = topo.edge_of_host(f.dst_host());
-            let p = &mut self.parts[in_edge % shards];
-            p.idx.push(i as u32);
-            p.in_edge.push(in_edge as u32);
-            p.in_local.push((in_edge / shards) as u32);
-            p.out_shard.push((out_edge % shards) as u32);
-            p.out_local.push((out_edge / shards) as u32);
+            self.parts[self.tables.shard[in_edge] as usize].idx.push(i as u32);
         }
     }
 
@@ -568,7 +634,7 @@ impl<F: Routable> ShardedReplay<F> {
         &mut self,
         trace: &Trace<F>,
         mode: ReplayMode,
-        setup: &EpochSetup<'_, F>,
+        setup: &EpochSetup<'_>,
         edges: &mut [E],
         clock: &(dyn Fn() -> f64 + Sync),
     ) -> (EpochReport<F>, ShardTiming) {
@@ -594,24 +660,10 @@ impl<F: Routable> ShardedReplay<F> {
             .zip(buckets)
             .map(|((part, scratch), edges)| TaskA { part, scratch, edges, time: 0.0 })
             .collect();
+        let tables = &self.tables;
         run_tasks(workers, &mut tasks, |_, t| {
             let start = clock();
-            let part = t.part;
-            let ShardScratch { outbox, frag, flow } = &mut *t.scratch;
-            for k in 0..part.idx.len() {
-                let (f, pkts) = trace.flows[part.idx[k] as usize];
-                let in_edge = part.in_edge[k] as usize;
-                let del = setup.realize_flow(&f, pkts, in_edge, flow, frag);
-                frag.delivered.push((f, del));
-                let outbox = &mut outbox[part.out_shard[k] as usize];
-                let mut port = OutboxPort {
-                    site: &mut *t.edges[part.in_local[k] as usize],
-                    start: outbox.len(),
-                    outbox,
-                    edge_local: part.out_local[k],
-                };
-                mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
-            }
+            replay_shard(trace, mode, setup, tables, t);
             t.time = clock() - start;
         });
         let phase_a: Vec<f64> = tasks.iter().map(|t| t.time).collect();
@@ -874,10 +926,15 @@ mod tests {
 
     #[test]
     fn merge_is_permutation_invariant_for_disjoint_fragments() {
+        // Fragment `salt` owns trace rows `salt - 1` and `salt + 3`: every
+        // fragment is ascending, and their rows interleave.
+        let flow = |row: u64| FiveTuple::unpack(0x100 + row as u128);
         let mk = |salt: u64| {
             let mut frag = ReportFragment::<FiveTuple>::default();
-            let f = FiveTuple::unpack(salt as u128);
-            frag.delivered.push((f, 10 + salt));
+            let f = flow(salt - 1);
+            for row in [salt - 1, salt + 3] {
+                frag.delivered.push((row as u32, flow(row), 10 + row));
+            }
             frag.lost.insert(f, salt);
             let mut at = BTreeMap::new();
             at.insert(SwitchId { role: SwitchRole::Edge, index: salt as usize }, salt);
@@ -888,12 +945,18 @@ mod tests {
             frag
         };
         let mut a = [mk(1), mk(2), mk(3), mk(4)];
-        let mut b = [mk(3), mk(1), mk(4), mk(2)];
         let qd = BTreeMap::new();
+        let merged = merge_fragments(5, qd.clone(), &mut a);
+        let trace_order: Vec<_> = (0..8).map(|row| (flow(row), 10 + row)).collect();
         assert_eq!(
-            merge_fragments(5, qd.clone(), &mut a),
-            merge_fragments(5, qd, &mut b)
+            merged.delivered.iter().map(|(&f, &d)| (f, d)).collect::<Vec<_>>(),
+            trace_order
         );
+        assert!(a.iter().all(|frag| frag.delivered.is_empty()), "fragments are drained");
+        for order in [[3, 1, 4, 2], [4, 3, 2, 1], [2, 4, 1, 3]] {
+            let mut b = order.map(mk);
+            assert_eq!(merge_fragments(5, qd.clone(), &mut b), merged, "{order:?}");
+        }
     }
 
     #[test]

@@ -82,6 +82,66 @@ impl Default for SimConfig {
     }
 }
 
+/// A dense per-flow count column in **trace order**: row `i` holds
+/// `trace.flows[i]`'s flow ID and its count, one row per flow of the trace
+/// (whose flow IDs are unique). Both replay drivers emit it in that order —
+/// the serial one by walking the trace, the sharded one by interleaving its
+/// fragments on trace index — so it is built without hashing a single flow.
+///
+/// It is read whole ([`iter`](Self::iter), [`values`](Self::values),
+/// [`keys`](Self::keys)) and compared row for row; there is deliberately no
+/// keyed lookup — a reader that needs one collects the rows into its own map.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlowColumn<F> {
+    rows: Vec<(F, u64)>,
+}
+
+impl<F> FlowColumn<F> {
+    /// An empty column with room for `n` rows.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        FlowColumn { rows: Vec::with_capacity(n) }
+    }
+
+    /// Appends the next trace row.
+    #[inline]
+    pub(crate) fn push(&mut self, f: F, count: u64) {
+        self.rows.push((f, count));
+    }
+
+    /// Number of rows (flows of the trace).
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when the trace had no flows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows as `(flow, count)`, in trace order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&F, &u64)> + '_ {
+        self.rows.iter().map(|(f, c)| (f, c))
+    }
+
+    /// The flow IDs, in trace order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &F> + '_ {
+        self.rows.iter().map(|(f, _)| f)
+    }
+
+    /// The counts, in trace order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &u64> + '_ {
+        self.rows.iter().map(|(_, c)| c)
+    }
+}
+
+/// Collects `(flow, count)` rows in the order given — the caller vouches
+/// that it is trace order.
+impl<F> FromIterator<(F, u64)> for FlowColumn<F> {
+    fn from_iter<I: IntoIterator<Item = (F, u64)>>(rows: I) -> Self {
+        FlowColumn { rows: rows.into_iter().collect() }
+    }
+}
+
 /// Ground truth of one simulated epoch, **fabric-attributed**: besides the
 /// per-flow delivered/lost counts, every dropped packet is pinned to the
 /// switch that dropped it (the per-switch visibility a per-link deployment
@@ -93,8 +153,9 @@ impl Default for SimConfig {
 /// differential suites assert whole-report equality.
 #[derive(Debug, Clone)]
 pub struct EpochReport<F> {
-    /// Packets that traversed the full path, per flow.
-    pub delivered: HashMap<F, u64>,
+    /// Packets that traversed the full path: one row per flow of the trace,
+    /// in trace order.
+    pub delivered: FlowColumn<F>,
     /// Packets dropped in the fabric, per victim flow.
     pub lost: HashMap<F, u64>,
     /// Packets dropped, attributed to the switch that dropped them
@@ -115,8 +176,8 @@ pub struct EpochReport<F> {
 }
 
 // Hand-written because the derive would bound `F: PartialEq`, while the
-// `HashMap` comparisons actually need `F: Eq + Hash` (content equality,
-// independent of iteration order).
+// victim maps' comparisons need `F: Eq + Hash` (content equality,
+// independent of iteration order); `delivered` compares row for row.
 impl<F: Eq + Hash> PartialEq for EpochReport<F> {
     fn eq(&self, other: &Self) -> bool {
         self.delivered == other.delivered
@@ -338,18 +399,44 @@ pub(crate) struct FlowScratch {
 /// impairments, the timestamp bit, the seed, the plan's realized losses and
 /// the link-loss realization. Built once per epoch by
 /// [`Simulator::begin_epoch`]; both drivers replay every flow against it.
-pub(crate) struct EpochSetup<'a, F> {
+pub(crate) struct EpochSetup<'a> {
     pub(crate) topo: &'a Topology,
     imp: &'a ImpairmentSet,
     pub(crate) epoch: u64,
     pub(crate) ts_bit: u8,
     epoch_seed: u64,
-    base_lost: HashMap<F, u64>,
+    /// The plan's realized losses, `(trace index, lost)` ascending.
+    base_lost: Vec<(usize, u64)>,
     queue: Option<QueueRealization>,
     cong: Option<CongestionRealization>,
 }
 
-impl<F: Routable> EpochSetup<'_, F> {
+/// Reads the epoch's plan losses by position. Every driver — and every
+/// shard — walks its flows in ascending trace index, so a flow's planned
+/// loss is found by advancing past the victims before it, never by a lookup.
+pub(crate) struct PlanLosses<'a> {
+    rest: &'a [(usize, u64)],
+}
+
+impl PlanLosses<'_> {
+    /// The plan's loss for trace row `idx` (0 for a non-victim). Calls must
+    /// come in ascending `idx`.
+    #[inline]
+    pub(crate) fn take(&mut self, idx: usize) -> u64 {
+        while let Some((&(i, lost), tail)) = self.rest.split_first() {
+            if i > idx {
+                break;
+            }
+            self.rest = tail;
+            if i == idx {
+                return lost;
+            }
+        }
+        0
+    }
+}
+
+impl EpochSetup<'_> {
     /// Per-switch queue telemetry of the epoch (empty without a queue model).
     pub(crate) fn queue_depth(&self) -> BTreeMap<SwitchId, QueueDepthStat> {
         self.queue.as_ref().map(|q| q.depths().clone()).unwrap_or_default()
@@ -360,16 +447,24 @@ impl<F: Routable> EpochSetup<'_, F> {
         self.base_lost.len()
     }
 
+    /// A fresh cursor over the plan's realized losses.
+    pub(crate) fn plan_losses(&self) -> PlanLosses<'_> {
+        PlanLosses { rest: &self.base_lost }
+    }
+
     /// The per-flow step both drivers share: route the flow, read the
-    /// link-loss view off the route, realize its fates into `sc.fates`, and
-    /// account it in `acc` (hop histogram, and for a victim its loss and
-    /// per-switch drop attribution). Returns the delivered count, which each
-    /// driver records in its own `delivered` layout.
+    /// link-loss view off the route, realize its fates into `sc.fates`
+    /// (`base_lost` is the plan's loss for it, read off
+    /// [`plan_losses`](Self::plan_losses)), and account it in `acc` (hop
+    /// histogram, and for a victim its loss and per-switch drop
+    /// attribution). Returns the delivered count, which each driver records
+    /// in its own `delivered` layout.
     // chm-lint: hot
-    pub(crate) fn realize_flow(
+    pub(crate) fn realize_flow<F: Routable>(
         &self,
         f: &F,
         pkts: u64,
+        base_lost: u64,
         in_edge: usize,
         sc: &mut FlowScratch,
         acc: &mut ReportFragment<F>,
@@ -401,7 +496,7 @@ impl<F: Routable> EpochSetup<'_, F> {
             &mut sc.fates,
             f.key64(),
             pkts,
-            self.base_lost.get(f).copied().unwrap_or(0),
+            base_lost,
             self.epoch_seed,
             in_edge,
             sc.route.len(),
@@ -527,15 +622,17 @@ impl Simulator {
         hooks: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         let setup = self.begin_epoch(trace, plan, imp);
-        let mut delivered = HashMap::with_capacity(trace.num_flows());
+        let mut delivered = FlowColumn::with_capacity(trace.num_flows());
         let mut acc = ReportFragment::default();
         acc.lost.reserve(setup.planned_victims());
         let mut sc = FlowScratch::default();
-        for &(f, pkts) in &trace.flows {
+        let mut plan_lost = setup.plan_losses();
+        // chm-lint: allow(map-iter-order, "trace.flows is the trace's Vec, walked in trace order -- it only shares a field name with the decoders' flow maps")
+        for (i, &(f, pkts)) in trace.flows.iter().enumerate() {
             let in_edge = self.topology.edge_of_host(f.src_host());
             let out_edge = self.topology.edge_of_host(f.dst_host());
-            let del = setup.realize_flow(&f, pkts, in_edge, &mut sc, &mut acc);
-            delivered.insert(f, del);
+            let del = setup.realize_flow(&f, pkts, plan_lost.take(i), in_edge, &mut sc, &mut acc);
+            delivered.push(f, del);
             let mut port = SitePort { sites: &mut *hooks.0, in_edge, out_edge };
             mode.walk(&f, pkts, setup.ts_bit, &sc.fates, &mut port);
         }
@@ -562,7 +659,7 @@ impl Simulator {
         trace: &Trace<F>,
         plan: &LossPlan<F>,
         imp: &'a ImpairmentSet,
-    ) -> EpochSetup<'a, F> {
+    ) -> EpochSetup<'a> {
         let epoch_seed = self
             .config
             .seed

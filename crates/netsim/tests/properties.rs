@@ -383,7 +383,7 @@ mod fabric {
                 &mut SiteArray(&mut sites),
             );
             check_attribution(&r, &topo);
-            assert_eq!(r.delivered[&idle], 0, "{mode:?}");
+            assert_eq!(r.delivered.iter().nth(7), Some((&idle, &0)), "{mode:?}: row 7 is the idle flow");
             assert!(!r.lost.contains_key(&idle), "{mode:?}: an idle flow lost nothing");
             assert_eq!(r.victim_flows(), 2, "{mode:?}");
             assert_eq!(r.total_flows(), 40, "{mode:?}");

@@ -25,7 +25,6 @@ use chm_netsim::{
 };
 use chm_workloads::{testbed_trace, LossPlan, Trace, VictimSelection, WorkloadKind};
 use common::{sites, Site};
-use std::collections::HashMap;
 
 /// Ordered combine: the digest of a sequence.
 fn chain(acc: u64, v: u64) -> u64 {
@@ -36,20 +35,24 @@ fn switch_key(s: &SwitchId) -> u64 {
     ((s.role as u64) << 32) | s.index as u64
 }
 
-/// Digest of the whole report and every site's state. Hash maps fold by
-/// wrapping sums of per-entry hashes (iteration order cannot matter),
-/// ordered maps and the site slice fold in order.
+/// Wrapping sum of per-entry hashes: the fold the per-flow counts were
+/// recorded with (iteration order cannot matter).
+fn flows<'a>(m: impl Iterator<Item = (&'a FiveTuple, &'a u64)>) -> u64 {
+    m.fold(0u64, |s, (f, &v)| s.wrapping_add(mix64(f.key64() ^ mix64(v))))
+}
+
+/// Digest of the whole report and every site's state. Per-flow counts fold
+/// by wrapping sums of per-entry hashes (the values were recorded when
+/// `delivered` was a hash map), ordered maps and the site slice fold in
+/// order.
 fn digest(r: &EpochReport<FiveTuple>, sites: &[Site]) -> u64 {
-    let flows = |m: &HashMap<FiveTuple, u64>| {
-        m.iter().fold(0u64, |s, (f, &v)| s.wrapping_add(mix64(f.key64() ^ mix64(v))))
-    };
     let at = |m: &std::collections::BTreeMap<SwitchId, u64>| {
         m.iter().fold(m.len() as u64, |a, (s, &c)| chain(chain(a, switch_key(s)), c))
     };
     let mut d = chain(r.epoch, r.delivered.len() as u64);
-    d = chain(d, flows(&r.delivered));
+    d = chain(d, flows(r.delivered.iter()));
     d = chain(d, r.lost.len() as u64);
-    d = chain(d, flows(&r.lost));
+    d = chain(d, flows(r.lost.iter()));
     d = chain(d, at(&r.dropped_at));
     d = chain(d, r.lost_at.len() as u64);
     d = chain(

@@ -141,8 +141,8 @@ fn all_paths_match_unsharded_on_every_fabric() {
     }
 }
 
-/// The report's `delivered` map is assembled from per-shard columns, so the
-/// degenerate partitions matter: more shards than edges (shards 4..9 own no
+/// The report's `delivered` column is interleaved from per-shard columns, so
+/// the degenerate partitions matter: more shards than edges (shards 4..9 own no
 /// edge and contribute empty columns) and an empty trace (every column
 /// empty) must still reproduce the serial report.
 #[test]
@@ -166,9 +166,39 @@ fn scenario_paths_survive_idle_shards_and_an_empty_trace() {
                     let r = run_sharded(mode, &mut eng, &mut sim, trace, &plan, &imp, &mut s);
                     assert_eq!(r, r_ref, "{tag} epoch {epoch}");
                     assert_eq!(r.delivered.len(), trace.num_flows(), "{tag}");
+                    assert!(r.delivered.keys().eq(trace.flows.iter().map(|(f, _)| f)), "{tag}");
                 }
                 assert_eq!(s, ref_sites, "{tag} site state");
             }
+        }
+    }
+}
+
+/// The ordering contract of `EpochReport::delivered`: one row per
+/// `trace.flows` row, naming the same flow, in the same order — from the
+/// serial driver and from the sharded one at any shard count, under both
+/// walkers.
+#[test]
+fn delivered_lists_the_trace_row_for_row() {
+    let topo: Topology = KaryFatTree::new(4).into();
+    let (trace, plan) = workload(&topo, 0x0bde);
+    let imp = ImpairmentSet::none();
+    let sim0 = Simulator::new(topo.clone(), SimConfig::default());
+    let in_trace_order = |r: &EpochReport<FiveTuple>| {
+        r.delivered.len() == trace.num_flows()
+            && r.delivered.keys().eq(trace.flows.iter().map(|(f, _)| f))
+    };
+    for mode in MODES {
+        let mut sim = sim0.clone();
+        let mut s = sites(topo.n_edges());
+        let r = run_unsharded(mode, &mut sim, &trace, &plan, &imp, &mut s);
+        assert!(in_trace_order(&r), "serial {mode:?}");
+        for shards in [1usize, 2, 3, 8] {
+            let mut sim = sim0.clone();
+            let mut s = sites(topo.n_edges());
+            let mut eng = ShardedReplay::new(Sharding { shards, workers: 2 });
+            let r = run_sharded(mode, &mut eng, &mut sim, &trace, &plan, &imp, &mut s);
+            assert!(in_trace_order(&r), "{shards} shards {mode:?}");
         }
     }
 }
@@ -180,12 +210,18 @@ fn scenario_paths_survive_idle_shards_and_an_empty_trace() {
 /// Builds one fragment from a generated spec. Flow keys are made disjoint
 /// across fragments by construction (`frag_id` is baked into the flow id),
 /// mirroring the pipeline invariant that each flow is realized by exactly
-/// one shard.
-fn build_fragment(frag_id: u64, flows: &[(u64, u64, u64, u8)]) -> ReportFragment<FiveTuple> {
+/// one shard. The fragment's `j`-th flow sits at trace row
+/// `j * n_frags + frag_id`: ascending within the fragment, disjoint across
+/// fragments, and interleaved with every other fragment's rows.
+fn build_fragment(
+    frag_id: u64,
+    n_frags: u64,
+    flows: &[(u64, u64, u64, u8)],
+) -> ReportFragment<FiveTuple> {
     let mut frag = ReportFragment::<FiveTuple>::default();
-    for &(salt, delivered, lost, hops) in flows {
+    for (j, &(salt, delivered, lost, hops)) in flows.iter().enumerate() {
         let f = FiveTuple::unpack(((frag_id << 32) | salt) as u128 | 1 << 96);
-        frag.delivered.push((f, delivered));
+        frag.delivered.push(((j as u64 * n_frags + frag_id) as u32, f, delivered));
         if lost > 0 {
             frag.lost.insert(f, lost);
             let sw = SwitchId { role: SwitchRole::Edge, index: (salt % 5) as usize };
@@ -206,7 +242,8 @@ proptest! {
 
     /// `merge_fragments` is invariant under any permutation of its
     /// fragment slice: the merged report depends only on the multiset of
-    /// fragment contents, never on shard order.
+    /// fragment contents, never on shard order — and its `delivered` column
+    /// comes out in trace order either way.
     #[test]
     fn merge_is_permutation_invariant(
         specs in proptest::collection::vec(
@@ -219,16 +256,18 @@ proptest! {
         epoch in 0u64..100,
         perm_seed in any::<u64>(),
     ) {
-        let mut frags: Vec<ReportFragment<FiveTuple>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, flows)| build_fragment(i as u64, flows))
-            .collect();
-        let mut shuffled: Vec<ReportFragment<FiveTuple>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, flows)| build_fragment(i as u64, flows))
-            .collect();
+        let build = || -> Vec<ReportFragment<FiveTuple>> {
+            specs
+                .iter()
+                .enumerate()
+                .map(|(i, flows)| build_fragment(i as u64, specs.len() as u64, flows))
+                .collect()
+        };
+        let mut frags = build();
+        let mut shuffled = build();
+        let mut rows: Vec<(u32, FiveTuple, u64)> =
+            frags.iter().flat_map(|frag| frag.delivered.iter().copied()).collect();
+        rows.sort_unstable_by_key(|&(idx, ..)| idx);
         // Fisher–Yates with a deterministic splitmix stream.
         let mut state = perm_seed;
         for i in (1..shuffled.len()).rev() {
@@ -236,9 +275,12 @@ proptest! {
             shuffled.swap(i, (state % (i as u64 + 1)) as usize);
         }
         let qd = BTreeMap::new();
-        prop_assert_eq!(
-            merge_fragments(epoch, qd.clone(), &mut frags),
-            merge_fragments(epoch, qd, &mut shuffled)
-        );
+        let merged = merge_fragments(epoch, qd.clone(), &mut frags);
+        prop_assert!(merged
+            .delivered
+            .iter()
+            .map(|(&f, &d)| (f, d))
+            .eq(rows.iter().map(|&(_, f, d)| (f, d))));
+        prop_assert_eq!(merged, merge_fragments(epoch, qd, &mut shuffled));
     }
 }

@@ -96,16 +96,19 @@ impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
     /// than the flow carries. A planned victim that sent nothing this epoch
     /// has no packet to lose and gets no entry — it is not a victim.
     ///
-    /// Returns the lost counts of the victims only — the map is as large as
-    /// the victim set, not the trace. Draws come from one RNG stream walked
-    /// in trace order, so the counts depend on `(self, trace, seed)` alone.
-    pub fn realize_losses(&self, trace: &Trace<F>, seed: u64) -> HashMap<F, u64> {
+    /// Returns the victims' lost counts as `(trace index, lost)` rows in
+    /// strictly ascending index (`trace.flows[index]` names the flow) — as
+    /// long as the victim set, not the trace, and readable by position by a
+    /// caller that walks the trace in order, with no per-flow lookup. Draws
+    /// come from one RNG stream walked in trace order, so the counts depend
+    /// on `(self, trace, seed)` alone.
+    pub fn realize_losses(&self, trace: &Trace<F>, seed: u64) -> Vec<(usize, u64)> {
         if self.victims.is_empty() {
-            return HashMap::new();
+            return Vec::new();
         }
-        let mut lost = HashMap::with_capacity(self.victims.len());
+        let mut lost = Vec::with_capacity(self.victims.len());
         let mut rng = StdRng::seed_from_u64(seed);
-        for &(f, pkts) in &trace.flows {
+        for (i, &(f, pkts)) in trace.flows.iter().enumerate() {
             if pkts == 0 {
                 continue;
             }
@@ -117,15 +120,15 @@ impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
                     }
                 }
                 // Victims must lose at least one packet, and at most all.
-                lost.insert(f, dropped.max(1).min(pkts));
+                lost.push((i, dropped.max(1).min(pkts)));
             }
         }
         lost
     }
 
-    /// Splits every flow's packets into (delivered, lost):
-    /// [`realize_losses`](Self::realize_losses) plus the delivered count of
-    /// every flow in the trace.
+    /// Splits every flow's packets into (delivered, lost): the
+    /// [`realize_losses`](Self::realize_losses) list keyed by flow, and the
+    /// delivered count of every flow in the trace.
     ///
     /// Returns `(delivered_counts, lost_counts)` for the whole trace.
     pub fn apply_to_trace(
@@ -133,12 +136,14 @@ impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
         trace: &Trace<F>,
         seed: u64,
     ) -> (HashMap<F, u64>, HashMap<F, u64>) {
-        let lost = self.realize_losses(trace, seed);
-        let delivered = trace
-            .flows
-            .iter()
-            .map(|&(f, pkts)| (f, pkts - lost.get(&f).copied().unwrap_or(0)))
-            .collect();
+        let losses = self.realize_losses(trace, seed);
+        let mut delivered = trace.size_map();
+        let mut lost = HashMap::with_capacity(losses.len());
+        for &(i, l) in &losses {
+            let (f, pkts) = trace.flows[i];
+            delivered.insert(f, pkts - l);
+            lost.insert(f, l);
+        }
         (delivered, lost)
     }
 }
@@ -321,7 +326,11 @@ mod tests {
         assert!(!lost.contains_key(&2), "an idle flow is never a victim");
         assert_eq!(delivered[&2], 0);
         assert_eq!(lost.len(), 2);
-        assert_eq!(lost, plan.realize_losses(&without, 9));
+        let (_, lost_without) = plan.apply_to_trace(&without, 9);
+        assert_eq!(lost, lost_without);
+        // By trace index: flow 3 sits one row later beside the idle flow.
+        assert_eq!(plan.realize_losses(&with_idle, 9), [(0, lost[&1]), (2, lost[&3])]);
+        assert_eq!(plan.realize_losses(&without, 9), [(0, lost[&1]), (1, lost[&3])]);
     }
 
     #[test]

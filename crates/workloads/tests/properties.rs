@@ -70,8 +70,10 @@ proptest! {
     }
 
     /// `realize_losses` is the lost half of `apply_to_trace` (one RNG loop
-    /// behind both), and `delivered` is derived from it: every flow's
-    /// delivered + lost is its packet count — for a built plan and for the
+    /// behind both) as a list by trace index — strictly ascending, naming
+    /// only plan victims that sent something — and `delivered` is derived
+    /// from it: every flow's delivered + lost is its packet count — for a
+    /// built plan (with some flows idled, so some victims are) and for the
     /// empty plan, which realizes nothing.
     #[test]
     fn realize_losses_is_the_lost_half_of_apply_to_trace(
@@ -80,13 +82,24 @@ proptest! {
         rate in 0.005f64..0.9,
         seed in any::<u64>(),
     ) {
-        let t = caida_like_trace(n, seed);
+        let mut t = caida_like_trace(n, seed);
         let built = LossPlan::build(&t, VictimSelection::RandomRatio(ratio), rate, seed ^ 1);
+        // Every seventh flow sends nothing this epoch.
+        t.flows.iter_mut().step_by(7).for_each(|row| row.1 = 0);
         for plan in [built, LossPlan::none()] {
-            let lost_only = plan.realize_losses(&t, seed ^ 2);
+            let list = plan.realize_losses(&t, seed ^ 2);
             let (delivered, lost) = plan.apply_to_trace(&t, seed ^ 2);
-            prop_assert_eq!(&lost_only, &lost);
-            prop_assert_eq!(lost.len(), plan.num_victims());
+            prop_assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "ascending trace index");
+            for &(i, l) in &list {
+                let (f, pkts) = t.flows[i];
+                prop_assert!(plan.victims.contains_key(&f) && pkts > 0 && l >= 1);
+            }
+            let folded: std::collections::HashMap<u32, u64> =
+                list.iter().map(|&(i, l)| (t.flows[i].0, l)).collect();
+            prop_assert_eq!(&folded, &lost);
+            let active_victims =
+                t.flows.iter().filter(|(f, pkts)| *pkts > 0 && plan.victims.contains_key(f)).count();
+            prop_assert_eq!(lost.len(), active_victims);
             prop_assert_eq!(delivered.len(), t.num_flows());
             for &(f, pkts) in &t.flows {
                 prop_assert_eq!(delivered[&f] + lost.get(&f).copied().unwrap_or(0), pkts);
