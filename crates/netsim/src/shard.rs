@@ -40,8 +40,11 @@
 //! flow's endpoints and two per-edge tables (`EdgeTables`), and
 //! `ShardScratch` reuses route/probability/fate buffers across epochs —
 //! shards stream cache-linearly instead of chasing per-flow heap objects.
-//! No step hashes a flow: the plan's losses arrive by trace index, and the
-//! fragments' `delivered` rows carry theirs, so the merge is an interleave.
+//! No step hashes a flow, and nothing serial is trace-sized but the
+//! partition and one `memcpy`: the plan locates its victims by remembered
+//! trace row and hands their losses over by trace index, a shard records a
+//! `delivered` entry only for a flow that lost packets, and the merge is the
+//! trace's own rows patched at those entries.
 //!
 //! `shards` fixes the partition (and is what byte-identity is proven over);
 //! `workers` only scales execution — any worker count replays the same
@@ -98,19 +101,19 @@ impl Sharding {
 }
 
 /// One shard's slice of an [`EpochReport`]: everything a shard accumulates
-/// locally in phase A. Per-flow entries are disjoint across shards (every
-/// flow lives on exactly one shard); per-switch and histogram maps overlap
-/// and merge by addition, and the `delivered` rows interleave on their trace
-/// index — all three reductions are order-independent, which is what makes
+/// locally in phase A — all of it victim- or switch-sized. Per-flow entries
+/// are disjoint across shards (every flow lives on exactly one shard), so the
+/// victims' maps merge by union and the `delivered` patches name disjoint
+/// rows; per-switch and histogram maps overlap and merge by addition — all
+/// three reductions are order-independent, which is what makes
 /// [`merge_fragments`] permutation-invariant (property-tested).
 #[derive(Debug, Clone)]
 pub struct ReportFragment<F> {
-    /// Realized per-flow deliveries, as a dense column: one
-    /// `(trace index, flow, delivered)` row per flow the shard owns, in
-    /// ascending trace index (the order a shard walks its flows in). The
-    /// index is what lets [`merge_fragments`] rebuild the report's
-    /// trace-order column by interleaving, without hashing a flow.
-    pub delivered: Vec<(u32, F, u64)>,
+    /// Where the report's `delivered` column differs from the trace: one
+    /// `(trace index, delivered)` patch per flow of the shard that lost
+    /// packets — exactly the flows in `lost`. Every other row of the column
+    /// is the trace's own, so a shard records nothing for it.
+    pub delivered: Vec<(u32, u64)>,
     /// Realized per-flow losses.
     pub lost: HashMap<F, u64>,
     /// Per-switch drop totals for this shard's flows.
@@ -155,15 +158,20 @@ impl<F: Copy + Eq + std::hash::Hash> ReportFragment<F> {
     }
 }
 
-/// Merges one fragment's victim- and switch-sized maps into the
-/// accumulator, draining the source so its capacity is reused next epoch.
-/// Per-victim entries are disjoint unions; per-switch and histogram maps are
-/// keyed sums — both order-independent.
+/// Merges one fragment into the accumulator, draining the source so its
+/// capacity is reused next epoch. `delivered` patches overwrite disjoint
+/// rows, per-victim entries are disjoint unions, per-switch and histogram
+/// maps are keyed sums — all order-independent.
 // chm-lint: hot
 fn merge_one<F: Copy + Eq + std::hash::Hash>(
     acc: &mut EpochReport<F>,
     frag: &mut ReportFragment<F>,
 ) {
+    debug_assert!(
+        frag.delivered.len() <= frag.lost.len(),
+        "only a flow that lost packets patches `delivered`"
+    );
+    acc.delivered.patch(&frag.delivered);
     frag.delivered.clear();
     acc.lost.extend(frag.lost.drain());
     acc.lost_at.extend(frag.lost_at.drain());
@@ -177,51 +185,26 @@ fn merge_one<F: Copy + Eq + std::hash::Hash>(
     frag.hops_histogram.clear();
 }
 
-/// Interleaves the fragments' `delivered` rows into `out` by trace index:
-/// each step appends the smallest index any fragment still has at its head.
-/// Every fragment is ascending, so the result is ascending whatever order
-/// the fragments come in.
-// chm-lint: hot
-fn interleave_delivered<F: Copy>(heads: &mut [&[(u32, F, u64)]], out: &mut FlowColumn<F>) {
-    loop {
-        let mut next: Option<(usize, u32)> = None;
-        for (k, head) in heads.iter().enumerate() {
-            if let Some(&(i, ..)) = head.first() {
-                if next.is_none_or(|(_, least)| i < least) {
-                    next = Some((k, i));
-                }
-            }
-        }
-        let Some((k, _)) = next else { break };
-        let (_, f, del) = heads[k][0];
-        out.push(f, del);
-        heads[k] = &heads[k][1..];
-    }
-}
-
 /// The deterministic, order-independent reduction of per-shard fragments
-/// into one [`EpochReport`]. Fragments are drained (capacity kept). The
-/// result is invariant under any permutation of `frags` as long as the
-/// fragments' flows (and so their trace indices) are disjoint — which the
-/// ingress-edge partition guarantees and the proptest in
+/// into one [`EpochReport`] for `trace`. Fragments are drained (capacity
+/// kept). The result is invariant under any permutation of `frags` as long
+/// as the fragments' flows (and so their trace indices) are disjoint — which
+/// the ingress-edge partition guarantees and the proptest in
 /// `tests/shard_differential.rs` pins.
 ///
-/// `delivered` — the one trace-sized piece of an epoch — is allocated once
-/// at the summed fragment length and filled by interleaving the fragments'
-/// ascending rows on their trace index: it comes out in trace order, the
-/// serial driver's order, and no flow is hashed. The victim-sized keyed
-/// maps are sized from the summed fragment sizes before anything is
-/// inserted.
+/// `delivered` — the one trace-sized piece of an epoch — is one copy of the
+/// trace's rows, overwritten at the rows the fragments list: it comes out in
+/// trace order, the serial driver's order, for the price of a `memcpy` and
+/// one store per victim. The victim-sized keyed maps are sized from the
+/// summed fragment sizes before anything is inserted.
 pub fn merge_fragments<F: FlowId>(
+    trace: &Trace<F>,
     epoch: u64,
     queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
     frags: &mut [ReportFragment<F>],
 ) -> EpochReport<F> {
-    let mut delivered = FlowColumn::with_capacity(frags.iter().map(|f| f.delivered.len()).sum());
-    let mut heads: Vec<&[(u32, F, u64)]> = frags.iter().map(|f| &f.delivered[..]).collect();
-    interleave_delivered(&mut heads, &mut delivered);
     let mut acc = EpochReport {
-        delivered,
+        delivered: FlowColumn::of_trace(trace),
         lost: HashMap::with_capacity(frags.iter().map(|f| f.lost.len()).sum()),
         dropped_at: BTreeMap::new(),
         lost_at: HashMap::with_capacity(frags.iter().map(|f| f.lost_at.len()).sum()),
@@ -315,14 +298,14 @@ struct EgressRun<F> {
 /// buffers the serial driver keeps as a local.
 ///
 /// The engine keeps one per shard in a `Vec`, and phase A has every worker
-/// rewrite its own entry's vector headers on every flow (`fates` lengths,
-/// the `delivered` column's length). Aligned to a cache-line pair (Intel
-/// prefetches lines in pairs) so that neighbouring entries never share one:
-/// unaligned (344 bytes, 8-aligned), entry `i`'s `fates` headers and entry
-/// `i + 1`'s `outbox`/`delivered` headers sat in one line that two workers
-/// fought over per flow — ~10 ms of a 40 ms phase A at 250 k flows, more or
-/// less of it depending on where the allocator put the `Vec` and how the
-/// workers' timing fell, so the fastest epoch of a run was a matter of luck.
+/// rewrite its own entry's vector headers on every flow (the `fates`
+/// lengths). Aligned to a cache-line pair (Intel prefetches lines in pairs)
+/// so that neighbouring entries never share one: unaligned (8-aligned),
+/// entry `i`'s `fates` headers and entry `i + 1`'s `outbox`/fragment
+/// headers sat in one line that two workers fought over per flow — ~10 ms
+/// of a 40 ms phase A at 250 k flows, more or less of it depending on where
+/// the allocator put the `Vec` and how the workers' timing fell, so the
+/// fastest epoch of a run was a matter of luck.
 #[derive(Debug)]
 #[repr(align(128))]
 struct ShardScratch<F> {
@@ -415,45 +398,50 @@ fn split_edges<E>(edges: &mut [E], shards: usize) -> Vec<Vec<&mut E>> {
 }
 
 /// Runs `work` over every task, statically chunked across at most `workers`
-/// scoped threads. Chunking is contiguous and deterministic; worker count
-/// never changes which task gets which index. Panics in any worker
-/// propagate at scope join.
+/// threads — the calling thread, which takes the first chunk, and one scoped
+/// thread per further chunk, so `workers = 2` costs one spawn per phase and
+/// `workers = 1` none. Chunking is contiguous and deterministic; worker count
+/// never changes which task gets which index. Panics in any worker propagate
+/// at scope join.
+///
+/// One scope per phase, not one per epoch with a barrier between the phases:
+/// phase A holds each shard's scratch `&mut` and phase B reads every shard's
+/// outbox, a hand-over that inside one scope needs a lock around every
+/// scratch — and a worker that panics before the barrier would leave the
+/// others waiting at it for ever instead of propagating.
 fn run_tasks<T, W>(workers: usize, tasks: &mut [T], work: W)
 where
     T: Send,
     W: Fn(usize, &mut T) + Sync,
 {
-    let n = tasks.len();
-    if n == 0 {
-        return;
-    }
-    let w = workers.max(1).min(n);
-    if w == 1 {
-        for (i, t) in tasks.iter_mut().enumerate() {
-            work(i, t);
+    let per = tasks.len().div_ceil(workers.max(1)).max(1);
+    let run = |c: usize, chunk: &mut [T]| {
+        for (j, t) in chunk.iter_mut().enumerate() {
+            work(c * per + j, t);
         }
-        return;
+    };
+    let mut chunks = tasks.chunks_mut(per).enumerate();
+    let Some((c, own)) = chunks.next() else { return };
+    if chunks.len() == 0 {
+        return run(c, own);
     }
-    let per = n.div_ceil(w);
     std::thread::scope(|scope| {
-        for (c, chunk) in tasks.chunks_mut(per).enumerate() {
-            let work = &work;
-            scope.spawn(move || {
-                for (j, t) in chunk.iter_mut().enumerate() {
-                    work(c * per + j, t);
-                }
-            });
+        for (c, chunk) in chunks {
+            let run = &run;
+            scope.spawn(move || run(c, chunk));
         }
+        run(c, own);
     });
 }
 
 /// Phase A for one shard: replays the shard's flows in ascending trace
-/// index — realize, record the `delivered` row, walk the packets through the
-/// owned ingress site and into the outbox of the shard owning the egress
-/// edge. The flow's edges come from its endpoints; their shard and site
-/// index from `tables`. The *global* ingress edge goes to the realize step
-/// because [`ImpairmentSet::realize_flow`] derives per-edge clock skew from
-/// it — a local index would silently change realizations.
+/// index — realize (which accounts a victim in the fragment and nothing for
+/// anyone else), walk the packets through the owned ingress site and into
+/// the outbox of the shard owning the egress edge. The flow's edges come from
+/// its endpoints; their shard and site index from `tables`. The *global*
+/// ingress edge goes to the realize step because
+/// [`ImpairmentSet::realize_flow`] derives per-edge clock skew from it — a
+/// local index would silently change realizations.
 // chm-lint: hot
 fn replay_shard<F: Routable, E: EdgeSite<F>>(
     trace: &Trace<F>,
@@ -469,8 +457,7 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
         let in_edge = setup.topo.edge_of_host(f.src_host());
         let out_edge = setup.topo.edge_of_host(f.dst_host());
         let base_lost = plan_lost.take(idx as usize);
-        let del = setup.realize_flow(&f, pkts, base_lost, in_edge, flow, frag);
-        frag.delivered.push((idx, f, del));
+        setup.realize_flow(idx as usize, (f, pkts), base_lost, in_edge, flow, frag);
         let outbox = &mut outbox[tables.shard[out_edge] as usize];
         let mut port = OutboxPort {
             site: &mut *t.edges[tables.local[in_edge] as usize],
@@ -500,12 +487,14 @@ struct TaskB<'a, E> {
 
 /// The sharded replay engine. Construct once with a [`Sharding`], then
 /// drive any number of epochs; partitions, outboxes, fragments, and scratch
-/// buffers are reused across epochs (arena-style). Once their capacities
+/// buffers are reused across epochs (arena-style) and, the partition's one
+/// `u32` per flow aside, are victim- or switch-sized. Once their capacities
 /// stabilize, what an epoch allocates is the [`EpochReport`] it returns —
-/// one `delivered` row per flow, the victims' `lost`/`lost_at` entries —
-/// plus the plan's victim-sized lost-count list and a handful of per-phase
-/// task vectors; `netsim/tests/alloc_budget.rs` holds an epoch to twice the
-/// report's own size.
+/// one `delivered` row per flow (copied from the trace in one piece), the
+/// victims' `lost`/`lost_at` entries — plus the plan's victim-sized
+/// lost-count list and a handful of per-phase task vectors;
+/// `netsim/tests/alloc_budget.rs` holds an epoch to 1.1 × the report's own
+/// size.
 #[derive(Debug)]
 pub struct ShardedReplay<F> {
     sharding: Sharding,
@@ -695,7 +684,7 @@ impl<F: Routable> ShardedReplay<F> {
             .iter_mut()
             .map(|s| std::mem::take(&mut s.frag))
             .collect();
-        let report = merge_fragments(setup.epoch, setup.queue_depth(), &mut frags);
+        let report = merge_fragments(trace, setup.epoch, setup.queue_depth(), &mut frags);
         for (s, frag) in self.scratches.iter_mut().zip(frags) {
             s.frag = frag; // drained, capacity retained for the next epoch
         }
@@ -926,16 +915,18 @@ mod tests {
 
     #[test]
     fn merge_is_permutation_invariant_for_disjoint_fragments() {
-        // Fragment `salt` owns trace rows `salt - 1` and `salt + 3`: every
-        // fragment is ascending, and their rows interleave.
+        // Ten trace rows; fragment `salt` owns the victims at rows `salt - 1`
+        // and `salt + 3` (each delivers one packet fewer than it sent), so
+        // the fragments' patches interleave and rows 8 and 9 lose nothing.
         let flow = |row: u64| FiveTuple::unpack(0x100 + row as u128);
+        let trace = Trace { flows: (0..10).map(|row| (flow(row), 10 + row)).collect() };
         let mk = |salt: u64| {
             let mut frag = ReportFragment::<FiveTuple>::default();
             let f = flow(salt - 1);
             for row in [salt - 1, salt + 3] {
-                frag.delivered.push((row as u32, flow(row), 10 + row));
+                frag.delivered.push((row as u32, 9 + row));
+                frag.lost.insert(flow(row), 1);
             }
-            frag.lost.insert(f, salt);
             let mut at = BTreeMap::new();
             at.insert(SwitchId { role: SwitchRole::Edge, index: salt as usize }, salt);
             frag.lost_at.insert(f, at);
@@ -946,17 +937,35 @@ mod tests {
         };
         let mut a = [mk(1), mk(2), mk(3), mk(4)];
         let qd = BTreeMap::new();
-        let merged = merge_fragments(5, qd.clone(), &mut a);
-        let trace_order: Vec<_> = (0..8).map(|row| (flow(row), 10 + row)).collect();
-        assert_eq!(
-            merged.delivered.iter().map(|(&f, &d)| (f, d)).collect::<Vec<_>>(),
-            trace_order
-        );
+        let merged = merge_fragments(&trace, 5, qd.clone(), &mut a);
+        // The trace's rows, in trace order, patched where a fragment said so.
+        let patched: Vec<_> =
+            (0..10).map(|row| (flow(row), if row < 8 { 9 + row } else { 10 + row })).collect();
+        assert_eq!(merged.delivered.iter().map(|(&f, &d)| (f, d)).collect::<Vec<_>>(), patched);
         assert!(a.iter().all(|frag| frag.delivered.is_empty()), "fragments are drained");
         for order in [[3, 1, 4, 2], [4, 3, 2, 1], [2, 4, 1, 3]] {
             let mut b = order.map(mk);
-            assert_eq!(merge_fragments(5, qd.clone(), &mut b), merged, "{order:?}");
+            assert_eq!(merge_fragments(&trace, 5, qd.clone(), &mut b), merged, "{order:?}");
         }
+    }
+
+    #[test]
+    fn the_caller_works_the_first_chunk_and_spawns_one_thread_per_other() {
+        let here = std::thread::current().id();
+        for (workers, tasks, spawned) in [(1, 5, 0), (2, 2, 1), (2, 5, 1), (3, 8, 2), (16, 3, 2)] {
+            let mut ran_on = vec![None; tasks];
+            run_tasks(workers, &mut ran_on, |i, slot| {
+                *slot = Some((i, std::thread::current().id()));
+            });
+            // Every task ran once, under its own index.
+            assert!(ran_on.iter().enumerate().all(|(i, r)| r.is_some_and(|(j, _)| i == j)));
+            assert_eq!(ran_on[0].map(|(_, id)| id), Some(here), "{workers} workers, {tasks} tasks");
+            let mut others: Vec<_> =
+                ran_on.iter().flatten().map(|&(_, id)| id).filter(|&id| id != here).collect();
+            others.dedup();
+            assert_eq!(others.len(), spawned, "{workers} workers, {tasks} tasks");
+        }
+        run_tasks(4, &mut [] as &mut [u8], |_, _| unreachable!("no task, no call"));
     }
 
     #[test]

@@ -84,9 +84,11 @@ impl Default for SimConfig {
 
 /// A dense per-flow count column in **trace order**: row `i` holds
 /// `trace.flows[i]`'s flow ID and its count, one row per flow of the trace
-/// (whose flow IDs are unique). Both replay drivers emit it in that order —
-/// the serial one by walking the trace, the sharded one by interleaving its
-/// fragments on trace index — so it is built without hashing a single flow.
+/// (whose flow IDs are unique). Both replay drivers build it the same way —
+/// one copy of the trace's own rows (what every flow delivers when nothing
+/// is lost), overwritten at the flows that lost packets — so it costs a
+/// `memcpy` plus work in the victims, and no flow is hashed or even visited
+/// for it.
 ///
 /// It is read whole ([`iter`](Self::iter), [`values`](Self::values),
 /// [`keys`](Self::keys)) and compared row for row; there is deliberately no
@@ -97,15 +99,22 @@ pub struct FlowColumn<F> {
 }
 
 impl<F> FlowColumn<F> {
-    /// An empty column with room for `n` rows.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        FlowColumn { rows: Vec::with_capacity(n) }
+    /// The trace's own rows: every flow with its full packet count.
+    pub(crate) fn of_trace(trace: &Trace<F>) -> Self
+    where
+        F: Copy,
+    {
+        FlowColumn { rows: trace.flows.clone() }
     }
 
-    /// Appends the next trace row.
-    #[inline]
-    pub(crate) fn push(&mut self, f: F, count: u64) {
-        self.rows.push((f, count));
+    /// Overwrites the count of each `(trace index, count)` row listed. The
+    /// lists of different shards name disjoint rows, so the order they are
+    /// applied in does not matter.
+    // chm-lint: hot
+    pub(crate) fn patch(&mut self, patches: &[(u32, u64)]) {
+        for &(idx, count) in patches {
+            self.rows[idx as usize].1 = count;
+        }
     }
 
     /// Number of rows (flows of the trace).
@@ -154,7 +163,9 @@ impl<F> FromIterator<(F, u64)> for FlowColumn<F> {
 #[derive(Debug, Clone)]
 pub struct EpochReport<F> {
     /// Packets that traversed the full path: one row per flow of the trace,
-    /// in trace order.
+    /// in trace order — the trace's own rows, patched at the flows in `lost`
+    /// (a fabric duplicate is noise, not a delivery, so no row exceeds the
+    /// trace's count).
     pub delivered: FlowColumn<F>,
     /// Packets dropped in the fabric, per victim flow.
     pub lost: HashMap<F, u64>,
@@ -452,23 +463,22 @@ impl EpochSetup<'_> {
         PlanLosses { rest: &self.base_lost }
     }
 
-    /// The per-flow step both drivers share: route the flow, read the
-    /// link-loss view off the route, realize its fates into `sc.fates`
-    /// (`base_lost` is the plan's loss for it, read off
-    /// [`plan_losses`](Self::plan_losses)), and account it in `acc` (hop
-    /// histogram, and for a victim its loss and per-switch drop
-    /// attribution). Returns the delivered count, which each driver records
-    /// in its own `delivered` layout.
+    /// The per-flow step both drivers share: route the flow at trace row
+    /// `idx`, read the link-loss view off the route, realize its fates into
+    /// `sc.fates` (`base_lost` is the plan's loss for it, read off
+    /// [`plan_losses`](Self::plan_losses)), and account it in `acc`: the hop
+    /// histogram, and for a victim — only for a victim — its loss, its
+    /// `delivered` patch and its per-switch drop attribution.
     // chm-lint: hot
     pub(crate) fn realize_flow<F: Routable>(
         &self,
-        f: &F,
-        pkts: u64,
+        idx: usize,
+        (f, pkts): (F, u64),
         base_lost: u64,
         in_edge: usize,
         sc: &mut FlowScratch,
         acc: &mut ReportFragment<F>,
-    ) -> u64 {
+    ) {
         // The route lands in a reusable buffer (allocation-free); its length
         // is the hop count by definition, and the link-level loss layers
         // read their per-hop probabilities off it.
@@ -504,10 +514,11 @@ impl EpochSetup<'_> {
         );
         let del = sc.fates.n_delivered();
         if del < pkts {
-            acc.lost.insert(*f, pkts - del);
-            attribute_drops(f, &sc.route, &sc.fates, acc);
+            let idx = u32::try_from(idx).expect("delivered patches index trace rows with u32");
+            acc.delivered.push((idx, del));
+            acc.lost.insert(f, pkts - del);
+            attribute_drops(&f, &sc.route, &sc.fates, acc);
         }
-        del
     }
 }
 
@@ -622,20 +633,25 @@ impl Simulator {
         hooks: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
         let setup = self.begin_epoch(trace, plan, imp);
-        let mut delivered = FlowColumn::with_capacity(trace.num_flows());
         let mut acc = ReportFragment::default();
-        acc.lost.reserve(setup.planned_victims());
+        // Room for the planned victims in every per-victim collection: an
+        // epoch's fresh accumulator must not regrow them step by step.
+        let planned = setup.planned_victims();
+        acc.delivered.reserve(planned);
+        acc.lost.reserve(planned);
+        acc.lost_at.reserve(planned);
         let mut sc = FlowScratch::default();
         let mut plan_lost = setup.plan_losses();
         // chm-lint: allow(map-iter-order, "trace.flows is the trace's Vec, walked in trace order -- it only shares a field name with the decoders' flow maps")
         for (i, &(f, pkts)) in trace.flows.iter().enumerate() {
             let in_edge = self.topology.edge_of_host(f.src_host());
             let out_edge = self.topology.edge_of_host(f.dst_host());
-            let del = setup.realize_flow(&f, pkts, plan_lost.take(i), in_edge, &mut sc, &mut acc);
-            delivered.push(f, del);
+            setup.realize_flow(i, (f, pkts), plan_lost.take(i), in_edge, &mut sc, &mut acc);
             let mut port = SitePort { sites: &mut *hooks.0, in_edge, out_edge };
             mode.walk(&f, pkts, setup.ts_bit, &sc.fates, &mut port);
         }
+        let mut delivered = FlowColumn::of_trace(trace);
+        delivered.patch(&acc.delivered);
         let report = EpochReport {
             delivered,
             lost: acc.lost,

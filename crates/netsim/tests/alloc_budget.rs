@@ -1,18 +1,34 @@
 //! Allocation budget of the replay: a steady-state epoch may request little
 //! more than the [`EpochReport`] it hands back.
 //!
-//! The report's `delivered` column has one 24-byte row per flow, so it *is*
-//! the epoch's allocation; everything else (partitions, outboxes, fragment
-//! columns, fate buffers) lives in arenas that persist across epochs. What
-//! this guards against is a trace-sized structure that is built and thrown
-//! away — the loss plan's whole-trace `delivered` map the replay used to
-//! discard, or a merge accumulator regrown from empty — and a keyed map
-//! coming back in the column's place (a hash table of the same rows
+//! The report's `delivered` column has one 24-byte row per flow — one copy of
+//! the trace's rows, patched at the victims — so it *is* the epoch's
+//! allocation; everything else is victim- or switch-sized, and in the sharded
+//! engine lives in arenas that persist across epochs (partitions, outboxes,
+//! fragments, fate buffers). What this guards against is a trace-sized
+//! structure that is built and thrown away — the loss plan's whole-trace
+//! `delivered` map the replay used to discard, a per-flow fragment column
+//! that the merge re-reads, a merge accumulator regrown from empty — and a
+//! keyed map coming back in the column's place (a hash table of the same rows
 //! requests 1.7x the bytes, and hashing every flow into it was the largest
-//! serial term of a sharded epoch): either costs tens of milliseconds at
-//! 250 k flows and is invisible to every equality test. Verified with a
-//! counting global allocator (bytes requested), the pattern of the root
-//! `tests/alloc_audit.rs`.
+//! serial term of a sharded epoch): either costs milliseconds to tens of
+//! milliseconds at 250 k flows and is invisible to every equality test.
+//! Verified with a counting global allocator (bytes requested), the pattern
+//! of the root `tests/alloc_audit.rs`.
+//!
+//! What remains, by count rather than by bytes: every victim's `lost_at`
+//! entry is its own `BTreeMap<SwitchId, u64>` (`attribute_drops`), one node
+//! allocation per victim — at paper scale the ≈ 6 k allocations per epoch of
+//! the benchmark's `testbed_shift` (50 k flows, 2.5–25 % victims, ≈ 5 900 on
+//! average). Both drivers reserve `lost`/`lost_at` for the planned victims,
+//! so the maps themselves are a handful of allocations; removing the
+//! per-victim node means changing `lost_at`'s type, which every consumer of
+//! the report reads.
+//!
+//! A shard's fragment is private to the engine, so its size cannot be read
+//! from here; the merge `debug_assert`s on every epoch (this test runs them
+//! in a debug build) that a fragment's `delivered` list is no longer than
+//! its `lost` map.
 
 use chm_common::FiveTuple;
 use chm_netsim::{
@@ -105,9 +121,11 @@ fn a_scenario_epoch_allocates_little_more_than_its_report() {
     // A 20 k-entry hash table requests ~819 kB; the column is 480 kB and
     // the victims' maps are noise beside it.
     assert!(held < 20_000 * 32, "a report holds little beyond its delivered rows: {held} B");
+    // Beside the report: the plan's lost-count list and the per-phase task
+    // vectors (measured: 1.1 % over; 10 % allowed).
     let requested = a.min(b);
     assert!(
-        requested < 2 * held,
+        10 * requested < 11 * held,
         "sharded scenario epoch requested {requested} B, its report holds {held} B"
     );
 
@@ -128,8 +146,9 @@ fn a_scenario_epoch_allocates_little_more_than_its_report() {
 
     // The clean entry point is that same epoch under `none()`, and at 1 %
     // victims it is held to the report's own size: beside the report there
-    // is only the plan's victim-sized lost-count list and the route buffers
-    // (measured: 2.5 % over; 5 % allowed).
+    // are only the plan's victim-sized lost-count list, the equally short
+    // `delivered` patch list and the route buffers (measured: 1.2 % over, in
+    // 208 allocations for 200 victims; 5 % allowed).
     let (requested, report) =
         bytes_during(|| sim.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut sites)));
     let (held, _copy) = bytes_during(|| report.clone());

@@ -366,12 +366,9 @@ mod fabric {
         let mut trace = testbed_trace(WorkloadKind::Dctcp, 40, 8, 0x1d1e);
         let idle = trace.flows[7].0;
         trace.flows[7].1 = 0;
-        let plan = LossPlan {
-            victims: [idle, trace.flows[3].0, trace.flows[20].0]
-                .into_iter()
-                .map(|f| (f, 0.3))
-                .collect(),
-        };
+        let plan = LossPlan::from_victims(
+            [idle, trace.flows[3].0, trace.flows[20].0].into_iter().map(|f| (f, 0.3)),
+        );
         for mode in [ReplayMode::PerPacket, ReplayMode::Burst] {
             let mut sim = Simulator::new(topo.clone(), SimConfig::default());
             let mut sites = nulls(&sim);

@@ -174,31 +174,65 @@ fn scenario_paths_survive_idle_shards_and_an_empty_trace() {
     }
 }
 
-/// The ordering contract of `EpochReport::delivered`: one row per
-/// `trace.flows` row, naming the same flow, in the same order — from the
-/// serial driver and from the sharded one at any shard count, under both
-/// walkers.
+/// The contract of `EpochReport::delivered`: one row per `trace.flows` row,
+/// naming the same flow, in the same order, holding what the flow sent less
+/// what it lost — from the serial driver and from the sharded one at any
+/// shard count, under both walkers. The column is the trace's rows patched
+/// at the victims, so the rows that must not be patched wrongly are in the
+/// trace: an idle non-victim, an idle planned victim (no packet to lose), a
+/// victim that loses everything, and — with every delivered packet
+/// duplicated in the fabric — flows whose egress count is twice the row's
+/// (a duplicate never raises a row above the trace's count).
 #[test]
 fn delivered_lists_the_trace_row_for_row() {
     let topo: Topology = KaryFatTree::new(4).into();
-    let (trace, plan) = workload(&topo, 0x0bde);
-    let imp = ImpairmentSet::none();
-    let sim0 = Simulator::new(topo.clone(), SimConfig::default());
-    let in_trace_order = |r: &EpochReport<FiveTuple>| {
-        r.delivered.len() == trace.num_flows()
-            && r.delivered.keys().eq(trace.flows.iter().map(|(f, _)| f))
+    let (mut trace, mut plan) = workload(&topo, 0x0bde);
+    let victim_rows: Vec<usize> =
+        (0..trace.num_flows()).filter(|&i| plan.victims.contains_key(&trace.flows[i].0)).collect();
+    let (idle_victim, dead) = (victim_rows[1], victim_rows[2]);
+    let idle = (0..trace.num_flows()).find(|i| !victim_rows.contains(i)).unwrap();
+    trace.flows[idle].1 = 0;
+    trace.flows[idle_victim].1 = 0;
+    // Same victim set, so the plan's remembered rows still hold.
+    plan.victims.insert(trace.flows[dead].0, 1.0);
+    let duplicated = ImpairmentSet {
+        seed: 5,
+        duplication: Some(Duplication { prob: 1.0 }),
+        ..ImpairmentSet::none()
     };
-    for mode in MODES {
-        let mut sim = sim0.clone();
-        let mut s = sites(topo.n_edges());
-        let r = run_unsharded(mode, &mut sim, &trace, &plan, &imp, &mut s);
-        assert!(in_trace_order(&r), "serial {mode:?}");
-        for shards in [1usize, 2, 3, 8] {
+    let sim0 = Simulator::new(topo.clone(), SimConfig::default());
+    let check = |r: &EpochReport<FiveTuple>, tag: &str| {
+        assert_eq!(r.delivered.len(), trace.num_flows(), "{tag}");
+        for (i, ((f, &del), &(tf, pkts))) in r.delivered.iter().zip(&trace.flows).enumerate() {
+            assert_eq!(*f, tf, "{tag}: row {i} names another flow");
+            let lost = r.lost.get(f).copied().unwrap_or(0);
+            assert_eq!(del + lost, pkts, "{tag}: row {i}");
+        }
+        let row = |i: usize| r.delivered.values().nth(i).copied();
+        assert_eq!((row(idle), row(idle_victim)), (Some(0), Some(0)), "{tag}: idle rows");
+        assert!(!r.lost.contains_key(&trace.flows[idle_victim].0), "{tag}: idle victim");
+        let (dead_flow, dead_pkts) = trace.flows[dead];
+        assert!(dead_pkts > 0);
+        assert_eq!(row(dead), Some(0), "{tag}: total loss");
+        assert_eq!(r.lost.get(&dead_flow), Some(&dead_pkts), "{tag}: total loss");
+        assert_eq!(r.victim_flows(), victim_rows.len() - 1, "{tag}");
+    };
+    for (imp_name, imp) in [("clean", ImpairmentSet::none()), ("duplicated", duplicated)] {
+        for mode in MODES {
             let mut sim = sim0.clone();
             let mut s = sites(topo.n_edges());
-            let mut eng = ShardedReplay::new(Sharding { shards, workers: 2 });
-            let r = run_sharded(mode, &mut eng, &mut sim, &trace, &plan, &imp, &mut s);
-            assert!(in_trace_order(&r), "{shards} shards {mode:?}");
+            let r = run_unsharded(mode, &mut sim, &trace, &plan, &imp, &mut s);
+            check(&r, &format!("{imp_name} serial {mode:?}"));
+            let egressed: u64 = s.iter().map(|site| site.egress_pkts).sum();
+            let copies = if imp.duplication.is_some() { 2 } else { 1 };
+            assert_eq!(egressed, copies * r.delivered.values().sum::<u64>(), "{imp_name} {mode:?}");
+            for shards in [1usize, 2, 3, 8] {
+                let mut sim = sim0.clone();
+                let mut s = sites(topo.n_edges());
+                let mut eng = ShardedReplay::new(Sharding { shards, workers: 2 });
+                let r = run_sharded(mode, &mut eng, &mut sim, &trace, &plan, &imp, &mut s);
+                check(&r, &format!("{imp_name} {shards} shards {mode:?}"));
+            }
         }
     }
 }
@@ -207,12 +241,13 @@ fn delivered_lists_the_trace_row_for_row() {
 // Merge permutation invariance (proptest)
 // ---------------------------------------------------------------------
 
-/// Builds one fragment from a generated spec. Flow keys are made disjoint
-/// across fragments by construction (`frag_id` is baked into the flow id),
+/// Builds one fragment from a generated spec: a flow whose `lost` is
+/// positive is a victim, with its `delivered` patch, `lost` / `lost_at`
+/// entries and drop attribution; every flow adds to the histogram. The
+/// fragment's `j`-th flow sits at trace row `j * n_frags + frag_id` — disjoint
+/// across fragments and interleaved with every other fragment's rows,
 /// mirroring the pipeline invariant that each flow is realized by exactly
-/// one shard. The fragment's `j`-th flow sits at trace row
-/// `j * n_frags + frag_id`: ascending within the fragment, disjoint across
-/// fragments, and interleaved with every other fragment's rows.
+/// one shard.
 fn build_fragment(
     frag_id: u64,
     n_frags: u64,
@@ -220,9 +255,10 @@ fn build_fragment(
 ) -> ReportFragment<FiveTuple> {
     let mut frag = ReportFragment::<FiveTuple>::default();
     for (j, &(salt, delivered, lost, hops)) in flows.iter().enumerate() {
-        let f = FiveTuple::unpack(((frag_id << 32) | salt) as u128 | 1 << 96);
-        frag.delivered.push(((j as u64 * n_frags + frag_id) as u32, f, delivered));
+        let row = j as u64 * n_frags + frag_id;
         if lost > 0 {
+            let f = spec_flow(row);
+            frag.delivered.push((row as u32, delivered));
             frag.lost.insert(f, lost);
             let sw = SwitchId { role: SwitchRole::Edge, index: (salt % 5) as usize };
             let mut at = BTreeMap::new();
@@ -237,13 +273,19 @@ fn build_fragment(
     frag
 }
 
+/// The flow at trace row `row` of a generated spec.
+fn spec_flow(row: u64) -> FiveTuple {
+    FiveTuple::unpack(row as u128 | 1 << 96)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `merge_fragments` is invariant under any permutation of its
     /// fragment slice: the merged report depends only on the multiset of
     /// fragment contents, never on shard order — and its `delivered` column
-    /// comes out in trace order either way.
+    /// comes out as the trace's rows, in trace order, patched at exactly the
+    /// victims, with every fragment drained either way.
     #[test]
     fn merge_is_permutation_invariant(
         specs in proptest::collection::vec(
@@ -256,18 +298,29 @@ proptest! {
         epoch in 0u64..100,
         perm_seed in any::<u64>(),
     ) {
+        let n_frags = specs.len() as u64;
         let build = || -> Vec<ReportFragment<FiveTuple>> {
             specs
                 .iter()
                 .enumerate()
-                .map(|(i, flows)| build_fragment(i as u64, specs.len() as u64, flows))
+                .map(|(i, flows)| build_fragment(i as u64, n_frags, flows))
                 .collect()
+        };
+        // The trace behind the fragments: spec `(frag, j)` is row
+        // `j * n_frags + frag` and sent `delivered + lost`; rows no spec
+        // names (the fragments differ in length) sent 7 and lost nothing.
+        let n_rows = specs.iter().map(Vec::len).max().unwrap_or(0) as u64 * n_frags;
+        let spec_at = |row: u64| specs[(row % n_frags) as usize].get((row / n_frags) as usize);
+        let trace = Trace {
+            flows: (0..n_rows)
+                .map(|row| {
+                    let sent = spec_at(row).map_or(7, |&(_, del, lost, _)| del + lost);
+                    (spec_flow(row), sent)
+                })
+                .collect(),
         };
         let mut frags = build();
         let mut shuffled = build();
-        let mut rows: Vec<(u32, FiveTuple, u64)> =
-            frags.iter().flat_map(|frag| frag.delivered.iter().copied()).collect();
-        rows.sort_unstable_by_key(|&(idx, ..)| idx);
         // Fisher–Yates with a deterministic splitmix stream.
         let mut state = perm_seed;
         for i in (1..shuffled.len()).rev() {
@@ -275,12 +328,16 @@ proptest! {
             shuffled.swap(i, (state % (i as u64 + 1)) as usize);
         }
         let qd = BTreeMap::new();
-        let merged = merge_fragments(epoch, qd.clone(), &mut frags);
-        prop_assert!(merged
-            .delivered
-            .iter()
-            .map(|(&f, &d)| (f, d))
-            .eq(rows.iter().map(|&(_, f, d)| (f, d))));
-        prop_assert_eq!(merged, merge_fragments(epoch, qd, &mut shuffled));
+        let merged = merge_fragments(&trace, epoch, qd.clone(), &mut frags);
+        prop_assert_eq!(merged.delivered.len(), trace.num_flows());
+        let rows = merged.delivered.iter().zip(&trace.flows);
+        for (row, ((f, &del), &(tf, sent))) in rows.enumerate() {
+            prop_assert_eq!(*f, tf, "row {} out of trace order", row);
+            prop_assert_eq!(del + merged.lost.get(f).copied().unwrap_or(0), sent, "row {}", row);
+        }
+        prop_assert_eq!(&merged, &merge_fragments(&trace, epoch, qd, &mut shuffled));
+        for frag in frags.iter().chain(&shuffled) {
+            prop_assert!(frag.delivered.is_empty() && frag.lost.is_empty(), "not drained");
+        }
     }
 }

@@ -29,17 +29,51 @@ pub enum VictimSelection {
     RandomN(usize),
 }
 
+/// Every row index of `trace`, ascending. Plans name trace rows with `u32`,
+/// like the sharded replay's partition.
+fn trace_rows<F>(trace: &Trace<F>) -> std::ops::Range<u32> {
+    0..u32::try_from(trace.flows.len()).expect("a loss plan indexes trace rows with u32")
+}
+
 /// A per-flow loss plan.
+///
+/// A plan selected from a trace ([`build`](Self::build),
+/// [`VictimDrift::plan`]) also remembers **where** in that trace its victims
+/// sit — one `u32` row per victim beside the map, not a second copy of the
+/// flow IDs — so realizing it against the same trace costs work in the
+/// victims, not the flows. The rows are a hint that
+/// [`realize_losses`](Self::realize_losses) checks on every use and never
+/// trusts: a plan applied to another trace, a hand-made one
+/// ([`from_victims`](Self::from_victims)), or one whose `victims` were edited
+/// finds its victims with one walk of the trace and realizes identically.
 #[derive(Debug, Clone)]
 pub struct LossPlan<F> {
     /// Victim flow → packet loss probability in `(0, 1]`.
     pub victims: HashMap<F, f64>,
+    /// Rows of the trace the plan was selected from that hold its victims:
+    /// distinct, ascending; empty for a hand-made plan.
+    rows: Vec<u32>,
 }
 
 impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
     /// No losses at all (healthy network).
     pub fn none() -> Self {
-        LossPlan { victims: HashMap::new() }
+        Self::from_victims([])
+    }
+
+    /// A hand-made plan: the given `(victim, loss probability)` pairs, tied
+    /// to no trace.
+    pub fn from_victims(victims: impl IntoIterator<Item = (F, f64)>) -> Self {
+        LossPlan { victims: victims.into_iter().collect(), rows: Vec::new() }
+    }
+
+    /// The plan whose victims are the flows at `trace`'s (distinct) `rows`,
+    /// each losing at `loss_rate`.
+    fn at_rows(trace: &Trace<F>, mut rows: Vec<u32>, loss_rate: f64) -> Self {
+        let victims = rows.iter().map(|&r| (trace.flows[r as usize].0, loss_rate)).collect();
+        rows.sort_unstable();
+        rows.shrink_to_fit();
+        LossPlan { victims, rows }
     }
 
     /// Builds a plan by selecting victims from `trace` and assigning each
@@ -52,28 +86,31 @@ impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
     ) -> Self {
         assert!((0.0..=1.0).contains(&loss_rate), "loss rate out of range");
         let mut rng = StdRng::seed_from_u64(seed);
-        let victims: Vec<F> = match selection {
+        // Selection orders the trace's rows, not copies of its flow IDs: a
+        // shuffle's swaps depend on the length alone, so the rows come out
+        // where the flows would have, and each victim keeps its row.
+        let mut rows: Vec<u32> = trace_rows(trace).collect();
+        let n = match selection {
             VictimSelection::LargestN(n) => {
-                trace.top_n(n).flows.iter().map(|&(f, _)| f).collect()
+                // `Trace::top_n`'s order: size descending, flow ID ascending.
+                let key = |r: u32| trace.flows[r as usize];
+                rows.sort_unstable_by(|&a, &b| {
+                    key(b).1.cmp(&key(a).1).then_with(|| key(a).0.cmp(&key(b).0))
+                });
+                n
             }
             VictimSelection::RandomRatio(r) => {
                 assert!((0.0..=1.0).contains(&r), "ratio out of range");
-                let n = (trace.num_flows() as f64 * r).round() as usize;
-                let mut ids: Vec<F> = trace.flows.iter().map(|&(f, _)| f).collect();
-                ids.shuffle(&mut rng);
-                ids.truncate(n);
-                ids
+                rows.shuffle(&mut rng);
+                (trace.num_flows() as f64 * r).round() as usize
             }
             VictimSelection::RandomN(n) => {
-                let mut ids: Vec<F> = trace.flows.iter().map(|&(f, _)| f).collect();
-                ids.shuffle(&mut rng);
-                ids.truncate(n);
-                ids
+                rows.shuffle(&mut rng);
+                n
             }
         };
-        LossPlan {
-            victims: victims.into_iter().map(|f| (f, loss_rate)).collect(),
-        }
+        rows.truncate(n);
+        Self::at_rows(trace, rows, loss_rate)
     }
 
     /// Number of victim flows in the plan.
@@ -102,28 +139,76 @@ impl<F: Copy + Eq + Hash + Ord> LossPlan<F> {
     /// caller that walks the trace in order, with no per-flow lookup. Draws
     /// come from one RNG stream walked in trace order, so the counts depend
     /// on `(self, trace, seed)` alone.
+    ///
+    /// The victims are visited by row. When the rows the plan remembers are
+    /// where `trace` holds its victims — an O(victims) check — nothing else
+    /// of the trace is read; otherwise one walk of the trace finds them
+    /// first. Either way the same rows are visited in the same order, so the
+    /// list and every draw are the same.
     pub fn realize_losses(&self, trace: &Trace<F>, seed: u64) -> Vec<(usize, u64)> {
         if self.victims.is_empty() {
             return Vec::new();
         }
-        let mut lost = Vec::with_capacity(self.victims.len());
+        let located;
+        let rows = if self.rows_hold(trace) {
+            &self.rows
+        } else {
+            located = self.locate(trace);
+            &located
+        };
+        let mut lost = Vec::with_capacity(rows.len());
+        self.draw_losses(trace, rows, seed, &mut lost);
+        lost
+    }
+
+    /// True when the remembered rows are exactly where `trace` holds this
+    /// plan's victims: as many rows as victims, each naming a planned victim.
+    /// The rows are distinct and a trace's flow IDs unique, so the flows at
+    /// those rows then *are* the victim set and no other row can hold one.
+    fn rows_hold(&self, trace: &Trace<F>) -> bool {
+        self.rows.len() == self.victims.len()
+            && self.rows.iter().all(|&r| {
+                trace.flows.get(r as usize).is_some_and(|(f, _)| self.victims.contains_key(f))
+            })
+    }
+
+    /// The rows of `trace` that hold a planned victim, ascending: one lookup
+    /// per flow of the trace, the price of a plan that does not know it.
+    fn locate(&self, trace: &Trace<F>) -> Vec<u32> {
+        let mut rows = Vec::with_capacity(self.victims.len());
+        rows.extend(
+            trace_rows(trace).filter(|&r| self.victims.contains_key(&trace.flows[r as usize].0)),
+        );
+        rows
+    }
+
+    /// The draw loop of [`realize_losses`](Self::realize_losses) over the
+    /// victims' `rows` (ascending): one map lookup per victim for its loss
+    /// rate, one draw per packet it sent.
+    // chm-lint: hot
+    fn draw_losses(
+        &self,
+        trace: &Trace<F>,
+        rows: &[u32],
+        seed: u64,
+        lost: &mut Vec<(usize, u64)>,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for (i, &(f, pkts)) in trace.flows.iter().enumerate() {
+        for &row in rows {
+            let (f, pkts) = trace.flows[row as usize];
             if pkts == 0 {
                 continue;
             }
-            if let Some(&p) = self.victims.get(&f) {
-                let mut dropped = 0u64;
-                for _ in 0..pkts {
-                    if rng.gen_bool(p) {
-                        dropped += 1;
-                    }
+            let p = self.victims[&f];
+            let mut dropped = 0u64;
+            for _ in 0..pkts {
+                if rng.gen_bool(p) {
+                    dropped += 1;
                 }
-                // Victims must lose at least one packet, and at most all.
-                lost.push((i, dropped.max(1).min(pkts)));
             }
+            // Victims must lose at least one packet, and at most all.
+            lost.push((row as usize, dropped.max(1).min(pkts)));
         }
-        lost
     }
 
     /// Splits every flow's packets into (delivered, lost): the
@@ -195,19 +280,17 @@ impl VictimDrift {
         if n_victims == 0 || n_flows == 0 {
             return LossPlan::none();
         }
-        let mut ids: Vec<(u64, F)> = trace
-            .flows
-            .iter()
-            .map(|&(f, _)| (mix64(self.seed ^ mix64(f.key64())), f))
+        // Priority first, flow ID on a (64-bit) tie: an order of the flows,
+        // whatever rows they sit at.
+        let flow = |r: u32| trace.flows[r as usize].0;
+        let mut order: Vec<(u64, u32)> = trace_rows(trace)
+            .map(|r| (mix64(self.seed ^ mix64(flow(r).key64())), r))
             .collect();
-        ids.sort_unstable();
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| flow(a.1).cmp(&flow(b.1))));
         let offset =
             (n_victims as f64 * self.frac * epoch as f64).round() as usize % n_flows;
-        let victims = (0..n_victims)
-            .map(|i| ids[(offset + i) % n_flows].1)
-            .map(|f| (f, loss_rate))
-            .collect();
-        LossPlan { victims }
+        let rows = (0..n_victims).map(|i| order[(offset + i) % n_flows].1).collect();
+        LossPlan::at_rows(trace, rows, loss_rate)
     }
 }
 
@@ -319,7 +402,7 @@ mod tests {
         // Flow 2 is a planned victim but idle this epoch: no `lost` entry
         // (not even a zero), and the draws of the other victims are the
         // ones they get when flow 2 is absent from the trace altogether.
-        let plan = LossPlan { victims: [(1u32, 0.5), (2, 0.5), (3, 0.5)].into() };
+        let plan = LossPlan::from_victims([(1u32, 0.5), (2, 0.5), (3, 0.5)]);
         let with_idle = Trace { flows: vec![(1u32, 40), (2, 0), (3, 40), (4, 10)] };
         let without = Trace { flows: vec![(1u32, 40), (3, 40), (4, 10)] };
         let (delivered, lost) = plan.apply_to_trace(&with_idle, 9);

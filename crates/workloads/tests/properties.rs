@@ -1,8 +1,74 @@
 //! Property-based tests of workload generation and loss planning.
 
+use chm_common::hash::mix64;
+use chm_common::FlowId;
 use chm_workloads::distributions::{FlowSizeDistribution, WorkloadKind};
-use chm_workloads::{caida_like_trace, testbed_trace, LossPlan, VictimSelection};
+use chm_workloads::{
+    caida_like_trace, testbed_trace, LossPlan, Trace, VictimDrift, VictimSelection,
+};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+
+/// `realize_losses` as it was while a plan knew nothing of its trace: one
+/// `victims.get` per flow of the trace, in trace order. Kept here as the
+/// reference the row-visiting implementation is held to, entry for entry —
+/// and so draw for draw: a draw taken for the wrong flow, or in the wrong
+/// order, moves every count after it.
+fn hash_walk_losses(plan: &LossPlan<u32>, trace: &Trace<u32>, seed: u64) -> Vec<(usize, u64)> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut lost = Vec::new();
+    for (i, &(f, pkts)) in trace.flows.iter().enumerate() {
+        if pkts == 0 {
+            continue;
+        }
+        if let Some(&p) = plan.victims.get(&f) {
+            let dropped = (0..pkts).filter(|_| rng.gen_bool(p)).count() as u64;
+            lost.push((i, dropped.max(1).min(pkts)));
+        }
+    }
+    lost
+}
+
+/// Order-free digest of a plan's victim set: `(count, fold of sorted keys)`.
+fn victim_digest<F: FlowId>(plan: &LossPlan<F>) -> (usize, u64) {
+    let mut keys: Vec<u64> = plan.victims.keys().map(|f| f.key64()).collect();
+    keys.sort_unstable();
+    (keys.len(), keys.iter().fold(0, |d, &k| mix64(d ^ k)))
+}
+
+/// Selection still picks the victims it always has: carrying trace rows
+/// through the shuffle / size sort / priority sort instead of flow IDs must
+/// not move a single victim. Digests recorded at fb32bd7, where plans held
+/// flow IDs only.
+#[test]
+fn selection_picks_the_recorded_victim_sets() {
+    let caida = caida_like_trace(3_000, 0x5eed);
+    let bed = testbed_trace(WorkloadKind::Dctcp, 2_000, 8, 0xbed);
+    use VictimSelection::{LargestN, RandomN, RandomRatio};
+    let built = [
+        (LargestN(40), (40, 14579047574078786393), (40, 17528840987881205931)),
+        (RandomRatio(0.07), (210, 16915194785193173310), (140, 15143993577846331932)),
+        (RandomN(55), (55, 7710238728615154772), (55, 3969270633323343984)),
+    ];
+    for (sel, want_caida, want_bed) in built {
+        let on_caida = LossPlan::build(&caida, sel, 0.1, 0xfeed);
+        let on_bed = LossPlan::build(&bed, sel, 0.1, 0xfeed);
+        assert_eq!(victim_digest(&on_caida), want_caida, "{sel:?}");
+        assert_eq!(victim_digest(&on_bed), want_bed, "{sel:?}");
+    }
+    let drift = VictimDrift { frac: 0.3, seed: 0xd21f7 };
+    let drifted = [
+        (0u64, (150, 16112277458405220670), (64, 12314506813568411022)),
+        (1, (150, 13297463214607797909), (64, 14212484471695738646)),
+        (9, (150, 8358250430578915844), (64, 14355621365599889696)),
+    ];
+    for (epoch, want_caida, want_bed) in drifted {
+        let on_caida = drift.plan(&caida, VictimSelection::RandomRatio(0.05), 0.1, epoch);
+        let on_bed = drift.plan(&bed, VictimSelection::RandomN(64), 0.1, epoch);
+        assert_eq!(victim_digest(&on_caida), want_caida, "drift epoch {epoch}");
+        assert_eq!(victim_digest(&on_bed), want_bed, "drift epoch {epoch}");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -105,6 +171,74 @@ proptest! {
                 prop_assert_eq!(delivered[&f] + lost.get(&f).copied().unwrap_or(0), pkts);
             }
         }
+    }
+
+    /// `realize_losses` visits its victims by remembered row and must equal
+    /// the per-flow hash walk it replaced, entry for entry: on the trace the
+    /// plan was selected from (the rows hold), on reshaped copies of it (they
+    /// miss, so the victims are located first), for an edited or hand-made
+    /// plan (no usable rows) and for a plan whose victims the trace lacks.
+    #[test]
+    fn realize_losses_equals_the_per_flow_hash_walk(
+        n in 50usize..400,
+        k in 1usize..60,
+        sel_idx in 0usize..4,
+        rate in 0.005f64..0.9,
+        seed in any::<u64>(),
+    ) {
+        let t = caida_like_trace(n, seed);
+        let build = |sel| LossPlan::build(&t, sel, rate, seed ^ 1);
+        let plan = match sel_idx {
+            0 => build(VictimSelection::LargestN(k)),
+            1 => build(VictimSelection::RandomRatio(k as f64 / 120.0)),
+            2 => build(VictimSelection::RandomN(k)),
+            _ => VictimDrift { frac: 0.25, seed: seed ^ 3 }
+                .plan(&t, VictimSelection::RandomN(k), rate, seed % 7),
+        };
+        let same = |plan: &LossPlan<u32>, trace: &Trace<u32>| {
+            plan.realize_losses(trace, seed ^ 2) == hash_walk_losses(plan, trace, seed ^ 2)
+        };
+        // (a) The trace the plan was selected from.
+        prop_assert!(same(&plan, &t), "own trace");
+        prop_assert_eq!(plan.realize_losses(&t, seed ^ 2).len(), plan.num_victims());
+
+        // (b) That trace reshaped: the remembered rows no longer hold.
+        let mut rotated = t.clone();
+        rotated.flows.rotate_left(1 + k % (n - 1));
+        prop_assert!(same(&plan, &rotated), "rotated");
+        let mut thinned = t.clone();
+        let mut row = 0;
+        thinned.flows.retain(|_| { row += 1; row % 5 != 0 });
+        prop_assert!(same(&plan, &thinned), "rows dropped");
+        let mut idled = t.clone();
+        idled.flows.iter_mut().step_by(3).for_each(|r| r.1 = 0);
+        prop_assert!(same(&plan, &idled), "idled (rows still hold; idle victims draw nothing)");
+        let mut grown = t.clone();
+        let fresh = t.flows.iter().map(|&(f, _)| f).max().unwrap_or(0) / 2 + 1;
+        let known: std::collections::HashSet<u32> = t.flows.iter().map(|&(f, _)| f).collect();
+        for (j, id) in (fresh..).filter(|id| !known.contains(id)).take(1 + k % 9).enumerate() {
+            grown.flows.insert((j * 11) % grown.flows.len(), (id, 5 + j as u64));
+        }
+        prop_assert!(same(&plan, &grown), "foreign flows inserted");
+        let mut edited = plan.clone();
+        edited.victims.insert(t.flows[k % n].0, 0.5);
+        if let Some(&f) = plan.victims.keys().min() {
+            edited.victims.remove(&f);
+        }
+        prop_assert!(same(&edited, &t), "plan edited after it was built");
+
+        // (c) A hand-made plan remembers no rows.
+        let by_hand = LossPlan::from_victims(
+            t.flows.iter().step_by(1 + k % 4).map(|&(f, _)| (f, rate / 2.0 + 0.01)),
+        );
+        prop_assert!(same(&by_hand, &t), "hand-made");
+        prop_assert!(same(&by_hand, &rotated), "hand-made, another trace");
+
+        // (d) None of the plan's victims is in the trace.
+        let mut without = t.clone();
+        without.flows.retain(|(f, _)| !plan.victims.contains_key(f));
+        prop_assert!(same(&plan, &without), "victims absent");
+        prop_assert!(plan.realize_losses(&without, seed ^ 2).is_empty());
     }
 
     /// Testbed traces route between distinct hosts within range.
