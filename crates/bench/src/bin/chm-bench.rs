@@ -8,7 +8,13 @@
 //! chm-bench soak [--quick] [--epochs <n>] [--seed <s>]
 //!                [--profile none|standard|stress] [--out <dir>]
 //! chm-bench profile [--quick] [--workers <n>] [--seed <s>] [--out <dir>]
+//! chm-bench fig <id>|all
 //! ```
+//!
+//! `fig` regenerates one paper table/figure by id (a row of
+//! `chm_bench::experiments::EXPERIMENTS`) or, with `all`, every one in
+//! sequence, printing each table and writing `results/<table id>.json` as it
+//! completes. `CHM_TRIALS` / `CHM_SCALE` trade fidelity for time.
 //!
 //! `perf` measures the hot-path packet engine (packets/sec, hash throughput,
 //! decode latency), then sweeps the sharded epoch pipeline across thread
@@ -51,6 +57,7 @@
 //! (see `chm_bench::sweep`). `--quick`, `--out`, `--per-packet`, and
 //! `--check` compose; `--seeds` applies to the matrix only.
 
+use chm_bench::experiments::{self, EXPERIMENTS};
 use chm_bench::perf::{self, PerfConfig};
 use chm_bench::profile::{self, ProfileConfig};
 use chm_bench::scenarios;
@@ -97,7 +104,9 @@ fn usage() -> ! {
          [--seeds <n>] [--check <golden.json>] [--topology-sweep]\n       \
          chm-bench soak [--quick] [--epochs <n>] [--seed <s>] \
          [--profile none|standard|stress] [--out <dir>]\n       \
-         chm-bench profile [--quick] [--workers <n>] [--seed <s>] [--out <dir>]"
+         chm-bench profile [--quick] [--workers <n>] [--seed <s>] [--out <dir>]\n       \
+         chm-bench fig <id>|all   (ids: {})",
+        EXPERIMENTS.iter().map(|&(id, _)| id).collect::<Vec<_>>().join(" ")
     );
     std::process::exit(2);
 }
@@ -130,6 +139,24 @@ fn parse_threads(spec: &str) -> Vec<usize> {
         .collect()
 }
 
+/// The value of the flag just read; prints usage when the line ends instead.
+fn value<'a>(it: &mut impl Iterator<Item = &'a String>) -> String {
+    it.next().cloned().unwrap_or_else(|| usage())
+}
+
+/// Reports the `--check` verdict; exits 1 when the golden found regressions.
+fn threshold_gate(golden_path: &str, problems: &[String]) {
+    if problems.is_empty() {
+        eprintln!("threshold gate vs {golden_path}: OK (tolerance {})", scenarios::CHECK_TOLERANCE);
+        return;
+    }
+    eprintln!("threshold gate vs {golden_path} FAILED:");
+    for p in problems {
+        eprintln!("  {p}");
+    }
+    std::process::exit(1);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
@@ -146,14 +173,8 @@ fn main() {
                         pc = PerfConfig::quick();
                         sc = perf::SweepConfig::quick();
                     }
-                    "--threads" => match it.next() {
-                        Some(t) => threads_arg = Some(t.clone()),
-                        None => usage(),
-                    },
-                    "--out" => match it.next() {
-                        Some(d) => out_dir = d.clone(),
-                        None => usage(),
-                    },
+                    "--threads" => threads_arg = Some(value(&mut it)),
+                    "--out" => out_dir = value(&mut it),
                     _ => usage(),
                 }
             }
@@ -192,18 +213,12 @@ fn main() {
                     "--quick" => quick = true,
                     "--per-packet" => mode = ReplayMode::PerPacket,
                     "--topology-sweep" => topology_sweep = true,
-                    "--out" => match it.next() {
-                        Some(d) => out_dir = d.clone(),
-                        None => usage(),
-                    },
+                    "--out" => out_dir = value(&mut it),
                     "--seeds" => match it.next().and_then(|n| n.parse().ok()) {
                         Some(n) if n >= 1 => n_seeds = n,
                         _ => usage(),
                     },
-                    "--check" => match it.next() {
-                        Some(p) => check = Some(p.clone()),
-                        None => usage(),
-                    },
+                    "--check" => check = Some(value(&mut it)),
                     _ => usage(),
                 }
             }
@@ -244,19 +259,7 @@ fn main() {
                     worst.0.name,
                 );
                 if let Some((golden_path, golden)) = golden {
-                    let problems = sweep::check_sweep(&golden, &run);
-                    if problems.is_empty() {
-                        eprintln!(
-                            "threshold gate vs {golden_path}: OK (tolerance {})",
-                            scenarios::CHECK_TOLERANCE
-                        );
-                    } else {
-                        eprintln!("threshold gate vs {golden_path} FAILED:");
-                        for p in &problems {
-                            eprintln!("  {p}");
-                        }
-                        std::process::exit(1);
-                    }
+                    threshold_gate(&golden_path, &sweep::check_sweep(&golden, &run));
                 }
                 return;
             }
@@ -279,20 +282,7 @@ fn main() {
                 worst.name,
             );
             if let Some((golden_path, golden)) = golden {
-                let problems = scenarios::check_regressions(&golden, &run.results);
-                if problems.is_empty() {
-                    eprintln!(
-                        "threshold gate vs {golden_path}: OK \
-                         (tolerance {})",
-                        scenarios::CHECK_TOLERANCE
-                    );
-                } else {
-                    eprintln!("threshold gate vs {golden_path} FAILED:");
-                    for p in &problems {
-                        eprintln!("  {p}");
-                    }
-                    std::process::exit(1);
-                }
+                threshold_gate(&golden_path, &scenarios::check_regressions(&golden, &run.results));
             }
         }
         "soak" => {
@@ -306,18 +296,9 @@ fn main() {
                         Some(n) if n >= 1 => cfg.epochs = n,
                         _ => usage(),
                     },
-                    "--seed" => match it.next().and_then(|n| n.parse().ok()) {
-                        Some(s) => cfg.seed = s,
-                        None => usage(),
-                    },
-                    "--profile" => match it.next() {
-                        Some(p) => cfg.profile = p.clone(),
-                        None => usage(),
-                    },
-                    "--out" => match it.next() {
-                        Some(d) => out_dir = d.clone(),
-                        None => usage(),
-                    },
+                    "--seed" => cfg.seed = value(&mut it).parse().unwrap_or_else(|_| usage()),
+                    "--profile" => cfg.profile = value(&mut it),
+                    "--out" => out_dir = value(&mut it),
                     _ => usage(),
                 }
             }
@@ -356,14 +337,8 @@ fn main() {
                         Some(n) if n >= 1 => cfg.workers = n,
                         _ => usage(),
                     },
-                    "--seed" => match it.next().and_then(|n| n.parse().ok()) {
-                        Some(s) => cfg.seed = s,
-                        None => usage(),
-                    },
-                    "--out" => match it.next() {
-                        Some(d) => out_dir = d.clone(),
-                        None => usage(),
-                    },
+                    "--seed" => cfg.seed = value(&mut it).parse().unwrap_or_else(|_| usage()),
+                    "--out" => out_dir = value(&mut it),
                     _ => usage(),
                 }
             }
@@ -382,6 +357,22 @@ fn main() {
                 "json: {out_dir}/PROFILE{suffix}.json + \
                  {out_dir}/PROFILE_counts{suffix}.json"
             );
+        }
+        "fig" => {
+            let [_, which] = args.as_slice() else { usage() };
+            let (trials, scale) = (experiments::trials(), experiments::scale());
+            let picked: Vec<_> =
+                EXPERIMENTS.iter().filter(|&&(id, _)| which == "all" || which == id).collect();
+            if picked.is_empty() {
+                usage();
+            }
+            for (id, run) in picked {
+                // Each prints and persists before the next starts.
+                eprintln!("== {id} (trials={trials}, scale={scale}) ==");
+                for t in run(trials, scale) {
+                    t.finish();
+                }
+            }
         }
         _ => usage(),
     }

@@ -72,44 +72,13 @@ where
 }
 
 /// Maps `f` over `0..n` on exactly `workers` threads, returning results in
-/// index order. `workers <= 1` runs inline with no thread machinery.
+/// index order: the never-failing case of the one work-stealing loop.
 pub fn run_trials_with<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    let next = &next;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers.min(n))
-            .map(|_| {
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, v) in h.join().expect("trial worker panicked") {
-                out[i] = Some(v);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("work-stealing counter covered every index"))
-        .collect()
+    try_map(workers, n, |i| Some(f(i))).expect("an infallible item cannot fail")
 }
 
 /// All-or-nothing map: `f` returns `Some(result)` on success and `None` on
@@ -127,35 +96,37 @@ where
     T: Send,
     F: Fn(usize) -> Option<T> + Sync,
 {
-    let workers = threads();
+    try_map(threads(), n, f)
+}
+
+/// The work-stealing loop behind every map in this module: `workers`
+/// threads pull indices off one counter until it runs out or an item fails.
+/// `workers <= 1` runs inline with no thread machinery.
+fn try_map<T, F>(workers: usize, n: usize, f: F) -> Option<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Option<T> + Sync,
+{
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
-    let f = &f;
-    let next = &next;
-    let failed_ref = &failed;
+    let (f, next, failed) = (&f, &next, &failed);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers.min(n))
             .map(|_| {
                 s.spawn(move || {
                     let mut local = Vec::new();
-                    loop {
-                        if failed_ref.load(Ordering::Relaxed) {
-                            break;
-                        }
+                    while !failed.load(Ordering::Relaxed) {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
                         match f(i) {
                             Some(v) => local.push((i, v)),
-                            None => {
-                                failed_ref.store(true, Ordering::Relaxed);
-                                break;
-                            }
+                            None => failed.store(true, Ordering::Relaxed),
                         }
                     }
                     local
@@ -168,9 +139,7 @@ where
             }
         }
     });
-    if failed.load(Ordering::Relaxed) {
-        return None;
-    }
+    // A failed run leaves a hole at the failing item; a clean one has none.
     out.into_iter().collect()
 }
 

@@ -11,7 +11,8 @@ use std::path::Path;
 /// One experiment's output: an id (e.g. "fig04a"), axis labels, and rows.
 #[derive(Debug, Clone)]
 pub struct Table {
-    /// Experiment id matching DESIGN.md's index (e.g. `fig04a`).
+    /// Experiment id (e.g. `fig04a`): the stem of `results/<id>.json`. The
+    /// experiment module that builds the table quotes the paper's value.
     pub id: String,
     /// Human title.
     pub title: String,

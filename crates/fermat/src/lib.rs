@@ -115,13 +115,6 @@ pub struct DecodeResult<F> {
     pub remaining_nonzero: usize,
 }
 
-impl<F> DecodeResult<F> {
-    /// Flows with strictly positive decoded size (the usual consumer view).
-    pub fn positive_flows(&self) -> impl Iterator<Item = (&F, i64)> {
-        self.flows.iter().filter(|(_, &c)| c > 0).map(|(f, &c)| (f, c))
-    }
-}
-
 /// The FermatSketch data structure (Figure 2).
 ///
 /// `PartialEq` compares the full bucket state — two sketches are equal iff

@@ -69,13 +69,6 @@ impl FileModel {
         self.test_lines.iter().any(|&(a, b)| (a..=b).contains(&line))
     }
 
-    /// The innermost hot function whose body covers token index `i`.
-    pub fn hot_fn_at(&self, i: usize) -> Option<&FnInfo> {
-        self.fns
-            .iter()
-            .rfind(|f| f.hot && f.body.is_some_and(|(a, b)| (a..=b).contains(&i)))
-    }
-
     /// The innermost function whose body covers token index `i`.
     pub fn fn_at(&self, i: usize) -> Option<&FnInfo> {
         self.fns

@@ -15,7 +15,8 @@
 //!
 //! totalling 11.33 ms. We scale the per-sketch collection times linearly
 //! with sketch size from those calibration points, which preserves the
-//! figure-20/21 shapes (see DESIGN.md substitutions). On-switch sketch
+//! figure-20/21 shapes (a substitution for measuring a Tofino: the table
+//! above is the whole calibration). On-switch sketch
 //! buckets are five 32-bit lanes = 20 bytes (Figure 13).
 
 /// Bytes of one FermatSketch bucket on the switch: five 32-bit counters

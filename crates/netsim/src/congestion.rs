@@ -1,10 +1,11 @@
-//! Per-link congestion: the fabric-true loss generator.
+//! Per-link congestion: the configuration of the fabric-true loss
+//! generator (links, hot spots, the epoch-homogeneous model).
 //!
 //! The paper's testbed removes congestion entirely (64-byte packets,
 //! proactive ECN drops), so earlier revisions realized loss as i.i.d.
-//! per-flow coins above the hook boundary — blind to the fat-tree. This
-//! module closes that gap: every flow's ECMP route contributes its packets
-//! to the **offered load** of each directed link it crosses, link
+//! per-flow coins above the hook boundary — blind to the fat-tree. The
+//! link-loss layer closes that gap: every flow's ECMP route contributes its
+//! packets to the **offered load** of each directed link it crosses, link
 //! utilization maps to a drop probability, and packets die *at a specific
 //! switch* (the upstream endpoint of the saturated link, where the egress
 //! queue lives). The result feeds [`FabricFates`](crate::impair::FabricFates)
@@ -20,11 +21,14 @@
 //! push links past it. This keeps scenarios scale-invariant: the same
 //! congestion model produces the same *relative* behaviour for CI-smoke and
 //! full-size workloads.
+//!
+//! A [`CongestionModel`] treats the epoch as one homogeneous interval: it
+//! is the [`QueueModel`] with one slot and no carried queue, and
+//! [`QueueModel::realize`] is the only link-loss engine.
 
-use crate::sim::Routable;
-use crate::topology::{SwitchId, SwitchRole, Topology};
-use chm_workloads::Trace;
-use std::collections::{BTreeMap, HashMap};
+use crate::queue::QueueModel;
+use crate::topology::{SwitchId, SwitchRole};
+use chm_workloads::ArrivalProfile;
 
 /// The far end of a directed link: another switch, or a destination host
 /// (the final hop out of the egress ToR).
@@ -97,73 +101,29 @@ impl CongestionModel {
         }
     }
 
-    /// Capacity multiplier of `switch`'s out-links in `epoch` (product of
-    /// every matching derate).
-    pub fn derate_factor(&self, switch: SwitchId, epoch: u64, n_edge: usize) -> f64 {
-        derate_factor(&self.derates, switch, epoch, n_edge)
-    }
-
-    /// Realizes the model for one epoch over one trace: offered load per
-    /// directed link from every flow's ECMP route, class-mean capacities,
-    /// and the resulting per-link drop probabilities. Pure function of
-    /// `(self, topology, trace, epoch)` — the epoch prologue calls it once,
-    /// so both walkers and both drivers see identical probabilities.
-    pub fn realize<F: Routable>(
-        &self,
-        topology: &Topology,
-        trace: &Trace<F>,
-        epoch: u64,
-    ) -> CongestionRealization {
-        // Offered load per link, in packets (integer accumulation: the sum
-        // is order-independent, so a HashMap is safe here).
-        let mut loads: HashMap<LinkId, u64> = HashMap::new();
-        let mut route = Vec::with_capacity(topology.max_hops());
-        for &(f, pkts) in &trace.flows {
-            let (src, dst) = (f.src_host(), f.dst_host());
-            topology.route_into(src, dst, f.key64(), &mut route);
-            for w in route.windows(2) {
-                *loads.entry((w[0], Hop::Switch(w[1]))).or_insert(0) += pkts;
-            }
-            *loads
-                .entry((route[route.len() - 1], Hop::Host(dst)))
-                .or_insert(0) += pkts;
+    /// The model as the queue model realizes it: one slot spanning the
+    /// epoch, flat arrivals, no carried queue, tail drop only — the slot's
+    /// pressure is then exactly this model's utilization (`mean / 1`,
+    /// `arrivals + 0·q`). The queue's 0.95 ceiling on a slot's combined drop
+    /// probability applies to a `max_drop` above it.
+    pub fn one_slot_queue(&self) -> QueueModel {
+        QueueModel {
+            slots: 1,
+            profile: ArrivalProfile::Flat,
+            headroom: self.headroom,
+            knee: self.knee,
+            slope: self.slope,
+            max_drop: self.max_drop,
+            queue_coupling: 0.0,
+            red: None,
+            derates: self.derates.clone(),
         }
-        // Class means over the loaded links, accumulated in sorted link
-        // order (deterministic floating-point emission downstream).
-        let loads: BTreeMap<LinkId, u64> = loads.into_iter().collect();
-        let mut class_sum: BTreeMap<(SwitchRole, Option<SwitchRole>), (u64, u64)> =
-            BTreeMap::new();
-        for (&(from, to), &load) in &loads {
-            let class = (from.role, link_class_to(to));
-            let e = class_sum.entry(class).or_insert((0, 0));
-            e.0 += load;
-            e.1 += 1;
-        }
-        let mut probs = BTreeMap::new();
-        for (&(from, to), &load) in &loads {
-            let (sum, count) = class_sum[&(from.role, link_class_to(to))];
-            let mean = sum as f64 / count as f64;
-            let capacity =
-                self.headroom * mean * self.derate_factor(from, epoch, topology.n_edges());
-            if capacity <= 0.0 {
-                probs.insert((from, to), self.max_drop);
-                continue;
-            }
-            let util = load as f64 / capacity;
-            let p = (self.slope * (util - self.knee)).clamp(0.0, self.max_drop);
-            if p > 0.0 {
-                probs.insert((from, to), p);
-            }
-        }
-        CongestionRealization { probs }
     }
 }
 
 /// Capacity/service multiplier of `switch`'s out-links in `epoch`: the
-/// product of every matching [`Derate`]. Shared by the static
-/// [`CongestionModel`] and the time-resolved
-/// [`QueueModel`](crate::queue::QueueModel), so a hot-spot knob means the
-/// same thing under both.
+/// product of every matching [`Derate`], whichever model's knob configured
+/// it.
 pub fn derate_factor(derates: &[Derate], switch: SwitchId, epoch: u64, n_edge: usize) -> f64 {
     let mut f = 1.0;
     for d in derates {
@@ -194,53 +154,21 @@ pub(crate) fn link_class_to(to: Hop) -> Option<SwitchRole> {
     }
 }
 
-/// One epoch's realized per-link drop probabilities. Links at or below the
-/// knee are absent (probability zero).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CongestionRealization {
-    probs: BTreeMap<LinkId, f64>,
-}
-
-impl CongestionRealization {
-    /// Fills `out` with the drop probability of each hop of `route` (the
-    /// link *out of* `route[i]`; the last hop is the link to `dst_host`).
-    /// `out` is cleared first; its final length equals `route.len()`.
-    pub fn hop_probs(&self, route: &[SwitchId], dst_host: usize, out: &mut Vec<f64>) {
-        out.clear();
-        for w in route.windows(2) {
-            out.push(self.probs.get(&(w[0], Hop::Switch(w[1]))).copied().unwrap_or(0.0));
-        }
-        if let Some(&last) = route.last() {
-            out.push(self.probs.get(&(last, Hop::Host(dst_host))).copied().unwrap_or(0.0));
-        }
-    }
-
-    /// True when no link in the fabric drops (the whole realization is a
-    /// no-op and replay can take the congestion-free path).
-    pub fn is_lossless(&self) -> bool {
-        self.probs.is_empty()
-    }
-
-    /// The saturated links, most-loaded first by probability (ties in link
-    /// order) — diagnostic output for examples and reports.
-    pub fn hot_links(&self) -> Vec<(LinkId, f64)> {
-        let mut v: Vec<(LinkId, f64)> = self.probs.iter().map(|(&l, &p)| (l, p)).collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::FatTree;
+    use crate::queue::QueueRealization;
+    use crate::sim::Routable;
+    use crate::topology::{FatTree, Topology};
     use chm_common::FlowId;
     use chm_workloads::{testbed_trace, WorkloadKind};
 
-    fn realize(model: &CongestionModel, epoch: u64) -> CongestionRealization {
+    /// The model's one realization: the one-slot queue (the seed only places
+    /// microbursts, which a flat profile has none of).
+    fn realize(model: &CongestionModel, epoch: u64) -> QueueRealization {
         let topo: Topology = FatTree::testbed().into();
         let trace = testbed_trace(WorkloadKind::Dctcp, 800, 8, 42);
-        model.realize(&topo, &trace, epoch)
+        model.one_slot_queue().realize(&topo, &trace, epoch, 0)
     }
 
     #[test]
@@ -303,12 +231,13 @@ mod tests {
         });
         let topo: Topology = FatTree::testbed().into();
         let trace = testbed_trace(WorkloadKind::Dctcp, 800, 8, 42);
-        let r = m.realize(&topo, &trace, 0);
+        let r = m.one_slot_queue().realize(&topo, &trace, 0, 0);
         let mut probs = Vec::new();
-        // Find a cross-pod flow routed through core 1 and check alignment.
+        // Find a cross-pod flow routed through core 1 and check alignment:
+        // one slot, so one probability per hop.
         for &(f, _) in &trace.flows {
             let route = topo.route(f.src_host(), f.dst_host(), f.key64());
-            r.hop_probs(&route, f.dst_host(), &mut probs);
+            r.hop_slot_probs(&route, f.dst_host(), &mut probs);
             assert_eq!(probs.len(), route.len());
             for (i, &p) in probs.iter().enumerate() {
                 if p > 0.0 {

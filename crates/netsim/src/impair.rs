@@ -21,8 +21,8 @@
 //!
 //! Loss has two sources here: the flat plan/channel losses (spread drops,
 //! Gilbert–Elliott bursts), whose drop hop is a seeded hash over the route,
-//! and the [`CongestionModel`]'s
-//! per-link losses, whose drop hop *is* the saturated link. Either way the
+//! and the link-loss layer's per-link losses ([`ImpairmentSet::link_model`]),
+//! whose drop hop *is* the saturated link. Either way the
 //! hop is what [`FabricFates::for_each_drop`] reports, which
 //! [`EpochReport`](crate::sim::EpochReport) turns into per-switch drop
 //! attribution — the ground truth for victim localization.
@@ -35,6 +35,7 @@ use crate::congestion::CongestionModel;
 use crate::queue::QueueModel;
 use crate::sim::{spread_drop, spread_drop_nth, spread_drop_prefix};
 use chm_common::hash::mix64;
+use std::borrow::Cow;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -113,13 +114,12 @@ pub struct ImpairmentSet {
     /// Seed folded into every realization (scenario identity).
     pub seed: u64,
     /// Per-link utilization-driven loss (congestion-coupled drops at the
-    /// saturated switch), static over the epoch. Ignored when
-    /// [`queue`](Self::queue) is set — the queue model subsumes it.
+    /// saturated switch), homogeneous over the epoch. Beside a
+    /// [`queue`](Self::queue) it adds its derates to that model.
     pub congestion: Option<CongestionModel>,
     /// Time-resolved per-link queue dynamics: intra-epoch queue
     /// build-up/drain producing per-(link, slot) drop probabilities and
-    /// queue-depth telemetry. Supersedes [`congestion`](Self::congestion)
-    /// when both are configured.
+    /// (only when set) the report's queue-depth telemetry.
     pub queue: Option<QueueModel>,
     /// Correlated bursty loss, applied on top of the epoch's loss plan.
     pub gilbert_elliott: Option<GilbertElliott>,
@@ -149,22 +149,19 @@ pub fn hash_hop(epoch_seed: u64, flow_key: u64, i: u64, route_len: usize) -> u8 
 }
 
 /// The link-level (fabric's own) loss view one flow replays under — how
-/// the congestion layer, if any, expresses itself to the fate realization.
+/// the link-loss layer, if any, expresses itself to the fate realization.
 #[derive(Debug, Clone, Copy)]
 pub enum LinkLoss<'a> {
     /// No link-level loss: only the plan and the channel impairments drop.
     None,
-    /// Static per-hop drop probabilities — the epoch-homogeneous
-    /// [`CongestionModel`] (one probability per route hop; see
-    /// [`CongestionRealization::hop_probs`](crate::congestion::CongestionRealization::hop_probs)).
-    Static(&'a [f64]),
-    /// Time-resolved per-(hop, slot) drop probabilities from the
-    /// [`QueueModel`]: `probs` is row-major
-    /// `[hop][slot]` (`route_len × n_slots` entries), and `slot_counts` is
-    /// this flow's per-slot packet layout (summing to the flow's packet
-    /// count) — packet `i`'s seeded slot is where the cumulative layout
-    /// places it, so a packet dies with the probability of the link *in its
-    /// slot*, which is what makes drops time-correlated.
+    /// Per-(hop, slot) drop probabilities from the epoch's
+    /// [`QueueRealization`](crate::queue::QueueRealization): `probs` is
+    /// row-major `[hop][slot]` (`route_len × n_slots` entries), and
+    /// `slot_counts` is this flow's per-slot packet layout (summing to the
+    /// flow's packet count) — packet `i`'s seeded slot is where the
+    /// cumulative layout places it, so a packet dies with the probability of
+    /// the link *in its slot*, which is what makes drops time-correlated
+    /// (one slot holding the whole flow under a [`CongestionModel`]).
     Slotted {
         /// Row-major `[hop][slot]` drop probabilities.
         probs: &'a [f64],
@@ -175,15 +172,12 @@ pub enum LinkLoss<'a> {
     },
 }
 
-impl LinkLoss<'_> {
-    /// True when no link on this flow's route can drop (the realization
-    /// consumes no RNG for link loss).
-    fn is_lossless(&self) -> bool {
-        match self {
-            LinkLoss::None => true,
-            LinkLoss::Static(ps) => ps.iter().all(|&p| p <= 0.0),
-            LinkLoss::Slotted { probs, .. } => probs.iter().all(|&p| p <= 0.0),
-        }
+impl<'a> LinkLoss<'a> {
+    /// The view's `(probs, slot_counts, n_slots)` when some link on this
+    /// flow's route can drop; `None` when link loss consumes no RNG.
+    fn lossy(self) -> Option<(&'a [f64], &'a [u64], usize)> {
+        let LinkLoss::Slotted { probs, slot_counts, n_slots } = self else { return None };
+        (!probs.iter().all(|&p| p <= 0.0)).then_some((probs, slot_counts, n_slots))
     }
 }
 
@@ -202,6 +196,23 @@ impl ImpairmentSet {
             && self.duplication.is_none()
             && self.reordering.is_none()
             && self.clock_skew.is_none()
+    }
+
+    /// The one link-loss model this set configures: the queue model;
+    /// without one, the congestion model as its one-slot case; with both,
+    /// the queue model under the derates of both (a derate factor is a
+    /// product over every matching entry, so the lists concatenate).
+    pub fn link_model(&self) -> Option<Cow<'_, QueueModel>> {
+        match (&self.queue, &self.congestion) {
+            (Some(q), Some(c)) if !c.derates.is_empty() => {
+                let mut q = q.clone();
+                q.derates.extend_from_slice(&c.derates);
+                Some(Cow::Owned(q))
+            }
+            (Some(q), _) => Some(Cow::Borrowed(q)),
+            (None, Some(c)) => Some(Cow::Owned(c.one_slot_queue())),
+            (None, None) => None,
+        }
     }
 
     /// The deterministic skew fraction of `edge`'s clock in `[0, max_frac)`.
@@ -223,9 +234,9 @@ impl ImpairmentSet {
     /// pattern.
     ///
     /// A stage *draws* for this flow when it consumes the per-flow RNG: link
-    /// loss with a positive probability somewhere on the route
-    /// (`Static`/`Slotted` views whose probabilities are all zero count as
-    /// lossless, like [`LinkLoss::None`]), Gilbert–Elliott, reordering, or
+    /// loss with a positive probability somewhere on the route (a `Slotted`
+    /// view whose probabilities are all zero counts as lossless, like
+    /// [`LinkLoss::None`]), Gilbert–Elliott, reordering, or
     /// duplication. Plan drops, drop hops and clock skew are hashes, not
     /// draws. A flow no stage draws for is *quiet*: its fates are the spread
     /// rule itself, so `out` records the rule's parameters and answers every
@@ -236,9 +247,8 @@ impl ImpairmentSet {
     ///
     /// `route_len` is the number of switches on the flow's ECMP route
     /// (every drop is attributed to one of them); `link_loss` is the
-    /// congestion layer's view of this flow's route — static per-hop
-    /// probabilities, time-resolved per-(hop, slot) probabilities, or
-    /// nothing. The realization is a pure function of
+    /// link-loss layer's view of this flow's route — per-(hop, slot)
+    /// probabilities, or nothing. The realization is a pure function of
     /// `(self, flow_key, pkts, base_lost, epoch_seed, in_edge, route_len, link_loss)`.
     #[allow(clippy::too_many_arguments)]
     pub fn realize_flow(
@@ -252,12 +262,6 @@ impl ImpairmentSet {
         route_len: usize,
         link_loss: LinkLoss<'_>,
     ) {
-        if let LinkLoss::Static(hop_probs) = link_loss {
-            debug_assert!(
-                hop_probs.is_empty() || hop_probs.len() == route_len,
-                "hop_probs must cover the route"
-            );
-        }
         if let LinkLoss::Slotted { probs, slot_counts, n_slots } = link_loss {
             debug_assert_eq!(probs.len(), route_len * n_slots, "probs must cover route x slots");
             debug_assert_eq!(slot_counts.iter().sum::<u64>(), pkts, "slots must cover the flow");
@@ -276,8 +280,8 @@ impl ImpairmentSet {
                 0
             }
         };
-        let link_lossy = !link_loss.is_lossless();
-        if !(link_lossy
+        let lossy_link = link_loss.lossy();
+        if !(lossy_link.is_some()
             || self.gilbert_elliott.is_some()
             || self.reordering.is_some()
             || self.duplication.is_some())
@@ -315,14 +319,16 @@ impl ImpairmentSet {
         // packet already claimed by the plan is not offered to later links.
         // When no link on this route can drop, no RNG state is consumed, so
         // congestion-free scenarios realize exactly as before.
-        if link_lossy {
-            match link_loss {
-                LinkLoss::Static(hop_probs) => {
-                    for i in 0..pkts as usize {
-                        if !out.delivered_mask[i] {
-                            continue;
-                        }
-                        for (h, &p) in hop_probs.iter().enumerate() {
+        if let Some((probs, slot_counts, n_slots)) = lossy_link {
+            // Packets occupy slots in index order (index order is time
+            // order within an epoch), so each packet tests the drop
+            // probability of every hop *in its slot*.
+            let mut i = 0usize;
+            for (t, &cnt) in slot_counts.iter().enumerate() {
+                for _ in 0..cnt {
+                    if out.delivered_mask[i] {
+                        for h in 0..route_len {
+                            let p = probs[h * n_slots + t];
                             if p > 0.0 && rng.gen_bool(p) {
                                 out.delivered_mask[i] = false;
                                 out.drop_hop[i] = h as u8;
@@ -330,29 +336,8 @@ impl ImpairmentSet {
                             }
                         }
                     }
+                    i += 1;
                 }
-                LinkLoss::Slotted { probs, slot_counts, n_slots } => {
-                    // Packets occupy slots in index order (index order is
-                    // time order within an epoch), so each packet tests the
-                    // drop probability of every hop *in its slot*.
-                    let mut i = 0usize;
-                    for (t, &cnt) in slot_counts.iter().enumerate() {
-                        for _ in 0..cnt {
-                            if out.delivered_mask[i] {
-                                for h in 0..route_len {
-                                    let p = probs[h * n_slots + t];
-                                    if p > 0.0 && rng.gen_bool(p) {
-                                        out.delivered_mask[i] = false;
-                                        out.drop_hop[i] = h as u8;
-                                        break;
-                                    }
-                                }
-                            }
-                            i += 1;
-                        }
-                    }
-                }
-                LinkLoss::None => unreachable!("lossless is handled above"),
             }
         }
         if let Some(ge) = self.gilbert_elliott {
@@ -580,12 +565,6 @@ mod tests {
         route_len: usize,
         link_loss: LinkLoss<'_>,
     ) {
-        if let LinkLoss::Static(hop_probs) = link_loss {
-            debug_assert!(
-                hop_probs.is_empty() || hop_probs.len() == route_len,
-                "hop_probs must cover the route"
-            );
-        }
         if let LinkLoss::Slotted { probs, slot_counts, n_slots } = link_loss {
             debug_assert_eq!(probs.len(), route_len * n_slots, "probs must cover route x slots");
             debug_assert_eq!(slot_counts.iter().sum::<u64>(), pkts, "slots must cover the flow");
@@ -610,14 +589,16 @@ mod tests {
         // packet already claimed by the plan is not offered to later links.
         // When no link on this route can drop, no RNG state is consumed, so
         // congestion-free scenarios realize exactly as before.
-        if !link_loss.is_lossless() {
-            match link_loss {
-                LinkLoss::Static(hop_probs) => {
-                    for i in 0..pkts as usize {
-                        if !out.delivered_mask[i] {
-                            continue;
-                        }
-                        for (h, &p) in hop_probs.iter().enumerate() {
+        if let Some((probs, slot_counts, n_slots)) = link_loss.lossy() {
+            // Packets occupy slots in index order (index order is time
+            // order within an epoch), so each packet tests the drop
+            // probability of every hop *in its slot*.
+            let mut i = 0usize;
+            for (t, &cnt) in slot_counts.iter().enumerate() {
+                for _ in 0..cnt {
+                    if out.delivered_mask[i] {
+                        for h in 0..route_len {
+                            let p = probs[h * n_slots + t];
                             if p > 0.0 && rng.gen_bool(p) {
                                 out.delivered_mask[i] = false;
                                 out.drop_hop[i] = h as u8;
@@ -625,29 +606,8 @@ mod tests {
                             }
                         }
                     }
+                    i += 1;
                 }
-                LinkLoss::Slotted { probs, slot_counts, n_slots } => {
-                    // Packets occupy slots in index order (index order is
-                    // time order within an epoch), so each packet tests the
-                    // drop probability of every hop *in its slot*.
-                    let mut i = 0usize;
-                    for (t, &cnt) in slot_counts.iter().enumerate() {
-                        for _ in 0..cnt {
-                            if out.delivered_mask[i] {
-                                for h in 0..route_len {
-                                    let p = probs[h * n_slots + t];
-                                    if p > 0.0 && rng.gen_bool(p) {
-                                        out.delivered_mask[i] = false;
-                                        out.drop_hop[i] = h as u8;
-                                        break;
-                                    }
-                                }
-                            }
-                            i += 1;
-                        }
-                    }
-                }
-                LinkLoss::None => unreachable!("lossless is handled above"),
             }
         }
         if let Some(ge) = imp.gilbert_elliott {
@@ -716,6 +676,12 @@ mod tests {
         counts
     }
 
+    /// Per-hop probabilities as the view a [`CongestionModel`] replays
+    /// under: one slot holding the whole flow (`whole` is `[pkts]`).
+    fn one_slot<'a>(hop_probs: &'a [f64], whole: &'a [u64; 1]) -> LinkLoss<'a> {
+        LinkLoss::Slotted { probs: hop_probs, slot_counts: whole, n_slots: 1 }
+    }
+
     /// Every single impairment, nothing, and the `perfect-storm` scenario's
     /// combination of all four.
     fn impairment_sweep() -> Vec<(&'static str, ImpairmentSet)> {
@@ -760,8 +726,8 @@ mod tests {
     fn closed_form_realization_equals_the_per_packet_oracle() {
         const ROUTE: usize = 3;
         const SLOTS: usize = 4;
-        let static_zero = [0.0; ROUTE];
-        let static_hot = [0.0, 0.2, 0.05];
+        let one_slot_zero = [0.0; ROUTE];
+        let one_slot_hot = [0.0, 0.2, 0.05];
         let slotted_zero = [0.0; ROUTE * SLOTS];
         let mut slotted_hot = [0.0; ROUTE * SLOTS];
         slotted_hot[SLOTS + 2] = 0.3; // hop 1, slot 2
@@ -772,11 +738,11 @@ mod tests {
         let (mut got, mut want) = (FabricFates::default(), FabricFates::default());
         for (name, imp) in impairment_sweep() {
             for pkts in [0u64, 1, 2, 7, 64, 1500] {
-                let slots = slot_layout(pkts);
+                let (slots, whole) = (slot_layout(pkts), [pkts]);
                 let views = [
                     ("none", LinkLoss::None),
-                    ("static-zero", LinkLoss::Static(&static_zero)),
-                    ("static", LinkLoss::Static(&static_hot)),
+                    ("one-slot-zero", one_slot(&one_slot_zero, &whole)),
+                    ("one-slot", one_slot(&one_slot_hot, &whole)),
                     (
                         "slotted-zero",
                         LinkLoss::Slotted { probs: &slotted_zero, slot_counts: &slots, n_slots: SLOTS },
@@ -850,7 +816,7 @@ mod tests {
         let quiet = run(&sweep[0].1, LinkLoss::None);
         assert_eq!(quiet.n_delivered(), 1460);
 
-        let link = run(&sweep[0].1, LinkLoss::Static(&[0.0, 0.2, 0.0]));
+        let link = run(&sweep[0].1, one_slot(&[0.0, 0.2, 0.0], &[1500]));
         assert!(link.n_delivered() < 1460, "link loss must drop beyond the plan");
         let ge = run(&sweep[1].1, LinkLoss::None);
         assert!(ge.n_delivered() < 1460, "Gilbert–Elliott must drop beyond the plan");
@@ -996,7 +962,7 @@ mod tests {
             0x99,
             0,
             5,
-            LinkLoss::Static(&[0.0, 0.0, 0.4, 0.0, 0.0]),
+            one_slot(&[0.0, 0.0, 0.4, 0.0, 0.0], &[2_000]),
         );
         let lost = 2_000 - f.n_delivered();
         assert!(lost > 500, "a 0.4 link must drop plenty, got {lost}");
@@ -1005,8 +971,8 @@ mod tests {
 
     #[test]
     fn congestion_free_realization_consumes_no_rng() {
-        // An all-zero hop_probs vector must leave the downstream RNG stream
-        // (GE, duplication, …) exactly where an empty one does.
+        // An all-zero one-slot view must leave the downstream RNG stream
+        // (GE, duplication, …) exactly where no link-loss layer does.
         let imp = ImpairmentSet {
             seed: 13,
             gilbert_elliott: Some(GilbertElliott::bursty()),
@@ -1016,7 +982,7 @@ mod tests {
         let mut a = FabricFates::default();
         let mut b = FabricFates::default();
         imp.realize_flow(&mut a, 7, 600, 11, 0x42, 1, 5, LinkLoss::None);
-        imp.realize_flow(&mut b, 7, 600, 11, 0x42, 1, 5, LinkLoss::Static(&[0.0; 5]));
+        imp.realize_flow(&mut b, 7, 600, 11, 0x42, 1, 5, one_slot(&[0.0; 5], &[600]));
         assert_eq!(observe(&a, 600), observe(&b, 600));
     }
 

@@ -24,21 +24,21 @@
 //!   [`ImpairmentSet::none`];
 //! * [`shard`] — the second driver of the same kernel: per-edge shards on
 //!   scoped threads, byte-identical to the serial driver at any layout;
-//! * [`congestion`] — the per-link congestion model: offered load from
-//!   every flow's ECMP route, utilization-driven drop probabilities,
-//!   structural derates (incast ToRs, browned-out cores, rolling
-//!   degradations);
-//! * [`queue`] — the time-resolved layer under [`congestion`]: each epoch
-//!   splits into discrete slots, per-flow arrival profiles shape the
-//!   per-(link, slot) offered load, and a fluid queue per link turns it
+//! * [`queue`] — the link-loss layer, and the only engine it has: offered
+//!   load from every flow's ECMP route per (link, time slot), per-flow
+//!   arrival profiles shaping it, and a fluid queue per link turning it
 //!   into time-correlated drop probabilities plus per-switch queue-depth
 //!   telemetry (microbursts, incast ramps, slow drains);
-//! * [`impair`] — adversarial fabric impairments (per-link congestion
-//!   loss, time-resolved queue loss, Gilbert–Elliott bursty loss,
-//!   duplication, bounded reordering, per-edge clock skew), realized per
-//!   flow above the hook boundary into one [`FabricFates`] both walkers
-//!   read, so the per-packet and burst replays stay byte-identical under
-//!   any scenario; a flow no random stage touches is held in closed form.
+//! * [`congestion`] — the links, hot-spot derates (incast ToRs,
+//!   browned-out cores, rolling degradations) and the epoch-homogeneous
+//!   [`CongestionModel`], which is configuration only: [`queue`] realizes
+//!   it as its one-slot, uncoupled case;
+//! * [`impair`] — adversarial fabric impairments (per-link queue loss,
+//!   Gilbert–Elliott bursty loss, duplication, bounded reordering, per-edge
+//!   clock skew), realized per flow above the hook boundary into one
+//!   [`FabricFates`] both walkers read, so the per-packet and burst replays
+//!   stay byte-identical under any scenario; a flow no random stage touches
+//!   is held in closed form.
 
 #![forbid(unsafe_code)]
 
@@ -53,7 +53,7 @@ pub mod sim;
 pub mod topology;
 
 pub use clock::{ClockModel, EpochClock};
-pub use congestion::{CongestionModel, CongestionRealization, Derate, Hop, LinkId};
+pub use congestion::{CongestionModel, Derate, Hop, LinkId};
 pub use header::{decode_tos, encode_tos, CarriedState, IntShim};
 pub use impair::{
     ClockSkew, Duplication, FabricFates, GilbertElliott, ImpairmentSet, LinkLoss,

@@ -1,25 +1,20 @@
-//! Time-resolved per-link queueing: the intra-epoch layer under the fabric
-//! replay.
+//! Per-link queueing: the fabric's one link-loss engine, time-resolved
+//! inside the epoch.
 //!
-//! The static [`CongestionModel`](crate::congestion::CongestionModel) treats
-//! an epoch as one homogeneous interval — a link is saturated for the whole
-//! epoch or not at all, so drop *timing* inside an epoch is only
-//! approximated (Gilbert–Elliott's correlated channel is a proxy, not a
-//! queue). This module models what actually happens at a switch egress
-//! port: each epoch splits into `S` discrete slots, every flow's
-//! [`ArrivalProfile`] lays its packets into slots in closed form, the
-//! per-(link, slot) offered load feeds a **fluid queue** with a
-//! class-calibrated service rate, and the queue's occupancy turns into
-//! time-correlated drop probabilities — a microburst overwhelms a queue for
-//! two slots and is gone, a slow-drain ToR stays deep all epoch, an incast
-//! ramp pushes its drops toward the epoch's end.
+//! This module models what happens at a switch egress port: each epoch
+//! splits into `S` discrete slots, every flow's [`ArrivalProfile`] lays its
+//! packets into slots in closed form, the per-(link, slot) offered load
+//! feeds a **fluid queue** with a class-calibrated service rate, and the
+//! queue's occupancy turns into time-correlated drop probabilities — a
+//! microburst overwhelms a queue for two slots and is gone, a slow-drain ToR
+//! stays deep all epoch, an incast ramp pushes its drops toward the epoch's
+//! end.
 //!
-//! # Calibration: a strict superset of the static model
+//! # Calibration, and the static model as the one-slot case
 //!
-//! Service is self-calibrating exactly like the static model's capacity:
-//! a link's per-slot service is `headroom ×` its link class's mean per-slot
-//! offered load, scaled by the same [`Derate`]s. The per-slot drop
-//! probability uses the same knee/slope mapping, applied to the slot's
+//! Service is self-calibrating: a link's per-slot service is `headroom ×`
+//! its link class's mean per-slot offered load, scaled by its [`Derate`]s.
+//! The per-slot drop probability is a knee/slope mapping of the slot's
 //! *pressure* — offered arrivals plus `queue_coupling ×` the queue carried
 //! in from earlier slots:
 //!
@@ -29,14 +24,17 @@
 //! q(t)        = q(t−1) + arrivals(t)·(1 − p(t)) − served(t)
 //! ```
 //!
-//! With a [`Flat`](ArrivalProfile::Flat) profile and `queue_coupling = 0`
-//! the per-slot pressure *is* the static utilization, so the queue model
-//! reproduces the static model's per-link loss exactly (property-tested in
-//! `tests/properties.rs`); the coupling term is precisely the temporal
-//! dynamics the static model lacks. Under sustained overload the coupled
-//! queue converges to the loss that stabilizes it (`1 − 1/util`), which
-//! sits *above* the static knee-slope approximation — queues remember,
-//! knees don't.
+//! The static [`CongestionModel`] — a link saturated for the whole epoch or
+//! not at all — is *defined* as this model at `S = 1`,
+//! [`Flat`](ArrivalProfile::Flat), `queue_coupling = 0`, no RED
+//! ([`CongestionModel::one_slot_queue`]): the slot's pressure is then the
+//! link's utilization, and [`QueueModel::realize`] is the only realization
+//! either model has. More flat uncoupled slots change only the layout's
+//! integer rounding (property-tested in `tests/properties.rs`); the coupling
+//! term is precisely the temporal dynamics one slot lacks. Under sustained
+//! overload the coupled queue converges to the loss that stabilizes it
+//! (`1 − 1/util`), which sits *above* the knee-slope approximation — queues
+//! remember, knees don't.
 //!
 //! # Conservation
 //!
@@ -58,14 +56,12 @@
 //! identical [`LinkLoss::Slotted`](crate::impair::LinkLoss) views and stay
 //! byte-identical.
 
-use crate::congestion::{derate_factor, link_class_to, Derate};
+use crate::congestion::{derate_factor, link_class_to, CongestionModel, Derate, Hop, LinkId};
 use crate::sim::Routable;
 use crate::topology::{SwitchId, SwitchRole, Topology};
 use chm_common::hash::mix64;
 use chm_workloads::{ArrivalProfile, Trace};
 use std::collections::{BTreeMap, HashMap};
-
-pub use crate::congestion::{Hop, LinkId};
 
 /// RED-style early drop: once the queue carried into a slot exceeds
 /// `min_depth` (in units of one slot's service), an extra drop probability
@@ -100,8 +96,7 @@ pub struct QueueModel {
     pub slots: usize,
     /// How flows lay their packets into slots.
     pub profile: ArrivalProfile,
-    /// Per-slot service relative to the link class's mean per-slot load
-    /// (the static model's `headroom`, per slot).
+    /// Per-slot service relative to the link class's mean per-slot load.
     pub headroom: f64,
     /// Pressure at which drops begin.
     pub knee: f64,
@@ -114,28 +109,17 @@ pub struct QueueModel {
     pub queue_coupling: f64,
     /// Optional RED-style early drop on top of the tail rule.
     pub red: Option<RedDrop>,
-    /// Structural hot spots (service derates), same knobs as the static
-    /// model's capacity derates.
+    /// Structural hot spots (service derates).
     pub derates: Vec<Derate>,
 }
 
 impl QueueModel {
-    /// The calibrated default over `slots` slots: the static model's
+    /// The calibrated default over `slots` slots: the congestion model's
     /// `2×`/knee-1.0/slope-0.3/cap-0.5 operating point with full queue
     /// coupling, a flat profile, tail drop only.
     pub fn calibrated(slots: usize) -> Self {
         assert!(slots >= 1, "need at least one slot");
-        QueueModel {
-            slots,
-            profile: ArrivalProfile::Flat,
-            headroom: 2.0,
-            knee: 1.0,
-            slope: 0.3,
-            max_drop: 0.5,
-            queue_coupling: 1.0,
-            red: None,
-            derates: Vec::new(),
-        }
+        QueueModel { slots, queue_coupling: 1.0, ..CongestionModel::calibrated().one_slot_queue() }
     }
 
     /// Realizes the model for one epoch over one trace: per-flow slot
@@ -153,8 +137,7 @@ impl QueueModel {
         let s = self.slots;
         let slot_seed = mix64(seed ^ QSLOT_SALT).wrapping_add(epoch);
         // Per-(link, slot) arrivals, in packets. Integer accumulation is
-        // order-independent, so a HashMap is safe here (as in the static
-        // model's load accounting).
+        // order-independent, so a HashMap is safe here.
         let mut arrivals: HashMap<LinkId, Vec<u64>> = HashMap::new();
         let mut route = Vec::with_capacity(topology.max_hops());
         let mut counts = Vec::with_capacity(s);
@@ -202,8 +185,8 @@ impl QueueModel {
             for (t, &arr_pkts) in a.iter().enumerate() {
                 let arr = arr_pkts as f64;
                 let p = if service <= 0.0 {
-                    // A fully-derated link: everything offered drops, as in
-                    // the static model's zero-capacity clamp.
+                    // A fully-derated link (the zero-capacity clamp):
+                    // everything offered drops at the tail ceiling.
                     self.max_drop
                 } else {
                     let pressure = (arr + self.queue_coupling * q) / service;

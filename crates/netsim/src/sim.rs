@@ -12,7 +12,6 @@
 //! pieces per edge shard. The clean fabric of §5.2 is the replay under
 //! [`ImpairmentSet::none`].
 
-use crate::congestion::CongestionRealization;
 use crate::impair::{FabricFates, ImpairmentSet, LinkLoss};
 use crate::queue::{QueueDepthStat, QueueRealization};
 use crate::shard::ReportFragment;
@@ -177,8 +176,8 @@ pub struct EpochReport<F> {
     pub lost_at: HashMap<F, BTreeMap<SwitchId, u64>>,
     /// Distribution of route lengths (switches on path → packets).
     pub hops_histogram: BTreeMap<usize, u64>,
-    /// Per-switch queue-depth telemetry from the time-resolved queue model
-    /// (empty when the epoch ran without one) — what the switches would
+    /// Per-switch queue-depth telemetry (empty unless
+    /// [`ImpairmentSet::queue`] is configured) — what the switches would
     /// export via INT/queue-occupancy counters. Read off the epoch's one
     /// queue realization, so it does not depend on the walker or the driver.
     pub queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
@@ -418,8 +417,8 @@ pub(crate) struct EpochSetup<'a> {
     epoch_seed: u64,
     /// The plan's realized losses, `(trace index, lost)` ascending.
     base_lost: Vec<(usize, u64)>,
-    queue: Option<QueueRealization>,
-    cong: Option<CongestionRealization>,
+    /// The epoch's one link-loss realization, if a model is configured.
+    link: Option<QueueRealization>,
 }
 
 /// Reads the epoch's plan losses by position. Every driver — and every
@@ -448,9 +447,11 @@ impl PlanLosses<'_> {
 }
 
 impl EpochSetup<'_> {
-    /// Per-switch queue telemetry of the epoch (empty without a queue model).
+    /// Per-switch queue telemetry of the epoch: exported when a queue model
+    /// is configured, not for a congestion model's one-slot realization.
     pub(crate) fn queue_depth(&self) -> BTreeMap<SwitchId, QueueDepthStat> {
-        self.queue.as_ref().map(|q| q.depths().clone()).unwrap_or_default()
+        let link = self.link.as_ref().filter(|_| self.imp.queue.is_some());
+        link.map(|l| l.depths().clone()).unwrap_or_default()
     }
 
     /// The plan's victim count this epoch — a floor for the report's `lost`.
@@ -480,27 +481,22 @@ impl EpochSetup<'_> {
         acc: &mut ReportFragment<F>,
     ) {
         // The route lands in a reusable buffer (allocation-free); its length
-        // is the hop count by definition, and the link-level loss layers
-        // read their per-hop probabilities off it.
+        // is the hop count by definition, and the link-loss layer reads
+        // its per-hop probabilities off it.
         let dst = f.dst_host();
         self.topo.route_into(f.src_host(), dst, f.key64(), &mut sc.route);
         *acc.hops_histogram.entry(sc.route.len()).or_insert(0) += pkts;
-        sc.hop_probs.clear();
-        let link_loss = match (&self.queue, &self.cong) {
-            (Some(q), _) => {
-                q.hop_slot_probs(&sc.route, dst, &mut sc.hop_probs);
-                q.flow_slot_counts(f.key64(), pkts, &mut sc.slot_counts);
+        let link_loss = match &self.link {
+            Some(link) => {
+                link.hop_slot_probs(&sc.route, dst, &mut sc.hop_probs);
+                link.flow_slot_counts(f.key64(), pkts, &mut sc.slot_counts);
                 LinkLoss::Slotted {
                     probs: &sc.hop_probs,
                     slot_counts: &sc.slot_counts,
-                    n_slots: q.n_slots(),
+                    n_slots: link.n_slots(),
                 }
             }
-            (None, Some(c)) => {
-                c.hop_probs(&sc.route, dst, &mut sc.hop_probs);
-                LinkLoss::Static(&sc.hop_probs)
-            }
-            (None, None) => LinkLoss::None,
+            None => LinkLoss::None,
         };
         self.imp.realize_flow(
             &mut sc.fates,
@@ -667,9 +663,7 @@ impl Simulator {
 
     /// The epoch prologue both drivers share: realizes the plan's losses
     /// (victims only) and the fabric's link-loss layer for the epoch about
-    /// to run. The queue model supersedes the static congestion model: both
-    /// are link-level loss generators, and exactly one realization feeds the
-    /// fates so the two layers can never double-drop.
+    /// to run ([`ImpairmentSet::link_model`], whichever model configured it).
     pub(crate) fn begin_epoch<'a, F: Routable>(
         &'a self,
         trace: &Trace<F>,
@@ -681,17 +675,6 @@ impl Simulator {
             .seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(self.epoch);
-        let queue = imp
-            .queue
-            .as_ref()
-            .map(|q| q.realize(&self.topology, trace, self.epoch, imp.seed));
-        let cong = match &queue {
-            Some(_) => None,
-            None => imp
-                .congestion
-                .as_ref()
-                .map(|m| m.realize(&self.topology, trace, self.epoch)),
-        };
         EpochSetup {
             topo: &self.topology,
             imp,
@@ -699,8 +682,9 @@ impl Simulator {
             ts_bit: self.current_ts_bit(),
             epoch_seed,
             base_lost: plan.realize_losses(trace, epoch_seed),
-            queue,
-            cong,
+            link: imp
+                .link_model()
+                .map(|m| m.realize(&self.topology, trace, self.epoch, imp.seed)),
         }
     }
 }

@@ -126,10 +126,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Time-resolved queue model: exact fluid conservation, and flat-profile
-// equivalence with the static congestion model (the queue layer is a strict
-// superset — with uniform arrivals and no queue coupling it *is* the static
-// model).
+// Time-resolved queue model: exact fluid conservation, and slot-count
+// invariance of the static case (a congestion model is the one-slot,
+// uncoupled queue; uniform arrivals over more uncoupled slots reproduce it).
 // ---------------------------------------------------------------------------
 
 mod queue {
@@ -185,10 +184,10 @@ mod queue {
         }
 
         /// Steady-load equivalence: with a Flat profile and no queue
-        /// coupling, the queue model reproduces the static congestion
-        /// model's per-link epoch loss — same dropping links, probabilities
-        /// within integer-slot rounding. With coupling on, the same links
-        /// drop at least as much (queues only ever add pressure).
+        /// coupling, eight slots reproduce the one slot a congestion model
+        /// realizes as — same dropping links, probabilities within
+        /// integer-slot rounding. With coupling on, the same links drop at
+        /// least as much (queues only ever add pressure).
         #[test]
         fn flat_profile_reproduces_the_static_model(
             seed in any::<u64>(),
@@ -203,7 +202,7 @@ mod queue {
                 derates: vec![derate],
                 ..CongestionModel::calibrated()
             };
-            let sr = stat.realize(&topo, &trace, 0);
+            let sr = stat.one_slot_queue().realize(&topo, &trace, 0, seed);
 
             let mut memoryless = QueueModel::calibrated(8);
             memoryless.queue_coupling = 0.0;
@@ -214,7 +213,7 @@ mod queue {
                 sr.hot_links().into_iter().collect();
             let queue_hot: std::collections::BTreeMap<_, f64> =
                 qr.hot_links().into_iter().collect();
-            // Every static hot link drops in the queue model too, at a
+            // Every one-slot hot link drops over eight slots too, at a
             // matching epoch-aggregate probability.
             for (link, &p_static) in &static_hot {
                 let Some(&p_queue) = queue_hot.get(link) else {
@@ -227,7 +226,7 @@ mod queue {
                     "{link:?}: queue {p_queue} vs static {p_static}"
                 );
             }
-            // Links the static model calls clean may pick up slot-rounding
+            // Links the one slot calls clean may pick up slot-rounding
             // dust (integer packet layout makes some slots a whisker hotter
             // than the flat mean) — but only dust.
             for (link, &p_queue) in &queue_hot {

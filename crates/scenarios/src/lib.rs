@@ -401,17 +401,12 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replaces the congestion model wholesale (expert knob).
-    pub fn congestion_model(mut self, model: CongestionModel) -> Self {
-        self.inner.impairments.congestion = Some(model);
-        self
-    }
-
     /// Enables the time-resolved queue model with its calibrated defaults
     /// over `slots` slots per epoch (flat arrivals, tail drop, full queue
-    /// coupling; see [`QueueModel::calibrated`]). Supersedes the static
-    /// congestion model when both end up configured (e.g. via
-    /// [`incast`](Self::incast)) — the queue layer subsumes it. Follow
+    /// coupling; see [`QueueModel::calibrated`]). When the congestion model
+    /// is configured too (e.g. via [`derate_switch`](Self::derate_switch))
+    /// the fabric still has one link-loss layer: this model, under both
+    /// models' derates ([`ImpairmentSet::link_model`]). Follow
     /// with [`microburst`](Self::microburst) /
     /// [`incast_ramp`](Self::incast_ramp) /
     /// [`slow_drain_tor`](Self::slow_drain_tor) to shape the dynamics.
@@ -423,12 +418,6 @@ impl ScenarioBuilder {
             Some(q) => q.slots = slots,
             None => self.inner.impairments.queue = Some(QueueModel::calibrated(slots)),
         }
-        self
-    }
-
-    /// Replaces the queue model wholesale (expert knob).
-    pub fn queue_model_custom(mut self, model: QueueModel) -> Self {
-        self.inner.impairments.queue = Some(model);
         self
     }
 
@@ -489,6 +478,7 @@ impl ScenarioBuilder {
 
     /// Derates every out-link of one switch by `factor` (a brownout),
     /// enabling the calibrated congestion model if it is not already on.
+    /// The derate holds under the queue knobs too.
     pub fn derate_switch(mut self, role: SwitchRole, index: usize, factor: f64) -> Self {
         assert!((0.0..=1.0).contains(&factor), "derate factor out of range");
         self.inner
@@ -502,7 +492,7 @@ impl ScenarioBuilder {
 
     /// A degradation rolling across the ToRs: every `period` epochs the
     /// derated edge switch advances to the next one. Enables the calibrated
-    /// congestion model if needed.
+    /// congestion model if needed; holds under the queue knobs too.
     pub fn rolling_tor(mut self, period: u64, factor: f64) -> Self {
         assert!(period >= 1, "rolling period must be >= 1");
         assert!((0.0..=1.0).contains(&factor), "derate factor out of range");
@@ -617,7 +607,8 @@ mod tests {
     fn queue_knobs_compose() {
         let s = Scenario::builder("q")
             .seed(4)
-            .incast(0.2, 0) // enables the static congestion model too
+            .incast(0.2, 0) // enables the congestion model too
+            .rolling_tor(2, 0.6)
             .queue_model(8)
             .microburst(0.4, 2)
             .slow_drain_tor(1, 0.5)
@@ -631,10 +622,19 @@ mod tests {
         ));
         assert_eq!(q.derates.len(), 1);
         assert!(q.red.is_some());
-        // The incast knob still configures static congestion; the replay
-        // paths give the queue model precedence.
+        // The incast knob still configures the congestion model; the replay
+        // runs one link-loss model, the queue model under both derate lists.
         assert!(s.impairments.congestion.is_some());
         assert!(!s.impairments.is_none());
+        let composed = s.impairments.link_model().expect("one link-loss model");
+        assert_eq!((composed.slots, composed.red), (q.slots, q.red));
+        assert_eq!(
+            composed.derates,
+            [
+                Derate::Switch { role: SwitchRole::Edge, index: 1, factor: 0.5 },
+                Derate::RollingEdge { period: 2, factor: 0.6 },
+            ]
+        );
         // Knob order must not matter: an explicit slot count is honored
         // even when a shaping knob installed the model first.
         let late = Scenario::builder("q2").microburst(0.4, 2).queue_model(16).build();
@@ -643,6 +643,25 @@ mod tests {
             late.impairments.queue.as_ref().unwrap().profile,
             chm_workloads::ArrivalProfile::Microburst { .. }
         ));
+    }
+
+    /// A congestion derate survives the queue knobs: the fabric has one
+    /// link-loss layer, so a browned-out core stays the hottest spot when a
+    /// microburst shapes the arrivals (the queue model used to replace the
+    /// congestion model wholesale, derates included).
+    #[test]
+    fn congestion_derates_hold_under_queue_knobs() {
+        let hottest = |s: &Scenario| {
+            let model = s.impairments.link_model().expect("queue knobs configure a model");
+            let r = model.realize(&s.build_topology(), &s.base_trace(), 0, s.impairments.seed);
+            r.hot_links().first().map(|&((from, _), _)| from)
+        };
+        let core0 = chm_netsim::SwitchId { role: SwitchRole::Core, index: 0 };
+        let derated =
+            Scenario::builder("d").derate_switch(SwitchRole::Core, 0, 0.4).microburst(0.3, 2).build();
+        assert_eq!(hottest(&derated), Some(core0));
+        let control = Scenario::builder("c").congestion().microburst(0.3, 2).build();
+        assert_ne!(hottest(&control), Some(core0));
     }
 
     #[test]

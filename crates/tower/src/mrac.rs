@@ -14,7 +14,7 @@
 //! * **M-step** — sum those expectations over all counters to get the new
 //!   size distribution.
 //!
-//! **Substitution note (DESIGN.md):** full MRAC enumerates *all* partitions
+//! **Substitution note:** full MRAC enumerates *all* partitions
 //! of `v`, which is exponential; like practical reimplementations we cap the
 //! number of colliding flows per counter ([`MracConfig::max_parts`], default
 //! 3, and 2 beyond [`MracConfig::three_part_limit`]). At the load factors

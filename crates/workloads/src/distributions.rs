@@ -6,7 +6,8 @@
 //! every packet to 64 bytes, so only packet counts matter to ChameleMon.
 //!
 //! CDF tables are approximate transcriptions of the cited papers' figures
-//! (see DESIGN.md substitutions): the evaluation's qualitative claims depend
+//! (a substitution for the original traces, stated in the
+//! [crate docs](crate)): the evaluation's qualitative claims depend
 //! on the workloads' relative skew, which these tables preserve — CACHE is
 //! the most skewed (Appendix E.1 discusses its "high skewness"), HADOOP and
 //! VL2 are heavy-tailed, DCTCP is the mildest.

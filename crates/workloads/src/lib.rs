@@ -7,7 +7,9 @@
 //!   We synthesize heavy-tailed traces calibrated to the paper's reported
 //!   statistics (first 100K flows ≈ 5.3M packets ⇒ mean ≈ 53 packets/flow;
 //!   Appendix-C traces: 63K flows / 2.3M packets ⇒ mean ≈ 37), via a
-//!   bounded Pareto sampler. See the substitution table in DESIGN.md.
+//!   bounded Pareto sampler — a substitution for the CAIDA traces, which
+//!   cannot be redistributed; [`trace::caida_like_trace`] holds the sampler's
+//!   parameters and the statistics they were fitted to.
 //! * **Distribution-driven UDP workloads** (testbed experiments): flow sizes
 //!   drawn from the DCTCP, HADOOP, VL2 and CACHE distributions. We embed
 //!   approximate packet-count CDFs transcribed from the cited papers'
