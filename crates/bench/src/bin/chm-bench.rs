@@ -225,14 +225,16 @@ fn main() {
             // Read the golden up front: a typo'd path must fail in
             // milliseconds, not after a multi-seed full-matrix run.
             let golden = check.map(|golden_path| {
-                match std::fs::read_to_string(&golden_path) {
-                    Ok(g) if !scenarios::parse_golden(&g).is_empty() => (golden_path, g),
-                    Ok(_) => {
-                        eprintln!("error: golden {golden_path} has no scenarios");
-                        std::process::exit(1);
-                    }
+                let read = std::fs::read_to_string(&golden_path)
+                    .map_err(|e| format!("could not read golden {golden_path}: {e}"));
+                let parsed = read.and_then(|g| match scenarios::parse_golden(&g) {
+                    Ok(_) => Ok(g),
+                    Err(e) => Err(format!("golden {golden_path}: {e}")),
+                });
+                match parsed {
+                    Ok(g) => (golden_path, g),
                     Err(e) => {
-                        eprintln!("error: could not read golden {golden_path}: {e}");
+                        eprintln!("error: {e}");
                         std::process::exit(1);
                     }
                 }

@@ -16,13 +16,14 @@ use chm_workloads::{LossPlan, Trace, VictimSelection};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// A fixed loss scenario: who sends what, who loses what.
+/// A fixed loss scenario: who sends what, who loses what — the trace's
+/// rows, in trace order. Detectors are fed in that order: FlowRadar's flow
+/// filter lets a flow inserted earlier hide a later one, so feeding them in
+/// a hash map's per-process order made its results differ between runs.
 #[derive(Debug, Clone)]
 pub struct LossScenario {
-    /// Per-flow delivered packet counts.
-    pub delivered: HashMap<u32, u64>,
-    /// Per-victim lost packet counts.
-    pub lost: HashMap<u32, u64>,
+    /// `(flow, delivered, lost)` for every flow of the trace.
+    pub rows: Vec<(u32, u64, u64)>,
 }
 
 impl LossScenario {
@@ -35,18 +36,32 @@ impl LossScenario {
         seed: u64,
     ) -> Self {
         let plan = LossPlan::build(trace, selection, loss_rate, seed);
-        let (delivered, lost) = plan.apply_to_trace(trace, seed ^ 0x10ad);
-        LossScenario { delivered, lost }
+        let mut losses = plan.realize_losses(trace, seed ^ 0x10ad).into_iter().peekable();
+        let rows = trace.flows.iter().enumerate().map(|(i, &(f, pkts))| {
+            let lost = losses.next_if(|&(row, _)| row == i).map_or(0, |(_, l)| l);
+            (f, pkts - lost, lost)
+        });
+        LossScenario { rows: rows.collect() }
+    }
+
+    /// The victims as `(flow, lost)`, in trace order.
+    fn losses(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.rows.iter().filter(|r| r.2 > 0).map(|&(f, _, l)| (f, l))
+    }
+
+    /// True when `decoded` names exactly the victims, each with its loss.
+    fn matches(&self, decoded: &HashMap<u32, u64>) -> bool {
+        decoded.len() == self.victims() && self.losses().all(|(f, l)| decoded.get(&f) == Some(&l))
     }
 
     /// Total lost packets.
     pub fn lost_packets(&self) -> u64 {
-        self.lost.values().sum()
+        self.losses().map(|(_, l)| l).sum()
     }
 
     /// Number of victim flows.
     pub fn victims(&self) -> usize {
-        self.lost.len()
+        self.losses().count()
     }
 }
 
@@ -82,15 +97,15 @@ impl LossBench for FermatLossBench {
         // victim flows, so we insert the losses directly (bucket-state
         // identical to full two-sided replay followed by subtraction).
         let mut delta = FermatSketch::<u32>::new(cfg);
-        for (f, &l) in &sc.lost {
-            delta.insert_weighted(f, l as i64);
+        for (f, l) in sc.losses() {
+            delta.insert_weighted(&f, l as i64);
         }
         let t0 = Instant::now();
         let r = delta.decode_in_place();
         let dt = t0.elapsed().as_secs_f64();
         let ok = r.success
-            && r.flows.len() == sc.lost.len()
-            && r.flows.iter().all(|(f, &c)| sc.lost.get(f) == Some(&(c as u64)));
+            && r.flows.len() == sc.victims()
+            && sc.losses().all(|(f, l)| r.flows.get(&f) == Some(&(l as i64)));
         (ok, dt, cfg.logical_memory_bytes::<u32>())
     }
 }
@@ -105,17 +120,16 @@ impl LossBench for FlowRadarLossBench {
 
     fn trial(&self, sc: &LossScenario, memory_bytes: usize, seed: u64) -> (bool, f64, f64) {
         let mut fr = FlowRadar::<u32>::new(memory_bytes, seed);
-        for (f, &d) in &sc.delivered {
-            let l = sc.lost.get(f).copied().unwrap_or(0);
-            fr.observe_upstream_flow(f, d + l);
+        for &(f, d, l) in &sc.rows {
+            fr.observe_upstream_flow(&f, d + l);
             if d > 0 {
-                fr.observe_downstream_flow(f, d);
+                fr.observe_downstream_flow(&f, d);
             }
         }
         let t0 = Instant::now();
         let decoded = fr.decode_losses();
         let dt = t0.elapsed().as_secs_f64();
-        let ok = decoded.map(|m| m == sc.lost).unwrap_or(false);
+        let ok = decoded.is_some_and(|m| sc.matches(&m));
         (ok, dt, fr.memory_bytes())
     }
 }
@@ -133,19 +147,17 @@ impl LossBench for LossRadarLossBench {
         // The delta IBF contains exactly the lost packets; feeding only the
         // lost packets upstream produces the identical delta (delivered
         // packets cancel bucket-wise).
-        for (f, &l) in &sc.lost {
-            let d = sc.delivered.get(f).copied().unwrap_or(0);
+        for (f, l) in sc.losses() {
             // The lost packets are the first `l` sequence numbers of the
             // flow's d+l packets (the simulator's convention).
-            let _ = d;
             for seq in 0..l as u32 {
-                lr.observe_upstream(f, seq);
+                lr.observe_upstream(&f, seq);
             }
         }
         let t0 = Instant::now();
         let decoded = lr.decode_losses();
         let dt = t0.elapsed().as_secs_f64();
-        let ok = decoded.map(|m| m == sc.lost).unwrap_or(false);
+        let ok = decoded.is_some_and(|m| sc.matches(&m));
         (ok, dt, lr.memory_bytes())
     }
 }
@@ -237,6 +249,22 @@ mod tests {
             assert!(ok, "{} failed with 4 MiB", b.name());
             assert!(dt >= 0.0 && mem > 0.0);
         }
+    }
+
+    /// FlowRadar's Bloom filter lets an earlier flow hide a later one, so its
+    /// results depend on the order a scenario hands the flows over: two
+    /// scenarios built from one trace must hand them over in the same order.
+    #[test]
+    fn flowradar_results_are_a_function_of_the_trace() {
+        let trace = caida_like_trace(5_000, 1).top_n(2_000);
+        let build = || LossScenario::from_trace(&trace, VictimSelection::RandomN(100), 0.02, 2);
+        let (a, b) = (build(), build());
+        let sweep = |sc: &LossScenario| -> Vec<bool> {
+            (0..32).map(|i| FlowRadarLossBench.trial(sc, 24_000 + i * 1_000, 7).0).collect()
+        };
+        assert_eq!(sweep(&a), sweep(&b));
+        let min = |sc: &LossScenario| min_memory_for_success(&FlowRadarLossBench, sc, 5, 64);
+        assert_eq!(min(&a).memory_bytes, min(&b).memory_bytes);
     }
 
     #[test]

@@ -295,44 +295,55 @@ pub struct GoldenScenario {
 /// scenario-level fields are the 6-space-indented `"key": value,` lines
 /// between `"name"` markers (per-epoch lines are indented deeper and never
 /// start with a quoted key at that indent).
-pub fn parse_golden(json: &str) -> Vec<GoldenScenario> {
-    let mut out: Vec<GoldenScenario> = Vec::new();
+///
+/// A golden that could not gate anything is an error, never a default: no
+/// scenario at all, a scenario without a finite `mean_f1` (missing, `null`,
+/// truncated), or a `mean_loc_top3` that is present but not a finite number.
+/// An absent `mean_loc_top3` reads as 0, as older goldens lack it.
+pub fn parse_golden(json: &str) -> Result<Vec<GoldenScenario>, String> {
+    // Each scenario with whether its `mean_f1` was read.
+    let mut out: Vec<(GoldenScenario, bool)> = Vec::new();
+    let number = |g: &GoldenScenario, key: &str, value: &str| {
+        let v = value.parse::<f64>().ok().filter(|v| v.is_finite());
+        v.ok_or_else(|| format!("scenario '{}': {key} {value:?} is not a number", g.name))
+    };
     for line in json.lines() {
         let Some(rest) = line.strip_prefix("      \"") else { continue };
         let Some((key, value)) = rest.split_once("\": ") else { continue };
         let value = value.trim_end().trim_end_matches(',');
-        match key {
-            "name" => out.push(GoldenScenario {
-                name: value.trim_matches('"').to_string(),
-                ..GoldenScenario::default()
-            }),
-            "mean_f1" => {
-                if let (Some(g), Ok(v)) = (out.last_mut(), value.parse()) {
-                    g.mean_f1 = v;
-                }
+        match (key, out.last_mut()) {
+            ("name", _) => {
+                let name = value.trim_matches('"').to_string();
+                out.push((GoldenScenario { name, ..GoldenScenario::default() }, false));
             }
-            "mean_loc_top3" => {
-                if let (Some(g), Ok(v)) = (out.last_mut(), value.parse()) {
-                    g.mean_loc_top3 = v;
-                }
+            ("mean_f1", Some((g, read))) => {
+                g.mean_f1 = number(g, key, value)?;
+                *read = true;
             }
+            ("mean_loc_top3", Some((g, _))) => g.mean_loc_top3 = number(g, key, value)?,
             _ => {}
         }
     }
-    out
+    if out.is_empty() {
+        return Err("golden file has no scenarios (wrong file?)".to_string());
+    }
+    match out.iter().find(|(_, read)| !read) {
+        Some((g, _)) => Err(format!("scenario '{}' has no mean_f1", g.name)),
+        None => Ok(out.into_iter().map(|(g, _)| g).collect()),
+    }
 }
 
 /// The threshold gate: compares a fresh run against a committed golden and
 /// returns one message per regression beyond [`CHECK_TOLERANCE`] (empty =
 /// gate passes). New scenarios (absent from the golden) are allowed;
-/// scenarios *removed* from the matrix are flagged.
+/// scenarios *removed* from the matrix are flagged, and a golden
+/// [`parse_golden`] rejects is the one problem reported.
 pub fn check_regressions(golden_json: &str, results: &[ScenarioResult]) -> Vec<String> {
-    let golden = parse_golden(golden_json);
+    let golden = match parse_golden(golden_json) {
+        Ok(golden) => golden,
+        Err(e) => return vec![e],
+    };
     let mut problems = Vec::new();
-    if golden.is_empty() {
-        problems.push("golden file has no scenarios (wrong file?)".to_string());
-        return problems;
-    }
     for g in &golden {
         let Some(r) = results.iter().find(|r| r.name == g.name) else {
             problems.push(format!("scenario '{}' disappeared from the matrix", g.name));
@@ -398,7 +409,7 @@ mod tests {
     fn golden_roundtrip_and_gate() {
         let r = tiny_run();
         let json = to_json(&r, true);
-        let golden = parse_golden(&json);
+        let golden = parse_golden(&json).expect("a fresh run's JSON parses");
         assert_eq!(golden.len(), 1);
         assert_eq!(golden[0].name, "tiny");
         assert!((golden[0].mean_f1 - r.results[0].mean_f1).abs() < 1e-12);
@@ -421,6 +432,38 @@ mod tests {
         wobble[0].mean_f1 -= 0.01;
         wobble[0].mean_loc_top3 -= 0.01;
         assert!(check_regressions(&json, &wobble).is_empty());
+    }
+
+    /// A golden that cannot gate a scenario is an error, not a pass.
+    #[test]
+    fn a_golden_without_a_number_to_gate_is_rejected() {
+        let json = to_json(&tiny_run(), true);
+        let f1 = json.lines().find(|l| l.starts_with("      \"mean_f1\": ")).unwrap();
+        let top3 = json.lines().find(|l| l.starts_with("      \"mean_loc_top3\": ")).unwrap();
+        for (what, doctored) in [
+            ("null", json.replace(f1, "      \"mean_f1\": null,")),
+            ("not a number", json.replace(f1, "      \"mean_f1\": 0.9x,")),
+            ("missing", json.replace(&format!("{f1}\n"), "")),
+            ("truncated", json.replace(f1, "      \"mean_f1")),
+            ("top-3 null", json.replace(top3, "      \"mean_loc_top3\": null,")),
+            ("no scenario", String::new()),
+        ] {
+            let err = parse_golden(&doctored).expect_err(what);
+            assert_eq!(check_regressions(&doctored, &tiny_run().results), [err], "{what}");
+        }
+        // Older goldens have no `mean_loc_top3`: it reads as 0.
+        let old = parse_golden(&json.replace(&format!("{top3}\n"), "")).unwrap();
+        assert_eq!(old[0].mean_loc_top3, 0.0);
+    }
+
+    #[test]
+    fn every_committed_golden_parses() {
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        for name in ["SCENARIOS", "SCENARIOS_quick", "TOPOLOGY_SWEEP", "TOPOLOGY_SWEEP_quick"] {
+            let json = fs::read_to_string(format!("{results}/{name}.json")).unwrap();
+            let golden = parse_golden(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(golden.len() >= 5, "{name}: {} scenarios", golden.len());
+        }
     }
 
     #[test]

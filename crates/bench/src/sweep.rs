@@ -20,6 +20,7 @@
 
 use crate::parallel::run_trials;
 use crate::scenarios::{check_regressions, config_for, result_block};
+use chm_netsim::Fabric;
 use chm_obs::json_string;
 use chm_scenarios::{run_with_config, ReplayMode, Scenario, ScenarioResult, TopologySpec};
 use chm_workloads::VictimSelection;
@@ -242,7 +243,7 @@ mod tests {
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(j1.matches(open).count(), j1.matches(close).count());
         }
-        let golden = parse_golden(&j1);
+        let golden = parse_golden(&j1).expect("a fresh sweep's JSON parses");
         assert_eq!(golden.len(), 1);
         assert_eq!(golden[0].name, "fat-tree-k4");
         assert!((golden[0].mean_f1 - run.rows[0].1.mean_f1).abs() < 1e-12);

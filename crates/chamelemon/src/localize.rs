@@ -29,14 +29,15 @@
 //! Accuracy is scored as **top-k hit rate**: the fraction of ground-truth
 //! victims whose true dominant drop switch appears among the first `k`
 //! ranked candidates (`chm_scenarios::runner` scores k = 1 and 3 against
-//! [`EpochReport::lost_at`](chm_netsim::sim::EpochReport)).
+//! each victim row's drops in
+//! [`EpochReport::lost`](chm_netsim::sim::EpochReport::lost)).
 //!
 //! Everything here is deterministic: victims and healthy flows are folded
 //! in sorted key order, so the floating-point tables — and therefore every
 //! ranking — are a pure function of the epoch sequence.
 
 use chm_netsim::sim::Routable;
-use chm_netsim::{QueueDepthStat, SwitchId, Topology};
+use chm_netsim::{Fabric, QueueDepthStat, SwitchId, Topology};
 use std::collections::{BTreeMap, HashMap};
 
 /// Per-epoch decay of accumulated blame (0 would be memoryless, 1 never

@@ -30,7 +30,7 @@ fn healthy_network_reports_exact_losses() {
     // healthy state ChameleMon monitors *all* victim flows.
     let reported = &out.analysis.loss_report;
     assert_eq!(reported.len(), truth_losses(&plan), "victim count mismatch");
-    for (f, &lost) in &out.report.lost {
+    for (f, &lost) in out.report.lost.iter() {
         assert_eq!(reported.get(f), Some(&lost), "flow {f:?}");
     }
 }

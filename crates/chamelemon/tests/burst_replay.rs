@@ -44,7 +44,6 @@ fn burst_replay_is_byte_identical_to_per_packet_replay() {
         assert_eq!(ra.delivered, rb.delivered);
         assert_eq!(ra.lost, rb.lost);
         assert_eq!(ra.dropped_at, rb.dropped_at);
-        assert_eq!(ra.lost_at, rb.lost_at);
         assert_eq!(ra.hops_histogram, rb.hops_histogram);
         assert_eq!(ra.queue_depth, rb.queue_depth);
         assert_eq!(ra.epoch, rb.epoch);
@@ -110,7 +109,6 @@ fn impaired_burst_replay_is_byte_identical_to_per_packet_replay() {
         assert_eq!(ra.delivered, rb.delivered);
         assert_eq!(ra.lost, rb.lost);
         assert_eq!(ra.dropped_at, rb.dropped_at);
-        assert_eq!(ra.lost_at, rb.lost_at);
         assert_eq!(ra.hops_histogram, rb.hops_histogram);
         assert_eq!(ra.queue_depth, rb.queue_depth);
         assert_eq!(ra.epoch, rb.epoch);

@@ -6,6 +6,7 @@ use chamelemon::config::DataPlaneConfig;
 use chamelemon::{tasks, ChameleMon, CollectedGroup, EpochAnalysis};
 use chm_common::metrics::{detection_score, relative_error, size_entropy, size_histogram};
 use chm_common::FiveTuple;
+use chm_netsim::Fabric;
 use chm_workloads::trace::ip_host;
 use chm_workloads::{testbed_trace, LossPlan, Trace, WorkloadKind};
 use std::collections::{HashMap, HashSet};

@@ -12,32 +12,33 @@ use std::hash::Hash;
 
 /// Average Relative Error: `(1/|Ω|) Σ |v_i − v̂_i| / v_i`.
 ///
-/// `truth` defines the flow set Ω; flows absent from `estimate` are treated
-/// as estimated 0 (relative error 1). Returns 0.0 for an empty Ω.
+/// `truth` — `(flow, size)` pairs with distinct flows, a `&HashMap` or any
+/// table of rows — defines the flow set Ω; flows absent from `estimate` are
+/// treated as estimated 0 (relative error 1). Returns 0.0 for an empty Ω.
 ///
 /// The per-flow terms are accumulated in sorted-key order: `HashMap`
 /// iteration order is randomized per map instance, and float addition is
 /// order-sensitive in the last ulp — sorting makes the metric a pure
-/// function of its inputs, which the differential/golden-scenario tests
-/// rely on (byte-identical JSON per seed).
-pub fn average_relative_error<K: Eq + Hash + Ord>(
-    truth: &HashMap<K, u64>,
+/// function of its inputs, whatever order they come in, which the
+/// differential/golden-scenario tests rely on (byte-identical JSON per seed).
+pub fn average_relative_error<'a, K: Eq + Hash + Ord + 'a>(
+    truth: impl IntoIterator<Item = (&'a K, &'a u64)>,
     estimate: &HashMap<K, u64>,
 ) -> f64 {
-    if truth.is_empty() {
+    let mut keyed: Vec<(&K, u64)> = truth.into_iter().map(|(k, &v)| (k, v)).collect();
+    if keyed.is_empty() {
         return 0.0;
     }
-    let mut keyed: Vec<(&K, u64)> = truth.iter().map(|(k, &v)| (k, v)).collect();
     keyed.sort_unstable_by(|a, b| a.0.cmp(b.0));
     let mut sum = 0.0;
-    for (k, v) in keyed {
+    for &(k, v) in &keyed {
         let e = estimate.get(k).copied().unwrap_or(0);
         if v == 0 {
             continue;
         }
         sum += (v as f64 - e as f64).abs() / v as f64;
     }
-    sum / truth.len() as f64
+    sum / keyed.len() as f64
 }
 
 /// Precision, recall and F1 for a detection task.

@@ -159,7 +159,7 @@ mod tests {
     use super::*;
     use crate::queue::QueueRealization;
     use crate::sim::Routable;
-    use crate::topology::{FatTree, Topology};
+    use crate::topology::{Fabric, FatTree, Topology};
     use chm_common::FlowId;
     use chm_workloads::{testbed_trace, WorkloadKind};
 

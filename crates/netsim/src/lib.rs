@@ -63,7 +63,8 @@ pub use collect::CollectionModel;
 pub use queue::{QueueDepthStat, QueueLinkStats, QueueModel, QueueRealization, RedDrop};
 pub use shard::{merge_fragments, ReportFragment, ShardTiming, ShardedReplay, Sharding};
 pub use sim::{
-    EdgeSite, EpochReport, FlowColumn, ReplayMode, SimConfig, Simulator, SiteArray,
+    dominant_drop_switch, EdgeSite, EpochReport, FlowColumn, ReplayMode, SimConfig, Simulator,
+    SiteArray, VictimTable,
 };
 pub use topology::{
     Fabric, FatTree, KaryFatTree, LeafSpine, SwitchId, SwitchRole, Topology, WanGraph,

@@ -58,7 +58,7 @@
 
 use crate::congestion::{derate_factor, link_class_to, CongestionModel, Derate, Hop, LinkId};
 use crate::sim::Routable;
-use crate::topology::{SwitchId, SwitchRole, Topology};
+use crate::topology::{Fabric, SwitchId, SwitchRole, Topology};
 use chm_common::hash::mix64;
 use chm_workloads::{ArrivalProfile, Trace};
 use std::collections::{BTreeMap, HashMap};

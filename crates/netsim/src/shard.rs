@@ -42,9 +42,10 @@
 //! shards stream cache-linearly instead of chasing per-flow heap objects.
 //! No step hashes a flow, and nothing serial is trace-sized but the
 //! partition and one `memcpy`: the plan locates its victims by remembered
-//! trace row and hands their losses over by trace index, a shard records a
-//! `delivered` entry only for a flow that lost packets, and the merge is the
-//! trace's own rows patched at those entries.
+//! trace row and hands their losses over by trace index, a shard records
+//! only the flows that lost packets — one row each, in trace order — and the
+//! merge interleaves those sorted runs and lowers the trace's own rows at
+//! them.
 //!
 //! `shards` fixes the partition (and is what byte-identity is proven over);
 //! `workers` only scales execution — any worker count replays the same
@@ -61,13 +62,12 @@ use crate::impair::ImpairmentSet;
 use crate::queue::QueueDepthStat;
 use crate::sim::{
     EdgeSite, EpochReport, EpochSetup, FlowColumn, FlowScratch, Port, ReplayMode, Routable,
-    Simulator,
+    Simulator, VictimTable,
 };
-use crate::topology::{SwitchId, Topology};
-use chm_common::FlowId;
+use crate::topology::{Fabric, SwitchId, Topology};
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// How a trial is sharded.
 ///
@@ -100,122 +100,102 @@ impl Sharding {
     }
 }
 
-/// One shard's slice of an [`EpochReport`]: everything a shard accumulates
-/// locally in phase A — all of it victim- or switch-sized. Per-flow entries
-/// are disjoint across shards (every flow lives on exactly one shard), so the
-/// victims' maps merge by union and the `delivered` patches name disjoint
-/// rows; per-switch and histogram maps overlap and merge by addition — all
-/// three reductions are order-independent, which is what makes
-/// [`merge_fragments`] permutation-invariant (property-tested).
-#[derive(Debug, Clone)]
+/// One shard's share of an [`EpochReport`], accumulated in phase A — or the
+/// serial driver's whole epoch, as one fragment. Each victim is recorded
+/// once, when the walk reaches it, so the list is ascending in trace row.
+/// Everything in it is victim- or switch-sized, and the fragments of one
+/// epoch name disjoint rows, so [`merge_fragments`] comes out the same
+/// whatever order they arrive in (property-tested).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportFragment<F> {
-    /// Where the report's `delivered` column differs from the trace: one
-    /// `(trace index, delivered)` patch per flow of the shard that lost
-    /// packets — exactly the flows in `lost`. Every other row of the column
-    /// is the trace's own, so a shard records nothing for it.
-    pub delivered: Vec<(u32, u64)>,
-    /// Realized per-flow losses.
-    pub lost: HashMap<F, u64>,
-    /// Per-switch drop totals for this shard's flows.
-    pub dropped_at: BTreeMap<SwitchId, u64>,
-    /// Per-victim drop attribution for this shard's flows.
-    pub lost_at: HashMap<F, BTreeMap<SwitchId, u64>>,
+    /// `(trace row, flow, lost, end of its drops)` per victim: victim `i`'s
+    /// drops are `drops[victims[i - 1].3..victims[i].3]` (from 0 for the
+    /// first).
+    pub victims: Vec<(usize, F, u64, usize)>,
+    /// The victims' `(switch, count)` drops, each victim's sorted by switch.
+    pub drops: Vec<(SwitchId, u64)>,
     /// Route-length histogram contribution.
     pub hops_histogram: BTreeMap<usize, u64>,
 }
 
-// Manual impls: the derives would bound `F: Default` / `F: PartialEq`,
-// but an empty fragment needs no `F` and map equality needs `Eq + Hash`.
+// Not derived: the derive would bound `F: Default`, and an empty fragment
+// needs no `F`.
 impl<F> Default for ReportFragment<F> {
     fn default() -> Self {
-        ReportFragment {
-            delivered: Vec::new(),
-            lost: HashMap::new(),
-            dropped_at: BTreeMap::new(),
-            lost_at: HashMap::new(),
-            hops_histogram: BTreeMap::new(),
-        }
+        ReportFragment { victims: Vec::new(), drops: Vec::new(), hops_histogram: BTreeMap::new() }
     }
 }
 
-impl<F: Eq + std::hash::Hash> PartialEq for ReportFragment<F> {
-    fn eq(&self, other: &Self) -> bool {
-        self.delivered == other.delivered
-            && self.lost == other.lost
-            && self.dropped_at == other.dropped_at
-            && self.lost_at == other.lost_at
-            && self.hops_histogram == other.hops_histogram
-    }
-}
-
-impl<F: Copy + Eq + std::hash::Hash> ReportFragment<F> {
+impl<F> ReportFragment<F> {
     fn clear(&mut self) {
-        self.delivered.clear();
-        self.lost.clear();
-        self.dropped_at.clear();
-        self.lost_at.clear();
+        self.victims.clear();
+        self.drops.clear();
         self.hops_histogram.clear();
     }
 }
 
-/// Merges one fragment into the accumulator, draining the source so its
-/// capacity is reused next epoch. `delivered` patches overwrite disjoint
-/// rows, per-victim entries are disjoint unions, per-switch and histogram
-/// maps are keyed sums — all order-independent.
-// chm-lint: hot
-fn merge_one<F: Copy + Eq + std::hash::Hash>(
-    acc: &mut EpochReport<F>,
-    frag: &mut ReportFragment<F>,
-) {
-    debug_assert!(
-        frag.delivered.len() <= frag.lost.len(),
-        "only a flow that lost packets patches `delivered`"
-    );
-    acc.delivered.patch(&frag.delivered);
-    frag.delivered.clear();
-    acc.lost.extend(frag.lost.drain());
-    acc.lost_at.extend(frag.lost_at.drain());
-    for (&s, &c) in frag.dropped_at.iter() {
-        *acc.dropped_at.entry(s).or_insert(0) += c;
-    }
-    frag.dropped_at.clear();
-    for (&h, &c) in frag.hops_histogram.iter() {
-        *acc.hops_histogram.entry(h).or_insert(0) += c;
-    }
-    frag.hops_histogram.clear();
-}
-
-/// The deterministic, order-independent reduction of per-shard fragments
-/// into one [`EpochReport`] for `trace`. Fragments are drained (capacity
-/// kept). The result is invariant under any permutation of `frags` as long
-/// as the fragments' flows (and so their trace indices) are disjoint — which
-/// the ingress-edge partition guarantees and the proptest in
-/// `tests/shard_differential.rs` pins.
+/// The one place an [`EpochReport`] is made, for both drivers: the
+/// fragments' victims merged into one trace-ordered [`VictimTable`], the
+/// report's other victim-derived parts read off it — each `delivered` row
+/// the trace's count less its `lost`, `dropped_at` the drops summed per
+/// switch — and the histograms summed. Fragments are drained (capacity
+/// kept).
 ///
-/// `delivered` — the one trace-sized piece of an epoch — is one copy of the
-/// trace's rows, overwritten at the rows the fragments list: it comes out in
-/// trace order, the serial driver's order, for the price of a `memcpy` and
-/// one store per victim. The victim-sized keyed maps are sized from the
-/// summed fragment sizes before anything is inserted.
-pub fn merge_fragments<F: FlowId>(
+/// The fragments must name disjoint trace rows, as the ingress-edge
+/// partition guarantees; the result is then invariant under any permutation
+/// of `frags` (the proptest in `tests/shard_differential.rs` pins it).
+/// `delivered` — the one trace-sized piece of an epoch — costs a `memcpy` of
+/// the trace's rows and one store per victim.
+pub fn merge_fragments<F: Copy>(
     trace: &Trace<F>,
     epoch: u64,
     queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
     frags: &mut [ReportFragment<F>],
 ) -> EpochReport<F> {
-    let mut acc = EpochReport {
+    let victims = frags.iter().map(|f| f.victims.len()).sum();
+    let drops = frags.iter().map(|f| f.drops.len()).sum();
+    let mut report = EpochReport {
         delivered: FlowColumn::of_trace(trace),
-        lost: HashMap::with_capacity(frags.iter().map(|f| f.lost.len()).sum()),
+        lost: VictimTable::with_capacity(victims, drops),
         dropped_at: BTreeMap::new(),
-        lost_at: HashMap::with_capacity(frags.iter().map(|f| f.lost_at.len()).sum()),
         hops_histogram: BTreeMap::new(),
         queue_depth,
         epoch,
     };
-    for frag in frags.iter_mut() {
-        merge_one(&mut acc, frag);
+    merge_runs(&mut report, frags, &mut vec![0; frags.len()]);
+    report
+}
+
+/// The body of [`merge_fragments`]: a k-way merge of the fragments' victim
+/// runs (`heads[k]` is fragment `k`'s next victim) into `report`, then the
+/// folds, draining every fragment.
+// chm-lint: hot
+fn merge_runs<F: Copy>(
+    report: &mut EpochReport<F>,
+    frags: &mut [ReportFragment<F>],
+    heads: &mut [usize],
+) {
+    let next = |heads: &[usize]| {
+        let live = (0..heads.len()).filter(|&k| heads[k] < frags[k].victims.len());
+        live.min_by_key(|&k| frags[k].victims[heads[k]].0)
+    };
+    while let Some(k) = next(heads) {
+        let (i, victims) = (heads[k], &frags[k].victims);
+        let (row, f, lost, end) = victims[i];
+        let start = if i == 0 { 0 } else { victims[i - 1].3 };
+        report.delivered.rows[row].1 -= lost;
+        report.lost.push(f, lost, &frags[k].drops[start..end]);
+        heads[k] += 1;
     }
-    acc
+    for &(s, c) in &report.lost.drops {
+        *report.dropped_at.entry(s).or_insert(0) += c;
+    }
+    for frag in frags.iter_mut() {
+        for (&h, &c) in &frag.hops_histogram {
+            *report.hops_histogram.entry(h).or_insert(0) += c;
+        }
+        frag.clear();
+    }
 }
 
 /// Per-shard timing of one sharded epoch, in the caller's injected clock
@@ -491,10 +471,10 @@ struct TaskB<'a, E> {
 /// `u32` per flow aside, are victim- or switch-sized. Once their capacities
 /// stabilize, what an epoch allocates is the [`EpochReport`] it returns —
 /// one `delivered` row per flow (copied from the trace in one piece), the
-/// victims' `lost`/`lost_at` entries — plus the plan's victim-sized
-/// lost-count list and a handful of per-phase task vectors;
+/// victim table in three exactly-sized pieces — plus the plan's
+/// victim-sized lost-count list and a handful of per-phase task vectors;
 /// `netsim/tests/alloc_budget.rs` holds an epoch to 1.1 × the report's own
-/// size.
+/// size, and to a count of allocations that does not grow with the victims.
 #[derive(Debug)]
 pub struct ShardedReplay<F> {
     sharding: Sharding,
@@ -711,8 +691,9 @@ mod tests {
     use super::*;
     use crate::sim::SiteArray;
     use crate::topology::{FatTree, SwitchRole};
-    use chm_common::FiveTuple;
+    use chm_common::{FiveTuple, FlowId};
     use chm_workloads::{testbed_trace, VictimSelection, WorkloadKind};
+    use std::collections::HashMap;
 
     /// A stateful site double: order-sensitive ingress chain (detects any
     /// ingress reordering), commutative egress accumulator (matches the
@@ -915,34 +896,35 @@ mod tests {
 
     #[test]
     fn merge_is_permutation_invariant_for_disjoint_fragments() {
-        // Ten trace rows; fragment `salt` owns the victims at rows `salt - 1`
-        // and `salt + 3` (each delivers one packet fewer than it sent), so
-        // the fragments' patches interleave and rows 8 and 9 lose nothing.
-        let flow = |row: u64| FiveTuple::unpack(0x100 + row as u128);
-        let trace = Trace { flows: (0..10).map(|row| (flow(row), 10 + row)).collect() };
-        let mk = |salt: u64| {
+        // A real trace of ten rows; fragment `salt` owns the victims at rows
+        // `salt - 1` and `salt + 3` (each loses one packet, at edge `salt`),
+        // so the fragments' runs interleave and rows 8 and 9 lose nothing.
+        let trace = testbed_trace(WorkloadKind::Dctcp, 10, 8, 7);
+        let edge = |salt: usize| SwitchId { role: SwitchRole::Edge, index: salt };
+        let mk = |salt: usize| {
             let mut frag = ReportFragment::<FiveTuple>::default();
-            let f = flow(salt - 1);
             for row in [salt - 1, salt + 3] {
-                frag.delivered.push((row as u32, 9 + row));
-                frag.lost.insert(flow(row), 1);
+                frag.drops.push((edge(salt), 1));
+                frag.victims.push((row, trace.flows[row].0, 1, frag.drops.len()));
             }
-            let mut at = BTreeMap::new();
-            at.insert(SwitchId { role: SwitchRole::Edge, index: salt as usize }, salt);
-            frag.lost_at.insert(f, at);
-            let core = SwitchId { role: SwitchRole::Core, index: (salt % 3) as usize };
-            *frag.dropped_at.entry(core).or_insert(0) += salt;
-            *frag.hops_histogram.entry(3).or_insert(0) += salt;
+            *frag.hops_histogram.entry(3).or_insert(0) += salt as u64;
             frag
         };
         let mut a = [mk(1), mk(2), mk(3), mk(4)];
         let qd = BTreeMap::new();
         let merged = merge_fragments(&trace, 5, qd.clone(), &mut a);
-        // The trace's rows, in trace order, patched where a fragment said so.
-        let patched: Vec<_> =
-            (0..10).map(|row| (flow(row), if row < 8 { 9 + row } else { 10 + row })).collect();
-        assert_eq!(merged.delivered.iter().map(|(&f, &d)| (f, d)).collect::<Vec<_>>(), patched);
-        assert!(a.iter().all(|frag| frag.delivered.is_empty()), "fragments are drained");
+        // One victim table in trace order, whichever fragment a row came from.
+        let victims: Vec<_> =
+            (0..8).map(|row| (trace.flows[row].0, 1, vec![(edge(row % 4 + 1), 1)])).collect();
+        let table: Vec<_> = merged.lost.with_drops().map(|(&f, l, d)| (f, l, d.to_vec())).collect();
+        assert_eq!(table, victims);
+        // The trace's rows, in trace order, less the victims' losses.
+        let rows = trace.flows.iter().enumerate();
+        let delivered: Vec<_> = rows.map(|(row, &(f, pkts))| (f, pkts - u64::from(row < 8))).collect();
+        assert_eq!(merged.delivered.iter().map(|(&f, &d)| (f, d)).collect::<Vec<_>>(), delivered);
+        assert_eq!(merged.dropped_at, (1..=4).map(|salt| (edge(salt), 2)).collect());
+        assert_eq!(merged.hops_histogram.get(&3), Some(&10));
+        assert!(a.iter().all(|frag| frag.victims.is_empty() && frag.drops.is_empty()), "drained");
         for order in [[3, 1, 4, 2], [4, 3, 2, 1], [2, 4, 1, 3]] {
             let mut b = order.map(mk);
             assert_eq!(merge_fragments(&trace, 5, qd.clone(), &mut b), merged, "{order:?}");

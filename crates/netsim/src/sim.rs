@@ -14,13 +14,12 @@
 
 use crate::impair::{FabricFates, ImpairmentSet, LinkLoss};
 use crate::queue::{QueueDepthStat, QueueRealization};
-use crate::shard::ReportFragment;
-use crate::topology::{SwitchId, Topology};
+use crate::shard::{merge_fragments, ReportFragment};
+use crate::topology::{Fabric, SwitchId, Topology};
 use chm_common::{FiveTuple, FlowId};
 use chm_workloads::trace::ip_host;
 use chm_workloads::{LossPlan, Trace};
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
 /// One edge switch's measurement pipeline: the hooks a data plane exposes
 /// to the replay, the one boundary both drivers cross.
@@ -81,20 +80,18 @@ impl Default for SimConfig {
     }
 }
 
-/// A dense per-flow count column in **trace order**: row `i` holds
-/// `trace.flows[i]`'s flow ID and its count, one row per flow of the trace
-/// (whose flow IDs are unique). Both replay drivers build it the same way —
-/// one copy of the trace's own rows (what every flow delivers when nothing
-/// is lost), overwritten at the flows that lost packets — so it costs a
-/// `memcpy` plus work in the victims, and no flow is hashed or even visited
-/// for it.
+/// Per-flow counts as `(flow, count)` rows in **trace order** — the order of
+/// `trace.flows`, whose flow IDs are unique. The report holds two:
+/// [`EpochReport::delivered`] has one row per flow of the trace (a copy of
+/// the trace's own rows, lowered at the victims, so no flow is hashed or
+/// even visited for it), and [`EpochReport::lost`] one per victim.
 ///
 /// It is read whole ([`iter`](Self::iter), [`values`](Self::values),
 /// [`keys`](Self::keys)) and compared row for row; there is deliberately no
 /// keyed lookup — a reader that needs one collects the rows into its own map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowColumn<F> {
-    rows: Vec<(F, u64)>,
+    pub(crate) rows: Vec<(F, u64)>,
 }
 
 impl<F> FlowColumn<F> {
@@ -106,22 +103,12 @@ impl<F> FlowColumn<F> {
         FlowColumn { rows: trace.flows.clone() }
     }
 
-    /// Overwrites the count of each `(trace index, count)` row listed. The
-    /// lists of different shards name disjoint rows, so the order they are
-    /// applied in does not matter.
-    // chm-lint: hot
-    pub(crate) fn patch(&mut self, patches: &[(u32, u64)]) {
-        for &(idx, count) in patches {
-            self.rows[idx as usize].1 = count;
-        }
-    }
-
-    /// Number of rows (flows of the trace).
+    /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
     }
 
-    /// True when the trace had no flows.
+    /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
@@ -142,38 +129,85 @@ impl<F> FlowColumn<F> {
     }
 }
 
-/// Collects `(flow, count)` rows in the order given — the caller vouches
-/// that it is trace order.
-impl<F> FromIterator<(F, u64)> for FlowColumn<F> {
-    fn from_iter<I: IntoIterator<Item = (F, u64)>>(rows: I) -> Self {
-        FlowColumn { rows: rows.into_iter().collect() }
+/// The victims of an epoch: one `(flow, lost)` row per flow that lost
+/// packets, in trace order, read like any [`FlowColumn`] (through `Deref`).
+/// Each row also carries where its packets died — `(switch, count)` pairs
+/// sorted by [`SwitchId`], one per switch, summing to the row's `lost` — as
+/// a slice of one list shared by all rows, read with
+/// [`with_drops`](Self::with_drops). A flow that delivered nothing is a row
+/// like any other, its `lost` everything it sent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VictimTable<F> {
+    rows: FlowColumn<F>,
+    /// Row `i`'s drops are `drops[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+    pub(crate) drops: Vec<(SwitchId, u64)>,
+}
+
+impl<F> VictimTable<F> {
+    /// An empty table with room for `rows` victims and `drops` drop entries.
+    pub(crate) fn with_capacity(rows: usize, drops: usize) -> Self {
+        let mut bounds = Vec::with_capacity(rows + 1);
+        bounds.push(0);
+        let rows = FlowColumn { rows: Vec::with_capacity(rows) };
+        VictimTable { rows, bounds, drops: Vec::with_capacity(drops) }
     }
+
+    /// Appends the next victim in trace order.
+    pub(crate) fn push(&mut self, f: F, lost: u64, drops: &[(SwitchId, u64)]) {
+        self.rows.rows.push((f, lost));
+        self.drops.extend_from_slice(drops);
+        self.bounds.push(self.drops.len());
+    }
+
+    /// The rows as `(flow, lost, drops by switch)`, in trace order.
+    pub fn with_drops(&self) -> impl ExactSizeIterator<Item = (&F, u64, &[(SwitchId, u64)])> + '_ {
+        let rows = self.rows.rows.iter().zip(self.bounds.windows(2));
+        rows.map(|((f, lost), b)| (f, *lost, &self.drops[b[0]..b[1]]))
+    }
+}
+
+impl<F> std::ops::Deref for VictimTable<F> {
+    type Target = FlowColumn<F>;
+    fn deref(&self) -> &FlowColumn<F> {
+        &self.rows
+    }
+}
+
+/// The switch that dropped most of a victim's packets, read off its row's
+/// drops (ties break toward the smaller [`SwitchId`]) — the localization
+/// target for that victim.
+pub fn dominant_drop_switch(drops: &[(SwitchId, u64)]) -> Option<SwitchId> {
+    let best = drops.iter().fold(None, |best: Option<&(SwitchId, u64)>, d| match best {
+        Some(b) if b.1 >= d.1 => best,
+        _ => Some(d),
+    });
+    best.map(|&(s, _)| s)
 }
 
 /// Ground truth of one simulated epoch, **fabric-attributed**: besides the
 /// per-flow delivered/lost counts, every dropped packet is pinned to the
 /// switch that dropped it (the per-switch visibility a per-link deployment
 /// like LossRadar would have) — the ground truth victim-localization
-/// accuracy is scored against. The per-switch maps are `BTreeMap`s so their
-/// iteration order is stable wherever they feed JSON goldens.
+/// accuracy is scored against. Every part has one canonical layout (rows in
+/// trace order, switches sorted), so the derived `PartialEq` is content
+/// equality — what the sharded-vs-unsharded differential suites assert —
+/// and the layout is stable wherever it feeds JSON goldens.
 ///
-/// `PartialEq` compares the full report — the sharded-vs-unsharded
-/// differential suites assert whole-report equality.
-#[derive(Debug, Clone)]
+/// Both drivers produce it the same way, through
+/// [`merge_fragments`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochReport<F> {
     /// Packets that traversed the full path: one row per flow of the trace,
-    /// in trace order — the trace's own rows, patched at the flows in `lost`
-    /// (a fabric duplicate is noise, not a delivery, so no row exceeds the
-    /// trace's count).
+    /// in trace order — what the flow sent less its row in `lost` (a fabric
+    /// duplicate is noise, not a delivery, so no row exceeds the trace's
+    /// count).
     pub delivered: FlowColumn<F>,
-    /// Packets dropped in the fabric, per victim flow.
-    pub lost: HashMap<F, u64>,
+    /// The victims, each with the packets it lost and where they died.
+    pub lost: VictimTable<F>,
     /// Packets dropped, attributed to the switch that dropped them
-    /// (fabric-wide totals).
+    /// (fabric-wide totals: the victims' drops summed per switch).
     pub dropped_at: BTreeMap<SwitchId, u64>,
-    /// Per-victim drop attribution: which switches dropped this flow's
-    /// packets, and how many each. Values sum to `lost[f]`.
-    pub lost_at: HashMap<F, BTreeMap<SwitchId, u64>>,
     /// Distribution of route lengths (switches on path → packets).
     pub hops_histogram: BTreeMap<usize, u64>,
     /// Per-switch queue-depth telemetry (empty unless
@@ -185,22 +219,7 @@ pub struct EpochReport<F> {
     pub epoch: u64,
 }
 
-// Hand-written because the derive would bound `F: PartialEq`, while the
-// victim maps' comparisons need `F: Eq + Hash` (content equality,
-// independent of iteration order); `delivered` compares row for row.
-impl<F: Eq + Hash> PartialEq for EpochReport<F> {
-    fn eq(&self, other: &Self) -> bool {
-        self.delivered == other.delivered
-            && self.lost == other.lost
-            && self.dropped_at == other.dropped_at
-            && self.lost_at == other.lost_at
-            && self.hops_histogram == other.hops_histogram
-            && self.queue_depth == other.queue_depth
-            && self.epoch == other.epoch
-    }
-}
-
-impl<F: Copy + Eq + Hash> EpochReport<F> {
+impl<F> EpochReport<F> {
     /// Flows that entered the network this epoch.
     pub fn total_flows(&self) -> usize {
         self.delivered.len()
@@ -220,18 +239,6 @@ impl<F: Copy + Eq + Hash> EpochReport<F> {
     /// `lost` — every drop happens *somewhere*).
     pub fn total_attributed(&self) -> u64 {
         self.dropped_at.values().sum()
-    }
-
-    /// The switch that dropped most of `f`'s packets (ties break toward
-    /// the smaller [`SwitchId`]) — the localization target for this victim.
-    pub fn dominant_drop_switch(&self, f: &F) -> Option<SwitchId> {
-        let at = self.lost_at.get(f)?;
-        at.iter()
-            .fold(None, |best: Option<(SwitchId, u64)>, (&s, &c)| match best {
-                Some((_, bc)) if bc >= c => best,
-                _ => Some((s, c)),
-            })
-            .map(|(s, _)| s)
     }
 }
 
@@ -402,6 +409,7 @@ pub(crate) struct FlowScratch {
     route: Vec<SwitchId>,
     hop_probs: Vec<f64>,
     slot_counts: Vec<u64>,
+    hop_drops: Vec<u64>,
     pub(crate) fates: FabricFates,
 }
 
@@ -468,8 +476,8 @@ impl EpochSetup<'_> {
     /// `idx`, read the link-loss view off the route, realize its fates into
     /// `sc.fates` (`base_lost` is the plan's loss for it, read off
     /// [`plan_losses`](Self::plan_losses)), and account it in `acc`: the hop
-    /// histogram, and for a victim — only for a victim — its loss, its
-    /// `delivered` patch and its per-switch drop attribution.
+    /// histogram, and for a victim — only for a victim — one row with its
+    /// loss and its per-switch drops.
     // chm-lint: hot
     pub(crate) fn realize_flow<F: Routable>(
         &self,
@@ -510,28 +518,35 @@ impl EpochSetup<'_> {
         );
         let del = sc.fates.n_delivered();
         if del < pkts {
-            let idx = u32::try_from(idx).expect("delivered patches index trace rows with u32");
-            acc.delivered.push((idx, del));
-            acc.lost.insert(f, pkts - del);
-            attribute_drops(&f, &sc.route, &sc.fates, acc);
+            attribute_drops(&sc.route, &sc.fates, &mut sc.hop_drops, &mut acc.drops);
+            acc.victims.push((idx, f, pkts - del, acc.drops.len()));
         }
     }
 }
 
-/// Folds one victim's drop points into the accumulators: every dropped
-/// packet is charged to the switch at its drop hop on the flow's route.
-fn attribute_drops<F: Copy + Eq + Hash>(
-    f: &F,
+/// Appends one victim's drops to `drops`: every dropped packet is charged to
+/// the switch at its drop hop on the flow's route — counted per hop in
+/// `per_hop`, a buffer reused from flow to flow — and each switch that
+/// dropped any gets one `(switch, count)` entry, sorted by switch.
+// chm-lint: hot
+fn attribute_drops(
     route: &[SwitchId],
     fates: &FabricFates,
-    acc: &mut ReportFragment<F>,
+    per_hop: &mut Vec<u64>,
+    drops: &mut Vec<(SwitchId, u64)>,
 ) {
-    let mut at: BTreeMap<SwitchId, u64> = BTreeMap::new();
-    fates.for_each_drop(|_, hop| *at.entry(route[hop as usize]).or_insert(0) += 1);
-    for (&s, &c) in &at {
-        *acc.dropped_at.entry(s).or_insert(0) += c;
+    per_hop.clear();
+    per_hop.resize(route.len(), 0);
+    fates.for_each_drop(|_, hop| per_hop[hop as usize] += 1);
+    let start = drops.len();
+    for (&s, &c) in route.iter().zip(per_hop.iter()).filter(|&(_, &c)| c > 0) {
+        // A route that crosses a switch twice still gives it one entry.
+        match drops[start..].iter_mut().find(|(t, _)| *t == s) {
+            Some(d) => d.1 += c,
+            None => drops.push((s, c)),
+        }
     }
-    acc.lost_at.insert(*f, at);
+    drops[start..].sort_unstable_by_key(|&(s, _)| s);
 }
 
 /// The fabric simulator: the serial replay driver, and the reference the
@@ -630,12 +645,9 @@ impl Simulator {
     ) -> EpochReport<F> {
         let setup = self.begin_epoch(trace, plan, imp);
         let mut acc = ReportFragment::default();
-        // Room for the planned victims in every per-victim collection: an
-        // epoch's fresh accumulator must not regrow them step by step.
-        let planned = setup.planned_victims();
-        acc.delivered.reserve(planned);
-        acc.lost.reserve(planned);
-        acc.lost_at.reserve(planned);
+        // Room for the planned victims: an epoch's fresh fragment must not
+        // regrow its victim list row by row.
+        acc.victims.reserve(setup.planned_victims());
         let mut sc = FlowScratch::default();
         let mut plan_lost = setup.plan_losses();
         // chm-lint: allow(map-iter-order, "trace.flows is the trace's Vec, walked in trace order -- it only shares a field name with the decoders' flow maps")
@@ -646,17 +658,8 @@ impl Simulator {
             let mut port = SitePort { sites: &mut *hooks.0, in_edge, out_edge };
             mode.walk(&f, pkts, setup.ts_bit, &sc.fates, &mut port);
         }
-        let mut delivered = FlowColumn::of_trace(trace);
-        delivered.patch(&acc.delivered);
-        let report = EpochReport {
-            delivered,
-            lost: acc.lost,
-            dropped_at: acc.dropped_at,
-            lost_at: acc.lost_at,
-            hops_histogram: acc.hops_histogram,
-            queue_depth: setup.queue_depth(),
-            epoch: setup.epoch,
-        };
+        let frags = std::slice::from_mut(&mut acc);
+        let report = merge_fragments(trace, setup.epoch, setup.queue_depth(), frags);
         self.epoch += 1;
         report
     }
@@ -864,13 +867,13 @@ mod tests {
         // Every lost packet is attributed exactly once.
         assert_eq!(r.total_attributed(), r.lost.values().sum::<u64>());
         let topo = FatTree::testbed();
-        for (f, at) in &r.lost_at {
-            assert_eq!(at.values().sum::<u64>(), r.lost[f], "per-victim sum");
+        for (f, lost, drops) in r.lost.with_drops() {
+            assert_eq!(drops.iter().map(|&(_, c)| c).sum::<u64>(), lost, "per-victim sum");
             let route = topo.route(f.src_host(), f.dst_host(), f.key64());
-            for s in at.keys() {
+            for (s, _) in drops {
                 assert!(route.contains(s), "attributed off-route: {s:?}");
             }
-            assert!(r.dominant_drop_switch(f).is_some());
+            assert!(dominant_drop_switch(drops).is_some());
         }
         // Histogram covers every packet.
         assert_eq!(r.hops_histogram.values().sum::<u64>(), r.total_sent());

@@ -198,48 +198,38 @@ impl FatTree {
         self.n_edge / 2
     }
 
-    /// Total number of hosts.
-    pub fn n_hosts(&self) -> usize {
-        self.n_edge * self.hosts_per_edge
-    }
-
-    /// Total number of switches (edge + agg + core).
-    pub fn n_switches(&self) -> usize {
-        self.n_edge + self.n_edge + self.n_cores()
-    }
-
-    /// The edge switch serving `host`.
-    pub fn edge_of_host(&self, host: usize) -> usize {
-        assert!(host < self.n_hosts(), "host {host} out of range");
-        host / self.hosts_per_edge
-    }
-
     /// The pod containing edge switch `edge` (2 edges per pod, by
     /// construction).
     pub fn pod_of_edge(&self, edge: usize) -> usize {
         edge / 2
     }
+}
 
-    /// The switch-level path from `src_host` to `dst_host`, ECMP-resolved
-    /// deterministically by `flow_key`.
-    pub fn route(&self, src_host: usize, dst_host: usize, flow_key: u64) -> Vec<SwitchId> {
-        let mut out = Vec::with_capacity(5);
-        self.route_into(src_host, dst_host, flow_key, &mut out);
-        out
+impl Fabric for FatTree {
+    fn kind(&self) -> &'static str {
+        "fat-tree"
     }
-
-    /// Allocation-free form of [`route`](Self::route): clears `out` and
-    /// fills it with the path.
-    pub fn route_into(
-        &self,
-        src_host: usize,
-        dst_host: usize,
-        flow_key: u64,
-        out: &mut Vec<SwitchId>,
-    ) {
+    fn n_hosts(&self) -> usize {
+        self.n_edge * self.hosts_per_edge
+    }
+    fn n_edges(&self) -> usize {
+        self.n_edge
+    }
+    /// Edge + aggregation + core.
+    fn n_switches(&self) -> usize {
+        self.n_edge + self.n_edge + self.n_cores()
+    }
+    fn max_hops(&self) -> usize {
+        5
+    }
+    fn edge_of_host(&self, host: usize) -> usize {
+        assert!(host < self.n_hosts(), "host {host} out of range");
+        host / self.hosts_per_edge
+    }
+    fn route_into(&self, src: usize, dst: usize, key: u64, out: &mut Vec<SwitchId>) {
         out.clear();
-        let se = self.edge_of_host(src_host);
-        let de = self.edge_of_host(dst_host);
+        let se = self.edge_of_host(src);
+        let de = self.edge_of_host(dst);
         if se == de {
             // Same rack: single hop through the shared ToR.
             out.push(sw(SwitchRole::Edge, se));
@@ -247,7 +237,7 @@ impl FatTree {
         }
         let sp = self.pod_of_edge(se);
         let dp = self.pod_of_edge(de);
-        let h = mix64(flow_key);
+        let h = mix64(key);
         if sp == dp {
             // Same pod: edge → (one of 2 aggs) → edge.
             let agg = sp * 2 + (h as usize & 1);
@@ -267,15 +257,8 @@ impl FatTree {
             out.push(sw(SwitchRole::Edge, de));
         }
     }
-
-    /// Hop count between two hosts for a given flow — the route's length.
-    pub fn hops(&self, src_host: usize, dst_host: usize, flow_key: u64) -> usize {
-        self.route(src_host, dst_host, flow_key).len()
-    }
-
-    /// Every directed switch-to-switch link: each edge to both pod aggs,
-    /// each agg to the cores of its parity.
-    pub fn links(&self) -> Vec<(SwitchId, SwitchId)> {
+    /// Each edge to both pod aggs, each agg to the cores of its parity.
+    fn links(&self) -> Vec<(SwitchId, SwitchId)> {
         let mut links = Vec::new();
         for e in 0..self.n_edge {
             let pod = self.pod_of_edge(e);
@@ -295,33 +278,6 @@ impl FatTree {
             }
         }
         sorted_links(links)
-    }
-}
-
-impl Fabric for FatTree {
-    fn kind(&self) -> &'static str {
-        "fat-tree"
-    }
-    fn n_hosts(&self) -> usize {
-        self.n_hosts()
-    }
-    fn n_edges(&self) -> usize {
-        self.n_edge
-    }
-    fn n_switches(&self) -> usize {
-        self.n_switches()
-    }
-    fn max_hops(&self) -> usize {
-        5
-    }
-    fn edge_of_host(&self, host: usize) -> usize {
-        self.edge_of_host(host)
-    }
-    fn route_into(&self, src: usize, dst: usize, key: u64, out: &mut Vec<SwitchId>) {
-        self.route_into(src, dst, key, out)
-    }
-    fn links(&self) -> Vec<(SwitchId, SwitchId)> {
-        self.links()
     }
 }
 
@@ -782,91 +738,44 @@ macro_rules! dispatch {
     };
 }
 
+// Kept inherent as well as on the trait: the repository benchmark's adapter
+// calls these two on a `Topology` without importing `Fabric`.
 impl Topology {
-    /// Short stable name of the fabric family.
-    pub fn kind(&self) -> &'static str {
-        dispatch!(self, kind())
-    }
-
-    /// Total number of hosts.
+    /// [`Fabric::n_hosts`].
     pub fn n_hosts(&self) -> usize {
         dispatch!(self, n_hosts())
     }
 
-    /// Number of edge (measurement) switches.
+    /// [`Fabric::n_edges`].
     pub fn n_edges(&self) -> usize {
         dispatch!(self, n_edges())
-    }
-
-    /// Total number of switches.
-    pub fn n_switches(&self) -> usize {
-        dispatch!(self, n_switches())
-    }
-
-    /// Upper bound on any route's length.
-    pub fn max_hops(&self) -> usize {
-        dispatch!(self, max_hops())
-    }
-
-    /// The edge switch serving `host`.
-    pub fn edge_of_host(&self, host: usize) -> usize {
-        dispatch!(self, edge_of_host(host))
-    }
-
-    /// The switch-level path from `src_host` to `dst_host`, ECMP-resolved
-    /// deterministically by `flow_key`.
-    pub fn route(&self, src_host: usize, dst_host: usize, flow_key: u64) -> Vec<SwitchId> {
-        let mut out = Vec::with_capacity(self.max_hops());
-        self.route_into(src_host, dst_host, flow_key, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`route`](Self::route).
-    pub fn route_into(
-        &self,
-        src_host: usize,
-        dst_host: usize,
-        flow_key: u64,
-        out: &mut Vec<SwitchId>,
-    ) {
-        dispatch!(self, route_into(src_host, dst_host, flow_key, out))
-    }
-
-    /// Hop count between two hosts for a given flow — the route's length.
-    pub fn hops(&self, src_host: usize, dst_host: usize, flow_key: u64) -> usize {
-        dispatch!(self, hops(src_host, dst_host, flow_key))
-    }
-
-    /// Every directed switch-to-switch link, sorted.
-    pub fn links(&self) -> Vec<(SwitchId, SwitchId)> {
-        dispatch!(self, links())
     }
 }
 
 impl Fabric for Topology {
     fn kind(&self) -> &'static str {
-        Topology::kind(self)
+        dispatch!(self, kind())
     }
     fn n_hosts(&self) -> usize {
-        Topology::n_hosts(self)
+        dispatch!(self, n_hosts())
     }
     fn n_edges(&self) -> usize {
-        Topology::n_edges(self)
+        dispatch!(self, n_edges())
     }
     fn n_switches(&self) -> usize {
-        Topology::n_switches(self)
+        dispatch!(self, n_switches())
     }
     fn max_hops(&self) -> usize {
-        Topology::max_hops(self)
+        dispatch!(self, max_hops())
     }
     fn edge_of_host(&self, host: usize) -> usize {
-        Topology::edge_of_host(self, host)
+        dispatch!(self, edge_of_host(host))
     }
     fn route_into(&self, src: usize, dst: usize, key: u64, out: &mut Vec<SwitchId>) {
-        Topology::route_into(self, src, dst, key, out)
+        dispatch!(self, route_into(src, dst, key, out))
     }
     fn links(&self) -> Vec<(SwitchId, SwitchId)> {
-        Topology::links(self)
+        dispatch!(self, links())
     }
 }
 

@@ -2,7 +2,7 @@
 //! more than the [`EpochReport`] it hands back.
 //!
 //! The report's `delivered` column has one 24-byte row per flow — one copy of
-//! the trace's rows, patched at the victims — so it *is* the epoch's
+//! the trace's rows, lowered at the victims — so it *is* the epoch's
 //! allocation; everything else is victim- or switch-sized, and in the sharded
 //! engine lives in arenas that persist across epochs (partitions, outboxes,
 //! fragments, fate buffers). What this guards against is a trace-sized
@@ -16,19 +16,15 @@
 //! Verified with a counting global allocator (bytes requested), the pattern
 //! of the root `tests/alloc_audit.rs`.
 //!
-//! What remains, by count rather than by bytes: every victim's `lost_at`
-//! entry is its own `BTreeMap<SwitchId, u64>` (`attribute_drops`), one node
-//! allocation per victim — at paper scale the ≈ 6 k allocations per epoch of
-//! the benchmark's `testbed_shift` (50 k flows, 2.5–25 % victims, ≈ 5 900 on
-//! average). Both drivers reserve `lost`/`lost_at` for the planned victims,
-//! so the maps themselves are a handful of allocations; removing the
-//! per-victim node means changing `lost_at`'s type, which every consumer of
-//! the report reads.
-//!
-//! A shard's fragment is private to the engine, so its size cannot be read
-//! from here; the merge `debug_assert`s on every epoch (this test runs them
-//! in a debug build) that a fragment's `delivered` list is no longer than
-//! its `lost` map.
+//! By count, too: a victim allocates nothing of its own. The report's
+//! victim table is three exactly-sized vectors — rows, bounds and one shared
+//! list of `(switch, count)` drops — and a victim's drops are counted in a
+//! per-hop buffer reused from flow to flow, so a steady-state epoch at 10x
+//! the victims makes at most 16 more allocator calls than at 1x — measured
+//! at 200 → 2 000 victims: 20 → 25 serial, the fresh fragment regrowing its
+//! drop list a few more times, and 36 → 36 sharded, whose arenas have
+//! already grown. (Before the table, every victim's drops were a `BTreeMap`
+//! of their own: 209 → 2 009 serial.)
 
 use chm_common::FiveTuple;
 use chm_netsim::{
@@ -37,16 +33,19 @@ use chm_netsim::{
 use chm_workloads::{testbed_trace, LossPlan, VictimSelection, WorkloadKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static CALLS: AtomicU64 = AtomicU64::new(0);
 
 // chm-lint: allow(unsafe-block, "counting-allocator shim: implementing GlobalAlloc is inherently unsafe and this type exists only in this test binary")
 unsafe impl GlobalAlloc for CountingAlloc {
     // chm-lint: allow(unsafe-block, "adds the requested size to a counter then delegates to System.alloc with the caller's layout unchanged")
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     // chm-lint: allow(unsafe-block, "pure delegation to System.dealloc; pointer and layout come straight from the caller")
@@ -56,6 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // chm-lint: allow(unsafe-block, "adds the new size to a counter then delegates to System.realloc with the caller's arguments unchanged")
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -67,6 +67,18 @@ fn bytes_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = BYTES.load(Ordering::SeqCst);
     let out = f();
     (BYTES.load(Ordering::SeqCst) - before, out)
+}
+
+fn calls_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CALLS.load(Ordering::SeqCst);
+    let out = f();
+    (CALLS.load(Ordering::SeqCst) - before, out)
+}
+
+/// The counters are process-global: the tests take turns.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A site that keeps counters only, so the measured bytes are the replay
@@ -94,9 +106,9 @@ impl EdgeSite<FiveTuple> for CountingSite {
     }
 }
 
-/// One `#[test]` on purpose: the byte counter is process-global.
 #[test]
 fn a_scenario_epoch_allocates_little_more_than_its_report() {
+    let _turn = one_at_a_time();
     let topo = FatTree::testbed();
     let trace = testbed_trace(WorkloadKind::Dctcp, 20_000, 8, 0xa110c);
     let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.01), 0.02, 0x10ad);
@@ -147,8 +159,7 @@ fn a_scenario_epoch_allocates_little_more_than_its_report() {
     // The clean entry point is that same epoch under `none()`, and at 1 %
     // victims it is held to the report's own size: beside the report there
     // are only the plan's victim-sized lost-count list, the equally short
-    // `delivered` patch list and the route buffers (measured: 1.2 % over, in
-    // 208 allocations for 200 victims; 5 % allowed).
+    // fragment and the route buffers (5 % allowed).
     let (requested, report) =
         bytes_during(|| sim.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut sites)));
     let (held, _copy) = bytes_during(|| report.clone());
@@ -156,4 +167,31 @@ fn a_scenario_epoch_allocates_little_more_than_its_report() {
         20 * requested < 21 * held,
         "serial clean epoch requested {requested} B, its report holds {held} B"
     );
+}
+
+/// Allocator calls of a steady-state burst epoch over 20 k flows with `ratio`
+/// of them victims: the second of two epochs, so a sharded engine's arenas
+/// have grown to this victim count.
+fn epoch_calls(ratio: f64, sharding: Option<Sharding>) -> u64 {
+    let trace = testbed_trace(WorkloadKind::Dctcp, 20_000, 8, 0xa110c);
+    let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(ratio), 0.02, 0x10ad);
+    let imp = ImpairmentSet::none();
+    let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
+    let mut sites: Vec<CountingSite> = (0..4).map(|_| CountingSite::default()).collect();
+    let mut eng = sharding.map(ShardedReplay::new);
+    let mut epoch = || match &mut eng {
+        Some(eng) => eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut sites),
+        None => sim.run_epoch_burst_scenario(&trace, &plan, &imp, &mut SiteArray(&mut sites)),
+    };
+    epoch();
+    calls_during(epoch).0
+}
+
+#[test]
+fn victims_cost_no_allocation_of_their_own() {
+    let _turn = one_at_a_time();
+    for sharding in [None, Some(Sharding::of(2))] {
+        let (few, many) = (epoch_calls(0.01, sharding), epoch_calls(0.1, sharding));
+        assert!(many <= few + 16, "{sharding:?}: {few} allocations at 200 victims, {many} at 2 000");
+    }
 }

@@ -4,7 +4,7 @@
 //! every cut, and the loss generators conserve on every generated fabric.
 
 use chm_netsim::sim::{spread_drop, spread_drop_prefix};
-use chm_netsim::{FatTree, SwitchId, SwitchRole, Topology};
+use chm_netsim::{Fabric, FatTree, SwitchId, SwitchRole, Topology};
 use proptest::prelude::*;
 
 /// Checks one route end to end: endpoint correctness, wiring validity
@@ -357,8 +357,8 @@ mod fabric {
     }
 
     /// A planned victim that sent nothing this epoch is not a victim: no
-    /// `lost` entry (not even a zero), no `lost_at` entry, and the walkers
-    /// agree on it — while it still counts as a flow that was present.
+    /// `lost` row (not even a zero), and the walkers agree on it — while it
+    /// still counts as a flow that was present.
     #[test]
     fn a_flow_that_sent_nothing_is_never_a_victim() {
         let topo: Topology = FatTree::testbed().into();
@@ -380,7 +380,7 @@ mod fabric {
             );
             check_attribution(&r, &topo);
             assert_eq!(r.delivered.iter().nth(7), Some((&idle, &0)), "{mode:?}: row 7 is the idle flow");
-            assert!(!r.lost.contains_key(&idle), "{mode:?}: an idle flow lost nothing");
+            assert!(!r.lost.keys().any(|f| *f == idle), "{mode:?}: an idle flow lost nothing");
             assert_eq!(r.victim_flows(), 2, "{mode:?}");
             assert_eq!(r.total_flows(), 40, "{mode:?}");
         }
@@ -401,14 +401,14 @@ mod fabric {
         // Conservation: every lost packet is attributed exactly once,
         // fabric-wide and per victim.
         assert_eq!(report.total_attributed(), report.lost.values().sum::<u64>());
-        for (f, at) in &report.lost_at {
-            assert_eq!(at.values().sum::<u64>(), report.lost[f], "victim sum");
+        for (f, lost, drops) in report.lost.with_drops() {
+            assert_eq!(drops.iter().map(|&(_, c)| c).sum::<u64>(), lost, "victim sum");
+            assert!(drops.windows(2).all(|w| w[0].0 < w[1].0), "one entry per switch, sorted");
             let route = topo.route(f.src_host(), f.dst_host(), f.key64());
-            for s in at.keys() {
+            for (s, _) in drops {
                 assert!(route.contains(s), "off-route attribution {s:?}");
             }
         }
-        assert_eq!(report.lost_at.len(), report.lost.len());
         assert_eq!(report.hops_histogram.values().sum::<u64>(), report.total_sent());
     }
 

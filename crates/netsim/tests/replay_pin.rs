@@ -52,25 +52,30 @@ fn flows<'a>(m: impl Iterator<Item = (&'a FiveTuple, &'a u64)>) -> u64 {
     m.fold(0u64, |s, (f, &v)| s.wrapping_add(mix64(f.key64() ^ mix64(v))))
 }
 
+/// Ordered fold of `(switch, count)` pairs, sorted by switch, led by their
+/// number.
+fn at<'a>(m: impl ExactSizeIterator<Item = (&'a SwitchId, &'a u64)>) -> u64 {
+    let n = m.len() as u64;
+    m.fold(n, |a, (s, &c)| chain(chain(a, switch_key(s)), c))
+}
+
 /// Digest of the whole report and every site's state. Per-flow counts fold
 /// by wrapping sums of per-entry hashes (the values were recorded when
-/// `delivered` was a hash map), ordered maps and the site slice fold in
-/// order.
+/// `delivered`, `lost` and the per-victim drops were hash maps, the drops of
+/// one victim a `BTreeMap` by switch), ordered maps and the site slice fold
+/// in order.
 fn digest(r: &EpochReport<FiveTuple>, sites: &[Site]) -> u64 {
-    let at = |m: &std::collections::BTreeMap<SwitchId, u64>| {
-        m.iter().fold(m.len() as u64, |a, (s, &c)| chain(chain(a, switch_key(s)), c))
-    };
     let mut d = chain(r.epoch, r.delivered.len() as u64);
     d = chain(d, flows(r.delivered.iter()));
     d = chain(d, r.lost.len() as u64);
     d = chain(d, flows(r.lost.iter()));
-    d = chain(d, at(&r.dropped_at));
-    d = chain(d, r.lost_at.len() as u64);
+    d = chain(d, at(r.dropped_at.iter()));
+    d = chain(d, r.lost.len() as u64);
     d = chain(
         d,
-        r.lost_at
-            .iter()
-            .fold(0u64, |s, (f, m)| s.wrapping_add(mix64(f.key64() ^ at(m)))),
+        r.lost.with_drops().fold(0u64, |s, (f, _, drops)| {
+            s.wrapping_add(mix64(f.key64() ^ at(drops.iter().map(|(s, c)| (s, c)))))
+        }),
     );
     d = r.hops_histogram.iter().fold(d, |a, (&h, &c)| chain(chain(a, h as u64), c));
     d = chain(d, r.queue_depth.len() as u64);

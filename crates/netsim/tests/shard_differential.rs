@@ -174,15 +174,17 @@ fn scenario_paths_survive_idle_shards_and_an_empty_trace() {
     }
 }
 
-/// The contract of `EpochReport::delivered`: one row per `trace.flows` row,
-/// naming the same flow, in the same order, holding what the flow sent less
-/// what it lost — from the serial driver and from the sharded one at any
-/// shard count, under both walkers. The column is the trace's rows patched
-/// at the victims, so the rows that must not be patched wrongly are in the
-/// trace: an idle non-victim, an idle planned victim (no packet to lose), a
-/// victim that loses everything, and — with every delivered packet
-/// duplicated in the fabric — flows whose egress count is twice the row's
-/// (a duplicate never raises a row above the trace's count).
+/// The contract of the report's two tables, from the serial driver and from
+/// the sharded one at any shard count, under both walkers. `delivered` has
+/// one row per `trace.flows` row, naming the same flow, in the same order,
+/// holding what the flow sent less what it lost; `lost` has one row per
+/// victim, strictly ascending in trace order, its drops summing to its loss.
+/// The rows that must not come out wrong are in the trace: an idle
+/// non-victim, an idle planned victim (no packet to lose, so no row), a
+/// victim that loses everything (a `lost` row of all it sent, not an absent
+/// flow), and — with every delivered packet duplicated in the fabric — flows
+/// whose egress count is twice the row's (a duplicate never raises a row
+/// above the trace's count).
 #[test]
 fn delivered_lists_the_trace_row_for_row() {
     let topo: Topology = KaryFatTree::new(4).into();
@@ -203,18 +205,30 @@ fn delivered_lists_the_trace_row_for_row() {
     let sim0 = Simulator::new(topo.clone(), SimConfig::default());
     let check = |r: &EpochReport<FiveTuple>, tag: &str| {
         assert_eq!(r.delivered.len(), trace.num_flows(), "{tag}");
+        // Walking both tables down the trace at once consumes every victim
+        // row only if they come in trace order.
+        let mut victims = r.lost.with_drops().peekable();
         for (i, ((f, &del), &(tf, pkts))) in r.delivered.iter().zip(&trace.flows).enumerate() {
             assert_eq!(*f, tf, "{tag}: row {i} names another flow");
-            let lost = r.lost.get(f).copied().unwrap_or(0);
+            let lost = match victims.next_if(|&(v, _, _)| *v == tf) {
+                Some((_, lost, drops)) => {
+                    assert!(lost > 0, "{tag}: row {i} is a victim that lost nothing");
+                    assert_eq!(drops.iter().map(|&(_, c)| c).sum::<u64>(), lost, "{tag}: row {i}");
+                    lost
+                }
+                None => 0,
+            };
             assert_eq!(del + lost, pkts, "{tag}: row {i}");
         }
+        assert!(victims.next().is_none(), "{tag}: victim rows out of trace order");
         let row = |i: usize| r.delivered.values().nth(i).copied();
         assert_eq!((row(idle), row(idle_victim)), (Some(0), Some(0)), "{tag}: idle rows");
-        assert!(!r.lost.contains_key(&trace.flows[idle_victim].0), "{tag}: idle victim");
+        assert!(!r.lost.keys().any(|f| *f == trace.flows[idle_victim].0), "{tag}: idle victim");
         let (dead_flow, dead_pkts) = trace.flows[dead];
         assert!(dead_pkts > 0);
         assert_eq!(row(dead), Some(0), "{tag}: total loss");
-        assert_eq!(r.lost.get(&dead_flow), Some(&dead_pkts), "{tag}: total loss");
+        let dead_row = r.lost.iter().find(|(f, _)| **f == dead_flow);
+        assert_eq!(dead_row, Some((&dead_flow, &dead_pkts)), "{tag}: reported lost, not absent");
         assert_eq!(r.victim_flows(), victim_rows.len() - 1, "{tag}");
     };
     for (imp_name, imp) in [("clean", ImpairmentSet::none()), ("duplicated", duplicated)] {
@@ -242,12 +256,12 @@ fn delivered_lists_the_trace_row_for_row() {
 // ---------------------------------------------------------------------
 
 /// Builds one fragment from a generated spec: a flow whose `lost` is
-/// positive is a victim, with its `delivered` patch, `lost` / `lost_at`
-/// entries and drop attribution; every flow adds to the histogram. The
-/// fragment's `j`-th flow sits at trace row `j * n_frags + frag_id` — disjoint
-/// across fragments and interleaved with every other fragment's rows,
-/// mirroring the pipeline invariant that each flow is realized by exactly
-/// one shard.
+/// positive is a victim — one row, its drops split between an edge and
+/// (past the first packet) a core, in switch order; every flow adds to the
+/// histogram. The fragment's `j`-th flow sits at trace row
+/// `j * n_frags + frag_id` — disjoint across fragments and interleaved with
+/// every other fragment's rows, mirroring the pipeline invariant that each
+/// flow is realized by exactly one shard.
 fn build_fragment(
     frag_id: u64,
     n_frags: u64,
@@ -257,17 +271,14 @@ fn build_fragment(
     for (j, &(salt, delivered, lost, hops)) in flows.iter().enumerate() {
         let row = j as u64 * n_frags + frag_id;
         if lost > 0 {
-            let f = spec_flow(row);
-            frag.delivered.push((row as u32, delivered));
-            frag.lost.insert(f, lost);
-            let sw = SwitchId { role: SwitchRole::Edge, index: (salt % 5) as usize };
-            let mut at = BTreeMap::new();
-            at.insert(sw, lost);
-            frag.lost_at.insert(f, at);
-            *frag.dropped_at.entry(sw).or_insert(0) += lost;
+            let edge = SwitchId { role: SwitchRole::Edge, index: (salt % 5) as usize };
+            let core = SwitchId { role: SwitchRole::Core, index: (salt % 3) as usize };
+            frag.drops.push((edge, 1));
+            if lost > 1 {
+                frag.drops.push((core, lost - 1));
+            }
+            frag.victims.push((row as usize, spec_flow(row), lost, frag.drops.len()));
         }
-        let core = SwitchId { role: SwitchRole::Core, index: (salt % 3) as usize };
-        *frag.dropped_at.entry(core).or_insert(0) += salt % 2;
         *frag.hops_histogram.entry(hops as usize).or_insert(0) += delivered + lost;
     }
     frag
@@ -283,9 +294,11 @@ proptest! {
 
     /// `merge_fragments` is invariant under any permutation of its
     /// fragment slice: the merged report depends only on the multiset of
-    /// fragment contents, never on shard order — and its `delivered` column
-    /// comes out as the trace's rows, in trace order, patched at exactly the
-    /// victims, with every fragment drained either way.
+    /// fragment contents, never on shard order — its victim table is the
+    /// victims in trace order, each with its drops, `delivered` is the
+    /// trace's rows in trace order less exactly those victims' losses, and
+    /// `dropped_at` sums their drops — with every fragment drained either
+    /// way.
     #[test]
     fn merge_is_permutation_invariant(
         specs in proptest::collection::vec(
@@ -329,15 +342,29 @@ proptest! {
         }
         let qd = BTreeMap::new();
         let merged = merge_fragments(&trace, epoch, qd.clone(), &mut frags);
+        // The victims, read off the specs in trace order.
+        let victims: Vec<(FiveTuple, u64)> = (0..n_rows)
+            .filter_map(|row| spec_at(row).filter(|s| s.2 > 0).map(|s| (spec_flow(row), s.2)))
+            .collect();
+        prop_assert!(merged.lost.iter().map(|(&f, &l)| (f, l)).eq(victims.iter().copied()));
+        let mut dropped_at = BTreeMap::new();
+        for (_, lost, drops) in merged.lost.with_drops() {
+            prop_assert_eq!(drops.iter().map(|&(_, c)| c).sum::<u64>(), lost);
+            for &(s, c) in drops {
+                *dropped_at.entry(s).or_insert(0) += c;
+            }
+        }
+        prop_assert_eq!(&merged.dropped_at, &dropped_at);
         prop_assert_eq!(merged.delivered.len(), trace.num_flows());
         let rows = merged.delivered.iter().zip(&trace.flows);
         for (row, ((f, &del), &(tf, sent))) in rows.enumerate() {
             prop_assert_eq!(*f, tf, "row {} out of trace order", row);
-            prop_assert_eq!(del + merged.lost.get(f).copied().unwrap_or(0), sent, "row {}", row);
+            let lost = spec_at(row as u64).map_or(0, |s| s.2);
+            prop_assert_eq!(del + lost, sent, "row {}", row);
         }
         prop_assert_eq!(&merged, &merge_fragments(&trace, epoch, qd, &mut shuffled));
         for frag in frags.iter().chain(&shuffled) {
-            prop_assert!(frag.delivered.is_empty() && frag.lost.is_empty(), "not drained");
+            prop_assert!(frag.victims.is_empty() && frag.drops.is_empty(), "not drained");
         }
     }
 }

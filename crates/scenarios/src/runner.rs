@@ -22,7 +22,9 @@ use chm_common::metrics::{average_relative_error, detection_score};
 use chm_common::FiveTuple;
 use chm_netsim::sim::EpochReport;
 pub use chm_netsim::ReplayMode;
-use chm_netsim::{ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray};
+use chm_netsim::{
+    dominant_drop_switch, ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray,
+};
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
 use std::collections::{HashMap, HashSet};
@@ -313,7 +315,8 @@ impl ScenarioStack {
         );
 
         let score = detection_score(analysis.loss_report.keys().copied(), &truth);
-        let are = average_relative_error(&report.lost, &analysis.loss_report);
+        // chm-lint: allow(map-iter-order, "report.lost is the report's trace-ordered victim table, and average_relative_error sorts the pairs it is given")
+        let are = average_relative_error(report.lost.iter(), &analysis.loss_report);
         let metrics = EpochMetrics {
             epoch: report.epoch,
             f1: score.f1,
@@ -361,13 +364,8 @@ pub fn localization_hits(
     let mut total = 0u64;
     let mut hit1 = 0u64;
     let mut hit3 = 0u64;
-    // Deterministic victim order: `lost_at` is a HashMap, so sort its keys
-    // before walking them (the hit counters would commute, but a fixed
-    // order keeps any future per-victim output stable too).
-    let mut victims: Vec<&FiveTuple> = report.lost_at.keys().collect();
-    victims.sort_unstable();
-    for f in victims {
-        let Some(truth) = report.dominant_drop_switch(f) else { continue };
+    for (f, _, drops) in report.lost.with_drops() {
+        let Some(truth) = dominant_drop_switch(drops) else { continue };
         total += 1;
         if let Some(cands) = loc.per_victim.get(f) {
             if cands.first() == Some(&truth) {
@@ -423,12 +421,12 @@ fn lossradar_epoch(
     let memory_bytes = (cells * 10.0) as usize;
     let mut lr: LossRadar<FiveTuple> =
         LossRadar::new(memory_bytes, s.seed ^ LR_SALT ^ report.epoch);
-    for &(f, pkts) in &trace.flows {
-        let lost = report.lost.get(&f).copied().unwrap_or(0);
+    // chm-lint: allow(map-iter-order, "trace.flows and report.delivered are the trace's rows and the report's trace-ordered column, walked in step")
+    for (&(f, pkts), &delivered) in trace.flows.iter().zip(report.delivered.values()) {
         for seq in 0..pkts {
             lr.observe_upstream(&f, seq as u32);
         }
-        for seq in lost..pkts {
+        for seq in pkts - delivered..pkts {
             lr.observe_downstream(&f, seq as u32);
         }
     }
@@ -451,10 +449,10 @@ fn flowradar_epoch(
     let memory_bytes = (cells * 12.0 / 0.9) as usize;
     let mut fr: FlowRadar<FiveTuple> =
         FlowRadar::new(memory_bytes, s.seed ^ FR_SALT ^ report.epoch);
-    for &(f, pkts) in &trace.flows {
-        let lost = report.lost.get(&f).copied().unwrap_or(0);
+    // chm-lint: allow(map-iter-order, "trace.flows and report.delivered are the trace's rows and the report's trace-ordered column, walked in step")
+    for (&(f, pkts), &delivered) in trace.flows.iter().zip(report.delivered.values()) {
         fr.observe_upstream_flow(&f, pkts);
-        fr.observe_downstream_flow(&f, pkts - lost);
+        fr.observe_downstream_flow(&f, delivered);
     }
     fr.decode_losses()
 }

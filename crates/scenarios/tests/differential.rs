@@ -24,7 +24,6 @@ fn assert_differential(s: &Scenario) {
         assert_eq!(a.report.delivered, b.report.delivered, "{name} e{e}: delivered");
         assert_eq!(a.report.lost, b.report.lost, "{name} e{e}: lost");
         assert_eq!(a.report.dropped_at, b.report.dropped_at, "{name} e{e}: dropped_at");
-        assert_eq!(a.report.lost_at, b.report.lost_at, "{name} e{e}: lost_at");
         assert_eq!(
             a.report.hops_histogram, b.report.hops_histogram,
             "{name} e{e}: hops histogram"

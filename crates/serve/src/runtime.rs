@@ -31,7 +31,7 @@ use chamelemon::dataplane::CollectedGroup;
 use chamelemon::{EdgeDataPlane, Localization, RuntimeConfig};
 use chm_common::FiveTuple;
 use chm_netsim::sim::EpochReport;
-use chm_netsim::Sharding;
+use chm_netsim::{dominant_drop_switch, Sharding};
 use chm_scenarios::{localization_hits, EpochStream, ReplayMode, Scenario, ScenarioStack};
 
 use crate::fault::{EpochFaults, FaultPlan, ReportFate};
@@ -260,7 +260,7 @@ impl ServeRuntime {
             paused: faults.controller_paused,
             clock_stalled: faults.clock_stalled,
             packets: report.total_sent(),
-            true_victims: report.lost_at.len(),
+            true_victims: report.lost.len(),
             reported_victims: analysis.loss_report.len(),
             precision,
             recall,
@@ -407,11 +407,8 @@ fn hits_or_miss(
     match loc {
         Some(l) => localization_hits(report, l),
         None => {
-            let any = report
-                .lost_at
-                .keys()
-                .any(|f| report.dominant_drop_switch(f).is_some());
-            if any {
+            let mut victims = report.lost.with_drops();
+            if victims.any(|(_, _, drops)| dominant_drop_switch(drops).is_some()) {
                 (0.0, 0.0)
             } else {
                 (1.0, 1.0)
@@ -435,12 +432,12 @@ fn score_detection(
     report: &EpochReport<FiveTuple>,
     analysis: &EpochAnalysis<FiveTuple>,
 ) -> (f64, f64, f64) {
-    let truth = &report.lost_at;
+    let truth = &report.lost;
     let reported = &analysis.loss_report;
     if truth.is_empty() && reported.is_empty() {
         return (1.0, 1.0, 1.0);
     }
-    let tp = reported.keys().filter(|f| truth.contains_key(f)).count() as f64;
+    let tp = truth.keys().filter(|f| reported.contains_key(f)).count() as f64;
     let precision = if reported.is_empty() { 1.0 } else { tp / reported.len() as f64 };
     let recall = if truth.is_empty() { 1.0 } else { tp / truth.len() as f64 };
     let f1 = if precision + recall > 0.0 {

@@ -64,17 +64,12 @@ fn main() {
     }
 
     // The worst victim and where it bled.
-    if let Some((flow, at)) = t
-        .report
-        .lost_at
-        .iter()
-        .max_by_key(|(_, at)| at.values().sum::<u64>())
-    {
+    if let Some((flow, lost, drops)) = t.report.lost.with_drops().max_by_key(|&(_, lost, _)| lost) {
         println!(
             "\nworst victim {:?} lost {} packets at {:?}; controller's candidates: {:?}",
             flow,
-            at.values().sum::<u64>(),
-            at.keys().collect::<Vec<_>>(),
+            lost,
+            drops.iter().map(|(s, _)| s).collect::<Vec<_>>(),
             t.localization.per_victim.get(flow).map(|c| &c[..c.len().min(3)]),
         );
     }
