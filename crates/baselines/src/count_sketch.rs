@@ -113,8 +113,9 @@ impl<F: FlowId> CountHeap<F> {
             self.heap.insert(*f, est);
             return;
         }
-        // Replace the smallest tracked flow if we now exceed it.
-        if let Some((&min_f, &min_v)) = self.heap.iter().min_by_key(|(_, &v)| v) {
+        // Replace the smallest tracked `(count, flow)` if we now exceed it;
+        // ties go to the smaller flow, never to the map's iteration order.
+        if let Some((&min_f, &min_v)) = self.heap.iter().min_by_key(|&(&f, &v)| (v, f)) {
             if est > min_v {
                 self.heap.remove(&min_f);
                 self.heap.insert(*f, est);
@@ -208,6 +209,24 @@ mod tests {
         for &(f, _) in &hh {
             assert!(f < 20, "false positive {f}");
         }
+    }
+
+    #[test]
+    fn heavy_candidates_are_a_function_of_the_stream() {
+        // Mice of equal size tie in a full heap; which one is evicted must
+        // not depend on the map's instance-random seed.
+        let mut rng = StdRng::seed_from_u64(6);
+        let stream: Vec<u32> = (0..20_000).map(|_| rng.gen_range(0..4_000u32)).collect();
+        let feed = || {
+            let mut ch = CountHeap::<u32>::new(16 * 1024, 64, 7);
+            for f in &stream {
+                ch.insert(f);
+            }
+            let heap: std::collections::BTreeSet<(u32, u64)> =
+                ch.heavy_candidates(1).into_iter().collect();
+            heap
+        };
+        assert_eq!(feed(), feed());
     }
 
     #[test]

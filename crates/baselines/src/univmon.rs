@@ -10,7 +10,7 @@ use crate::count_sketch::CountSketch;
 use crate::AccumulationSketch;
 use chm_common::hash::PairwiseHash;
 use chm_common::FlowId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Number of levels (Appendix C).
 const LEVELS: usize = 14;
@@ -22,7 +22,9 @@ const HEAP_ENTRY_BYTES: usize = 8;
 #[derive(Debug, Clone)]
 struct Level<F> {
     sketch: CountSketch,
-    heap: HashMap<F, i64>,
+    /// Tracked flows → last sketch estimate, in flow order: the G-sum adds
+    /// floats in this order, so it must not vary between two instances.
+    heap: BTreeMap<F, i64>,
 }
 
 /// The UnivMon data structure.
@@ -43,7 +45,7 @@ impl<F: FlowId> UnivMon<F> {
             levels: (0..LEVELS)
                 .map(|i| Level {
                     sketch: CountSketch::new(sketch_bytes, seed.wrapping_add(i as u64 * 77)),
-                    heap: HashMap::new(),
+                    heap: BTreeMap::new(),
                 })
                 .collect(),
             sample_hash: PairwiseHash::from_seed(seed ^ 0x0417_17e5),
@@ -66,7 +68,8 @@ impl<F: FlowId> UnivMon<F> {
             level.heap.insert(*f, est);
             return;
         }
-        if let Some((&min_f, &min_v)) = level.heap.iter().min_by_key(|(_, &v)| v) {
+        // The smallest `(count, flow)`: ties go to the smaller flow.
+        if let Some((&min_f, &min_v)) = level.heap.iter().min_by_key(|&(&f, &v)| (v, f)) {
             if est > min_v {
                 level.heap.remove(&min_f);
                 level.heap.insert(*f, est);
@@ -77,6 +80,7 @@ impl<F: FlowId> UnivMon<F> {
     /// Estimates `Σ_flows g(size)` with the recursive estimator:
     /// `Y_L = Σ_{f∈Q_L} g(w_f)`;
     /// `Y_i = 2·Y_{i+1} + Σ_{f∈Q_i} (1 − 2·s_{i+1}(f))·g(w_f)`.
+    /// Each level's heap is summed in flow order.
     pub fn g_sum(&self, g: impl Fn(f64) -> f64) -> f64 {
         let mut y = 0.0;
         for i in (0..LEVELS).rev() {
@@ -161,6 +165,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeSet, HashMap};
 
     fn build(n_flows: u32, seed: u64) -> (UnivMon<u32>, HashMap<u32, u64>) {
         let mut um = UnivMon::<u32>::new(256 * 1024, seed);
@@ -230,6 +235,22 @@ mod tests {
         let est = um.entropy();
         let re = (est - true_h).abs() / true_h;
         assert!(re < 0.25, "entropy {est:.3} vs {true_h:.3}");
+    }
+
+    #[test]
+    fn estimates_are_a_function_of_the_stream() {
+        // Full heaps evict among tied counts, and the G-sum adds floats in
+        // heap order: neither may depend on anything but the stream.
+        for seed in [6, 7, 8] {
+            let (a, _) = build(3000, seed);
+            let (b, _) = build(3000, seed);
+            assert_eq!(a.cardinality().to_bits(), b.cardinality().to_bits(), "seed {seed}");
+            assert_eq!(a.entropy().to_bits(), b.entropy().to_bits(), "seed {seed}");
+            let heap = |u: &UnivMon<u32>| -> BTreeSet<(u32, u64)> {
+                u.heavy_candidates(1).into_iter().collect()
+            };
+            assert_eq!(heap(&a), heap(&b), "seed {seed}");
+        }
     }
 
     #[test]

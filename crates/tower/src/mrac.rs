@@ -28,20 +28,41 @@
 //! an iteration only adds mass to a size whose `λ` is already positive (a
 //! partition with a zero-weight part has weight zero) or, in the fallback,
 //! to the observed value `v` — so a partition of `v` matters only when every
-//! part is a support value. For each observed `v` the 2-part E-step walks the
-//! support values `s2 ≤ v/2` upwards while a second cursor walks downwards to
-//! `s1 = v − s2` (the 3-part step does the same per `s3 ≤ v/3`). Work per
-//! iteration is therefore `Σ_v |support ∩ [1, v]|` — at most the square of
-//! the number of distinct values — and memory is a handful of vectors that
-//! long, all living in a reusable [`MracScratch`]. A 16-bit level holding a
-//! few hundred distinct values pays for those few hundred, where indexing by
-//! value swept (and page-faulted) several 512 kB arrays per iteration.
+//! part is a support value.
+//!
+//! *Fixed cost, once per level:* the histogram — one branch-free counting
+//! pass into a table as long as the largest observed value, from which the
+//! support is read off in ascending order — and the **split table**: for each
+//! support value `v`, its two-part splits `v = s1 + s2` into support values
+//! (`s1 ≥ s2`), listed in ascending `s2` as index pairs. The splits depend on
+//! the support alone, so one pass — each `s2 ≤ v/2` with `v − s2` looked up
+//! in the count table, reused as a value-to-index map — serves every
+//! iteration.
+//!
+//! *Per iteration:* the number of splits (plus the three-part terms of the
+//! values up to [`MracConfig::three_part_limit`]), not the square of the
+//! support. A two-part split gives each of its two indices at most one term
+//! per value — an index `i` is `s2` of the split `(v − s_i, s_i)` when
+//! `s_i ≤ v/2` and `s1` of the split `(s_i, v − s_i)` otherwise, one split in
+//! both cases — so once `total_w` is summed, `next[i] += w·scale` is applied
+//! straight from the splits, with no per-value accumulator to sweep. Only a
+//! value with three-part terms, where an index does collect several terms,
+//! accumulates them in `contrib`, and every index those terms touch lies
+//! below the value itself, so its sweep is shorter than the limit. Memory is
+//! a handful of vectors as long as the support, the split table and the
+//! count table, all living in a reusable [`MracScratch`].
 //!
 //! The result is **bit-identical** to the dense formulation (one slot per
 //! value up to saturation, kept as the oracle in `tests/mrac_differential.rs`):
 //! that loop skips every zero-weight term, and the terms that remain are
-//! exactly the all-support partitions, which the cursors meet in the same
-//! ascending `s3`, `s2` order — the same float additions in the same order.
+//! exactly the all-support partitions, which the split table and the cursors
+//! list in the same ascending `s3`, `s2` order — the same float additions in
+//! the same order, and each index's one term scaled as its one-term sum was.
+
+/// Slots (a power of two) that empty counters are counted into in turn,
+/// ahead of the slot of value 1: most counters of a sparse array are empty,
+/// and one shared slot would make each increment wait on the previous one.
+const EMPTY_SLOTS: usize = 4;
 
 /// Tuning knobs for [`mrac_em`].
 #[derive(Debug, Clone, Copy)]
@@ -70,14 +91,18 @@ impl MracConfig {
 }
 
 /// Working memory of the MRAC EM, reusable across calls: every vector is as
-/// long as the number of *distinct* observed counter values, plus one count
-/// table as long as the largest value seen so far. A caller that estimates
+/// long as the number of *distinct* observed counter values, apart from the
+/// split table (one entry per two-part split of a support value) and one
+/// count table as long as the largest value seen so far — never as long as
+/// the saturation value unless a counter holds it. A caller that estimates
 /// every epoch (the controller) keeps one, which stops allocating once it has
 /// grown to its sketches; nothing of one call is visible to the next.
 #[derive(Debug, Clone, Default)]
 pub struct MracScratch {
-    /// Occurrences per counter value during the histogram pass. All zero
-    /// between calls: each call clears exactly the slots it filled.
+    /// Occurrences per counter value during the histogram pass (value `v ≥ 1`
+    /// at slot `v + EMPTY_SLOTS − 1`), then the support index plus one per
+    /// value (at slot `v`) while the split table is built. All zero between
+    /// calls: each pass clears the slots it wrote.
     table: Vec<u32>,
     /// The support: observed counter values ≥ 1, ascending.
     values: Vec<usize>,
@@ -87,33 +112,48 @@ pub struct MracScratch {
     est: Vec<f64>,
     lambda: Vec<f64>,
     next: Vec<f64>,
+    /// Per-index sums of the terms of a value with three-part terms, whose
+    /// indices lie below that value's. All zero between values.
     contrib: Vec<f64>,
+    /// The two-part splits `(i1, i2)`, `values[i1] + values[i2] = values[j]`
+    /// with `i1 ≥ i2`, of every support index `j` in turn, each value's in
+    /// ascending `i2`. Support indices fit `u32`, the compactest type that
+    /// holds every index a support of `u32` counter values can have.
+    splits: Vec<(u32, u32)>,
+    /// `split_ends[j]` = end of value `j`'s splits in `splits`; they start
+    /// where value `j − 1`'s end.
+    split_ends: Vec<usize>,
 }
 
 impl MracScratch {
-    /// Loads the histogram of a counter array, values clamped to `sat`, with
-    /// one counting pass — the array may hold tens of thousands of non-zero
+    /// Loads the histogram of a counter array, values clamped to `sat`: one
+    /// branch-free counting pass into a table as long as the largest clamped
+    /// value (plus the empty counters' slots), then the support read off that
+    /// table in ascending order — the array may hold tens of thousands of
     /// counters, the support only a few hundred values.
+    // chm-lint: hot
     pub(crate) fn load_counters(&mut self, counters: &[u32], sat: usize) {
-        self.values.clear();
-        for &c in counters {
-            if c == 0 {
-                continue;
-            }
-            let v = (c as usize).min(sat);
-            if v >= self.table.len() {
-                self.table.resize(v + 1, 0);
-            }
-            if self.table[v] == 0 {
-                self.values.push(v);
-            }
-            self.table[v] += 1;
+        let max = counters.iter().copied().max().map_or(0, |c| (c as usize).min(sat));
+        let slots = max + EMPTY_SLOTS;
+        if self.table.len() < slots {
+            self.table.resize(slots, 0);
         }
-        self.values.sort_unstable();
+        let table = &mut self.table[..slots];
+        for (i, &c) in counters.iter().enumerate() {
+            // `min(c, max)` is `min(c, sat)`: no counter exceeds the largest.
+            let v = (c as usize).min(max);
+            let slot = if v == 0 { i & (EMPTY_SLOTS - 1) } else { v + EMPTY_SLOTS - 1 };
+            table[slot] += 1;
+        }
+        table[..EMPTY_SLOTS].fill(0); // empty counters are no flow
+        self.values.clear();
         self.observed.clear();
-        for &v in &self.values {
-            self.observed.push(f64::from(self.table[v]));
-            self.table[v] = 0;
+        for (v, n) in (1..).zip(&mut table[EMPTY_SLOTS..]) {
+            if *n != 0 {
+                self.values.push(v);
+                self.observed.push(f64::from(*n));
+                *n = 0;
+            }
         }
     }
 
@@ -136,6 +176,7 @@ impl MracScratch {
     }
 
     /// Runs the EM on the loaded histogram of an array of `m` counters.
+    // chm-lint: hot
     pub(crate) fn run(&mut self, m: usize, cfg: &MracConfig) {
         let k = self.values.len();
         // Initial guess: no collisions (each non-zero counter is one flow).
@@ -143,10 +184,12 @@ impl MracScratch {
         self.est.extend_from_slice(&self.observed);
         self.lambda.resize(k, 0.0);
         self.next.resize(k, 0.0);
-        // Cleared after each value, so it is all zero whenever a value starts.
+        // Swept after each value, so it is all zero whenever a value starts.
         self.contrib.clear();
         self.contrib.resize(k, 0.0);
+        self.build_splits(cfg.max_parts >= 2);
         let (values, observed) = (&self.values[..], &self.observed[..]);
+        let (splits, split_ends) = (&self.splits[..], &self.split_ends[..]);
         let (est, lambda) = (&mut self.est[..], &mut self.lambda[..]);
         let (next, contrib) = (&mut self.next[..], &mut self.contrib[..]);
         for _ in 0..cfg.iterations {
@@ -154,95 +197,183 @@ impl MracScratch {
                 *l = n / m as f64;
             }
             next.fill(0.0);
+            let mut first = 0;
             for (j, &v) in values.iter().enumerate() {
-                // Enumerate partitions of v into at most `parts` parts, weight
-                // each by Π λ_s^{c_s}/c_s!, and take the conditional
-                // expectation. Parts smaller than v sit at indices below j.
-                let parts = if v <= cfg.three_part_limit {
-                    cfg.max_parts
-                } else {
-                    cfg.max_parts.min(2)
-                };
+                // Weight each partition of v into at most `max_parts` parts
+                // (2 above the limit) by Π λ_s^{c_s}/c_s!, and take the
+                // conditional expectation. Parts smaller than v sit at
+                // indices below j.
+                let pairs = &splits[first..split_ends[j]];
+                first = split_ends[j];
+                let three_parts = cfg.max_parts >= 3 && v <= cfg.three_part_limit;
                 let mut total_w = 0.0;
                 // 1 part
                 if lambda[j] > 0.0 {
                     total_w += lambda[j];
-                    contrib[j] += lambda[j];
                 }
-                // 2 parts: s1 >= s2 >= 1, s1 + s2 = v
-                if parts >= 2 {
-                    let mut hi = j;
-                    for (i2, &s2) in values[..j].iter().enumerate() {
-                        if s2 > v / 2 {
-                            break;
-                        }
-                        let Some(i1) = descend_to(values, &mut hi, v - s2) else {
-                            continue;
-                        };
-                        let w = if i1 == i2 {
-                            lambda[i1] * lambda[i2] / 2.0
-                        } else {
-                            lambda[i1] * lambda[i2]
-                        };
+                // 2 parts, in ascending s2; the 3-part terms follow them.
+                if three_parts {
+                    for &pair in pairs {
+                        let w = pair_weight(lambda, pair);
                         if w > 0.0 {
                             total_w += w;
-                            contrib[i1] += w;
-                            contrib[i2] += w;
+                            contrib[pair.0 as usize] += w;
+                            contrib[pair.1 as usize] += w;
                         }
                     }
-                }
-                // 3 parts: s1 >= s2 >= s3 >= 1
-                if parts >= 3 {
-                    // Where the s1 cursor starts for each s3: at s2 = s3,
-                    // which falls as s3 grows, so it is itself a cursor.
-                    let mut start = j;
-                    for (i3, &s3) in values[..j].iter().enumerate() {
-                        if s3 > v / 3 {
-                            break;
-                        }
-                        descend_to(values, &mut start, v - 2 * s3);
-                        let mut hi = start;
-                        for (i2, &s2) in values[..j].iter().enumerate().skip(i3) {
-                            if s2 > (v - s3) / 2 {
-                                break;
-                            }
-                            let Some(i1) = descend_to(values, &mut hi, v - s2 - s3) else {
-                                continue;
-                            };
-                            let raw = lambda[i1] * lambda[i2] * lambda[i3];
-                            if raw <= 0.0 {
-                                continue;
-                            }
-                            // Multiset permutation correction 1/Π c_s!.
-                            let w = if i1 == i2 && i2 == i3 {
-                                raw / 6.0
-                            } else if i1 == i2 || i2 == i3 {
-                                raw / 2.0
-                            } else {
-                                raw
-                            };
+                    three_part_terms(values, lambda, j, &mut total_w, contrib);
+                } else {
+                    for &pair in pairs {
+                        let w = pair_weight(lambda, pair);
+                        if w > 0.0 {
                             total_w += w;
-                            contrib[i1] += w;
-                            contrib[i2] += w;
-                            contrib[i3] += w;
                         }
                     }
                 }
                 if total_w > 0.0 {
                     let scale = observed[j] / total_w;
-                    for (n, &c) in next[..=j].iter_mut().zip(&contrib[..=j]) {
-                        if c > 0.0 {
-                            *n += c * scale;
+                    if lambda[j] > 0.0 {
+                        next[j] += lambda[j] * scale;
+                    }
+                    if three_parts {
+                        for (n, c) in next[..j].iter_mut().zip(&mut contrib[..j]) {
+                            if *c > 0.0 {
+                                *n += *c * scale;
+                            }
+                            *c = 0.0;
+                        }
+                    } else {
+                        for &(i1, i2) in pairs {
+                            let w = pair_weight(lambda, (i1, i2));
+                            let (i1, i2) = (i1 as usize, i2 as usize);
+                            if w > 0.0 {
+                                // An index's one term, scaled as the sum it was.
+                                if i1 == i2 {
+                                    next[i1] += (w + w) * scale;
+                                } else {
+                                    next[i1] += w * scale;
+                                    next[i2] += w * scale;
+                                }
+                            }
                         }
                     }
                 } else {
                     // No partition has support (can happen after mass
                     // collapses); fall back to the single-flow interpretation.
                     next[j] += observed[j];
+                    // A NaN three-part weight (`raw <= 0.0` lets it through)
+                    // lands here with `contrib` written.
+                    if three_parts {
+                        contrib[..j].fill(0.0);
+                    }
                 }
-                contrib[..=j].fill(0.0);
             }
             est.copy_from_slice(next);
+        }
+    }
+
+    /// Builds the split table of the loaded support — empty lists for every
+    /// value when `two_parts` is off (a one-part EM). Each support value
+    /// `s2 ≤ v/2` is a candidate; `table` maps `v − s2` to its support index
+    /// for the duration, and a candidate is written unconditionally and kept
+    /// by advancing the end past it only when `v − s2` is a support value.
+    // chm-lint: hot
+    fn build_splits(&mut self, two_parts: bool) {
+        let k = self.values.len();
+        assert!(k < u32::MAX as usize, "support indices must fit u32");
+        self.splits.clear();
+        self.split_ends.clear();
+        if !two_parts {
+            self.split_ends.resize(k, 0);
+            return;
+        }
+        let values = &self.values[..];
+        let top = values.last().copied().unwrap_or(0);
+        if self.table.len() <= top {
+            self.table.resize(top + 1, 0);
+        }
+        // `index[s]` = support index of `s` plus one; 0 off the support.
+        let index = &mut self.table[..=top];
+        for (i, &v) in values.iter().enumerate() {
+            index[v] = i as u32 + 1;
+        }
+        // Number of support values ≤ v/2: `values[j] = v` is above it.
+        let mut half = 0;
+        for &v in values {
+            while values[half] <= v / 2 {
+                half += 1;
+            }
+            let mut end = self.splits.len();
+            self.splits.resize(end + half, (0, 0));
+            // s1 >= s2 >= 1, s1 + s2 = v
+            for (i2, &s2) in values[..half].iter().enumerate() {
+                let i1 = index[v - s2];
+                self.splits[end] = (i1.wrapping_sub(1), i2 as u32);
+                end += usize::from(i1 != 0);
+            }
+            self.splits.truncate(end);
+            self.split_ends.push(end);
+        }
+        for &v in values {
+            index[v] = 0;
+        }
+    }
+}
+
+/// The weight `λ_{s1}·λ_{s2}`, halved when the parts are equal, of a split.
+#[inline]
+fn pair_weight(lambda: &[f64], (i1, i2): (u32, u32)) -> f64 {
+    let (i1, i2) = (i1 as usize, i2 as usize);
+    if i1 == i2 {
+        lambda[i1] * lambda[i2] / 2.0
+    } else {
+        lambda[i1] * lambda[i2]
+    }
+}
+
+/// Adds the three-part terms of `values[j]` (s1 ≥ s2 ≥ s3 ≥ 1), in ascending
+/// `s3`, then `s2`, to `total_w` and to each part's `contrib`.
+// chm-lint: hot
+fn three_part_terms(
+    values: &[usize],
+    lambda: &[f64],
+    j: usize,
+    total_w: &mut f64,
+    contrib: &mut [f64],
+) {
+    let v = values[j];
+    // Where the s1 cursor starts for each s3: at s2 = s3, which falls as s3
+    // grows, so it is itself a cursor.
+    let mut start = j;
+    for (i3, &s3) in values[..j].iter().enumerate() {
+        if s3 > v / 3 {
+            break;
+        }
+        descend_to(values, &mut start, v - 2 * s3);
+        let mut hi = start;
+        for (i2, &s2) in values[..j].iter().enumerate().skip(i3) {
+            if s2 > (v - s3) / 2 {
+                break;
+            }
+            let Some(i1) = descend_to(values, &mut hi, v - s2 - s3) else {
+                continue;
+            };
+            let raw = lambda[i1] * lambda[i2] * lambda[i3];
+            if raw <= 0.0 {
+                continue;
+            }
+            // Multiset permutation correction 1/Π c_s!.
+            let w = if i1 == i2 && i2 == i3 {
+                raw / 6.0
+            } else if i1 == i2 || i2 == i3 {
+                raw / 2.0
+            } else {
+                raw
+            };
+            *total_w += w;
+            contrib[i1] += w;
+            contrib[i2] += w;
+            contrib[i3] += w;
         }
     }
 }

@@ -3,7 +3,9 @@
 //! counter value up to the level's saturation value), kept as the oracle, and
 //! `dense_flow_size_distribution` is the previous per-level composition.
 
+use chm_common::FlowId;
 use chm_tower::{mrac_em, MracConfig, MracScratch, TowerConfig, TowerLevel, TowerSketch};
+use chm_workloads::{testbed_trace, WorkloadKind};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -216,6 +218,36 @@ fn flow_size_distribution_matches_dense_composition() {
             let want = dense_flow_size_distribution(&t, &tail, &cfg);
             assert_eq!(got.len(), want.len(), "case {case} {name}");
             assert_eq!(bits(&got), bits(&want), "case {case} {name}");
+        }
+    }
+}
+
+/// The path the controller runs every epoch, at the scale it runs it: four
+/// edge sketches of the testbed geometry sharing a 50 k-flow trace, so each
+/// 16-bit level holds a few hundred distinct values and tens of thousands
+/// of two-part splits — far past the widths of the seeded cases above.
+#[test]
+fn paper_scale_edges_match_dense_composition() {
+    let trace = testbed_trace(WorkloadKind::Dctcp, 50_000, 8, 0x3ac2);
+    let mut edges: Vec<TowerSketch> =
+        (0..4).map(|e| TowerSketch::new(TowerConfig::paper_default(0x3ac3 + e))).collect();
+    let mut tails: Vec<Vec<u64>> = vec![Vec::new(); edges.len()];
+    for (i, &(flow, pkts)) in trace.flows.iter().enumerate() {
+        let e = i % edges.len();
+        edges[e].insert_burst(flow.key64(), pkts, 1, 1);
+        // The heavy flows stand in for the HH flowset the controller decodes.
+        if pkts >= 250 {
+            tails[e].push(pkts);
+        }
+    }
+    for (e, (t, tail)) in edges.iter().zip(&tails).enumerate() {
+        let top = t.config().levels.len() - 1;
+        let distinct = t.level_histogram(top)[1..].iter().filter(|&&c| c > 0.0).count();
+        assert!(distinct >= 200, "edge {e}: only {distinct} distinct 16-bit values");
+        for (name, cfg) in presets() {
+            let got = t.flow_size_distribution(tail, &cfg);
+            let want = dense_flow_size_distribution(t, tail, &cfg);
+            assert_eq!(bits(&got), bits(&want), "edge {e} {name}");
         }
     }
 }
