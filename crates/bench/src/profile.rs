@@ -3,20 +3,25 @@
 //! sharded engine and the profiled controller entry points.
 //!
 //! The harness steps the congested serve preset on the scenario engine's own
-//! stack ([`ScenarioStack`], sharded through [`ScenarioStack::replay`] like
-//! any other caller) and brackets each stage of the epoch — replay, collect,
-//! analyze, reconfigure, localize — with a span and an allocation reading.
-//! `step_epoch` runs the same stages unprofiled and scores them, which is
-//! not what is measured here, so the stages stay spelled out; the
-//! deployment, the driver choice and the decode verdict are the stack's.
-//! The tree it builds: the engine's fate `prologue`, `phase_a/shard_{i}` /
-//! `phase_b/shard_{i}` and fragment `merge` (absorbed from
-//! [`ScenarioStack::replay_profile`]), the controller's
+//! stack ([`ScenarioStack`]) through the same two calls every driver makes:
+//! [`ScenarioStack::replay`], sharded, then [`Controller::close_epoch`]
+//! with a probe, so the epoch body measured here is the one `step_epoch`
+//! scores and `chm-serve` serves. Each stage — replay, collect, analyze,
+//! reconfigure (decide + stage + flip), localize — gets a span and an
+//! allocation reading. The tree it builds: the engine's fate `prologue`,
+//! `phase_a/shard_{i}` / `phase_b/shard_{i}` and fragment `merge` (absorbed
+//! from [`ScenarioStack::replay_profile`]), `collect`, the controller's
 //! `analyze/decode/{edge_i,delta_hl,delta_ll,sparse,loaded}` split and its
 //! `analyze/{cardinality,fsd,delta_hl_build,delta_ll_build,victims}`
-//! blocks, and `localize`. Alongside the spans it attributes **global
-//! allocation counts** to the five coarse stages via the injected counter
-//! from the binary's counting allocator.
+//! blocks, `reconfigure` and `localize`. Alongside the spans it attributes
+//! **global allocation counts** to the five coarse stages via the injected
+//! counter from the binary's counting allocator.
+//!
+//! This is deliberately not a `chm_serve::ServeRuntime` run. Serve records
+//! its replay as one leaf so its span tree does not depend on the shard
+//! count, while this profile is built from the per-shard spans. Serve's
+//! watchdog could also hold a runtime on the epochs whose decode fails (6
+//! of the quick profile's 40), and `PROFILE_counts` would then move.
 //!
 //! Two artifacts per run:
 //!
@@ -35,8 +40,7 @@
 use std::io;
 use std::time::Instant;
 
-use chamelemon::CollectedGroup;
-use chm_common::FiveTuple;
+use chamelemon::{Controller, EpochProbe};
 use chm_netsim::{ReplayMode, Sharding};
 use chm_obs::{json_f64, json_string, SpanProfiler};
 use chm_scenarios::{Scenario, ScenarioStack};
@@ -128,47 +132,23 @@ pub fn run(
         spans.absorb(stack.replay_profile().expect("sharding is set above"), &[]);
         stage_allocs[0] += alloc_count() - a0;
 
-        // Collect: take the ended-timestamp groups off every edge. The
-        // congested preset has a clean control channel, so all reports
-        // arrive — profiling measures the all-delivered fast path.
-        let a0 = alloc_count();
-        let t0 = clock();
-        let ts_bit = (report.epoch & 1) as u8;
-        let collected: Vec<CollectedGroup<FiveTuple>> =
-            stack.edges.iter_mut().map(|e| e.take_group(ts_bit)).collect();
-        spans.record(&["collect"], clock() - t0);
-        stage_allocs[1] += alloc_count() - a0;
-
-        let a0 = alloc_count();
-        let analysis =
-            stack.controller.analyze_epoch_profiled(&collected, &mut spans, &mut span_clock);
-        stage_allocs[2] += alloc_count() - a0;
-
-        let a0 = alloc_count();
-        let t0 = clock();
-        let staged = stack.controller.reconfigure(&analysis);
-        for e in &mut stack.edges {
-            e.stage_runtime(staged);
-            e.flip(ts_bit);
+        // The congested preset has a clean control channel, so every report
+        // arrives — profiling measures the all-delivered path.
+        let closed = stack.controller.close_epoch(
+            &mut stack.edges,
+            report.epoch,
+            None,
+            &report.queue_depth,
+            Controller::reconfigure,
+            Some(EpochProbe { spans: &mut spans, clock: &mut span_clock, allocs: alloc_count }),
+        );
+        for (total, a) in stage_allocs[1..].iter_mut().zip(closed.stage_allocs) {
+            *total += a;
         }
-        spans.record(&["reconfigure"], clock() - t0);
-        stage_allocs[3] += alloc_count() - a0;
-
-        let a0 = alloc_count();
-        stack
-            .controller
-            .localize_with_telemetry_profiled(
-                &analysis,
-                &report.queue_depth,
-                &mut spans,
-                &mut span_clock,
-            )
-            .expect("stack always enables localization");
-        stage_allocs[4] += alloc_count() - a0;
 
         spans.exit(&mut span_clock);
         packets += report.total_sent();
-        decode_ok_epochs += u64::from(analysis.fully_decoded());
+        decode_ok_epochs += u64::from(closed.analysis.fully_decoded());
     }
     assert!(spans.balanced(), "profile epochs leave no span open");
     ProfileReport { config: cfg.clone(), spans, stage_allocs, packets, decode_ok_epochs }

@@ -15,7 +15,7 @@
 //!    between the **healthy** and **ill** network states (§4.3.1–4.3.2).
 
 use crate::config::{DataPlaneConfig, Partition, RuntimeConfig};
-use crate::dataplane::CollectedGroup;
+use crate::dataplane::{CollectedGroup, EdgeDataPlane};
 use crate::localize::{
     EpochEvidence, Localization, Localizer, LocalizerSnapshot, PARTIAL_DECODE_CONFIDENCE,
 };
@@ -29,10 +29,31 @@ use chm_tower::{MracConfig, MracScratch};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
-/// Observability context threaded through the profiled analysis entry
-/// points: the span tree to record into and the injected clock that
-/// drives it (`&mut || 0.0` everywhere outside the bench harness).
-pub type ObsCtx<'a> = (&'a mut SpanProfiler, &'a mut dyn FnMut() -> f64);
+/// How a caller profiles [`Controller::close_epoch`]: the span tree (the
+/// body's spans nest under its open span), the injected clock (`&mut ||
+/// 0.0` outside the bench harness) and a reader of the process-global
+/// allocation counter (`&|| 0` when nobody counts).
+pub struct EpochProbe<'a> {
+    pub spans: &'a mut SpanProfiler,
+    pub clock: &'a mut dyn FnMut() -> f64,
+    pub allocs: &'a dyn Fn() -> u64,
+}
+
+/// One epoch closed by [`Controller::close_epoch`].
+pub struct ClosedEpoch<F: FlowId> {
+    /// The group taken from every edge, arrived or not, in edge order.
+    pub collected: Vec<CollectedGroup<F>>,
+    /// The analysis of the groups whose report arrived.
+    pub analysis: EpochAnalysis<F>,
+    /// The runtime staged on every edge; it functions from the next epoch.
+    pub staged: RuntimeConfig,
+    /// `None` unless localization is enabled.
+    pub localization: Option<Localization<F>>,
+    /// Probed only: analyze + decide on the probe's clock (Figure 20).
+    pub response_time_s: Option<f64>,
+    /// Probed only: allocations of collect, analyze, reconfigure, localize.
+    pub stage_allocs: [u64; 4],
+}
 
 /// Load-factor targets (§4.3: reconfigure toward 70%, act below 60%).
 pub const TARGET_LOAD: f64 = 0.70;
@@ -193,17 +214,47 @@ pub struct Controller<F: FlowId> {
     _f: std::marker::PhantomData<F>,
 }
 
-/// Start of a block of the analysis that gets its own span: the injected
-/// clock's reading, `0.0` when the pass is not profiled.
-fn span_start(obs: &mut Option<ObsCtx<'_>>) -> f64 {
-    obs.as_mut().map_or(0.0, |(_, clock)| clock())
+/// Runs `body` — unprobed, as is; probed, under the span `name` below the
+/// open span, adding its allocations to `allocs`. The stages of
+/// [`Controller::close_epoch`] and the blocks of the analysis inside them
+/// are all spanned through it.
+fn span<'p, R>(
+    probe: &mut Option<EpochProbe<'p>>,
+    name: &str,
+    allocs: &mut u64,
+    body: impl FnOnce(&mut Option<EpochProbe<'p>>) -> R,
+) -> R {
+    let a0 = probe.as_mut().map(|p| {
+        let a0 = (p.allocs)();
+        p.spans.enter(name, p.clock);
+        a0
+    });
+    let r = body(probe);
+    if let (Some(p), Some(a0)) = (probe.as_mut(), a0) {
+        p.spans.exit(p.clock);
+        *allocs += (p.allocs)() - a0;
+    }
+    r
 }
 
-/// Records the block started at `t0` as the child `name` of the open span.
-fn span_end(obs: &mut Option<ObsCtx<'_>>, name: &str, t0: f64) {
-    if let Some((spans, clock)) = obs.as_mut() {
-        let dur = clock() - t0;
-        spans.record(&[name], dur);
+/// Moves the groups whose report arrived to the front of `groups`, in edge
+/// order, and returns how many arrived. [`edge_order`] undoes it.
+fn arrived_first<T>(groups: &mut [T], arrived: &[bool]) -> usize {
+    let mut k = 0;
+    for (i, _) in arrived.iter().enumerate().filter(|&(_, &a)| a) {
+        groups[k..=i].rotate_right(1);
+        k += 1;
+    }
+    k
+}
+
+/// Inverse of [`arrived_first`]: undoes its moves last to first, which puts
+/// every group back at its edge's index.
+fn edge_order<T>(groups: &mut [T], arrived: &[bool]) {
+    let mut k = arrived.iter().filter(|&&a| a).count();
+    for (i, _) in arrived.iter().enumerate().rev().filter(|&(_, &a)| a) {
+        k -= 1;
+        groups[k..=i].rotate_left(1);
     }
 }
 
@@ -214,16 +265,16 @@ fn span_end(obs: &mut Option<ObsCtx<'_>>, name: &str, t0: f64) {
 fn decode_spanned<F: FlowId>(
     sketch: &FermatSketch<F>,
     scratch: &mut DecodeScratch<F>,
-    obs: &mut Option<ObsCtx<'_>>,
+    probe: &mut Option<EpochProbe<'_>>,
     label: std::fmt::Arguments<'_>,
 ) -> DecodeResult<F> {
-    let t0 = span_start(obs);
+    let t0 = probe.as_mut().map(|p| (p.clock)());
     let r = sketch.decode_with(scratch);
-    if let Some((spans, clock)) = obs.as_mut() {
-        let dur = clock() - t0;
-        spans.record(&["decode", &label.to_string()], dur);
+    if let (Some(p), Some(t0)) = (probe.as_mut(), t0) {
+        let dur = (p.clock)() - t0;
+        p.spans.record(&["decode", &label.to_string()], dur);
         let class = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
-        spans.record(&["decode", class], dur);
+        p.spans.record(&["decode", class], dur);
     }
     r
 }
@@ -346,25 +397,6 @@ impl<F: FlowId> Controller<F> {
         }))
     }
 
-    /// [`localize_with_telemetry`](Self::localize_with_telemetry) under a
-    /// `localize` span. Same injected-clock contract as
-    /// [`analyze_epoch_profiled`](Self::analyze_epoch_profiled).
-    pub fn localize_with_telemetry_profiled(
-        &mut self,
-        a: &EpochAnalysis<F>,
-        queue_depth: &BTreeMap<SwitchId, QueueDepthStat>,
-        spans: &mut SpanProfiler,
-        clock: &mut dyn FnMut() -> f64,
-    ) -> Option<Localization<F>>
-    where
-        F: Routable,
-    {
-        spans.enter("localize", clock);
-        let r = self.localize_with_telemetry(a, queue_depth);
-        spans.exit(clock);
-        r
-    }
-
     /// Nearest size to `m` not on the failed-size list: steps up toward
     /// `m_df` first; if the cap itself has failed, steps down toward
     /// `min_hl_buckets` instead — any change of modulus re-randomizes the
@@ -452,6 +484,72 @@ impl<F: FlowId> Controller<F> {
         self.state
     }
 
+    /// Closes `epoch` after its replay — the one epoch body of §4.3 that
+    /// every driver runs: **collect** the group that monitored `epoch` from
+    /// every edge (zero-clone), **analyze** those whose report `arrived`
+    /// (`None`: all), **reconfigure** — `decide` the next runtime (usually
+    /// [`Controller::reconfigure`]), stage it on every edge and flip — and
+    /// **localize** with the switches' `queue_depth` exports.
+    ///
+    /// With a `probe`, each stage gets a span and an allocation count.
+    /// Inside `analyze`, every Fermat decode records `decode/edge_{i}`,
+    /// `decode/delta_hl` or `decode/delta_ll`, and `decode/sparse` or
+    /// `decode/loaded` ([`chm_fermat::DecodeStats`]); the blocks between
+    /// them record `cardinality`, `fsd`, `delta_hl_build`, `delta_ll_build`
+    /// and `victims`. Under the zero clock every duration stays `0.0` while
+    /// the counts accumulate deterministically.
+    pub fn close_epoch(
+        &mut self,
+        edges: &mut [EdgeDataPlane<F>],
+        epoch: u64,
+        arrived: Option<&[bool]>,
+        queue_depth: &BTreeMap<SwitchId, QueueDepthStat>,
+        decide: impl FnOnce(&mut Self, &EpochAnalysis<F>) -> RuntimeConfig,
+        mut probe: Option<EpochProbe<'_>>,
+    ) -> ClosedEpoch<F>
+    where
+        F: Routable,
+    {
+        assert!(arrived.is_none_or(|m| m.len() == edges.len()), "one arrival flag per edge");
+        let ts_bit = (epoch & 1) as u8;
+        let mut allocs = [0u64; 4];
+        let mut collected: Vec<CollectedGroup<F>> =
+            span(&mut probe, "collect", &mut allocs[0], |_| {
+                edges.iter_mut().map(|e| e.take_group(ts_bit)).collect()
+            });
+        let t_analyze = probe.as_mut().map(|p| (p.clock)());
+        let analysis = span(&mut probe, "analyze", &mut allocs[1], |probe| match arrived {
+            None => self.analyze_epoch_inner(&collected, probe),
+            Some(mask) => {
+                let n = arrived_first(&mut collected, mask);
+                let a = self.analyze_epoch_inner(&collected[..n], probe);
+                edge_order(&mut collected, mask);
+                a
+            }
+        });
+        let mut t_decided = None;
+        let staged = span(&mut probe, "reconfigure", &mut allocs[2], |probe| {
+            let staged = decide(self, &analysis);
+            t_decided = probe.as_mut().map(|p| (p.clock)());
+            for e in edges.iter_mut() {
+                e.stage_runtime(staged);
+                e.flip(ts_bit);
+            }
+            staged
+        });
+        let localization = span(&mut probe, "localize", &mut allocs[3], |_| {
+            self.localize_with_telemetry(&analysis, queue_depth)
+        });
+        ClosedEpoch {
+            collected,
+            analysis,
+            staged,
+            localization,
+            response_time_s: t_analyze.zip(t_decided).map(|(t0, t1)| t1 - t0),
+            stage_allocs: allocs,
+        }
+    }
+
     /// §4.2 packet loss detection + §4.3 network-state monitoring over the
     /// collected groups of the edge switches whose reports arrived.
     ///
@@ -467,37 +565,10 @@ impl<F: FlowId> Controller<F> {
         self.analyze_epoch_inner(collected, &mut None)
     }
 
-    /// [`analyze_epoch`](Self::analyze_epoch) with span profiling: the
-    /// whole pass runs under an `analyze` span, and every Fermat decode
-    /// records `decode/edge_{i}` (upstream HH per edge), `decode/delta_hl`,
-    /// `decode/delta_ll`, plus a `decode/sparse` or `decode/loaded` span
-    /// for the sketch's occupancy class ([`chm_fermat::DecodeStats`]). The
-    /// blocks between the decodes record `cardinality` (linear counting per
-    /// edge), `fsd` (MRAC per edge), `delta_hl_build` / `delta_ll_build`
-    /// (the delta-encoder folds) and `victims`.
-    ///
-    /// The clock is **injected** (chm_obs discipline): production callers
-    /// pass `&mut || 0.0`, which keeps every duration at exactly `0.0`
-    /// while span counts still accumulate deterministically. Only the
-    /// bench harness passes real time.
-    pub fn analyze_epoch_profiled(
-        &self,
-        collected: &[CollectedGroup<F>],
-        spans: &mut SpanProfiler,
-        clock: &mut dyn FnMut() -> f64,
-    ) -> EpochAnalysis<F> {
-        spans.enter("analyze", clock);
-        let mut obs: Option<ObsCtx<'_>> = Some((spans, clock));
-        let a = self.analyze_epoch_inner(collected, &mut obs);
-        let (spans, clock) = obs.take().expect("obs context is never consumed by the analysis");
-        spans.exit(clock);
-        a
-    }
-
     fn analyze_epoch_inner(
         &self,
         collected: &[CollectedGroup<F>],
-        obs: &mut Option<ObsCtx<'_>>,
+        probe: &mut Option<EpochProbe<'_>>,
     ) -> EpochAnalysis<F> {
         if collected.is_empty() {
             return EpochAnalysis {
@@ -524,13 +595,12 @@ impl<F: FlowId> Controller<F> {
         let runtime = collected[0].runtime;
 
         // --- flows & flow-size distribution per switch -------------------
-        let t0 = span_start(obs);
-        let est_flows_per_switch: Vec<f64> = collected
-            .iter()
-            .map(|g| g.classifier.cardinality_estimate())
-            .collect();
-        let est_flows: f64 = est_flows_per_switch.iter().sum();
-        span_end(obs, "cardinality", t0);
+        let (est_flows_per_switch, est_flows) = span(probe, "cardinality", &mut 0, |_| {
+            let per_switch: Vec<f64> =
+                collected.iter().map(|g| g.classifier.cardinality_estimate()).collect();
+            let est_flows: f64 = per_switch.iter().sum();
+            (per_switch, est_flows)
+        });
 
         // --- decode upstream HH encoders ---------------------------------
         let mut hh_flowsets = Vec::with_capacity(collected.len());
@@ -540,7 +610,7 @@ impl<F: FlowId> Controller<F> {
                 hh_flowsets.push(HashMap::new());
                 continue;
             }
-            let r = decode_spanned(&g.up_hh, scratch, obs, format_args!("edge_{i}"));
+            let r = decode_spanned(&g.up_hh, scratch, probe, format_args!("edge_{i}"));
             if !r.success {
                 hh_decode_ok = false;
             }
@@ -548,8 +618,7 @@ impl<F: FlowId> Controller<F> {
         }
 
         // Aggregate flow-size distribution (classifier MRAC + HH tail).
-        let t0 = span_start(obs);
-        let flow_size_dist = {
+        let flow_size_dist = span(probe, "fsd", &mut 0, |_| {
             let mut dist: Vec<f64> = Vec::new();
             let mrac_scratch = &mut *self.mrac_scratch.borrow_mut();
             let mut tail: Vec<u64> = Vec::new();
@@ -560,8 +629,7 @@ impl<F: FlowId> Controller<F> {
                     .flow_size_distribution_into(&tail, &self.mrac, mrac_scratch, &mut dist);
             }
             dist
-        };
-        span_end(obs, "fsd", t0);
+        });
 
         // --- delta HL encoder ---------------------------------------------
         // If any HH decode failed we cannot re-insert; monitoring stops for
@@ -569,10 +637,10 @@ impl<F: FlowId> Controller<F> {
         let p = runtime.partition;
         let mut delta_hl: Option<FermatSketch<F>> = None;
         if p.m_hl > 0 {
-            let t0 = span_start(obs);
             let reinsert: &[HashMap<F, i64>] = if hh_decode_ok { &hh_flowsets } else { &[] };
-            delta_hl = Some(delta_encoder(collected, |g| &g.up_hl, |g| &g.down_hl, reinsert));
-            span_end(obs, "delta_hl_build", t0);
+            delta_hl = Some(span(probe, "delta_hl_build", &mut 0, |_| {
+                delta_encoder(collected, |g| &g.up_hl, |g| &g.down_hl, reinsert)
+            }));
         }
         // On a failed decode the flows peeled before the stall are still
         // verified extractions (pure-bucket test + negative-flow
@@ -582,7 +650,7 @@ impl<F: FlowId> Controller<F> {
         let mut hl_partial: HashMap<F, i64> = HashMap::new();
         let (hl_flowset, est_hls) = match &delta_hl {
             Some(delta) if hh_decode_ok => {
-                let r = decode_spanned(delta, scratch, obs, format_args!("delta_hl"));
+                let r = decode_spanned(delta, scratch, probe, format_args!("delta_hl"));
                 if r.success {
                     let n = r.flows.len() as f64;
                     (Some(r.flows), n)
@@ -598,13 +666,13 @@ impl<F: FlowId> Controller<F> {
         // --- delta LL encoder ---------------------------------------------
         let mut delta_ll: Option<FermatSketch<F>> = None;
         if p.m_ll > 0 {
-            let t0 = span_start(obs);
-            delta_ll = Some(delta_encoder(collected, |g| &g.up_ll, |g| &g.down_ll, &[]));
-            span_end(obs, "delta_ll_build", t0);
+            delta_ll = Some(span(probe, "delta_ll_build", &mut 0, |_| {
+                delta_encoder(collected, |g| &g.up_ll, |g| &g.down_ll, &[])
+            }));
         }
         let (ll_flowset, est_lls) = match &delta_ll {
             Some(delta) => {
-                let r = decode_spanned(delta, scratch, obs, format_args!("delta_ll"));
+                let r = decode_spanned(delta, scratch, probe, format_args!("delta_ll"));
                 if r.success {
                     let n = r.flows.len() as f64;
                     (Some(r.flows), n)
@@ -649,9 +717,8 @@ impl<F: FlowId> Controller<F> {
         }
 
         // --- victim estimates (§4.3.2 "Monitoring real-time network state")
-        let t0 = span_start(obs);
         let rate = runtime.sample_rate();
-        let (est_victims, victim_size_dist) = match self.state {
+        let (est_victims, victim_size_dist) = span(probe, "victims", &mut 0, |_| match self.state {
             NetworkState::Healthy => (est_hls, None),
             NetworkState::Ill => {
                 match (&hl_flowset, &ll_flowset) {
@@ -695,9 +762,7 @@ impl<F: FlowId> Controller<F> {
                     }
                 }
             }
-        };
-
-        span_end(obs, "victims", t0);
+        });
 
         EpochAnalysis {
             hh_flowsets,
@@ -1132,6 +1197,24 @@ mod tests {
         want_ll.sub_assign_sketch(&cum_down_ll);
         assert!(!want_ll.is_zero(), "the fixture loses LL packets too");
         assert_eq!(delta_encoder(&collected, |g| &g.up_ll, |g| &g.down_ll, &[]), want_ll);
+    }
+
+    #[test]
+    fn arrived_first_is_a_stable_partition_that_edge_order_undoes() {
+        for n in 0..7usize {
+            for bits in 0u32..(1 << n) {
+                let mask: Vec<bool> = (0..n).map(|i| bits & (1 << i) != 0).collect();
+                let mut items: Vec<usize> = (0..n).collect();
+                let k = arrived_first(&mut items, &mask);
+                let want: Vec<usize> = (0..n)
+                    .filter(|&i| mask[i])
+                    .chain((0..n).filter(|&i| !mask[i]))
+                    .collect();
+                assert_eq!((k, &items), (mask.iter().filter(|&&a| a).count(), &want), "{mask:?}");
+                edge_order(&mut items, &mask);
+                assert_eq!(items, (0..n).collect::<Vec<_>>(), "{mask:?}");
+            }
+        }
     }
 
     #[test]

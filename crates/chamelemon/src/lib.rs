@@ -51,7 +51,9 @@ pub mod resources;
 pub mod tasks;
 
 pub use config::{DataPlaneConfig, Partition, RuntimeConfig};
-pub use control::{Controller, ControllerSnapshot, EpochAnalysis, NetworkState};
+pub use control::{
+    ClosedEpoch, Controller, ControllerSnapshot, EpochAnalysis, EpochProbe, NetworkState,
+};
 pub use dataplane::{CollectedGroup, EdgeDataPlane, Hierarchy, SketchGroup};
 pub use localize::{
     EpochEvidence, Localization, Localizer, LocalizerSnapshot, PARTIAL_DECODE_CONFIDENCE,
@@ -59,6 +61,7 @@ pub use localize::{
 
 use chm_netsim::{FatTree, SimConfig, SiteArray, Simulator, Topology};
 use chm_netsim::sim::{EpochReport, Routable};
+use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
 
 /// A full deployment: one data plane per edge switch, a simulator that
@@ -117,10 +120,10 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
         }
     }
 
-    /// Runs one full epoch: replay the trace with losses, flip the epoch
-    /// timestamp, take ownership of the finished sketch group from every
-    /// edge (zero-clone collection), analyze, reconfigure (effective next
-    /// epoch), and install the new runtime configuration.
+    /// Runs one full epoch: replay the trace with losses, then close the
+    /// epoch through [`Controller::close_epoch`] — every report arrives, and
+    /// the controller's own [`Controller::reconfigure`] decides the runtime
+    /// that functions next epoch.
     pub fn run_epoch(&mut self, trace: &Trace<F>, plan: &LossPlan<F>) -> EpochOutcome<F>
     where
         F: Routable,
@@ -146,48 +149,41 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
     where
         F: Routable,
     {
-        self.run_epoch_inner(trace, plan, Some(now_s))
+        // Only the response time is read; the probe's spans are dropped.
+        let mut spans = SpanProfiler::new();
+        let probe = EpochProbe { spans: &mut spans, clock: now_s, allocs: &|| 0 };
+        self.run_epoch_inner(trace, plan, Some(probe))
     }
 
     fn run_epoch_inner(
         &mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
-        mut now_s: Option<&mut dyn FnMut() -> f64>,
+        probe: Option<EpochProbe<'_>>,
     ) -> EpochOutcome<F>
     where
         F: Routable,
     {
         let config_in_effect = *self.controller.deployed_runtime();
-        let report = {
-            // `EdgeDataPlane` implements `chm_netsim::EdgeSite`; `SiteArray`
-            // hands the simulator the edge slice.
-            let mut hooks = SiteArray(&mut self.edges);
-            // Burst replay: one hook call per flow, sketch state identical
-            // to the per-packet path (see `TowerSketch::insert_burst`).
-            self.simulator.run_epoch_burst(trace, plan, &mut hooks)
-        };
-        let ts_bit = (report.epoch & 1) as u8;
-        // Epoch ended: the controller takes the monitoring groups whole —
-        // `mem::replace` hands it owned snapshots, nothing is copied.
-        let collected: Vec<CollectedGroup<F>> =
-            self.edges.iter_mut().map(|e| e.take_group(ts_bit)).collect();
-        let t0 = now_s.as_mut().map(|f| f());
-        let analysis = self.controller.analyze_epoch(&collected);
-        let new_runtime = self.controller.reconfigure(&analysis);
-        let response_time_s = now_s.as_mut().zip(t0).map(|(f, t0)| f() - t0);
-        // The reconfiguration functions in the *next* epoch (§4.3): stage it
-        // on every edge; the flip below swaps groups and applies it.
-        for e in &mut self.edges {
-            e.stage_runtime(new_runtime);
-            e.flip(ts_bit);
-        }
+        // `EdgeDataPlane` implements `chm_netsim::EdgeSite`; `SiteArray`
+        // hands the simulator the edge slice. Burst replay: one hook call
+        // per flow, sketch state identical to the per-packet path (see
+        // `TowerSketch::insert_burst`).
+        let report = self.simulator.run_epoch_burst(trace, plan, &mut SiteArray(&mut self.edges));
+        let closed = self.controller.close_epoch(
+            &mut self.edges,
+            report.epoch,
+            None,
+            &report.queue_depth,
+            Controller::reconfigure,
+            probe,
+        );
         EpochOutcome {
             report,
-            analysis,
+            analysis: closed.analysis,
             config_in_effect,
-            staged_runtime: new_runtime,
-            response_time_s,
+            staged_runtime: closed.staged,
+            response_time_s: closed.response_time_s,
         }
     }
 }

@@ -170,3 +170,22 @@ fn cache_workload_smoke() {
         }
     }
 }
+
+/// Figure 20's response time spans analyze + decide only. Under a clock
+/// that ticks by one per read, the reads outside that window are exactly
+/// the collect span's two, the reconfigure span's closing read (after stage
+/// + flip) and the localize span's two; the window's own opening read is
+/// the sixth.
+#[test]
+fn response_time_covers_analyze_and_decide_only() {
+    let mut sys = ChameleMon::testbed(DataPlaneConfig::small(1));
+    let trace = testbed_trace(WorkloadKind::Dctcp, 800, 8, 2);
+    let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.05), 0.02, 3);
+    assert_eq!(sys.run_epoch(&trace, &plan).response_time_s, None, "no clock, no time");
+    let mut reads = 0u32;
+    let out = sys.run_epoch_with_clock(&trace, &plan, &mut || {
+        reads += 1;
+        f64::from(reads)
+    });
+    assert_eq!(out.response_time_s, Some(f64::from(reads - 6)));
+}

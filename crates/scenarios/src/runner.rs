@@ -1,21 +1,19 @@
-//! Drives a [`Scenario`] through the full measurement pipeline — trace
-//! replay with impairments, zero-clone collection over a (possibly lossy)
-//! control channel, controller analysis, reconfiguration, epoch flip — and
-//! scores every epoch's loss detection against the simulator's ground
-//! truth.
+//! Drives a [`Scenario`] through the full measurement pipeline and scores
+//! every epoch's loss detection against the simulator's ground truth.
 //!
-//! The stack is a `chamelemon::ChameleMon` deployment with localization
-//! enabled and every stage kept explicit, so the differential tests can
-//! compare the per-packet and burst replay paths epoch by epoch:
-//! [`ScenarioStack::step_epoch`] returns the epoch's ground truth, the
-//! collected sketch groups of **all** switches (before report loss filters
-//! them), and the controller's decoded view.
+//! An epoch is the two calls every driver of this stack makes (`chm-serve`
+//! and `chm-bench profile` too): [`ScenarioStack::replay`], then
+//! `chamelemon::Controller::close_epoch` — collection over a control channel
+//! that loses what [`Scenario::reports_received`] says, analysis,
+//! reconfiguration and flip, localization. [`ScenarioStack::step_epoch`]
+//! returns the ground truth, the groups of **all** switches and the decoded
+//! view, so the differential tests can compare replay paths epoch by epoch.
 
 use crate::Scenario;
 use chamelemon::config::DataPlaneConfig;
 use chamelemon::{
-    ChameleMon, CollectedGroup, Controller, EdgeDataPlane, EpochEvidence, Localization,
-    Localizer, RuntimeConfig,
+    ChameleMon, ClosedEpoch, CollectedGroup, Controller, EdgeDataPlane, EpochEvidence,
+    Localization, Localizer, RuntimeConfig,
 };
 use chm_baselines::{FlowRadar, LossDetector, LossRadar};
 use chm_common::metrics::{average_relative_error, detection_score};
@@ -243,9 +241,9 @@ impl ScenarioStack {
     }
 
     /// Runs one epoch of `s` under `mode`: evolve the workload, replay with
-    /// impairments, collect (dropping lost reports), analyze, reconfigure,
-    /// flip — returning everything observable for scoring and differential
-    /// comparison.
+    /// impairments, close the epoch over the scenario's report-loss channel,
+    /// and score it — returning everything observable for scoring and
+    /// differential comparison.
     pub fn step_epoch(
         &mut self,
         s: &Scenario,
@@ -256,37 +254,21 @@ impl ScenarioStack {
         let trace = s.trace_for_epoch(base, epoch);
         let plan = s.plan_for_epoch(&trace, epoch);
         let report = self.replay(&trace, &plan, &s.impairments, mode, &|| 0.0);
-        let ts_bit = (report.epoch & 1) as u8;
-        let collected: Vec<CollectedGroup<FiveTuple>> =
-            self.edges.iter_mut().map(|e| e.take_group(ts_bit)).collect();
-        let received = s.reports_received(report.epoch, collected.len());
-        // Only a lossy control channel pays for sketch clones: the common
-        // all-arrived epoch analyzes the taken groups in place, preserving
-        // PR 2's zero-clone collection on the paths that benchmark it.
-        let analysis = if received.iter().all(|&keep| keep) {
-            self.controller.analyze_epoch(&collected)
-        } else {
-            let arrived: Vec<CollectedGroup<FiveTuple>> = collected
-                .iter()
-                .zip(&received)
-                .filter(|&(_, &keep)| keep)
-                .map(|(g, _)| g.clone())
-                .collect();
-            self.controller.analyze_epoch(&arrived)
-        };
-        let staged = self.controller.reconfigure(&analysis);
-        for e in &mut self.edges {
-            e.stage_runtime(staged);
-            e.flip(ts_bit);
-        }
+        let received = s.reports_received(report.epoch, self.edges.len());
         // The switches' queue-depth exports (INT-style telemetry) ride along
         // with the sketch reports: deep queues corroborate blame. Scenarios
         // without the queue model export nothing, and the localizer is then
         // bit-identical to the telemetry-free pass.
-        let localization = self
-            .controller
-            .localize_with_telemetry(&analysis, &report.queue_depth)
-            .expect("stack always enables localization");
+        let ClosedEpoch { collected, analysis, staged, localization, .. } =
+            self.controller.close_epoch(
+                &mut self.edges,
+                report.epoch,
+                Some(&received),
+                &report.queue_depth,
+                Controller::reconfigure,
+                None,
+            );
+        let localization = localization.expect("stack always enables localization");
         let (loc_top1, loc_top3) = localization_hits(&report, &localization);
 
         let truth: HashSet<FiveTuple> = report.lost.keys().copied().collect();

@@ -151,6 +151,14 @@ fn main() {
             .unwrap_or_else(|e| fail(format!("could not restore snapshot {path}: {e}")));
     }
 
+    let first = rt.next_epoch();
+    let Some(end) = first.checked_add(epochs) else {
+        fail(format!(
+            "epoch range {first}..{first}+{epochs} runs past the last epoch number, {}",
+            u64::MAX
+        ))
+    };
+
     let stdout = std::io::stdout();
     let mut sink: Box<dyn Write> = if metrics_path == "-" {
         Box::new(std::io::BufWriter::new(stdout.lock()))
@@ -182,10 +190,9 @@ fn main() {
         }
     };
 
-    let first = rt.next_epoch();
     let mut degraded_epochs = 0u64;
     let mut blind_epochs = 0u64;
-    while rt.next_epoch() < first + epochs {
+    while rt.next_epoch() < end {
         let record = rt.step();
         degraded_epochs += u64::from(record.state == "degraded");
         blind_epochs += u64::from(record.blind);
@@ -216,9 +223,8 @@ fn main() {
 
     if !quiet {
         eprintln!(
-            "served epochs {first}..{}: {} degraded, {} blind; state {}; \
+            "served epochs {first}..{end}: {} degraded, {} blind; state {}; \
              recovery requirement {}",
-            first + epochs,
             degraded_epochs,
             blind_epochs,
             match rt.state() {

@@ -19,7 +19,9 @@ pub use chm_obs::json_f64;
 pub struct EpochRecord {
     /// Epoch number in the stream.
     pub epoch: u64,
-    /// Serving state in effect *during* this epoch.
+    /// Serving state *after* this epoch's watchdog verdict — the state the
+    /// epoch's decision was made in, so the epoch that degrades the service
+    /// is labelled `degraded`.
     pub state: &'static str,
     /// The controller analyzed zero reports this epoch.
     pub blind: bool,

@@ -1,20 +1,19 @@
-//! **The streaming runtime** — an endless collection → decode → localize →
-//! reconfigure loop under injected control-plane faults.
+//! **The streaming runtime** — an endless collection → decode →
+//! reconfigure → localize loop under injected control-plane faults.
 //!
 //! [`ServeRuntime::step`] serves exactly one epoch:
 //!
 //! 1. pull the epoch's workload from the [`EpochStream`] (pure in epoch);
 //! 2. replay it through the fabric and every edge data plane;
-//! 3. realize the epoch's [`EpochFaults`] and run *collection*: rebooted
-//!    switches report empty groups, lost/timed-out reports never arrive,
-//!    delayed ones pay deterministic retry backoff, duplicates are
-//!    deduplicated, and the bounded inbox drops overflow (backpressure);
-//! 4. analyze — a paused controller analyzes nothing (reports are
-//!    perishable: sketch telemetry is only meaningful inside its epoch);
-//! 5. feed the decode verdict to the [`Watchdog`]; in degraded mode the
-//!    last-known-good runtime is held instead of acting on garbage;
-//! 6. localize, stage the next runtime, flip the epoch groups, and emit
-//!    one [`EpochRecord`].
+//! 3. realize the epoch's [`EpochFaults`]: rebooted switches are reset (they
+//!    report empty groups), lost/timed-out reports never arrive, delayed
+//!    ones pay deterministic retry backoff, duplicates are deduplicated,
+//!    the bounded inbox drops overflow, and a paused controller receives
+//!    nothing (reports are perishable);
+//! 4. close the epoch through `chamelemon::Controller::close_epoch`, the
+//!    body every driver shares, with the [`Watchdog`] deciding: in degraded
+//!    mode the last-known-good runtime is held instead of acting on garbage;
+//! 5. score the epoch and emit one [`EpochRecord`].
 //!
 //! Everything is a deterministic function of the serve configuration:
 //! no clocks, no ambient randomness, no iteration-order dependence. The
@@ -27,11 +26,10 @@
 use std::collections::BTreeMap;
 
 use chamelemon::control::EpochAnalysis;
-use chamelemon::dataplane::CollectedGroup;
-use chamelemon::{EdgeDataPlane, Localization, RuntimeConfig};
+use chamelemon::{EdgeDataPlane, EpochProbe, RuntimeConfig};
 use chm_common::FiveTuple;
 use chm_netsim::sim::EpochReport;
-use chm_netsim::{dominant_drop_switch, Sharding};
+use chm_netsim::Sharding;
 use chm_scenarios::{localization_hits, EpochStream, ReplayMode, Scenario, ScenarioStack};
 
 use crate::fault::{EpochFaults, FaultPlan, ReportFate};
@@ -175,64 +173,54 @@ impl ServeRuntime {
         let mut zero = || 0.0;
         self.obs.spans.enter("epoch", &mut zero);
 
-        // 1. Replay through the fabric and the edge data planes.
+        // Replay through the fabric and the edge data planes: one leaf span,
+        // whatever the shard layout.
         let imp = &self.serve.scenario.impairments;
         let report = self.stack.replay(&trace, &plan, imp, self.serve.mode, &|| 0.0);
-        let ts_bit = (report.epoch & 1) as u8;
         self.obs.spans.record(&["replay"], 0.0);
 
-        // 2. Faulted collection.
+        // Faulted collection decides which reports reach the controller. A
+        // paused controller missed the collection window: the delivered
+        // reports perish unread (their sketches describe an epoch whose
+        // groups are about to be recycled), and no fabric telemetry arrives
+        // either.
         let faults = self.serve.faults.realize(epoch, self.stack.edges.len());
-        let (inbox, tally) = self.collect(ts_bit, config_in_effect, &faults, epoch);
-        self.obs.spans.record(&["collect"], 0.0);
-
-        // 3. Analyze. A paused controller missed the collection window:
-        //    the delivered reports perish unread (their sketches describe
-        //    an epoch whose groups are about to be recycled).
-        let collected: &[CollectedGroup<FiveTuple>] =
-            if faults.controller_paused { &[] } else { &inbox };
-        let controller = &mut self.stack.controller;
-        let analysis = controller.analyze_epoch_profiled(collected, &mut self.obs.spans, &mut zero);
-        let blind = analysis.switches_reporting == 0;
-        // The decode verdict fed to the watchdog is the scenario scorer's
-        // `decode_ok`: every encoder that had memory decoded.
-        let decode_ok = analysis.fully_decoded();
-
-        // 4. Watchdog + reconfiguration. Degraded mode never acts on a
-        //    garbage decode: it re-stages the last-known-good runtime.
-        let state_after = self.watchdog.observe(!blind && decode_ok);
-        let staged = if state_after == ServeState::Degraded {
-            controller.hold_runtime(self.last_good);
-            self.last_good
-        } else {
-            let staged = controller.reconfigure(&analysis);
-            if !blind && decode_ok {
-                self.last_good = staged;
-            }
-            staged
-        };
-
-        // 5. Localization — every epoch, so the evidence tables age even
-        //    when no new blame arrives. A paused controller received no
-        //    fabric telemetry either.
+        let (arrived, tally) = self.collect(config_in_effect, &faults, epoch);
         let empty_depths = BTreeMap::new();
         let depths = if faults.controller_paused { &empty_depths } else { &report.queue_depth };
-        let localization = controller.localize_with_telemetry_profiled(
-            &analysis,
+
+        // Close the epoch. The decode verdict fed to the watchdog is the
+        // scenario scorer's `decode_ok`: every encoder that had memory
+        // decoded. Degraded mode never acts on a garbage decode: it
+        // re-stages the last-known-good runtime.
+        let mut state_after = ServeState::Live;
+        let closed = self.stack.controller.close_epoch(
+            &mut self.stack.edges,
+            epoch,
+            Some(&arrived),
             depths,
-            &mut self.obs.spans,
-            &mut zero,
+            |controller, analysis| {
+                let good = analysis.switches_reporting > 0 && analysis.fully_decoded();
+                state_after = self.watchdog.observe(good);
+                if state_after == ServeState::Degraded {
+                    controller.hold_runtime(self.last_good);
+                    return self.last_good;
+                }
+                let staged = controller.reconfigure(analysis);
+                if good {
+                    self.last_good = staged;
+                }
+                staged
+            },
+            Some(EpochProbe { spans: &mut self.obs.spans, clock: &mut zero, allocs: &|| 0 }),
         );
-        let (loc_top1, loc_top3) = hits_or_miss(&report, localization.as_ref());
+        let (analysis, staged) = (&closed.analysis, closed.staged);
+        // A blind epoch still localizes: its tables only decay.
+        let localization = closed.localization.as_ref().expect("the stack enables localization");
+        let (loc_top1, loc_top3) = localization_hits(&report, localization);
 
-        // 6. Stage + flip: the new runtime functions next epoch.
-        for e in &mut self.stack.edges {
-            e.stage_runtime(staged);
-            e.flip(ts_bit);
-        }
-
-        // 7. Score + record.
-        let (precision, recall, f1) = score_detection(&report, &analysis);
+        // Score + record.
+        let (precision, recall, f1) = score_detection(&report, analysis);
         let reaction_ms = if faults.clock_stalled {
             None
         } else {
@@ -245,11 +233,9 @@ impl ServeRuntime {
         self.obs.spans.exit(&mut zero);
         let record = EpochRecord {
             epoch,
-            // The epoch is labeled with the state its *decision* was made
-            // in — i.e. the state after this epoch's watchdog verdict.
             state: state_after.label(),
-            blind,
-            decode_ok,
+            blind: analysis.switches_reporting == 0,
+            decode_ok: analysis.fully_decoded(),
             delivered: tally.delivered,
             lost: tally.lost,
             delayed: tally.delayed,
@@ -277,22 +263,22 @@ impl ServeRuntime {
         record
     }
 
-    /// The collection step: applies per-report fates and the bounded
-    /// inbox, returning the deduplicated reports that reached the
+    /// The collection step: applies per-report fates, the bounded inbox and
+    /// the controller pause, returning which edges' reports reach the
     /// controller plus the tally. Rebooted switches are replaced with
     /// factory-fresh data planes first — their report is *empty*, not
     /// missing, which is the harder failure to survive.
     fn collect(
         &mut self,
-        ts_bit: u8,
         config_in_effect: RuntimeConfig,
         faults: &EpochFaults,
         epoch: u64,
-    ) -> (Vec<CollectedGroup<FiveTuple>>, CollectionTally) {
+    ) -> (Vec<bool>, CollectionTally) {
         let mut tally = CollectionTally::default();
         let edges = &mut self.stack.edges;
         let capacity = self.serve.inbox_capacity.unwrap_or(edges.len());
-        let mut inbox = Vec::with_capacity(capacity.min(edges.len()));
+        let mut accepted = 0;
+        let mut arrived = vec![false; edges.len()];
         for (i, edge) in edges.iter_mut().enumerate() {
             if faults.rebooted[i] {
                 // The reboot wiped both sketch groups; the switch still
@@ -300,8 +286,7 @@ impl ServeRuntime {
                 *edge = EdgeDataPlane::new(edge.config().clone(), config_in_effect);
                 tally.reboots += 1;
             }
-            let group = edge.take_group(ts_bit);
-            let arrived = match faults.fates[i] {
+            let reached = match faults.fates[i] {
                 ReportFate::Delivered => {
                     tally.delivered += 1;
                     true
@@ -332,15 +317,16 @@ impl ServeRuntime {
                     true
                 }
             };
-            if arrived {
-                if inbox.len() < capacity {
-                    inbox.push(group);
+            if reached {
+                if accepted < capacity {
+                    arrived[i] = !faults.controller_paused;
+                    accepted += 1;
                 } else {
                     tally.backpressure_drops += 1;
                 }
             }
         }
-        (inbox, tally)
+        (arrived, tally)
     }
 
     /// Captures the runtime's evolving state at the current epoch
@@ -394,26 +380,6 @@ impl ServeRuntime {
             *e = EdgeDataPlane::new(e.config().clone(), deployed);
         }
         Ok(())
-    }
-}
-
-/// Localization hit rates; a blind epoch localizes nothing, so every
-/// ground-truth victim counts as a miss (1.0 only when there was nothing
-/// to localize).
-fn hits_or_miss(
-    report: &EpochReport<FiveTuple>,
-    loc: Option<&Localization<FiveTuple>>,
-) -> (f64, f64) {
-    match loc {
-        Some(l) => localization_hits(report, l),
-        None => {
-            let mut victims = report.lost.with_drops();
-            if victims.any(|(_, _, drops)| dominant_drop_switch(drops).is_some()) {
-                (0.0, 0.0)
-            } else {
-                (1.0, 1.0)
-            }
-        }
     }
 }
 

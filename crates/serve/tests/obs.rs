@@ -55,6 +55,7 @@ fn span_tree_reflects_the_service_pipeline() {
     assert_eq!(spans.get(&["epoch", "collect"]).map(|(c, _)| c), Some(8));
     assert_eq!(spans.get(&["epoch", "analyze"]).map(|(c, _)| c), Some(8));
     assert_eq!(spans.get(&["epoch", "localize"]).map(|(c, _)| c), Some(8));
+    assert_eq!(spans.get(&["epoch", "reconfigure"]).map(|(c, _)| c), Some(8));
     // Edge decodes appear under analyze (testbed topology has edges).
     assert!(
         spans.get(&["epoch", "analyze", "decode", "edge_0"]).is_some(),
