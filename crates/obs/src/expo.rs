@@ -1,152 +1,141 @@
 //! Exposition: Prometheus text-format 0.0.4 and flat JSON rendering.
 //!
-//! Both renderers walk the registry's `(name, labels)` BTreeMap index,
-//! so output is sorted and bit-stable regardless of registration or
-//! update order. Float formatting is deterministic: plain `{}` for
-//! finite values, `NaN`/`+Inf`/`-Inf` spelled the Prometheus way (JSON
-//! uses `null` for non-finite, matching the rest of the workspace).
+//! Both renderers walk the registry in name order, so output is sorted and
+//! bit-stable regardless of registration or update order, and both write
+//! straight into the one `String` they return. Float formatting is
+//! deterministic: plain `{}` for finite values, `NaN`/`+Inf`/`-Inf` spelled
+//! the Prometheus way (JSON uses `null` for non-finite, matching the rest of
+//! the workspace).
 
-use crate::registry::{MetricKind, Registry, Value};
+use std::fmt::{self, Write as _};
+
+use crate::registry::{Registry, Value};
 
 /// Deterministic float rendering for the Prometheus text format.
-fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
-}
+struct PromF64(f64);
 
-/// Escape a HELP line: `\` → `\\`, newline → `\n` (quotes stay as-is
-/// per the text-format spec — only label values escape quotes).
-fn escape_help(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
+impl fmt::Display for PromF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            v if v.is_nan() => f.write_str("NaN"),
+            f64::INFINITY => f.write_str("+Inf"),
+            f64::NEG_INFINITY => f.write_str("-Inf"),
+            v => write!(f, "{v}"),
         }
-    }
-    out
-}
-
-/// Splice `le="..."` into a pre-rendered label block, keeping it last.
-fn labels_with_le(labels: &str, le: &str) -> String {
-    if labels.is_empty() {
-        format!("{{le=\"{le}\"}}")
-    } else {
-        // labels is "{k=\"v\",...}" — drop the closing brace and append.
-        format!("{},le=\"{le}\"}}", &labels[..labels.len() - 1])
     }
 }
 
 /// Render the whole registry in Prometheus text-format 0.0.4.
 ///
-/// `# HELP` / `# TYPE` headers are emitted once per family, at the
-/// family's first series in index order. Histograms render cumulative
-/// `_bucket` series (monotone in `le`), a terminal `le="+Inf"` bucket
-/// equal to `_count`, then `_sum` and `_count`.
+/// Every series is preceded by its `# HELP` / `# TYPE` headers. Histograms
+/// render cumulative `_bucket` series (monotone in `le`), a terminal
+/// `le="+Inf"` bucket equal to `_count`, then `_sum` and `_count`.
 pub fn render_prometheus(reg: &Registry) -> String {
     let mut out = String::new();
-    let mut current: Option<&str> = None;
-    for ((name, _), &id) in &reg.index {
-        let series = &reg.series[id as usize];
-        let fam = &reg.families[name.as_str()];
-        if current != Some(name.as_str()) {
-            current = Some(name.as_str());
-            let kind = match fam.kind {
-                MetricKind::Counter => "counter",
-                MetricKind::Gauge => "gauge",
-                MetricKind::Histogram => "histogram",
-            };
-            out.push_str(&format!("# HELP {name} {}\n", escape_help(&fam.help)));
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-        }
-        match &series.value {
-            Value::Counter(c) => {
-                out.push_str(&format!("{name}{} {c}\n", series.labels));
-            }
-            Value::Gauge(g) => {
-                out.push_str(&format!("{name}{} {}\n", series.labels, fmt_f64(*g)));
-            }
-            Value::Histogram { hits, sum, count } => {
+    for m in reg.in_name_order() {
+        let (name, help) = (&m.name, &m.help);
+        let kind = match m.value {
+            Value::Counter(_) => "counter",
+            Value::Gauge(_) => "gauge",
+            Value::Histogram { .. } => "histogram",
+        };
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        let _ = match &m.value {
+            Value::Counter(c) => writeln!(out, "{name} {c}"),
+            Value::Gauge(g) => writeln!(out, "{name} {}", PromF64(*g)),
+            Value::Histogram {
+                bounds,
+                hits,
+                sum,
+                count,
+            } => {
                 let mut cumulative = 0u64;
-                for (bound, hit) in fam.buckets.iter().zip(hits.iter()) {
+                for (bound, hit) in bounds.iter().zip(hits) {
                     cumulative += hit;
-                    out.push_str(&format!(
-                        "{name}_bucket{} {cumulative}\n",
-                        labels_with_le(&series.labels, &fmt_f64(*bound))
-                    ));
+                    let le = PromF64(*bound);
+                    let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
                 }
-                out.push_str(&format!(
-                    "{name}_bucket{} {count}\n",
-                    labels_with_le(&series.labels, "+Inf")
-                ));
-                out.push_str(&format!("{name}_sum{} {}\n", series.labels, fmt_f64(*sum)));
-                out.push_str(&format!("{name}_count{} {count}\n", series.labels));
-            }
-        }
-    }
-    out
-}
-
-/// Render the registry as one flat JSON object in index order:
-/// counters as integers, gauges as numbers (`null` when non-finite),
-/// histograms as `{"sum":...,"count":...}`. Keys are
-/// `name{rendered,labels}` exactly as Prometheus would print them.
-pub fn render_json_metrics(reg: &Registry) -> String {
-    let mut rows: Vec<String> = Vec::with_capacity(reg.index.len());
-    for ((name, _), &id) in &reg.index {
-        let series = &reg.series[id as usize];
-        let key = json_string(&format!("{name}{}", series.labels));
-        let val = match &series.value {
-            Value::Counter(c) => format!("{c}"),
-            Value::Gauge(g) => json_f64(*g),
-            Value::Histogram { sum, count, .. } => {
-                format!("{{\"sum\":{},\"count\":{count}}}", json_f64(*sum))
+                writeln!(
+                    out,
+                    "{name}_bucket{{le=\"+Inf\"}} {count}\n{name}_sum {}\n{name}_count {count}",
+                    PromF64(*sum)
+                )
             }
         };
-        rows.push(format!("{key}:{val}"));
     }
-    format!("{{{}}}", rows.join(","))
-}
-
-/// `s` as a JSON string literal, quotes included: `"`, `\\` and every
-/// control character below 0x20 escaped (`\n`, `\r`, `\t`, else `\u00XX`).
-/// The workspace's one JSON string escaper (`chm_lint` keeps its own copy:
-/// it is a zero-dependency crate).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
-/// JSON number for `v`: shortest-roundtrip decimal, `null` when non-finite
-/// (JSON has no NaN/Inf; an unmeasured value is `null`, never a fake `0.0`).
-/// The workspace's one JSON number formatter.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Render the registry as one flat JSON object in name order: counters as
+/// integers, gauges as numbers (`null` when non-finite), histograms as
+/// `{"sum":...,"count":...}`.
+pub fn render_json_metrics(reg: &Registry) -> String {
+    let mut out = String::from("{");
+    for m in reg.in_name_order() {
+        if out.len() > 1 {
+            out.push(',');
+        }
+        let key = JsonStr(&m.name);
+        let _ = match &m.value {
+            Value::Counter(c) => write!(out, "{key}:{c}"),
+            Value::Gauge(g) => write!(out, "{key}:{}", JsonF64(*g)),
+            Value::Histogram { sum, count, .. } => {
+                write!(out, "{key}:{{\"sum\":{},\"count\":{count}}}", JsonF64(*sum))
+            }
+        };
     }
+    out.push('}');
+    out
+}
+
+/// A string as a JSON string literal, quotes included, for `write!`: `"`,
+/// `\\` and every control character below 0x20 escaped (`\n`, `\r`, `\t`,
+/// else `\u00XX`). The workspace's one JSON string escaper (`chm_lint`
+/// keeps its own copy: it is a zero-dependency crate).
+pub(crate) struct JsonStr<'a>(pub &'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
+}
+
+/// A JSON number for `write!`: shortest-roundtrip decimal, `null` when
+/// non-finite (JSON has no NaN/Inf; an unmeasured value is `null`, never a
+/// fake `0.0`). The workspace's one JSON number formatter.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonF64(pub f64);
+
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
+    }
+}
+
+/// `s` as a JSON string literal, quotes included (see `JsonStr`).
+pub fn json_string(s: &str) -> String {
+    JsonStr(s).to_string()
+}
+
+/// [`JsonF64`] as an owned `String`.
+pub fn json_f64(v: f64) -> String {
+    JsonF64(v).to_string()
 }
 
 #[cfg(test)]
@@ -156,8 +145,8 @@ mod tests {
     #[test]
     fn counter_and_gauge_render() {
         let mut r = Registry::new();
-        let c = r.register_counter("chm_x_events_total", "Events seen.", &[("kind", "a")]);
-        let g = r.register_gauge("chm_x_f1_ratio", "F1.", &[]);
+        let c = r.register_counter("chm_x_events_total", "Events seen.");
+        let g = r.register_gauge("chm_x_f1_ratio", "F1.");
         r.add(c, 42);
         r.set(g, 0.5);
         let text = render_prometheus(&r);
@@ -165,7 +154,7 @@ mod tests {
             text,
             "# HELP chm_x_events_total Events seen.\n\
              # TYPE chm_x_events_total counter\n\
-             chm_x_events_total{kind=\"a\"} 42\n\
+             chm_x_events_total 42\n\
              # HELP chm_x_f1_ratio F1.\n\
              # TYPE chm_x_f1_ratio gauge\n\
              chm_x_f1_ratio 0.5\n"
@@ -175,7 +164,7 @@ mod tests {
     #[test]
     fn histogram_renders_cumulative_with_inf_equal_to_count() {
         let mut r = Registry::new();
-        let h = r.register_histogram("chm_x_lat_seconds", "Latency.", &[], &[0.01, 0.1, 1.0]);
+        let h = r.register_histogram("chm_x_lat_seconds", "Latency.", &[0.01, 0.1, 1.0]);
         for v in [0.005, 0.02, 0.05, 0.5, 3.0] {
             r.observe(h, v);
         }
@@ -190,7 +179,7 @@ mod tests {
     #[test]
     fn help_escaping() {
         let mut r = Registry::new();
-        r.register_gauge("chm_x_odd_ratio", "line\\one\nline two", &[]);
+        r.register_gauge("chm_x_odd_ratio", "line\\one\nline two");
         let text = render_prometheus(&r);
         assert!(text.contains("# HELP chm_x_odd_ratio line\\\\one\\nline two\n"));
     }
@@ -198,7 +187,7 @@ mod tests {
     #[test]
     fn non_finite_gauges() {
         let mut r = Registry::new();
-        let g = r.register_gauge("chm_x_odd_ratio", "Odd.", &[]);
+        let g = r.register_gauge("chm_x_odd_ratio", "Odd.");
         r.set(g, f64::NAN);
         assert!(render_prometheus(&r).contains("chm_x_odd_ratio NaN\n"));
         assert!(render_json_metrics(&r).contains("\"chm_x_odd_ratio\":null"));
@@ -209,8 +198,8 @@ mod tests {
     #[test]
     fn json_metrics_shape() {
         let mut r = Registry::new();
-        let c = r.register_counter("chm_x_events_total", "E.", &[]);
-        let h = r.register_histogram("chm_x_lat_seconds", "L.", &[], &[1.0]);
+        let c = r.register_counter("chm_x_events_total", "E.");
+        let h = r.register_histogram("chm_x_lat_seconds", "L.", &[1.0]);
         r.add(c, 7);
         r.observe(h, 0.5);
         assert_eq!(

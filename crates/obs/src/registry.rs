@@ -1,36 +1,15 @@
 //! Metric registry: counters, gauges, and fixed-bucket histograms behind
-//! static [`MetricId`] handles.
+//! static [`MetricId`] handles, one series per name.
 //!
-//! Determinism contract:
-//!
-//! * registration validates names against the workspace convention (see
-//!   [`metric_name_error`]) and *sorts* label pairs, so a series'
-//!   identity is independent of the label order at the call site;
-//! * the emission index is a `BTreeMap` keyed on `(name, rendered
-//!   labels)` — iteration order is bit-stable across runs and across
-//!   insertion orders;
-//! * per-shard deltas accumulate in [`ShardBuf`]s and fold back in with
-//!   commutative integer/bucket adds ([`Registry::absorb`]), the same
-//!   order-independent reduction discipline the shard engine uses for
-//!   its `ReportFragment`s.
-
-use std::collections::BTreeMap;
+//! Determinism contract: registration validates names against the
+//! workspace convention (see [`metric_name_error`]), and the renderers walk
+//! the metrics in name order, so emission is bit-stable across runs and
+//! independent of the registration order.
 
 /// Handle to one registered series. Cheap to copy; obtained once at
 /// setup time and used on the hot path without any map lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MetricId(pub(crate) u32);
-
-/// The three supported metric kinds, mirroring the Prometheus core types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotone `u64`; name must end in `_total`.
-    Counter,
-    /// Free `f64` set-point; name must *not* end in `_total`.
-    Gauge,
-    /// Fixed upper-bound buckets plus `sum`/`count`; cumulative on render.
-    Histogram,
-}
 
 /// Prometheus base-unit suffixes accepted by [`metric_name_error`].
 ///
@@ -77,41 +56,18 @@ pub fn metric_name_error(name: &str) -> Option<String> {
     None
 }
 
-/// Escape a label value for the Prometheus text format: `\` → `\\`,
-/// `"` → `\"`, newline → `\n`.
-pub(crate) fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render sorted label pairs as `{k1="v1",k2="v2"}` (empty string for
-/// no labels). Values are escaped here, once, at registration time.
-fn render_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut sorted: Vec<(&str, &str)> = labels.to_vec();
-    sorted.sort_unstable();
-    let body: Vec<String> = sorted
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-#[derive(Debug, Clone, PartialEq)]
+/// A series' value; the variant is the metric kind, mirroring the
+/// Prometheus core types.
+#[derive(Debug, Clone)]
 pub(crate) enum Value {
+    /// Monotone `u64`; the name ends in `_total`.
     Counter(u64),
+    /// Free `f64` set-point.
     Gauge(f64),
+    /// Fixed upper-bound buckets plus `sum`/`count`; cumulative on render.
     Histogram {
+        /// Strictly increasing finite upper bounds.
+        bounds: Vec<f64>,
         /// Per-bucket (non-cumulative) hit counts; one slot per bound
         /// plus the trailing overflow (`+Inf`) slot.
         hits: Vec<u64>,
@@ -120,32 +76,22 @@ pub(crate) enum Value {
     },
 }
 
+/// One registered series.
 #[derive(Debug, Clone)]
-pub(crate) struct Family {
-    pub kind: MetricKind,
-    pub help: String,
-    /// Upper bounds for histograms (strictly increasing, finite);
-    /// empty for counters and gauges.
-    pub buckets: Vec<f64>,
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct Series {
+pub(crate) struct Metric {
     pub name: String,
-    /// Pre-rendered `{k="v",...}` label block (empty for no labels).
-    pub labels: String,
+    /// The help text, escaped for a `# HELP` line once, at registration.
+    pub help: String,
     pub value: Value,
 }
 
-/// The metric registry. Single-threaded by design — per-shard code uses
-/// [`ShardBuf`]s and merges via [`Registry::absorb`].
+/// The metric registry. Single-threaded by design.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    pub(crate) families: BTreeMap<String, Family>,
-    pub(crate) series: Vec<Series>,
-    /// `(name, rendered labels)` → series index. The render path walks
-    /// this map so emission order is sorted and bit-stable.
-    pub(crate) index: BTreeMap<(String, String), u32>,
+    /// Indexed by [`MetricId`].
+    metrics: Vec<Metric>,
+    /// Metric ids sorted by name: the render order.
+    by_name: Vec<u32>,
 }
 
 impl Registry {
@@ -153,110 +99,59 @@ impl Registry {
         Self::default()
     }
 
-    fn register(
-        &mut self,
-        kind: MetricKind,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        buckets: &[f64],
-    ) -> MetricId {
+    fn register(&mut self, name: &str, help: &str, value: Value) -> MetricId {
         if let Some(err) = metric_name_error(name) {
             panic!("chm_obs: {err}");
         }
-        match kind {
-            MetricKind::Counter => assert!(
-                name.ends_with("_total"),
-                "chm_obs: counter {name:?} must end in _total"
-            ),
-            MetricKind::Gauge | MetricKind::Histogram => assert!(
+        if matches!(value, Value::Counter(_)) {
+            assert!(name.ends_with("_total"), "chm_obs: counter {name:?} must end in _total");
+        } else {
+            assert!(
                 !name.ends_with("_total"),
                 "chm_obs: the _total suffix is reserved for counters, got {name:?}"
-            ),
-        }
-        for (k, _) in labels {
-            assert!(
-                !k.is_empty()
-                    && k.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-                    && !k.starts_with(|c: char| c.is_ascii_digit()),
-                "chm_obs: label key {k:?} must be snake_case ASCII"
-            );
-            assert!(*k != "le", "chm_obs: the le label is reserved for histogram buckets");
-        }
-        if kind == MetricKind::Histogram {
-            assert!(!buckets.is_empty(), "chm_obs: histogram {name:?} needs bounds");
-            assert!(
-                buckets.windows(2).all(|w| w[0] < w[1]) && buckets.iter().all(|b| b.is_finite()),
-                "chm_obs: histogram {name:?} bounds must be finite and strictly increasing"
             );
         }
-        match self.families.get(name) {
-            Some(fam) => {
-                assert!(
-                    fam.kind == kind && fam.help == help && fam.buckets == buckets,
-                    "chm_obs: metric {name:?} re-registered with a different kind, help, or buckets"
-                );
-            }
-            None => {
-                self.families.insert(
-                    name.to_string(),
-                    Family { kind, help: help.to_string(), buckets: buckets.to_vec() },
-                );
-            }
-        }
-        let rendered = render_labels(labels);
-        let key = (name.to_string(), rendered.clone());
-        if let Some(&id) = self.index.get(&key) {
-            return MetricId(id);
-        }
-        let id = u32::try_from(self.series.len()).expect("chm_obs: series count fits in u32");
-        let value = match kind {
-            MetricKind::Counter => Value::Counter(0),
-            MetricKind::Gauge => Value::Gauge(0.0),
-            MetricKind::Histogram => Value::Histogram {
-                hits: vec![0; buckets.len() + 1],
-                sum: 0.0,
-                count: 0,
-            },
+        let slot = match self
+            .by_name
+            .binary_search_by(|&i| self.metrics[i as usize].name.as_str().cmp(name))
+        {
+            Ok(_) => panic!("chm_obs: metric {name:?} registered twice"),
+            Err(slot) => slot,
         };
-        self.series.push(Series { name: name.to_string(), labels: rendered, value });
-        self.index.insert(key, id);
+        let id = u32::try_from(self.metrics.len()).expect("chm_obs: series count fits in u32");
+        let help = help.replace('\\', "\\\\").replace('\n', "\\n");
+        self.metrics.push(Metric { name: name.to_string(), help, value });
+        self.by_name.insert(slot, id);
         MetricId(id)
     }
 
-    /// Register (or look up, idempotently) a counter series. Panics on a
-    /// name-convention violation or a kind/help mismatch with a prior
-    /// registration.
-    pub fn register_counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> MetricId {
-        self.register(MetricKind::Counter, name, help, labels, &[])
+    /// Register a counter series. Panics on a name-convention violation or
+    /// a name that is already registered.
+    pub fn register_counter(&mut self, name: &str, help: &str) -> MetricId {
+        self.register(name, help, Value::Counter(0))
     }
 
-    /// Register (or look up) a gauge series.
-    pub fn register_gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> MetricId {
-        self.register(MetricKind::Gauge, name, help, labels, &[])
+    /// Register a gauge series.
+    pub fn register_gauge(&mut self, name: &str, help: &str) -> MetricId {
+        self.register(name, help, Value::Gauge(0.0))
     }
 
-    /// Register (or look up) a histogram series with the given strictly
-    /// increasing finite upper bounds (an implicit `+Inf` bucket is
-    /// always appended on render).
-    pub fn register_histogram(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        buckets: &[f64],
-    ) -> MetricId {
-        self.register(MetricKind::Histogram, name, help, labels, buckets)
-    }
-
-    /// Increment a counter by 1.
-    pub fn inc(&mut self, id: MetricId) {
-        self.add(id, 1);
+    /// Register a histogram series with the given strictly increasing
+    /// finite upper bounds (an implicit `+Inf` bucket is always appended
+    /// on render).
+    pub fn register_histogram(&mut self, name: &str, help: &str, bounds: &[f64]) -> MetricId {
+        assert!(!bounds.is_empty(), "chm_obs: histogram {name:?} needs bounds");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
+            "chm_obs: histogram {name:?} bounds must be finite and strictly increasing"
+        );
+        let (bounds, hits) = (bounds.to_vec(), vec![0; bounds.len() + 1]);
+        self.register(name, help, Value::Histogram { bounds, hits, sum: 0.0, count: 0 })
     }
 
     /// Add `n` to a counter.
     pub fn add(&mut self, id: MetricId, n: u64) {
-        match &mut self.series[id.0 as usize].value {
+        match &mut self.metrics[id.0 as usize].value {
             Value::Counter(c) => *c += n,
             other => panic!("chm_obs: add on non-counter series {other:?}"),
         }
@@ -264,23 +159,18 @@ impl Registry {
 
     /// Set a gauge.
     pub fn set(&mut self, id: MetricId, v: f64) {
-        match &mut self.series[id.0 as usize].value {
+        match &mut self.metrics[id.0 as usize].value {
             Value::Gauge(g) => *g = v,
             other => panic!("chm_obs: set on non-gauge series {other:?}"),
         }
     }
 
-    /// Observe one histogram sample.
+    /// Observe one histogram sample. A bound is inclusive: `v` lands in
+    /// the first bucket whose upper bound admits it, else in `+Inf`.
     pub fn observe(&mut self, id: MetricId, v: f64) {
-        let (slot, bounds_len) = {
-            let name = &self.series[id.0 as usize].name;
-            let buckets = &self.families[name].buckets;
-            (bucket_index(buckets, v), buckets.len())
-        };
-        match &mut self.series[id.0 as usize].value {
-            Value::Histogram { hits, sum, count } => {
-                debug_assert_eq!(hits.len(), bounds_len + 1);
-                hits[slot] += 1;
+        match &mut self.metrics[id.0 as usize].value {
+            Value::Histogram { bounds, hits, sum, count } => {
+                hits[bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())] += 1;
                 *sum += v;
                 *count += 1;
             }
@@ -288,139 +178,9 @@ impl Registry {
         }
     }
 
-    /// Current counter value (test/inspection helper).
-    pub fn counter_value(&self, id: MetricId) -> u64 {
-        match &self.series[id.0 as usize].value {
-            Value::Counter(c) => *c,
-            other => panic!("chm_obs: counter_value on {other:?}"),
-        }
-    }
-
-    /// Current gauge value (test/inspection helper).
-    pub fn gauge_value(&self, id: MetricId) -> f64 {
-        match &self.series[id.0 as usize].value {
-            Value::Gauge(g) => *g,
-            other => panic!("chm_obs: gauge_value on {other:?}"),
-        }
-    }
-
-    /// Histogram `(sum, count)` (test/inspection helper).
-    pub fn histogram_totals(&self, id: MetricId) -> (f64, u64) {
-        match &self.series[id.0 as usize].value {
-            Value::Histogram { sum, count, .. } => (*sum, *count),
-            other => panic!("chm_obs: histogram_totals on {other:?}"),
-        }
-    }
-
-    /// Number of registered series.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
-    /// Fold a shard-local delta buffer back in and reset it. Counter and
-    /// histogram merges are commutative integer adds, so any absorb
-    /// order over a set of buffers yields the same registry — the same
-    /// reduction discipline as the shard engine's `ReportFragment`s.
-    /// Gauges carry no deltas ([`ShardBuf`] has no gauge ops), so
-    /// absorb order never races a set-point.
-    pub fn absorb(&mut self, buf: &mut ShardBuf) {
-        for (i, d) in buf.counters.iter_mut().enumerate() {
-            if *d == 0 {
-                continue;
-            }
-            match &mut self.series[i].value {
-                Value::Counter(c) => *c += *d,
-                other => panic!("chm_obs: shard delta for non-counter series {other:?}"),
-            }
-            *d = 0;
-        }
-        for (id, delta) in &mut buf.hists {
-            if delta.count == 0 {
-                continue;
-            }
-            match &mut self.series[*id as usize].value {
-                Value::Histogram { hits, sum, count } => {
-                    for (h, d) in hits.iter_mut().zip(delta.hits.iter()) {
-                        *h += *d;
-                    }
-                    *sum += delta.sum;
-                    *count += delta.count;
-                }
-                other => panic!("chm_obs: shard delta for non-histogram series {other:?}"),
-            }
-            delta.hits.iter_mut().for_each(|h| *h = 0);
-            delta.sum = 0.0;
-            delta.count = 0;
-        }
-    }
-}
-
-/// First bucket whose upper bound admits `v`; `bounds.len()` means the
-/// overflow (`+Inf`) slot.
-fn bucket_index(bounds: &[f64], v: f64) -> usize {
-    bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())
-}
-
-#[derive(Debug, Clone, Default)]
-pub(crate) struct HistDelta {
-    pub hits: Vec<u64>,
-    pub sum: f64,
-    pub count: u64,
-}
-
-/// Shard-local delta buffer: counters and histogram observations only
-/// (gauges are set-points and stay on the owning registry). Built
-/// against a registry snapshot via [`ShardBuf::for_registry`]; merged
-/// back with [`Registry::absorb`].
-#[derive(Debug, Clone, Default)]
-pub struct ShardBuf {
-    /// Per-series counter deltas, indexed by `MetricId`.
-    counters: Vec<u64>,
-    /// Histogram deltas keyed by series id.
-    hists: BTreeMap<u32, HistDelta>,
-    /// Bucket bounds per histogram series id (copied at creation so
-    /// observe() needs no registry access).
-    bounds: BTreeMap<u32, Vec<f64>>,
-}
-
-impl ShardBuf {
-    /// Create a buffer sized for `reg`'s current series set. Series
-    /// registered *after* this call are not addressable from the buffer.
-    pub fn for_registry(reg: &Registry) -> Self {
-        let mut bounds = BTreeMap::new();
-        for (i, s) in reg.series.iter().enumerate() {
-            if reg.families[&s.name].kind == MetricKind::Histogram {
-                bounds.insert(i as u32, reg.families[&s.name].buckets.clone());
-            }
-        }
-        Self { counters: vec![0; reg.series.len()], hists: BTreeMap::new(), bounds }
-    }
-
-    /// Increment a counter delta by 1.
-    pub fn inc(&mut self, id: MetricId) {
-        self.add(id, 1);
-    }
-
-    /// Add `n` to a counter delta.
-    pub fn add(&mut self, id: MetricId, n: u64) {
-        self.counters[id.0 as usize] += n;
-    }
-
-    /// Observe one histogram sample into the local delta.
-    pub fn observe(&mut self, id: MetricId, v: f64) {
-        let bounds = self
-            .bounds
-            .get(&id.0)
-            .expect("chm_obs: ShardBuf::observe on a series that is not a histogram");
-        let slot = bucket_index(bounds, v);
-        let delta = self.hists.entry(id.0).or_insert_with(|| HistDelta {
-            hits: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            count: 0,
-        });
-        delta.hits[slot] += 1;
-        delta.sum += v;
-        delta.count += 1;
+    /// Every series, sorted by name.
+    pub(crate) fn in_name_order(&self) -> impl Iterator<Item = &Metric> {
+        self.by_name.iter().map(|&i| &self.metrics[i as usize])
     }
 }
 
@@ -449,101 +209,60 @@ mod tests {
     }
 
     #[test]
-    fn registration_is_idempotent_and_label_order_free() {
-        let mut r = Registry::new();
-        let a = r.register_counter(
-            "chm_x_packets_total",
-            "Packets.",
-            &[("edge", "0"), ("dir", "up")],
-        );
-        let b = r.register_counter(
-            "chm_x_packets_total",
-            "Packets.",
-            &[("dir", "up"), ("edge", "0")],
-        );
-        assert_eq!(a, b);
-        assert_eq!(r.series_count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different kind")]
+    #[should_panic(expected = "registered twice")]
     fn kind_mismatch_panics() {
         let mut r = Registry::new();
-        r.register_gauge("chm_x_depth_count", "Depth.", &[]);
-        r.register_histogram("chm_x_depth_count", "Depth.", &[], &[1.0]);
+        r.register_gauge("chm_x_depth_count", "Depth.");
+        r.register_histogram("chm_x_depth_count", "Depth.", &[1.0]);
     }
 
     #[test]
     #[should_panic(expected = "must end in _total")]
     fn counter_requires_total_suffix() {
         let mut r = Registry::new();
-        r.register_counter("chm_x_depth_count", "Depth.", &[]);
+        r.register_counter("chm_x_depth_count", "Depth.");
     }
 
     #[test]
     #[should_panic(expected = "reserved for counters")]
     fn gauge_rejects_total_suffix() {
         let mut r = Registry::new();
-        r.register_gauge("chm_x_packets_total", "Packets.", &[]);
+        r.register_gauge("chm_x_packets_total", "Packets.");
+    }
+
+    #[test]
+    fn escaping() {
+        // HELP text is escaped once, at registration: `\` → `\\`, newline
+        // → `\n`; quotes stay as they are.
+        let mut r = Registry::new();
+        r.register_gauge("chm_x_odd_ratio", "a\\b \"c\"\nd");
+        assert_eq!(r.metrics[0].help, "a\\\\b \"c\"\\nd");
     }
 
     #[test]
     fn histogram_buckets_fill_correctly() {
         let mut r = Registry::new();
-        let h = r.register_histogram(
-            "chm_x_reaction_seconds",
-            "Reaction.",
-            &[],
-            &[0.001, 0.01, 0.1],
-        );
+        let h = r.register_histogram("chm_x_reaction_seconds", "Reaction.", &[0.001, 0.01, 0.1]);
         for v in [0.0005, 0.002, 0.05, 7.0, 0.001] {
             r.observe(h, v);
         }
-        // boundary 0.001 lands in the le=0.001 bucket (inclusive upper bound)
-        let (sum, count) = r.histogram_totals(h);
-        assert_eq!(count, 5);
-        assert!((sum - 7.0535).abs() < 1e-12);
-        match &r.series[h.0 as usize].value {
-            Value::Histogram { hits, .. } => assert_eq!(hits, &vec![2, 1, 1, 1]),
-            other => panic!("unexpected {other:?}"),
+        // boundary 0.001 lands in the le=0.001 bucket (inclusive upper bound);
+        // the rendered buckets are cumulative
+        let text = crate::render_prometheus(&r);
+        for line in [
+            "chm_x_reaction_seconds_bucket{le=\"0.001\"} 2\n",
+            "chm_x_reaction_seconds_bucket{le=\"0.01\"} 3\n",
+            "chm_x_reaction_seconds_bucket{le=\"0.1\"} 4\n",
+            "chm_x_reaction_seconds_bucket{le=\"+Inf\"} 5\n",
+            "chm_x_reaction_seconds_count 5\n",
+        ] {
+            assert!(text.contains(line), "{line:?} missing from:\n{text}");
         }
-    }
-
-    #[test]
-    fn absorb_is_order_independent() {
-        let build = |order: [usize; 3]| {
-            let mut r = Registry::new();
-            let c = r.register_counter("chm_x_events_total", "Events.", &[]);
-            let h = r.register_histogram("chm_x_lat_seconds", "Lat.", &[], &[1.0, 10.0]);
-            let mut bufs: Vec<ShardBuf> =
-                (0..3).map(|_| ShardBuf::for_registry(&r)).collect();
-            for (i, buf) in bufs.iter_mut().enumerate() {
-                buf.add(c, (i as u64 + 1) * 10);
-                buf.observe(h, i as f64 * 5.0);
-            }
-            for i in order {
-                r.absorb(&mut bufs[i]);
-            }
-            (r.counter_value(c), r.histogram_totals(h))
-        };
-        assert_eq!(build([0, 1, 2]), build([2, 0, 1]));
-        assert_eq!(build([0, 1, 2]).0, 60);
-    }
-
-    #[test]
-    fn absorb_resets_the_buffer() {
-        let mut r = Registry::new();
-        let c = r.register_counter("chm_x_events_total", "Events.", &[]);
-        let mut buf = ShardBuf::for_registry(&r);
-        buf.inc(c);
-        r.absorb(&mut buf);
-        r.absorb(&mut buf); // second absorb is a no-op
-        assert_eq!(r.counter_value(c), 1);
-    }
-
-    #[test]
-    fn escaping() {
-        assert_eq!(escape_label_value(r#"a\b"c"#), r#"a\\b\"c"#);
-        assert_eq!(escape_label_value("x\ny"), r"x\ny");
+        let sum: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("chm_x_reaction_seconds_sum "))
+            .and_then(|v| v.parse().ok())
+            .expect("_sum rendered");
+        assert!((sum - 7.0535).abs() < 1e-12);
     }
 }

@@ -10,11 +10,13 @@
 //! inject a wall clock — the same rule chm-lint enforces since PR 6.
 //!
 //! Nodes live in an arena; children hang off a `BTreeMap<String, usize>`
-//! so every traversal ([`SpanProfiler::flatten`], the JSON emitters) is
-//! bit-stable.
+//! so the one depth-first walk behind [`SpanProfiler::flatten`] and
+//! [`SpanProfiler::json_object`] is bit-stable.
 
-use crate::expo::{json_f64, json_string};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use crate::expo::{JsonF64, JsonStr};
 
 #[derive(Debug, Clone, Default)]
 struct SpanNode {
@@ -98,14 +100,9 @@ impl SpanProfiler {
     /// Record one completed span at `path`, **relative to the current
     /// stack top** (the root when no span is open), charging `dur_s`.
     pub fn record(&mut self, path: &[&str], dur_s: f64) {
-        self.record_n(path, 1, dur_s);
-    }
-
-    /// Like [`record`](Self::record) but charging `n` occurrences at once.
-    pub fn record_n(&mut self, path: &[&str], n: u64, dur_s: f64) {
         let base = self.top();
         let idx = self.resolve(base, path);
-        self.nodes[idx].count += n;
+        self.nodes[idx].count += 1;
         self.nodes[idx].total_s += dur_s;
     }
 
@@ -150,58 +147,50 @@ impl SpanProfiler {
         self.stack.is_empty()
     }
 
+    /// Depth-first walk in BTreeMap child order: `visit(path, count, total
+    /// seconds)` for every node below `at`, the `a/b/c` path built in the
+    /// one reused `path` buffer.
+    fn walk(&self, at: usize, path: &mut String, visit: &mut dyn FnMut(&str, u64, f64)) {
+        for (name, &idx) in &self.nodes[at].children {
+            let len = path.len();
+            if len > 0 {
+                path.push('/');
+            }
+            path.push_str(name);
+            let node = &self.nodes[idx];
+            visit(path, node.count, node.total_s);
+            self.walk(idx, path, visit);
+            path.truncate(len);
+        }
+    }
+
     /// Depth-first flattening to `("a/b/c", count, total seconds)`
     /// rows, sorted by the BTreeMap child order at every level.
     pub fn flatten(&self) -> Vec<(String, u64, f64)> {
         let mut out = Vec::new();
-        self.flatten_node(0, "", &mut out);
+        self.walk(0, &mut String::new(), &mut |path, count, total| {
+            out.push((path.to_string(), count, total));
+        });
         out
-    }
-
-    fn flatten_node(&self, at: usize, prefix: &str, out: &mut Vec<(String, u64, f64)>) {
-        for (name, &idx) in &self.nodes[at].children {
-            let path = if prefix.is_empty() {
-                name.clone()
-            } else {
-                format!("{prefix}/{name}")
-            };
-            let node = &self.nodes[idx];
-            out.push((path.clone(), node.count, node.total_s));
-            self.flatten_node(idx, &path, out);
-        }
     }
 
     /// Flat JSON object `{"a/b": {"count": N, "total_s": S}, ...}` in
     /// flatten order. Non-finite totals render as `null` (hand-rolled
     /// JSON, same convention as the rest of the workspace).
     pub fn json_object(&self) -> String {
-        let rows: Vec<String> = self
-            .flatten()
-            .iter()
-            .map(|(path, count, total)| {
-                format!(
-                    "{}:{{\"count\":{},\"total_s\":{}}}",
-                    json_string(path),
-                    count,
-                    json_f64(*total)
-                )
-            })
-            .collect();
-        format!("{{{}}}", rows.join(","))
-    }
-
-    /// One JSONL line per span row, for the trace sink:
-    /// `{"span":"a/b","count":N,"total_s":S}`.
-    pub fn trace_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (path, count, total) in self.flatten() {
-            out.push_str(&format!(
-                "{{\"span\":{},\"count\":{},\"total_s\":{}}}\n",
-                json_string(&path),
-                count,
-                json_f64(total)
-            ));
-        }
+        let mut out = String::from("{");
+        self.walk(0, &mut String::new(), &mut |path, count, total| {
+            if out.len() > 1 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{}:{{\"count\":{count},\"total_s\":{}}}",
+                JsonStr(path),
+                JsonF64(total)
+            );
+        });
+        out.push('}');
         out
     }
 }
@@ -293,10 +282,6 @@ mod tests {
         let mut p = SpanProfiler::new();
         p.record(&["localize"], 0.5);
         assert_eq!(p.json_object(), "{\"localize\":{\"count\":1,\"total_s\":0.5}}");
-        assert_eq!(
-            p.trace_jsonl(),
-            "{\"span\":\"localize\",\"count\":1,\"total_s\":0.5}\n"
-        );
     }
 
     #[test]

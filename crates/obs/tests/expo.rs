@@ -1,48 +1,33 @@
-//! Integration coverage for the Prometheus exposition (satellite: label
-//! escaping, bucket cumulativity, byte-identical rendering).
+//! Integration coverage for the Prometheus and JSON exposition: bucket
+//! cumulativity and byte-identical rendering.
 
-use chm_obs::{render_json_metrics, render_prometheus, Registry, ShardBuf, SpanProfiler};
+use chm_obs::{render_json_metrics, render_prometheus, Registry, SpanProfiler};
 
-fn busy_registry(absorb_order: &[usize]) -> Registry {
+/// A registry with one series of each kind, registered in `order` (a
+/// permutation of `0..3`): 0 the counter, 1 the gauge, 2 the histogram.
+fn busy_registry(order: [usize; 3]) -> Registry {
     let mut r = Registry::new();
-    let packets = r.register_counter(
-        "chm_t_packets_total",
-        "Packets replayed.",
-        &[("path", "per\\packet"), ("note", "line\nbreak \"quoted\"")],
-    );
-    let f1 = r.register_gauge("chm_t_f1_ratio", "Detection F1.", &[]);
-    let lat = r.register_histogram(
-        "chm_t_reaction_seconds",
-        "Reaction latency.",
-        &[("mode", "burst")],
-        &[0.001, 0.01, 0.1, 1.0],
-    );
+    let mut ids = [None; 3];
+    for i in order {
+        ids[i] = Some(match i {
+            0 => r.register_counter("chm_t_packets_total", "Packets replayed."),
+            1 => r.register_gauge("chm_t_f1_ratio", "Detection F1."),
+            _ => r.register_histogram(
+                "chm_t_reaction_seconds",
+                "Reaction latency.",
+                &[0.001, 0.01, 0.1, 1.0],
+            ),
+        });
+    }
+    let [packets, f1, lat] = ids.map(|id| id.expect("every series registered"));
     r.set(f1, 0.9375);
-    let mut bufs: Vec<ShardBuf> = (0..3).map(|_| ShardBuf::for_registry(&r)).collect();
-    for (i, buf) in bufs.iter_mut().enumerate() {
-        buf.add(packets, 100 + i as u64);
+    for i in 0..3 {
+        r.add(packets, 100 + i as u64);
         for k in 0..=i {
-            buf.observe(lat, 0.0005 * (k + 1) as f64 * 10f64.powi(i as i32));
+            r.observe(lat, 0.0005 * (k + 1) as f64 * 10f64.powi(i));
         }
     }
-    for &i in absorb_order {
-        r.absorb(&mut bufs[i]);
-    }
     r
-}
-
-#[test]
-fn label_values_are_escaped() {
-    let text = render_prometheus(&busy_registry(&[0, 1, 2]));
-    // backslash, newline, and quote all escaped per text-format 0.0.4
-    assert!(text.contains(r#"path="per\\packet""#), "got:\n{text}");
-    assert!(text.contains(r#"note="line\nbreak \"quoted\"""#), "got:\n{text}");
-    // label pairs are sorted by key regardless of call-site order
-    let line = text
-        .lines()
-        .find(|l| l.starts_with("chm_t_packets_total{"))
-        .expect("counter series rendered");
-    assert!(line.find("note=").expect("note label") < line.find("path=").expect("path label"));
 }
 
 /// Parse every `_bucket` line of one histogram family and check the
@@ -50,7 +35,7 @@ fn label_values_are_escaped() {
 /// terminal `+Inf` bucket equal to `_count`.
 #[test]
 fn histogram_buckets_are_cumulative_and_inf_matches_count() {
-    let text = render_prometheus(&busy_registry(&[0, 1, 2]));
+    let text = render_prometheus(&busy_registry([0, 1, 2]));
     let mut bucket_counts: Vec<u64> = Vec::new();
     let mut inf = None;
     let mut count = None;
@@ -78,14 +63,15 @@ fn histogram_buckets_are_cumulative_and_inf_matches_count() {
     let inf = inf.expect("+Inf bucket rendered");
     let count: u64 = count.expect("_count rendered");
     assert_eq!(inf, count, "le=\"+Inf\" must equal _count");
-    assert_eq!(count, 6, "3 shards observed 1+2+3 samples");
+    assert_eq!(count, 6, "1+2+3 samples observed");
     assert!(*bucket_counts.last().expect("nonempty") <= inf);
 }
 
 #[test]
-fn rendering_is_byte_identical_across_runs_and_absorb_orders() {
-    let a = busy_registry(&[0, 1, 2]);
-    let b = busy_registry(&[2, 0, 1]);
+fn rendering_is_byte_identical_across_runs_and_registration_orders() {
+    let a = busy_registry([0, 1, 2]);
+    let b = busy_registry([2, 0, 1]);
+    assert_eq!(render_prometheus(&a), render_prometheus(&busy_registry([0, 1, 2])));
     assert_eq!(render_prometheus(&a), render_prometheus(&b));
     assert_eq!(render_json_metrics(&a), render_json_metrics(&b));
 }
@@ -101,16 +87,18 @@ fn span_tree_renders_byte_identically_under_zero_clock() {
             for s in 0..3 {
                 p.record(&["phase_a", &format!("shard_{s}")], 0.0);
             }
-            p.record_n(&["decode", &format!("edge_{}", e % 2)], 2, 0.0);
+            for _ in 0..2 {
+                p.record(&["decode", &format!("edge_{}", e % 2)], 0.0);
+            }
             p.exit(&mut zero);
         }
         assert!(p.balanced());
-        (p.json_object(), p.trace_jsonl())
+        p.json_object()
     };
     assert_eq!(run(), run());
-    let (obj, trace) = run();
+    let obj = run();
     assert!(obj.contains("\"epoch/phase_a/shard_2\":{\"count\":5,\"total_s\":0}"));
-    assert!(trace.contains("{\"span\":\"epoch/decode/edge_0\",\"count\":6,\"total_s\":0}\n"));
+    assert!(obj.contains("\"epoch/decode/edge_0\":{\"count\":6,\"total_s\":0}"));
 }
 
 /// Minimal JSON syntax check (the workspace has no parser by design):
@@ -170,26 +158,17 @@ fn is_json(s: &str) -> bool {
     json_value(s).is_some_and(|rest| rest.trim().is_empty())
 }
 
-/// A scenario name becomes a label value (`chm_scenarios::matrix_registry`)
-/// and a span name becomes a key, so both must survive control characters:
-/// `\t` / `\r` by their short escapes, the rest as `\u00XX`.
+/// A span name becomes a JSON key, so it must survive control characters:
+/// `\t` / `\r` by their short escapes, the rest as `\u00XX`. (Metric names
+/// are validated `[a-z0-9_]` and the registry takes no labels, so the span
+/// tree is the one place such a character can reach the output.)
 #[test]
 fn control_characters_in_labels_and_span_names_render_valid_json() {
     assert!(is_json("{\"a\":[1,null,{\"b\":\"\\u0001\\t\"}]}") && !is_json("{\"a\":\"\t\"}"));
-
-    let mut r = Registry::new();
-    let g = r.register_gauge("chm_t_f1_ratio", "F1.", &[("scenario", "a\tb\r\u{1}c")]);
-    r.set(g, 0.5);
-    let line = render_json_metrics(&r);
-    assert_eq!(line, "{\"chm_t_f1_ratio{scenario=\\\"a\\tb\\r\\u0001c\\\"}\":0.5}");
-    assert!(is_json(&line), "not JSON: {line}");
 
     let mut p = SpanProfiler::new();
     p.record(&["decode\tedge", "\u{1f}"], 0.0);
     let obj = p.json_object();
     assert!(obj.contains("\"decode\\tedge/\\u001f\":{\"count\":1"), "got: {obj}");
     assert!(is_json(&obj), "not JSON: {obj}");
-    for row in p.trace_jsonl().lines() {
-        assert!(is_json(row), "not JSON: {row}");
-    }
 }

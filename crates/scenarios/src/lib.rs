@@ -44,12 +44,10 @@
 #![forbid(unsafe_code)]
 
 mod matrix;
-mod obs;
 mod runner;
 mod stream;
 
 pub use matrix::standard_matrix;
-pub use obs::matrix_registry;
 pub use stream::EpochStream;
 pub use runner::{
     localization_hits, run, run_with_config, EpochMetrics, EpochTrace, ReplayMode,

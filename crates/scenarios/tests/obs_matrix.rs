@@ -1,9 +1,9 @@
-//! Byte-identical telemetry over the full golden scenario matrix: two
-//! independent runs of all 17 scenarios must render the exact same
-//! Prometheus text and JSON metrics (the zero-clock determinism contract).
+//! Byte-identical results over the full golden scenario matrix: two
+//! independent runs of all 17 scenarios must produce the exact same
+//! scorecards, down to their `{:?}` rendering (the zero-clock determinism
+//! contract).
 
-use chm_obs::{render_json_metrics, render_prometheus};
-use chm_scenarios::{matrix_registry, run, standard_matrix, ReplayMode, Scenario, ScenarioResult};
+use chm_scenarios::{run, standard_matrix, ReplayMode, Scenario, ScenarioResult};
 
 /// Shrinks a matrix scenario to test size (determinism is exact at any
 /// size; small keeps the double run of all 17 scenarios fast).
@@ -26,20 +26,9 @@ fn matrix_rendering_is_byte_identical_across_two_runs() {
     let first = run_matrix();
     let second = run_matrix();
     assert_eq!(first.len(), 17, "the golden matrix holds 17 scenarios");
-    let (reg_a, reg_b) = (matrix_registry(&first), matrix_registry(&second));
-    let (prom_a, prom_b) = (render_prometheus(&reg_a), render_prometheus(&reg_b));
-    assert_eq!(prom_a, prom_b, "Prometheus text must be byte-identical");
     assert_eq!(
-        render_json_metrics(&reg_a),
-        render_json_metrics(&reg_b),
-        "JSON metrics must be byte-identical"
+        format!("{first:?}"),
+        format!("{second:?}"),
+        "scenario results must render byte-identically"
     );
-    // Sanity on the rendered content: every scenario appears as a series.
-    for r in &first {
-        assert!(
-            prom_a.contains(&format!("scenario=\"{}\"", r.name)),
-            "missing series for scenario {}",
-            r.name
-        );
-    }
 }

@@ -12,7 +12,10 @@
 //! values become JSON `null` — an unmeasured latency is `null`, never a
 //! fake `0.0`.
 
+use std::fmt::Write as _;
+
 pub use chm_obs::json_f64;
+use chm_obs::JsonF64;
 
 /// Everything the runtime knows about one served epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,11 +81,9 @@ pub struct EpochRecord {
 impl EpochRecord {
     /// The record as one JSON object on one line, keys in fixed order.
     pub fn to_jsonl(&self) -> String {
-        let reaction = match self.reaction_ms {
-            Some(ms) => json_f64(ms),
-            None => "null".to_string(),
-        };
-        format!(
+        let mut out = String::with_capacity(512);
+        let _ = write!(
+            out,
             concat!(
                 "{{\"epoch\":{},\"state\":\"{}\",\"blind\":{},\"decode_ok\":{},",
                 "\"delivered\":{},\"lost\":{},\"delayed\":{},\"timed_out\":{},",
@@ -110,17 +111,19 @@ impl EpochRecord {
             self.packets,
             self.true_victims,
             self.reported_victims,
-            json_f64(self.precision),
-            json_f64(self.recall),
-            json_f64(self.f1),
-            json_f64(self.loc_top1),
-            json_f64(self.loc_top3),
+            JsonF64(self.precision),
+            JsonF64(self.recall),
+            JsonF64(self.f1),
+            JsonF64(self.loc_top1),
+            JsonF64(self.loc_top3),
             self.m_hh,
             self.m_hl,
             self.m_ll,
-            json_f64(self.sample_rate),
-            reaction,
-        )
+            JsonF64(self.sample_rate),
+            // `None` (a stalled clock) renders `null`, as a non-finite value does.
+            JsonF64(self.reaction_ms.unwrap_or(f64::NAN)),
+        );
+        out
     }
 }
 

@@ -2,6 +2,15 @@
 //! service counters/gauges/histograms plus the per-epoch span tree, all
 //! fed from each [`EpochRecord`].
 //!
+//! One path: `EpochRecord` → registry → renders. Each series is declared
+//! once, as one row of [`ServeObs::new`]'s table: the `register_*` call with
+//! its name and help, and the record field it reads. The record stays the
+//! source and the registry a cumulative view of it, not the other way
+//! round: the record carries per-epoch values a cumulative registry does not
+//! hold (`state`, `precision`, `recall`, `loc_top1`, the victim counts), and
+//! its `--metrics` line ([`EpochRecord::to_jsonl`]) is a pinned format of its
+//! own.
+//!
 //! Determinism: everything here derives from the deterministic epoch
 //! records and the zero-clock span profiler, so both exposition formats
 //! are byte-identical across runs, shard layouts, and kill/restore — with
@@ -19,30 +28,15 @@ use crate::metrics::EpochRecord;
 /// these buckets spread the realistic 2–60 ms range.
 const REACTION_BUCKETS: [f64; 8] = [0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128, 0.256];
 
-/// Static handles into the serve registry (registered once at startup).
+/// How one series reads an [`EpochRecord`].
 #[derive(Debug, Clone, Copy)]
-struct Ids {
-    epochs: MetricId,
-    blind_epochs: MetricId,
-    degraded_epochs: MetricId,
-    paused_epochs: MetricId,
-    clock_stall_epochs: MetricId,
-    decode_failure_epochs: MetricId,
-    packets: MetricId,
-    reports_delivered: MetricId,
-    reports_lost: MetricId,
-    reports_delayed: MetricId,
-    reports_timed_out: MetricId,
-    report_duplicates: MetricId,
-    backpressure_drops: MetricId,
-    switch_reboots: MetricId,
-    f1: MetricId,
-    loc_top3: MetricId,
-    sample_rate: MetricId,
-    staged_hh: MetricId,
-    staged_hl: MetricId,
-    staged_ll: MetricId,
-    reaction: MetricId,
+enum Read {
+    /// A counter adds this much per epoch.
+    Add(fn(&EpochRecord) -> u64),
+    /// A gauge tracks this value of the latest epoch.
+    Set(fn(&EpochRecord) -> f64),
+    /// A histogram observes this sample, when the epoch has one.
+    Observe(fn(&EpochRecord) -> Option<f64>),
 }
 
 /// The serve runtime's observability state: metric registry + span tree.
@@ -51,10 +45,12 @@ pub struct ServeObs {
     registry: Registry,
     /// The live span tree. [`ServeRuntime::step`][crate::runtime::ServeRuntime::step]
     /// opens an `epoch` span per epoch (under the zero clock — durations
-    /// stay 0.0; counts accumulate) and the controller's profiled entry
-    /// points record `analyze/decode/*` and `localize` below it.
+    /// stay 0.0; counts accumulate) and records `replay` below it;
+    /// `chamelemon::Controller::close_epoch` records `collect`, `analyze`
+    /// (with its `decode/*` spans), `reconfigure` and `localize`.
     pub spans: SpanProfiler,
-    ids: Ids,
+    /// One row per series: how it reads the record, and its handle.
+    series: Vec<(Read, MetricId)>,
 }
 
 impl Default for ServeObs {
@@ -66,147 +62,109 @@ impl Default for ServeObs {
 impl ServeObs {
     pub fn new() -> Self {
         let mut r = Registry::new();
-        let c = |r: &mut Registry, name: &str, help: &str| r.register_counter(name, help, &[]);
-        let g = |r: &mut Registry, name: &str, help: &str| r.register_gauge(name, help, &[]);
-        let ids = Ids {
-            epochs: c(&mut r, "chm_serve_epochs_total", "Epochs served."),
-            blind_epochs: c(
-                &mut r,
+        let series = vec![
+            (Read::Add(|_| 1), r.register_counter("chm_serve_epochs_total", "Epochs served.")),
+            (Read::Add(|e| e.blind.into()), r.register_counter(
                 "chm_serve_blind_epochs_total",
                 "Epochs where zero reports were analyzed.",
-            ),
-            degraded_epochs: c(
-                &mut r,
+            )),
+            (Read::Add(|e| (e.state == "degraded").into()), r.register_counter(
                 "chm_serve_degraded_epochs_total",
                 "Epochs decided in watchdog-degraded mode.",
-            ),
-            paused_epochs: c(
-                &mut r,
+            )),
+            (Read::Add(|e| e.paused.into()), r.register_counter(
                 "chm_serve_paused_epochs_total",
                 "Epochs where the controller missed the collection window.",
-            ),
-            clock_stall_epochs: c(
-                &mut r,
+            )),
+            (Read::Add(|e| e.clock_stalled.into()), r.register_counter(
                 "chm_serve_clock_stall_epochs_total",
                 "Epochs with an unreliable latency clock.",
-            ),
-            decode_failure_epochs: c(
-                &mut r,
+            )),
+            (Read::Add(|e| (!e.decode_ok).into()), r.register_counter(
                 "chm_serve_decode_failure_epochs_total",
                 "Epochs where some deployed encoder failed to decode.",
-            ),
-            packets: c(&mut r, "chm_serve_packets_total", "Packets the fabric carried."),
-            reports_delivered: c(
-                &mut r,
+            )),
+            (Read::Add(|e| e.packets), r.register_counter(
+                "chm_serve_packets_total",
+                "Packets the fabric carried.",
+            )),
+            (Read::Add(|e| e.delivered.into()), r.register_counter(
                 "chm_serve_reports_delivered_total",
                 "Switch reports that arrived on the first try.",
-            ),
-            reports_lost: c(&mut r, "chm_serve_reports_lost_total", "Switch reports lost outright."),
-            reports_delayed: c(
-                &mut r,
+            )),
+            (Read::Add(|e| e.lost.into()), r.register_counter(
+                "chm_serve_reports_lost_total",
+                "Switch reports lost outright.",
+            )),
+            (Read::Add(|e| e.delayed.into()), r.register_counter(
                 "chm_serve_reports_delayed_total",
                 "Switch reports that arrived late within the retry budget.",
-            ),
-            reports_timed_out: c(
-                &mut r,
+            )),
+            (Read::Add(|e| e.timed_out.into()), r.register_counter(
                 "chm_serve_reports_timed_out_total",
                 "Switch reports that exceeded the retry budget.",
-            ),
-            report_duplicates: c(
-                &mut r,
+            )),
+            (Read::Add(|e| e.duplicates.into()), r.register_counter(
                 "chm_serve_report_duplicates_total",
                 "Duplicate report copies discarded by dedup.",
-            ),
-            backpressure_drops: c(
-                &mut r,
+            )),
+            (Read::Add(|e| e.backpressure_drops.into()), r.register_counter(
                 "chm_serve_backpressure_drops_total",
                 "Reports dropped by the bounded collection inbox.",
-            ),
-            switch_reboots: c(
-                &mut r,
+            )),
+            (Read::Add(|e| e.reboots.into()), r.register_counter(
                 "chm_serve_switch_reboots_total",
                 "Switch reboots (empty report groups).",
-            ),
-            f1: g(&mut r, "chm_serve_f1_ratio", "Victim-detection F1 of the latest epoch."),
-            loc_top3: g(
-                &mut r,
+            )),
+            (Read::Set(|e| e.f1), r.register_gauge(
+                "chm_serve_f1_ratio",
+                "Victim-detection F1 of the latest epoch.",
+            )),
+            (Read::Set(|e| e.loc_top3), r.register_gauge(
                 "chm_serve_loc_top3_ratio",
                 "Top-3 localization hit rate of the latest epoch.",
-            ),
-            sample_rate: g(
-                &mut r,
+            )),
+            (Read::Set(|e| e.sample_rate), r.register_gauge(
                 "chm_serve_sample_rate_ratio",
                 "Staged LL sample rate of the latest epoch.",
-            ),
-            staged_hh: g(
-                &mut r,
+            )),
+            (Read::Set(|e| e.m_hh as f64), r.register_gauge(
                 "chm_serve_staged_hh_buckets_count",
                 "Staged HH encoder buckets per array.",
-            ),
-            staged_hl: g(
-                &mut r,
+            )),
+            (Read::Set(|e| e.m_hl as f64), r.register_gauge(
                 "chm_serve_staged_hl_buckets_count",
                 "Staged HL encoder buckets per array.",
-            ),
-            staged_ll: g(
-                &mut r,
+            )),
+            (Read::Set(|e| e.m_ll as f64), r.register_gauge(
                 "chm_serve_staged_ll_buckets_count",
                 "Staged LL encoder buckets per array.",
-            ),
-            reaction: r.register_histogram(
+            )),
+            (Read::Observe(|e| e.reaction_ms.map(|ms| ms / 1e3)), r.register_histogram(
                 "chm_serve_reaction_seconds",
                 "Virtual controller reaction latency (collection + retry backoff).",
-                &[],
                 &REACTION_BUCKETS,
-            ),
-        };
-        ServeObs { registry: r, spans: SpanProfiler::new(), ids }
+            )),
+        ];
+        ServeObs { registry: r, spans: SpanProfiler::new(), series }
     }
 
     /// Folds one epoch's record into the registry (counters accumulate,
     /// gauges track the latest epoch, the reaction histogram observes
     /// each measurable epoch once).
     pub fn observe_epoch(&mut self, rec: &EpochRecord) {
-        let ids = self.ids;
         let r = &mut self.registry;
-        r.inc(ids.epochs);
-        if rec.blind {
-            r.inc(ids.blind_epochs);
+        for &(read, id) in &self.series {
+            match read {
+                Read::Add(f) => r.add(id, f(rec)),
+                Read::Set(f) => r.set(id, f(rec)),
+                Read::Observe(f) => {
+                    if let Some(v) = f(rec) {
+                        r.observe(id, v);
+                    }
+                }
+            }
         }
-        if rec.state == "degraded" {
-            r.inc(ids.degraded_epochs);
-        }
-        if rec.paused {
-            r.inc(ids.paused_epochs);
-        }
-        if rec.clock_stalled {
-            r.inc(ids.clock_stall_epochs);
-        }
-        if !rec.decode_ok {
-            r.inc(ids.decode_failure_epochs);
-        }
-        r.add(ids.packets, rec.packets);
-        r.add(ids.reports_delivered, u64::from(rec.delivered));
-        r.add(ids.reports_lost, u64::from(rec.lost));
-        r.add(ids.reports_delayed, u64::from(rec.delayed));
-        r.add(ids.reports_timed_out, u64::from(rec.timed_out));
-        r.add(ids.report_duplicates, u64::from(rec.duplicates));
-        r.add(ids.backpressure_drops, u64::from(rec.backpressure_drops));
-        r.add(ids.switch_reboots, u64::from(rec.reboots));
-        r.set(ids.f1, rec.f1);
-        r.set(ids.loc_top3, rec.loc_top3);
-        r.set(ids.sample_rate, rec.sample_rate);
-        r.set(ids.staged_hh, rec.m_hh as f64);
-        r.set(ids.staged_hl, rec.m_hl as f64);
-        r.set(ids.staged_ll, rec.m_ll as f64);
-        if let Some(ms) = rec.reaction_ms {
-            r.observe(ids.reaction, ms / 1e3);
-        }
-    }
-
-    /// The registry (read-only; exposition and tests).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Current Prometheus text-format 0.0.4 snapshot of the registry.

@@ -350,9 +350,10 @@ impl ServeRuntime {
     /// A snapshot is outside input: one that parses but does not fit this
     /// deployment — a deployed or last-good runtime that is invalid under
     /// the stack's [`DataPlaneConfig`](chamelemon::config::DataPlaneConfig),
-    /// or localizer tables for a controller without localization — is an
-    /// `Err`, checked before anything is mutated, so the runtime is
-    /// untouched by a failed call.
+    /// localizer tables for a controller without localization, a localizer
+    /// decay outside `(0, 1]`, or a blame/transit/telemetry value that is
+    /// negative or not finite — is an `Err`, checked before anything is
+    /// mutated, so the runtime is untouched by a failed call.
     pub fn restore(&mut self, snap: &ServeSnapshot) -> Result<(), String> {
         let cfg = self.stack.edges[0].config();
         snap.controller
@@ -370,6 +371,19 @@ impl ServeRuntime {
             && self.stack.controller.snapshot().localizer.is_none()
         {
             return Err("snapshot has localizer tables but localization is not enabled".into());
+        }
+        // A poisoned table would restore fine and skew every later ranking.
+        if let Some(l) = &snap.controller.localizer {
+            if !(l.decay > 0.0 && l.decay <= 1.0) {
+                return Err(format!("localizer decay {} is outside (0, 1]", l.decay));
+            }
+            for (table, rows) in
+                [("blame", &l.blame), ("transit", &l.transit), ("telemetry", &l.telemetry)]
+            {
+                if let Some((at, v)) = rows.iter().find(|(_, v)| !(v.is_finite() && *v >= 0.0)) {
+                    return Err(format!("localizer {table} {v} at {at:?} is not finite and >= 0"));
+                }
+            }
         }
         self.stack.controller.restore(&snap.controller);
         self.watchdog.restore(&snap.watchdog);
@@ -417,7 +431,9 @@ fn score_detection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chamelemon::localize::LocalizerSnapshot;
     use chamelemon::Controller;
+    use chm_netsim::{SwitchId, SwitchRole};
 
     fn runtime_after(epochs: u64) -> ServeRuntime {
         let scenario = Scenario::builder("restore_test").seed(11).flows(200).build();
@@ -461,6 +477,29 @@ mod tests {
         // The same donor fits once nothing is wrong with it.
         rt.restore(&good).expect("a fitting snapshot restores");
         assert_eq!(rt.snapshot(), good);
+
+        // Poisoned localizer state used to restore with `Ok(())` and skew
+        // localization from then on.
+        let poisoned = |edit: &dyn Fn(&mut LocalizerSnapshot)| {
+            let mut bad = good.clone();
+            edit(bad.controller.localizer.as_mut().expect("localizer tables"));
+            bad
+        };
+        let e0 = SwitchId { role: SwitchRole::Edge, index: 0 };
+        for decay in [f64::NAN, 0.0, -0.5, 1.5, f64::INFINITY] {
+            assert_rejected(&mut rt, &poisoned(&|l| l.decay = decay), "decay");
+        }
+        assert_rejected(&mut rt, &poisoned(&|l| l.blame.push((e0, f64::NAN))), "blame");
+        assert_rejected(&mut rt, &poisoned(&|l| l.transit.push((e0, -1.0))), "transit");
+        let inf = f64::INFINITY;
+        assert_rejected(&mut rt, &poisoned(&|l| l.telemetry.push((e0, inf))), "telemetry");
+        // A watchdog `degraded` flag other than 0/1 used to parse as live.
+        let text = good.serialize();
+        let line = text.lines().find(|l| l.starts_with("watchdog ")).expect("watchdog line");
+        let fields: Vec<&str> = line.split(' ').collect();
+        let bad = text.replace(line, &format!("watchdog 7 {}", fields[2..].join(" ")));
+        let err = ServeSnapshot::parse(&bad).expect_err("degraded must be 0 or 1");
+        assert!(err.contains("degraded"), "{err:?}");
 
         // Localizer tables for a controller that has no localizer.
         let cfg = rt.stack.edges[0].config().clone();

@@ -185,7 +185,11 @@ impl ServeSnapshot {
                         return Err("watchdog needs 4 fields".to_string());
                     }
                     watchdog = Some(WatchdogSnapshot {
-                        degraded: rest[0] == "1",
+                        degraded: match rest[0] {
+                            "0" => false,
+                            "1" => true,
+                            other => return Err(format!("bad watchdog degraded flag {other:?}")),
+                        },
                         consecutive_bad: parse_num(rest[1], "consecutive_bad")?,
                         consecutive_good: parse_num(rest[2], "consecutive_good")?,
                         recovery_needed: parse_num(rest[3], "recovery_needed")?,
