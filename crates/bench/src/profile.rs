@@ -8,7 +8,8 @@
 //! with a probe, so the epoch body measured here is the one `step_epoch`
 //! scores and `chm-serve` serves. Each stage — replay, collect, analyze,
 //! reconfigure (decide + stage + flip), localize — gets a span and an
-//! allocation reading. The tree it builds: the engine's fate `prologue`,
+//! allocation reading. The tree it builds: the engine's fate `prologue`
+//! (plan losses and the link-loss realization), flow `partition`,
 //! `phase_a/shard_{i}` / `phase_b/shard_{i}` and fragment `merge` (absorbed
 //! from [`ScenarioStack::replay_profile`]), `collect`, the controller's
 //! `analyze/decode/{edge_i,delta_hl,delta_ll,sparse,loaded}` split and its
@@ -124,7 +125,7 @@ pub fn run(
         spans.enter("epoch", &mut span_clock);
 
         // Replay through the sharded engine; its per-shard span tree
-        // (prologue, phase_a/shard_i, phase_b/shard_i, merge) is absorbed
+        // (prologue, partition, phase_a/shard_i, phase_b/shard_i, merge) is absorbed
         // under the open `epoch` span. Shard count is fixed, so the paths
         // are identical at any worker count.
         let a0 = alloc_count();
@@ -305,6 +306,7 @@ mod tests {
         assert_eq!(r.spans.get(&["epoch"]), Some((epochs, 0.0)));
         for path in [
             ["epoch", "prologue"].as_slice(),
+            &["epoch", "partition"],
             &["epoch", "phase_a", "shard_0"],
             &["epoch", "phase_a", "shard_1"],
             &["epoch", "phase_b", "shard_1"],

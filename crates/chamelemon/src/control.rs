@@ -365,7 +365,8 @@ impl<F: FlowId> Controller<F> {
         // flow existed, crossed its route, and its recorded count plus Th
         // estimates its size (§4.2). Healthy ones exonerate their routes.
         let th = a.runtime.th;
-        let mut traffic: HashMap<F, u64> = HashMap::new();
+        let mut traffic: HashMap<F, u64> =
+            HashMap::with_capacity(a.hh_flowsets.iter().map(|fs| fs.len()).sum());
         for fs in &a.hh_flowsets {
             for (f, &q) in fs {
                 let est = th + q.max(0) as u64;
@@ -378,6 +379,7 @@ impl<F: FlowId> Controller<F> {
         // came from the partial peel — discount it.
         let mut confidence: HashMap<F, f64> = HashMap::new();
         if a.hl_flowset.is_none() {
+            confidence.reserve(a.loss_report.len());
             // chm-lint: allow(map-iter-order, "each key is inserted once with the same constant; the resulting map is order-independent as a value")
             for f in a.loss_report.keys() {
                 let ll_attested = a
@@ -1035,18 +1037,30 @@ fn max_or_zero(xs: &[f64]) -> f64 {
 /// size ≥ `t` — `n_flows · P(size ≥ t)` under `dist` — is at most
 /// `target_count`. `dist` is an absolute histogram; it is normalized
 /// internally.
+///
+/// Both passes stop at the histogram's support, its last non-zero entry:
+/// the zero tail adds nothing to the total, and every tail threshold has
+/// the same expected count, so one test stands for all of them.
 pub fn threshold_for_target(dist: &[f64], n_flows: f64, target_count: f64) -> u64 {
-    let total: f64 = dist.iter().sum();
+    let support = dist.iter().rposition(|&x| x != 0.0).map_or(0, |i| i + 1);
+    let total: f64 = dist[..support].iter().sum();
     if total <= 0.0 || n_flows <= 0.0 {
         return 1;
     }
-    // Survival function from the top.
-    let mut surv = 0.0;
+    let within = |surv: f64| n_flows * surv / total <= target_count;
+    // Survival function from the top. Past the support it is zero, so
+    // every threshold there passes or fails together.
     let mut best = dist.len() as u64; // worst case: above the whole histogram
-    for t in (1..dist.len()).rev() {
+    if support < dist.len() {
+        if !within(0.0) {
+            return best;
+        }
+        best = support as u64;
+    }
+    let mut surv = 0.0;
+    for t in (1..support).rev() {
         surv += dist[t];
-        let expected = n_flows * surv / total;
-        if expected <= target_count {
+        if within(surv) {
             best = t as u64;
         } else {
             break;
@@ -1081,6 +1095,74 @@ mod tests {
     fn threshold_for_target_degenerate() {
         assert_eq!(threshold_for_target(&[], 100.0, 10.0), 1);
         assert_eq!(threshold_for_target(&[0.0, 5.0], 0.0, 10.0), 1);
+    }
+
+    /// The search as it was before it stopped at the support: sums and
+    /// walks the whole histogram.
+    fn threshold_for_target_full_walk(dist: &[f64], n_flows: f64, target_count: f64) -> u64 {
+        let total: f64 = dist.iter().sum();
+        if total <= 0.0 || n_flows <= 0.0 {
+            return 1;
+        }
+        let mut surv = 0.0;
+        let mut best = dist.len() as u64;
+        for t in (1..dist.len()).rev() {
+            surv += dist[t];
+            let expected = n_flows * surv / total;
+            if expected <= target_count {
+                best = t as u64;
+            } else {
+                break;
+            }
+        }
+        best.max(1)
+    }
+
+    #[test]
+    fn threshold_for_target_matches_the_full_walk() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x7a12);
+        let specials = [f64::NAN, f64::INFINITY, -1.0, -0.0, 0.0, 0.5];
+        let mut dists: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![0.0],
+            vec![0.0; 64],
+            vec![-0.0; 9],
+            vec![3.0],
+            vec![0.0, 0.0, 2.0],
+            vec![5.0, 0.0, 0.0, 0.0],
+            vec![0.0, f64::NAN, 0.0, 0.0],
+            vec![1.0, -1.0, 0.0],
+        ];
+        for _ in 0..400 {
+            let support = rng.gen_range(0..40usize);
+            let tail = rng.gen_range(0..40usize);
+            let mut d: Vec<f64> = (0..support)
+                .map(|_| match rng.gen_range(0..6) {
+                    0 | 1 => 0.0,
+                    2 => rng.gen_range(0..5) as f64,
+                    _ => rng.gen_range(0.0..1e4),
+                })
+                .collect();
+            d.extend(std::iter::repeat_n(0.0, tail));
+            dists.push(d);
+        }
+        for dist in &dists {
+            let total: f64 = dist.iter().sum();
+            let mut n_flows = vec![rng.gen_range(0.0..1e5), 1.0, 0.0, -5.0];
+            let mut targets = vec![rng.gen_range(0.0..1e3), 0.0, total, 1e9];
+            n_flows.extend(specials);
+            targets.extend(specials);
+            for &n in &n_flows {
+                for &target in &targets {
+                    assert_eq!(
+                        threshold_for_target(dist, n, target),
+                        threshold_for_target_full_walk(dist, n, target),
+                        "dist {dist:?}, n_flows {n}, target {target}"
+                    );
+                }
+            }
+        }
     }
 
     /// `fully_decoded` against the expression the scenario scorer, the serve

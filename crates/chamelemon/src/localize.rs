@@ -33,11 +33,12 @@
 //! [`EpochReport::lost`](chm_netsim::sim::EpochReport::lost)).
 //!
 //! Everything here is deterministic: victims and healthy flows are folded
-//! in sorted key order, so the floating-point tables — and therefore every
-//! ranking — are a pure function of the epoch sequence.
+//! in `(key64, flow)` order, so the floating-point tables — and therefore
+//! every ranking — are a pure function of the epoch sequence, even when two
+//! flows share a `key64`.
 
 use chm_netsim::sim::Routable;
-use chm_netsim::{Fabric, QueueDepthStat, SwitchId, Topology};
+use chm_netsim::{Fabric, FabricIndex, QueueDepthStat, SwitchId, Topology};
 use std::collections::{BTreeMap, HashMap};
 
 /// Per-epoch decay of accumulated blame (0 would be memoryless, 1 never
@@ -99,34 +100,51 @@ impl<F: Routable> Localization<F> {
 }
 
 /// Cross-epoch per-switch blame/transit accumulator (see module docs).
+///
+/// The tables are dense over the fabric's [`FabricIndex`] switch numbers,
+/// which follow [`SwitchId`] order, so every fold and every export walks
+/// the switches in the order a sorted map would. `None` marks a switch the
+/// table has never held an entry for; the snapshot lists only the others.
 #[derive(Debug, Clone)]
 pub struct Localizer {
     topology: Topology,
-    blame: BTreeMap<SwitchId, f64>,
-    transit: BTreeMap<SwitchId, f64>,
+    index: FabricIndex,
+    blame: Vec<Option<f64>>,
+    transit: Vec<Option<f64>>,
     /// Current-epoch telemetry boost per switch (normalized mean queue
-    /// depth in `[0, 1]`); replaced wholesale each observation, empty when
-    /// no telemetry arrived.
-    telemetry: BTreeMap<SwitchId, f64>,
+    /// depth in `[0, 1]`); replaced wholesale each observation, all `None`
+    /// when no telemetry arrived.
+    telemetry: Vec<Option<f64>>,
     decay: f64,
+    /// This epoch's [`score`](Self::score) of every switch, computed once
+    /// the epoch's evidence is folded.
+    scores: Vec<f64>,
+    /// Route buffer reused from flow to flow.
+    route: Vec<SwitchId>,
 }
 
 impl Localizer {
     /// A localizer over `topology`, decaying blame by [`BLAME_DECAY`].
     pub fn new(topology: impl Into<Topology>) -> Self {
+        let topology = topology.into();
+        let index = FabricIndex::new(&topology);
+        let n = index.n_switches();
         Localizer {
-            topology: topology.into(),
-            blame: BTreeMap::new(),
-            transit: BTreeMap::new(),
-            telemetry: BTreeMap::new(),
+            route: Vec::with_capacity(topology.max_hops()),
+            topology,
+            index,
+            blame: vec![None; n],
+            transit: vec![None; n],
+            telemetry: vec![None; n],
             decay: BLAME_DECAY,
+            scores: vec![0.0; n],
         }
     }
 
     /// The current blame of `switch` (victims' loss mass routed through
     /// it).
     pub fn blame(&self, switch: SwitchId) -> f64 {
-        self.blame.get(&switch).copied().unwrap_or(0.0)
+        self.index.switch_index(switch).and_then(|s| self.blame[s]).unwrap_or(0.0)
     }
 
     /// The switch's suspicion score: accumulated blame normalized by the
@@ -137,13 +155,18 @@ impl Localizer {
     /// telemetry = no boost, scores bit-identical to the telemetry-free
     /// localizer).
     pub fn score(&self, switch: SwitchId) -> f64 {
-        let b = self.blame(switch);
+        self.index.switch_index(switch).map_or(0.0, |s| self.score_at(s))
+    }
+
+    /// [`score`](Self::score) of the switch numbered `s`.
+    fn score_at(&self, s: usize) -> f64 {
+        let b = self.blame[s].unwrap_or(0.0);
         if b <= 0.0 {
             return 0.0;
         }
-        let base = b / (1.0 + self.transit.get(&switch).copied().unwrap_or(0.0));
-        match self.telemetry.get(&switch) {
-            Some(&t) => base * (1.0 + t),
+        let base = b / (1.0 + self.transit[s].unwrap_or(0.0));
+        match self.telemetry[s] {
+            Some(t) => base * (1.0 + t),
             None => base,
         }
     }
@@ -174,13 +197,12 @@ impl Localizer {
     /// confidence, transit exoneration, and queue-depth telemetry — into
     /// the tables and returns the epoch's localization. With an empty
     /// confidence map and empty telemetry this is bit-identical to
-    /// [`observe_epoch`](Self::observe_epoch).
+    /// [`observe_epoch`](Self::observe_epoch). Telemetry for a switch
+    /// outside the fabric still counts toward the normalization, but no
+    /// route crosses that switch, so it is not kept.
     pub fn observe_evidence<F: Routable>(&mut self, ev: EpochEvidence<'_, F>) -> Localization<F> {
-        for b in self.blame.values_mut() {
+        for b in self.blame.iter_mut().chain(&mut self.transit).flatten() {
             *b *= self.decay;
-        }
-        for t in self.transit.values_mut() {
-            *t *= self.decay;
         }
         // Telemetry is a per-epoch snapshot, not an accumulator: replace it
         // wholesale, normalized by the epoch's deepest/heaviest switch so
@@ -192,7 +214,7 @@ impl Localizer {
         // with per-epoch aggregates only (no slot series anywhere) keep the
         // pure depth normalization, bit-identical to the pre-slot-timing
         // localizer.
-        self.telemetry.clear();
+        self.telemetry.fill(None);
         let deepest = ev
             .queue_depth
             .values()
@@ -213,67 +235,80 @@ impl Localizer {
                 } else {
                     depth_part
                 };
-                self.telemetry.insert(s, boost);
+                if let Some(s) = self.index.switch_index(s) {
+                    self.telemetry[s] = Some(boost);
+                }
             }
         }
         // Deterministic fold order: the tables are floating point, so
-        // accumulation must not depend on HashMap iteration order.
-        let mut victims: Vec<(&F, u64)> =
-            ev.loss_report.iter().map(|(f, &l)| (f, l)).collect();
-        victims.sort_by_key(|(f, _)| f.key64());
-        let mut routes: Vec<(&F, Vec<SwitchId>)> = Vec::with_capacity(victims.len());
-        for (f, loss) in victims {
-            let route = self.topology.route(f.src_host(), f.dst_host(), f.key64());
+        // accumulation must not depend on HashMap iteration order. The
+        // sort key is computed once per flow; the flow itself breaks a
+        // `key64` tie.
+        let mut victims: Vec<(u64, &F, u64)> =
+            ev.loss_report.iter().map(|(f, &l)| (f.key64(), f, l)).collect();
+        victims.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        let mut per_victim: HashMap<F, Vec<SwitchId>> = HashMap::with_capacity(victims.len());
+        for (key, f, loss) in victims {
+            self.topology.route_into(f.src_host(), f.dst_host(), key, &mut self.route);
             let conf = ev.confidence.get(f).copied().unwrap_or(1.0);
-            let share = conf * loss as f64 / route.len() as f64;
+            let share = conf * loss as f64 / self.route.len() as f64;
             let weight =
-                ev.traffic.get(f).copied().unwrap_or(loss) as f64 / route.len() as f64;
-            for &s in &route {
-                *self.blame.entry(s).or_insert(0.0) += share;
-                *self.transit.entry(s).or_insert(0.0) += weight;
+                ev.traffic.get(f).copied().unwrap_or(loss) as f64 / self.route.len() as f64;
+            for &s in &self.route {
+                let s = self.index.switch_index(s).expect("routes stay in the fabric");
+                *self.blame[s].get_or_insert(0.0) += share;
+                *self.transit[s].get_or_insert(0.0) += weight;
             }
-            routes.push((f, route));
+            per_victim.insert(*f, self.route.clone());
         }
         let loss_report = ev.loss_report;
-        let traffic = ev.traffic;
-        let mut healthy: Vec<(&F, u64)> = traffic
-            .iter()
-            .filter(|(f, _)| !loss_report.contains_key(f))
-            .map(|(f, &w)| (f, w))
-            .collect();
-        healthy.sort_by_key(|(f, _)| f.key64());
-        for (f, w) in healthy {
-            let route = self.topology.route(f.src_host(), f.dst_host(), f.key64());
-            let share = w as f64 / route.len() as f64;
-            for &s in &route {
-                *self.transit.entry(s).or_insert(0.0) += share;
+        let mut healthy: Vec<(u64, &F, u64)> = Vec::with_capacity(ev.traffic.len());
+        healthy.extend(
+            ev.traffic
+                .iter()
+                .filter(|(f, _)| !loss_report.contains_key(f))
+                .map(|(f, &w)| (f.key64(), f, w)),
+        );
+        healthy.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        for (key, f, w) in healthy {
+            self.topology.route_into(f.src_host(), f.dst_host(), key, &mut self.route);
+            let share = w as f64 / self.route.len() as f64;
+            for &s in &self.route {
+                let s = self.index.switch_index(s).expect("routes stay in the fabric");
+                *self.transit[s].get_or_insert(0.0) += share;
             }
         }
-        let per_victim = routes
-            .into_iter()
-            .map(|(f, mut route)| {
-                self.rank_route(&mut route);
-                (*f, route)
-            })
-            .collect();
-        let mut ranking: Vec<(SwitchId, f64)> = self
-            .blame
-            .iter()
-            .filter(|&(_, &b)| b > 0.0)
-            .map(|(&s, _)| (s, self.score(s)))
-            .collect();
+        for s in 0..self.scores.len() {
+            self.scores[s] = self.score_at(s);
+        }
+        // chm-lint: allow(map-iter-order, "each route is ranked on its own; the order the rows are visited in changes nothing")
+        for route in per_victim.values_mut() {
+            self.rank_route(route);
+        }
+        let mut ranking: Vec<(SwitchId, f64)> = Vec::with_capacity(self.scores.len());
+        ranking.extend(
+            (0..self.scores.len())
+                .filter(|&s| self.blame[s].is_some_and(|b| b > 0.0))
+                .map(|s| (self.index.switch(s), self.scores[s])),
+        );
         ranking.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         Localization { per_victim, ranking }
     }
 
-    /// Orders `route` most-suspect-first by current score (ties toward the
-    /// smaller switch id).
+    /// Orders `route` most-suspect-first by this epoch's score (ties toward
+    /// the smaller switch id).
     fn rank_route(&self, route: &mut [SwitchId]) {
-        route.sort_by(|a, b| {
-            self.score(*b)
-                .total_cmp(&self.score(*a))
-                .then(a.cmp(b))
-        });
+        let score = |s: SwitchId| self.index.switch_index(s).map_or(0.0, |s| self.scores[s]);
+        route.sort_by(|a, b| score(*b).total_cmp(&score(*a)).then(a.cmp(b)));
+    }
+
+    /// One dense table as sorted `(switch, value)` rows.
+    fn rows(&self, table: &[Option<f64>]) -> Vec<(SwitchId, f64)> {
+        table
+            .iter()
+            .enumerate()
+            .filter_map(|(s, v)| v.map(|v| (self.index.switch(s), v)))
+            .collect()
     }
 
     /// Exports the cross-epoch tables for persistence. Together with the
@@ -282,27 +317,39 @@ impl Localizer {
     /// the same topology reproduces every future ranking bit for bit.
     pub fn snapshot(&self) -> LocalizerSnapshot {
         LocalizerSnapshot {
-            blame: self.blame.iter().map(|(&s, &v)| (s, v)).collect(),
-            transit: self.transit.iter().map(|(&s, &v)| (s, v)).collect(),
-            telemetry: self.telemetry.iter().map(|(&s, &v)| (s, v)).collect(),
+            blame: self.rows(&self.blame),
+            transit: self.rows(&self.transit),
+            telemetry: self.rows(&self.telemetry),
             decay: self.decay,
         }
     }
 
     /// Replaces the cross-epoch tables with a previously exported
     /// [`snapshot`](Self::snapshot) (the inverse operation; the topology is
-    /// not part of the snapshot and stays as constructed).
+    /// not part of the snapshot and stays as constructed). A row for a
+    /// switch outside the fabric has no place in the tables and is
+    /// dropped — a host restoring outside input refuses such a snapshot
+    /// first. A later row for the same switch wins.
     pub fn restore(&mut self, snap: &LocalizerSnapshot) {
-        self.blame = snap.blame.iter().copied().collect();
-        self.transit = snap.transit.iter().copied().collect();
-        self.telemetry = snap.telemetry.iter().copied().collect();
+        for (table, rows) in [
+            (&mut self.blame, &snap.blame),
+            (&mut self.transit, &snap.transit),
+            (&mut self.telemetry, &snap.telemetry),
+        ] {
+            table.fill(None);
+            for &(s, v) in rows {
+                if let Some(s) = self.index.switch_index(s) {
+                    table[s] = Some(v);
+                }
+            }
+        }
         self.decay = snap.decay;
     }
 }
 
 /// A [`Localizer`]'s persistable state: the decayed blame/transit tables
-/// and the current-epoch telemetry boost, in sorted switch order (the
-/// tables are `BTreeMap`s, so the vectors round-trip exactly).
+/// and the current-epoch telemetry boost, in sorted switch order, one row
+/// per switch the table holds (so the vectors round-trip exactly).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalizerSnapshot {
     /// Per-switch accumulated blame.
@@ -663,6 +710,75 @@ mod tests {
             let la = a.observe_epoch(&report, &traffic);
             let lb = b.observe_epoch(&report, &traffic);
             assert_eq!(la, lb, "restored localizer must track the original");
+        }
+    }
+
+    /// A flow whose `key64` ignores its `tag`: flows that differ only in
+    /// their tag share a sort key.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Colliding {
+        host: u8,
+        tag: u8,
+    }
+
+    impl chm_common::FlowId for Colliding {
+        const FRAGMENTS: usize = 1;
+        fn fragment(&self, _: usize) -> u64 {
+            (self.host as u64) << 8 | self.tag as u64
+        }
+        fn try_from_fragments(frags: &[u64]) -> Option<Self> {
+            match *frags {
+                [f] if f < 1 << 16 => Some(Colliding { host: (f >> 8) as u8, tag: f as u8 }),
+                _ => None,
+            }
+        }
+        fn key64(&self) -> u64 {
+            self.host as u64
+        }
+    }
+
+    impl Routable for Colliding {
+        fn src_host(&self) -> usize {
+            self.host as usize
+        }
+        fn dst_host(&self) -> usize {
+            self.host as usize ^ 1
+        }
+    }
+
+    #[test]
+    fn colliding_keys_fold_in_flow_order_whatever_the_map_seed() {
+        // Three intra-rack flows (one-switch routes) share a key. 2^53 + 1
+        // + 1 rounds to 2^53 in one order and is exact in another, so the
+        // fold order shows in the tables' bits.
+        let big = 1u64 << 53;
+        let victims = [(2, big), (0, 1), (1, 1)];
+        let healthy = [(5, big), (3, 1), (4, 1)];
+        let mut runs = Vec::new();
+        // Every `HashMap::new()` draws its own hash seed, so each map
+        // iterates the colliding flows in its own order.
+        for _ in 0..16 {
+            let mut report = HashMap::new();
+            let mut traffic = HashMap::new();
+            for &(tag, loss) in &victims {
+                report.insert(Colliding { host: 2, tag }, loss);
+            }
+            for &(tag, w) in &healthy {
+                traffic.insert(Colliding { host: 2, tag }, w);
+            }
+            let mut loc = Localizer::new(FatTree::testbed());
+            let l = loc.observe_epoch(&report, &traffic);
+            runs.push((l, loc.snapshot()));
+        }
+        let tor1 = SwitchId { role: SwitchRole::Edge, index: 1 };
+        assert_eq!(runs[0].0.top(1), vec![tor1]);
+        for (l, snap) in &runs[1..] {
+            assert_eq!(*l, runs[0].0);
+            let bits = |rows: &[(SwitchId, f64)]| {
+                rows.iter().map(|&(s, v)| (s, v.to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&snap.blame), bits(&runs[0].1.blame));
+            assert_eq!(bits(&snap.transit), bits(&runs[0].1.transit));
         }
     }
 

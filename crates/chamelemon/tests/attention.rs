@@ -173,9 +173,9 @@ fn cache_workload_smoke() {
 
 /// Figure 20's response time spans analyze + decide only. Under a clock
 /// that ticks by one per read, the reads outside that window are exactly
-/// the collect span's two, the reconfigure span's closing read (after stage
-/// + flip) and the localize span's two; the window's own opening read is
-/// the sixth.
+/// the collect span's two, the reconfigure span's closing read (after
+/// stage and flip) and the localize span's two; the window's own opening
+/// read is the sixth.
 #[test]
 fn response_time_covers_analyze_and_decide_only() {
     let mut sys = ChameleMon::testbed(DataPlaneConfig::small(1));

@@ -322,14 +322,21 @@ impl ImpairmentSet {
         if let Some((probs, slot_counts, n_slots)) = lossy_link {
             // Packets occupy slots in index order (index order is time
             // order within an epoch), so each packet tests the drop
-            // probability of every hop *in its slot*.
+            // probability of every hop *in its slot*, in route order. A hop
+            // with `p == 0` draws nothing, so only the slot's dropping hops
+            // are visited.
             let mut i = 0usize;
             for (t, &cnt) in slot_counts.iter().enumerate() {
+                out.hot_hops.clear();
+                out.hot_hops.extend((0..route_len).filter(|&h| probs[h * n_slots + t] > 0.0));
+                if out.hot_hops.is_empty() {
+                    i += cnt as usize;
+                    continue;
+                }
                 for _ in 0..cnt {
                     if out.delivered_mask[i] {
-                        for h in 0..route_len {
-                            let p = probs[h * n_slots + t];
-                            if p > 0.0 && rng.gen_bool(p) {
+                        for &h in &out.hot_hops {
+                            if rng.gen_bool(probs[h * n_slots + t]) {
                                 out.delivered_mask[i] = false;
                                 out.drop_hop[i] = h as u8;
                                 break;
@@ -417,6 +424,9 @@ pub struct FabricFates {
     skew_split: u64,
     /// `Some` when the flow is quiet; the columns above are then stale.
     quiet: Option<QuietFlow>,
+    /// Scratch of the link-loss draw: the route positions that can drop in
+    /// the slot being drawn.
+    hot_hops: Vec<usize>,
 }
 
 impl FabricFates {

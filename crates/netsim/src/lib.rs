@@ -29,6 +29,9 @@
 //!   arrival profiles shaping it, and a fluid queue per link turning it
 //!   into time-correlated drop probabilities plus per-switch queue-depth
 //!   telemetry (microbursts, incast ramps, slow drains);
+//! * [`index`] — [`FabricIndex`], the dense switch and link numbering the
+//!   link-loss layer's per-epoch tables (and the controller's localizer)
+//!   are flat arrays over;
 //! * [`congestion`] — the links, hot-spot derates (incast ToRs,
 //!   browned-out cores, rolling degradations) and the epoch-homogeneous
 //!   [`CongestionModel`], which is configuration only: [`queue`] realizes
@@ -46,6 +49,7 @@ pub mod clock;
 pub mod congestion;
 pub mod header;
 pub mod impair;
+pub mod index;
 pub mod collect;
 pub mod queue;
 pub mod shard;
@@ -60,6 +64,7 @@ pub use impair::{
     Reordering,
 };
 pub use collect::CollectionModel;
+pub use index::FabricIndex;
 pub use queue::{QueueDepthStat, QueueLinkStats, QueueModel, QueueRealization, RedDrop};
 pub use shard::{merge_fragments, ReportFragment, ShardTiming, ShardedReplay, Sharding};
 pub use sim::{

@@ -49,6 +49,9 @@
 //! `(model, topology, trace, epoch, seed)`: arrivals accumulate as
 //! integers (order-independent), every float reduction runs in sorted link
 //! order, and the only seeded quantity is the microburst window position.
+//! The per-epoch tables are flat `[link × slot]` and `[switch × slot]`
+//! arrays over the fabric's [`FabricIndex`], whose numbers follow that
+//! sorted order, so no per-hop lookup hashes or searches a map.
 //! Per-flow slot layouts come from the same
 //! [`ArrivalProfile::slot_counts`] closed form the offered-load accounting
 //! uses, so both drivers hand
@@ -57,11 +60,12 @@
 //! byte-identical.
 
 use crate::congestion::{derate_factor, link_class_to, CongestionModel, Derate, Hop, LinkId};
+use crate::index::FabricIndex;
 use crate::sim::Routable;
-use crate::topology::{Fabric, SwitchId, SwitchRole, Topology};
+use crate::topology::{Fabric, SwitchId, Topology};
 use chm_common::hash::mix64;
 use chm_workloads::{ArrivalProfile, Trace};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// RED-style early drop: once the queue carried into a slot exceeds
 /// `min_depth` (in units of one slot's service), an extra drop probability
@@ -136,49 +140,56 @@ impl QueueModel {
     ) -> QueueRealization {
         let s = self.slots;
         let slot_seed = mix64(seed ^ QSLOT_SALT).wrapping_add(epoch);
-        // Per-(link, slot) arrivals, in packets. Integer accumulation is
-        // order-independent, so a HashMap is safe here.
-        let mut arrivals: HashMap<LinkId, Vec<u64>> = HashMap::new();
+        let index = FabricIndex::new(topology);
+        let n_links = index.links().len();
+        // Per-(link, slot) arrivals in packets, `[link × slot]` in link
+        // order; `crossed` marks every link some flow's route takes.
+        let mut arrivals = vec![0u64; n_links * s];
+        let mut crossed = vec![false; n_links];
         let mut route = Vec::with_capacity(topology.max_hops());
+        let mut hops = Vec::with_capacity(topology.max_hops());
         let mut counts = Vec::with_capacity(s);
         for &(f, pkts) in &trace.flows {
             let (src, dst) = (f.src_host(), f.dst_host());
             topology.route_into(src, dst, f.key64(), &mut route);
             self.profile.slot_counts(f.key64(), pkts, slot_seed, s, &mut counts);
-            let mut add = |link: LinkId| {
-                let a = arrivals.entry(link).or_insert_with(|| vec![0; s]);
-                for (t, &n) in counts.iter().enumerate() {
-                    a[t] += n;
+            index.route_links(&route, dst, &mut hops);
+            for &l in &hops {
+                crossed[l] = true;
+                for (a, &n) in arrivals[l * s..(l + 1) * s].iter_mut().zip(&counts) {
+                    *a += n;
                 }
-            };
-            for w in route.windows(2) {
-                add((w[0], Hop::Switch(w[1])));
             }
-            add((route[route.len() - 1], Hop::Host(dst)));
         }
-        // Sorted link order from here on: every float reduction below must
-        // be order-deterministic.
-        let arrivals: BTreeMap<LinkId, Vec<u64>> = arrivals.into_iter().collect();
-        let mut class_sum: BTreeMap<(SwitchRole, Option<SwitchRole>), (u64, u64)> =
-            BTreeMap::new();
-        for (&(from, to), a) in &arrivals {
-            let e = class_sum.entry((from.role, link_class_to(to))).or_insert((0, 0));
-            e.0 += a.iter().sum::<u64>();
+        // Offered packets and crossed links per link class
+        // (`(from role, to role or host)`); integer sums, so order-free.
+        let class = |(from, to): LinkId| {
+            from.role as usize * 4 + link_class_to(to).map_or(3, |r| r as usize)
+        };
+        let mut class_sum = [(0u64, 0u64); 12];
+        for (l, &link) in index.links().iter().enumerate().filter(|&(l, _)| crossed[l]) {
+            let e = &mut class_sum[class(link)];
+            e.0 += arrivals[l * s..(l + 1) * s].iter().sum::<u64>();
             e.1 += 1;
         }
-        let mut probs = BTreeMap::new();
+        // Link order from here on: every float reduction below must be
+        // order-deterministic. Per-switch series are `[switch × slot]`.
+        let n_switches = index.n_switches();
+        let mut probs = vec![0.0f64; n_links * s];
         let mut stats = BTreeMap::new();
-        let mut depth_by_switch: BTreeMap<SwitchId, Vec<f64>> = BTreeMap::new();
-        let mut drops_by_switch: BTreeMap<SwitchId, Vec<f64>> = BTreeMap::new();
-        for (&(from, to), a) in &arrivals {
-            let (sum, count) = class_sum[&(from.role, link_class_to(to))];
+        let mut depth_by_switch = vec![0.0f64; n_switches * s];
+        let mut drops_by_switch = vec![0.0f64; n_switches * s];
+        let (mut buffered, mut dropped_at) = (vec![false; n_switches], vec![false; n_switches]);
+        let mut link_probs = vec![0.0f64; s];
+        let mut depth_series = vec![0.0f64; s];
+        let mut drop_series = vec![0.0f64; s];
+        for (l, &(from, to)) in index.links().iter().enumerate().filter(|&(l, _)| crossed[l]) {
+            let a = &arrivals[l * s..(l + 1) * s];
+            let (sum, count) = class_sum[class((from, to))];
             let mean_slot = sum as f64 / count as f64 / s as f64;
             let service = self.headroom
                 * mean_slot
                 * derate_factor(&self.derates, from, epoch, topology.n_edges());
-            let mut link_probs = vec![0.0f64; s];
-            let mut depth_series = vec![0.0f64; s];
-            let mut drop_series = vec![0.0f64; s];
             let mut q = 0.0f64;
             let mut dropped_total = 0.0f64;
             let mut served_total = 0.0f64;
@@ -207,13 +218,12 @@ impl QueueModel {
                 dropped_total += dropped;
                 served_total += served;
             }
-            let arrivals_total: u64 = a.iter().sum();
             if link_probs.iter().any(|&p| p > 0.0) {
-                probs.insert((from, to), link_probs);
+                probs[l * s..(l + 1) * s].copy_from_slice(&link_probs);
                 stats.insert(
                     (from, to),
                     QueueLinkStats {
-                        arrivals: arrivals_total,
+                        arrivals: a.iter().sum(),
                         served: served_total,
                         dropped: dropped_total,
                         residual: q,
@@ -221,36 +231,37 @@ impl QueueModel {
                     },
                 );
             }
-            if depth_series.iter().any(|&d| d > 0.0) {
-                let per_switch =
-                    depth_by_switch.entry(from).or_insert_with(|| vec![0.0; s]);
-                for (t, &d) in depth_series.iter().enumerate() {
-                    per_switch[t] += d;
-                }
-            }
-            if drop_series.iter().any(|&d| d > 0.0) {
-                let per_switch =
-                    drops_by_switch.entry(from).or_insert_with(|| vec![0.0; s]);
-                for (t, &d) in drop_series.iter().enumerate() {
-                    per_switch[t] += d;
+            let sw = index.link_from(l);
+            for (series, per_switch, seen) in [
+                (&depth_series, &mut depth_by_switch, &mut buffered),
+                (&drop_series, &mut drops_by_switch, &mut dropped_at),
+            ] {
+                if series.iter().any(|&d| d > 0.0) {
+                    seen[sw] = true;
+                    for (acc, &d) in per_switch[sw * s..(sw + 1) * s].iter_mut().zip(series) {
+                        *acc += d;
+                    }
                 }
             }
         }
         let mut depth: BTreeMap<SwitchId, QueueDepthStat> = BTreeMap::new();
-        for (sw, series) in depth_by_switch {
-            let max = series.iter().copied().fold(0.0, f64::max);
-            let mean = series.iter().sum::<f64>() / s as f64;
-            let stat = depth.entry(sw).or_default();
-            stat.max_depth = max;
-            stat.mean_depth = mean;
-        }
-        for (sw, series) in drops_by_switch {
-            depth.entry(sw).or_default().slot_drops = series;
+        for sw in (0..n_switches).filter(|&sw| buffered[sw] || dropped_at[sw]) {
+            let mut stat = QueueDepthStat::default();
+            if buffered[sw] {
+                let series = &depth_by_switch[sw * s..(sw + 1) * s];
+                stat.max_depth = series.iter().copied().fold(0.0, f64::max);
+                stat.mean_depth = series.iter().sum::<f64>() / s as f64;
+            }
+            if dropped_at[sw] {
+                stat.slot_drops = drops_by_switch[sw * s..(sw + 1) * s].to_vec();
+            }
+            depth.insert(index.switch(sw), stat);
         }
         QueueRealization {
             n_slots: s,
             profile: self.profile,
             slot_seed,
+            index,
             probs,
             stats,
             depth,
@@ -320,14 +331,18 @@ pub struct QueueLinkStats {
 }
 
 /// One epoch's realized queue dynamics: per-(link, slot) drop
-/// probabilities (links that never drop are absent), per-link conservation
-/// stats, and per-switch depth telemetry.
+/// probabilities, per-link conservation stats of the dropping links, and
+/// per-switch depth telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueRealization {
     n_slots: usize,
     profile: ArrivalProfile,
     slot_seed: u64,
-    probs: BTreeMap<LinkId, Vec<f64>>,
+    /// The fabric's link numbering `probs` is laid out in.
+    index: FabricIndex,
+    /// `[link × slot]` drop probabilities in link-number order; a link
+    /// that never drops is all zeros.
+    probs: Vec<f64>,
     stats: BTreeMap<LinkId, QueueLinkStats>,
     depth: BTreeMap<SwitchId, QueueDepthStat>,
 }
@@ -341,7 +356,7 @@ impl QueueRealization {
     /// True when no link in the fabric drops in any slot (replay can take
     /// the congestion-free path).
     pub fn is_lossless(&self) -> bool {
-        self.probs.is_empty()
+        self.stats.is_empty()
     }
 
     /// Fills `out` with the row-major `[hop][slot]` drop probabilities of
@@ -350,9 +365,10 @@ impl QueueRealization {
     /// `route.len() × n_slots`.
     pub fn hop_slot_probs(&self, route: &[SwitchId], dst_host: usize, out: &mut Vec<f64>) {
         out.clear();
-        let mut push = |link: LinkId| match self.probs.get(&link) {
-            Some(ps) => out.extend_from_slice(ps),
-            None => out.extend(std::iter::repeat_n(0.0, self.n_slots)),
+        let s = self.n_slots;
+        let mut push = |link: LinkId| match self.index.link_index(link) {
+            Some(l) => out.extend_from_slice(&self.probs[l * s..(l + 1) * s]),
+            None => out.extend(std::iter::repeat_n(0.0, s)),
         };
         for w in route.windows(2) {
             push((w[0], Hop::Switch(w[1])));
@@ -396,7 +412,7 @@ impl QueueRealization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::FatTree;
+    use crate::topology::{FatTree, SwitchRole};
     use chm_common::FlowId;
     use chm_workloads::{testbed_trace, WorkloadKind};
 
@@ -489,7 +505,7 @@ mod tests {
         m.profile = ArrivalProfile::Microburst { frac: 0.6, width: 2 };
         let r = realize(&m, 0);
         assert!(!r.is_lossless(), "a 60%-in-2-slots burst must overflow 2x headroom");
-        for (link, ps) in &r.probs {
+        for (link, ps) in r.index.links().iter().zip(r.probs.chunks(r.n_slots)) {
             let loss_slots = ps.iter().filter(|&&p| p > 0.0).count();
             assert!(
                 loss_slots <= 4,

@@ -483,9 +483,10 @@ pub struct ShardedReplay<F> {
     scratches: Vec<ShardScratch<F>>,
     /// `shard_{i}` span names, one per shard, built once.
     shard_names: Vec<String>,
-    /// Span tree of the most recent epoch (`prologue`, `phase_a/shard_i`,
-    /// `phase_b/shard_i`, `merge`) — the same durations the timed entry
-    /// points return as a [`ShardTiming`].
+    /// Span tree of the most recent epoch (`prologue`, `partition`,
+    /// `phase_a/shard_i`, `phase_b/shard_i`, `merge`), one interval each —
+    /// the same durations the timed entry points return as a
+    /// [`ShardTiming`] (whose `prologue_s` is `prologue` + `partition`).
     last_profile: SpanProfiler,
 }
 
@@ -674,7 +675,7 @@ impl<F: Routable> ShardedReplay<F> {
         // carries the same durations.
         let prof = &mut self.last_profile;
         prof.clear();
-        prof.record(&["prologue"], partition_s);
+        prof.record(&["partition"], partition_s);
         for (name, t) in self.shard_names.iter().zip(&phase_a) {
             prof.record(&["phase_a", name], *t);
         }
@@ -829,7 +830,12 @@ mod tests {
         let prof = eng.last_profile();
         assert!(prof.balanced());
         let span = |path: &[&str]| prof.get(path).map(|(_, t)| t);
-        assert_eq!(span(&["prologue"]), Some(timing.prologue_s));
+        // One interval per name: the epoch prologue and the partition are
+        // two spans, and the timing's serial prologue is their sum.
+        assert_eq!(prof.get(&["prologue"]).map(|(c, _)| c), Some(1));
+        assert_eq!(prof.get(&["partition"]).map(|(c, _)| c), Some(1));
+        let (partition, prologue) = (span(&["partition"]).unwrap(), span(&["prologue"]).unwrap());
+        assert_eq!(partition + prologue, timing.prologue_s);
         assert_eq!(span(&["merge"]), Some(timing.merge_s));
         for (i, name) in ["shard_0", "shard_1", "shard_2"].iter().enumerate() {
             assert_eq!(span(&["phase_a", name]), Some(timing.phase_a[i]));

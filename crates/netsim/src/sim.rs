@@ -494,14 +494,20 @@ impl EpochSetup<'_> {
         let dst = f.dst_host();
         self.topo.route_into(f.src_host(), dst, f.key64(), &mut sc.route);
         *acc.hops_histogram.entry(sc.route.len()).or_insert(0) += pkts;
+        // A route whose links drop in no slot draws nothing: it replays
+        // exactly as under no link loss, and needs no slot layout.
         let link_loss = match &self.link {
             Some(link) => {
                 link.hop_slot_probs(&sc.route, dst, &mut sc.hop_probs);
-                link.flow_slot_counts(f.key64(), pkts, &mut sc.slot_counts);
-                LinkLoss::Slotted {
-                    probs: &sc.hop_probs,
-                    slot_counts: &sc.slot_counts,
-                    n_slots: link.n_slots(),
+                if !sc.hop_probs.iter().all(|&p| p <= 0.0) {
+                    link.flow_slot_counts(f.key64(), pkts, &mut sc.slot_counts);
+                    LinkLoss::Slotted {
+                        probs: &sc.hop_probs,
+                        slot_counts: &sc.slot_counts,
+                        n_slots: link.n_slots(),
+                    }
+                } else {
+                    LinkLoss::None
                 }
             }
             None => LinkLoss::None,

@@ -29,7 +29,7 @@ use chamelemon::control::EpochAnalysis;
 use chamelemon::{EdgeDataPlane, EpochProbe, RuntimeConfig};
 use chm_common::FiveTuple;
 use chm_netsim::sim::EpochReport;
-use chm_netsim::Sharding;
+use chm_netsim::{FabricIndex, Sharding};
 use chm_scenarios::{localization_hits, EpochStream, ReplayMode, Scenario, ScenarioStack};
 
 use crate::fault::{EpochFaults, FaultPlan, ReportFate};
@@ -351,9 +351,10 @@ impl ServeRuntime {
     /// deployment — a deployed or last-good runtime that is invalid under
     /// the stack's [`DataPlaneConfig`](chamelemon::config::DataPlaneConfig),
     /// localizer tables for a controller without localization, a localizer
-    /// decay outside `(0, 1]`, or a blame/transit/telemetry value that is
-    /// negative or not finite — is an `Err`, checked before anything is
-    /// mutated, so the runtime is untouched by a failed call.
+    /// decay outside `(0, 1]`, a blame/transit/telemetry value that is
+    /// negative or not finite, or a table row for a switch the fabric does
+    /// not have — is an `Err`, checked before anything is mutated, so the
+    /// runtime is untouched by a failed call.
     pub fn restore(&mut self, snap: &ServeSnapshot) -> Result<(), String> {
         let cfg = self.stack.edges[0].config();
         snap.controller
@@ -377,11 +378,15 @@ impl ServeRuntime {
             if !(l.decay > 0.0 && l.decay <= 1.0) {
                 return Err(format!("localizer decay {} is outside (0, 1]", l.decay));
             }
+            let fabric = FabricIndex::new(&self.stack.simulator.topology);
             for (table, rows) in
                 [("blame", &l.blame), ("transit", &l.transit), ("telemetry", &l.telemetry)]
             {
                 if let Some((at, v)) = rows.iter().find(|(_, v)| !(v.is_finite() && *v >= 0.0)) {
                     return Err(format!("localizer {table} {v} at {at:?} is not finite and >= 0"));
+                }
+                if let Some((at, _)) = rows.iter().find(|(s, _)| fabric.switch_index(*s).is_none()) {
+                    return Err(format!("localizer {table} row {at:?} is not a switch of this fabric"));
                 }
             }
         }
@@ -493,6 +498,10 @@ mod tests {
         assert_rejected(&mut rt, &poisoned(&|l| l.transit.push((e0, -1.0))), "transit");
         let inf = f64::INFINITY;
         assert_rejected(&mut rt, &poisoned(&|l| l.telemetry.push((e0, inf))), "telemetry");
+        // A row for a switch the fabric does not have: the localizer's
+        // tables have no place for it.
+        let stranger = SwitchId { role: SwitchRole::Core, index: 99 };
+        assert_rejected(&mut rt, &poisoned(&|l| l.blame.push((stranger, 1.0))), "fabric");
         // A watchdog `degraded` flag other than 0/1 used to parse as live.
         let text = good.serialize();
         let line = text.lines().find(|l| l.starts_with("watchdog ")).expect("watchdog line");
