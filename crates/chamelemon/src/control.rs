@@ -626,6 +626,7 @@ impl<F: FlowId> Controller<F> {
             let mut tail: Vec<u64> = Vec::new();
             for (g, hh) in collected.iter().zip(&hh_flowsets) {
                 tail.clear();
+                // chm-lint: allow(map-iter-order, "the tail is a multiset: flow_size_distribution_into takes its max and adds 1.0 per entry to integer-valued bins, exact in any order")
                 tail.extend(hh.values().map(|&q| runtime.th + q.max(0) as u64));
                 g.classifier
                     .flow_size_distribution_into(&tail, &self.mrac, mrac_scratch, &mut dist);

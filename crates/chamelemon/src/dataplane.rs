@@ -8,7 +8,7 @@
 //! can pick the right downstream encoder without a classifier of its own.
 
 use crate::config::{DataPlaneConfig, RuntimeConfig};
-use chm_common::hash::PairwiseHash;
+use chm_common::hash::{BatchHasher, PairwiseHash};
 use chm_common::FlowId;
 use chm_fermat::FermatSketch;
 use chm_tower::TowerSketch;
@@ -195,12 +195,13 @@ impl<F: FlowId> EdgeDataPlane<F> {
         } else {
             Hierarchy::NonSampledLl
         };
-        match h {
-            Hierarchy::HhCandidate => g.up_hh.insert_keyed(f, key),
-            Hierarchy::HlCandidate => g.up_hl.insert_keyed(f, key),
-            Hierarchy::SampledLl => g.up_ll.insert_keyed(f, key),
-            Hierarchy::NonSampledLl => {}
-        }
+        let encoder = match h {
+            Hierarchy::HhCandidate => &mut g.up_hh,
+            Hierarchy::HlCandidate => &mut g.up_hl,
+            Hierarchy::SampledLl => &mut g.up_ll,
+            Hierarchy::NonSampledLl => return h,
+        };
+        encoder.insert_keyed(f, BatchHasher::new(key));
         h
     }
 
@@ -234,20 +235,22 @@ impl<F: FlowId> EdgeDataPlane<F> {
         let rt = &g.runtime;
         let (th, tl, sampled) = (rt.th, rt.tl, sample16 < rt.sample_threshold);
         let (n_ll, n_hl, n_hh) = g.classifier.insert_burst(key, n, tl, th);
-        if n_hh > 0 {
-            g.up_hh.insert_weighted_keyed(f, key, n_hh as i64);
-        }
-        if n_hl > 0 {
-            g.up_hl.insert_weighted_keyed(f, key, n_hl as i64);
-        }
-        let ll_tag = if sampled {
-            if n_ll > 0 {
-                g.up_ll.insert_weighted_keyed(f, key, n_ll as i64);
+        let n_ll_encoded = if sampled { n_ll } else { 0 };
+        if n_hh + n_hl + n_ll_encoded > 0 {
+            // One mix of the key serves every encoder this burst reaches.
+            let bh = BatchHasher::new(key);
+            let encoders = [
+                (&mut g.up_hh, n_hh),
+                (&mut g.up_hl, n_hl),
+                (&mut g.up_ll, n_ll_encoded),
+            ];
+            for (encoder, packets) in encoders {
+                if packets > 0 {
+                    encoder.insert_weighted_keyed(f, bh, packets as i64);
+                }
             }
-            Hierarchy::SampledLl
-        } else {
-            Hierarchy::NonSampledLl
-        };
+        }
+        let ll_tag = if sampled { Hierarchy::SampledLl } else { Hierarchy::NonSampledLl };
         [
             (ll_tag, n_ll),
             (Hierarchy::HlCandidate, n_hl),
@@ -265,15 +268,12 @@ impl<F: FlowId> EdgeDataPlane<F> {
         }
         let g = self.group_mut(ts);
         g.egress_pkts += delivered;
-        match h {
-            Hierarchy::HhCandidate | Hierarchy::HlCandidate => {
-                g.down_hl.insert_weighted_keyed(f, f.key64(), delivered as i64)
-            }
-            Hierarchy::SampledLl => {
-                g.down_ll.insert_weighted_keyed(f, f.key64(), delivered as i64)
-            }
-            Hierarchy::NonSampledLl => {}
-        }
+        let encoder = match h {
+            Hierarchy::HhCandidate | Hierarchy::HlCandidate => &mut g.down_hl,
+            Hierarchy::SampledLl => &mut g.down_ll,
+            Hierarchy::NonSampledLl => return,
+        };
+        encoder.insert_weighted_keyed(f, BatchHasher::new(f.key64()), delivered as i64);
     }
 
     /// Controller staging: the next flip applies this runtime to the group

@@ -11,7 +11,7 @@
 
 use crate::hash::combine64;
 use std::fmt::Debug;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 /// Width of one ID fragment in bits. Fragments must stay below the 61-bit
 /// Mersenne prime; 52 bits gives headroom and splits 104 bits evenly in two.
@@ -90,7 +90,10 @@ impl FlowId for u64 {
 
 /// The classic 104-bit transport 5-tuple used as the flow ID on the testbed
 /// (§5.2: "We use the 104-bit 5-tuple as the flow ID").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// `Eq` and `Ord` are derived field by field; `Hash` feeds the hasher the
+/// one [`pack`](Self::pack)ed word, which equal tuples share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// IPv4 source address.
     pub src_ip: u32,
@@ -125,6 +128,13 @@ impl FiveTuple {
             dst_port: (v >> 8) as u16,
             proto: v as u8,
         }
+    }
+}
+
+impl Hash for FiveTuple {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(self.pack());
     }
 }
 
@@ -163,6 +173,8 @@ pub const MAX_FRAGMENTS: usize = 2;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::hash_map::DefaultHasher;
 
     fn sample_tuple() -> FiveTuple {
         FiveTuple {
@@ -198,6 +210,31 @@ mod tests {
     fn five_tuple_pack_unpack_roundtrip() {
         let t = sample_tuple();
         assert_eq!(FiveTuple::unpack(t.pack()), t);
+    }
+
+    fn hash_of(t: &FiveTuple) -> u64 {
+        let mut h = DefaultHasher::new();
+        t.hash(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        #[test]
+        fn five_tuple_packs_losslessly_and_hashes_as_one_word(
+            src_ip in any::<u32>(),
+            dst_ip in any::<u32>(),
+            src_port in any::<u16>(),
+            dst_port in any::<u16>(),
+            proto in any::<u8>(),
+        ) {
+            let t = FiveTuple { src_ip, dst_ip, src_port, dst_port, proto };
+            prop_assert_eq!(FiveTuple::unpack(t.pack()), t);
+            let twin = FiveTuple::unpack(t.pack());
+            prop_assert_eq!(hash_of(&t), hash_of(&twin));
+            let mut word = DefaultHasher::new();
+            word.write_u128(t.pack());
+            prop_assert_eq!(hash_of(&t), word.finish());
+        }
     }
 
     #[test]

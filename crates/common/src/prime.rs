@@ -9,16 +9,21 @@
 //! All functions assume their inputs are already reduced (`< p`) unless noted
 //! otherwise and are total — no panics for in-range inputs.
 //!
+//! **Products.** Because both factors are below `p`, a product is below
+//! `2^122`, and [`mul_mod`] reduces it with one fold (`(prod & p) +
+//! (prod >> 61)`, which is `< 2p`) and one conditional subtract; no general
+//! 128-bit reduction is needed anywhere.
+//!
 //! **Negative counts.** A delta sketch (upstream − downstream) holds a flow
 //! that lost nothing but was classified differently on the two sides, or a
 //! wrongly extracted flow awaiting cancellation (§A.2), with a *negative*
 //! count `−k`, which [`signed_to_mod`] maps to `p − k`. Its inverse is
 //! `(−k)⁻¹ = p − k⁻¹`, so [`inv_mod`] answers both `k` and `p − k` from one
-//! table of `k < 4096`. Measured on the development host (2 M inversions,
-//! best of 5): 2.3 ns for a table answer on the positive side and 2.5 ns on
-//! the negative, against 350 ns for the 61-squaring exponentiation ladder
-//! — which matters because a paper-scale epoch inverts a few thousand
-//! negative counts, all with `k < 4096`.
+//! table of `k < 4096`. Measured on a 2-vCPU Intel Xeon (2 M inversions of
+//! shuffled counts, best of 5): 3–4 ns for a table answer on either side,
+//! against about 305 ns for the 61-squaring exponentiation ladder — which
+//! matters because a paper-scale epoch inverts a few thousand negative
+//! counts, all with `k < 4096`.
 
 /// The Mersenne prime `2^61 − 1` used as the modulus for all IDsum fields.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
@@ -28,30 +33,6 @@ pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
 pub fn reduce64(x: u64) -> u64 {
     // x = hi*2^61 + lo  =>  x ≡ hi + lo (mod 2^61−1)
     let r = (x >> 61) + (x & MERSENNE_P);
-    if r >= MERSENNE_P {
-        r - MERSENNE_P
-    } else {
-        r
-    }
-}
-
-/// Reduces a 128-bit product modulo `p = 2^61 − 1`.
-///
-/// Split into three 61-bit limbs (each limb weight is ≡ 1 mod p), summed in
-/// pure 64-bit arithmetic: the limb extraction works on the two 64-bit
-/// halves directly and the limb sum fits a `u64` (`≤ 2·(2^61−1) + 2^6`), so
-/// no 128-bit add/compare chains survive into the hot loop. One fold plus a
-/// single conditional subtraction finishes the reduction.
-#[inline]
-pub fn reduce128(x: u128) -> u64 {
-    let xl = x as u64;
-    let xh = (x >> 64) as u64;
-    let lo = xl & MERSENNE_P;
-    // Bits 61..122 of x: the top 3 bits of xl and the low 58 bits of xh.
-    let mid = ((xl >> 61) | (xh << 3)) & MERSENNE_P;
-    let hi = xh >> 58; // bits 122.. — < 2^6
-    let r = lo + mid + hi; // < 2^63: no overflow
-    let r = (r & MERSENNE_P) + (r >> 61); // ≤ (2^61 − 1) + 2
     if r >= MERSENNE_P {
         r - MERSENNE_P
     } else {
@@ -83,10 +64,22 @@ pub fn sub_mod(a: u64, b: u64) -> u64 {
 }
 
 /// Modular multiplication: `(a · b) mod p`.
+///
+/// Both operands are below `p`, so the product is below `2^122` and one
+/// fold finishes it: with `prod = hi·2^61 + lo`, `prod ≡ hi + lo (mod p)`
+/// and `hi, lo ≤ p`. The sum reaches `2p` only when `lo = hi = p`, i.e.
+/// when `p | a·b` — impossible for non-zero `a, b < p` and false for a zero
+/// product — so one conditional subtract leaves it canonical.
 #[inline]
 pub fn mul_mod(a: u64, b: u64) -> u64 {
     debug_assert!(a < MERSENNE_P && b < MERSENNE_P);
-    reduce128(a as u128 * b as u128)
+    let prod = a as u128 * b as u128;
+    let s = (prod as u64 & MERSENNE_P) + (prod >> 61) as u64; // < 2p
+    if s >= MERSENNE_P {
+        s - MERSENNE_P
+    } else {
+        s
+    }
 }
 
 /// Modular exponentiation by squaring: `b^e mod p`.
@@ -157,6 +150,7 @@ pub fn signed_to_mod(c: i64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mersenne_p_is_expected_constant() {
@@ -172,21 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce128_matches_naive_modulo() {
-        let samples: [u128; 6] = [
-            0,
-            1,
-            MERSENNE_P as u128,
-            (MERSENNE_P as u128) * (MERSENNE_P as u128),
-            u128::MAX,
-            0x1234_5678_9abc_def0_1234_5678_9abc_def0,
-        ];
-        for &x in &samples {
-            assert_eq!(reduce128(x) as u128, x % MERSENNE_P as u128, "x={x}");
-        }
-    }
-
-    #[test]
     fn add_sub_roundtrip() {
         let a = MERSENNE_P - 5;
         let b = 123_456;
@@ -194,16 +173,58 @@ mod tests {
         assert_eq!(sub_mod(0, 1), MERSENNE_P - 1);
     }
 
+    /// `a · b mod p` by `u128` division: the oracle for the one-fold
+    /// reduction.
+    fn mul_oracle(a: u64, b: u64) -> u64 {
+        (a as u128 * b as u128 % MERSENNE_P as u128) as u64
+    }
+
+    /// For odd `a`, the `b < 2^61` with `a · b ≡ 2^61 − 1 (mod 2^61)`: the
+    /// product's 61 low bits are all set, so the fold's low half is `p`.
+    fn all_low_bits_partner(a: u64) -> u64 {
+        // Newton's iteration for a⁻¹ mod 2^64 (3 → 96 correct bits).
+        let mut inv = a;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(inv)));
+        }
+        MERSENNE_P.wrapping_mul(inv) & MERSENNE_P
+    }
+
     #[test]
     fn mul_matches_u128_reference() {
-        let pairs = [
-            (2u64, 3u64),
-            (MERSENNE_P - 1, MERSENNE_P - 1),
-            (0x0fff_ffff_ffff_ffff, 7),
+        let edges = [
+            0,
+            1,
+            2,
+            1 << 60,
+            (1 << 60) + 1,
+            MERSENNE_P - 2,
+            MERSENNE_P - 1,
         ];
-        for (a, b) in pairs {
-            let expect = ((a as u128 * b as u128) % MERSENNE_P as u128) as u64;
-            assert_eq!(mul_mod(a, b), expect);
+        for a in edges {
+            for b in edges {
+                assert_eq!(mul_mod(a, b), mul_oracle(a, b), "a={a} b={b}");
+            }
+        }
+        for a in [3u64, 5, 0x1234_5677, (1 << 60) + 1, MERSENNE_P - 2] {
+            let b = all_low_bits_partner(a);
+            assert!(b < MERSENNE_P, "a={a}");
+            assert_eq!(
+                (a as u128 * b as u128) as u64 & MERSENNE_P,
+                MERSENNE_P,
+                "a={a}"
+            );
+            assert_eq!(mul_mod(a, b), mul_oracle(a, b), "a={a} b={b}");
+            assert_eq!(mul_mod(b, a), mul_oracle(a, b), "a={a} b={b}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn mul_mod_matches_the_u128_oracle(a in 0..MERSENNE_P, b in 0..MERSENNE_P) {
+            prop_assert_eq!(mul_mod(a, b), mul_oracle(a, b));
         }
     }
 

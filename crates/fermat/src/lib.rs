@@ -127,16 +127,35 @@ pub struct FermatSketch<F: FlowId> {
     fp_hash: PairwiseHash,
     /// Precomputed branch-free range reduction onto `[0, buckets_per_array)`.
     reducer: FastRange,
-    /// Signed packet counts, `arrays × buckets` flattened row-major.
-    counts: Vec<i64>,
-    /// IDsum lanes mod p, `arrays × buckets × F::FRAGMENTS` flattened.
-    idsums: Vec<u64>,
-    /// Fingerprint-sum lane mod p (empty when fingerprints are disabled).
+    /// One record per bucket, `arrays × buckets` flattened row-major, each
+    /// [`STRIDE`](Self::STRIDE) words: the signed packet count (an `i64`
+    /// stored as its bits) followed by the `F::FRAGMENTS` IDsum lanes mod
+    /// p, so an insert or extraction touches one contiguous record per
+    /// array.
+    buckets: Vec<u64>,
+    /// Fingerprint-sum lane mod p, one per bucket (empty when fingerprints
+    /// are disabled, the default).
     fpsums: Vec<u64>,
     _id: PhantomData<F>,
 }
 
+/// The count word of a bucket record.
+#[inline]
+fn count_of(rec: &[u64]) -> i64 {
+    rec[0] as i64
+}
+
+/// Stores a record's count word. Callers compute the new count with plain
+/// `i64` `+`/`-`, so a debug build still traps an overflow.
+#[inline]
+fn set_count(rec: &mut [u64], count: i64) {
+    rec[0] = count as u64;
+}
+
 impl<F: FlowId> FermatSketch<F> {
+    /// Words per bucket record: the count, then one IDsum lane per fragment.
+    const STRIDE: usize = 1 + F::FRAGMENTS;
+
     /// Creates an empty sketch. `cfg.buckets_per_array` may be zero (a
     /// zero-memory encoder partition); such a sketch accepts no insertions.
     pub fn new(cfg: FermatConfig) -> Self {
@@ -152,8 +171,7 @@ impl<F: FlowId> FermatSketch<F> {
             hashes: HashFamily::new(cfg.seed, cfg.arrays),
             fp_hash: PairwiseHash::from_seed(cfg.seed ^ 0xf19e_0fae_57a1_1ed5),
             reducer: FastRange::new(cfg.buckets_per_array),
-            counts: vec![0; n],
-            idsums: vec![0; n * F::FRAGMENTS],
+            buckets: vec![0; n * Self::STRIDE],
             fpsums: if cfg.fingerprint_bits > 0 { vec![0; n] } else { Vec::new() },
             _id: PhantomData,
         }
@@ -171,22 +189,14 @@ impl<F: FlowId> FermatSketch<F> {
 
     /// Whether the sketch holds no packets at all.
     pub fn is_zero(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-            && self.idsums.iter().all(|&s| s == 0)
-            && self.fpsums.iter().all(|&s| s == 0)
+        self.buckets.iter().all(|&w| w == 0) && self.fpsums.iter().all(|&s| s == 0)
     }
 
     /// Resets every bucket to zero, keeping the configuration (epoch
     /// rotation re-uses the physical sketch, §B).
     pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.idsums.fill(0);
+        self.buckets.fill(0);
         self.fpsums.fill(0);
-    }
-
-    #[inline]
-    fn bucket_index(&self, array: usize, slot: usize) -> usize {
-        array * self.cfg.buckets_per_array + slot
     }
 
     #[inline]
@@ -202,13 +212,12 @@ impl<F: FlowId> FermatSketch<F> {
     }
 
     /// Like [`insert`](Self::insert) but with the flow's
-    /// [`key64`](FlowId::key64) supplied by the caller — the data plane
-    /// computes the key once per packet (sampler, classifier, encoder all
-    /// need it) instead of re-deriving it inside every sketch.
+    /// [`key64`](FlowId::key64) already mixed by the caller — the data plane
+    /// builds one [`BatchHasher`] per ingress or egress call and hands it to
+    /// every encoder that call writes instead of re-mixing the key in each.
     #[inline]
-    pub fn insert_keyed(&mut self, f: &F, key: u64) {
-        debug_assert_eq!(key, f.key64());
-        self.insert_weighted_keyed(f, key, 1);
+    pub fn insert_keyed(&mut self, f: &F, bh: BatchHasher) {
+        self.insert_weighted_keyed(f, bh, 1);
     }
 
     /// Encodes `weight` packets of flow `f` in one pass. Negative weights
@@ -220,15 +229,15 @@ impl<F: FlowId> FermatSketch<F> {
     /// reduction. No allocation, no division.
     #[inline]
     pub fn insert_weighted(&mut self, f: &F, weight: i64) {
-        self.insert_weighted_keyed(f, f.key64(), weight);
+        self.insert_weighted_keyed(f, BatchHasher::new(f.key64()), weight);
     }
 
-    /// [`insert_weighted`](Self::insert_weighted) with a caller-supplied
-    /// [`key64`](FlowId::key64).
+    /// [`insert_weighted`](Self::insert_weighted) with the caller's
+    /// [`BatchHasher`] of `f`'s [`key64`](FlowId::key64).
     #[inline]
     // chm-lint: hot
-    pub fn insert_weighted_keyed(&mut self, f: &F, key: u64, weight: i64) {
-        debug_assert_eq!(key, f.key64());
+    pub fn insert_weighted_keyed(&mut self, f: &F, bh: BatchHasher, weight: i64) {
+        debug_assert_eq!(bh, BatchHasher::new(f.key64()));
         assert!(
             self.cfg.buckets_per_array > 0,
             "insert into a zero-memory FermatSketch partition"
@@ -236,12 +245,11 @@ impl<F: FlowId> FermatSketch<F> {
         if weight == 0 {
             return;
         }
-        let bh = BatchHasher::new(key);
         let wmod = signed_to_mod(weight);
         // Per-lane weighted fragments are array-independent: compute once.
         // The per-packet path has `weight == 1`, where the weighting is the
-        // identity — skip the 128-bit modular multiplies entirely
-        // (fragments are already `< p` by the FlowId contract).
+        // identity — skip the modular multiplies entirely (fragments are
+        // already `< p` by the FlowId contract).
         let mut adds = [0u64; MAX_FRAGMENTS];
         for (k, a) in adds.iter_mut().enumerate().take(F::FRAGMENTS) {
             *a = if wmod == 1 { f.fragment(k) } else { mul_mod(wmod, f.fragment(k)) };
@@ -258,12 +266,11 @@ impl<F: FlowId> FermatSketch<F> {
         };
         let m = self.cfg.buckets_per_array;
         for (i, h) in self.hashes.as_slice().iter().enumerate() {
-            let j = bh.index(h, self.reducer);
-            let b = i * m + j;
-            self.counts[b] += weight;
-            for (k, &add) in adds.iter().enumerate().take(F::FRAGMENTS) {
-                let lane = b * F::FRAGMENTS + k;
-                self.idsums[lane] = add_mod(self.idsums[lane], add);
+            let b = i * m + bh.index(h, self.reducer);
+            let rec = &mut self.buckets[b * Self::STRIDE..(b + 1) * Self::STRIDE];
+            set_count(rec, count_of(rec) + weight);
+            for (lane, &add) in rec[1..].iter_mut().zip(&adds) {
+                *lane = add_mod(*lane, add);
             }
             if self.cfg.fingerprint_bits > 0 {
                 self.fpsums[b] = add_mod(self.fpsums[b], fp_add);
@@ -275,11 +282,12 @@ impl<F: FlowId> FermatSketch<F> {
     /// configurations, mirroring the paper's same-parameter requirement.
     pub fn add_assign_sketch(&mut self, other: &Self) {
         assert!(self.compatible(other), "adding incompatible FermatSketches");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        for (a, b) in self.idsums.iter_mut().zip(&other.idsums) {
-            *a = add_mod(*a, *b);
+        let records = self.buckets.chunks_exact_mut(Self::STRIDE);
+        for (a, b) in records.zip(other.buckets.chunks_exact(Self::STRIDE)) {
+            set_count(a, count_of(a) + count_of(b));
+            for (x, &y) in a[1..].iter_mut().zip(&b[1..]) {
+                *x = add_mod(*x, y);
+            }
         }
         for (a, b) in self.fpsums.iter_mut().zip(&other.fpsums) {
             *a = add_mod(*a, *b);
@@ -292,11 +300,12 @@ impl<F: FlowId> FermatSketch<F> {
     /// downstream encoder (§3.1 "Packet loss detection").
     pub fn sub_assign_sketch(&mut self, other: &Self) {
         assert!(self.compatible(other), "subtracting incompatible FermatSketches");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a -= b;
-        }
-        for (a, b) in self.idsums.iter_mut().zip(&other.idsums) {
-            *a = sub_mod(*a, *b);
+        let records = self.buckets.chunks_exact_mut(Self::STRIDE);
+        for (a, b) in records.zip(other.buckets.chunks_exact(Self::STRIDE)) {
+            set_count(a, count_of(a) - count_of(b));
+            for (x, &y) in a[1..].iter_mut().zip(&b[1..]) {
+                *x = sub_mod(*x, y);
+            }
         }
         for (a, b) in self.fpsums.iter_mut().zip(&other.fpsums) {
             *a = sub_mod(*a, *b);
@@ -305,13 +314,10 @@ impl<F: FlowId> FermatSketch<F> {
 
     /// Number of non-zero buckets in array `i` (for linear counting).
     pub fn nonzero_in_array(&self, i: usize) -> usize {
-        let m = self.cfg.buckets_per_array;
-        (0..m)
-            .filter(|&j| {
-                let b = self.bucket_index(i, j);
-                self.counts[b] != 0
-                    || (0..F::FRAGMENTS).any(|k| self.idsums[b * F::FRAGMENTS + k] != 0)
-            })
+        let row = self.cfg.buckets_per_array * Self::STRIDE;
+        self.buckets[i * row..(i + 1) * row]
+            .chunks_exact(Self::STRIDE)
+            .filter(|rec| rec.iter().any(|&w| w != 0))
             .count()
     }
 
@@ -331,22 +337,21 @@ impl<F: FlowId> FermatSketch<F> {
         self.decode_with(&mut DecodeScratch::new())
     }
 
-    /// Decodes the sketch non-destructively: copies the bucket state into
-    /// `scratch` (three memcpys, no allocation once the scratch has seen a
-    /// sketch this large) and runs the peel [`decode_in_place`] runs, over
-    /// the copy. One path at every occupancy; the only allocation of a
-    /// warmed call is the returned flowset, reserved once.
+    /// Decodes the sketch non-destructively: copies the bucket records (and
+    /// the fingerprint column, when there is one) into `scratch` — no
+    /// allocation once the scratch has seen a sketch this large — and runs
+    /// the peel [`decode_in_place`] runs, over the copy. One path at every
+    /// occupancy; the only allocation of a warmed call is the returned
+    /// flowset, reserved once.
     ///
     /// [`decode_in_place`]: Self::decode_in_place
     pub fn decode_with(&self, scratch: &mut DecodeScratch<F>) -> DecodeResult<F> {
-        let DecodeScratch { queue, counts, idsums, fpsums, last_stats, .. } = scratch;
-        counts.clear();
-        counts.extend_from_slice(&self.counts);
-        idsums.clear();
-        idsums.extend_from_slice(&self.idsums);
+        let DecodeScratch { queue, buckets, fpsums, last_stats, .. } = scratch;
+        buckets.clear();
+        buckets.extend_from_slice(&self.buckets);
         fpsums.clear();
         fpsums.extend_from_slice(&self.fpsums);
-        let (result, hot_buckets) = self.peel(counts, idsums, fpsums, queue);
+        let (result, hot_buckets) = self.peel(buckets, fpsums, queue);
         let total_buckets = self.cfg.total_buckets();
         *last_stats = DecodeStats {
             sparse: hot_buckets * 8 <= total_buckets,
@@ -366,10 +371,9 @@ impl<F: FlowId> FermatSketch<F> {
     /// cancellation, §A.2). Exhausting the budget leaves non-zero buckets,
     /// which correctly reports decode failure.
     pub fn decode_in_place(mut self) -> DecodeResult<F> {
-        let mut counts = std::mem::take(&mut self.counts);
-        let mut idsums = std::mem::take(&mut self.idsums);
+        let mut buckets = std::mem::take(&mut self.buckets);
         let mut fpsums = std::mem::take(&mut self.fpsums);
-        self.peel(&mut counts, &mut idsums, &mut fpsums, &mut VecDeque::new()).0
+        self.peel(&mut buckets, &mut fpsums, &mut VecDeque::new()).0
     }
 
     /// The queue-driven pure-bucket peel (Algorithm 2) over bucket state
@@ -378,22 +382,19 @@ impl<F: FlowId> FermatSketch<F> {
     /// start.
     fn peel(
         &self,
-        counts: &mut [i64],
-        idsums: &mut [u64],
+        buckets: &mut [u64],
         fpsums: &mut [u64],
         queue: &mut VecDeque<(u32, u32)>,
     ) -> (DecodeResult<F>, usize) {
         let cfg = &self.cfg;
         let m = cfg.buckets_per_array;
-        let lanes = F::FRAGMENTS;
-        let hashes = self.hashes.as_slice();
-        let fp_mask = (1u64 << cfg.fingerprint_bits) - 1;
         // Step 1: push all non-zero buckets.
         queue.clear();
         let mut hot_in_first_array = 0;
         for i in 0..cfg.arrays {
             for j in 0..m {
-                if counts[i * m + j] != 0 {
+                // The record's first word is its count.
+                if buckets[(i * m + j) * Self::STRIDE] != 0 {
                     queue.push_back((i as u32, j as u32));
                 }
             }
@@ -415,71 +416,16 @@ impl<F: FlowId> FermatSketch<F> {
                 break;
             }
             budget -= 1;
-            let (i, j) = (i as usize, j as usize);
-            let b = i * m + j;
-            let count = counts[b];
-            let ids = &idsums[b * lanes..(b + 1) * lanes];
-            if count == 0 && ids.iter().all(|&s| s == 0) {
-                continue; // already drained by an earlier extraction
+            if let Some((f, count)) = self.extract(buckets, fpsums, i as usize, j as usize, queue) {
+                // Step 5: record in the Flowset.
+                *flows.entry(f).or_insert(0) += count;
             }
-            // Steps 3-4: pure-bucket verification (§3.1): recover the candidate
-            // flow via Fermat's little theorem, re-hash it, check fingerprints.
-            let cmod = signed_to_mod(count);
-            if cmod == 0 {
-                continue;
-            }
-            let Some(inv) = inv_mod(cmod) else { continue };
-            let mut frags = [0u64; MAX_FRAGMENTS];
-            for (frag, &s) in frags.iter_mut().zip(ids) {
-                *frag = mul_mod(s, inv);
-            }
-            let Some(f) = F::try_from_fragments(&frags[..lanes]) else {
-                continue;
-            };
-            let bh = BatchHasher::new(f.key64());
-            if bh.index(&hashes[i], self.reducer) != j {
-                continue;
-            }
-            let fp_sub = if cfg.fingerprint_bits > 0 {
-                let weighted = mul_mod(cmod, bh.raw(&self.fp_hash) & fp_mask);
-                if fpsums[b] != weighted {
-                    continue;
-                }
-                weighted
-            } else {
-                0
-            };
-            // Single-flow extraction from every mapped bucket, requeueing the
-            // ones still hot (steps 4-6).
-            let mut subs = [0u64; MAX_FRAGMENTS];
-            for (k, s) in subs.iter_mut().enumerate().take(lanes) {
-                *s = if cmod == 1 { f.fragment(k) } else { mul_mod(cmod, f.fragment(k)) };
-            }
-            for (i2, h) in hashes.iter().enumerate() {
-                let j2 = bh.index(h, self.reducer);
-                let b2 = i2 * m + j2;
-                counts[b2] -= count;
-                let mut drained = counts[b2] == 0;
-                for (lane, &sub) in idsums[b2 * lanes..(b2 + 1) * lanes].iter_mut().zip(&subs) {
-                    *lane = sub_mod(*lane, sub);
-                    drained &= *lane == 0;
-                }
-                if cfg.fingerprint_bits > 0 {
-                    fpsums[b2] = sub_mod(fpsums[b2], fp_sub);
-                }
-                if !drained {
-                    queue.push_back((i2 as u32, j2 as u32));
-                }
-            }
-            // Step 5: record in the Flowset.
-            *flows.entry(f).or_insert(0) += count;
         }
         // False-positive extraction pairs cancel to zero (§A.2); drop them.
         flows.retain(|_, c| *c != 0);
-        let remaining_nonzero = counts
-            .iter()
-            .zip(idsums.chunks_exact(lanes))
-            .filter(|&(&c, ids)| c != 0 || ids.iter().any(|&s| s != 0))
+        let remaining_nonzero = buckets
+            .chunks_exact(Self::STRIDE)
+            .filter(|rec| rec.iter().any(|&w| w != 0))
             .count();
         (
             DecodeResult {
@@ -489,6 +435,78 @@ impl<F: FlowId> FermatSketch<F> {
             },
             hot,
         )
+    }
+
+    /// Steps 2–6 of Algorithm 2 for bucket `j` of array `i`: if the bucket
+    /// verifies as pure, subtracts its record from every bucket its flow
+    /// maps to, requeues the ones left non-zero, and returns the flow and
+    /// its count.
+    ///
+    /// A verified bucket's lanes are exactly `count · f mod p` (each
+    /// fragment was recovered as `lane · count⁻¹`), and its fingerprint
+    /// lane is the weighted fingerprint just checked, so the extraction
+    /// subtracts the record itself — no multiply, no re-fragmenting — and
+    /// leaves the pure bucket all zero.
+    // chm-lint: hot
+    fn extract(
+        &self,
+        buckets: &mut [u64],
+        fpsums: &mut [u64],
+        i: usize,
+        j: usize,
+        queue: &mut VecDeque<(u32, u32)>,
+    ) -> Option<(F, i64)> {
+        let m = self.cfg.buckets_per_array;
+        let b = i * m + j;
+        let mut copy = [0u64; 1 + MAX_FRAGMENTS];
+        copy[..Self::STRIDE].copy_from_slice(&buckets[b * Self::STRIDE..(b + 1) * Self::STRIDE]);
+        let pure = &copy[..Self::STRIDE];
+        if pure.iter().all(|&w| w == 0) {
+            return None; // already drained by an earlier extraction
+        }
+        // Steps 3-4: pure-bucket verification (§3.1): recover the candidate
+        // flow via Fermat's little theorem, re-hash it, check fingerprints.
+        let count = count_of(pure);
+        let cmod = signed_to_mod(count);
+        if cmod == 0 {
+            return None;
+        }
+        let inv = inv_mod(cmod)?;
+        let mut frags = [0u64; MAX_FRAGMENTS];
+        for (frag, &s) in frags.iter_mut().zip(&pure[1..]) {
+            *frag = mul_mod(s, inv);
+        }
+        let f = F::try_from_fragments(&frags[..F::FRAGMENTS])?;
+        let bh = BatchHasher::new(f.key64());
+        let hashes = self.hashes.as_slice();
+        if bh.index(&hashes[i], self.reducer) != j {
+            return None;
+        }
+        let fingerprints = self.cfg.fingerprint_bits > 0;
+        if fingerprints && fpsums[b] != mul_mod(cmod, self.fingerprint_premixed(bh)) {
+            return None;
+        }
+        let fp_sub = if fingerprints { fpsums[b] } else { 0 };
+        // Single-flow extraction from every mapped bucket, requeueing the
+        // ones still hot (steps 4-6).
+        for (i2, h) in hashes.iter().enumerate() {
+            let j2 = if i2 == i { j } else { bh.index(h, self.reducer) };
+            let b2 = i2 * m + j2;
+            let rec = &mut buckets[b2 * Self::STRIDE..(b2 + 1) * Self::STRIDE];
+            set_count(rec, count_of(rec) - count);
+            let mut drained = count_of(rec) == 0;
+            for (lane, &sub) in rec[1..].iter_mut().zip(&pure[1..]) {
+                *lane = sub_mod(*lane, sub);
+                drained &= *lane == 0;
+            }
+            if fingerprints {
+                fpsums[b2] = sub_mod(fpsums[b2], fp_sub);
+            }
+            if !drained {
+                queue.push_back((i2 as u32, j2 as u32));
+            }
+        }
+        Some((f, count))
     }
 }
 
@@ -508,8 +526,9 @@ fn linear_count_of(m: usize, zero: usize) -> f64 {
     -(m as f64) * ((zero as f64) / (m as f64)).ln()
 }
 
-/// Reusable decode workspace: the copy of the bucket state that
-/// [`FermatSketch::decode_with`] peels, and the peeling queue.
+/// Reusable decode workspace: the copy of the bucket records (and
+/// fingerprint column) that [`FermatSketch::decode_with`] peels, and the
+/// peeling queue.
 ///
 /// Holding one of these across epochs leaves the returned flowset as the
 /// only allocation of a decode — the controller decodes every epoch's
@@ -517,8 +536,7 @@ fn linear_count_of(m: usize, zero: usize) -> f64 {
 #[derive(Debug, Clone)]
 pub struct DecodeScratch<F: FlowId> {
     queue: VecDeque<(u32, u32)>,
-    counts: Vec<i64>,
-    idsums: Vec<u64>,
+    buckets: Vec<u64>,
     fpsums: Vec<u64>,
     /// Telemetry from the most recent [`FermatSketch::decode_with`] call
     /// through this scratch (occupancy class + peel size). Read-only for
@@ -548,8 +566,7 @@ impl<F: FlowId> Default for DecodeScratch<F> {
     fn default() -> Self {
         DecodeScratch {
             queue: VecDeque::new(),
-            counts: Vec::new(),
-            idsums: Vec::new(),
+            buckets: Vec::new(),
             fpsums: Vec::new(),
             last_stats: DecodeStats::default(),
             _id: PhantomData,
@@ -811,6 +828,83 @@ mod tests {
             let r = s.decode_with(&mut scratch);
             assert!(r.success, "epoch {epoch}");
             assert_eq!(r.flows, truth);
+        }
+    }
+
+    #[test]
+    fn extraction_subtracts_the_pure_record_from_every_mapped_bucket() {
+        const S: usize = FermatSketch::<FiveTuple>::STRIDE;
+        for fingerprint_bits in [0, 8] {
+            let m = 16;
+            let mut s = FermatSketch::<FiveTuple>::new(FermatConfig {
+                fingerprint_bits,
+                ..cfg(m)
+            });
+            let mut rng = StdRng::seed_from_u64(11);
+            let flows: Vec<(FiveTuple, i64)> = (0..24)
+                .map(|_| {
+                    let (a, b): (u64, u64) = (rng.gen(), rng.gen());
+                    let t = FiveTuple::unpack((a as u128) << 64 | b as u128);
+                    let w = rng.gen_range(1i64..40) * if rng.gen::<bool>() { 1 } else { -1 };
+                    (t, w)
+                })
+                .collect();
+            for (f, w) in &flows {
+                s.insert_weighted(f, *w);
+            }
+            let slots = |f: &FiveTuple| -> Vec<usize> {
+                let bh = BatchHasher::new(f.key64());
+                s.hashes.as_slice().iter().map(|h| bh.index(h, s.reducer)).collect()
+            };
+            // A flow and an array in which no other flow shares its bucket.
+            let (f, w, i) = flows
+                .iter()
+                .find_map(|&(f, w)| {
+                    let own = slots(&f);
+                    (0..RECOMMENDED_ARRAYS)
+                        .find(|&i| flows.iter().all(|(g, _)| *g == f || slots(g)[i] != own[i]))
+                        .map(|i| (f, w, i))
+                })
+                .expect("some bucket is pure");
+            let js = slots(&f);
+            let (mut buckets, mut fpsums) = (s.buckets.clone(), s.fpsums.clone());
+            let mut queue = VecDeque::new();
+            let got = s.extract(&mut buckets, &mut fpsums, i, js[i], &mut queue);
+            assert_eq!(got, Some((f, w)), "fingerprint_bits={fingerprint_bits}");
+            let wmod = signed_to_mod(w);
+            let fp = if fingerprint_bits > 0 {
+                mul_mod(wmod, s.fingerprint_premixed(BatchHasher::new(f.key64())))
+            } else {
+                0
+            };
+            let mapped: Vec<usize> = js.iter().enumerate().map(|(i2, &j2)| i2 * m + j2).collect();
+            for (i2, &b) in mapped.iter().enumerate() {
+                let before = &s.buckets[b * S..(b + 1) * S];
+                let after = &buckets[b * S..(b + 1) * S];
+                if i2 == i {
+                    assert!(after.iter().all(|&x| x == 0), "pure record left {after:?}");
+                    assert!(fpsums.get(b).is_none_or(|&x| x == 0));
+                }
+                assert_eq!(count_of(before) - count_of(after), w);
+                for k in 0..FiveTuple::FRAGMENTS {
+                    let taken = sub_mod(before[1 + k], after[1 + k]);
+                    assert_eq!(taken, mul_mod(wmod, f.fragment(k)));
+                }
+                if fingerprint_bits > 0 {
+                    assert_eq!(sub_mod(s.fpsums[b], fpsums[b]), fp);
+                }
+            }
+            // Nothing else moved; the other mapped buckets still hold flows
+            // and were requeued.
+            for b in (0..s.cfg.total_buckets()).filter(|b| !mapped.contains(b)) {
+                assert_eq!(s.buckets[b * S..(b + 1) * S], buckets[b * S..(b + 1) * S]);
+            }
+            assert_eq!(s.fpsums.len(), fpsums.len());
+            assert!(!queue.is_empty(), "the test needs a shared bucket");
+            for &(i2, j2) in &queue {
+                assert_ne!(i2 as usize, i);
+                assert_eq!(js[i2 as usize], j2 as usize);
+            }
         }
     }
 

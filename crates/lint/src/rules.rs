@@ -348,23 +348,50 @@ fn iteration_is_order_free(ctx: &FileCtx<'_>, code: &[(usize, &Tok)], i: usize) 
     }
     let (start, end) = statement_bounds(code, i);
     let stmt = &code[start..end];
+    let recv = i - start;
     let mut saw_collect = false;
     let mut saw_hash_target = false;
+    // Bracket depth before each token, and the receiver's: a terminal ends
+    // the chain only as a method call at the chain's own level — after the
+    // receiver, at its depth, before that depth closes. A `max` inside a
+    // closure argument (`.map(|w| w.max(0))`) reduces one item, not the
+    // iteration.
+    let mut depth = 0i64;
+    let mut recv_depth = None;
+    let mut chain_open = false;
     for (k, (_, t)) in stmt.iter().enumerate() {
+        let here = depth;
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth -= 1;
+        }
+        if k == recv {
+            recv_depth = Some(here);
+            chain_open = true;
+        }
+        if recv_depth.is_some_and(|r| here < r) {
+            chain_open = false;
+        }
         if t.kind != TokKind::Ident {
             continue;
         }
         let s = t.text.as_str();
+        let chain_call = chain_open
+            && k > recv
+            && recv_depth == Some(here)
+            && stmt[k - 1].1.is_punct('.')
+            && stmt.get(k + 1).is_some_and(|(_, n)| n.is_punct('(') || n.is_punct(':'));
         if s == "BTreeMap" || s == "BTreeSet" {
             return true; // re-collected into an ordered container
         }
-        if ORDER_FREE_TERMINALS.contains(&s) {
+        if chain_call && ORDER_FREE_TERMINALS.contains(&s) {
             return true;
         }
         if ORDER_FREE_SINKS.contains(&s) {
             return true;
         }
-        if s == "sum" {
+        if chain_call && s == "sum" {
             // Integer sums are exact and commutative; float sums are not.
             let turbofish: Vec<&str> = stmt[k + 1..]
                 .iter()

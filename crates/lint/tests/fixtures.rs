@@ -32,7 +32,7 @@ fn assert_clean(role_path: &str, name: &str) {
 fn map_iter_order_bad_fires() {
     assert_eq!(
         rules_fired(SURFACE, "map_iter_order_bad.rs"),
-        ["map-iter-order", "map-iter-order"]
+        ["map-iter-order", "map-iter-order", "map-iter-order"]
     );
 }
 

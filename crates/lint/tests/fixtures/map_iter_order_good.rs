@@ -23,3 +23,8 @@ pub fn ordered(lost: &HashMap<u64, u64>) -> BTreeMap<u64, u64> {
 pub fn total(lost: &HashMap<u64, u64>) -> u64 {
     lost.values().sum::<u64>()
 }
+
+// A chain that ends in `max`: the largest value whatever the order.
+pub fn largest(lost: &HashMap<u64, u64>) -> Option<u64> {
+    lost.values().copied().max()
+}
