@@ -9,9 +9,10 @@
 //! scores and `chm-serve` serves. Each stage — replay, collect, analyze,
 //! reconfigure (decide + stage + flip), localize — gets a span and an
 //! allocation reading. The tree it builds: the engine's fate `prologue`
-//! (plan losses and the link-loss realization), flow `partition`,
-//! `phase_a/shard_{i}` / `phase_b/shard_{i}` and fragment `merge` (absorbed
-//! from [`ScenarioStack::replay_profile`]), `collect`, the controller's
+//! (plan losses and the link-loss realization), flow `partition`, the
+//! `phase_a` / `phase_b` intervals over their `shard_{i}` children and
+//! fragment `merge` (absorbed from [`ScenarioStack::replay_profile`]),
+//! `collect`, the controller's
 //! `analyze/decode/{edge_i,delta_hl,delta_ll,sparse,loaded}` split and its
 //! `analyze/{cardinality,fsd,delta_hl_build,delta_ll_build,victims}`
 //! blocks, `reconfigure` and `localize`. Alongside the spans it attributes
@@ -125,7 +126,7 @@ pub fn run(
         spans.enter("epoch", &mut span_clock);
 
         // Replay through the sharded engine; its per-shard span tree
-        // (prologue, partition, phase_a/shard_i, phase_b/shard_i, merge) is absorbed
+        // (prologue, partition, phase_a[/shard_i], phase_b[/shard_i], merge) is absorbed
         // under the open `epoch` span. Shard count is fixed, so the paths
         // are identical at any worker count.
         let a0 = alloc_count();
@@ -307,8 +308,10 @@ mod tests {
         for path in [
             ["epoch", "prologue"].as_slice(),
             &["epoch", "partition"],
+            &["epoch", "phase_a"],
             &["epoch", "phase_a", "shard_0"],
             &["epoch", "phase_a", "shard_1"],
+            &["epoch", "phase_b"],
             &["epoch", "phase_b", "shard_1"],
             &["epoch", "merge"],
             &["epoch", "collect"],

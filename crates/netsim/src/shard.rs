@@ -20,10 +20,14 @@
 //!   same call sequence the unsharded loop issues.
 //! * **Egress state is commutative.** Egress writes are modular adds into
 //!   the downstream encoders plus a packet counter; no egress read feeds a
-//!   later ingress decision. Shards therefore record egress work as
-//!   run-length-encoded `EgressRun`s in per-destination-shard outboxes
-//!   (phase A), and the owning shard applies them in deterministic
-//!   (source-shard, record) order after a barrier (phase B).
+//!   later ingress decision, so egress need not keep trace order. A flow
+//!   whose egress edge the shard owns too (a same-rack flow enters and
+//!   leaves at one site) is egressed on the spot in phase A, as the serial
+//!   loop does. Only egress through another shard's site is recorded, as
+//!   run-length-encoded `EgressRun`s in per-destination-shard outboxes, and
+//!   the owning shard applies them in deterministic (source-shard, record)
+//!   order after a barrier (phase B). Egress weights add, so a run is split
+//!   into several records where it outgrows one.
 //! * **Randomness is split-seed.** Loss plans realize in a serial prologue
 //!   (one global RNG stream, untouched; the victims' lost counts only);
 //!   per-flow impairment fates are pure
@@ -40,6 +44,11 @@
 //! flow's endpoints and two per-edge tables (`EdgeTables`), and
 //! `ShardScratch` reuses route/probability/fate buffers across epochs —
 //! shards stream cache-linearly instead of chasing per-flow heap objects.
+//! A cross-shard egress record does not copy its flow: it names the trace
+//! row with the partition's own `u32`, and the destination site with a
+//! `u16` local index, 12 bytes in all; phase B reads the flow back from the
+//! trace. A layout whose shards own more sites than a `u16` indexes is
+//! refused.
 //! No step hashes a flow, and nothing serial is trace-sized but the
 //! partition and one `memcpy`: the plan locates its victims by remembered
 //! trace row and hands their losses over by trace index, a shard records
@@ -62,7 +71,7 @@ use crate::impair::ImpairmentSet;
 use crate::queue::QueueDepthStat;
 use crate::sim::{
     EdgeSite, EpochReport, EpochSetup, FlowColumn, FlowScratch, Port, ReplayMode, Routable,
-    Simulator, VictimTable,
+    Simulator, SitePort, VictimTable,
 };
 use crate::topology::{Fabric, SwitchId, Topology};
 use chm_obs::SpanProfiler;
@@ -249,33 +258,49 @@ struct ShardFlows {
 #[derive(Debug, Default)]
 struct EdgeTables {
     shard: Vec<u32>,
-    local: Vec<u32>,
+    local: Vec<u16>,
 }
 
 impl EdgeTables {
+    /// # Panics
+    /// When a shard would own more sites than [`EgressRun`]'s `u16` site
+    /// index can name.
     fn rebuild(&mut self, n_edges: usize, shards: usize) {
+        let per_shard = n_edges.div_ceil(shards);
+        assert!(
+            per_shard <= usize::from(u16::MAX) + 1,
+            "{n_edges} edge sites over {shards} shards is {per_shard} sites per shard; \
+             an egress record indexes a shard's sites with u16, so use at least {} shards",
+            n_edges.div_ceil(usize::from(u16::MAX) + 1)
+        );
         self.shard.clear();
         self.shard.extend((0..n_edges).map(|e| (e % shards) as u32));
         self.local.clear();
-        self.local.extend((0..n_edges).map(|e| (e / shards) as u32));
+        self.local.extend((0..n_edges).map(|e| (e / shards) as u16));
     }
 }
 
-/// One egress work record: `pkts` packets of `f` leaving through the
-/// destination shard's site `edge_local`, all carrying the same timestamp
-/// bit and tag (run-length encoding of consecutive identical egress calls).
-#[derive(Debug, Clone, Copy)]
-struct EgressRun<F> {
-    edge_local: u32,
+/// One cross-shard egress record: `pkts` packets of trace row `row` leaving
+/// through the destination shard's site `site`, all carrying the same
+/// timestamp bit and tag (run-length encoding of consecutive identical
+/// egress calls). The flow is read back from the trace, not carried: 12
+/// bytes a record. A run of more than `u32::MAX` packets takes several
+/// records, which is exact because egress weights add.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EgressRun {
+    row: u32,
+    pkts: u32,
+    site: u16,
     ts: u8,
     tag: u8,
-    f: F,
-    pkts: u64,
 }
 
-/// Per-shard reusable working state: the egress outboxes (one per
-/// destination shard), the report fragment, and the per-flow scratch
-/// buffers the serial driver keeps as a local.
+const _: () = assert!(std::mem::size_of::<EgressRun>() == 12);
+
+/// Per-shard reusable working state: the cross-shard egress outboxes (one
+/// per destination shard; the shard's own stays empty), the report
+/// fragment, and the per-flow scratch buffers the serial driver keeps as a
+/// local.
 ///
 /// The engine keeps one per shard in a `Vec`, and phase A has every worker
 /// rewrite its own entry's vector headers on every flow (the `fates`
@@ -289,7 +314,7 @@ struct EgressRun<F> {
 #[derive(Debug)]
 #[repr(align(128))]
 struct ShardScratch<F> {
-    outbox: Vec<Vec<EgressRun<F>>>,
+    outbox: Vec<Vec<EgressRun>>,
     frag: ReportFragment<F>,
     flow: FlowScratch,
 }
@@ -304,21 +329,22 @@ impl<F> Default for ShardScratch<F> {
     }
 }
 
-/// The sharded driver's port: ingress on the owned site, egress recorded
-/// into the outbox of the shard that owns the egress edge. Per-packet egress
-/// is run-length encoded — consecutive packets of the flow with identical
-/// `(ts, tag)` extend the outbox's last run — so per-packet replay ships
-/// runs, not packets, across the shard boundary.
-struct OutboxPort<'a, F, E> {
+/// The sharded driver's port for a flow that leaves through another shard:
+/// ingress on the owned site, egress recorded into the outbox of the shard
+/// that owns the egress edge. Per-packet egress is run-length encoded —
+/// consecutive packets of the flow with identical `(ts, tag)` extend the
+/// outbox's last run while it has room — so per-packet replay ships runs,
+/// not packets, across the shard boundary.
+struct OutboxPort<'a, E> {
     site: &'a mut E,
-    outbox: &'a mut Vec<EgressRun<F>>,
-    /// Outbox length when the flow started: runs before it belong to other
-    /// flows and are never extended.
-    start: usize,
-    edge_local: u32,
+    outbox: &'a mut Vec<EgressRun>,
+    /// The flow's trace row: runs of other rows are never extended.
+    row: u32,
+    /// The egress edge's index among the destination shard's sites.
+    dest_site: u16,
 }
 
-impl<F: Copy, E: EdgeSite<F>> Port<F> for OutboxPort<'_, F, E> {
+impl<F, E: EdgeSite<F>> Port<F> for OutboxPort<'_, E> {
     #[inline]
     fn ingress(&mut self, f: &F, ts_bit: u8) -> u8 {
         self.site.site_ingress(f, ts_bit)
@@ -326,8 +352,15 @@ impl<F: Copy, E: EdgeSite<F>> Port<F> for OutboxPort<'_, F, E> {
     // chm-lint: hot
     #[inline]
     fn egress(&mut self, f: &F, ts_bit: u8, tag: u8) {
-        match self.outbox[self.start..].last_mut() {
-            Some(run) if run.ts == ts_bit && run.tag == tag => run.pkts += 1,
+        match self.outbox.last_mut() {
+            Some(run)
+                if run.row == self.row
+                    && run.ts == ts_bit
+                    && run.tag == tag
+                    && run.pkts < u32::MAX =>
+            {
+                run.pkts += 1
+            }
             _ => self.egress_burst(f, ts_bit, tag, 1),
         }
     }
@@ -337,32 +370,37 @@ impl<F: Copy, E: EdgeSite<F>> Port<F> for OutboxPort<'_, F, E> {
     }
     // chm-lint: hot
     #[inline]
-    fn egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64) {
-        // A weight-0 egress is a state no-op on every data plane.
-        if delivered > 0 {
+    fn egress_burst(&mut self, _f: &F, ts_bit: u8, tag: u8, delivered: u64) {
+        // A weight-0 egress is a state no-op on every data plane, so it
+        // pushes no record.
+        let mut rest = delivered;
+        while rest > 0 {
+            let pkts = u32::try_from(rest).unwrap_or(u32::MAX);
             self.outbox.push(EgressRun {
-                edge_local: self.edge_local,
+                row: self.row,
+                pkts,
+                site: self.dest_site,
                 ts: ts_bit,
                 tag,
-                f: *f,
-                pkts: delivered,
             });
+            rest -= u64::from(pkts);
         }
     }
 }
 
-/// Phase-B application of one run: `pkts` individual egress calls under the
-/// per-packet walker — exactly what the serial driver issues — or a single
-/// weighted egress under the burst walker.
+/// Phase-B application of one record to `f`, the flow its row names:
+/// `pkts` individual egress calls under the per-packet walker — exactly
+/// what the serial driver issues — or a single weighted egress under the
+/// burst walker.
 // chm-lint: hot
-fn apply_run<F, E: EdgeSite<F>>(mode: ReplayMode, site: &mut E, run: &EgressRun<F>) {
+fn apply_run<F, E: EdgeSite<F>>(mode: ReplayMode, site: &mut E, f: &F, run: &EgressRun) {
     match mode {
         ReplayMode::PerPacket => {
             for _ in 0..run.pkts {
-                site.site_egress(&run.f, run.ts, run.tag);
+                site.site_egress(f, run.ts, run.tag);
             }
         }
-        ReplayMode::Burst => site.site_egress_burst(&run.f, run.ts, run.tag, run.pkts),
+        ReplayMode::Burst => site.site_egress_burst(f, run.ts, run.tag, u64::from(run.pkts)),
     }
 }
 
@@ -414,11 +452,12 @@ where
     });
 }
 
-/// Phase A for one shard: replays the shard's flows in ascending trace
+/// Phase A for shard `shard`: replays the shard's flows in ascending trace
 /// index — realize (which accounts a victim in the fragment and nothing for
-/// anyone else), walk the packets through the owned ingress site and into
-/// the outbox of the shard owning the egress edge. The flow's edges come from
-/// its endpoints; their shard and site index from `tables`. The *global*
+/// anyone else), then walk the packets through the owned ingress site and
+/// either straight into the egress site, when the shard owns it too, or
+/// into the outbox of the shard that does. The flow's edges come from its
+/// endpoints; their shard and site index from `tables`. The *global*
 /// ingress edge goes to the realize step because
 /// [`ImpairmentSet::realize_flow`] derives per-edge clock skew from it — a
 /// local index would silently change realizations.
@@ -428,6 +467,7 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
     mode: ReplayMode,
     setup: &EpochSetup<'_>,
     tables: &EdgeTables,
+    shard: usize,
     t: &mut TaskA<'_, '_, F, E>,
 ) {
     let ShardScratch { outbox, frag, flow } = &mut *t.scratch;
@@ -438,14 +478,21 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
         let out_edge = setup.topo.edge_of_host(f.dst_host());
         let base_lost = plan_lost.take(idx as usize);
         setup.realize_flow(idx as usize, (f, pkts), base_lost, in_edge, flow, frag);
-        let outbox = &mut outbox[tables.shard[out_edge] as usize];
-        let mut port = OutboxPort {
-            site: &mut *t.edges[tables.local[in_edge] as usize],
-            start: outbox.len(),
-            outbox,
-            edge_local: tables.local[out_edge],
-        };
-        mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
+        let (in_site, dest_site) = (usize::from(tables.local[in_edge]), tables.local[out_edge]);
+        let dest = tables.shard[out_edge] as usize;
+        if dest == shard {
+            let sites = &mut t.edges[..];
+            let mut port = SitePort { sites, in_edge: in_site, out_edge: usize::from(dest_site) };
+            mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
+        } else {
+            let mut port = OutboxPort {
+                site: &mut *t.edges[in_site],
+                outbox: &mut outbox[dest],
+                row: idx,
+                dest_site,
+            };
+            mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
+        }
     }
 }
 
@@ -467,8 +514,12 @@ struct TaskB<'a, E> {
 
 /// The sharded replay engine. Construct once with a [`Sharding`], then
 /// drive any number of epochs; partitions, outboxes, fragments, and scratch
-/// buffers are reused across epochs (arena-style) and, the partition's one
-/// `u32` per flow aside, are victim- or switch-sized. Once their capacities
+/// buffers are reused across epochs (arena-style). Two are trace-sized: the
+/// partition's one `u32` per flow, and the outboxes' 12-byte records, about
+/// one per flow that leaves through another shard's site (none at one
+/// shard, about half the flows at two); the rest is victim- or
+/// switch-sized. A layout whose shards would own more than 65 536 edge
+/// sites each is refused with a panic. Once their capacities
 /// stabilize, what an epoch allocates is the [`EpochReport`] it returns —
 /// one `delivered` row per flow (copied from the trace in one piece), the
 /// victim table in three exactly-sized pieces — plus the plan's
@@ -484,9 +535,11 @@ pub struct ShardedReplay<F> {
     /// `shard_{i}` span names, one per shard, built once.
     shard_names: Vec<String>,
     /// Span tree of the most recent epoch (`prologue`, `partition`,
-    /// `phase_a/shard_i`, `phase_b/shard_i`, `merge`), one interval each —
-    /// the same durations the timed entry points return as a
-    /// [`ShardTiming`] (whose `prologue_s` is `prologue` + `partition`).
+    /// `phase_a`, `phase_a/shard_i`, `phase_b`, `phase_b/shard_i`, `merge`),
+    /// one interval each — the leaves are the durations the timed entry
+    /// points return as a [`ShardTiming`] (whose `prologue_s` is the sum of
+    /// `prologue` and `partition`); a phase's own interval also holds its
+    /// thread spawns and joins.
     last_profile: SpanProfiler,
 }
 
@@ -523,6 +576,10 @@ impl<F: Routable> ShardedReplay<F> {
     /// and either `mode`. `clock` is the injected monotonic-seconds source
     /// the returned per-phase timing (and [`last_profile`](Self::last_profile))
     /// is measured with; pass `&|| 0.0` when nobody is timing.
+    ///
+    /// # Panics
+    /// When `edges` does not hold one site per edge switch of the fabric, or
+    /// a shard would own more than 65 536 of them.
     #[allow(clippy::too_many_arguments)]
     pub fn run_epoch<E: EdgeSite<F>>(
         &mut self,
@@ -597,9 +654,10 @@ impl<F: Routable> ShardedReplay<F> {
         }
     }
 
-    /// The shared engine: partition → phase A (parallel ingress + fragment
-    /// accounting into outboxes) → barrier → phase B (parallel egress inbox
-    /// drain in deterministic source order) → serial fragment merge.
+    /// The shared engine: partition → phase A (parallel ingress, own-site
+    /// egress and fragment accounting; cross-shard egress into outboxes) →
+    /// barrier → phase B (parallel egress inbox drain in deterministic
+    /// source order) → serial fragment merge.
     fn drive<E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
@@ -620,8 +678,9 @@ impl<F: Routable> ShardedReplay<F> {
         let shards = self.sharding.shards;
         let workers = self.sharding.workers;
 
-        // Phase A: each shard ingests its own flows (trace order preserved)
-        // and records egress work into per-destination outboxes.
+        // Phase A: each shard ingests its own flows (trace order preserved),
+        // egresses those that leave through its own sites, and records the
+        // rest into per-destination outboxes.
         let buckets = split_edges(edges, shards);
         let mut tasks: Vec<TaskA<'_, '_, F, E>> = self
             .parts
@@ -631,11 +690,13 @@ impl<F: Routable> ShardedReplay<F> {
             .map(|((part, scratch), edges)| TaskA { part, scratch, edges, time: 0.0 })
             .collect();
         let tables = &self.tables;
-        run_tasks(workers, &mut tasks, |_, t| {
+        let a0 = clock();
+        run_tasks(workers, &mut tasks, |shard, t| {
             let start = clock();
-            replay_shard(trace, mode, setup, tables, t);
+            replay_shard(trace, mode, setup, tables, shard, t);
             t.time = clock() - start;
         });
+        let phase_a_s = clock() - a0;
         let phase_a: Vec<f64> = tasks.iter().map(|t| t.time).collect();
 
         // Barrier: phase-A tasks drop their scratch borrows; the sites move
@@ -645,15 +706,18 @@ impl<F: Routable> ShardedReplay<F> {
             .map(|t| TaskB { edges: t.edges, time: 0.0 })
             .collect();
         let scratches = &self.scratches;
+        let b0 = clock();
         run_tasks(workers, &mut tasks_b, |shard, t| {
             let start = clock();
             for sc in scratches.iter() {
                 for run in &sc.outbox[shard] {
-                    apply_run(mode, &mut *t.edges[run.edge_local as usize], run);
+                    let (f, _) = &trace.flows[run.row as usize];
+                    apply_run(mode, &mut *t.edges[usize::from(run.site)], f, run);
                 }
             }
             t.time = clock() - start;
         });
+        let phase_b_s = clock() - b0;
         let phase_b: Vec<f64> = tasks_b.iter().map(|t| t.time).collect();
         drop(tasks_b);
 
@@ -676,9 +740,11 @@ impl<F: Routable> ShardedReplay<F> {
         let prof = &mut self.last_profile;
         prof.clear();
         prof.record(&["partition"], partition_s);
+        prof.record(&["phase_a"], phase_a_s);
         for (name, t) in self.shard_names.iter().zip(&phase_a) {
             prof.record(&["phase_a", name], *t);
         }
+        prof.record(&["phase_b"], phase_b_s);
         for (name, t) in self.shard_names.iter().zip(&phase_b) {
             prof.record(&["phase_b", name], *t);
         }
@@ -845,6 +911,142 @@ mod tests {
         assert_eq!(prof.get(&["phase_a", "shard_2"]).map(|(c, _)| c), Some(1));
         assert!(prof.get(&["phase_a", "shard_3"]).is_none());
         assert!(timing.total_work_s() > 0.0);
+        // Each phase is an interval of its own that holds its shards: with
+        // one worker they run one after another inside it.
+        for (phase, shards) in [("phase_a", &timing.phase_a), ("phase_b", &timing.phase_b)] {
+            assert_eq!(prof.get(&[phase]).map(|(c, _)| c), Some(1), "{phase}");
+            let own = span(&[phase]).unwrap();
+            let children: f64 = shards.iter().sum();
+            assert!(children <= own, "{phase}: shards sum to {children}, the phase is {own}");
+        }
+    }
+
+    /// A site double whose burst ingress is O(1), so a flow of billions of
+    /// packets replays in no time: every packet carries tag 1, ingress
+    /// chains the burst (order-sensitive), and egress adds its weight.
+    #[derive(Default, Clone, PartialEq, Debug)]
+    struct BulkSite {
+        chain: u64,
+        egress_acc: u64,
+        ingress_pkts: u64,
+        egress_pkts: u64,
+    }
+
+    impl EdgeSite<FiveTuple> for BulkSite {
+        fn site_ingress(&mut self, f: &FiveTuple, ts: u8) -> u8 {
+            self.site_ingress_burst(f, ts, 1);
+            1
+        }
+        fn site_egress(&mut self, f: &FiveTuple, ts: u8, tag: u8) {
+            self.site_egress_burst(f, ts, tag, 1);
+        }
+        fn site_ingress_burst(&mut self, f: &FiveTuple, ts: u8, pkts: u64) -> [(u8, u64); 3] {
+            self.ingress_pkts += pkts;
+            self.chain = chm_common::hash::mix64(self.chain ^ f.key64() ^ u64::from(ts) ^ pkts);
+            [(1, pkts), (0, 0), (2, 0)]
+        }
+        fn site_egress_burst(&mut self, f: &FiveTuple, ts: u8, tag: u8, delivered: u64) {
+            self.egress_pkts += delivered;
+            self.egress_acc = self.egress_acc.wrapping_add(
+                chm_common::hash::mix64(f.key64() ^ (u64::from(ts) << 8) ^ u64::from(tag))
+                    .wrapping_mul(delivered),
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_longer_than_a_record_splits_into_records_that_add_up() {
+        let (mut trace, plan, sim0) = setup();
+        // A flow that enters at a shard-0 edge and leaves at a shard-1 edge
+        // of the 2-shard layout, and loses nothing, grows past `u32::MAX`.
+        let topo = FatTree::testbed();
+        let crosses = |f: &FiveTuple| {
+            let (i, o) = (topo.edge_of_host(f.src_host()), topo.edge_of_host(f.dst_host()));
+            i % 2 == 0 && o % 2 == 1
+        };
+        let big = trace
+            .flows
+            .iter()
+            .position(|(f, _)| crosses(f) && !plan.victims.contains_key(f))
+            .expect("the trace has a clean cross-shard flow");
+        let huge = u64::from(u32::MAX) + 5;
+        trace.flows[big].1 = huge;
+        let imp = ImpairmentSet::none();
+        let mut sim_ref = sim0.clone();
+        let mut ref_sites = vec![BulkSite::default(); 4];
+        let r_ref = sim_ref.run_epoch_scenario(
+            &trace,
+            &plan,
+            &imp,
+            ReplayMode::Burst,
+            &mut SiteArray(&mut ref_sites),
+        );
+        assert_eq!(r_ref.delivered.rows[big], (trace.flows[big].0, huge));
+        for n in [1, 2, 3] {
+            let mut sim = sim0.clone();
+            let mut s = vec![BulkSite::default(); 4];
+            let mut eng = ShardedReplay::new(Sharding::of(n));
+            let (r, _) =
+                eng.run_epoch(&mut sim, &trace, &plan, &imp, ReplayMode::Burst, &mut s, &|| 0.0);
+            assert_eq!(r, r_ref, "report differs at {n} shards");
+            assert_eq!(s, ref_sites, "site state differs at {n} shards");
+            if n == 2 {
+                // The outbox still holds the epoch's records: two for the row.
+                let runs: Vec<u32> = eng.scratches[0].outbox[1]
+                    .iter()
+                    .filter(|run| run.row as usize == big)
+                    .map(|run| run.pkts)
+                    .collect();
+                assert_eq!(runs, [u32::MAX, 5]);
+            }
+        }
+    }
+
+    #[test]
+    fn per_packet_egress_extends_a_run_of_its_own_row_until_it_is_full() {
+        let f = testbed_trace(WorkloadKind::Dctcp, 1, 8, 7).flows[0].0;
+        let run = |row, pkts| EgressRun { row, pkts, site: 3, ts: 1, tag: 2 };
+        let mut outbox = vec![run(6, 1), run(7, u32::MAX - 1)];
+        let mut site = Site::default();
+        for row in [7, 7, 7, 8] {
+            let mut port = OutboxPort { site: &mut site, outbox: &mut outbox, row, dest_site: 3 };
+            port.egress(&f, 1, 2);
+        }
+        assert_eq!(outbox, [run(6, 1), run(7, u32::MAX), run(7, 2), run(8, 1)]);
+        // A burst of zero pushes nothing; one past the record's range, two.
+        let mut port = OutboxPort { site: &mut site, outbox: &mut outbox, row: 9, dest_site: 3 };
+        port.egress_burst(&f, 1, 2, 0);
+        port.egress_burst(&f, 1, 2, u64::from(u32::MAX) + 1);
+        assert_eq!(outbox[4..], [run(9, u32::MAX), run(9, 1)]);
+    }
+
+    /// A fat-tree of 65 538 single-host edges: one more site per shard than
+    /// a `u16` indexes at one shard, half of that at two.
+    fn wide_epoch(shards: usize) {
+        let topo = FatTree::new(65_538, 1);
+        let mut sim = Simulator::new(topo, crate::SimConfig::default());
+        let trace = Trace { flows: Vec::<(FiveTuple, u64)>::new() };
+        let mut s = vec![BulkSite::default(); 65_538];
+        let mut eng = ShardedReplay::new(Sharding::of(shards));
+        eng.run_epoch_burst_scenario(
+            &mut sim,
+            &trace,
+            &LossPlan::none(),
+            &ImpairmentSet::none(),
+            &mut s,
+        );
+    }
+
+    #[test]
+    fn a_layout_whose_site_index_fits_u16_runs() {
+        wide_epoch(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "65538 sites per shard; an egress record indexes a shard's sites \
+                               with u16, so use at least 2 shards")]
+    fn a_layout_whose_site_index_overflows_u16_is_refused() {
+        wide_epoch(1);
     }
 
     #[test]

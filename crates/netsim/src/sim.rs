@@ -44,6 +44,27 @@ pub trait EdgeSite<F>: Send {
     fn site_egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64);
 }
 
+/// A borrowed site is a site: a shard holds its owned sites as `&mut E`
+/// and drives them through the same port as the serial driver.
+impl<F, E: EdgeSite<F> + ?Sized> EdgeSite<F> for &mut E {
+    #[inline]
+    fn site_ingress(&mut self, f: &F, ts_bit: u8) -> u8 {
+        (**self).site_ingress(f, ts_bit)
+    }
+    #[inline]
+    fn site_egress(&mut self, f: &F, ts_bit: u8, tag: u8) {
+        (**self).site_egress(f, ts_bit, tag)
+    }
+    #[inline]
+    fn site_ingress_burst(&mut self, f: &F, ts_bit: u8, pkts: u64) -> [(u8, u64); 3] {
+        (**self).site_ingress_burst(f, ts_bit, pkts)
+    }
+    #[inline]
+    fn site_egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64) {
+        (**self).site_egress_burst(f, ts_bit, tag, delivered)
+    }
+}
+
 /// The fabric's edge sites as the serial [`Simulator`] takes them: one
 /// [`EdgeSite`] per edge switch, indexed by edge.
 pub struct SiteArray<'a, E>(pub &'a mut [E]);
@@ -295,9 +316,9 @@ pub enum ReplayMode {
 }
 
 /// Where a walker's packets go: ingress at the flow's ingress edge, egress
-/// toward its egress edge. The serial driver calls the two sites on the spot;
-/// the sharded driver ingests on the site it owns and queues egress as runs
-/// for the shard that owns the egress edge.
+/// toward its egress edge. The serial driver calls the two sites on the spot,
+/// and so does a shard whose own site is the egress edge; a shard whose flow
+/// leaves through another shard's site queues the egress as runs for it.
 pub(crate) trait Port<F> {
     fn ingress(&mut self, f: &F, ts_bit: u8) -> u8;
     fn egress(&mut self, f: &F, ts_bit: u8, tag: u8);
@@ -305,13 +326,14 @@ pub(crate) trait Port<F> {
     fn egress_burst(&mut self, f: &F, ts_bit: u8, tag: u8, delivered: u64);
 }
 
-/// The serial driver's port: immediate calls on the flow's two sites —
-/// held by index, not as two `&mut`, because a same-rack flow enters and
-/// leaves at one site.
-struct SitePort<'a, E> {
-    sites: &'a mut [E],
-    in_edge: usize,
-    out_edge: usize,
+/// Immediate calls on the flow's two sites — held by index, not as two
+/// `&mut`, because a same-rack flow enters and leaves at one site. The
+/// serial driver indexes every site by edge; a shard indexes its owned
+/// sites by local index when the flow's egress edge is one of them.
+pub(crate) struct SitePort<'a, E> {
+    pub(crate) sites: &'a mut [E],
+    pub(crate) in_edge: usize,
+    pub(crate) out_edge: usize,
 }
 
 impl<F, E: EdgeSite<F>> Port<F> for SitePort<'_, E> {
