@@ -16,15 +16,19 @@
 //! sequence, printing each table and writing `results/<table id>.json` as it
 //! completes. `CHM_TRIALS` / `CHM_SCALE` trade fidelity for time.
 //!
-//! `perf` measures the hot-path packet engine (packets/sec, hash throughput,
-//! decode latency), then sweeps the sharded epoch pipeline across thread
-//! counts (`--threads` takes a comma list like `1,2,4,8` or `auto` for a
-//! doubling ladder up to the machine) and writes the combined schema-v3
-//! table to
-//! `results/BENCH_hotpath.json` plus one thread-count-independent
-//! `SHARD_DIGEST_T<t>.json` per swept count (see `chm_bench::perf`). Every
-//! sweep pass is cross-checked against the unsharded replay — reports and
-//! sketch state must match exactly before a number is recorded.
+//! `perf` sweeps the sharded epoch pipeline across thread counts
+//! (`--threads` takes a comma list like `1,2,4,8`, each at most the sweep
+//! fabric's 32 edges, or `auto` for a doubling ladder up to the machine)
+//! and writes the schema-4 scaling curve to `results/BENCH_hotpath.json`
+//! plus one thread-count-independent `SHARD_DIGEST_T<t>.json` per swept
+//! count (see `chm_bench::perf`). Every sweep pass is cross-checked against
+//! the unsharded replay — reports and sketch state must match exactly
+//! before a number is recorded. `--quick` sweeps a 40k-flow trace with no
+//! large tier.
+//!
+//! `soak` runs the serve loop for thousands of epochs and writes
+//! `results/SOAK.json` (see `chm_bench::soak`); an explicit `--epochs`
+//! wins over `--quick` in either order.
 //!
 //! `scenarios` runs the golden adversarial matrix (Gilbert–Elliott bursty
 //! loss, duplication, reordering, clock skew, report loss, churn, floods,
@@ -58,7 +62,7 @@
 //! `--check` compose; `--seeds` applies to the matrix only.
 
 use chm_bench::experiments::{self, EXPERIMENTS};
-use chm_bench::perf::{self, PerfConfig};
+use chm_bench::perf;
 use chm_bench::profile::{self, ProfileConfig};
 use chm_bench::scenarios;
 use chm_bench::soak::{self, SoakConfig};
@@ -111,12 +115,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Parses `--threads`: a comma list of worker counts, or `auto` for a
-/// doubling ladder (1, 2, 4, …) up to the machine's available parallelism.
-/// The sweep itself re-adds the mandatory 1-thread baseline.
+/// Parses `--threads`: a comma list of worker counts, each at most
+/// [`perf::max_threads`], or `auto` for a doubling ladder (1, 2, 4, …) up
+/// to the machine's available parallelism. The sweep itself re-adds the
+/// mandatory 1-thread baseline.
 fn parse_threads(spec: &str) -> Vec<usize> {
+    let max = perf::max_threads();
     if spec == "auto" {
-        let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let avail = std::thread::available_parallelism().map_or(1, |n| n.get()).min(max);
         let mut out = Vec::new();
         let mut t = 1;
         while t <= avail {
@@ -130,9 +136,12 @@ fn parse_threads(spec: &str) -> Vec<usize> {
     }
     spec.split(',')
         .map(|s| match s.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
+            Ok(n) if (1..=max).contains(&n) => n,
             _ => {
-                eprintln!("error: --threads expects a comma list of counts >= 1 or 'auto', got {spec:?}");
+                eprintln!(
+                    "error: --threads expects a comma list of counts from 1 to {max} \
+                     (the sweep fabric's edges) or 'auto', got {spec:?}"
+                );
                 std::process::exit(2);
             }
         })
@@ -162,17 +171,13 @@ fn main() {
     let Some(cmd) = args.first() else { usage() };
     match cmd.as_str() {
         "perf" => {
-            let mut pc = PerfConfig::full();
             let mut sc = perf::SweepConfig::full();
             let mut threads_arg: Option<String> = None;
             let mut out_dir = "results".to_string();
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--quick" => {
-                        pc = PerfConfig::quick();
-                        sc = perf::SweepConfig::quick();
-                    }
+                    "--quick" => sc = perf::SweepConfig::quick(),
                     "--threads" => threads_arg = Some(value(&mut it)),
                     "--out" => out_dir = value(&mut it),
                     _ => usage(),
@@ -181,22 +186,18 @@ fn main() {
             if let Some(spec) = threads_arg {
                 sc.threads = parse_threads(&spec);
             }
-            let table = perf::run(pc, &sc, std::path::Path::new(&out_dir));
+            let table = perf::run(&sc, std::path::Path::new(&out_dir));
             table.print();
             if let Err(e) = table.write_json(&out_dir) {
                 eprintln!("error: could not write {out_dir}/BENCH_hotpath.json: {e}");
                 std::process::exit(1);
             }
-            eprintln!(
-                "\nreplay: {:.2} Mpps; json: {out_dir}/BENCH_hotpath.json",
-                table.rows[0][0] / 1e6,
-            );
-            // The scaling curve, one line per sweep row (columns 6..).
-            for row in &table.rows[1..] {
+            eprintln!("\njson: {out_dir}/BENCH_hotpath.json");
+            for row in &table.rows {
                 eprintln!(
                     "scaling: t={} n_flows={} crit {:.2} Mpps ({:.2}x, \
                      efficiency {:.0}%)",
-                    row[6], row[8], row[10] / 1e6, row[11], row[13] * 100.0
+                    row[1], row[3], row[5] / 1e6, row[6], row[8] * 100.0
                 );
             }
         }
@@ -289,13 +290,14 @@ fn main() {
         }
         "soak" => {
             let mut cfg = SoakConfig::full();
+            let mut epochs: Option<u64> = None;
             let mut out_dir = "results".to_string();
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--quick" => cfg = SoakConfig { epochs: SoakConfig::quick().epochs, ..cfg },
                     "--epochs" => match it.next().and_then(|n| n.parse().ok()) {
-                        Some(n) if n >= 1 => cfg.epochs = n,
+                        Some(n) if n >= 1 => epochs = Some(n),
                         _ => usage(),
                     },
                     "--seed" => cfg.seed = value(&mut it).parse().unwrap_or_else(|_| usage()),
@@ -303,6 +305,10 @@ fn main() {
                     "--out" => out_dir = value(&mut it),
                     _ => usage(),
                 }
+            }
+            // An explicit `--epochs` wins over `--quick` in either order.
+            if let Some(n) = epochs {
+                cfg.epochs = n;
             }
             // `None`: `--profile` named no fault profile.
             let Some(report) = soak::run(&cfg, &|| ALLOCATIONS.load(Ordering::SeqCst)) else {

@@ -1,117 +1,62 @@
-//! The `chm-bench perf` hot-path benchmark: packets/sec through the
-//! data-plane packet engine, hash throughput and decode latency at the
-//! controller, then the sharded epoch pipeline's scaling curve across
-//! thread counts, each pass cross-checked against the unsharded replay.
+//! The `chm-bench perf` scaling curve: packets/sec through the sharded
+//! epoch pipeline (`chm_netsim::ShardedReplay`) across thread counts, each
+//! pass cross-checked against the unsharded replay before it is recorded.
 //!
-//! Results land in `results/BENCH_hotpath.json` (row 0 is the engine row,
-//! rows 1.. the scaling curve) plus one thread-count-independent
+//! Results land in `results/BENCH_hotpath.json` (schema 4: one row per
+//! sweep point, every cell measured) plus one thread-count-independent
 //! `SHARD_DIGEST_T<t>.json` per swept count. Run `--quick` for the CI
-//! smoke datapoint. The engine's outputs are held to a `%`-based reference
-//! sketch by `tests/hotpath_equivalence.rs`, not here.
+//! smoke datapoint. The single-edge layers are measured elsewhere: the
+//! repo benchmark's `fermat_codec` and `replay_scale` workloads time them,
+//! and `tests/hotpath_equivalence.rs` holds the sketch to a `%`-based
+//! reference.
 
 use crate::report::Table;
 use chamelemon::config::{DataPlaneConfig, RuntimeConfig};
 use chamelemon::dataplane::EdgeDataPlane;
-use chm_common::hash::HashFamily;
 use chm_common::{FiveTuple, FlowId};
-use chm_fermat::{DecodeScratch, FermatConfig, FermatSketch};
 use chm_netsim::sim::EpochReport;
 use chm_netsim::{
     ImpairmentSet, KaryFatTree, ReplayMode, ShardedReplay, Sharding, SimConfig, Simulator,
     SiteArray, SwitchId, Topology,
 };
-use chm_workloads::{testbed_trace, LossPlan, Trace, VictimSelection, WorkloadKind};
+use chm_workloads::{testbed_trace, LossPlan, VictimSelection, WorkloadKind};
 use std::path::Path;
 use std::time::Instant;
 
-// ---------------------------------------------------------------------
-// The engine under test: the real data plane, zero-clone epoch pipeline
-// ---------------------------------------------------------------------
+/// `BENCH_hotpath.json`'s columns, in order (schema 4).
+const COLUMNS: [&str; 9] = [
+    "replay_packets",
+    "threads",
+    "schema_version",
+    "n_flows",
+    "sweep_pps_wall",
+    "sweep_pps_crit",
+    "speedup_crit",
+    "pps_per_thread",
+    "scaling_efficiency",
+];
 
-struct FastEdge {
-    dp: EdgeDataPlane<FiveTuple>,
-    scratch: DecodeScratch<FiveTuple>,
+/// The `schema_version` cell of every row.
+const SCHEMA_VERSION: f64 = 4.0;
+
+/// The sweep's fabric: the k=8 fat-tree.
+fn sweep_fabric() -> Topology {
+    KaryFatTree::new(8).into()
 }
 
-impl FastEdge {
-    fn new(cfg: DataPlaneConfig) -> Self {
-        let rt = RuntimeConfig::initial(&cfg);
-        FastEdge { dp: EdgeDataPlane::new(cfg, rt), scratch: DecodeScratch::new() }
-    }
-
-    /// Ingests one flow's packet burst through the batched engine,
-    /// distributing `n_lost` drops across the burst with the simulator's
-    /// spread formula (same observable state as per-packet replay — see
-    /// `tests/burst_replay.rs` in `chamelemon`).
-    #[inline]
-    fn on_flow(&mut self, f: &FiveTuple, pkts: u64, n_lost: u64) {
-        let runs = self.dp.on_ingress_burst(f, 0, pkts);
-        let mut pos = 0u64;
-        for (h, len) in runs {
-            if len == 0 {
-                continue;
-            }
-            let dropped = (pos + len) * n_lost / pkts - pos * n_lost / pkts;
-            self.dp.on_egress_burst(f, 0, h, len - dropped);
-            pos += len;
-        }
-    }
-
-    /// Fast epoch end: take the group whole (`mem::replace`), decode through
-    /// the reusable scratch, flip.
-    fn end_epoch(&mut self) -> usize {
-        let group = self.dp.take_group(0);
-        let n = group.up_hh.decode_with(&mut self.scratch).flows.len();
-        self.dp.flip(0);
-        n
-    }
+/// The largest thread count the sweep can lay out: one shard per edge
+/// switch of its fabric (32). A shard past that owns no edge, so a row
+/// labelled with a larger count would describe a layout that never ran.
+pub fn max_threads() -> usize {
+    sweep_fabric().n_edges()
 }
-
-// ---------------------------------------------------------------------
-// Measurements
-// ---------------------------------------------------------------------
-
-/// Parameters of one perf run.
-#[derive(Debug, Clone, Copy)]
-pub struct PerfConfig {
-    /// Flows in the replay trace.
-    pub flows: usize,
-    /// Epochs replayed end to end.
-    pub epochs: usize,
-    /// Keys hashed in the micro-benchmarks.
-    pub hash_keys: usize,
-    /// Flows for the loaded-decode latency measurement.
-    pub decode_flows: usize,
-    /// Repetitions of each timed section (best-of is reported, which is
-    /// standard practice for throughput numbers on a shared machine).
-    pub reps: usize,
-}
-
-impl PerfConfig {
-    /// The full run (default). Flow count stays under the HH encoder's
-    /// decodable load (≈7.5K flows at the paper-default 3×3584 buckets) so
-    /// every epoch fully decodes and the decoded count can be checked
-    /// against the trace.
-    pub fn full() -> Self {
-        PerfConfig { flows: 6_000, epochs: 8, hash_keys: 2_000_000, decode_flows: 8_000, reps: 3 }
-    }
-
-    /// The CI smoke run (`--quick`).
-    pub fn quick() -> Self {
-        PerfConfig { flows: 2_000, epochs: 3, hash_keys: 400_000, decode_flows: 2_000, reps: 2 }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Multicore scaling sweep: the sharded epoch pipeline
-// ---------------------------------------------------------------------
 
 /// Parameters of the `--threads` scaling sweep over the sharded epoch
 /// pipeline (`chm_netsim::ShardedReplay`).
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Thread counts to sweep. Normalized to sorted + deduped and always
-    /// includes 1 — the speedup baseline row.
+    /// Thread counts to sweep, each at most [`max_threads`]. Normalized to
+    /// sorted + deduped and always includes 1 — the speedup baseline row.
     pub threads: Vec<usize>,
     /// Concurrent flows per epoch in the standard sweep tier.
     pub flows: usize,
@@ -166,10 +111,13 @@ fn switch_code(s: SwitchId) -> u64 {
     ((s.role as u64) << 32) | s.index as u64
 }
 
-/// Order-independent digest of an epoch report: every map is folded in a
-/// canonical (sorted) order, so two reports digest equal iff they compare
-/// equal. This is what `results/SHARD_DIGEST_T<t>.json` records and what
-/// CI `cmp`s across thread counts.
+/// Order-independent digest of an epoch report: every table is folded in a
+/// canonical (sorted) order, so equal reports digest equal. It covers the
+/// epoch, each flow's delivered count, each victim's lost count and drop
+/// sites, the drops per switch and the hop histogram: everything but
+/// `queue_depth`, which the sweep's clean fabric leaves empty. This is what
+/// `results/SHARD_DIGEST_T<t>.json` records and what CI `cmp`s across
+/// thread counts.
 fn digest_report(r: &EpochReport<FiveTuple>) -> u64 {
     let mut h = fnv64(0xcbf2_9ce4_8422_2325, r.epoch);
     let mut flows: Vec<(u64, u64)> = r.delivered.iter().map(|(f, &c)| (f.key64(), c)).collect();
@@ -217,18 +165,18 @@ fn assert_matches_reference(
     edges: &[EdgeDataPlane<FiveTuple>],
     ref_reports: &[EpochReport<FiveTuple>],
     ref_edges: &[EdgeDataPlane<FiveTuple>],
-    threads: usize,
+    sharding: Sharding,
     pass: &str,
 ) {
     assert_eq!(
         reports, ref_reports,
-        "sharded reports diverged from unsharded reference ({threads} threads, {pass} pass)"
+        "sharded reports diverged from unsharded reference ({sharding:?}, {pass} pass)"
     );
     for (e, (a, b)) in edges.iter().zip(ref_edges).enumerate() {
         assert!(
             a.group(0) == b.group(0) && a.group(1) == b.group(1),
             "edge {e} sketch state diverged from unsharded reference \
-             ({threads} threads, {pass} pass)"
+             ({sharding:?}, {pass} pass)"
         );
     }
 }
@@ -248,7 +196,7 @@ fn sweep_tier(
     epochs: usize,
     threads: &[usize],
 ) -> (Vec<SweepRow>, Vec<u64>) {
-    let topo: Topology = KaryFatTree::new(8).into();
+    let topo = sweep_fabric();
     let cfg = DataPlaneConfig::small(0x5ca1e);
     let rt = RuntimeConfig::initial(&cfg);
     let trace = testbed_trace(WorkloadKind::Dctcp, flows, topo.n_hosts() as u32, 0xacce1);
@@ -269,28 +217,14 @@ fn sweep_tier(
     }
     let digests: Vec<u64> = ref_reports.iter().map(digest_report).collect();
 
-    let clean = ImpairmentSet::none();
-    let mut rows = Vec::new();
-    for &t in threads {
+    // One pass at `sharding`, held to the reference: (wall s, summed
+    // critical path under `clock`).
+    let pass = |sharding: Sharding, clock: &(dyn Fn() -> f64 + Sync), label: &str| {
         let mut edges = new_edges();
         let mut sim = Simulator::new(topo.clone(), SimConfig::default());
-        let mut eng = ShardedReplay::new(Sharding { shards: t, workers: t });
+        let mut eng = ShardedReplay::new(sharding);
+        let clean = ImpairmentSet::none();
         let t0 = Instant::now();
-        let mut reports = Vec::new();
-        for _ in 0..epochs {
-            reports.push(
-                eng.run_epoch(&mut sim, &trace, &plan, &clean, ReplayMode::Burst, &mut edges, &|| 0.0)
-                    .0,
-            );
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        assert_matches_reference(&reports, &edges, &ref_reports, &ref_edges, t, "wall");
-
-        let mut edges = new_edges();
-        let mut sim = Simulator::new(topo.clone(), SimConfig::default());
-        let mut eng = ShardedReplay::new(Sharding { shards: t, workers: 1 });
-        let base = Instant::now();
-        let clock = move || base.elapsed().as_secs_f64();
         let mut crit_s = 0.0;
         let mut reports = Vec::new();
         for _ in 0..epochs {
@@ -301,12 +235,21 @@ fn sweep_tier(
                 &clean,
                 ReplayMode::Burst,
                 &mut edges,
-                &clock,
+                clock,
             );
             crit_s += timing.critical_path_s();
             reports.push(r);
         }
-        assert_matches_reference(&reports, &edges, &ref_reports, &ref_edges, t, "critical-path");
+        let wall_s = t0.elapsed().as_secs_f64();
+        assert_matches_reference(&reports, &edges, &ref_reports, &ref_edges, sharding, label);
+        (wall_s, crit_s)
+    };
+    let mut rows = Vec::new();
+    for &t in threads {
+        let (wall_s, _) = pass(Sharding { shards: t, workers: t }, &|| 0.0, "wall");
+        let base = Instant::now();
+        let clock = move || base.elapsed().as_secs_f64();
+        let (_, crit_s) = pass(Sharding { shards: t, workers: 1 }, &clock, "critical-path");
         eprintln!(
             "  t={t}: wall {wall_s:.3}s, critical path {crit_s:.3}s \
              ({:.2} Mpps crit)",
@@ -317,179 +260,36 @@ fn sweep_tier(
     (rows, digests)
 }
 
-fn best_of<R>(reps: usize, mut run: impl FnMut() -> (f64, R)) -> (f64, R) {
-    let mut best = run();
-    for _ in 1..reps {
-        let next = run();
-        if next.0 < best.0 {
-            best = next;
-        }
-    }
-    best
-}
-
-/// The replay workload: each flow's packet count and its spread-dropped
-/// losses (2% loss, so the egress/downstream path is exercised
-/// realistically).
-fn replay_flows(trace: &Trace<FiveTuple>) -> Vec<(FiveTuple, u64, u64)> {
-    trace.flows.iter().map(|&(f, pkts)| (f, pkts, pkts / 50)).collect()
-}
-
-/// Runs the full measurement suite — the single-edge engine measurements
-/// plus the sharded-pipeline scaling sweep — and returns the results table
-/// (schema v3: row 0 is the engine row, rows 1.. are the scaling curve).
+/// Runs the sharded-pipeline scaling sweep and returns the results table
+/// (schema 4): the standard tier's rows, then the large tier's. Panics when
+/// a swept count exceeds [`max_threads`].
 ///
 /// Writes one `SHARD_DIGEST_T<t>.json` per swept thread count into
 /// `out_dir`; their contents are thread-count-independent by construction,
 /// so CI can `cmp` them pairwise to assert cross-process byte-identity.
-pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
-    let cfg = DataPlaneConfig::paper_default(0x9e7f);
-    let trace = testbed_trace(WorkloadKind::Dctcp, pc.flows, 8, 0x9e7f);
-    let flows = replay_flows(&trace);
-    let epoch_packets: u64 = flows.iter().map(|&(_, p, _)| p).sum();
-    let total_packets = (epoch_packets * pc.epochs as u64) as f64;
-
-    // --- end-to-end replay: packets/sec through the packet engine --------
-    // Each flow's burst goes through the batched classifier/encoder path
-    // (state-identical to per-packet ingest, property-tested).
-    eprintln!("replaying {epoch_packets} packets x {} epochs...", pc.epochs);
-    let (fast_s, fast_decoded) = best_of(pc.reps, || {
-        let mut edge = FastEdge::new(cfg.clone());
-        let t0 = Instant::now();
-        let mut decoded = 0usize;
-        for _ in 0..pc.epochs {
-            for &(f, pkts, n_lost) in &flows {
-                edge.on_flow(&f, pkts, n_lost);
-            }
-            decoded += edge.end_epoch();
-        }
-        (t0.elapsed().as_secs_f64(), decoded)
-    });
-    // Under the initial runtime every flow is a HH candidate, so a fully
-    // decoded epoch returns the whole trace.
-    assert_eq!(
-        fast_decoded,
-        flows.len() * pc.epochs,
-        "the HH encoder did not decode every flow of every epoch"
-    );
-    let replay_pps_fast = total_packets / fast_s;
-
-    // --- hash micro-benchmark: 3-array index derivation ------------------
-    let fam = HashFamily::new(0x1234, 3);
-    let m = 4096usize;
-    let reducer = chm_common::FastRange::new(m);
-    let (fast_hash_s, acc) = best_of(pc.reps, || {
-        let t0 = Instant::now();
-        let mut acc = 0usize;
-        for key in 0..pc.hash_keys as u64 {
-            let bh = chm_common::BatchHasher::new(key);
-            for h in fam.as_slice() {
-                acc = acc.wrapping_add(bh.index(h, reducer));
-            }
-        }
-        (t0.elapsed().as_secs_f64(), acc)
-    });
-    std::hint::black_box(acc);
-    let hash_mops_fast = pc.hash_keys as f64 * 3.0 / fast_hash_s / 1e6;
-
-    // --- decode latency: loaded sketch ------------------------------------
-    // The `_fast` decodes allocate the flowset they return, as the
-    // controller's do (it keeps every flowset in its `EpochAnalysis`).
-    let dec_cfg = FermatConfig::standard(
-        (pc.decode_flows as f64 / 0.70 / 3.0).ceil() as usize,
-        0xdec0,
-    );
-    let mut loaded = FermatSketch::<FiveTuple>::new(dec_cfg);
-    for &(f, _) in trace.flows.iter().take(pc.decode_flows) {
-        loaded.insert(&f);
-    }
-    let mut scratch = DecodeScratch::new();
-    // Warms the scratch buffers.
-    let decoded_flows = loaded.decode_with(&mut scratch).flows.len();
-    let (decode_s_fast, _) = best_of(pc.reps, || {
-        let t0 = Instant::now();
-        let r = loaded.decode_with(&mut scratch);
-        (t0.elapsed().as_secs_f64(), std::hint::black_box(r.flows.len()))
-    });
-
-    // --- decode latency: sparse delta -------------------------------------
-    // A big encoder (the healthy-state HH geometry) holding few victims:
-    // the controller's per-epoch delta decode.
-    let delta_cfg = FermatConfig::standard(cfg.m_uf, 0xde17a);
-    let victims = (pc.decode_flows / 40).max(32);
-    let mut delta = FermatSketch::<FiveTuple>::new(delta_cfg);
-    for &(f, _) in trace.flows.iter().take(victims) {
-        delta.insert_weighted(&f, 3);
-    }
-    let (delta_s_fast, _) = best_of(pc.reps, || {
-        let t0 = Instant::now();
-        let r = delta.decode_with(&mut scratch);
-        (t0.elapsed().as_secs_f64(), std::hint::black_box(r.flows.len()))
-    });
-
-    // --- sharded-pipeline scaling sweep ----------------------------------
+pub fn run(sweep: &SweepConfig, out_dir: &Path) -> Table {
     let sweep = sweep.clone().normalized();
+    let widest = *sweep.threads.last().expect("normalized is non-empty");
+    assert!(widest <= max_threads(), "{widest} threads exceed the sweep's {} edges", max_threads());
     let (sweep_rows, digests) = sweep_tier(sweep.flows, sweep.epochs, &sweep.threads);
+    let json = digest_json(sweep.flows, sweep.epochs, &digests);
     for &t in &sweep.threads {
         let path = out_dir.join(format!("SHARD_DIGEST_T{t}.json"));
-        if let Err(e) =
-            std::fs::create_dir_all(out_dir).and_then(|()| {
-                std::fs::write(&path, digest_json(sweep.flows, sweep.epochs, &digests))
-            })
-        {
+        let written = std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, &json));
+        if let Err(e) = written {
             eprintln!("warning: could not write {}: {e}", path.display());
         }
     }
     let big_rows = if sweep.big_flows > 0 {
         // The large tier: baseline plus the widest sharding, one epoch.
-        let mut big_threads = vec![1, *sweep.threads.last().expect("normalized is non-empty")];
+        let mut big_threads = vec![1, widest];
         big_threads.dedup();
         sweep_tier(sweep.big_flows, 1, &big_threads).0
     } else {
         Vec::new()
     };
 
-    // Schema v3: v2 without the five columns of the retired engine race;
-    // every surviving column keeps its name and relative order. Cells a row kind does not
-    // measure are NaN, which the JSON writer emits as null — "not
-    // measured", never a fake zero.
-    let mut t = Table::new(
-        "BENCH_hotpath",
-        "Hot-path packet engine, plus sharded-pipeline scaling curve",
-        &[
-            "replay_pps_fast",
-            "hash_mops_fast",
-            "decode_ms_fast",
-            "delta_decode_ms_fast",
-            "replay_packets",
-            "decoded_flows",
-            "threads",
-            "schema_version",
-            "n_flows",
-            "sweep_pps_wall",
-            "sweep_pps_crit",
-            "speedup_crit",
-            "pps_per_thread",
-            "scaling_efficiency",
-        ],
-    );
-    let na = f64::NAN;
-    t.push(vec![
-        replay_pps_fast,
-        hash_mops_fast,
-        decode_s_fast * 1e3,
-        delta_s_fast * 1e3,
-        total_packets,
-        decoded_flows as f64,
-        1.0,
-        3.0,
-        pc.flows as f64,
-        na,
-        na,
-        na,
-        na,
-        na,
-    ]);
+    let mut t = Table::new("BENCH_hotpath", "Sharded-pipeline scaling curve", &COLUMNS);
     for tier in [&sweep_rows, &big_rows] {
         if tier.is_empty() {
             continue;
@@ -502,14 +302,9 @@ pub fn run(pc: PerfConfig, sweep: &SweepConfig, out_dir: &Path) -> Table {
         for r in tier {
             let speedup_crit = crit_1 / r.crit_s;
             t.push(vec![
-                na,
-                na,
-                na,
-                na,
                 r.packets,
-                na,
                 r.threads as f64,
-                3.0,
+                SCHEMA_VERSION,
                 r.flows as f64,
                 r.packets / r.wall_s,
                 r.packets / r.crit_s,
@@ -529,48 +324,17 @@ mod tests {
     #[test]
     fn perf_run_produces_consistent_rows() {
         let dir = std::env::temp_dir().join("chm_bench_perf_test");
-        let sweep = SweepConfig { threads: vec![1, 2], flows: 400, big_flows: 0, epochs: 1 };
-        let t = run(
-            PerfConfig { flows: 300, epochs: 1, hash_keys: 10_000, decode_flows: 200, reps: 1 },
-            &sweep,
-            &dir,
-        );
-        // Schema 3 is exactly these columns: the engine's own, then the sweep's.
-        assert_eq!(
-            t.columns,
-            [
-                "replay_pps_fast",
-                "hash_mops_fast",
-                "decode_ms_fast",
-                "delta_decode_ms_fast",
-                "replay_packets",
-                "decoded_flows",
-                "threads",
-                "schema_version",
-                "n_flows",
-                "sweep_pps_wall",
-                "sweep_pps_crit",
-                "speedup_crit",
-                "pps_per_thread",
-                "scaling_efficiency",
-            ]
-        );
-        // Row 0: the engine row — every engine column measured.
-        assert_eq!(t.rows.len(), 3, "engine row + one sweep row per thread count");
+        let sweep = SweepConfig { threads: vec![2], flows: 400, big_flows: 0, epochs: 1 };
+        let t = run(&sweep, &dir);
+        assert_eq!(t.columns, COLUMNS);
+        // One row per thread count, the 1-thread baseline added, ascending.
+        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.rows[0][1], 1.0);
+        assert_eq!(t.rows[1][1], 2.0);
+        assert!((t.rows[0][6] - 1.0).abs() < 1e-12, "t=1 speedup_crit is 1.0");
         for row in &t.rows {
-            assert_eq!(row.len(), t.columns.len());
-        }
-        for v in &t.rows[0][..7] {
-            assert!(v.is_finite() && *v > 0.0, "bad engine metric {v}");
-        }
-        assert_eq!(t.rows[0][7], 3.0, "schema_version");
-        // Sweep rows: thread counts ascend, sweep metrics measured, the
-        // 1-thread row is its own baseline.
-        assert_eq!(t.rows[1][6], 1.0);
-        assert_eq!(t.rows[2][6], 2.0);
-        assert!((t.rows[1][11] - 1.0).abs() < 1e-12, "t=1 speedup_crit is 1.0");
-        for row in &t.rows[1..] {
-            for v in &row[7..] {
+            assert_eq!(row[2], SCHEMA_VERSION);
+            for v in row {
                 assert!(v.is_finite() && *v > 0.0, "bad sweep metric {v}");
             }
         }
@@ -578,6 +342,33 @@ mod tests {
         let d1 = std::fs::read(dir.join("SHARD_DIGEST_T1.json")).unwrap();
         let d2 = std::fs::read(dir.join("SHARD_DIGEST_T2.json")).unwrap();
         assert_eq!(d1, d2, "digest files must not depend on the thread count");
+    }
+
+    /// The committed `results/BENCH_hotpath.json` has the columns `run`
+    /// writes, and every row of it is a schema-4 row with every cell
+    /// measured.
+    #[test]
+    fn committed_bench_hotpath_is_schema_4() {
+        let json = include_str!("../../../results/BENCH_hotpath.json");
+        let columns = json
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("\"columns\": ["))
+            .expect("a columns line");
+        let want: Vec<String> = COLUMNS.iter().map(|c| format!("\"{c}\"")).collect();
+        assert_eq!(columns.trim_end_matches([']', ',']), want.join(", "));
+        let rows: Vec<Vec<f64>> = json
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix('['))
+            .map(|l| {
+                let cells = l.trim_end_matches([']', ',']);
+                cells.split(", ").map(|c| c.parse().expect("a number, not null")).collect()
+            })
+            .collect();
+        assert!(!rows.is_empty(), "the file has rows");
+        for row in &rows {
+            assert_eq!(row.len(), COLUMNS.len());
+            assert_eq!(row[2], SCHEMA_VERSION, "schema_version");
+        }
     }
 
     #[test]

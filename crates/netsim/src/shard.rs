@@ -84,6 +84,8 @@ use std::collections::BTreeMap;
 /// over. `workers` caps the scoped threads actually spawned; any value
 /// produces identical output because shards are static work units merged in
 /// shard order. Both are clamped to ≥ 1 at construction.
+/// `ScenarioStack::set_sharding` (in `chm_scenarios`) also clamps both to
+/// its edge count: a shard past the edge count owns no edge and no flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sharding {
     /// Number of flow partitions (by ingress edge, round-robin).

@@ -206,7 +206,15 @@ impl ScenarioStack {
     /// Output is byte-identical to the serial driver at any shard/worker
     /// count (the `sharded_matrix` differential suite pins it); the knob only
     /// changes how the replay work is scheduled.
+    ///
+    /// `shards` and `workers` are clamped to the stack's edge count: a
+    /// shard past it would own no edge and no flow, so the clamp moves no
+    /// output bit, and it keeps the engine's per-shard state (which grows
+    /// with shards²) bounded by the fabric.
     pub fn set_sharding(&mut self, sharding: Sharding) {
+        let n = self.edges.len();
+        let sharding =
+            Sharding { shards: sharding.shards.min(n), workers: sharding.workers.min(n) };
         self.sharded = Some(ShardedReplay::new(sharding));
     }
 

@@ -20,7 +20,8 @@
 //! no clock — real-time latency measurement lives in `chm-bench soak`.
 //! `--shards <n>` replays each epoch through the sharded engine; the
 //! metrics stream (and any snapshot) is byte-identical at every shard
-//! count, so the flag only changes how the replay work is scheduled.
+//! count, so the flag only changes how the replay work is scheduled. A
+//! count past the fabric's edge switches runs as one shard per edge.
 //!
 //! Telemetry sinks (`chm_obs`): `--metrics-out <path>` appends one JSONL
 //! line per epoch (`{"epoch":N,"metrics":{...},"spans":{...}}` — the flat

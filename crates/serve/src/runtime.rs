@@ -138,7 +138,8 @@ impl ServeRuntime {
 
     /// Replays subsequent epochs through the sharded engine with `sharding`.
     /// The metrics stream stays byte-identical at any shard/worker count;
-    /// snapshots taken under sharding restore into any other layout.
+    /// snapshots taken under sharding restore into any other layout. Shard
+    /// and worker counts past the fabric's edge count are clamped to it.
     pub fn set_sharding(&mut self, sharding: Sharding) {
         self.stack.set_sharding(sharding);
     }

@@ -1,6 +1,7 @@
 //! Drives the `chm-serve` binary itself: hostile flag values must end in a
-//! typed error and an exit code of 1 or 2 — never a panic, and never a run
-//! that exits 0 having served nothing.
+//! typed error and an exit code of 1 or 2, or serve exactly what a sane
+//! value serves — never a panic, and never a run that exits 0 having served
+//! nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -75,4 +76,25 @@ fn a_snapshot_at_the_last_epoch_cannot_serve_one_more() {
     let dir = scratch("range_from_max");
     let snap = snapshot_at(&dir, u64::MAX);
     assert_refused(&dir, &snap, "1");
+}
+
+#[test]
+fn a_huge_shard_count_serves_the_serial_stream() {
+    let dir = scratch("huge_shards");
+    let run = |name: &str, extra: &[&str]| {
+        let metrics = dir.join(name);
+        let args = [&["--epochs", "3", "--metrics", metrics.to_str().unwrap()], extra].concat();
+        let out = serve(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "{extra:?}: want exit 0, got {:?}; stderr: {stderr}",
+            out.status
+        );
+        std::fs::read(&metrics).expect("read the metrics stream")
+    };
+    let serial = run("serial.jsonl", &[]);
+    let huge = run("huge.jsonl", &["--shards", &u64::MAX.to_string()]);
+    assert!(!serial.is_empty(), "the serial run wrote metrics");
+    assert_eq!(huge, serial, "--shards u64::MAX must serve the serial stream");
 }
