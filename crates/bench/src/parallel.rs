@@ -19,6 +19,12 @@
 //! Worker count defaults to the machine's available parallelism and is
 //! overridable with the `CHM_THREADS` environment variable (`CHM_THREADS=1`
 //! forces the sequential path).
+//!
+//! Each worker runs with its spawner's cores divided among the workers
+//! ([`chm_netsim::core_share`]): a trial that builds a `ChameleMon` sizes
+//! the deployment's replay engine from that share, so inside a pool that
+//! fills the machine every trial replays serially, and no trial's engine
+//! threads compete with its sibling trials for the same cores.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -114,22 +120,26 @@ where
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     let (f, next, failed) = (&f, &next, &failed);
+    let spawned = workers.min(n);
+    let share = (chm_netsim::core_share() / spawned).max(1);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers.min(n))
+        let handles: Vec<_> = (0..spawned)
             .map(|_| {
                 s.spawn(move || {
-                    let mut local = Vec::new();
-                    while !failed.load(Ordering::Relaxed) {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+                    chm_netsim::with_core_share(share, || {
+                        let mut local = Vec::new();
+                        while !failed.load(Ordering::Relaxed) {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            match f(i) {
+                                Some(v) => local.push((i, v)),
+                                None => failed.store(true, Ordering::Relaxed),
+                            }
                         }
-                        match f(i) {
-                            Some(v) => local.push((i, v)),
-                            None => failed.store(true, Ordering::Relaxed),
-                        }
-                    }
-                    local
+                        local
+                    })
                 })
             })
             .collect();
@@ -162,6 +172,18 @@ mod tests {
             assert_eq!(run_trials_with(workers, 64, f), seq, "workers={workers}");
         }
         assert_eq!(run_trials(64, f), seq);
+    }
+
+    #[test]
+    fn workers_split_the_spawners_core_share() {
+        let share_of = |cores, workers, n| {
+            chm_netsim::with_core_share(cores, || {
+                run_trials_with(workers, n, |_| chm_netsim::core_share())
+            })
+        };
+        assert_eq!(share_of(4, 2, 2), vec![2, 2]);
+        assert_eq!(share_of(2, 3, 3), vec![1, 1, 1], "a worker keeps one core");
+        assert_eq!(share_of(4, 1, 3), vec![4, 4, 4], "inline: the caller's");
     }
 
     #[test]

@@ -39,10 +39,11 @@ pub struct EpochProbe<'a> {
     pub allocs: &'a dyn Fn() -> u64,
 }
 
-/// One epoch closed by [`Controller::close_epoch`].
+/// One epoch closed by [`Controller::close_epoch`]. The ended groups are
+/// not in it: they were analyzed where they lie and zeroed by the flip, so
+/// a caller that keeps them clones them first
+/// ([`EdgeDataPlane::collect_group`]).
 pub struct ClosedEpoch<F: FlowId> {
-    /// The group taken from every edge, arrived or not, in edge order.
-    pub collected: Vec<CollectedGroup<F>>,
     /// The analysis of the groups whose report arrived.
     pub analysis: EpochAnalysis<F>,
     /// The runtime staged on every edge; it functions from the next epoch.
@@ -237,27 +238,6 @@ fn span<'p, R>(
     r
 }
 
-/// Moves the groups whose report arrived to the front of `groups`, in edge
-/// order, and returns how many arrived. [`edge_order`] undoes it.
-fn arrived_first<T>(groups: &mut [T], arrived: &[bool]) -> usize {
-    let mut k = 0;
-    for (i, _) in arrived.iter().enumerate().filter(|&(_, &a)| a) {
-        groups[k..=i].rotate_right(1);
-        k += 1;
-    }
-    k
-}
-
-/// Inverse of [`arrived_first`]: undoes its moves last to first, which puts
-/// every group back at its edge's index.
-fn edge_order<T>(groups: &mut [T], arrived: &[bool]) {
-    let mut k = arrived.iter().filter(|&&a| a).count();
-    for (i, _) in arrived.iter().enumerate().rev().filter(|&(_, &a)| a) {
-        k -= 1;
-        groups[k..=i].rotate_left(1);
-    }
-}
-
 /// Decodes `sketch` through the shared scratch and records the decode twice:
 /// as `decode/{label}` and under its occupancy class (`decode/sparse` or
 /// `decode/loaded`, [`chm_fermat::DecodeStats`]). The label is formatted
@@ -286,12 +266,12 @@ fn decode_spanned<F: FlowId>(
 /// canonical residues mod p, so the order of the folds does not show in the
 /// result.
 fn delta_encoder<F: FlowId>(
-    collected: &[CollectedGroup<F>],
+    collected: &[&CollectedGroup<F>],
     up: impl Fn(&CollectedGroup<F>) -> &FermatSketch<F>,
     down: impl Fn(&CollectedGroup<F>) -> &FermatSketch<F>,
     reinsert: &[HashMap<F, i64>],
 ) -> FermatSketch<F> {
-    let mut delta = up(&collected[0]).clone();
+    let mut delta = up(collected[0]).clone();
     for g in &collected[1..] {
         delta.add_assign_sketch(up(g));
     }
@@ -488,10 +468,13 @@ impl<F: FlowId> Controller<F> {
 
     /// Closes `epoch` after its replay — the one epoch body of §4.3 that
     /// every driver runs: **collect** the group that monitored `epoch` from
-    /// every edge (zero-clone), **analyze** those whose report `arrived`
-    /// (`None`: all), **reconfigure** — `decide` the next runtime (usually
-    /// [`Controller::reconfigure`]), stage it on every edge and flip — and
-    /// **localize** with the switches' `queue_depth` exports.
+    /// every edge whose report `arrived` (`None`: all) by borrowing it in
+    /// place, in edge order, **analyze** those groups, **reconfigure** —
+    /// `decide` the next runtime (usually [`Controller::reconfigure`]),
+    /// stage it on every edge and flip, which zeroes each ended group in
+    /// place ([`EdgeDataPlane::flip`]) — and **localize** with the
+    /// switches' `queue_depth` exports. No group is moved or copied, so a
+    /// steady-state epoch body allocates no sketch memory.
     ///
     /// With a `probe`, each stage gets a span and an allocation count.
     /// Inside `analyze`, every Fermat decode records `decode/edge_{i}`,
@@ -515,19 +498,14 @@ impl<F: FlowId> Controller<F> {
         assert!(arrived.is_none_or(|m| m.len() == edges.len()), "one arrival flag per edge");
         let ts_bit = (epoch & 1) as u8;
         let mut allocs = [0u64; 4];
-        let mut collected: Vec<CollectedGroup<F>> =
-            span(&mut probe, "collect", &mut allocs[0], |_| {
-                edges.iter_mut().map(|e| e.take_group(ts_bit)).collect()
-            });
+        let collected: Vec<&CollectedGroup<F>> = span(&mut probe, "collect", &mut allocs[0], |_| {
+            let arrived = |i: usize| arrived.is_none_or(|m| m[i]);
+            let edges = edges.iter().enumerate().filter(|&(i, _)| arrived(i));
+            edges.map(|(_, e)| e.group(ts_bit)).collect()
+        });
         let t_analyze = probe.as_mut().map(|p| (p.clock)());
-        let analysis = span(&mut probe, "analyze", &mut allocs[1], |probe| match arrived {
-            None => self.analyze_epoch_inner(&collected, probe),
-            Some(mask) => {
-                let n = arrived_first(&mut collected, mask);
-                let a = self.analyze_epoch_inner(&collected[..n], probe);
-                edge_order(&mut collected, mask);
-                a
-            }
+        let analysis = span(&mut probe, "analyze", &mut allocs[1], |probe| {
+            self.analyze_epoch_inner(&collected, probe)
         });
         let mut t_decided = None;
         let staged = span(&mut probe, "reconfigure", &mut allocs[2], |probe| {
@@ -543,7 +521,6 @@ impl<F: FlowId> Controller<F> {
             self.localize_with_telemetry(&analysis, queue_depth)
         });
         ClosedEpoch {
-            collected,
             analysis,
             staged,
             localization,
@@ -564,12 +541,13 @@ impl<F: FlowId> Controller<F> {
     /// zero) and [`reconfigure`](Self::reconfigure) leaves the deployed
     /// runtime untouched.
     pub fn analyze_epoch(&self, collected: &[CollectedGroup<F>]) -> EpochAnalysis<F> {
-        self.analyze_epoch_inner(collected, &mut None)
+        let groups: Vec<&CollectedGroup<F>> = collected.iter().collect();
+        self.analyze_epoch_inner(&groups, &mut None)
     }
 
     fn analyze_epoch_inner(
         &self,
-        collected: &[CollectedGroup<F>],
+        collected: &[&CollectedGroup<F>],
         probe: &mut Option<EpochProbe<'_>>,
     ) -> EpochAnalysis<F> {
         if collected.is_empty() {
@@ -793,7 +771,7 @@ impl<F: FlowId> Controller<F> {
     /// we take the max over switches of the (min-)query.
     fn victim_distribution<'a>(
         &self,
-        collected: &[CollectedGroup<F>],
+        collected: &[&CollectedGroup<F>],
         flows: impl Iterator<Item = &'a F>,
     ) -> Vec<f64>
     where
@@ -1266,7 +1244,8 @@ mod tests {
         }
         want.sub_assign_sketch(&cum_down);
 
-        let got = delta_encoder(&collected, |g| &g.up_hl, |g| &g.down_hl, &hh);
+        let groups: Vec<&CollectedGroup<u64>> = collected.iter().collect();
+        let got = delta_encoder(&groups, |g| &g.up_hl, |g| &g.down_hl, &hh);
         assert!(!got.is_zero(), "the fixture loses packets");
         assert_eq!(got, want);
         // The LL form: no re-insertion, and the old chain summed the
@@ -1279,25 +1258,7 @@ mod tests {
         }
         want_ll.sub_assign_sketch(&cum_down_ll);
         assert!(!want_ll.is_zero(), "the fixture loses LL packets too");
-        assert_eq!(delta_encoder(&collected, |g| &g.up_ll, |g| &g.down_ll, &[]), want_ll);
-    }
-
-    #[test]
-    fn arrived_first_is_a_stable_partition_that_edge_order_undoes() {
-        for n in 0..7usize {
-            for bits in 0u32..(1 << n) {
-                let mask: Vec<bool> = (0..n).map(|i| bits & (1 << i) != 0).collect();
-                let mut items: Vec<usize> = (0..n).collect();
-                let k = arrived_first(&mut items, &mask);
-                let want: Vec<usize> = (0..n)
-                    .filter(|&i| mask[i])
-                    .chain((0..n).filter(|&i| !mask[i]))
-                    .collect();
-                assert_eq!((k, &items), (mask.iter().filter(|&&a| a).count(), &want), "{mask:?}");
-                edge_order(&mut items, &mask);
-                assert_eq!(items, (0..n).collect::<Vec<_>>(), "{mask:?}");
-            }
-        }
+        assert_eq!(delta_encoder(&groups, |g| &g.up_ll, |g| &g.down_ll, &[]), want_ll);
     }
 
     #[test]

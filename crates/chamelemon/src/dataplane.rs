@@ -105,11 +105,41 @@ impl<F: FlowId> SketchGroup<F> {
         }
     }
 
+    /// Zeroes the group for `runtime` in place: every sketch whose geometry
+    /// already matches is `clear()`ed, and every sketch the partition
+    /// resized — or a [`tombstone`](Self::tombstone)'s — is rebuilt. A
+    /// cleared sketch equals a fresh one (its hashes derive from its
+    /// configuration), so the result is exactly [`new`](Self::new)'s.
+    fn reset(&mut self, cfg: &DataPlaneConfig, runtime: RuntimeConfig) {
+        if *self.classifier.config() == cfg.tower {
+            self.classifier.clear();
+        } else {
+            self.classifier = TowerSketch::new(cfg.tower.clone());
+        }
+        let p = runtime.partition;
+        for (sketch, m, salt) in [
+            (&mut self.up_hh, p.m_hh, salt::HH),
+            (&mut self.up_hl, p.m_hl, salt::HL),
+            (&mut self.up_ll, p.m_ll, salt::LL),
+            (&mut self.down_hl, p.m_hl, salt::HL),
+            (&mut self.down_ll, p.m_ll, salt::LL),
+        ] {
+            let want = cfg.fermat_for(m, salt);
+            if *sketch.config() == want {
+                sketch.clear();
+            } else {
+                *sketch = FermatSketch::new(want);
+            }
+        }
+        self.ingress_pkts = 0;
+        self.egress_pkts = 0;
+        self.runtime = runtime;
+    }
+
     /// A zero-memory stand-in installed by [`EdgeDataPlane::take_group`]
-    /// while the real group is away at the controller. Inserting into it
-    /// panics (zero-bucket encoders), which makes any traffic arriving
-    /// between collection and the epoch flip a loud bug instead of silent
-    /// data loss.
+    /// while the real group is away. Inserting into it panics (zero-bucket
+    /// encoders), which makes any traffic arriving between the take and the
+    /// epoch flip a loud bug instead of silent data loss.
     fn tombstone(cfg: &DataPlaneConfig, runtime: RuntimeConfig) -> Self {
         let tower = chm_tower::TowerConfig {
             levels: vec![chm_tower::TowerLevel { width: 1, bits: 8 }],
@@ -127,7 +157,6 @@ impl<F: FlowId> SketchGroup<F> {
             runtime,
         }
     }
-
 }
 
 /// A snapshot of one group, as collected by the controller after the epoch
@@ -285,17 +314,19 @@ impl<F: FlowId> EdgeDataPlane<F> {
 
     /// Collects (snapshots) the group that monitored epochs with timestamp
     /// `ts` by **cloning** — the inspection-friendly path for tests and
-    /// offline analysis. The epoch pipeline uses the zero-clone
-    /// [`take_group`](Self::take_group) instead.
+    /// offline analysis. The epoch body borrows the group instead
+    /// ([`group`](Self::group)) and the flip clears it in place.
     pub fn collect_group(&self, ts: u8) -> CollectedGroup<F> {
         self.group(ts).clone()
     }
 
-    /// Hands the controller **ownership** of the group that monitored
-    /// timestamp `ts`, leaving a zero-memory tombstone in its place — no
-    /// sketch is copied. The caller must [`flip`](Self::flip) before traffic
+    /// Hands the caller **ownership** of the group that monitored timestamp
+    /// `ts`, leaving a zero-memory tombstone in its place — no sketch is
+    /// copied. For callers that must keep a group past the flip (the repo
+    /// benchmark's stage-by-stage pass, inspection); the epoch body
+    /// borrows instead. The caller must [`flip`](Self::flip) before traffic
     /// with this timestamp bit arrives again (inserting into the tombstone
-    /// panics).
+    /// panics); the flip rebuilds the tombstone's every sketch.
     pub fn take_group(&mut self, ts: u8) -> CollectedGroup<F> {
         let slot = (ts & 1) as usize;
         let rt = self.groups[slot].runtime;
@@ -309,27 +340,28 @@ impl<F: FlowId> EdgeDataPlane<F> {
     /// right now, which is exactly when the paper's updated table entries
     /// (matching the next timestamp value) start functioning (§4.3, §D.2).
     ///
-    /// Allocation discipline: the ended slot (collected, or a
-    /// [`take_group`](Self::take_group) tombstone) is always rebuilt; the
-    /// idle group is rebuilt only when the staged runtime actually changed,
-    /// so a steady-state epoch rotates with a single group construction
-    /// instead of the two rebuilds plus a deep snapshot clone of earlier
-    /// revisions.
+    /// Allocation discipline: a group is zeroed in place under one rule —
+    /// every sketch whose geometry matches the staged runtime is cleared,
+    /// every sketch the partition resized is rebuilt. The ended group is
+    /// always zeroed (a [`take_group`](Self::take_group) tombstone matches
+    /// nothing and is rebuilt whole); the idle group only when the staged
+    /// runtime actually changed. A steady-state flip therefore allocates
+    /// nothing, and a reconfiguring one only the encoders whose size moved.
     ///
     /// The idle group is usually empty at the flip (it was collected and
     /// reset one epoch ago), but **clock skew legitimately violates that**:
     /// an edge whose clock lags stamps early next-epoch packets with the
     /// next timestamp bit, landing them in the idle group before the flip
     /// (Appendix B). Those early packets are preserved when the runtime is
-    /// unchanged and wiped when a reconfiguration rebuilds the group — the
+    /// unchanged and wiped when a reconfiguration rewrites the group — the
     /// same fate a real table rewrite hands them.
     pub fn flip(&mut self, ended_ts: u8) {
         let rt = self.pending.take().unwrap_or(self.group(ended_ts).runtime);
         let ended = (ended_ts & 1) as usize;
         let other = 1 - ended;
-        self.groups[ended] = SketchGroup::new(&self.cfg, rt);
+        self.groups[ended].reset(&self.cfg, rt);
         if self.groups[other].runtime != rt {
-            self.groups[other] = SketchGroup::new(&self.cfg, rt);
+            self.groups[other].reset(&self.cfg, rt);
         }
     }
 }
@@ -561,6 +593,62 @@ mod tests {
         b.flip(0);
         assert_eq!(a.group(0).runtime, b.group(0).runtime);
         assert!(a.group(0).up_hh.is_zero() && b.group(0).up_hh.is_zero());
+    }
+
+    /// The in-place flip against the rebuilding one: plane `a` flips with
+    /// its ended group in place, plane `b` takes it first (the tombstone
+    /// path, which rebuilds every sketch). Staged runtimes go healthy →
+    /// grown → ill → thresholds only → healthy, so partitions resize both
+    /// ways, and a lagging clock lands early packets in the idle group.
+    #[test]
+    fn in_place_flip_matches_the_rebuilding_flip() {
+        let cfg = DataPlaneConfig::small(12);
+        let initial = RuntimeConfig::initial(&cfg);
+        let mut grown = initial;
+        grown.partition = Partition { m_hh: 320, m_hl: 192, m_ll: 0 };
+        grown.th = 6;
+        let mut ill = grown;
+        ill.partition = cfg.ill_partition;
+        ill.tl = 6;
+        ill.set_sample_rate(0.5);
+        let mut ill_tl = ill;
+        ill_tl.tl = 4;
+        let staged = [initial, grown, grown, ill, ill, ill_tl, initial, initial];
+        let mut a = EdgeDataPlane::<u32>::new(cfg.clone(), initial);
+        let mut b = a.clone();
+        for (epoch, rt) in (0u32..).zip(staged) {
+            let ts = (epoch & 1) as u8;
+            let before = a.group(ts).runtime;
+            for d in [&mut a, &mut b] {
+                for f in 0..300u32 {
+                    for (h, n) in d.on_ingress_burst(&(f ^ epoch), ts, 1 + u64::from(f % 17)) {
+                        d.on_egress_burst(&(f ^ epoch), ts, h, n - u64::from(n > 0 && f % 7 == 0));
+                    }
+                }
+                // Early next-epoch packets from a lagging clock.
+                for f in 0..20u32 {
+                    d.on_ingress(&(f + 1000), 1 - ts);
+                }
+            }
+            let ended = a.collect_group(ts);
+            a.stage_runtime(rt);
+            a.flip(ts);
+            assert_eq!(b.take_group(ts), ended, "epoch {epoch}: same traffic");
+            b.stage_runtime(rt);
+            b.flip(ts);
+            for g in [0, 1] {
+                assert_eq!(a.group(g), b.group(g), "epoch {epoch}, group {g}");
+                assert_eq!(a.group(g).runtime, rt, "epoch {epoch}, group {g}");
+            }
+            assert!(a.group(ts).up_hh.is_zero() && a.group(ts).ingress_pkts == 0);
+            let idle = a.group(1 - ts);
+            if rt == before {
+                assert_eq!(idle.ingress_pkts, 20, "epoch {epoch}: early packets kept");
+            } else {
+                assert_eq!(idle.ingress_pkts, 0, "epoch {epoch}: early packets wiped");
+                assert!(idle.up_hh.is_zero() && idle.up_hl.is_zero() && idle.up_ll.is_zero());
+            }
+        }
     }
 
     #[test]

@@ -59,7 +59,9 @@ pub use localize::{
     EpochEvidence, Localization, Localizer, LocalizerSnapshot, PARTIAL_DECODE_CONFIDENCE,
 };
 
-use chm_netsim::{FatTree, SimConfig, SiteArray, Simulator, Topology};
+use chm_netsim::{
+    FatTree, ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray, Topology,
+};
 use chm_netsim::sim::{EpochReport, Routable};
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
@@ -70,13 +72,29 @@ use chm_workloads::{LossPlan, Trace};
 /// This is the highest-level API — examples and the figure-7/8/9 experiments
 /// use it directly. Lower-level pieces ([`EdgeDataPlane`], [`Controller`])
 /// are public for finer-grained use.
+///
+/// [`run_epoch`](Self::run_epoch) replays on the sharded engine
+/// ([`chm_netsim::ShardedReplay`]), the edge switches split across the
+/// cores the building thread has to itself ([`chm_netsim::core_share`]):
+/// the whole machine, or a trial pool worker's share of it. With one core
+/// to itself it replays on the serial [`Simulator`], which a one-shard
+/// engine would only slow down. The layout is chosen once, in
+/// [`new`](Self::new), and is not a setting: the engine's contract is a
+/// report and sketch state byte-identical to the serial [`Simulator`]'s at
+/// any layout, so no output depends on it.
 pub struct ChameleMon<F: chm_common::FlowId> {
     /// Per-edge-switch data planes.
     pub edges: Vec<EdgeDataPlane<F>>,
     /// The central controller.
     pub controller: Controller<F>,
-    /// The packet-level simulator standing in for the testbed fabric.
+    /// The packet-level simulator standing in for the testbed fabric. The
+    /// engine advances its epoch; a caller may equally drive it serially
+    /// (`simulator.run_epoch_burst` over `edges`) and close the epoch
+    /// through `controller`.
     pub simulator: Simulator,
+    /// The replay engine [`run_epoch`](Self::run_epoch) drives; `None` for
+    /// the serial replay.
+    engine: Option<ShardedReplay<F>>,
 }
 
 /// Everything produced by one epoch: the simulator's ground truth and the
@@ -106,9 +124,14 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
     }
 
     /// Builds a deployment over an arbitrary topology (one edge data plane
-    /// per edge switch of the fabric).
+    /// per edge switch of the fabric). The replay engine gets one shard and
+    /// one worker per core the calling thread has to itself
+    /// ([`chm_netsim::core_share`]), at most one per edge switch; with one
+    /// core — inside a trial pool that fills the machine — the replay is
+    /// the serial simulator's.
     pub fn new(cfg: DataPlaneConfig, topology: impl Into<Topology>, sim: SimConfig) -> Self {
         let topology = topology.into();
+        let shards = chm_netsim::core_share().min(topology.n_edges());
         let runtime = RuntimeConfig::initial(&cfg);
         let edges = (0..topology.n_edges())
             .map(|_| EdgeDataPlane::new(cfg.clone(), runtime))
@@ -117,13 +140,17 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
             edges,
             controller: Controller::new(cfg),
             simulator: Simulator::new(topology, sim),
+            engine: (shards > 1).then(|| ShardedReplay::new(Sharding::of(shards))),
         }
     }
 
-    /// Runs one full epoch: replay the trace with losses, then close the
-    /// epoch through [`Controller::close_epoch`] — every report arrives, and
-    /// the controller's own [`Controller::reconfigure`] decides the runtime
-    /// that functions next epoch.
+    /// Runs one full epoch: replay the trace with losses (on the sharded
+    /// engine when [`new`](Self::new) built one), then close the epoch through [`Controller::close_epoch`] —
+    /// every report arrives, and the controller's own
+    /// [`Controller::reconfigure`] decides the runtime that functions next
+    /// epoch. The outcome is the one the serial `simulator.run_epoch_burst`
+    /// plus `close_epoch` produces, bit for bit, at whatever layout
+    /// [`new`](Self::new) chose.
     pub fn run_epoch(&mut self, trace: &Trace<F>, plan: &LossPlan<F>) -> EpochOutcome<F>
     where
         F: Routable,
@@ -165,11 +192,20 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
         F: Routable,
     {
         let config_in_effect = *self.controller.deployed_runtime();
-        // `EdgeDataPlane` implements `chm_netsim::EdgeSite`; `SiteArray`
-        // hands the simulator the edge slice. Burst replay: one hook call
-        // per flow, sketch state identical to the per-packet path (see
-        // `TowerSketch::insert_burst`).
-        let report = self.simulator.run_epoch_burst(trace, plan, &mut SiteArray(&mut self.edges));
+        // `EdgeDataPlane` implements `chm_netsim::EdgeSite`; the engine
+        // hands each shard the edges it owns, `SiteArray` the simulator the
+        // whole slice. Burst replay: one hook call per flow, sketch state
+        // identical to the per-packet path (see `TowerSketch::insert_burst`).
+        let report = match &mut self.engine {
+            Some(engine) => engine.run_epoch_burst_scenario(
+                &mut self.simulator,
+                trace,
+                plan,
+                &ImpairmentSet::none(),
+                &mut self.edges,
+            ),
+            None => self.simulator.run_epoch_burst(trace, plan, &mut SiteArray(&mut self.edges)),
+        };
         let closed = self.controller.close_epoch(
             &mut self.edges,
             report.epoch,
@@ -184,6 +220,68 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
             config_in_effect,
             staged_runtime: closed.staged,
             response_time_s: closed.response_time_s,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chm_common::FiveTuple;
+    use chm_workloads::{testbed_trace, VictimSelection, WorkloadKind};
+
+    #[test]
+    fn the_engine_takes_the_building_threads_core_share() {
+        let layout = |cores| {
+            chm_netsim::with_core_share(cores, || {
+                let sys = ChameleMon::<FiveTuple>::testbed(DataPlaneConfig::small(3));
+                sys.engine.as_ref().map(ShardedReplay::sharding)
+            })
+        };
+        assert_eq!(layout(1), None, "a pool worker's one core: the serial replay");
+        assert_eq!(layout(3), Some(Sharding::of(3)));
+        assert_eq!(layout(16), Some(Sharding::of(4)), "at most one shard per edge switch");
+    }
+
+    /// `run_epoch` at a fixed, machine-independent layout against the serial
+    /// `Simulator` plus `close_epoch` over the pub fields: one shard, and
+    /// three shards over the testbed's four edges (one shard owns two).
+    #[test]
+    fn run_epoch_matches_the_serial_reference_at_1_and_3_shards() {
+        let trace = testbed_trace(WorkloadKind::Dctcp, 5_000, 8, 3);
+        let plans: Vec<LossPlan<FiveTuple>> = [0.025, 0.10, 0.25, 0.10]
+            .iter()
+            .map(|&r| LossPlan::build(&trace, VictimSelection::RandomRatio(r), 0.01, 5))
+            .collect();
+        let empty = Trace { flows: Vec::new() };
+        for shards in [1, 3] {
+            let mut engine = ChameleMon::testbed(DataPlaneConfig::small(3));
+            engine.engine = Some(ShardedReplay::new(Sharding::of(shards)));
+            let mut serial = ChameleMon::testbed(DataPlaneConfig::small(3));
+            for epoch in 0..12 {
+                let (trace, plan) = match epoch {
+                    5 => (&empty, &LossPlan::none()),
+                    _ => (&trace, &plans[epoch / 2 % plans.len()]),
+                };
+                let got = engine.run_epoch(trace, plan);
+                let mut sites = SiteArray(&mut serial.edges);
+                let report = serial.simulator.run_epoch_burst(trace, plan, &mut sites);
+                let want = serial.controller.close_epoch(
+                    &mut serial.edges,
+                    report.epoch,
+                    None,
+                    &report.queue_depth,
+                    Controller::reconfigure,
+                    None,
+                );
+                let at = format!("{shards} shards, epoch {epoch}");
+                assert!(got.report == report, "{at}: report");
+                assert_eq!(got.analysis.loss_report, want.analysis.loss_report, "{at}");
+                assert_eq!(got.staged_runtime, want.staged, "{at}: staged runtime");
+                for (i, (a, b)) in engine.edges.iter().zip(&serial.edges).enumerate() {
+                    assert!(a.group(0) == b.group(0) && a.group(1) == b.group(1), "{at}: edge {i}");
+                }
+            }
         }
     }
 }

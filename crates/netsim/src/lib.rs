@@ -66,7 +66,10 @@ pub use impair::{
 pub use collect::CollectionModel;
 pub use index::FabricIndex;
 pub use queue::{QueueDepthStat, QueueLinkStats, QueueModel, QueueRealization, RedDrop};
-pub use shard::{merge_fragments, ReportFragment, ShardTiming, ShardedReplay, Sharding};
+pub use shard::{
+    core_share, merge_fragments, with_core_share, ReportFragment, ShardTiming, ShardedReplay,
+    Sharding,
+};
 pub use sim::{
     dominant_drop_switch, EdgeSite, EpochReport, FlowColumn, ReplayMode, SimConfig, Simulator,
     SiteArray, VictimTable,

@@ -76,6 +76,7 @@ use crate::sim::{
 use crate::topology::{Fabric, SwitchId, Topology};
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// How a trial is sharded.
@@ -109,6 +110,38 @@ impl Sharding {
     fn normalized(self) -> Self {
         Sharding { shards: self.shards.max(1), workers: self.workers.max(1) }
     }
+}
+
+thread_local! {
+    /// The calling thread's share of the machine, when a pool declared one
+    /// with [`with_core_share`].
+    static CORE_SHARE: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The cores the calling thread has to itself: the machine's available
+/// parallelism, or, on a worker of a pool that splits its spawner's cores
+/// (`chm_bench::parallel`), the share [`with_core_share`] gave it. A holder
+/// that sizes its engine from this (`chamelemon::ChameleMon`) replays
+/// serially inside a pool that already fills the machine instead of
+/// stacking its workers on the pool's.
+pub fn core_share() -> usize {
+    CORE_SHARE
+        .with(Cell::get)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Runs `f` with [`core_share`] at `cores` (clamped to ≥ 1) on the calling
+/// thread, restoring the previous share after: what each worker of a pool
+/// does first, with its spawner's share divided by the pool's width.
+pub fn with_core_share<R>(cores: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CORE_SHARE.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(CORE_SHARE.with(|c| c.replace(Some(cores.max(1)))));
+    f()
 }
 
 /// One shard's share of an [`EpochReport`], accumulated in phase A — or the
@@ -545,8 +578,11 @@ pub struct ShardedReplay<F> {
     last_profile: SpanProfiler,
 }
 
-impl<F: Routable> ShardedReplay<F> {
+impl<F> ShardedReplay<F> {
     /// Builds an engine with `sharding` (clamped to ≥ 1 shard/worker).
+    /// Construction routes nothing, so it asks nothing of `F`: a holder
+    /// generic over any flow ID (`chamelemon::ChameleMon`) can build its
+    /// engine up front, and only replaying needs `F: Routable`.
     pub fn new(sharding: Sharding) -> Self {
         let sharding = sharding.normalized();
         ShardedReplay {
@@ -558,7 +594,9 @@ impl<F: Routable> ShardedReplay<F> {
             last_profile: SpanProfiler::new(),
         }
     }
+}
 
+impl<F: Routable> ShardedReplay<F> {
     /// The engine's (normalized) sharding.
     pub fn sharding(&self) -> Sharding {
         self.sharding
@@ -1191,5 +1229,21 @@ mod tests {
         );
         assert_eq!(r, r_ref);
         assert_eq!(s, ref_sites);
+    }
+
+    #[test]
+    fn a_core_share_holds_inside_its_scope_and_nests() {
+        let machine = core_share();
+        assert!(machine >= 1);
+        let inner = with_core_share(3, || {
+            assert_eq!(core_share(), 3);
+            let nested = with_core_share(0, core_share);
+            (nested, core_share())
+        });
+        assert_eq!(inner, (1, 3), "a zero share clamps to one, and the outer share comes back");
+        assert_eq!(core_share(), machine);
+        let unwound = std::panic::catch_unwind(|| with_core_share(2, || panic!("worker failed")));
+        assert!(unwound.is_err());
+        assert_eq!(core_share(), machine, "a panicking scope restores the share too");
     }
 }

@@ -116,7 +116,11 @@ pub struct EpochMetrics {
 pub struct EpochTrace {
     /// Ground truth from the fabric.
     pub report: EpochReport<FiveTuple>,
-    /// The collected groups of **all** edges (pre report-loss).
+    /// Clones of the ended groups of **all** edges (pre report-loss), taken
+    /// just before the epoch closed: the epoch body analyzes the groups in
+    /// place and its flip zeroes them, so this copy is what the
+    /// differential suites compare. [`run_with_config`] steps without it
+    /// (empty).
     pub collected: Vec<CollectedGroup<FiveTuple>>,
     /// Which of those reports reached the controller.
     pub received: Vec<bool>,
@@ -187,7 +191,7 @@ impl ScenarioStack {
     /// Builds the stack with an explicit data-plane configuration.
     pub fn with_config(s: &Scenario, cfg: DataPlaneConfig) -> Self {
         let topology = s.build_topology();
-        let ChameleMon { edges, mut controller, simulator } = ChameleMon::new(
+        let ChameleMon { edges, mut controller, simulator, .. } = ChameleMon::new(
             cfg,
             topology.clone(),
             SimConfig { epoch_ms: 50.0, seed: s.seed ^ 0x51b },
@@ -259,6 +263,19 @@ impl ScenarioStack {
         base: &Trace<FiveTuple>,
         mode: ReplayMode,
     ) -> EpochTrace {
+        self.step(s, base, mode, true)
+    }
+
+    /// [`step_epoch`](Self::step_epoch), copying the ended groups into
+    /// [`EpochTrace::collected`] only when `keep_groups` — the scorer
+    /// ([`run_with_config`]) reads the metrics alone and skips the copy.
+    fn step(
+        &mut self,
+        s: &Scenario,
+        base: &Trace<FiveTuple>,
+        mode: ReplayMode,
+        keep_groups: bool,
+    ) -> EpochTrace {
         let epoch = self.simulator.current_epoch();
         let trace = s.trace_for_epoch(base, epoch);
         let plan = s.plan_for_epoch(&trace, epoch);
@@ -268,7 +285,13 @@ impl ScenarioStack {
         // with the sketch reports: deep queues corroborate blame. Scenarios
         // without the queue model export nothing, and the localizer is then
         // bit-identical to the telemetry-free pass.
-        let ClosedEpoch { collected, analysis, staged, localization, .. } =
+        let ts_bit = (report.epoch & 1) as u8;
+        let collected = if keep_groups {
+            self.edges.iter().map(|e| e.collect_group(ts_bit)).collect()
+        } else {
+            Vec::new()
+        };
+        let ClosedEpoch { analysis, staged, localization, .. } =
             self.controller.close_epoch(
                 &mut self.edges,
                 report.epoch,
@@ -477,7 +500,7 @@ pub fn run_with_config(
     let mut delivered_reports = 0usize;
     let mut total_reports = 0usize;
     for _ in 0..s.epochs {
-        let t = stack.step_epoch(s, &base, mode);
+        let t = stack.step(s, &base, mode, false);
         delivered_reports += t.metrics.reports_received;
         total_reports += stack.edges.len();
         epochs.push(t.metrics);

@@ -1,12 +1,15 @@
 //! Allocation audit of the per-packet hot path: `TowerSketch` and
 //! `FermatSketch` inserts must never allocate — the packet engine's speed
 //! rests on it — and a warmed `FermatSketch::decode_with` allocates its
-//! result, once, and nothing else. Verified with a counting global
+//! result, once, and nothing else. The epoch flip zeroes its groups in
+//! place: a steady flip allocates nothing, a reconfiguring one only the
+//! encoders whose size changed. Verified with a counting global
 //! allocator (the test-binary equivalent of a debug-assertion-gated
 //! allocation counter: it only exists here, costs nothing in the shipped
 //! crates, and fails the suite loudly if an allocation sneaks into the hot
 //! path).
 
+use chamelemon_repro::chamelemon::{DataPlaneConfig, EdgeDataPlane, Partition, RuntimeConfig};
 use chamelemon_repro::chm_fermat::{DecodeResult, DecodeScratch, FermatConfig, FermatSketch};
 use chamelemon_repro::chm_tower::{TowerConfig, TowerSketch};
 use chamelemon_repro::chm_common::{FiveTuple, FlowId};
@@ -75,6 +78,7 @@ fn hot_paths_do_not_allocate() {
     tower_insert_does_not_allocate();
     fermat_insert_does_not_allocate();
     warmed_decode_allocates_only_its_flowset();
+    flip_allocates_only_for_resized_encoders();
 }
 
 fn tower_insert_does_not_allocate() {
@@ -189,4 +193,66 @@ fn warmed_decode_allocates_only_its_flowset() {
     assert!(!r.success);
     let cap = table_bytes::<u32>(cfg.total_buckets());
     assert!(bytes <= cap, "overloaded decode requested {bytes} B, one entry per bucket is {cap} B");
+}
+
+/// Steps two identical paper-scale edge data planes through traffic and a
+/// staged runtime per epoch, and checks each flip's allocations against
+/// what the encoders it resized cost to build: nothing when the partition
+/// holds — the thresholds may still move — and, when it moves, one fresh
+/// sketch per resized encoder in each of the two groups (the idle group
+/// takes the new runtime too). The two planes are the two passes of
+/// [`steady_allocations_during`]: they hold the same state, so an
+/// allocation the flip makes lands in both windows, and the smaller count
+/// drops only process-level noise that raced into one of them.
+fn flip_allocates_only_for_resized_encoders() {
+    let cfg = DataPlaneConfig::paper_default(21);
+    let initial = RuntimeConfig::initial(&cfg);
+    let mut grown = initial;
+    grown.partition = Partition { m_hh: 3072, m_hl: 1024, m_ll: 0 };
+    let mut ill = grown;
+    ill.partition = cfg.ill_partition;
+    ill.tl = 2;
+    ill.th = 4;
+    ill.set_sample_rate(0.5);
+    let mut ill_th = ill;
+    ill_th.th = 9;
+    let built = |m: usize| {
+        allocations_during(|| drop(FermatSketch::<FiveTuple>::new(cfg.fermat_for(m, 0))))
+    };
+    let resize_cost = |from: Partition, to: Partition| {
+        let encoders = [(from.m_hh, to.m_hh), (from.m_hl, to.m_hl), (from.m_ll, to.m_ll)];
+        // HL and LL exist upstream and downstream, HH upstream only.
+        let per_group: u64 = encoders
+            .iter()
+            .zip([1, 2, 2])
+            .filter(|((a, b), _)| a != b)
+            .map(|(&(_, m), copies)| copies * built(m))
+            .sum();
+        2 * per_group
+    };
+    let mut planes = [
+        EdgeDataPlane::<FiveTuple>::new(cfg.clone(), initial),
+        EdgeDataPlane::<FiveTuple>::new(cfg.clone(), initial),
+    ];
+    let mut deployed = initial;
+    let staged = [initial, initial, grown, grown, ill, ill_th, ill_th, initial];
+    for (epoch, rt) in (0u32..).zip(staged) {
+        let ts = (epoch & 1) as u8;
+        let mut counts = [0u64; 2];
+        for (d, n) in planes.iter_mut().zip(&mut counts) {
+            for i in 0..2_000u32 {
+                for (h, pkts) in d.on_ingress_burst(&tuple(i ^ epoch), ts, 1 + u64::from(i % 9)) {
+                    d.on_egress_burst(&tuple(i ^ epoch), ts, h, pkts);
+                }
+            }
+            *n = allocations_during(|| {
+                d.stage_runtime(rt);
+                d.flip(ts);
+            });
+        }
+        let n = counts[0].min(counts[1]);
+        let want = resize_cost(deployed.partition, rt.partition);
+        assert_eq!(n, want, "epoch {epoch}: flip to {rt:?} allocated {n}, resizing costs {want}");
+        deployed = rt;
+    }
 }
