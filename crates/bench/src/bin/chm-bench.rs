@@ -8,6 +8,7 @@
 //! chm-bench soak [--quick] [--epochs <n>] [--seed <s>]
 //!                [--profile none|standard|stress] [--out <dir>]
 //! chm-bench profile [--quick] [--workers <n>] [--seed <s>] [--out <dir>]
+//! chm-bench pairs <file> [--seeds <lo>-<hi>]
 //! chm-bench fig <id>|all
 //! ```
 //!
@@ -55,6 +56,12 @@
 //! sizing — byte-identical across runs, machines, and `--workers` — and
 //! CI `cmp`-gates it against the committed golden.
 //!
+//! `pairs` summarizes a file of alternating parent/change benchmark runs
+//! (`results/pairs/PR<n>.jsonl`, one raw result row per run): per workload
+//! and metric, both medians and quartiles, the change's wins, and whether a
+//! claimed gain's rule holds (see `chm_bench::pairs`). `--seeds` keeps the
+//! pairs whose seed lies in the inclusive range.
+//!
 //! `--topology-sweep` swaps the adversarial matrix for the topology zoo:
 //! one congestion-coupled scenario per fabric (testbed, k-ary fat-trees,
 //! leaf-spines, Abilene WAN), written to `results/TOPOLOGY_SWEEP.json`
@@ -62,6 +69,7 @@
 //! `--check` compose; `--seeds` applies to the matrix only.
 
 use chm_bench::experiments::{self, EXPERIMENTS};
+use chm_bench::pairs;
 use chm_bench::perf;
 use chm_bench::profile::{self, ProfileConfig};
 use chm_bench::scenarios;
@@ -109,6 +117,7 @@ fn usage() -> ! {
          chm-bench soak [--quick] [--epochs <n>] [--seed <s>] \
          [--profile none|standard|stress] [--out <dir>]\n       \
          chm-bench profile [--quick] [--workers <n>] [--seed <s>] [--out <dir>]\n       \
+         chm-bench pairs <file> [--seeds <lo>-<hi>]\n       \
          chm-bench fig <id>|all   (ids: {})",
         EXPERIMENTS.iter().map(|&(id, _)| id).collect::<Vec<_>>().join(" ")
     );
@@ -365,6 +374,29 @@ fn main() {
                 "json: {out_dir}/PROFILE{suffix}.json + \
                  {out_dir}/PROFILE_counts{suffix}.json"
             );
+        }
+        "pairs" => {
+            let (file, seeds) = match args.as_slice() {
+                [_, file] => (file, None),
+                [_, file, flag, range] if flag == "--seeds" => {
+                    let parsed = range.split_once('-').and_then(|(lo, hi)| {
+                        Some((lo.parse::<u64>().ok()?, hi.parse::<u64>().ok()?))
+                    });
+                    (file, Some(parsed.unwrap_or_else(|| usage())))
+                }
+                _ => usage(),
+            };
+            let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
+                eprintln!("error: could not read {file}: {e}");
+                std::process::exit(1);
+            });
+            match pairs::summarize(&text, seeds) {
+                Ok(summary) => print!("{summary}"),
+                Err(e) => {
+                    eprintln!("error: {file}: {e}");
+                    std::process::exit(1);
+                }
+            }
         }
         "fig" => {
             let [_, which] = args.as_slice() else { usage() };

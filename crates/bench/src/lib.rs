@@ -14,6 +14,7 @@ pub mod attention;
 // (clippy.toml disallows `Instant::now` everywhere else).
 #[allow(clippy::disallowed_methods)]
 pub mod lossdet;
+pub mod pairs;
 pub mod parallel;
 #[allow(clippy::disallowed_methods)]
 pub mod perf;

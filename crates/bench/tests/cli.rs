@@ -50,3 +50,23 @@ fn a_thread_count_past_the_sweep_fabric_is_refused() {
         assert!(!dir.join("BENCH_hotpath.json").exists(), "--threads {threads} wrote a curve");
     }
 }
+
+#[test]
+fn pairs_refuses_a_bad_range_and_a_file_of_no_runs() {
+    let dir = scratch("pairs");
+    let file = dir.join("not_runs.jsonl");
+    std::fs::write(&file, "{\"workload\":\"w\"}\n").expect("write the file");
+    let file = file.to_str().unwrap();
+    for (args, code, says) in [
+        (vec!["pairs", file, "--seeds", "101"], 2, "usage:"),
+        (vec!["pairs", file, "--seeds", "a-b"], 2, "usage:"),
+        (vec!["pairs"], 2, "usage:"),
+        (vec!["pairs", file], 1, "line 1: not a benchmark run"),
+        (vec!["pairs", "/nonexistent/pairs.jsonl"], 1, "could not read"),
+    ] {
+        let out = bench(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains(says) && !stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

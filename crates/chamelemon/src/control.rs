@@ -124,7 +124,10 @@ pub struct EpochAnalysis<F> {
     /// Estimated number of victim flows network-wide.
     pub est_victims: f64,
     /// Network-wide flow-size distribution estimate (`dist[s]` ≈ #flows of
-    /// size `s`).
+    /// size `s`), the element-wise sum of the reporting edges'
+    /// [`TowerSketch::flow_size_distribution`](chm_tower::TowerSketch::flow_size_distribution)s:
+    /// it ends at the largest size any edge's estimate lands on (empty when
+    /// none does), and every size past it is estimated at zero flows.
     pub flow_size_dist: Vec<f64>,
     /// Victim flow-size distribution (ill state; from sampled victims).
     pub victim_size_dist: Option<Vec<f64>>,
@@ -206,7 +209,8 @@ pub struct Controller<F: FlowId> {
     /// and its peeling allocations persist across epochs.
     scratch: RefCell<DecodeScratch<F>>,
     /// Reusable MRAC workspace, for the same reason: the per-edge
-    /// flow-size-distribution estimates of every epoch run through it.
+    /// flow-size-distribution estimates of every epoch run through it, and
+    /// are staged in it until they are added into the epoch's distribution.
     mrac_scratch: RefCell<MracScratch>,
     /// Cross-epoch victim-localization state, present once
     /// [`enable_localization`](Self::enable_localization) gave the
@@ -597,18 +601,20 @@ impl<F: FlowId> Controller<F> {
             hh_flowsets.push(r.flows);
         }
 
-        // Aggregate flow-size distribution (classifier MRAC + HH tail).
+        // Aggregate flow-size distribution (classifier MRAC + HH tail): every
+        // edge's estimate is staged in edge order, then added into a
+        // distribution allocated once, at the length the estimates end at.
         let flow_size_dist = span(probe, "fsd", &mut 0, |_| {
-            let mut dist: Vec<f64> = Vec::new();
             let mrac_scratch = &mut *self.mrac_scratch.borrow_mut();
             let mut tail: Vec<u64> = Vec::new();
             for (g, hh) in collected.iter().zip(&hh_flowsets) {
                 tail.clear();
-                // chm-lint: allow(map-iter-order, "the tail is a multiset: flow_size_distribution_into takes its max and adds 1.0 per entry to integer-valued bins, exact in any order")
+                // chm-lint: allow(map-iter-order, "the tail is a multiset: its entries are staged as 1.0 terms added to integer-valued bins, exact in any order")
                 tail.extend(hh.values().map(|&q| runtime.th + q.max(0) as u64));
-                g.classifier
-                    .flow_size_distribution_into(&tail, &self.mrac, mrac_scratch, &mut dist);
+                g.classifier.stage_flow_sizes(&tail, &self.mrac, mrac_scratch);
             }
+            let mut dist = Vec::new();
+            mrac_scratch.add_staged_into(&mut dist);
             dist
         });
 

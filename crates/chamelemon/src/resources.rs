@@ -10,7 +10,11 @@
 //!   needs five SALUs (four ID/fingerprint lanes + one count lane,
 //!   Figure 13).
 //! * **SRAM** — register memory: doubled (two groups) sketch bytes, in
-//!   16 KiB units.
+//!   16 KiB units. The classifier's bytes are
+//!   [`TowerConfig::memory_bytes`](chm_tower::TowerConfig::memory_bytes),
+//!   `Σ w_i · δ_i / 8` — 64 KiB for the paper's 8-bit/16-bit arrays, which
+//!   is also what a simulated `TowerSketch` holds, since each level's
+//!   counters are stored at their own width.
 //! * **TCAM** — range-match entries implementing `mod m'` for each encoder
 //!   partition (§D.1 "modulo operation ... at the cost of TCAM resources"),
 //!   with the value range held within `[4m', 8m')` so each modulo table

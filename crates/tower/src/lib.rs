@@ -9,6 +9,11 @@
 //! few wide counters track elephants. A counter at its maximum value is
 //! *overflowed* and treated as `+∞`; queries return the minimum over the
 //! mapped counters.
+//!
+//! A sketch holds what it counts: each level's counters are stored in the
+//! narrowest of `u8`, `u16` and `u32` that holds its saturation value, so the
+//! paper's 8-bit/16-bit testbed sketch holds the 64 KiB that
+//! [`TowerConfig::memory_bytes`] reports.
 
 #![forbid(unsafe_code)]
 
@@ -70,13 +75,83 @@ impl TowerConfig {
         }
     }
 
-    /// Total memory in bytes (`Σ w_i · δ_i / 8`).
+    /// Total memory in bytes (`Σ w_i · δ_i / 8`) — what a [`TowerSketch`]
+    /// of this configuration holds in counters
+    /// ([`TowerSketch::counter_bytes`]) when every width is 8, 16 or 32 bits;
+    /// a level of any other width is stored in the next of those.
     pub fn memory_bytes(&self) -> usize {
         self.levels
             .iter()
             .map(|l| l.width * l.bits as usize / 8)
             .sum()
     }
+}
+
+/// A counter cell: `u8`, `u16` or `u32`, whichever is the narrowest that
+/// holds its level's saturation value.
+pub(crate) trait Counter: Copy {
+    /// The counter's value.
+    fn get(self) -> u64;
+    /// A counter holding `v`, which is at most the level's saturation value
+    /// and so fits the cell.
+    fn of(v: u64) -> Self;
+}
+
+macro_rules! impl_counter {
+    ($($t:ty),*) => {$(
+        impl Counter for $t {
+            #[inline]
+            fn get(self) -> u64 {
+                u64::from(self)
+            }
+            #[inline]
+            fn of(v: u64) -> Self {
+                debug_assert!(v <= u64::from(<$t>::MAX));
+                v as $t
+            }
+        }
+    )*};
+}
+impl_counter!(u8, u16, u32);
+
+/// One level's counters at the level's width: `u8` when `bits ≤ 8`, `u16`
+/// when `bits ≤ 16`, `u32` otherwise.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Counters {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+impl Counters {
+    fn zeroed(level: &TowerLevel) -> Self {
+        match level.bits {
+            0..=8 => Counters::U8(vec![0; level.width]),
+            9..=16 => Counters::U16(vec![0; level.width]),
+            _ => Counters::U32(vec![0; level.width]),
+        }
+    }
+}
+
+/// Evaluates `$body` with `$c` bound to a level's counter vector, whatever
+/// its cell type: one body, compiled once per width.
+macro_rules! with_counters {
+    ($counters:expr, $c:ident => $body:expr) => {
+        match $counters {
+            Counters::U8($c) => $body,
+            Counters::U16($c) => $body,
+            Counters::U32($c) => $body,
+        }
+    };
+}
+
+/// Adds `n` packets to a counter, saturating at `sat`, and returns the value
+/// it held before — `n` saturating unit increments in one step.
+#[inline]
+fn add_saturating<C: Counter>(c: &mut C, n: u64, sat: u64) -> u64 {
+    let before = c.get();
+    *c = C::of((before + n).min(sat));
+    before
 }
 
 /// The TowerSketch data structure. `PartialEq` compares full counter state.
@@ -86,8 +161,9 @@ pub struct TowerSketch {
     hashes: HashFamily,
     /// Precomputed branch-free range reduction per level.
     reducers: Vec<FastRange>,
-    /// Counter storage per level (stored as u32; saturation per level).
-    counters: Vec<Vec<u32>>,
+    /// Counter storage per level, each at its level's width (saturation per
+    /// level).
+    counters: Vec<Counters>,
 }
 
 impl TowerSketch {
@@ -106,7 +182,7 @@ impl TowerSketch {
         );
         let hashes = HashFamily::new(cfg.seed, cfg.levels.len());
         let reducers = cfg.levels.iter().map(|l| FastRange::new(l.width)).collect();
-        let counters = cfg.levels.iter().map(|l| vec![0u32; l.width]).collect();
+        let counters = cfg.levels.iter().map(Counters::zeroed).collect();
         TowerSketch { cfg, hashes, reducers, counters }
     }
 
@@ -130,12 +206,12 @@ impl TowerSketch {
         let mut min = u64::MAX;
         for (i, level) in self.cfg.levels.iter().enumerate() {
             let j = bh.index(self.hashes.get(i), self.reducers[i]);
-            let sat = level.saturation() as u32;
-            let c = &mut self.counters[i][j];
-            if *c < sat {
-                *c += 1; // saturating add: never wraps past 2^δ − 1
-            }
-            let v = if *c >= sat { u64::MAX } else { *c as u64 };
+            let sat = level.saturation();
+            // Saturating add: never wraps past 2^δ − 1.
+            let cells = &mut self.counters[i];
+            let before = with_counters!(cells, c => add_saturating(&mut c[j], 1, sat));
+            let after = (before + 1).min(sat);
+            let v = if after >= sat { u64::MAX } else { after };
             min = min.min(v);
         }
         min
@@ -173,11 +249,10 @@ impl TowerSketch {
         for (i, level) in self.cfg.levels.iter().enumerate() {
             let j = bh.index(self.hashes.get(i), self.reducers[i]);
             let sat = level.saturation();
-            let c = &mut self.counters[i][j];
-            let before = *c as u64;
+            let cells = &mut self.counters[i];
+            let before = with_counters!(cells, c => add_saturating(&mut c[j], n, sat));
             k_tl = k_tl.max(sat.min(tl).saturating_sub(before));
             k_th = k_th.max(sat.min(th).saturating_sub(before));
-            *c = (before + n).min(sat) as u32;
         }
         let below_tl = n.min(k_tl.saturating_sub(1));
         let below_th = n.min(k_th.saturating_sub(1));
@@ -192,7 +267,7 @@ impl TowerSketch {
         let mut min = u64::MAX;
         for (i, level) in self.cfg.levels.iter().enumerate() {
             let j = bh.index(self.hashes.get(i), self.reducers[i]);
-            let c = self.counters[i][j] as u64;
+            let c = with_counters!(&self.counters[i], c => c[j].get());
             let v = if c >= level.saturation() { u64::MAX } else { c };
             min = min.min(v);
         }
@@ -215,13 +290,23 @@ impl TowerSketch {
     /// Resets all counters (epoch rotation re-uses the physical arrays, §B).
     pub fn clear(&mut self) {
         for level in &mut self.counters {
-            level.fill(0);
+            with_counters!(level, c => c.fill(0));
         }
     }
 
-    /// Raw access to a level's counters (for MRAC / linear counting).
-    pub fn level_counters(&self, i: usize) -> &[u32] {
-        &self.counters[i]
+    /// A copy of level `i`'s counters, each widened to `u32` whatever the
+    /// width it is stored at.
+    pub fn level_counters(&self, i: usize) -> Vec<u32> {
+        with_counters!(&self.counters[i], c => c.iter().map(|&v| v.get() as u32).collect())
+    }
+
+    /// Bytes the counters occupy: [`TowerConfig::memory_bytes`] when every
+    /// level's width is 8, 16 or 32 bits.
+    pub fn counter_bytes(&self) -> usize {
+        self.counters
+            .iter()
+            .map(|level| with_counters!(level, c => std::mem::size_of_val(c.as_slice())))
+            .sum()
     }
 
     /// Linear-counting cardinality estimate using the level with the most
@@ -234,7 +319,8 @@ impl TowerSketch {
             .enumerate()
             .max_by_key(|(_, l)| l.width)
             .expect("at least one level");
-        let zero = self.counters[i].iter().filter(|&&c| c == 0).count();
+        let zero =
+            with_counters!(&self.counters[i], c => c.iter().filter(|v| v.get() == 0).count());
         if zero == 0 {
             // Saturated: half-count continuity correction (V₀ = 0.5/w).
             let w = level.width as f64;
@@ -248,9 +334,11 @@ impl TowerSketch {
     pub fn level_histogram(&self, i: usize) -> Vec<f64> {
         let sat = self.cfg.levels[i].saturation() as usize;
         let mut hist = vec![0.0; sat + 1];
-        for &c in &self.counters[i] {
-            hist[(c as usize).min(sat)] += 1.0;
-        }
+        with_counters!(&self.counters[i], c => {
+            for &v in c {
+                hist[(v.get() as usize).min(sat)] += 1.0;
+            }
+        });
         hist
     }
 
@@ -259,6 +347,10 @@ impl TowerSketch {
     /// (§4.2): level `i` covers `[2^{δ_{i−1}} − 1, 2^{δ_i} − 1)` and the
     /// remaining range `[2^{δ_l} − 1, ∞)` comes from the HH-flowset tail
     /// sizes supplied by the caller.
+    ///
+    /// The distribution ends at its estimate: its last slot is the largest
+    /// size an in-range EM estimate or a kept tail size lands on (empty when
+    /// there is none). Every size past it is estimated at zero flows.
     pub fn flow_size_distribution(&self, hh_tail_sizes: &[u64], em: &MracConfig) -> Vec<f64> {
         let mut dist = Vec::new();
         self.flow_size_distribution_into(hh_tail_sizes, em, &mut MracScratch::default(), &mut dist);
@@ -266,11 +358,13 @@ impl TowerSketch {
     }
 
     /// [`flow_size_distribution`](Self::flow_size_distribution) *added* into
-    /// `dist` (grown with zeros when too short), with the EM's working memory
-    /// in `scratch` — so summing the estimates of many sketches costs one
-    /// dense vector in all. Only the sizes the estimate puts flows on are
-    /// touched; adding `k` sketches this way equals the element-wise sum of
-    /// their `flow_size_distribution`s bit for bit.
+    /// `dist` (grown with zeros when shorter than this estimate's end), with
+    /// the EM's working memory in `scratch`: this sketch's
+    /// [`stage_flow_sizes`](Self::stage_flow_sizes) then
+    /// [`MracScratch::add_staged_into`]. Adding `k` sketches this way equals
+    /// the element-wise sum of their `flow_size_distribution`s bit for bit;
+    /// staging all `k` before one `add_staged_into` does too, and sizes
+    /// `dist` once.
     pub fn flow_size_distribution_into(
         &self,
         hh_tail_sizes: &[u64],
@@ -278,38 +372,33 @@ impl TowerSketch {
         scratch: &mut MracScratch,
         dist: &mut Vec<f64>,
     ) {
-        // One slot per size up to the top level's saturation value or the
-        // largest tail size.
-        let top_sat = self
-            .cfg
-            .levels
-            .last()
-            .expect("TowerSketch::new asserts at least one level")
-            .saturation();
-        let len = hh_tail_sizes.iter().copied().fold(top_sat, u64::max) as usize + 1;
-        if dist.is_empty() {
-            // Zeroed lazily by the allocator: the pages of sizes nothing
-            // lands on are never written.
-            *dist = vec![0.0; len];
-        } else if dist.len() < len {
-            dist.resize(len, 0.0);
-        }
+        self.stage_flow_sizes(hh_tail_sizes, em, scratch);
+        scratch.add_staged_into(dist);
+    }
+
+    /// Runs the EM of every level and stages this sketch's estimate in
+    /// `scratch` as `(size, flows)` terms, after whatever is staged already:
+    /// level by level the in-range estimates in ascending size, then one
+    /// `(s, 1.0)` per tail size `s` at or above the top level's saturation
+    /// value, in the order given. [`MracScratch::add_staged_into`] adds them.
+    pub fn stage_flow_sizes(
+        &self,
+        hh_tail_sizes: &[u64],
+        em: &MracConfig,
+        scratch: &mut MracScratch,
+    ) {
         let mut prev_bound = 1usize; // sizes below 1 don't exist
         for (level, counters) in self.cfg.levels.iter().zip(&self.counters) {
             let upper = level.saturation() as usize; // exclusive bound
-            scratch.load_counters(counters, upper);
+            with_counters!(counters, c => scratch.load_counters(c, upper));
             scratch.run(level.width, em);
-            for (s, n) in scratch.estimate() {
-                if (prev_bound..upper).contains(&s) {
-                    dist[s] += n;
-                }
-            }
+            scratch.stage_estimate(prev_bound..upper);
             prev_bound = upper;
         }
         // Tail from the HH flowset (flows ≥ top saturation).
         for &s in hh_tail_sizes {
             if s as usize >= prev_bound {
-                dist[s as usize] += 1.0;
+                scratch.stage(s as usize, 1.0);
             }
         }
     }

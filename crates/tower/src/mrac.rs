@@ -59,6 +59,9 @@
 //! list in the same ascending `s3`, `s2` order — the same float additions in
 //! the same order, and each index's one term scaled as its one-term sum was.
 
+use crate::Counter;
+use std::ops::Range;
+
 /// Slots (a power of two) that empty counters are counted into in turn,
 /// ahead of the slot of value 1: most counters of a sparse array are empty,
 /// and one shared slot would make each increment wait on the previous one.
@@ -92,11 +95,13 @@ impl MracConfig {
 
 /// Working memory of the MRAC EM, reusable across calls: every vector is as
 /// long as the number of *distinct* observed counter values, apart from the
-/// split table (one entry per two-part split of a support value) and one
+/// split table (one entry per two-part split of a support value), one
 /// count table as long as the largest value seen so far — never as long as
-/// the saturation value unless a counter holds it. A caller that estimates
-/// every epoch (the controller) keeps one, which stops allocating once it has
-/// grown to its sketches; nothing of one call is visible to the next.
+/// the saturation value unless a counter holds it — and the staged
+/// `(size, flows)` terms of the estimates not yet added into a distribution.
+/// A caller that estimates every epoch (the controller) keeps one, which
+/// stops allocating once it has grown to its sketches; apart from the staged
+/// terms, nothing of one call is visible to the next.
 #[derive(Debug, Clone, Default)]
 pub struct MracScratch {
     /// Occurrences per counter value during the histogram pass (value `v ≥ 1`
@@ -123,6 +128,10 @@ pub struct MracScratch {
     /// `split_ends[j]` = end of value `j`'s splits in `splits`; they start
     /// where value `j − 1`'s end.
     split_ends: Vec<usize>,
+    /// `(size, flows)` terms staged by
+    /// [`TowerSketch::stage_flow_sizes`](crate::TowerSketch::stage_flow_sizes),
+    /// in the order [`add_staged_into`](Self::add_staged_into) adds them.
+    staged: Vec<(usize, f64)>,
 }
 
 impl MracScratch {
@@ -132,8 +141,8 @@ impl MracScratch {
     /// table in ascending order — the array may hold tens of thousands of
     /// counters, the support only a few hundred values.
     // chm-lint: hot
-    pub(crate) fn load_counters(&mut self, counters: &[u32], sat: usize) {
-        let max = counters.iter().copied().max().map_or(0, |c| (c as usize).min(sat));
+    pub(crate) fn load_counters<C: Counter>(&mut self, counters: &[C], sat: usize) {
+        let max = counters.iter().map(|c| c.get()).max().map_or(0, |c| (c as usize).min(sat));
         let slots = max + EMPTY_SLOTS;
         if self.table.len() < slots {
             self.table.resize(slots, 0);
@@ -141,7 +150,7 @@ impl MracScratch {
         let table = &mut self.table[..slots];
         for (i, &c) in counters.iter().enumerate() {
             // `min(c, max)` is `min(c, sat)`: no counter exceeds the largest.
-            let v = (c as usize).min(max);
+            let v = (c.get() as usize).min(max);
             let slot = if v == 0 { i & (EMPTY_SLOTS - 1) } else { v + EMPTY_SLOTS - 1 };
             table[slot] += 1;
         }
@@ -171,8 +180,35 @@ impl MracScratch {
 
     /// The estimate of the last [`run`](Self::run): `(size, flows)` pairs in
     /// ascending size; sizes not listed are estimated at zero flows.
-    pub(crate) fn estimate(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    fn estimate(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.values.iter().copied().zip(self.est.iter().copied())
+    }
+
+    /// Stages the terms of the last [`run`](Self::run)'s estimate whose size
+    /// lies in `sizes`, in ascending size.
+    pub(crate) fn stage_estimate(&mut self, sizes: Range<usize>) {
+        let terms = self.values.iter().copied().zip(self.est.iter().copied());
+        self.staged.extend(terms.filter(|(s, _)| sizes.contains(s)));
+    }
+
+    /// Stages one `(size, flows)` term.
+    pub(crate) fn stage(&mut self, size: usize, flows: f64) {
+        self.staged.push((size, flows));
+    }
+
+    /// Adds the staged terms into `dist` in the order they were staged, and
+    /// unstages them. `dist` is first grown with zeros, in one step, to end
+    /// at the largest staged size, and is left as long as it is when nothing
+    /// is staged.
+    pub fn add_staged_into(&mut self, dist: &mut Vec<f64>) {
+        let len = self.staged.iter().map(|&(s, _)| s + 1).max().unwrap_or(0);
+        if dist.len() < len {
+            dist.resize(len, 0.0);
+        }
+        for &(s, n) in &self.staged {
+            dist[s] += n;
+        }
+        self.staged.clear();
     }
 
     /// Runs the EM on the loaded histogram of an array of `m` counters.

@@ -127,6 +127,17 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `got` is the dense composition up to the end of the estimate: bit-equal
+/// to the oracle's prefix of its length, and the oracle all zeros past it.
+/// The dense composition is as long as the top saturation value or the
+/// largest tail size; the distribution ends where its estimate ends.
+fn assert_dense_prefix(got: &[f64], want: &[f64], what: &str) {
+    assert!(got.len() <= want.len(), "{what}: {} slots past the dense {}", got.len(), want.len());
+    assert_eq!(bits(got), bits(&want[..got.len()]), "{what}");
+    let past = want[got.len()..].iter().position(|&x| x != 0.0);
+    assert_eq!(past, None, "{what}: the oracle has mass past the estimate's end");
+}
+
 fn presets() -> [(&'static str, MracConfig); 2] {
     [("realtime", MracConfig::realtime()), ("default", MracConfig::default())]
 }
@@ -216,8 +227,7 @@ fn flow_size_distribution_matches_dense_composition() {
         for (name, cfg) in presets() {
             let got = t.flow_size_distribution(&tail, &cfg);
             let want = dense_flow_size_distribution(&t, &tail, &cfg);
-            assert_eq!(got.len(), want.len(), "case {case} {name}");
-            assert_eq!(bits(&got), bits(&want), "case {case} {name}");
+            assert_dense_prefix(&got, &want, &format!("case {case} {name}"));
         }
     }
 }
@@ -247,7 +257,7 @@ fn paper_scale_edges_match_dense_composition() {
         for (name, cfg) in presets() {
             let got = t.flow_size_distribution(tail, &cfg);
             let want = dense_flow_size_distribution(t, tail, &cfg);
-            assert_eq!(bits(&got), bits(&want), "edge {e} {name}");
+            assert_dense_prefix(&got, &want, &format!("edge {e} {name}"));
         }
     }
 }
@@ -331,16 +341,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Accumulating N sketches through `_into` on one scratch is the
-    /// element-wise sum of N `flow_size_distribution` calls, in order.
+    /// element-wise sum of N `flow_size_distribution` calls, in order — and
+    /// so is staging all N and adding them once, the controller's path.
     #[test]
     fn into_accumulates_the_elementwise_sum(inputs in sketch_inputs(), realtime in any::<bool>()) {
         let cfg = if realtime { MracConfig::realtime() } else { MracConfig::default() };
         let mut scratch = MracScratch::default();
+        let mut staging = MracScratch::default();
         let mut got: Vec<f64> = Vec::new();
         let mut want: Vec<f64> = Vec::new();
         for (seed, stream, tail) in &inputs {
             let t = loaded_tower(*seed, stream);
             t.flow_size_distribution_into(tail, &cfg, &mut scratch, &mut got);
+            t.stage_flow_sizes(tail, &cfg, &mut staging);
             let dist = t.flow_size_distribution(tail, &cfg);
             if dist.len() > want.len() {
                 want.resize(dist.len(), 0.0);
@@ -349,7 +362,10 @@ proptest! {
                 *w += d;
             }
         }
+        let mut staged = Vec::new();
+        staging.add_staged_into(&mut staged);
         prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(bits(&staged), bits(&want));
     }
 
     /// Nothing of one call survives in the scratch: a second sketch run on a

@@ -3,7 +3,9 @@
 //! rests on it — and a warmed `FermatSketch::decode_with` allocates its
 //! result, once, and nothing else. The epoch flip zeroes its groups in
 //! place: a steady flip allocates nothing, a reconfiguring one only the
-//! encoders whose size changed. Verified with a counting global
+//! encoders whose size changed. A warm flow-size distribution requests
+//! the slots its estimate reaches, not one per value a 16-bit counter can
+//! hold. Verified with a counting global
 //! allocator (the test-binary equivalent of a debug-assertion-gated
 //! allocation counter: it only exists here, costs nothing in the shipped
 //! crates, and fails the suite loudly if an allocation sneaks into the hot
@@ -11,7 +13,7 @@
 
 use chamelemon_repro::chamelemon::{DataPlaneConfig, EdgeDataPlane, Partition, RuntimeConfig};
 use chamelemon_repro::chm_fermat::{DecodeResult, DecodeScratch, FermatConfig, FermatSketch};
-use chamelemon_repro::chm_tower::{TowerConfig, TowerSketch};
+use chamelemon_repro::chm_tower::{MracConfig, MracScratch, TowerConfig, TowerLevel, TowerSketch};
 use chamelemon_repro::chm_common::{FiveTuple, FlowId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,6 +81,7 @@ fn hot_paths_do_not_allocate() {
     fermat_insert_does_not_allocate();
     warmed_decode_allocates_only_its_flowset();
     flip_allocates_only_for_resized_encoders();
+    warm_distribution_ends_at_its_estimate();
 }
 
 fn tower_insert_does_not_allocate() {
@@ -99,6 +102,38 @@ fn tower_insert_does_not_allocate() {
         }
     });
     assert_eq!(n, 0, "TowerSketch::insert_burst allocated {n} times");
+}
+
+/// A warm `flow_size_distribution_into` of a small sketch into an empty
+/// `Vec` requests what its estimate reaches — a few hundred sizes here —
+/// not a dense slab of one `f64` per 16-bit counter value (512 KiB).
+fn warm_distribution_ends_at_its_estimate() {
+    let mut t = TowerSketch::new(TowerConfig {
+        levels: vec![TowerLevel { width: 2048, bits: 8 }, TowerLevel { width: 1024, bits: 16 }],
+        seed: 1,
+    });
+    for i in 0..600u64 {
+        // Mice mostly, some mid-sized flows, a few past the 8-bit level.
+        let size = match i % 20 {
+            0 => 300 + i,
+            1..=4 => 10 + i % 90,
+            _ => 1 + i % 4,
+        };
+        t.insert_burst(tuple(i as u32).key64(), size, 1, 1);
+    }
+    let em = MracConfig::realtime();
+    let mut scratch = MracScratch::default();
+    let mut dist = Vec::new();
+    t.flow_size_distribution_into(&[], &em, &mut scratch, &mut dist);
+    let mut bytes = u64::MAX;
+    for _ in 0..2 {
+        let mut dist = Vec::new();
+        let before = BYTES.load(Ordering::SeqCst);
+        t.flow_size_distribution_into(&[], &em, &mut scratch, &mut dist);
+        bytes = bytes.min(BYTES.load(Ordering::SeqCst) - before);
+        std::hint::black_box(&dist);
+    }
+    assert!(bytes < 64 << 10, "a warm distribution requested {bytes} B");
 }
 
 fn fermat_insert_does_not_allocate() {
