@@ -13,8 +13,6 @@
 //! [`LossDetector`] for the loss-detection trio and [`AccumulationSketch`]
 //! for the per-flow-size family.
 
-#![forbid(unsafe_code)]
-
 pub mod cm;
 pub mod coco;
 pub mod count_sketch;

@@ -75,39 +75,16 @@ use chm_bench::profile::{self, ProfileConfig};
 use chm_bench::scenarios;
 use chm_bench::soak::{self, SoakConfig};
 use chm_bench::sweep;
+use chm_counting_alloc::CountingAlloc;
 use chm_scenarios::ReplayMode;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Global allocation counter feeding the soak's flatness gate. Lives in
-/// the binary root so the library keeps `forbid(unsafe_code)`; the
-/// `fetch_add` costs nanoseconds and the measured hot paths are
-/// allocation-free anyway (see `tests/alloc_audit.rs`).
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// chm-lint: allow(unsafe-block, "counting-allocator shim: implementing GlobalAlloc is inherently unsafe and this type exists only in this binary")
-unsafe impl GlobalAlloc for CountingAlloc {
-    // chm-lint: allow(unsafe-block, "bumps a counter then delegates to System.alloc with the caller's layout unchanged")
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    // chm-lint: allow(unsafe-block, "pure delegation to System.dealloc; pointer and layout come straight from the caller")
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    // chm-lint: allow(unsafe-block, "bumps a counter then delegates to System.realloc with the caller's arguments unchanged")
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
+/// Global allocation counter feeding the soak's flatness gate and the
+/// profile's per-span allocation counts (`chm_counting_alloc`, the one
+/// crate that writes `unsafe`). A call costs three relaxed atomic adds, and
+/// the measured hot paths are allocation-free anyway (see
+/// `tests/alloc_audit.rs`).
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 fn usage() -> ! {
     eprintln!(
@@ -320,7 +297,7 @@ fn main() {
                 cfg.epochs = n;
             }
             // `None`: `--profile` named no fault profile.
-            let Some(report) = soak::run(&cfg, &|| ALLOCATIONS.load(Ordering::SeqCst)) else {
+            let Some(report) = soak::run(&cfg, &|| ALLOC.calls()) else {
                 usage()
             };
             report.print();
@@ -362,7 +339,7 @@ fn main() {
             let report = profile::run(
                 &cfg,
                 &profile::wall_clock(),
-                &|| ALLOCATIONS.load(Ordering::SeqCst),
+                &|| ALLOC.calls(),
             );
             report.print();
             if let Err(e) = report.write_json(&out_dir, quick) {

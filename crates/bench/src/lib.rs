@@ -7,8 +7,6 @@
 //! [`report::Table::write_json`], a machine-readable record under
 //! `results/`.
 
-#![forbid(unsafe_code)]
-
 pub mod attention;
 // The timing harnesses are the one place the workspace reads real time
 // (clippy.toml disallows `Instant::now` everywhere else).

@@ -4,9 +4,8 @@
 //!
 //! * **allocations stay flat** — the per-epoch allocation count of the
 //!   post-warmup windows does not grow (no leak, no unbounded buffer);
-//!   the global counting allocator lives in the `chm-bench` binary root
-//!   (the library stays `forbid(unsafe_code)`) and is injected here as a
-//!   closure;
+//!   the `chm-bench` binary declares the workspace's counting allocator
+//!   (`chm_counting_alloc`) and injects its call count here as a closure;
 //! * **reaction latency is bounded** — real wall-clock p50/p99/p999 of
 //!   the controller's analyze → reconfigure step, measured with the
 //!   workspace's one allowed clock, alongside the deterministic virtual

@@ -41,8 +41,6 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 pub mod control;
 pub mod dataplane;

@@ -22,8 +22,6 @@
 //! Memory is `Θ(M)` in the number of encoded flows; with `d = 3`, decoding
 //! succeeds w.h.p. once buckets ≥ 1.23·M (Theorem 3.1).
 
-#![forbid(unsafe_code)]
-
 use chm_common::flowid::{FlowId, MAX_FRAGMENTS};
 use chm_common::hash::{BatchHasher, FastRange, HashFamily, PairwiseHash};
 use chm_common::prime::{add_mod, inv_mod, mul_mod, signed_to_mod, sub_mod};

@@ -1,21 +1,25 @@
-//! **chm-lint** — in-tree static analysis enforcing the workspace's
-//! determinism and hot-path invariants.
+//! **chm-lint** — in-tree static analysis enforcing the invariants of the
+//! workspace that only a token-level pass can see.
 //!
 //! Every result this reproduction ships — byte-identical per-packet vs
 //! burst replays, the CI scenario gate, the committed benchmark goldens —
 //! rests on invariants that were previously enforced only by review: no
 //! unordered hash iteration feeding committed metrics (the exact PR 3 bug
-//! class), no entropy-seeded RNGs, no wall-clock reads in library code
-//! (the `chm_obs` span profiler takes an *injected* clock for exactly this
-//! reason), no `%`/allocation in hot paths, audited `unsafe`/`unwrap`, and
-//! Prometheus-convention metric names at every `chm_obs` registration
-//! site. This crate checks them mechanically on every CI run.
+//! class), no `%`/allocation in hot paths, and no undocumented `unwrap`
+//! in library code. This crate checks them mechanically on every CI run.
+//!
+//! What the compiler can check with types resolved lives there instead,
+//! in one place each: wall-clock reads in `clippy.toml`, entropy-seeded
+//! RNGs in the vendored `rand` (it has no entropy source), `unsafe` in
+//! `[workspace.lints]`, and metric names in `chm_obs`'s registry (see
+//! [`rules`]).
 //!
 //! The analyzer is a hand-rolled lexer + token-stream rule engine
 //! ([`lexer`], [`model`], [`rules`]) — the vendoring policy forbids new
 //! external dependencies, so there is no `syn` and no AST. Rules are
-//! context-sensitive by crate/module role ([`roles`]): the bench harness
-//! may read clocks, tests may `unwrap`, the vendored stubs are skipped.
+//! context-sensitive by crate/module role ([`roles`]): tests, examples
+//! and the bench harness may `unwrap`, only output surfaces are held to
+//! ordered iteration, and the vendored stubs are skipped.
 //!
 //! Escape hatch: `// chm-lint: allow(rule, "reason")` — the reason string
 //! is mandatory and audited (see [`directives`]).
@@ -25,8 +29,6 @@
 //! ```text
 //! cargo run -p chm_lint --bin chm-lint -- --check
 //! ```
-
-#![forbid(unsafe_code)]
 
 pub mod diag;
 pub mod directives;
@@ -195,20 +197,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snippet_flags_wall_clock_in_lib_role() {
+    fn snippet_flags_unwrap_in_lib_role() {
         let d = lint_snippet(
             "crates/foo/src/lib.rs",
-            "fn f() { let t = std::time::Instant::now(); }",
+            "fn f(v: Vec<u8>) -> u8 { *v.first().unwrap() }",
         );
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "wall-clock");
+        assert_eq!(d[0].rule, "unwrap");
     }
 
     #[test]
-    fn snippet_allows_wall_clock_in_bench_role() {
+    fn snippet_allows_unwrap_in_bench_role() {
         let d = lint_snippet(
             "crates/bench/src/perf.rs",
-            "fn f() { let t = std::time::Instant::now(); }",
+            "fn f(v: Vec<u8>) -> u8 { *v.first().unwrap() }",
         );
         assert!(d.is_empty());
     }

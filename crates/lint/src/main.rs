@@ -11,8 +11,6 @@
 //! allow listing. There is deliberately no `--fix` — fixes are code
 //! review's job; the analyzer only refuses.
 
-#![forbid(unsafe_code)]
-
 use chm_lint::{find_workspace_root, scan_workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,24 +1,25 @@
 //! Path → role classification.
 //!
-//! Every rule is context-sensitive by crate/module role: the bench crate
-//! may read wall clocks, test code may `unwrap`, the vendored dependency
-//! stubs and the lint's own fixtures are not scanned at all. Roles are
-//! derived purely from the workspace-relative path, so the same source
-//! text lints differently depending on where it lives — which is the
-//! point: the *same* `Instant::now()` is fine in a timing harness and a
-//! reproducibility bug in library code.
+//! Two rules are context-sensitive by crate/module role: `map-iter-order`
+//! guards only the output surfaces, and the `unwrap` audit only library
+//! code — tests, examples, bins and the bench harness may fail loudly. The
+//! vendored dependency stubs and the lint's own fixtures are not scanned
+//! at all. Roles are derived purely from the workspace-relative path, so
+//! the same source text lints differently depending on where it lives —
+//! which is the point: the *same* bare `.unwrap()` is fine in a test and
+//! an undocumented panic in library code.
 
 /// The role a file plays in the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
-    /// Ordinary library code: every determinism rule applies.
+    /// Ordinary library code: the `unwrap` audit applies.
     Lib,
     /// Files that build serialized output, metrics, or `EpochReport`
     /// content — the `map-iter-order` rule applies here on top of the
     /// library rules.
     OutputSurface,
-    /// `crates/bench/**`: the timing harness. Wall-clock reads are its
-    /// job; the `unwrap` audit is relaxed (benches fail loudly anyway).
+    /// `crates/bench/**`: the timing harness. The `unwrap` audit is
+    /// relaxed (benches fail loudly anyway).
     Bench,
     /// Integration-test files (`tests/` directories).
     TestFile,
@@ -81,12 +82,6 @@ impl Role {
     /// Is the file scanned at all?
     pub fn scanned(self) -> bool {
         !matches!(self, Role::Vendor | Role::Fixture)
-    }
-
-    /// Does the wall-clock rule (D3) apply? Only the bench harness may
-    /// read real time.
-    pub fn forbids_wall_clock(self) -> bool {
-        !matches!(self, Role::Bench | Role::Vendor | Role::Fixture)
     }
 
     /// Does the `map-iter-order` rule (D1) apply?

@@ -1,16 +1,19 @@
-//! The rule set.
+//! The rule set: the invariants only a token-level pass can check.
 //!
 //! | id              | invariant enforced                                             |
 //! |-----------------|----------------------------------------------------------------|
 //! | `map-iter-order`| no unordered `HashMap`/`HashSet` iteration on output surfaces  |
-//! | `rng-discipline`| no entropy-seeded RNG construction anywhere                    |
-//! | `wall-clock`    | no `Instant::now`/`SystemTime` outside the bench harness       |
 //! | `hot-path-mod`  | no `%` reduction inside `// chm-lint: hot` functions           |
 //! | `hot-path-alloc`| no allocation-prone calls inside hot functions                 |
-//! | `unsafe-block`  | every `unsafe` must carry an `allow` with a written reason     |
 //! | `unwrap`        | no bare `.unwrap()` / empty `.expect("")` in library code      |
-//! | `metric-name`   | registered metric names follow the Prometheus convention       |
 //! | `bad-allow`     | `allow` directives must name a known rule and give a reason    |
+//!
+//! The other determinism invariants live where the compiler checks them
+//! with types resolved: wall-clock reads in `clippy.toml`, entropy RNGs
+//! in the vendored `rand` (which has none, so rustc refuses them),
+//! `unsafe` in `[workspace.lints]` (forbidden everywhere but
+//! `crates/counting_alloc`), and metric names in `chm_obs`'s registry,
+//! which panics on a bad one at registration.
 //!
 //! Each rule is a pure function of the token stream, the file's
 //! [`FileModel`], its [`Role`], and the workspace-wide set of
@@ -26,20 +29,11 @@ use std::collections::BTreeSet;
 /// directives may name).
 pub const RULE_IDS: &[&str] = &[
     "map-iter-order",
-    "rng-discipline",
-    "wall-clock",
     "hot-path-mod",
     "hot-path-alloc",
-    "unsafe-block",
     "unwrap",
-    "metric-name",
     "bad-allow",
 ];
-
-/// `chm_obs::Registry` registration entry points whose first argument is
-/// the metric name the `metric-name` rule validates.
-const METRIC_REGISTER_FNS: &[&str] =
-    &["register_counter", "register_gauge", "register_histogram"];
 
 /// Iterator-producing methods on hash collections whose order is
 /// instance-randomized.
@@ -62,12 +56,6 @@ const ORDER_FREE_SINKS: &[&str] = &["detection_score"];
 const SORT_CALLS: &[&str] = &[
     "sort", "sort_by", "sort_unstable", "sort_unstable_by", "sort_by_key",
     "sort_unstable_by_key", "sort_by_cached_key",
-];
-
-/// Entropy-sourced RNG constructors (none exist in the vendored `rand`,
-/// and none may be reintroduced).
-const ENTROPY_IDENTS: &[&str] = &[
-    "thread_rng", "ThreadRng", "from_entropy", "from_os_rng", "OsRng", "getrandom",
 ];
 
 /// Allocation-prone method calls forbidden in hot functions.
@@ -132,89 +120,14 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
         .filter(|(_, t)| !t.is_comment())
         .collect();
 
-    rule_wall_clock(ctx, &code, &mut out);
-    rule_rng_discipline(ctx, &code, &mut out);
-    rule_unsafe(ctx, &code, &mut out);
     rule_unwrap(ctx, &code, &mut out);
     rule_map_iter_order(ctx, &code, &mut out);
     rule_hot_path(ctx, &code, &mut out);
-    rule_metric_name(ctx, &code, &mut out);
     rule_bad_allow(ctx, &mut out);
     out
 }
 
-/// D3: wall-clock reads outside the bench harness.
-fn rule_wall_clock(ctx: &FileCtx<'_>, code: &[(usize, &Tok)], out: &mut Vec<Diagnostic>) {
-    if !ctx.role.forbids_wall_clock() {
-        return;
-    }
-    for i in 0..code.len() {
-        let (oi, t) = code[i];
-        if t.is_ident("SystemTime") {
-            out.push(ctx.diag(
-                t.line,
-                oi,
-                "wall-clock",
-                "`SystemTime` is nondeterministic; only `crates/bench` timing \
-                 harnesses may read real time — pass a clock into the \
-                 `chm_obs` span APIs instead (they are injection sites, \
-                 never clock reads)"
-                    .into(),
-            ));
-        }
-        if t.is_ident("Instant")
-            && matches_seq(code, i + 1, &[":", ":", "now"])
-        {
-            out.push(ctx.diag(
-                t.line,
-                oi,
-                "wall-clock",
-                "`Instant::now()` outside the bench harness breaks replay \
-                 determinism; inject a clock from `crates/bench` instead. \
-                 The `chm_obs` span APIs (`enter`/`exit`/`record`) take \
-                 `&mut dyn FnMut() -> f64` for exactly this reason: \
-                 production code passes `&mut || 0.0`"
-                    .into(),
-            ));
-        }
-    }
-}
-
-/// D2: entropy-seeded RNG construction.
-fn rule_rng_discipline(ctx: &FileCtx<'_>, code: &[(usize, &Tok)], out: &mut Vec<Diagnostic>) {
-    for &(oi, t) in code {
-        if t.kind == TokKind::Ident && ENTROPY_IDENTS.contains(&t.text.as_str()) {
-            out.push(ctx.diag(
-                t.line,
-                oi,
-                "rng-discipline",
-                format!(
-                    "`{}` draws entropy; every RNG must be built from an explicit \
-                     seed expression (`seed_from_u64`/`from_seed`)",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
-/// D5a: every `unsafe` keyword needs an allow-with-reason.
-fn rule_unsafe(ctx: &FileCtx<'_>, code: &[(usize, &Tok)], out: &mut Vec<Diagnostic>) {
-    for &(oi, t) in code {
-        if t.is_ident("unsafe") {
-            out.push(ctx.diag(
-                t.line,
-                oi,
-                "unsafe-block",
-                "`unsafe` requires `// chm-lint: allow(unsafe-block, \"reason\")` \
-                 with a written justification"
-                    .into(),
-            ));
-        }
-    }
-}
-
-/// D5b: bare `.unwrap()` / empty `.expect("")` in audited roles.
+/// D5: bare `.unwrap()` / empty `.expect("")` in audited roles.
 fn rule_unwrap(ctx: &FileCtx<'_>, code: &[(usize, &Tok)], out: &mut Vec<Diagnostic>) {
     if !ctx.role.audits_unwrap() {
         return;
@@ -536,83 +449,6 @@ fn rule_hot_path(ctx: &FileCtx<'_>, code: &[(usize, &Tok)], out: &mut Vec<Diagno
             }
         }
     }
-}
-
-/// D6: metric names at `chm_obs::Registry` registration call sites must
-/// follow the Prometheus convention the runtime validator
-/// (`chm_obs::metric_name_error`) enforces: `snake_case` ASCII
-/// `[a-z0-9_]`, a `chm_` namespace prefix, and a final unit-suffix
-/// segment. The static twin catches bad names at lint time instead of at
-/// first registration, and covers call sites tests never reach.
-///
-/// Only literal first arguments are checked (a name built at runtime is
-/// the registry's job to reject); the `fn register_counter(…)` definitions
-/// themselves and `#[cfg(test)]` regions are skipped, as are test files
-/// (which register deliberately bad names to pin the runtime panic).
-fn rule_metric_name(ctx: &FileCtx<'_>, code: &[(usize, &Tok)], out: &mut Vec<Diagnostic>) {
-    if matches!(ctx.role, Role::TestFile | Role::Fixture | Role::Vendor) {
-        return;
-    }
-    for i in 0..code.len() {
-        let (_, t) = code[i];
-        if t.kind != TokKind::Ident || !METRIC_REGISTER_FNS.contains(&t.text.as_str()) {
-            continue;
-        }
-        if ctx.model.in_test(t.line) {
-            continue;
-        }
-        // Skip the definitions of the registration functions themselves.
-        if i > 0 && code[i - 1].1.is_ident("fn") {
-            continue;
-        }
-        if !code.get(i + 1).is_some_and(|(_, p)| p.is_punct('(')) {
-            continue;
-        }
-        let Some(&(oi, arg)) = code.get(i + 2) else { continue };
-        if arg.kind != TokKind::Str {
-            continue; // dynamic name — validated at registration time
-        }
-        let name = arg.text.trim_matches('"');
-        if let Some(reason) = metric_name_problem(name) {
-            out.push(ctx.diag(arg.line, oi, "metric-name", reason));
-        }
-    }
-}
-
-/// Prometheus base-unit suffixes a metric name must end in (the static
-/// twin of `chm_obs::UNIT_SUFFIXES` — keep in sync).
-const METRIC_UNIT_SUFFIXES: &[&str] = &["total", "seconds", "bytes", "ratio", "count", "info"];
-
-/// The static twin of `chm_obs::metric_name_error`. `None` = acceptable.
-fn metric_name_problem(name: &str) -> Option<String> {
-    if name.is_empty() {
-        return Some("metric name is empty".into());
-    }
-    if let Some(bad) = name
-        .chars()
-        .find(|c| !(c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_'))
-    {
-        return Some(format!(
-            "metric name {name:?} contains {bad:?}; names must be snake_case \
-             ASCII ([a-z0-9_])"
-        ));
-    }
-    if name.starts_with('_') || name.ends_with('_') || name.contains("__") {
-        return Some(format!(
-            "metric name {name:?} has a leading, trailing, or doubled underscore"
-        ));
-    }
-    if !name.starts_with("chm_") {
-        return Some(format!("metric name {name:?} lacks the `chm_` namespace prefix"));
-    }
-    let last = name.rsplit('_').next().unwrap_or("");
-    if !METRIC_UNIT_SUFFIXES.contains(&last) {
-        return Some(format!(
-            "metric name {name:?} must end in a Prometheus unit suffix ({})",
-            METRIC_UNIT_SUFFIXES.join("|")
-        ));
-    }
-    None
 }
 
 /// The meta-rule: `allow` without a reason, naming an unknown rule, or a

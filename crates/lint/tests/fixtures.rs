@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 /// An output-surface path (see `chm_lint::roles`): map-iter-order applies.
 const SURFACE: &str = "crates/common/src/metrics.rs";
-/// An ordinary library path: wall-clock/unwrap audits apply.
+/// An ordinary library path: the unwrap audit applies.
 const LIB: &str = "crates/foo/src/lib.rs";
 
 fn fixture(name: &str) -> String {
@@ -49,46 +49,6 @@ fn map_iter_order_only_guards_output_surfaces() {
 }
 
 #[test]
-fn rng_bad_fires() {
-    assert_eq!(
-        rules_fired(LIB, "rng_bad.rs"),
-        ["rng-discipline", "rng-discipline"]
-    );
-}
-
-#[test]
-fn rng_good_is_clean() {
-    assert_clean(LIB, "rng_good.rs");
-}
-
-#[test]
-fn rng_discipline_applies_even_to_benches() {
-    // Unlike wall-clock, there is no role exemption for entropy.
-    assert_eq!(
-        rules_fired("crates/bench/src/perf.rs", "rng_bad.rs"),
-        ["rng-discipline", "rng-discipline"]
-    );
-}
-
-#[test]
-fn wall_clock_bad_fires() {
-    assert_eq!(
-        rules_fired(LIB, "wall_clock_bad.rs"),
-        ["wall-clock", "wall-clock"]
-    );
-}
-
-#[test]
-fn wall_clock_good_is_clean() {
-    assert_clean(LIB, "wall_clock_good.rs");
-}
-
-#[test]
-fn wall_clock_exempts_the_bench_harness() {
-    assert_clean("crates/bench/src/perf.rs", "wall_clock_bad.rs");
-}
-
-#[test]
 fn hot_path_bad_fires() {
     let mut fired = rules_fired(LIB, "hot_path_bad.rs");
     fired.sort();
@@ -104,23 +64,6 @@ fn hot_path_good_is_clean() {
 }
 
 #[test]
-fn unsafe_bad_fires() {
-    assert_eq!(
-        rules_fired(LIB, "unsafe_bad.rs"),
-        ["unsafe-block", "unsafe-block"]
-    );
-}
-
-#[test]
-fn unsafe_good_is_clean_and_audited() {
-    let (diags, allows) = lint_source(LIB, &fixture("unsafe_good.rs"), &BTreeSet::new());
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(allows.len(), 1);
-    assert_eq!(allows[0].rule, "unsafe-block");
-    assert!(allows[0].reason.contains("caller contract"));
-}
-
-#[test]
 fn unwrap_bad_fires() {
     assert_eq!(rules_fired(LIB, "unwrap_bad.rs"), ["unwrap", "unwrap"]);
 }
@@ -133,25 +76,6 @@ fn unwrap_good_is_clean() {
 #[test]
 fn unwrap_is_free_in_test_files() {
     assert_clean("crates/foo/tests/integration.rs", "unwrap_bad.rs");
-}
-
-#[test]
-fn metric_name_bad_fires() {
-    assert_eq!(
-        rules_fired(LIB, "metric_name_bad.rs"),
-        ["metric-name", "metric-name", "metric-name", "metric-name"]
-    );
-}
-
-#[test]
-fn metric_name_good_is_clean() {
-    assert_clean(LIB, "metric_name_good.rs");
-}
-
-#[test]
-fn metric_name_skips_test_files() {
-    // Test files register deliberately bad names to pin the runtime panic.
-    assert_clean("crates/obs/tests/expo.rs", "metric_name_bad.rs");
 }
 
 #[test]

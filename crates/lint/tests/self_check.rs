@@ -36,7 +36,7 @@ fn every_allow_carries_a_real_reason() {
     let report = scan_workspace(&workspace_root()).expect("scan");
     assert!(
         !report.allows.is_empty(),
-        "the workspace is expected to document at least the alloc-audit unsafe allows"
+        "the workspace is expected to document at least its map-iter-order allows"
     );
     for a in &report.allows {
         assert!(

@@ -16,8 +16,8 @@
 //! requests 1.7x the bytes, and hashing every flow into it was the largest
 //! serial term of a sharded epoch): either costs milliseconds to tens of
 //! milliseconds at 250 k flows and is invisible to every equality test.
-//! Verified with a counting global allocator (bytes requested, calls, and
-//! bytes live), the pattern of the root `tests/alloc_audit.rs`.
+//! Verified with the workspace's counting global allocator
+//! (`chm_counting_alloc`: bytes requested, calls, and bytes live).
 //!
 //! By count, too: a victim allocates nothing of its own. The report's
 //! victim table is three exactly-sized vectors — rows, bounds and one shared
@@ -30,58 +30,15 @@
 //! of their own: 209 → 2 009 serial.)
 
 use chm_common::FiveTuple;
+use chm_counting_alloc::CountingAlloc;
 use chm_netsim::{
     EdgeSite, FatTree, ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray,
 };
 use chm_workloads::{testbed_trace, LossPlan, VictimSelection, WorkloadKind};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-struct CountingAlloc;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicI64 = AtomicI64::new(0);
-
-// chm-lint: allow(unsafe-block, "counting-allocator shim: implementing GlobalAlloc is inherently unsafe and this type exists only in this test binary")
-unsafe impl GlobalAlloc for CountingAlloc {
-    // chm-lint: allow(unsafe-block, "adds the requested size to a counter then delegates to System.alloc with the caller's layout unchanged")
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    // chm-lint: allow(unsafe-block, "subtracts the freed size from a counter then delegates to System.dealloc; pointer and layout come straight from the caller")
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    // chm-lint: allow(unsafe-block, "adds the new size to the request counters and the size change to the live counter, so a shrink counts, then delegates to System.realloc with the caller's arguments unchanged")
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn bytes_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = BYTES.load(Ordering::SeqCst);
-    let out = f();
-    (BYTES.load(Ordering::SeqCst) - before, out)
-}
-
-fn calls_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = CALLS.load(Ordering::SeqCst);
-    let out = f();
-    (CALLS.load(Ordering::SeqCst) - before, out)
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// The counters are process-global: the tests take turns.
 fn one_at_a_time() -> MutexGuard<'static, ()> {
@@ -131,11 +88,11 @@ fn a_scenario_epoch_allocates_little_more_than_its_report() {
     let mut sites = new_sites();
     eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut sites);
     let mut epoch = || {
-        bytes_during(|| eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut sites))
+        ALLOC.bytes_during(|| eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut sites))
     };
     let (a, _) = epoch();
     let (b, report) = epoch();
-    let (held, copy) = bytes_during(|| report.clone());
+    let (held, copy) = ALLOC.bytes_during(|| report.clone());
     assert_eq!(copy.delivered.len(), 20_000);
     assert!(held > 20_000 * 24, "a report holds at least its delivered rows: {held} B");
     // A 20 k-entry hash table requests ~819 kB; the column is 480 kB and
@@ -155,10 +112,10 @@ fn a_scenario_epoch_allocates_little_more_than_its_report() {
     let mut sim = Simulator::new(topo, SimConfig::default());
     let mut sites = new_sites();
     sim.run_epoch_burst_scenario(&trace, &plan, &imp, &mut SiteArray(&mut sites));
-    let (requested, report) = bytes_during(|| {
+    let (requested, report) = ALLOC.bytes_during(|| {
         sim.run_epoch_burst_scenario(&trace, &plan, &imp, &mut SiteArray(&mut sites))
     });
-    let (held, _copy) = bytes_during(|| report.clone());
+    let (held, _copy) = ALLOC.bytes_during(|| report.clone());
     assert!(
         2 * requested < 3 * held,
         "serial scenario epoch requested {requested} B, its report holds {held} B"
@@ -169,8 +126,8 @@ fn a_scenario_epoch_allocates_little_more_than_its_report() {
     // are only the plan's victim-sized lost-count list, the equally short
     // fragment and the route buffers (5 % allowed).
     let (requested, report) =
-        bytes_during(|| sim.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut sites)));
-    let (held, _copy) = bytes_during(|| report.clone());
+        ALLOC.bytes_during(|| sim.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut sites)));
+    let (held, _copy) = ALLOC.bytes_during(|| report.clone());
     assert!(
         20 * requested < 21 * held,
         "serial clean epoch requested {requested} B, its report holds {held} B"
@@ -192,7 +149,7 @@ fn epoch_calls(ratio: f64, sharding: Option<Sharding>) -> u64 {
         None => sim.run_epoch_burst_scenario(&trace, &plan, &imp, &mut SiteArray(&mut sites)),
     };
     epoch();
-    calls_during(epoch).0
+    ALLOC.calls_during(epoch).0
 }
 
 #[test]
@@ -220,12 +177,12 @@ fn a_warm_engine_keeps_few_bytes_per_flow_between_epochs() {
     let imp = ImpairmentSet::none();
     let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
     let mut sites: Vec<CountingSite> = (0..4).map(|_| CountingSite::default()).collect();
-    let before = LIVE.load(Ordering::SeqCst);
+    let before = ALLOC.live();
     let mut eng = ShardedReplay::new(Sharding::of(2));
     for _ in 0..2 {
         drop(eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut sites));
     }
-    let kept = LIVE.load(Ordering::SeqCst) - before;
+    let kept = ALLOC.live() - before;
     assert!(kept < 24 * 20_000, "a warm 2-shard engine keeps {kept} B over 20 000 flows");
     drop(eng);
 }

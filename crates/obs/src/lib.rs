@@ -9,8 +9,9 @@
 //! * [`Registry`] — counters, gauges, and fixed-bucket histograms behind
 //!   static [`MetricId`] handles, one series per name. Metric names are
 //!   validated at registration against the workspace naming convention
-//!   (snake-case ASCII, `chm_` namespace prefix, Prometheus unit suffix —
-//!   enforced statically too, by chm-lint's `metric-name` rule).
+//!   (snake-case ASCII, `chm_` namespace prefix, Prometheus unit suffix):
+//!   a bad name panics at registration, and every registration in the
+//!   tree runs in a tier-1 test.
 //! * [`SpanProfiler`] — nested named spans (`epoch/phase_a/shard_3`,
 //!   `decode/edge_12`, `localize`) driven entirely by an **injected**
 //!   `&mut dyn FnMut() -> f64` clock. The crate never reads real time:
@@ -40,8 +41,6 @@
 //! assert!(text.contains("chm_demo_epochs_total 1"));
 //! assert_eq!(spans.get(&["epoch", "replay"]), Some((1, 0.0)));
 //! ```
-
-#![forbid(unsafe_code)]
 
 pub mod expo;
 pub mod registry;

@@ -24,8 +24,9 @@ pub const UNIT_SUFFIXES: [&str; 6] = ["total", "seconds", "bytes", "ratio", "cou
 ///
 /// Rules: lowercase ASCII `[a-z0-9_]`, no leading/trailing/double
 /// underscore, a `chm_` namespace prefix, and a final segment drawn
-/// from [`UNIT_SUFFIXES`]. The chm-lint `metric-name` rule enforces the
-/// same predicate statically on registration call sites.
+/// from [`UNIT_SUFFIXES`]. Registration panics on a name this rejects,
+/// which is the gate: every registration in the tree (the rows of
+/// `chm_serve`'s `ServeObs::new`) runs in a tier-1 test.
 pub fn metric_name_error(name: &str) -> Option<String> {
     if name.is_empty() {
         return Some("metric name is empty".into());
@@ -197,14 +198,17 @@ mod tests {
         assert!(metric_name_error("serve_epochs_total").is_some());
         // bad charset
         assert!(metric_name_error("chm_Epochs_total").is_some());
+        assert!(metric_name_error("chm_Serve_epochs_total").is_some());
         assert!(metric_name_error("chm-epochs-total").is_some());
         // underscore shape
         assert!(metric_name_error("chm__epochs_total").is_some());
+        assert!(metric_name_error("chm_serve__reaction_seconds").is_some());
         assert!(metric_name_error("_chm_epochs_total").is_some());
         assert!(metric_name_error("chm_epochs_total_").is_some());
         // unit suffix
         assert!(metric_name_error("chm_epochs").is_some());
         assert!(metric_name_error("chm_latency_ms").is_some());
+        assert!(metric_name_error("chm_serve_f1").is_some());
         assert!(metric_name_error("").is_some());
     }
 

@@ -6,8 +6,8 @@
 //! passes the zero clock (`&mut || 0.0`): span *counts* accumulate
 //! deterministically while every duration stays exactly `0.0`, so all
 //! rendered output is byte-identical across runs and thread counts.
-//! Only `crates/bench` (and `chm-serve`'s outermost main loop) may
-//! inject a wall clock — the same rule chm-lint enforces since PR 6.
+//! Only `crates/bench` may inject a wall clock — the rule `clippy.toml`
+//! enforces.
 //!
 //! Nodes live in an arena; children hang off a `BTreeMap<String, usize>`
 //! so the one depth-first walk behind [`SpanProfiler::flatten`] and

@@ -41,8 +41,6 @@
 //! The [`standard_matrix`] is the golden scenario set behind
 //! `chm-bench scenarios` and `results/SCENARIOS.json`.
 
-#![forbid(unsafe_code)]
-
 mod matrix;
 mod runner;
 mod stream;

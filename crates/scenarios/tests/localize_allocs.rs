@@ -6,47 +6,18 @@
 //! orders, the `per_victim` map and the ranking. The localizer's tables are
 //! dense over the fabric's switch numbers, each switch's score is computed
 //! once an epoch, and healthy flows route through one reused buffer, so
-//! nothing else grows with the evidence. Counted with a global allocator,
-//! the pattern of the root `tests/alloc_audit.rs`.
+//! nothing else grows with the evidence. Counted with the
+//! workspace's counting global allocator, `chm_counting_alloc`.
 
 use chamelemon::Controller;
+use chm_counting_alloc::CountingAlloc;
 use chm_scenarios::{ReplayMode, Scenario, ScenarioStack};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Allocations one localization may make beyond its `per_victim` rows.
 const FIXED: u64 = 8;
 
-struct CountingAlloc;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// chm-lint: allow(unsafe-block, "counting-allocator shim: implementing GlobalAlloc is inherently unsafe and this type exists only in this test binary")
-unsafe impl GlobalAlloc for CountingAlloc {
-    // chm-lint: allow(unsafe-block, "counts the call then delegates to System.alloc with the caller's layout unchanged")
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    // chm-lint: allow(unsafe-block, "pure delegation to System.dealloc; pointer and layout come straight from the caller")
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    // chm-lint: allow(unsafe-block, "counts the call then delegates to System.realloc with the caller's arguments unchanged")
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn calls_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = CALLS.load(Ordering::SeqCst);
-    let out = f();
-    (CALLS.load(Ordering::SeqCst) - before, out)
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 #[test]
 fn one_localization_allocates_its_rows_and_a_constant() {
@@ -71,7 +42,7 @@ fn one_localization_allocates_its_rows_and_a_constant() {
         );
         // One more pass over the same evidence, on tables that have
         // already seen every switch: a steady-state localization.
-        let (calls, l) = calls_during(|| {
+        let (calls, l) = ALLOC.calls_during(|| {
             stack
                 .controller
                 .localize_with_telemetry(&closed.analysis, &report.queue_depth)

@@ -23,8 +23,6 @@
 //! ever measured by the bench harness around it, and the 10k-epoch soak
 //! (`chm-bench soak`) gates on flat per-epoch allocation counts.
 
-#![forbid(unsafe_code)]
-
 pub mod fault;
 pub mod metrics;
 pub mod obs;

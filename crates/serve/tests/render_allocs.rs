@@ -2,43 +2,15 @@
 //! epoch: the `--metrics` record line, the `--metrics-out` line and the
 //! `--prom-out` Prometheus snapshot. Each render writes straight into the
 //! `String`s it returns, so what it allocates is those `String`s and their
-//! growth — never a temporary per series or per span row. Counted with a
-//! global allocator that exists only in this test binary.
+//! growth — never a temporary per series or per span row. Counted with the
+//! workspace's counting global allocator, `chm_counting_alloc`.
 
+use chm_counting_alloc::CountingAlloc;
 use chm_scenarios::Scenario;
 use chm_serve::{FaultPlan, ServeConfig, ServeRuntime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// chm-lint: allow(unsafe-block, "counting-allocator shim: implementing GlobalAlloc is inherently unsafe and this type exists only in this test binary")
-unsafe impl GlobalAlloc for CountingAlloc {
-    // chm-lint: allow(unsafe-block, "bumps a counter then delegates to System.alloc with the caller's layout unchanged")
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's layout goes to the system allocator unchanged.
-        unsafe { System.alloc(layout) }
-    }
-    // chm-lint: allow(unsafe-block, "pure delegation to System.dealloc; pointer and layout come straight from the caller")
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc`/`realloc` above, i.e. from `System`,
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    // chm-lint: allow(unsafe-block, "bumps a counter then delegates to System.realloc with the caller's arguments unchanged")
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's arguments go to the system allocator unchanged;
-        // `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// What growing a `String` from empty to `len` bytes may cost: one
 /// allocation for the first 8 bytes plus one per doubling.
@@ -75,11 +47,11 @@ fn an_epochs_three_renders_allocate_only_their_output_strings() {
     // every one.
     for _ in 0..3 {
         let record = rt.step();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = ALLOC.calls();
         let line = record.to_jsonl();
         let obs_line = rt.obs().jsonl_line(record.epoch);
         let prom = rt.obs().prom_snapshot();
-        spent = spent.min(ALLOCATIONS.load(Ordering::SeqCst) - before);
+        spent = spent.min(ALLOC.calls() - before);
         budget = budget.min(growth(line.len()) + 4 * growth(obs_line.len()) + growth(prom.len()));
     }
     assert!(

@@ -15,8 +15,6 @@
 //! paper's 8-bit/16-bit testbed sketch holds the 64 KiB that
 //! [`TowerConfig::memory_bytes`] reports.
 
-#![forbid(unsafe_code)]
-
 pub mod mrac;
 
 pub use mrac::{mrac_em, MracConfig, MracScratch};

@@ -19,8 +19,6 @@
 //! The crate also builds the loss plans the testbed realizes via proactive
 //! ECN drops: a set of victim flows, each with a target loss rate.
 
-#![forbid(unsafe_code)]
-
 pub mod distributions;
 pub mod loss;
 pub mod profile;

@@ -14,8 +14,6 @@
 //! * [`chm_serve`] — fault-injected streaming controller runtime.
 //! * [`chm_common`] — hashing, modular arithmetic, flow IDs, metrics.
 
-#![forbid(unsafe_code)]
-
 pub use chamelemon;
 pub use chm_baselines;
 pub use chm_common;

@@ -15,41 +15,13 @@ use chamelemon_repro::chamelemon::{DataPlaneConfig, EdgeDataPlane, Partition, Ru
 use chamelemon_repro::chm_fermat::{DecodeResult, DecodeScratch, FermatConfig, FermatSketch};
 use chamelemon_repro::chm_tower::{MracConfig, MracScratch, TowerConfig, TowerLevel, TowerSketch};
 use chamelemon_repro::chm_common::{FiveTuple, FlowId};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// chm-lint: allow(unsafe-block, "counting-allocator shim: implementing GlobalAlloc is inherently unsafe and this type exists only in this test binary")
-unsafe impl GlobalAlloc for CountingAlloc {
-    // chm-lint: allow(unsafe-block, "bumps a counter then delegates to System.alloc with the caller's layout unchanged")
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    // chm-lint: allow(unsafe-block, "pure delegation to System.dealloc; pointer and layout come straight from the caller")
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    // chm-lint: allow(unsafe-block, "bumps a counter then delegates to System.realloc with the caller's arguments unchanged")
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use chm_counting_alloc::CountingAlloc;
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOC.calls_during(f).0
 }
 
 /// Minimum over two passes: one-time process-level allocations (lazy
@@ -128,9 +100,9 @@ fn warm_distribution_ends_at_its_estimate() {
     let mut bytes = u64::MAX;
     for _ in 0..2 {
         let mut dist = Vec::new();
-        let before = BYTES.load(Ordering::SeqCst);
+        let before = ALLOC.bytes();
         t.flow_size_distribution_into(&[], &em, &mut scratch, &mut dist);
-        bytes = bytes.min(BYTES.load(Ordering::SeqCst) - before);
+        bytes = bytes.min(ALLOC.bytes() - before);
         std::hint::black_box(&dist);
     }
     assert!(bytes < 64 << 10, "a warm distribution requested {bytes} B");
@@ -168,9 +140,9 @@ fn warmed_decode<F: FlowId>(
     let mut result = None;
     let mut bytes = 0;
     let n = steady_allocations_during(|| {
-        let before = BYTES.load(Ordering::SeqCst);
+        let before = ALLOC.bytes();
         result = Some(std::hint::black_box(s.decode_with(scratch)));
-        bytes = BYTES.load(Ordering::SeqCst) - before;
+        bytes = ALLOC.bytes() - before;
     });
     let r = result.expect("the closure ran");
     assert_eq!(n, 1, "warmed {what} decode_with allocated {n} times, not once for its flowset");
