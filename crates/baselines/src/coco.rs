@@ -86,7 +86,7 @@ impl<F: FlowId> AccumulationSketch<F> for CocoSketch<F> {
     }
 
     fn heavy_candidates(&self, threshold: u64) -> Vec<(F, u64)> {
-        self.entries().filter(|&(_, c)| c >= threshold).collect()
+        crate::largest_first(self.entries().filter(|&(_, c)| c >= threshold).collect())
     }
 }
 

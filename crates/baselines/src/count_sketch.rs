@@ -144,11 +144,13 @@ impl<F: FlowId> AccumulationSketch<F> for CountHeap<F> {
     }
 
     fn heavy_candidates(&self, threshold: u64) -> Vec<(F, u64)> {
-        self.heap
-            .iter()
-            .filter(|(_, &v)| v.max(0) as u64 >= threshold)
-            .map(|(&f, &v)| (f, v.max(0) as u64))
-            .collect()
+        crate::largest_first(
+            self.heap
+                .iter()
+                .filter(|(_, &v)| v.max(0) as u64 >= threshold)
+                .map(|(&f, &v)| (f, v.max(0) as u64))
+                .collect(),
+        )
     }
 }
 

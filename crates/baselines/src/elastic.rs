@@ -140,13 +140,15 @@ impl<F: FlowId> AccumulationSketch<F> for ElasticSketch<F> {
     }
 
     fn heavy_candidates(&self, threshold: u64) -> Vec<(F, u64)> {
-        self.heavy_entries()
-            .map(|(f, _, _)| {
-                let est = self.estimate(&f);
-                (f, est)
-            })
-            .filter(|&(_, est)| est >= threshold)
-            .collect()
+        crate::largest_first(
+            self.heavy_entries()
+                .map(|(f, _, _)| {
+                    let est = self.estimate(&f);
+                    (f, est)
+                })
+                .filter(|&(_, est)| est >= threshold)
+                .collect(),
+        )
     }
 }
 

@@ -210,10 +210,12 @@ impl<F: FlowId> AccumulationSketch<F> for FcmSketch<F> {
     }
 
     fn heavy_candidates(&self, threshold: u64) -> Vec<(F, u64)> {
-        self.heavy_entries()
-            .map(|(f, _)| (f, self.estimate(&f)))
-            .filter(|&(_, est)| est >= threshold)
-            .collect()
+        crate::largest_first(
+            self.heavy_entries()
+                .map(|(f, _)| (f, self.estimate(&f)))
+                .filter(|&(_, est)| est >= threshold)
+                .collect(),
+        )
     }
 }
 

@@ -119,10 +119,12 @@ impl<F: FlowId> AccumulationSketch<F> for HashPipe<F> {
     }
 
     fn heavy_candidates(&self, threshold: u64) -> Vec<(F, u64)> {
-        self.entries()
-            .into_iter()
-            .filter(|&(_, c)| c >= threshold)
-            .collect()
+        crate::largest_first(
+            self.entries()
+                .into_iter()
+                .filter(|&(_, c)| c >= threshold)
+                .collect(),
+        )
     }
 }
 

@@ -73,8 +73,19 @@ pub trait AccumulationSketch<F: Copy + Eq + Hash> {
     fn memory_bytes(&self) -> f64;
 
     /// Flows with estimated size ≥ `threshold`, for heavy-hitter /
-    /// heavy-change tasks. Default: not supported (empty).
+    /// heavy-change tasks, as `(flow, estimate)`, largest estimate first and
+    /// ties toward the smaller flow. The list is a function of the insert
+    /// stream: two instances built alike and fed one stream return equal
+    /// `Vec`s, whatever order a hash map inside them iterates in. Default:
+    /// not supported (empty).
     fn heavy_candidates(&self, _threshold: u64) -> Vec<(F, u64)> {
         Vec::new()
     }
+}
+
+/// Puts heavy candidates in [`AccumulationSketch::heavy_candidates`]'
+/// order: largest estimate first, ties toward the smaller flow.
+fn largest_first<F: Ord>(mut cands: Vec<(F, u64)>) -> Vec<(F, u64)> {
+    cands.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    cands
 }

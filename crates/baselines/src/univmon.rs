@@ -150,12 +150,14 @@ impl<F: FlowId> AccumulationSketch<F> for UnivMon<F> {
     }
 
     fn heavy_candidates(&self, threshold: u64) -> Vec<(F, u64)> {
-        self.levels[0]
-            .heap
-            .iter()
-            .filter(|(_, &v)| v.max(0) as u64 >= threshold)
-            .map(|(&f, &v)| (f, v.max(0) as u64))
-            .collect()
+        crate::largest_first(
+            self.levels[0]
+                .heap
+                .iter()
+                .filter(|(_, &v)| v.max(0) as u64 >= threshold)
+                .map(|(&f, &v)| (f, v.max(0) as u64))
+                .collect(),
+        )
     }
 }
 

@@ -3,8 +3,8 @@
 //! exactness when adequately sized, and XOR-structure self-inverses.
 
 use chm_baselines::{
-    AccumulationSketch, CmSketch, CocoSketch, CuSketch, FlowRadar, HashPipe, LossDetector,
-    LossRadar,
+    AccumulationSketch, CmSketch, CocoSketch, CountHeap, CountSketch, CuSketch, ElasticSketch,
+    FcmSketch, FlowRadar, HashPipe, LossDetector, LossRadar, UnivMon,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -126,4 +126,51 @@ proptest! {
         }
         prop_assert_eq!(lr.decode_losses(), Some(HashMap::new()));
     }
+}
+
+/// Feeds `stream` to two instances of `S` built alike and checks that their
+/// heavy candidates are one `Vec`, largest estimate first, ties toward the
+/// smaller flow.
+fn check_one_vec<S: AccumulationSketch<u32>>(name: &str, build: impl Fn() -> S, stream: &[u32]) {
+    let feed = || {
+        let mut s = build();
+        for f in stream {
+            s.insert(f);
+        }
+        s.heavy_candidates(1)
+    };
+    let (a, b) = (feed(), feed());
+    assert_eq!(a, b, "{name}: two instances, one stream");
+    assert!(
+        a.windows(2)
+            .all(|w| (std::cmp::Reverse(w[0].1), w[0].0) <= (std::cmp::Reverse(w[1].1), w[1].0)),
+        "{name}: largest estimate first, ties toward the smaller flow: {a:?}"
+    );
+}
+
+/// Every accumulation sketch's heavy candidates are a function of the
+/// stream, compared as `Vec`s, not sets. The stream has many equal-sized
+/// flows, so ties are everywhere; the hash-map heaps (CountHeap, UnivMon,
+/// HashPipe's merged entries) iterate in a different order in every
+/// instance.
+#[test]
+fn heavy_candidates_are_one_vec_per_stream() {
+    // 40 flows of 60 packets and 300 of 8, interleaved.
+    let mut stream: Vec<u32> = Vec::new();
+    for round in 0..60u32 {
+        stream.extend(0..40u32);
+        if round < 8 {
+            stream.extend(1_000..1_300u32);
+        }
+    }
+    const MEM: usize = 16 * 1024;
+    check_one_vec("CM", || CmSketch::new(MEM, 3), &stream);
+    check_one_vec("CU", || CuSketch::new(MEM, 3), &stream);
+    check_one_vec("CountSketch", || CountSketch::new(MEM, 3), &stream);
+    check_one_vec("CountHeap", || CountHeap::<u32>::new(MEM, 64, 3), &stream);
+    check_one_vec("UnivMon", || UnivMon::<u32>::new(64 * 1024, 3), &stream);
+    check_one_vec("Elastic", || ElasticSketch::<u32>::new(MEM, 3), &stream);
+    check_one_vec("FCM", || FcmSketch::<u32>::new(MEM, 3), &stream);
+    check_one_vec("HashPipe", || HashPipe::<u32>::new(MEM, 3), &stream);
+    check_one_vec("Coco", || CocoSketch::<u32>::new(MEM, 3), &stream);
 }

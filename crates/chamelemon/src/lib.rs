@@ -54,7 +54,8 @@ pub use control::{
 };
 pub use dataplane::{CollectedGroup, EdgeDataPlane, Hierarchy, SketchGroup};
 pub use localize::{
-    EpochEvidence, Localization, Localizer, LocalizerSnapshot, PARTIAL_DECODE_CONFIDENCE,
+    EpochEvidence, Localization, Localizer, LocalizerSnapshot, VictimRoutes,
+    PARTIAL_DECODE_CONFIDENCE,
 };
 
 use chm_netsim::{

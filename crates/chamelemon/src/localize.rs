@@ -36,7 +36,15 @@
 //! in `(key64, flow)` order, so the floating-point tables — and therefore
 //! every ranking — are a pure function of the epoch sequence, even when two
 //! flows share a `key64`.
+//!
+//! An epoch's [`Localization`] is two flat pieces: the network-wide ranking,
+//! and a [`VictimRoutes`] table holding every victim's route, ranked by the
+//! epoch's scores, as a slice of one exactly-sized shared switch list. The
+//! victims' sorted fold order is the table's row list, so a localization
+//! allocates the same handful of buffers whatever its victim count
+//! (`chm_scenarios`' `localize_allocs` suite holds it to seven).
 
+use chm_common::FlowId;
 use chm_netsim::sim::Routable;
 use chm_netsim::{Fabric, FabricIndex, QueueDepthStat, SwitchId, Topology};
 use std::collections::{BTreeMap, HashMap};
@@ -74,28 +82,68 @@ pub struct EpochEvidence<'a, F> {
 }
 
 /// One epoch's localization output.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Localization<F> {
     /// Per-victim candidate switches, most suspect first (the victim's
     /// route ordered by the network-wide suspicion score, ties toward the
     /// smaller [`SwitchId`]).
-    pub per_victim: HashMap<F, Vec<SwitchId>>,
+    pub per_victim: VictimRoutes<F>,
     /// Network-wide suspect ranking: every blamed switch with its
     /// suspicion score ([`Localizer::score`] — blame normalized by known
     /// transit, *not* the raw blame), highest first.
     pub ranking: Vec<(SwitchId, f64)>,
 }
 
-impl<F: Eq + std::hash::Hash> PartialEq for Localization<F> {
-    fn eq(&self, other: &Self) -> bool {
-        self.per_victim == other.per_victim && self.ranking == other.ranking
-    }
-}
-
 impl<F: Routable> Localization<F> {
     /// The `k` most suspect switches network-wide.
     pub fn top(&self, k: usize) -> Vec<SwitchId> {
         self.ranking.iter().take(k).map(|&(s, _)| s).collect()
+    }
+}
+
+/// Every victim's ranked candidate switches as one flat table — the layout
+/// [`VictimTable`](chm_netsim::VictimTable) uses for its drops: one row per
+/// victim, each row's route a slice of one shared [`SwitchId`] list, ranked
+/// in place. The rows are sorted by `(key64, victim)`, the localizer's fold
+/// order, and that sorted list is the map a lookup searches, so a table
+/// costs three allocations whatever its victim count.
+///
+/// The layout is canonical — the same victims with the same routes give
+/// the same rows, bounds and list — so the derived `PartialEq` is content
+/// equality.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VictimRoutes<F> {
+    /// `(key64, victim)` per row, ascending.
+    rows: Vec<(u64, F)>,
+    /// Row `i`'s route is `switches[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
+    switches: Vec<SwitchId>,
+}
+
+impl<F> VictimRoutes<F> {
+    /// Number of victims.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when the epoch localized no victim.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows as `(victim, candidates)`, in `(key64, victim)` order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&F, &[SwitchId])> + '_ {
+        let rows = self.rows.iter().zip(self.bounds.windows(2));
+        rows.map(|((_, f), b)| (f, &self.switches[b[0]..b[1]]))
+    }
+}
+
+impl<F: FlowId> VictimRoutes<F> {
+    /// `f`'s candidate switches, most suspect first; `None` when `f` is not
+    /// a victim of the epoch.
+    pub fn get(&self, f: &F) -> Option<&[SwitchId]> {
+        let i = self.rows.binary_search(&(f.key64(), *f)).ok()?;
+        Some(&self.switches[self.bounds[i]..self.bounds[i + 1]])
     }
 }
 
@@ -243,23 +291,27 @@ impl Localizer {
         // Deterministic fold order: the tables are floating point, so
         // accumulation must not depend on HashMap iteration order. The
         // sort key is computed once per flow; the flow itself breaks a
-        // `key64` tie.
-        let mut victims: Vec<(u64, &F, u64)> =
-            ev.loss_report.iter().map(|(f, &l)| (f.key64(), f, l)).collect();
-        victims.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        let mut per_victim: HashMap<F, Vec<SwitchId>> = HashMap::with_capacity(victims.len());
-        for (key, f, loss) in victims {
+        // `key64` tie. The sorted victims are the rows of the epoch's
+        // `VictimRoutes`; the fold records where each row's route will end.
+        let mut rows: Vec<(u64, F)> = ev.loss_report.keys().map(|f| (f.key64(), *f)).collect();
+        rows.sort_unstable();
+        let mut bounds = Vec::with_capacity(rows.len() + 1);
+        bounds.push(0);
+        let mut end = 0;
+        for &(key, f) in &rows {
             self.topology.route_into(f.src_host(), f.dst_host(), key, &mut self.route);
-            let conf = ev.confidence.get(f).copied().unwrap_or(1.0);
+            let loss = ev.loss_report[&f];
+            let conf = ev.confidence.get(&f).copied().unwrap_or(1.0);
             let share = conf * loss as f64 / self.route.len() as f64;
             let weight =
-                ev.traffic.get(f).copied().unwrap_or(loss) as f64 / self.route.len() as f64;
+                ev.traffic.get(&f).copied().unwrap_or(loss) as f64 / self.route.len() as f64;
             for &s in &self.route {
                 let s = self.index.switch_index(s).expect("routes stay in the fabric");
                 *self.blame[s].get_or_insert(0.0) += share;
                 *self.transit[s].get_or_insert(0.0) += weight;
             }
-            per_victim.insert(*f, self.route.clone());
+            end += self.route.len();
+            bounds.push(end);
         }
         let loss_report = ev.loss_report;
         let mut healthy: Vec<(u64, &F, u64)> = Vec::with_capacity(ev.traffic.len());
@@ -281,9 +333,16 @@ impl Localizer {
         for s in 0..self.scores.len() {
             self.scores[s] = self.score_at(s);
         }
-        // chm-lint: allow(map-iter-order, "each route is ranked on its own; the order the rows are visited in changes nothing")
-        for route in per_victim.values_mut() {
-            self.rank_route(route);
+        // The victims' routes once more, into the one shared list sized
+        // exactly, each ranked in place: routing twice costs less than
+        // holding a route per victim, and the list is only built once the
+        // healthy fold order is freed.
+        let mut switches = Vec::with_capacity(end);
+        for &(key, f) in &rows {
+            self.topology.route_into(f.src_host(), f.dst_host(), key, &mut self.route);
+            let start = switches.len();
+            switches.extend_from_slice(&self.route);
+            self.rank_route(&mut switches[start..]);
         }
         let mut ranking: Vec<(SwitchId, f64)> = Vec::with_capacity(self.scores.len());
         ranking.extend(
@@ -292,7 +351,7 @@ impl Localizer {
                 .map(|s| (self.index.switch(s), self.scores[s])),
         );
         ranking.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        Localization { per_victim, ranking }
+        Localization { per_victim: VictimRoutes { rows, bounds, switches }, ranking }
     }
 
     /// Orders `route` most-suspect-first by this epoch's score (ties toward
@@ -368,6 +427,7 @@ mod tests {
     use chm_common::FiveTuple;
     use chm_netsim::{FatTree, SwitchRole};
     use chm_workloads::trace::host_ip;
+    use proptest::prelude::*;
 
     fn flow(src: u32, dst: u32, port: u16) -> FiveTuple {
         FiveTuple {
@@ -396,7 +456,7 @@ mod tests {
             l.ranking
         );
         // Every victim's candidate list starts with the shared ToR.
-        for (f, cands) in &l.per_victim {
+        for (f, cands) in l.per_victim.iter() {
             assert_eq!(
                 cands[0],
                 SwitchId { role: SwitchRole::Edge, index: 3 },
@@ -480,7 +540,7 @@ mod tests {
             "exoneration must single out the core: {:?}",
             l.ranking
         );
-        for (f, cands) in &l.per_victim {
+        for (f, cands) in l.per_victim.iter() {
             assert_eq!(
                 cands[0],
                 SwitchId { role: SwitchRole::Core, index: 0 },
@@ -779,6 +839,127 @@ mod tests {
             };
             assert_eq!(bits(&snap.blame), bits(&runs[0].1.blame));
             assert_eq!(bits(&snap.transit), bits(&runs[0].1.transit));
+        }
+    }
+
+    /// A flow between two testbed hosts whose `key64` is its `tag` alone:
+    /// flows with one tag tie on the sort key whatever their endpoints.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Tied {
+        src: u8,
+        dst: u8,
+        tag: u8,
+    }
+
+    impl chm_common::FlowId for Tied {
+        const FRAGMENTS: usize = 1;
+        fn fragment(&self, _: usize) -> u64 {
+            (self.src as u64) << 16 | (self.dst as u64) << 8 | self.tag as u64
+        }
+        fn try_from_fragments(frags: &[u64]) -> Option<Self> {
+            match *frags {
+                [f] if f < 1 << 24 => {
+                    Some(Tied { src: (f >> 16) as u8, dst: (f >> 8) as u8, tag: f as u8 })
+                }
+                _ => None,
+            }
+        }
+        fn key64(&self) -> u64 {
+            self.tag as u64
+        }
+    }
+
+    impl Routable for Tied {
+        fn src_host(&self) -> usize {
+            self.src as usize
+        }
+        fn dst_host(&self) -> usize {
+            self.dst as usize
+        }
+    }
+
+    /// The per-victim build `VictimRoutes` replaced, kept as the oracle: one
+    /// route vector per victim in a map, each ordered by the epoch's score,
+    /// ties toward the smaller switch id.
+    fn oracle_routes<F: Routable>(
+        loc: &Localizer,
+        loss_report: &HashMap<F, u64>,
+    ) -> HashMap<F, Vec<SwitchId>> {
+        let mut per_victim = HashMap::with_capacity(loss_report.len());
+        // chm-lint: allow(map-iter-order, "each victim's route is built and ranked on its own")
+        for f in loss_report.keys() {
+            let mut route = loc.topology.route(f.src_host(), f.dst_host(), f.key64());
+            route.sort_by(|a, b| loc.score(*b).total_cmp(&loc.score(*a)).then(a.cmp(b)));
+            per_victim.insert(*f, route);
+        }
+        per_victim
+    }
+
+    type Evidence = Vec<(u8, u8, u8, u64)>;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn victim_routes_answer_as_the_per_victim_map(
+            epochs in prop_vec(
+                (
+                    prop_vec((0u8..8, 0u8..8, 0u8..4, 0u64..4), 0..40),
+                    prop_vec((0u8..8, 0u8..8, 0u8..4, 0u64..6), 0..40),
+                    prop_vec((0usize..4, 0u8..3), 0..4),
+                ),
+                1..5,
+            ),
+        ) {
+            let flow = |&(src, dst, tag, _): &(u8, u8, u8, u64)| Tied { src, dst, tag };
+            let mut loc = Localizer::new(FatTree::testbed());
+            for (victims, healthy, depths) in &epochs {
+                let victims: &Evidence = victims;
+                let loss_report: HashMap<Tied, u64> =
+                    victims.iter().map(|v| (flow(v), v.3)).collect();
+                let traffic: HashMap<Tied, u64> =
+                    healthy.iter().map(|h| (flow(h), h.3)).collect();
+                // Every other victim is a partial-decode one.
+                let confidence: HashMap<Tied, f64> = victims
+                    .iter()
+                    .filter(|v| v.2 % 2 == 0)
+                    .map(|v| (flow(v), PARTIAL_DECODE_CONFIDENCE))
+                    .collect();
+                let queue_depth: BTreeMap<SwitchId, QueueDepthStat> = depths
+                    .iter()
+                    .map(|&(edge, depth)| {
+                        let stat = QueueDepthStat {
+                            max_depth: depth as f64,
+                            mean_depth: depth as f64,
+                            slot_drops: Vec::new(),
+                        };
+                        (SwitchId { role: SwitchRole::Edge, index: edge }, stat)
+                    })
+                    .collect();
+                let l = loc.observe_evidence(EpochEvidence {
+                    loss_report: &loss_report,
+                    confidence: &confidence,
+                    traffic: &traffic,
+                    queue_depth: &queue_depth,
+                });
+                let oracle = oracle_routes(&loc, &loss_report);
+                prop_assert_eq!(l.per_victim.len(), oracle.len());
+                prop_assert_eq!(l.per_victim.is_empty(), oracle.is_empty());
+                // chm-lint: allow(map-iter-order, "every victim is looked up on its own")
+                for (f, route) in &oracle {
+                    prop_assert_eq!(l.per_victim.get(f), Some(&route[..]), "victim {:?}", f);
+                }
+                let rows: Vec<(&Tied, &[SwitchId])> = l.per_victim.iter().collect();
+                prop_assert!(
+                    rows.windows(2).all(|w| (w[0].0.key64(), w[0].0) < (w[1].0.key64(), w[1].0)),
+                    "rows must run in (key64, victim) order"
+                );
+                for (f, route) in rows {
+                    prop_assert_eq!(Some(route), oracle.get(f).map(|r| &r[..]));
+                }
+                for h in healthy.iter().map(flow).filter(|h| !loss_report.contains_key(h)) {
+                    prop_assert_eq!(l.per_victim.get(&h), None);
+                }
+            }
         }
     }
 

@@ -207,12 +207,16 @@ mod tests {
     }
 
     #[test]
-    fn snippet_allows_unwrap_in_bench_role() {
-        let d = lint_snippet(
+    fn snippet_allows_unwrap_in_harness_role() {
+        for path in [
             "crates/bench/src/perf.rs",
-            "fn f(v: Vec<u8>) -> u8 { *v.first().unwrap() }",
-        );
-        assert!(d.is_empty());
+            "crates/netsim/tests/replay_pin.rs",
+            "examples/quickstart.rs",
+            "crates/serve/src/bin/chm-serve.rs",
+        ] {
+            let d = lint_snippet(path, "fn f(v: Vec<u8>) -> u8 { *v.first().unwrap() }");
+            assert!(d.is_empty(), "{path}: {d:?}");
+        }
     }
 
     #[test]

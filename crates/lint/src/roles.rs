@@ -18,15 +18,11 @@ pub enum Role {
     /// content — the `map-iter-order` rule applies here on top of the
     /// library rules.
     OutputSurface,
-    /// `crates/bench/**`: the timing harness. The `unwrap` audit is
-    /// relaxed (benches fail loudly anyway).
-    Bench,
-    /// Integration-test files (`tests/` directories).
-    TestFile,
-    /// `examples/**`: narrative demos.
-    Example,
-    /// `src/bin/**`: CLI entry points of library crates.
-    Bin,
+    /// Code that may fail loudly: the timing harness (`crates/bench/**`),
+    /// integration tests (`tests/` directories), examples and the CLI entry
+    /// points of library crates (`src/bin/**`). Scanned, but the `unwrap`
+    /// audit does not apply.
+    Harness,
     /// `vendor/**`: offline API stubs for external crates — not scanned.
     Vendor,
     /// The lint's own test fixtures — not scanned in workspace mode.
@@ -63,17 +59,14 @@ pub fn classify(rel: &str) -> Role {
     if OUTPUT_SURFACE.contains(&rel) {
         return Role::OutputSurface;
     }
-    if rel.starts_with("crates/bench/") {
-        return Role::Bench;
-    }
-    if rel.starts_with("tests/") || rel.contains("/tests/") {
-        return Role::TestFile;
-    }
-    if rel.starts_with("examples/") || rel.contains("/examples/") {
-        return Role::Example;
-    }
-    if rel.contains("/src/bin/") {
-        return Role::Bin;
+    let harness = rel.starts_with("crates/bench/")
+        || rel.starts_with("tests/")
+        || rel.contains("/tests/")
+        || rel.starts_with("examples/")
+        || rel.contains("/examples/")
+        || rel.contains("/src/bin/");
+    if harness {
+        return Role::Harness;
     }
     Role::Lib
 }
@@ -105,15 +98,15 @@ mod tests {
     fn classification_matrix() {
         assert_eq!(classify("crates/common/src/hash.rs"), Role::Lib);
         assert_eq!(classify("crates/common/src/metrics.rs"), Role::OutputSurface);
-        assert_eq!(classify("crates/bench/src/perf.rs"), Role::Bench);
+        assert_eq!(classify("crates/bench/src/perf.rs"), Role::Harness);
         assert_eq!(classify("crates/bench/src/report.rs"), Role::OutputSurface);
         assert_eq!(classify("crates/obs/src/expo.rs"), Role::OutputSurface);
         assert_eq!(classify("crates/serve/src/obs.rs"), Role::OutputSurface);
         assert_eq!(classify("crates/scenarios/src/obs.rs"), Role::OutputSurface);
-        assert_eq!(classify("crates/chamelemon/tests/attention.rs"), Role::TestFile);
-        assert_eq!(classify("tests/alloc_audit.rs"), Role::TestFile);
-        assert_eq!(classify("examples/quickstart.rs"), Role::Example);
-        assert_eq!(classify("crates/chamelemon/src/bin/chamelemon-sim.rs"), Role::Bin);
+        assert_eq!(classify("crates/chamelemon/tests/attention.rs"), Role::Harness);
+        assert_eq!(classify("tests/alloc_audit.rs"), Role::Harness);
+        assert_eq!(classify("examples/quickstart.rs"), Role::Harness);
+        assert_eq!(classify("crates/chamelemon/src/bin/chamelemon-sim.rs"), Role::Harness);
         assert_eq!(classify("vendor/rand/src/lib.rs"), Role::Vendor);
         assert_eq!(classify("crates/lint/tests/fixtures/d4_hot_bad.rs"), Role::Fixture);
     }

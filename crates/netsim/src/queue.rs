@@ -391,6 +391,11 @@ impl QueueRealization {
         &self.depth
     }
 
+    /// Moves the depth telemetry out, leaving none behind.
+    pub(crate) fn take_depths(&mut self) -> BTreeMap<SwitchId, QueueDepthStat> {
+        std::mem::take(&mut self.depth)
+    }
+
     /// Exact per-link conservation stats of every dropping link.
     pub fn link_stats(&self) -> &BTreeMap<LinkId, QueueLinkStats> {
         &self.stats

@@ -183,7 +183,8 @@ impl<F> ReportFragment<F> {
 /// report's other victim-derived parts read off it — each `delivered` row
 /// the trace's count less its `lost`, `dropped_at` the drops summed per
 /// switch — and the histograms summed. Fragments are drained (capacity
-/// kept).
+/// kept). `queue_depth` becomes the report's telemetry as it is: both
+/// drivers move it out of the epoch's queue realization, never copy it.
 ///
 /// The fragments must name disjoint trace rows, as the ingress-edge
 /// partition guarantees; the result is then invariant under any permutation
@@ -632,9 +633,9 @@ impl<F: Routable> ShardedReplay<F> {
         clock: &(dyn Fn() -> f64 + Sync),
     ) -> (EpochReport<F>, ShardTiming) {
         let t0 = clock();
-        let setup = sim.begin_epoch(trace, plan, imp);
+        let mut setup = sim.begin_epoch(trace, plan, imp);
         let prologue = clock() - t0;
-        let (report, mut timing) = self.drive(trace, mode, &setup, edges, clock);
+        let (report, mut timing) = self.drive(trace, mode, &mut setup, edges, clock);
         timing.prologue_s += prologue;
         self.last_profile.record(&["prologue"], prologue);
         sim.set_epoch(report.epoch + 1);
@@ -702,7 +703,7 @@ impl<F: Routable> ShardedReplay<F> {
         &mut self,
         trace: &Trace<F>,
         mode: ReplayMode,
-        setup: &EpochSetup<'_>,
+        setup: &mut EpochSetup<'_>,
         edges: &mut [E],
         clock: &(dyn Fn() -> f64 + Sync),
     ) -> (EpochReport<F>, ShardTiming) {
@@ -769,7 +770,7 @@ impl<F: Routable> ShardedReplay<F> {
             .iter_mut()
             .map(|s| std::mem::take(&mut s.frag))
             .collect();
-        let report = merge_fragments(trace, setup.epoch, setup.queue_depth(), &mut frags);
+        let report = merge_fragments(trace, setup.epoch, setup.take_queue_depth(), &mut frags);
         for (s, frag) in self.scratches.iter_mut().zip(frags) {
             s.frag = frag; // drained, capacity retained for the next epoch
         }

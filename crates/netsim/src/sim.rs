@@ -425,8 +425,10 @@ fn walk_burst<F>(f: &F, pkts: u64, ts_bit: u8, fates: &FabricFates, port: &mut i
     debug_assert_eq!(pos, pkts, "tag runs must cover the whole burst");
 }
 
-/// Per-flow buffers the realize step reuses from flow to flow.
-#[derive(Debug, Default)]
+/// Per-flow buffers the realize step reuses from flow to flow — and, held by
+/// the [`Simulator`] and by each engine shard, from epoch to epoch. The
+/// realize step overwrites every buffer it reads, so nothing carries over.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FlowScratch {
     route: Vec<SwitchId>,
     hop_probs: Vec<f64>,
@@ -438,7 +440,9 @@ pub(crate) struct FlowScratch {
 /// What one epoch fixes before any flow replays: the fabric and its
 /// impairments, the timestamp bit, the seed, the plan's realized losses and
 /// the link-loss realization. Built once per epoch by
-/// [`Simulator::begin_epoch`]; both drivers replay every flow against it.
+/// [`Simulator::begin_epoch`]; both drivers replay every flow against it,
+/// then move its queue telemetry into the report
+/// ([`take_queue_depth`](Self::take_queue_depth)).
 pub(crate) struct EpochSetup<'a> {
     pub(crate) topo: &'a Topology,
     imp: &'a ImpairmentSet,
@@ -477,11 +481,15 @@ impl PlanLosses<'_> {
 }
 
 impl EpochSetup<'_> {
-    /// Per-switch queue telemetry of the epoch: exported when a queue model
-    /// is configured, not for a congestion model's one-slot realization.
-    pub(crate) fn queue_depth(&self) -> BTreeMap<SwitchId, QueueDepthStat> {
-        let link = self.link.as_ref().filter(|_| self.imp.queue.is_some());
-        link.map(|l| l.depths().clone()).unwrap_or_default()
+    /// Per-switch queue telemetry of the epoch, moved out of the link-loss
+    /// realization once the replay is done with it: exported when a queue
+    /// model is configured, not for a congestion model's one-slot
+    /// realization.
+    pub(crate) fn take_queue_depth(&mut self) -> BTreeMap<SwitchId, QueueDepthStat> {
+        match &mut self.link {
+            Some(link) if self.imp.queue.is_some() => link.take_depths(),
+            _ => BTreeMap::new(),
+        }
     }
 
     /// The plan's victim count this epoch — a floor for the report's `lost`.
@@ -579,6 +587,12 @@ fn attribute_drops(
 
 /// The fabric simulator: the serial replay driver, and the reference the
 /// sharded driver ([`ShardedReplay`](crate::ShardedReplay)) is held to.
+///
+/// Like each engine shard, it holds its per-flow scratch across epochs, so
+/// a warm simulator's replay regrows no buffer. The scratch is not state:
+/// every epoch is a function of `(seed, epoch)` alone, and a fresh
+/// simulator placed at the same epoch ([`set_epoch`](Self::set_epoch))
+/// replays it identically.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     /// The fabric wiring.
@@ -586,13 +600,14 @@ pub struct Simulator {
     /// Simulation parameters.
     pub config: SimConfig,
     epoch: u64,
+    scratch: FlowScratch,
 }
 
 impl Simulator {
     /// Creates a simulator over `topology` (any [`Topology`], or a bare
     /// fabric like [`FatTree`](crate::topology::FatTree) via `Into`).
     pub fn new(topology: impl Into<Topology>, config: SimConfig) -> Self {
-        Simulator { topology: topology.into(), config, epoch: 0 }
+        Simulator { topology: topology.into(), config, epoch: 0, scratch: FlowScratch::default() }
     }
 
     /// The epoch index about to run.
@@ -671,12 +686,14 @@ impl Simulator {
         mode: ReplayMode,
         hooks: &mut SiteArray<'_, E>,
     ) -> EpochReport<F> {
-        let setup = self.begin_epoch(trace, plan, imp);
+        // The scratch leaves `self` for the epoch: the setup borrows the
+        // simulator whole.
+        let mut sc = std::mem::take(&mut self.scratch);
+        let mut setup = self.begin_epoch(trace, plan, imp);
         let mut acc = ReportFragment::default();
         // Room for the planned victims: an epoch's fresh fragment must not
         // regrow its victim list row by row.
         acc.victims.reserve(setup.planned_victims());
-        let mut sc = FlowScratch::default();
         let mut plan_lost = setup.plan_losses();
         // chm-lint: allow(map-iter-order, "trace.flows is the trace's Vec, walked in trace order -- it only shares a field name with the decoders' flow maps")
         for (i, &(f, pkts)) in trace.flows.iter().enumerate() {
@@ -687,7 +704,8 @@ impl Simulator {
             mode.walk(&f, pkts, setup.ts_bit, &sc.fates, &mut port);
         }
         let frags = std::slice::from_mut(&mut acc);
-        let report = merge_fragments(trace, setup.epoch, setup.queue_depth(), frags);
+        let report = merge_fragments(trace, setup.epoch, setup.take_queue_depth(), frags);
+        self.scratch = sc;
         self.epoch += 1;
         report
     }
