@@ -23,8 +23,9 @@
 //! Each worker runs with its spawner's cores divided among the workers
 //! ([`chm_netsim::core_share`]): a trial that builds a `ChameleMon` sizes
 //! the deployment's replay engine from that share, so inside a pool that
-//! fills the machine every trial replays serially, and no trial's engine
-//! threads compete with its sibling trials for the same cores.
+//! fills the machine every trial replays on a one-shard engine on its own
+//! thread, and no trial's engine threads compete with its sibling trials
+//! for the same cores.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

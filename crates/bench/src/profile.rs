@@ -9,7 +9,7 @@
 //! scores and `chm-serve` serves. Each stage — replay, collect, analyze,
 //! reconfigure (decide + stage + flip), localize — gets a span and an
 //! allocation reading. The tree it builds: the engine's fate `prologue`
-//! (plan losses and the link-loss realization), flow `partition`, the
+//! (plan losses and the link-loss realization), the
 //! `phase_a` / `phase_b` intervals over their `shard_{i}` children and
 //! fragment `merge` (absorbed from [`ScenarioStack::replay_profile`]),
 //! `collect`, the controller's
@@ -126,7 +126,7 @@ pub fn run(
         spans.enter("epoch", &mut span_clock);
 
         // Replay through the sharded engine; its per-shard span tree
-        // (prologue, partition, phase_a[/shard_i], phase_b[/shard_i], merge) is absorbed
+        // (prologue, phase_a[/shard_i], phase_b[/shard_i], merge) is absorbed
         // under the open `epoch` span. Shard count is fixed, so the paths
         // are identical at any worker count.
         let a0 = alloc_count();
@@ -307,7 +307,6 @@ mod tests {
         assert_eq!(r.spans.get(&["epoch"]), Some((epochs, 0.0)));
         for path in [
             ["epoch", "prologue"].as_slice(),
-            &["epoch", "partition"],
             &["epoch", "phase_a"],
             &["epoch", "phase_a", "shard_0"],
             &["epoch", "phase_a", "shard_1"],

@@ -676,8 +676,11 @@ impl<F: FlowId> Controller<F> {
         // undecoded residue, so partial flows are reported only when the
         // fully-decoded upstream HH flowsets attest the flow exists (sound:
         // a successful FermatSketch decode is exact). Partial LL flows have
-        // no such witness and are never reported.
-        let mut loss_report: HashMap<F, u64> = HashMap::new();
+        // no such witness and are never reported. Reserved for every entry
+        // of the flowsets it is filled from, so it never regrows.
+        let hl_len = hl_flowset.as_ref().map_or(hl_partial.len(), HashMap::len);
+        let ll_len = ll_flowset.as_ref().map_or(0, HashMap::len);
+        let mut loss_report: HashMap<F, u64> = HashMap::with_capacity(hl_len + ll_len);
         match &hl_flowset {
             Some(hl) => {
                 for (f, c) in hl {

@@ -58,9 +58,7 @@ pub use localize::{
     PARTIAL_DECODE_CONFIDENCE,
 };
 
-use chm_netsim::{
-    FatTree, ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray, Topology,
-};
+use chm_netsim::{FatTree, ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator, Topology};
 use chm_netsim::sim::{EpochReport, Routable};
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
@@ -75,12 +73,11 @@ use chm_workloads::{LossPlan, Trace};
 /// [`run_epoch`](Self::run_epoch) replays on the sharded engine
 /// ([`chm_netsim::ShardedReplay`]), the edge switches split across the
 /// cores the building thread has to itself ([`chm_netsim::core_share`]):
-/// the whole machine, or a trial pool worker's share of it. With one core
-/// to itself it replays on the serial [`Simulator`], which a one-shard
-/// engine would only slow down. The layout is chosen once, in
-/// [`new`](Self::new), and is not a setting: the engine's contract is a
-/// report and sketch state byte-identical to the serial [`Simulator`]'s at
-/// any layout, so no output depends on it.
+/// the whole machine, or a trial pool worker's share of it, down to one
+/// shard. The layout is chosen once, in [`new`](Self::new), and is not a
+/// setting: the engine's contract is a report and sketch state
+/// byte-identical to the serial [`Simulator`]'s at any layout, so no output
+/// depends on it.
 pub struct ChameleMon<F: chm_common::FlowId> {
     /// Per-edge-switch data planes.
     pub edges: Vec<EdgeDataPlane<F>>,
@@ -91,9 +88,8 @@ pub struct ChameleMon<F: chm_common::FlowId> {
     /// (`simulator.run_epoch_burst` over `edges`) and close the epoch
     /// through `controller`.
     pub simulator: Simulator,
-    /// The replay engine [`run_epoch`](Self::run_epoch) drives; `None` for
-    /// the serial replay.
-    engine: Option<ShardedReplay<F>>,
+    /// The replay engine [`run_epoch`](Self::run_epoch) drives.
+    engine: ShardedReplay<F>,
 }
 
 /// Everything produced by one epoch: the simulator's ground truth and the
@@ -125,12 +121,11 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
     /// Builds a deployment over an arbitrary topology (one edge data plane
     /// per edge switch of the fabric). The replay engine gets one shard and
     /// one worker per core the calling thread has to itself
-    /// ([`chm_netsim::core_share`]), at most one per edge switch; with one
-    /// core — inside a trial pool that fills the machine — the replay is
-    /// the serial simulator's.
+    /// ([`chm_netsim::core_share`]), at most one per edge switch: one shard
+    /// inside a trial pool that fills the machine.
     pub fn new(cfg: DataPlaneConfig, topology: impl Into<Topology>, sim: SimConfig) -> Self {
         let topology = topology.into();
-        let shards = chm_netsim::core_share().min(topology.n_edges());
+        let sharding = Sharding::of(chm_netsim::core_share().min(topology.n_edges()));
         let runtime = RuntimeConfig::initial(&cfg);
         let edges = (0..topology.n_edges())
             .map(|_| EdgeDataPlane::new(cfg.clone(), runtime))
@@ -139,12 +134,12 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
             edges,
             controller: Controller::new(cfg),
             simulator: Simulator::new(topology, sim),
-            engine: (shards > 1).then(|| ShardedReplay::new(Sharding::of(shards))),
+            engine: ShardedReplay::new(sharding),
         }
     }
 
-    /// Runs one full epoch: replay the trace with losses (on the sharded
-    /// engine when [`new`](Self::new) built one), then close the epoch through [`Controller::close_epoch`] —
+    /// Runs one full epoch: replay the trace with losses on the sharded
+    /// engine, then close the epoch through [`Controller::close_epoch`] —
     /// every report arrives, and the controller's own
     /// [`Controller::reconfigure`] decides the runtime that functions next
     /// epoch. The outcome is the one the serial `simulator.run_epoch_burst`
@@ -192,19 +187,16 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
     {
         let config_in_effect = *self.controller.deployed_runtime();
         // `EdgeDataPlane` implements `chm_netsim::EdgeSite`; the engine
-        // hands each shard the edges it owns, `SiteArray` the simulator the
-        // whole slice. Burst replay: one hook call per flow, sketch state
-        // identical to the per-packet path (see `TowerSketch::insert_burst`).
-        let report = match &mut self.engine {
-            Some(engine) => engine.run_epoch_burst_scenario(
-                &mut self.simulator,
-                trace,
-                plan,
-                &ImpairmentSet::none(),
-                &mut self.edges,
-            ),
-            None => self.simulator.run_epoch_burst(trace, plan, &mut SiteArray(&mut self.edges)),
-        };
+        // hands each shard the edges it owns. Burst replay: one hook call per
+        // flow, sketch state identical to the per-packet path (see
+        // `TowerSketch::insert_burst`).
+        let report = self.engine.run_epoch_burst_scenario(
+            &mut self.simulator,
+            trace,
+            plan,
+            &ImpairmentSet::none(),
+            &mut self.edges,
+        );
         let closed = self.controller.close_epoch(
             &mut self.edges,
             report.epoch,
@@ -227,6 +219,7 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
 mod tests {
     use super::*;
     use chm_common::FiveTuple;
+    use chm_netsim::SiteArray;
     use chm_workloads::{testbed_trace, VictimSelection, WorkloadKind};
 
     #[test]
@@ -234,12 +227,12 @@ mod tests {
         let layout = |cores| {
             chm_netsim::with_core_share(cores, || {
                 let sys = ChameleMon::<FiveTuple>::testbed(DataPlaneConfig::small(3));
-                sys.engine.as_ref().map(ShardedReplay::sharding)
+                sys.engine.sharding()
             })
         };
-        assert_eq!(layout(1), None, "a pool worker's one core: the serial replay");
-        assert_eq!(layout(3), Some(Sharding::of(3)));
-        assert_eq!(layout(16), Some(Sharding::of(4)), "at most one shard per edge switch");
+        assert_eq!(layout(1), Sharding::of(1), "a pool worker's one core: one shard");
+        assert_eq!(layout(3), Sharding::of(3));
+        assert_eq!(layout(16), Sharding::of(4), "at most one shard per edge switch");
     }
 
     /// `run_epoch` at a fixed, machine-independent layout against the serial
@@ -255,7 +248,7 @@ mod tests {
         let empty = Trace { flows: Vec::new() };
         for shards in [1, 3] {
             let mut engine = ChameleMon::testbed(DataPlaneConfig::small(3));
-            engine.engine = Some(ShardedReplay::new(Sharding::of(shards)));
+            engine.engine = ShardedReplay::new(Sharding::of(shards));
             let mut serial = ChameleMon::testbed(DataPlaneConfig::small(3));
             for epoch in 0..12 {
                 let (trace, plan) = match epoch {

@@ -1,6 +1,9 @@
-//! `ChameleMon::run_epoch` replays on the sharded engine; the serial
-//! `Simulator` plus `Controller::close_epoch`, driven by hand through the
-//! deployment's pub fields, is the reference it must match bit for bit —
+//! `ChameleMon::run_epoch` replays on the sharded engine at every layout,
+//! one shard included, so this compares the engine against the serial
+//! reference on every host (a one-core host once ran the serial replay on
+//! both sides). The serial `Simulator` plus `Controller::close_epoch`,
+//! driven by hand through the deployment's pub fields, is the reference it
+//! must match bit for bit —
 //! report, loss report, staged runtime and both sketch groups of every
 //! edge, every epoch. The victim ratio cycles 2.5 / 10 / 25 / 10 % and the
 //! schedule includes an epoch with no traffic and an epoch with a single

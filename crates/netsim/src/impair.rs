@@ -296,16 +296,16 @@ impl ImpairmentSet {
             return;
         }
         out.quiet = None;
-        // Bulk-fill the untouched outcome (everything delivered, nothing
-        // duplicated), then lay the plan's drops down by enumerating their
-        // positions before the drawing stages perturb them.
+        // Bulk-fill the untouched outcome (everything delivered), then lay
+        // the plan's drops down by enumerating their positions before the
+        // drawing stages perturb them. The duplicate column stays empty —
+        // "nothing duplicated" — unless duplication is configured.
         let n = pkts as usize;
         out.delivered_mask.clear();
         out.delivered_mask.resize(n, true);
         out.drop_hop.clear();
         out.drop_hop.resize(n, 0);
         out.dup.clear();
-        out.dup.resize(n, false);
         for k in 0..base_lost.min(pkts) {
             let i = spread_drop_nth(k, pkts, base_lost);
             out.delivered_mask[i as usize] = false;
@@ -381,9 +381,8 @@ impl ImpairmentSet {
             }
         }
         if let Some(du) = self.duplication {
-            for i in 0..n {
-                out.dup[i] = out.delivered_mask[i] && rng.gen_bool(du.prob);
-            }
+            let mask = &out.delivered_mask;
+            out.dup.extend((0..n).map(|i| mask[i] && rng.gen_bool(du.prob)));
         }
     }
 }
@@ -409,8 +408,9 @@ struct QuietFlow {
 /// Read through the accessors only. Behind them sit two representations,
 /// chosen per flow by [`ImpairmentSet::realize_flow`] from its inputs: a
 /// quiet flow is the spread rule in closed form (`O(1)` to realize, `O(1)`
-/// per range query, `O(drops)` to attribute), any other flow is three dense
-/// per-packet columns. The buffers persist across calls.
+/// per range query, `O(drops)` to attribute), any other flow is dense
+/// per-packet columns: delivery and drop hop, and duplicates only when
+/// duplication is configured. The buffers persist across calls.
 #[derive(Debug, Clone, Default)]
 pub struct FabricFates {
     /// `delivered_mask[i]` — packet `i` exits the network.
@@ -419,7 +419,8 @@ pub struct FabricFates {
     /// dropped packet `i`. Meaningful only where `delivered_mask[i]` is false.
     drop_hop: Vec<u8>,
     /// `dup[i]` — packet `i` additionally traverses egress a second time
-    /// (only ever true for delivered packets).
+    /// (only ever true for delivered packets). Empty when no duplication is
+    /// configured: nothing is duplicated.
     dup: Vec<bool>,
     skew_split: u64,
     /// `Some` when the flow is quiet; the columns above are then stale.
@@ -458,7 +459,7 @@ impl FabricFates {
     /// Packet `i` traverses egress a second time (delivered packets only).
     #[inline]
     pub fn dup(&self, i: u64) -> bool {
-        self.quiet.is_none() && self.dup[i as usize]
+        self.quiet.is_none() && !self.dup.is_empty() && self.dup[i as usize]
     }
 
     /// Delivered packets with index in `[start, start + len)`.
@@ -482,6 +483,7 @@ impl FabricFates {
     pub fn dups_in(&self, start: u64, len: u64) -> u64 {
         match self.quiet {
             Some(_) => 0,
+            None if self.dup.is_empty() => 0,
             None => self.dup[start as usize..(start + len) as usize]
                 .iter()
                 .filter(|&&d| d)

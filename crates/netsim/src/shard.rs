@@ -2,8 +2,8 @@
 //!
 //! [`Simulator`] walks a trace single-threaded. This module is the second
 //! driver of the same replay kernel (one epoch prologue, one per-flow
-//! realize step, the two walkers of [`ReplayMode`]): it partitions the work
-//! by **ingress edge** — every flow is
+//! realize step, the two walkers of [`ReplayMode`]): it splits the work by
+//! **ingress edge** — every flow is
 //! pinned to the shard that owns `edge_of_host(src)` — and replays the
 //! shards on scoped threads, merging per-shard [`ReportFragment`]s into the
 //! identical [`EpochReport`]. The contract is *byte-identity at any shard
@@ -11,12 +11,13 @@
 //! unsharded replay bit for bit (pinned by `tests/shard_differential.rs`
 //! and the scenario-matrix suite in `chm_scenarios`).
 //!
-//! # Why edge-partitioning is exact
+//! # Why splitting by ingress edge is exact
 //!
 //! * **Ingress state is order-sensitive but edge-local.** A classifier's
 //!   per-packet hierarchy decision depends on the flow's size *so far* at
-//!   its ingress edge. Partitioning by ingress edge keeps every edge's
-//!   ingress stream on exactly one shard, in preserved trace order — the
+//!   its ingress edge. Every shard walks the whole trace in order and
+//!   replays only the rows whose ingress edge it owns, so every edge's
+//!   ingress stream is on exactly one shard, in preserved trace order — the
 //!   same call sequence the unsharded loop issues.
 //! * **Egress state is commutative.** Egress writes are modular adds into
 //!   the downstream encoders plus a packet counter; no egress read feeds a
@@ -37,26 +38,26 @@
 //!
 //! # Layout
 //!
-//! The partition is one flat column per shard — `ShardFlows`, the trace
-//! indices of the shard's flows, ascending. Everything else phase A needs
-//! about a flow (its global ingress edge, which of the shard's sites that
-//! is, which shard and site it leaves through) is re-derived from the
-//! flow's endpoints and two per-edge tables (`EdgeTables`), and
-//! `ShardScratch` reuses route/probability/fate buffers across epochs —
-//! shards stream cache-linearly instead of chasing per-flow heap objects.
+//! The engine keeps no per-flow state of its own. Everything phase A needs
+//! about a flow (its global ingress edge, which shard owns it and which of
+//! that shard's sites it is, which shard and site it leaves through) is
+//! re-derived from the flow's endpoints and one per-edge table
+//! (`EdgeTables`), and `ShardScratch` reuses route/probability/fate buffers
+//! across epochs — shards stream the trace cache-linearly instead of
+//! chasing per-flow heap objects. At one shard the ownership test never
+//! skips a row, and the walk is the serial driver's.
 //! A cross-shard egress record does not copy its flow: it names the trace
-//! row with the partition's own `u32`, and the destination site with a
-//! `u16` local index, 12 bytes in all; phase B reads the flow back from the
-//! trace. A layout whose shards own more sites than a `u16` indexes is
-//! refused.
-//! No step hashes a flow, and nothing serial is trace-sized but the
-//! partition and one `memcpy`: the plan locates its victims by remembered
-//! trace row and hands their losses over by trace index, a shard records
-//! only the flows that lost packets — one row each, in trace order — and the
-//! merge interleaves those sorted runs and lowers the trace's own rows at
-//! them.
+//! row with a `u32` (a trace longer than that is refused), and the
+//! destination site with a `u16` local index, 12 bytes in all; phase B
+//! reads the flow back from the trace. A layout whose shards own more
+//! sites than a `u16` indexes is refused.
+//! No step hashes a flow, and nothing serial is trace-sized but one
+//! `memcpy`: the plan locates its victims by remembered trace row and hands
+//! their losses over by trace index, a shard records only the flows that
+//! lost packets — one row each, in trace order — and the merge interleaves
+//! those sorted runs and lowers the trace's own rows at them.
 //!
-//! `shards` fixes the partition (and is what byte-identity is proven over);
+//! `shards` fixes the split (and is what byte-identity is proven over);
 //! `workers` only scales execution — any worker count replays the same
 //! shard set in the same per-shard order, so it never affects output.
 //!
@@ -73,7 +74,7 @@ use crate::sim::{
     EdgeSite, EpochReport, EpochSetup, FlowColumn, FlowScratch, Port, ReplayMode, Routable,
     Simulator, SitePort, VictimTable,
 };
-use crate::topology::{Fabric, SwitchId, Topology};
+use crate::topology::{Fabric, SwitchId};
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
 use std::cell::Cell;
@@ -81,15 +82,15 @@ use std::collections::BTreeMap;
 
 /// How a trial is sharded.
 ///
-/// `shards` fixes the flow partition — the unit byte-identity is proven
-/// over. `workers` caps the scoped threads actually spawned; any value
+/// `shards` fixes which shard owns which edge — the unit byte-identity is
+/// proven over. `workers` caps the scoped threads actually spawned; any value
 /// produces identical output because shards are static work units merged in
 /// shard order. Both are clamped to ≥ 1 at construction.
 /// `ScenarioStack::set_sharding` (in `chm_scenarios`) also clamps both to
-/// its edge count: a shard past the edge count owns no edge and no flow.
+/// its edge count: with more shards than edges, some own no edge and no flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sharding {
-    /// Number of flow partitions (by ingress edge, round-robin).
+    /// Number of shards (each owns a contiguous run of ingress edges).
     pub shards: usize,
     /// Scoped threads to run them on (≤ shards threads ever spawn).
     pub workers: usize,
@@ -186,8 +187,8 @@ impl<F> ReportFragment<F> {
 /// kept). `queue_depth` becomes the report's telemetry as it is: both
 /// drivers move it out of the epoch's queue realization, never copy it.
 ///
-/// The fragments must name disjoint trace rows, as the ingress-edge
-/// partition guarantees; the result is then invariant under any permutation
+/// The fragments must name disjoint trace rows, as the ingress-edge split
+/// guarantees; the result is then invariant under any permutation
 /// of `frags` (the proptest in `tests/shard_differential.rs` pins it).
 /// `delivered` — the one trace-sized piece of an epoch — costs a `memcpy` of
 /// the trace's rows and one store per victim.
@@ -248,8 +249,9 @@ fn merge_runs<F: Copy>(
 /// zeros under the default null clock).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardTiming {
-    /// Serial prologue: plan application, queue/congestion realization, and
-    /// the flow partition — work every shard layout pays once.
+    /// Serial prologue: plan application and queue/congestion realization
+    /// (`begin_epoch`) — work every shard layout pays once. Every shard's
+    /// walk past the rows it does not own is in its phase-A time.
     pub prologue_s: f64,
     /// Per-shard phase-A (ingress + fragment accounting) times.
     pub phase_a: Vec<f64>,
@@ -280,21 +282,21 @@ impl ShardTiming {
     }
 }
 
-/// The flow partition: the flows owned by this shard, in trace order.
-#[derive(Debug, Default)]
-struct ShardFlows {
-    /// Index into `trace.flows`, ascending.
-    idx: Vec<u32>,
+/// The first edge switch shard `s` owns: shard `s` owns the contiguous run
+/// `first_edge(s) .. first_edge(s + 1)`, so the runs' lengths differ by at
+/// most one, and each shard's sites are a sub-slice of the edge-site slice.
+fn first_edge(s: usize, n_edges: usize, shards: usize) -> usize {
+    s * n_edges / shards
 }
 
-/// Where each edge switch lives under the round-robin split, built once per
+/// Where each edge switch lives under the contiguous split, built once per
 /// epoch so the per-flow loops index a table instead of reducing: edge `e`
-/// belongs to shard `e % shards` and is site `e / shards` of that shard's
-/// owned-site list.
+/// belongs to the shard whose run holds it and is site `e - first_edge` of
+/// that shard's sites, both read with one lookup.
 #[derive(Debug, Default)]
 struct EdgeTables {
-    shard: Vec<u32>,
-    local: Vec<u16>,
+    /// `(shard, local site index)` per edge.
+    owner: Vec<(u32, u16)>,
 }
 
 impl EdgeTables {
@@ -309,10 +311,11 @@ impl EdgeTables {
              an egress record indexes a shard's sites with u16, so use at least {} shards",
             n_edges.div_ceil(usize::from(u16::MAX) + 1)
         );
-        self.shard.clear();
-        self.shard.extend((0..n_edges).map(|e| (e % shards) as u32));
-        self.local.clear();
-        self.local.extend((0..n_edges).map(|e| (e / shards) as u16));
+        self.owner.clear();
+        for s in 0..shards {
+            let (first, end) = (first_edge(s, n_edges, shards), first_edge(s + 1, n_edges, shards));
+            self.owner.extend((first..end).map(|e| (s as u32, (e - first) as u16)));
+        }
     }
 }
 
@@ -440,15 +443,19 @@ fn apply_run<F, E: EdgeSite<F>>(mode: ReplayMode, site: &mut E, f: &F, run: &Egr
     }
 }
 
-/// Round-robin split of the edge-site slice: shard `s` owns sites
-/// `{e : e % shards == s}` in ascending order, so site `e`'s local index is
-/// `e / shards` everywhere (what `EdgeTables` tabulates).
-fn split_edges<E>(edges: &mut [E], shards: usize) -> Vec<Vec<&mut E>> {
-    let mut buckets: Vec<Vec<&mut E>> = (0..shards).map(|_| Vec::new()).collect();
-    for (e, site) in edges.iter_mut().enumerate() {
-        buckets[e % shards].push(site);
-    }
-    buckets
+/// Contiguous split of the edge-site slice into one sub-slice per shard,
+/// the runs [`first_edge`] (and `EdgeTables`) lay out: a shard reaches its
+/// sites as the serial driver does, without a pointer per site.
+fn split_edges<E>(mut edges: &mut [E], shards: usize) -> Vec<&mut [E]> {
+    let n_edges = edges.len();
+    (0..shards)
+        .map(|s| {
+            let len = first_edge(s + 1, n_edges, shards) - first_edge(s, n_edges, shards);
+            let (own, rest) = std::mem::take(&mut edges).split_at_mut(len);
+            edges = rest;
+            own
+        })
+        .collect()
 }
 
 /// Runs `work` over every task, statically chunked across at most `workers`
@@ -488,15 +495,16 @@ where
     });
 }
 
-/// Phase A for shard `shard`: replays the shard's flows in ascending trace
-/// index — realize (which accounts a victim in the fragment and nothing for
-/// anyone else), then walk the packets through the owned ingress site and
-/// either straight into the egress site, when the shard owns it too, or
-/// into the outbox of the shard that does. The flow's edges come from its
-/// endpoints; their shard and site index from `tables`. The *global*
-/// ingress edge goes to the realize step because
-/// [`ImpairmentSet::realize_flow`] derives per-edge clock skew from it — a
-/// local index would silently change realizations.
+/// Phase A for shard `shard`: walks the trace in order and replays the rows
+/// whose ingress edge the shard owns, skipping the rest — realize (which
+/// accounts a victim in the fragment and nothing for anyone else), then
+/// walk the packets through the owned ingress site and either straight
+/// into the egress site, when the shard owns it too, or into the outbox of
+/// the shard that does. The flow's edges come from its endpoints; their
+/// shard and site index from `tables`. The *global* ingress edge goes to
+/// the realize step because [`ImpairmentSet::realize_flow`] derives
+/// per-edge clock skew from it — a local index would silently change
+/// realizations.
 // chm-lint: hot
 fn replay_shard<F: Routable, E: EdgeSite<F>>(
     trace: &Trace<F>,
@@ -508,23 +516,26 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
 ) {
     let ShardScratch { outbox, frag, flow } = &mut *t.scratch;
     let mut plan_lost = setup.plan_losses();
-    for &idx in &t.part.idx {
-        let (f, pkts) = trace.flows[idx as usize];
+    // chm-lint: allow(map-iter-order, "trace.flows is the trace's Vec, walked in trace order -- it only shares a field name with the decoders' flow maps")
+    for (idx, &(f, pkts)) in trace.flows.iter().enumerate() {
         let in_edge = setup.topo.edge_of_host(f.src_host());
+        let (owner, in_site) = tables.owner[in_edge];
+        if owner as usize != shard {
+            continue;
+        }
         let out_edge = setup.topo.edge_of_host(f.dst_host());
-        let base_lost = plan_lost.take(idx as usize);
-        setup.realize_flow(idx as usize, (f, pkts), base_lost, in_edge, flow, frag);
-        let (in_site, dest_site) = (usize::from(tables.local[in_edge]), tables.local[out_edge]);
-        let dest = tables.shard[out_edge] as usize;
-        if dest == shard {
-            let sites = &mut t.edges[..];
+        setup.realize_flow(idx, (f, pkts), plan_lost.take(idx), in_edge, flow, frag);
+        let in_site = usize::from(in_site);
+        let (dest, dest_site) = tables.owner[out_edge];
+        if dest as usize == shard {
+            let sites = &mut *t.edges;
             let mut port = SitePort { sites, in_edge: in_site, out_edge: usize::from(dest_site) };
             mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
         } else {
             let mut port = OutboxPort {
-                site: &mut *t.edges[in_site],
-                outbox: &mut outbox[dest],
-                row: idx,
+                site: &mut t.edges[in_site],
+                outbox: &mut outbox[dest as usize],
+                row: idx as u32,
                 dest_site,
             };
             mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
@@ -532,30 +543,28 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
     }
 }
 
-/// Phase-A work unit: one shard's partition, scratch, and owned sites.
-/// The scratch borrow gets its own lifetime so it can end at the phase
-/// barrier while the site borrows continue into phase B.
+/// Phase-A work unit: one shard's scratch and owned sites. The scratch
+/// borrow gets its own lifetime so it can end at the phase barrier while
+/// the site borrows continue into phase B.
 struct TaskA<'s, 'e, F, E> {
-    part: &'s ShardFlows,
     scratch: &'s mut ShardScratch<F>,
-    edges: Vec<&'e mut E>,
+    edges: &'e mut [E],
     time: f64,
 }
 
 /// Phase-B work unit: the owned sites again (scratches are read shared).
 struct TaskB<'a, E> {
-    edges: Vec<&'a mut E>,
+    edges: &'a mut [E],
     time: f64,
 }
 
 /// The sharded replay engine. Construct once with a [`Sharding`], then
-/// drive any number of epochs; partitions, outboxes, fragments, and scratch
-/// buffers are reused across epochs (arena-style). Two are trace-sized: the
-/// partition's one `u32` per flow, and the outboxes' 12-byte records, about
-/// one per flow that leaves through another shard's site (none at one
-/// shard, about half the flows at two); the rest is victim- or
-/// switch-sized. A layout whose shards would own more than 65 536 edge
-/// sites each is refused with a panic. Once their capacities
+/// drive any number of epochs; outboxes, fragments, and scratch buffers are
+/// reused across epochs (arena-style). One is trace-sized: the outboxes'
+/// 12-byte records, about one per flow that leaves through another shard's
+/// site (none at one shard, about half the flows at two); the rest is
+/// victim- or switch-sized. A layout whose shards would own more than
+/// 65 536 edge sites each is refused with a panic. Once their capacities
 /// stabilize, what an epoch allocates is the [`EpochReport`] it returns —
 /// one `delivered` row per flow (copied from the trace in one piece), the
 /// victim table in three exactly-sized pieces — plus the plan's
@@ -565,16 +574,14 @@ struct TaskB<'a, E> {
 #[derive(Debug)]
 pub struct ShardedReplay<F> {
     sharding: Sharding,
-    parts: Vec<ShardFlows>,
     tables: EdgeTables,
     scratches: Vec<ShardScratch<F>>,
     /// `shard_{i}` span names, one per shard, built once.
     shard_names: Vec<String>,
-    /// Span tree of the most recent epoch (`prologue`, `partition`,
-    /// `phase_a`, `phase_a/shard_i`, `phase_b`, `phase_b/shard_i`, `merge`),
-    /// one interval each — the leaves are the durations the timed entry
-    /// points return as a [`ShardTiming`] (whose `prologue_s` is the sum of
-    /// `prologue` and `partition`); a phase's own interval also holds its
+    /// Span tree of the most recent epoch (`prologue`, `phase_a`,
+    /// `phase_a/shard_i`, `phase_b`, `phase_b/shard_i`, `merge`), one
+    /// interval each — the leaves are the durations the timed entry points
+    /// return as a [`ShardTiming`]; a phase's own interval also holds its
     /// thread spawns and joins.
     last_profile: SpanProfiler,
 }
@@ -588,7 +595,6 @@ impl<F> ShardedReplay<F> {
         let sharding = sharding.normalized();
         ShardedReplay {
             sharding,
-            parts: (0..sharding.shards).map(|_| ShardFlows::default()).collect(),
             tables: EdgeTables::default(),
             scratches: (0..sharding.shards).map(|_| ShardScratch::default()).collect(),
             shard_names: (0..sharding.shards).map(|i| format!("shard_{i}")).collect(),
@@ -619,8 +625,9 @@ impl<F: Routable> ShardedReplay<F> {
     /// is measured with; pass `&|| 0.0` when nobody is timing.
     ///
     /// # Panics
-    /// When `edges` does not hold one site per edge switch of the fabric, or
-    /// a shard would own more than 65 536 of them.
+    /// When `edges` does not hold one site per edge switch of the fabric, a
+    /// shard would own more than 65 536 of them, or the trace has more rows
+    /// than a `u32` names.
     #[allow(clippy::too_many_arguments)]
     pub fn run_epoch<E: EdgeSite<F>>(
         &mut self,
@@ -636,7 +643,7 @@ impl<F: Routable> ShardedReplay<F> {
         let mut setup = sim.begin_epoch(trace, plan, imp);
         let prologue = clock() - t0;
         let (report, mut timing) = self.drive(trace, mode, &mut setup, edges, clock);
-        timing.prologue_s += prologue;
+        timing.prologue_s = prologue;
         self.last_profile.record(&["prologue"], prologue);
         sim.set_epoch(report.epoch + 1);
         (report, timing)
@@ -668,37 +675,10 @@ impl<F: Routable> ShardedReplay<F> {
         self.run_epoch(sim, trace, plan, imp, ReplayMode::Burst, edges, clock)
     }
 
-    /// Rebuilds the edge tables and the flow partition for this trace
-    /// (buffers reused).
-    fn partition(&mut self, topo: &Topology, trace: &Trace<F>) {
-        let shards = self.sharding.shards;
-        assert!(
-            trace.flows.len() <= u32::MAX as usize,
-            "shard partition indexes flows with u32"
-        );
-        self.tables.rebuild(topo.n_edges(), shards);
-        for p in &mut self.parts {
-            p.idx.clear();
-        }
-        for sc in &mut self.scratches {
-            if sc.outbox.len() < shards {
-                sc.outbox.resize_with(shards, Vec::new);
-            }
-            for ob in &mut sc.outbox {
-                ob.clear();
-            }
-            sc.frag.clear();
-        }
-        for (i, &(f, _)) in trace.flows.iter().enumerate() {
-            let in_edge = topo.edge_of_host(f.src_host());
-            self.parts[self.tables.shard[in_edge] as usize].idx.push(i as u32);
-        }
-    }
-
-    /// The shared engine: partition → phase A (parallel ingress, own-site
-    /// egress and fragment accounting; cross-shard egress into outboxes) →
-    /// barrier → phase B (parallel egress inbox drain in deterministic
-    /// source order) → serial fragment merge.
+    /// The shared engine: phase A (parallel ingress, own-site egress and
+    /// fragment accounting; cross-shard egress into outboxes) → barrier →
+    /// phase B (parallel egress inbox drain in deterministic source order)
+    /// → serial fragment merge.
     fn drive<E: EdgeSite<F>>(
         &mut self,
         trace: &Trace<F>,
@@ -713,22 +693,30 @@ impl<F: Routable> ShardedReplay<F> {
             topo.n_edges(),
             "one edge site per topology edge switch"
         );
-        let t0 = clock();
-        self.partition(topo, trace);
-        let partition_s = clock() - t0;
+        assert!(
+            trace.flows.len() <= u32::MAX as usize,
+            "an egress record names its trace row with u32"
+        );
         let shards = self.sharding.shards;
         let workers = self.sharding.workers;
+        self.tables.rebuild(topo.n_edges(), shards);
+        for sc in &mut self.scratches {
+            sc.outbox.resize_with(shards, Vec::new);
+            for ob in &mut sc.outbox {
+                ob.clear();
+            }
+            sc.frag.clear();
+        }
 
         // Phase A: each shard ingests its own flows (trace order preserved),
         // egresses those that leave through its own sites, and records the
         // rest into per-destination outboxes.
         let buckets = split_edges(edges, shards);
         let mut tasks: Vec<TaskA<'_, '_, F, E>> = self
-            .parts
-            .iter()
-            .zip(self.scratches.iter_mut())
+            .scratches
+            .iter_mut()
             .zip(buckets)
-            .map(|((part, scratch), edges)| TaskA { part, scratch, edges, time: 0.0 })
+            .map(|(scratch, edges)| TaskA { scratch, edges, time: 0.0 })
             .collect();
         let tables = &self.tables;
         let a0 = clock();
@@ -753,7 +741,7 @@ impl<F: Routable> ShardedReplay<F> {
             for sc in scratches.iter() {
                 for run in &sc.outbox[shard] {
                     let (f, _) = &trace.flows[run.row as usize];
-                    apply_run(mode, &mut *t.edges[usize::from(run.site)], f, run);
+                    apply_run(mode, &mut t.edges[usize::from(run.site)], f, run);
                 }
             }
             t.time = clock() - start;
@@ -780,7 +768,6 @@ impl<F: Routable> ShardedReplay<F> {
         // carries the same durations.
         let prof = &mut self.last_profile;
         prof.clear();
-        prof.record(&["partition"], partition_s);
         prof.record(&["phase_a"], phase_a_s);
         for (name, t) in self.shard_names.iter().zip(&phase_a) {
             prof.record(&["phase_a", name], *t);
@@ -790,7 +777,7 @@ impl<F: Routable> ShardedReplay<F> {
             prof.record(&["phase_b", name], *t);
         }
         prof.record(&["merge"], merge_s);
-        (report, ShardTiming { prologue_s: partition_s, phase_a, phase_b, merge_s })
+        (report, ShardTiming { prologue_s: 0.0, phase_a, phase_b, merge_s })
     }
 }
 
@@ -937,12 +924,10 @@ mod tests {
         let prof = eng.last_profile();
         assert!(prof.balanced());
         let span = |path: &[&str]| prof.get(path).map(|(_, t)| t);
-        // One interval per name: the epoch prologue and the partition are
-        // two spans, and the timing's serial prologue is their sum.
+        // One interval per name: the epoch prologue is the timing's serial
+        // prologue.
         assert_eq!(prof.get(&["prologue"]).map(|(c, _)| c), Some(1));
-        assert_eq!(prof.get(&["partition"]).map(|(c, _)| c), Some(1));
-        let (partition, prologue) = (span(&["partition"]).unwrap(), span(&["prologue"]).unwrap());
-        assert_eq!(partition + prologue, timing.prologue_s);
+        assert_eq!(span(&["prologue"]), Some(timing.prologue_s));
         assert_eq!(span(&["merge"]), Some(timing.merge_s));
         for (i, name) in ["shard_0", "shard_1", "shard_2"].iter().enumerate() {
             assert_eq!(span(&["phase_a", name]), Some(timing.phase_a[i]));
@@ -999,11 +984,12 @@ mod tests {
     fn a_run_longer_than_a_record_splits_into_records_that_add_up() {
         let (mut trace, plan, sim0) = setup();
         // A flow that enters at a shard-0 edge and leaves at a shard-1 edge
-        // of the 2-shard layout, and loses nothing, grows past `u32::MAX`.
+        // of the 2-shard layout (edges 0–1 and 2–3), and loses nothing,
+        // grows past `u32::MAX`.
         let topo = FatTree::testbed();
         let crosses = |f: &FiveTuple| {
             let (i, o) = (topo.edge_of_host(f.src_host()), topo.edge_of_host(f.dst_host()));
-            i % 2 == 0 && o % 2 == 1
+            i < 2 && o >= 2
         };
         let big = trace
             .flows
@@ -1217,7 +1203,7 @@ mod tests {
         let mut sim_ref = sim0.clone();
         let mut ref_sites = sites(4);
         let r_ref = sim_ref.run_epoch_burst(&trace, &plan, &mut SiteArray(&mut ref_sites));
-        // 9 shards over 4 edges: shards 4..9 own no edges and stay idle.
+        // 9 shards over 4 edges: five of them own no edge and stay idle.
         let mut sim = sim0.clone();
         let mut s = sites(4);
         let mut eng = ShardedReplay::new(Sharding { shards: 9, workers: 16 });

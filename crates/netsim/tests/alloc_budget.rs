@@ -5,10 +5,11 @@
 //! the trace's rows, lowered at the victims — so it *is* the epoch's
 //! allocation; everything else it requests is victim- or switch-sized. The
 //! sharded engine keeps arenas across epochs: the fragments and fate
-//! buffers, victim-sized, and two trace-sized ones, the partition (a `u32`
-//! per flow) and the cross-shard egress outboxes (a 12-byte record per run
-//! that leaves through another shard's site). A live-bytes counter bounds
-//! what a warm engine keeps per flow between epochs. What this guards
+//! buffers, victim-sized, and one trace-sized one, the cross-shard egress
+//! outboxes (a 12-byte record per run that leaves through another shard's
+//! site; none at one shard). It keeps no per-flow state of its own. A
+//! live-bytes counter bounds what a warm engine keeps per flow between
+//! epochs, at one shard and at two. What this guards
 //! against is also a trace-sized structure that is built and thrown away — the loss plan's whole-trace
 //! `delivered` map the replay used to discard, a per-flow fragment column
 //! that the merge re-reads, a merge accumulator regrown from empty — and a
@@ -24,10 +25,10 @@
 //! list of `(switch, count)` drops — and a victim's drops are counted in a
 //! per-hop buffer reused from flow to flow, so a steady-state epoch at 10x
 //! the victims makes at most 16 more allocator calls than at 1x — measured
-//! at 200 → 2 000 victims: 20 → 25 serial, the fresh fragment regrowing its
-//! drop list a few more times, and 36 → 36 sharded, whose arenas have
-//! already grown. (Before the table, every victim's drops were a `BTreeMap`
-//! of their own: 209 → 2 009 serial.)
+//! at 200 → 2 000 victims: 17 → 21 serial, the fresh fragment regrowing its
+//! drop list a few more times, and 24 → 24 at one shard and 35 → 35 at two,
+//! whose arenas have already grown. (Before the table, every victim's drops
+//! were a `BTreeMap` of their own: 209 → 2 009 serial.)
 
 use chm_common::FiveTuple;
 use chm_counting_alloc::CountingAlloc;
@@ -155,34 +156,51 @@ fn epoch_calls(ratio: f64, sharding: Option<Sharding>) -> u64 {
 #[test]
 fn victims_cost_no_allocation_of_their_own() {
     let _turn = one_at_a_time();
-    for sharding in [None, Some(Sharding::of(2))] {
+    for sharding in [None, Some(Sharding::single()), Some(Sharding::of(2))] {
         let (few, many) = (epoch_calls(0.01, sharding), epoch_calls(0.1, sharding));
         assert!(many <= few + 16, "{sharding:?}: {few} allocations at 200 victims, {many} at 2 000");
     }
 }
 
-/// What a warm engine keeps between epochs: after two 2-shard epochs over
-/// 20 k flows, with both reports dropped, the bytes still live that the
-/// engine allocated. Two of its arenas are trace-sized — the partition's
-/// `u32` per flow, and the outboxes' 12-byte record per egress run that
-/// leaves through the other shard's site (about half of the flows) — each
-/// `Vec` holding up to twice what it uses. Measured: 17.4 B a flow.
-/// Queueing every egress run as a 32-byte record that copies the flow, own
-/// site or not, kept 60.0 B a flow.
-#[test]
-fn a_warm_engine_keeps_few_bytes_per_flow_between_epochs() {
-    let _turn = one_at_a_time();
+/// What a warm engine keeps between epochs, in bytes a flow: after two
+/// epochs over 20 k flows at `sharding`, with both reports dropped, the
+/// bytes still live that the engine allocated.
+fn kept_per_flow(sharding: Sharding) -> f64 {
     let trace = testbed_trace(WorkloadKind::Dctcp, 20_000, 8, 0xa110c);
     let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.01), 0.02, 0x10ad);
     let imp = ImpairmentSet::none();
     let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
     let mut sites: Vec<CountingSite> = (0..4).map(|_| CountingSite::default()).collect();
     let before = ALLOC.live();
-    let mut eng = ShardedReplay::new(Sharding::of(2));
+    let mut eng = ShardedReplay::new(sharding);
     for _ in 0..2 {
         drop(eng.run_epoch_burst_scenario(&mut sim, &trace, &plan, &imp, &mut sites));
     }
     let kept = ALLOC.live() - before;
-    assert!(kept < 24 * 20_000, "a warm 2-shard engine keeps {kept} B over 20 000 flows");
     drop(eng);
+    kept as f64 / 20_000.0
+}
+
+/// The engine keeps no per-flow state of its own: at one shard no egress
+/// leaves through another shard's site, so what it keeps is victim- and
+/// switch-sized. Measured: 0.93 B a flow. A partition of the flows (a `u32`
+/// each, in a `Vec` holding up to twice what it uses) kept 7.48.
+#[test]
+fn a_warm_one_shard_engine_keeps_no_per_flow_state() {
+    let _turn = one_at_a_time();
+    let kept = kept_per_flow(Sharding::single());
+    assert!(kept < 2.0, "a warm 1-shard engine keeps {kept:.2} B a flow over 20 000 flows");
+}
+
+/// At two shards one arena is trace-sized: the outboxes' 12-byte record per
+/// egress run that leaves through the other shard's site (about half of
+/// the flows), each `Vec` holding up to twice what it uses. Measured:
+/// 10.8 B a flow, bounded at 13; with a `u32` partition of the flows beside
+/// it, 17.4. Queueing every egress run as a 32-byte record that copies the
+/// flow, own site or not, kept 60.0 B a flow.
+#[test]
+fn a_warm_engine_keeps_few_bytes_per_flow_between_epochs() {
+    let _turn = one_at_a_time();
+    let kept = kept_per_flow(Sharding::of(2));
+    assert!(kept < 13.0, "a warm 2-shard engine keeps {kept:.2} B a flow over 20 000 flows");
 }

@@ -142,8 +142,8 @@ fn all_paths_match_unsharded_on_every_fabric() {
 }
 
 /// The report's `delivered` column is interleaved from per-shard columns, so
-/// the degenerate partitions matter: more shards than edges (shards 4..9 own no
-/// edge and contribute empty columns) and an empty trace (every column
+/// the degenerate partitions matter: more shards than edges (five of the nine
+/// own no edge and contribute empty columns) and an empty trace (every column
 /// empty) must still reproduce the serial report.
 #[test]
 fn scenario_paths_survive_idle_shards_and_an_empty_trace() {

@@ -246,7 +246,7 @@ impl ScenarioStack {
     }
 
     /// The sharded engine's span tree of the last [`replay`](Self::replay)
-    /// (`prologue`, `partition`, `phase_a` over its `phase_a/shard_i`,
+    /// (`prologue`, `phase_a` over its `phase_a/shard_i`,
     /// `phase_b` over its `phase_b/shard_i`, `merge`); `None` on the serial
     /// driver, which has no phases to time.
     pub fn replay_profile(&self) -> Option<&SpanProfiler> {

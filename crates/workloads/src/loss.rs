@@ -30,7 +30,7 @@ pub enum VictimSelection {
 }
 
 /// Every row index of `trace`, ascending. Plans name trace rows with `u32`,
-/// like the sharded replay's partition.
+/// like the sharded replay's egress records.
 fn trace_rows<F>(trace: &Trace<F>) -> std::ops::Range<u32> {
     0..u32::try_from(trace.flows.len()).expect("a loss plan indexes trace rows with u32")
 }
