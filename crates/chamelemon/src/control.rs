@@ -28,6 +28,7 @@ use chm_obs::SpanProfiler;
 use chm_tower::{MracConfig, MracScratch};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 /// How a caller profiles [`Controller::close_epoch`]: the span tree (the
 /// body's spans nest under its open span), the injected clock (`&mut ||
@@ -212,6 +213,9 @@ pub struct Controller<F: FlowId> {
     /// flow-size-distribution estimates of every epoch run through it, and
     /// are staged in it until they are added into the epoch's distribution.
     mrac_scratch: RefCell<MracScratch>,
+    /// The label of a probed decode's span, formatted here so that a probe
+    /// costs no allocation once its span tree has the label's node.
+    span_label: RefCell<String>,
     /// Cross-epoch victim-localization state, present once
     /// [`enable_localization`](Self::enable_localization) gave the
     /// controller the fabric topology.
@@ -245,18 +249,23 @@ fn span<'p, R>(
 /// Decodes `sketch` through the shared scratch and records the decode twice:
 /// as `decode/{label}` and under its occupancy class (`decode/sparse` or
 /// `decode/loaded`, [`chm_fermat::DecodeStats`]). The label is formatted
-/// only when the pass is profiled.
+/// only when the pass is profiled, into `label_buf`, which the controller
+/// keeps: once the span tree has its nodes, a probed decode allocates what
+/// an unprobed one does.
 fn decode_spanned<F: FlowId>(
     sketch: &FermatSketch<F>,
     scratch: &mut DecodeScratch<F>,
     probe: &mut Option<EpochProbe<'_>>,
+    label_buf: &mut String,
     label: std::fmt::Arguments<'_>,
 ) -> DecodeResult<F> {
     let t0 = probe.as_mut().map(|p| (p.clock)());
     let r = sketch.decode_with(scratch);
     if let (Some(p), Some(t0)) = (probe.as_mut(), t0) {
         let dur = (p.clock)() - t0;
-        p.spans.record(&["decode", &label.to_string()], dur);
+        label_buf.clear();
+        let _ = label_buf.write_fmt(label);
+        p.spans.record(&["decode", label_buf], dur);
         let class = if scratch.last_stats.sparse { "sparse" } else { "loaded" };
         p.spans.record(&["decode", class], dur);
     }
@@ -306,6 +315,7 @@ impl<F: FlowId> Controller<F> {
             failed_hl_sizes: std::collections::HashSet::new(),
             scratch: RefCell::new(DecodeScratch::new()),
             mrac_scratch: RefCell::new(MracScratch::default()),
+            span_label: RefCell::new(String::new()),
             localizer: None,
             _f: std::marker::PhantomData,
         }
@@ -576,6 +586,7 @@ impl<F: FlowId> Controller<F> {
             };
         }
         let scratch = &mut *self.scratch.borrow_mut();
+        let label = &mut *self.span_label.borrow_mut();
         let runtime = collected[0].runtime;
 
         // --- flows & flow-size distribution per switch -------------------
@@ -594,7 +605,7 @@ impl<F: FlowId> Controller<F> {
                 hh_flowsets.push(HashMap::new());
                 continue;
             }
-            let r = decode_spanned(&g.up_hh, scratch, probe, format_args!("edge_{i}"));
+            let r = decode_spanned(&g.up_hh, scratch, probe, label, format_args!("edge_{i}"));
             if !r.success {
                 hh_decode_ok = false;
             }
@@ -637,7 +648,7 @@ impl<F: FlowId> Controller<F> {
         let mut hl_partial: HashMap<F, i64> = HashMap::new();
         let (hl_flowset, est_hls) = match &delta_hl {
             Some(delta) if hh_decode_ok => {
-                let r = decode_spanned(delta, scratch, probe, format_args!("delta_hl"));
+                let r = decode_spanned(delta, scratch, probe, label, format_args!("delta_hl"));
                 if r.success {
                     let n = r.flows.len() as f64;
                     (Some(r.flows), n)
@@ -659,7 +670,7 @@ impl<F: FlowId> Controller<F> {
         }
         let (ll_flowset, est_lls) = match &delta_ll {
             Some(delta) => {
-                let r = decode_spanned(delta, scratch, probe, format_args!("delta_ll"));
+                let r = decode_spanned(delta, scratch, probe, label, format_args!("delta_ll"));
                 if r.success {
                     let n = r.flows.len() as f64;
                     (Some(r.flows), n)
@@ -676,34 +687,26 @@ impl<F: FlowId> Controller<F> {
         // undecoded residue, so partial flows are reported only when the
         // fully-decoded upstream HH flowsets attest the flow exists (sound:
         // a successful FermatSketch decode is exact). Partial LL flows have
-        // no such witness and are never reported. Reserved for every entry
-        // of the flowsets it is filled from, so it never regrows.
-        let hl_len = hl_flowset.as_ref().map_or(hl_partial.len(), HashMap::len);
-        let ll_len = ll_flowset.as_ref().map_or(0, HashMap::len);
-        let mut loss_report: HashMap<F, u64> = HashMap::with_capacity(hl_len + ll_len);
-        match &hl_flowset {
-            Some(hl) => {
-                for (f, c) in hl {
-                    if *c > 0 {
-                        *loss_report.entry(*f).or_insert(0) += *c as u64;
-                    }
-                }
-            }
-            None => {
-                // chm-lint: allow(map-iter-order, "integer += accumulation into per-flow entries commutes; the loss report is order-independent as a value")
-                for (f, c) in &hl_partial {
-                    if *c > 0 && hh_flowsets.iter().any(|m| m.contains_key(f)) {
-                        *loss_report.entry(*f).or_insert(0) += *c as u64;
-                    }
-                }
+        // no such witness and are never reported. Reserved for exactly the
+        // flows it ends up holding — the HL entries it keeps, and the
+        // positive LL entries that no kept HL entry names — so it neither
+        // regrows nor holds room for entries it skips.
+        let hl = hl_flowset.as_ref().unwrap_or(&hl_partial);
+        let hl_keeps = |f: &F, c: i64| {
+            c > 0 && (hl_flowset.is_some() || hh_flowsets.iter().any(|m| m.contains_key(f)))
+        };
+        let ll = ll_flowset.as_ref().into_iter().flatten().filter(|&(_, &c)| c > 0);
+        let ll_only = ll.clone().filter(|&(f, _)| !hl.get(f).is_some_and(|&c| hl_keeps(f, c)));
+        let kept = hl.iter().filter(|&(f, &c)| hl_keeps(f, c)).count() + ll_only.count();
+        let mut loss_report: HashMap<F, u64> = HashMap::with_capacity(kept);
+        // chm-lint: allow(map-iter-order, "integer += accumulation into per-flow entries commutes; the loss report is order-independent as a value")
+        for (f, &c) in hl {
+            if hl_keeps(f, c) {
+                *loss_report.entry(*f).or_insert(0) += c as u64;
             }
         }
-        if let Some(ll) = &ll_flowset {
-            for (f, c) in ll {
-                if *c > 0 {
-                    *loss_report.entry(*f).or_insert(0) += *c as u64;
-                }
-            }
+        for (f, &c) in ll {
+            *loss_report.entry(*f).or_insert(0) += c as u64;
         }
 
         // --- victim estimates (§4.3.2 "Monitoring real-time network state")

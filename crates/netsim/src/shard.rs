@@ -161,13 +161,21 @@ pub struct ReportFragment<F> {
     pub drops: Vec<(SwitchId, u64)>,
     /// Route-length histogram contribution.
     pub hops_histogram: BTreeMap<usize, u64>,
+    /// The merge's cursor: how many of `victims` it has taken. Zero outside
+    /// a merge, which drains the fragment.
+    merged: usize,
 }
 
 // Not derived: the derive would bound `F: Default`, and an empty fragment
 // needs no `F`.
 impl<F> Default for ReportFragment<F> {
     fn default() -> Self {
-        ReportFragment { victims: Vec::new(), drops: Vec::new(), hops_histogram: BTreeMap::new() }
+        ReportFragment {
+            victims: Vec::new(),
+            drops: Vec::new(),
+            hops_histogram: BTreeMap::new(),
+            merged: 0,
+        }
     }
 }
 
@@ -176,6 +184,13 @@ impl<F> ReportFragment<F> {
         self.victims.clear();
         self.drops.clear();
         self.hops_histogram.clear();
+        self.merged = 0;
+    }
+}
+
+impl<F> AsMut<ReportFragment<F>> for ReportFragment<F> {
+    fn as_mut(&mut self) -> &mut ReportFragment<F> {
+        self
     }
 }
 
@@ -190,16 +205,18 @@ impl<F> ReportFragment<F> {
 /// The fragments must name disjoint trace rows, as the ingress-edge split
 /// guarantees; the result is then invariant under any permutation
 /// of `frags` (the proptest in `tests/shard_differential.rs` pins it).
+/// A fragment may lie inside its holder (`T`): the engine merges its shards'
+/// fragments where they are, in the shard scratches.
 /// `delivered` — the one trace-sized piece of an epoch — costs a `memcpy` of
 /// the trace's rows and one store per victim.
-pub fn merge_fragments<F: Copy>(
+pub fn merge_fragments<F: Copy, T: AsMut<ReportFragment<F>>>(
     trace: &Trace<F>,
     epoch: u64,
     queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
-    frags: &mut [ReportFragment<F>],
+    frags: &mut [T],
 ) -> EpochReport<F> {
-    let victims = frags.iter().map(|f| f.victims.len()).sum();
-    let drops = frags.iter().map(|f| f.drops.len()).sum();
+    let victims = frags.iter_mut().map(|f| f.as_mut().victims.len()).sum();
+    let drops = frags.iter_mut().map(|f| f.as_mut().drops.len()).sum();
     let mut report = EpochReport {
         delivered: FlowColumn::of_trace(trace),
         lost: VictimTable::with_capacity(victims, drops),
@@ -208,35 +225,33 @@ pub fn merge_fragments<F: Copy>(
         queue_depth,
         epoch,
     };
-    merge_runs(&mut report, frags, &mut vec![0; frags.len()]);
+    merge_runs(&mut report, frags);
     report
 }
 
 /// The body of [`merge_fragments`]: a k-way merge of the fragments' victim
-/// runs (`heads[k]` is fragment `k`'s next victim) into `report`, then the
-/// folds, draining every fragment.
+/// runs (each fragment's `merged` cursor is its next victim) into `report`,
+/// then the folds, draining every fragment.
 // chm-lint: hot
-fn merge_runs<F: Copy>(
-    report: &mut EpochReport<F>,
-    frags: &mut [ReportFragment<F>],
-    heads: &mut [usize],
-) {
-    let next = |heads: &[usize]| {
-        let live = (0..heads.len()).filter(|&k| heads[k] < frags[k].victims.len());
-        live.min_by_key(|&k| frags[k].victims[heads[k]].0)
+fn merge_runs<F: Copy, T: AsMut<ReportFragment<F>>>(report: &mut EpochReport<F>, frags: &mut [T]) {
+    let next = |frags: &mut [T]| {
+        let live = frags.iter_mut().map(AsMut::as_mut).enumerate();
+        let live = live.filter(|(_, f)| f.merged < f.victims.len());
+        live.min_by_key(|(_, f)| f.victims[f.merged].0).map(|(k, _)| k)
     };
-    while let Some(k) = next(heads) {
-        let (i, victims) = (heads[k], &frags[k].victims);
+    while let Some(k) = next(frags) {
+        let frag = frags[k].as_mut();
+        let (i, victims) = (frag.merged, &frag.victims);
         let (row, f, lost, end) = victims[i];
         let start = if i == 0 { 0 } else { victims[i - 1].3 };
         report.delivered.rows[row].1 -= lost;
-        report.lost.push(f, lost, &frags[k].drops[start..end]);
-        heads[k] += 1;
+        report.lost.push(f, lost, &frag.drops[start..end]);
+        frag.merged += 1;
     }
     for &(s, c) in &report.lost.drops {
         *report.dropped_at.entry(s).or_insert(0) += c;
     }
-    for frag in frags.iter_mut() {
+    for frag in frags.iter_mut().map(AsMut::as_mut) {
         for (&h, &c) in &frag.hops_histogram {
             *report.hops_histogram.entry(h).or_insert(0) += c;
         }
@@ -338,8 +353,8 @@ const _: () = assert!(std::mem::size_of::<EgressRun>() == 12);
 
 /// Per-shard reusable working state: the cross-shard egress outboxes (one
 /// per destination shard; the shard's own stays empty), the report
-/// fragment, and the per-flow scratch buffers the serial driver keeps as a
-/// local.
+/// fragment (and in it the merge's cursor), the per-flow scratch buffers
+/// the serial driver keeps as a local, and the shard's phase-A time.
 ///
 /// The engine keeps one per shard in a `Vec`, and phase A has every worker
 /// rewrite its own entry's vector headers on every flow (the `fates`
@@ -356,6 +371,8 @@ struct ShardScratch<F> {
     outbox: Vec<Vec<EgressRun>>,
     frag: ReportFragment<F>,
     flow: FlowScratch,
+    /// Phase A's duration on the injected clock, this epoch.
+    time: f64,
 }
 
 impl<F> Default for ShardScratch<F> {
@@ -364,7 +381,14 @@ impl<F> Default for ShardScratch<F> {
             outbox: Vec::new(),
             frag: ReportFragment::default(),
             flow: FlowScratch::default(),
+            time: 0.0,
         }
+    }
+}
+
+impl<F> AsMut<ReportFragment<F>> for ShardScratch<F> {
+    fn as_mut(&mut self) -> &mut ReportFragment<F> {
+        &mut self.frag
     }
 }
 
@@ -443,55 +467,66 @@ fn apply_run<F, E: EdgeSite<F>>(mode: ReplayMode, site: &mut E, f: &F, run: &Egr
     }
 }
 
-/// Contiguous split of the edge-site slice into one sub-slice per shard,
-/// the runs [`first_edge`] (and `EdgeTables`) lay out: a shard reaches its
-/// sites as the serial driver does, without a pointer per site.
-fn split_edges<E>(mut edges: &mut [E], shards: usize) -> Vec<&mut [E]> {
-    let n_edges = edges.len();
-    (0..shards)
-        .map(|s| {
-            let len = first_edge(s + 1, n_edges, shards) - first_edge(s, n_edges, shards);
-            let (own, rest) = std::mem::take(&mut edges).split_at_mut(len);
-            edges = rest;
-            own
-        })
-        .collect()
+/// Splits `edges` at `len`, leaving the tail in `edges`.
+fn take_front<'a, E>(edges: &mut &'a mut [E], len: usize) -> &'a mut [E] {
+    let (front, rest) = std::mem::take(edges).split_at_mut(len);
+    *edges = rest;
+    front
 }
 
-/// Runs `work` over every task, statically chunked across at most `workers`
-/// threads — the calling thread, which takes the first chunk, and one scoped
-/// thread per further chunk, so `workers = 2` costs one spawn per phase and
-/// `workers = 1` none. Chunking is contiguous and deterministic; worker count
-/// never changes which task gets which index. Panics in any worker propagate
-/// at scope join.
+/// Runs `work(shard, task, sites)` over every task — one per shard — with
+/// the shard's sites, the contiguous run of `edges` [`first_edge`] (and
+/// `EdgeTables`) lays out, so a shard reaches its sites as the serial
+/// driver does, without a pointer per site. The tasks are statically
+/// chunked across at most `workers` threads — the calling thread, which
+/// takes the first chunk, and one scoped thread per further chunk, so
+/// `workers = 2` costs one spawn per phase and `workers = 1` none. Each
+/// chunk is a `(&mut [T], &mut [E])` pair cut from the two slices, so no
+/// list of borrows is built. Chunking is contiguous and deterministic;
+/// worker count never changes which task gets which index or sites. Panics
+/// in any worker propagate at scope join.
 ///
 /// One scope per phase, not one per epoch with a barrier between the phases:
 /// phase A holds each shard's scratch `&mut` and phase B reads every shard's
 /// outbox, a hand-over that inside one scope needs a lock around every
 /// scratch — and a worker that panics before the barrier would leave the
 /// others waiting at it for ever instead of propagating.
-fn run_tasks<T, W>(workers: usize, tasks: &mut [T], work: W)
+fn run_tasks<T, E, W>(workers: usize, mut tasks: &mut [T], mut edges: &mut [E], work: W)
 where
     T: Send,
-    W: Fn(usize, &mut T) + Sync,
+    E: Send,
+    W: Fn(usize, &mut T, &mut [E]) + Sync,
 {
-    let per = tasks.len().div_ceil(workers.max(1)).max(1);
-    let run = |c: usize, chunk: &mut [T]| {
-        for (j, t) in chunk.iter_mut().enumerate() {
-            work(c * per + j, t);
+    let (shards, n_edges) = (tasks.len(), edges.len());
+    if shards == 0 {
+        return;
+    }
+    let per = shards.div_ceil(workers.max(1));
+    let edge_at = |s: usize| first_edge(s, n_edges, shards);
+    // The chunk of shards `from..from + chunk.len()`, over their sites.
+    let run = |from: usize, chunk: &mut [T], mut sites: &mut [E]| {
+        for (s, t) in (from..).zip(chunk) {
+            work(s, t, take_front(&mut sites, edge_at(s + 1) - edge_at(s)));
         }
     };
-    let mut chunks = tasks.chunks_mut(per).enumerate();
-    let Some((c, own)) = chunks.next() else { return };
-    if chunks.len() == 0 {
-        return run(c, own);
+    // The next chunk of tasks after shard `from`, and its sites.
+    let mut cut = |from: usize| {
+        let n = per.min(shards - from);
+        let chunk = take_front(&mut tasks, n);
+        (chunk, take_front(&mut edges, edge_at(from + n) - edge_at(from)))
+    };
+    if per >= shards {
+        let (own, sites) = cut(0);
+        return run(0, own, sites);
     }
     std::thread::scope(|scope| {
-        for (c, chunk) in chunks {
+        let (own, own_sites) = cut(0);
+        for from in (per..shards).step_by(per) {
+            let (chunk, sites) = cut(from);
             let run = &run;
-            scope.spawn(move || run(c, chunk));
+            scope.spawn(move || run(from, chunk, sites));
         }
-        run(c, own);
+        run(0, own, own_sites);
     });
 }
 
@@ -512,9 +547,10 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
     setup: &EpochSetup<'_>,
     tables: &EdgeTables,
     shard: usize,
-    t: &mut TaskA<'_, '_, F, E>,
+    scratch: &mut ShardScratch<F>,
+    sites: &mut [E],
 ) {
-    let ShardScratch { outbox, frag, flow } = &mut *t.scratch;
+    let ShardScratch { outbox, frag, flow, .. } = scratch;
     let mut plan_lost = setup.plan_losses();
     // chm-lint: allow(map-iter-order, "trace.flows is the trace's Vec, walked in trace order -- it only shares a field name with the decoders' flow maps")
     for (idx, &(f, pkts)) in trace.flows.iter().enumerate() {
@@ -528,12 +564,12 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
         let in_site = usize::from(in_site);
         let (dest, dest_site) = tables.owner[out_edge];
         if dest as usize == shard {
-            let sites = &mut *t.edges;
+            let sites = &mut *sites;
             let mut port = SitePort { sites, in_edge: in_site, out_edge: usize::from(dest_site) };
             mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
         } else {
             let mut port = OutboxPort {
-                site: &mut t.edges[in_site],
+                site: &mut sites[in_site],
                 outbox: &mut outbox[dest as usize],
                 row: idx as u32,
                 dest_site,
@@ -541,21 +577,6 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
             mode.walk(&f, pkts, setup.ts_bit, &flow.fates, &mut port);
         }
     }
-}
-
-/// Phase-A work unit: one shard's scratch and owned sites. The scratch
-/// borrow gets its own lifetime so it can end at the phase barrier while
-/// the site borrows continue into phase B.
-struct TaskA<'s, 'e, F, E> {
-    scratch: &'s mut ShardScratch<F>,
-    edges: &'e mut [E],
-    time: f64,
-}
-
-/// Phase-B work unit: the owned sites again (scratches are read shared).
-struct TaskB<'a, E> {
-    edges: &'a mut [E],
-    time: f64,
 }
 
 /// The sharded replay engine. Construct once with a [`Sharding`], then
@@ -567,15 +588,24 @@ struct TaskB<'a, E> {
 /// 65 536 edge sites each is refused with a panic. Once their capacities
 /// stabilize, what an epoch allocates is the [`EpochReport`] it returns —
 /// one `delivered` row per flow (copied from the trace in one piece), the
-/// victim table in three exactly-sized pieces — plus the plan's
-/// victim-sized lost-count list and a handful of per-phase task vectors;
-/// `netsim/tests/alloc_budget.rs` holds an epoch to 1.1 × the report's own
-/// size, and to a count of allocations that does not grow with the victims.
+/// victim table in three exactly-sized pieces, its per-switch and per-length
+/// maps — plus the plan's victim-sized lost-count list, each fragment's
+/// route-length histogram (a one-node `BTreeMap`, emptied by the merge) and,
+/// past one worker, the phases' scoped threads. Nothing per phase is
+/// rebuilt: each worker gets its shards' scratches and sites as two
+/// sub-slices, the fragments merge where they lie, and the per-shard times
+/// and the span tree are kept and overwritten. `netsim/tests/alloc_budget.rs`
+/// holds an epoch to 1.1 × the report's own size, and its allocator calls
+/// to the serial driver's at one shard, to that plus the spawns and the
+/// second histogram at two shards on two workers, and to a count that does
+/// not grow with the victims.
 #[derive(Debug)]
 pub struct ShardedReplay<F> {
     sharding: Sharding,
     tables: EdgeTables,
     scratches: Vec<ShardScratch<F>>,
+    /// The most recent epoch's per-phase times, overwritten in place.
+    timing: ShardTiming,
     /// `shard_{i}` span names, one per shard, built once.
     shard_names: Vec<String>,
     /// Span tree of the most recent epoch (`prologue`, `phase_a`,
@@ -597,6 +627,7 @@ impl<F> ShardedReplay<F> {
             sharding,
             tables: EdgeTables::default(),
             scratches: (0..sharding.shards).map(|_| ShardScratch::default()).collect(),
+            timing: ShardTiming::default(),
             shard_names: (0..sharding.shards).map(|i| format!("shard_{i}")).collect(),
             last_profile: SpanProfiler::new(),
         }
@@ -621,8 +652,10 @@ impl<F: Routable> ShardedReplay<F> {
     /// layout — byte-identical report and sketch state at any shard/worker
     /// count, under any `imp` ([`ImpairmentSet::none`] is the clean fabric)
     /// and either `mode`. `clock` is the injected monotonic-seconds source
-    /// the returned per-phase timing (and [`last_profile`](Self::last_profile))
-    /// is measured with; pass `&|| 0.0` when nobody is timing.
+    /// the per-phase timing (and [`last_profile`](Self::last_profile)) is
+    /// measured with; pass `&|| 0.0` when nobody is timing. The timing is the
+    /// engine's own, overwritten by the next epoch, so an untimed epoch
+    /// allocates none.
     ///
     /// # Panics
     /// When `edges` does not hold one site per edge switch of the fabric, a
@@ -638,15 +671,15 @@ impl<F: Routable> ShardedReplay<F> {
         mode: ReplayMode,
         edges: &mut [E],
         clock: &(dyn Fn() -> f64 + Sync),
-    ) -> (EpochReport<F>, ShardTiming) {
+    ) -> (EpochReport<F>, &ShardTiming) {
         let t0 = clock();
         let mut setup = sim.begin_epoch(trace, plan, imp);
         let prologue = clock() - t0;
-        let (report, mut timing) = self.drive(trace, mode, &mut setup, edges, clock);
-        timing.prologue_s = prologue;
+        let report = self.drive(trace, mode, &mut setup, edges, clock);
+        self.timing.prologue_s = prologue;
         self.last_profile.record(&["prologue"], prologue);
         sim.set_epoch(report.epoch + 1);
-        (report, timing)
+        (report, &self.timing)
     }
 
     /// [`run_epoch`](Self::run_epoch) with [`ReplayMode::Burst`] under the
@@ -662,7 +695,8 @@ impl<F: Routable> ShardedReplay<F> {
         self.run_epoch(sim, trace, plan, imp, ReplayMode::Burst, edges, &|| 0.0).0
     }
 
-    /// [`run_epoch`](Self::run_epoch) with [`ReplayMode::Burst`].
+    /// [`run_epoch`](Self::run_epoch) with [`ReplayMode::Burst`], the timing
+    /// copied out.
     pub fn run_epoch_burst_scenario_timed<E: EdgeSite<F>>(
         &mut self,
         sim: &mut Simulator,
@@ -672,7 +706,9 @@ impl<F: Routable> ShardedReplay<F> {
         edges: &mut [E],
         clock: &(dyn Fn() -> f64 + Sync),
     ) -> (EpochReport<F>, ShardTiming) {
-        self.run_epoch(sim, trace, plan, imp, ReplayMode::Burst, edges, clock)
+        let mode = ReplayMode::Burst;
+        let (report, timing) = self.run_epoch(sim, trace, plan, imp, mode, edges, clock);
+        (report, timing.clone())
     }
 
     /// The shared engine: phase A (parallel ingress, own-site egress and
@@ -686,7 +722,7 @@ impl<F: Routable> ShardedReplay<F> {
         setup: &mut EpochSetup<'_>,
         edges: &mut [E],
         clock: &(dyn Fn() -> f64 + Sync),
-    ) -> (EpochReport<F>, ShardTiming) {
+    ) -> EpochReport<F> {
         let topo = setup.topo;
         assert_eq!(
             edges.len(),
@@ -711,73 +747,58 @@ impl<F: Routable> ShardedReplay<F> {
         // Phase A: each shard ingests its own flows (trace order preserved),
         // egresses those that leave through its own sites, and records the
         // rest into per-destination outboxes.
-        let buckets = split_edges(edges, shards);
-        let mut tasks: Vec<TaskA<'_, '_, F, E>> = self
-            .scratches
-            .iter_mut()
-            .zip(buckets)
-            .map(|(scratch, edges)| TaskA { scratch, edges, time: 0.0 })
-            .collect();
         let tables = &self.tables;
         let a0 = clock();
-        run_tasks(workers, &mut tasks, |shard, t| {
+        run_tasks(workers, &mut self.scratches, edges, |shard, sc, sites| {
             let start = clock();
-            replay_shard(trace, mode, setup, tables, shard, t);
-            t.time = clock() - start;
+            replay_shard(trace, mode, setup, tables, shard, sc, sites);
+            sc.time = clock() - start;
         });
         let phase_a_s = clock() - a0;
-        let phase_a: Vec<f64> = tasks.iter().map(|t| t.time).collect();
 
-        // Barrier: phase-A tasks drop their scratch borrows; the sites move
-        // into phase-B tasks. Scratches are now read shared (outboxes).
-        let mut tasks_b: Vec<TaskB<'_, E>> = tasks
-            .into_iter()
-            .map(|t| TaskB { edges: t.edges, time: 0.0 })
-            .collect();
+        // Barrier: the scratches are now read shared (outboxes); each shard
+        // writes its phase-B time into the kept timing.
+        let ShardTiming { phase_a, phase_b, merge_s, .. } = &mut self.timing;
+        phase_b.resize(shards, 0.0);
         let scratches = &self.scratches;
         let b0 = clock();
-        run_tasks(workers, &mut tasks_b, |shard, t| {
+        run_tasks(workers, phase_b, edges, |shard, time, sites| {
             let start = clock();
-            for sc in scratches.iter() {
+            for sc in scratches {
                 for run in &sc.outbox[shard] {
                     let (f, _) = &trace.flows[run.row as usize];
-                    apply_run(mode, &mut t.edges[usize::from(run.site)], f, run);
+                    apply_run(mode, &mut sites[usize::from(run.site)], f, run);
                 }
             }
-            t.time = clock() - start;
+            *time = clock() - start;
         });
         let phase_b_s = clock() - b0;
-        let phase_b: Vec<f64> = tasks_b.iter().map(|t| t.time).collect();
-        drop(tasks_b);
+        phase_a.clear();
+        phase_a.extend(scratches.iter().map(|sc| sc.time));
 
-        // Serial merge, in shard order (order-independent by construction;
-        // the fixed order keeps the walk deterministic).
+        // Serial merge of the fragments where they lie, in shard order
+        // (order-independent by construction; the fixed order keeps the walk
+        // deterministic). Drained, they keep their capacity for the next
+        // epoch.
         let m0 = clock();
-        let mut frags: Vec<ReportFragment<F>> = self
-            .scratches
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.frag))
-            .collect();
-        let report = merge_fragments(trace, setup.epoch, setup.take_queue_depth(), &mut frags);
-        for (s, frag) in self.scratches.iter_mut().zip(frags) {
-            s.frag = frag; // drained, capacity retained for the next epoch
-        }
-        let merge_s = clock() - m0;
+        let report =
+            merge_fragments(trace, setup.epoch, setup.take_queue_depth(), &mut self.scratches);
+        *merge_s = clock() - m0;
 
-        // Record the epoch as a span tree; the timing struct handed back
-        // carries the same durations.
+        // Record the epoch as a span tree; the kept timing carries the same
+        // durations.
         let prof = &mut self.last_profile;
         prof.clear();
         prof.record(&["phase_a"], phase_a_s);
-        for (name, t) in self.shard_names.iter().zip(&phase_a) {
+        for (name, t) in self.shard_names.iter().zip(&self.timing.phase_a) {
             prof.record(&["phase_a", name], *t);
         }
         prof.record(&["phase_b"], phase_b_s);
-        for (name, t) in self.shard_names.iter().zip(&phase_b) {
+        for (name, t) in self.shard_names.iter().zip(&self.timing.phase_b) {
             prof.record(&["phase_b", name], *t);
         }
-        prof.record(&["merge"], merge_s);
-        (report, ShardTiming { prologue_s: 0.0, phase_a, phase_b, merge_s })
+        prof.record(&["merge"], self.timing.merge_s);
+        report
     }
 }
 
@@ -921,6 +942,7 @@ mod tests {
             &mut s,
             &clock,
         );
+        let timing = timing.clone();
         let prof = eng.last_profile();
         assert!(prof.balanced());
         let span = |path: &[&str]| prof.get(path).map(|(_, t)| t);
@@ -1170,8 +1192,23 @@ mod tests {
     fn the_caller_works_the_first_chunk_and_spawns_one_thread_per_other() {
         let here = std::thread::current().id();
         for (workers, tasks, spawned) in [(1, 5, 0), (2, 2, 1), (2, 5, 1), (3, 8, 2), (16, 3, 2)] {
+            for n_edges in [0, 4, 7, 32] {
+                let mut ran_on = vec![None; tasks];
+                let mut sites: Vec<usize> = (0..n_edges).collect();
+                run_tasks(workers, &mut ran_on, &mut sites, |i, slot, own| {
+                    // Each task gets its shard's contiguous run of sites.
+                    let (first, end) =
+                        (first_edge(i, n_edges, tasks), first_edge(i + 1, n_edges, tasks));
+                    let want: Vec<usize> = (first..end).collect();
+                    assert_eq!(own, want, "task {i} of {tasks}, {n_edges} sites");
+                    own.iter_mut().for_each(|e| *e += 100);
+                    *slot = Some((i, std::thread::current().id()));
+                });
+                assert_eq!(sites, (100..100 + n_edges).collect::<Vec<_>>(), "each site once");
+                assert!(ran_on.iter().enumerate().all(|(i, r)| r.is_some_and(|(j, _)| i == j)));
+            }
             let mut ran_on = vec![None; tasks];
-            run_tasks(workers, &mut ran_on, |i, slot| {
+            run_tasks(workers, &mut ran_on, &mut [] as &mut [u8], |i, slot, _| {
                 *slot = Some((i, std::thread::current().id()));
             });
             // Every task ran once, under its own index.
@@ -1182,7 +1219,8 @@ mod tests {
             others.dedup();
             assert_eq!(others.len(), spawned, "{workers} workers, {tasks} tasks");
         }
-        run_tasks(4, &mut [] as &mut [u8], |_, _| unreachable!("no task, no call"));
+        let no_task = |_: usize, _: &mut u8, _: &mut [u8]| unreachable!("no task, no call");
+        run_tasks(4, &mut [] as &mut [u8], &mut [] as &mut [u8], no_task);
     }
 
     #[test]

@@ -9,9 +9,21 @@
 //! Only `crates/bench` may inject a wall clock — the rule `clippy.toml`
 //! enforces.
 //!
-//! Nodes live in an arena; children hang off a `BTreeMap<String, usize>`
+//! Nodes live in an arena; children hang off a `BTreeMap<Box<str>, usize>`
 //! so the one depth-first walk behind [`SpanProfiler::flatten`] and
-//! [`SpanProfiler::json_object`] is bit-stable.
+//! [`SpanProfiler::json_object`] is bit-stable. A name never changes, so it
+//! is a `Box<str>`: 8 bytes less than a `String` in each of a map node's
+//! eleven key slots.
+//!
+//! [`SpanProfiler::clear`] keeps the arena: it starts a new generation, and
+//! a node recorded (or entered) in an earlier one is zeroed when a later
+//! generation touches it again and is invisible until then — to
+//! [`get`](SpanProfiler::get), [`flatten`](SpanProfiler::flatten),
+//! [`json_object`](SpanProfiler::json_object) and
+//! [`absorb`](SpanProfiler::absorb) alike, so a cleared profiler renders
+//! what a fresh one would. A profiler cleared and refilled with the same
+//! paths every epoch (the sharded engine's span tree) allocates nothing
+//! after its first epoch; the arena keeps every path it has ever seen.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -20,9 +32,12 @@ use crate::expo::{JsonF64, JsonStr};
 
 #[derive(Debug, Clone, Default)]
 struct SpanNode {
-    children: BTreeMap<String, usize>,
+    children: BTreeMap<Box<str>, usize>,
     count: u64,
     total_s: f64,
+    /// The profiler generation this node was last touched in; a node of an
+    /// older one is not shown.
+    generation: u64,
 }
 
 /// Hierarchical span accumulator. See the module docs for the clock
@@ -33,6 +48,8 @@ pub struct SpanProfiler {
     nodes: Vec<SpanNode>,
     /// Open spans: `(node index, start timestamp)`.
     stack: Vec<(usize, f64)>,
+    /// Bumped by every [`clear`](Self::clear); the live nodes carry it.
+    generation: u64,
 }
 
 impl Default for SpanProfiler {
@@ -43,25 +60,39 @@ impl Default for SpanProfiler {
 
 impl SpanProfiler {
     pub fn new() -> Self {
-        Self { nodes: vec![SpanNode::default()], stack: Vec::new() }
+        Self { nodes: vec![SpanNode::default()], stack: Vec::new(), generation: 0 }
     }
 
-    /// Drop all recorded spans (arena and stack), keeping capacity.
+    /// Drop all recorded spans and open spans. The arena is kept (see the
+    /// module docs): what is recorded next reuses its nodes.
     pub fn clear(&mut self) {
-        self.nodes.truncate(1);
-        self.nodes[0].children.clear();
+        self.generation += 1;
         self.nodes[0].count = 0;
         self.nodes[0].total_s = 0.0;
         self.stack.clear();
     }
 
+    /// The live child `idx` of a node, or `None` when it belongs to an
+    /// earlier generation.
+    fn live(&self, idx: usize) -> Option<&SpanNode> {
+        Some(&self.nodes[idx]).filter(|n| n.generation == self.generation)
+    }
+
+    /// Child `name` of `parent`, made live: a node of an earlier generation
+    /// starts over from zero, a new one is appended.
     fn child_of(&mut self, parent: usize, name: &str) -> usize {
         if let Some(&idx) = self.nodes[parent].children.get(name) {
+            let node = &mut self.nodes[idx];
+            if node.generation != self.generation {
+                node.count = 0;
+                node.total_s = 0.0;
+                node.generation = self.generation;
+            }
             return idx;
         }
         let idx = self.nodes.len();
-        self.nodes.push(SpanNode::default());
-        self.nodes[parent].children.insert(name.to_string(), idx);
+        self.nodes.push(SpanNode { generation: self.generation, ..SpanNode::default() });
+        self.nodes[parent].children.insert(name.into(), idx);
         idx
     }
 
@@ -109,11 +140,11 @@ impl SpanProfiler {
     /// Look up `(count, total seconds)` at an **absolute** path from the
     /// root. `None` when the path was never recorded.
     pub fn get(&self, path: &[&str]) -> Option<(u64, f64)> {
-        let mut at = 0usize;
+        let mut node = &self.nodes[0];
         for seg in path {
-            at = *self.nodes[at].children.get(*seg)?;
+            node = self.live(*node.children.get(*seg)?)?;
         }
-        Some((self.nodes[at].count, self.nodes[at].total_s))
+        Some((node.count, node.total_s))
     }
 
     /// Merge another profiler's whole tree under the current stack top,
@@ -127,17 +158,11 @@ impl SpanProfiler {
     }
 
     fn absorb_node(&mut self, other: &SpanProfiler, from: usize, into: usize) {
-        // Clone the child map up front: `child_of` needs `&mut self` and
-        // `other` may alias patterns we cannot borrow across.
-        let children: Vec<(String, usize)> = other.nodes[from]
-            .children
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
-        for (name, src) in children {
-            let dst = self.child_of(into, &name);
-            self.nodes[dst].count += other.nodes[src].count;
-            self.nodes[dst].total_s += other.nodes[src].total_s;
+        for (name, &src) in &other.nodes[from].children {
+            let Some(node) = other.live(src) else { continue };
+            let dst = self.child_of(into, name);
+            self.nodes[dst].count += node.count;
+            self.nodes[dst].total_s += node.total_s;
             self.absorb_node(other, src, dst);
         }
     }
@@ -152,12 +177,12 @@ impl SpanProfiler {
     /// one reused `path` buffer.
     fn walk(&self, at: usize, path: &mut String, visit: &mut dyn FnMut(&str, u64, f64)) {
         for (name, &idx) in &self.nodes[at].children {
+            let Some(node) = self.live(idx) else { continue };
             let len = path.len();
             if len > 0 {
                 path.push('/');
             }
             path.push_str(name);
-            let node = &self.nodes[idx];
             visit(path, node.count, node.total_s);
             self.walk(idx, path, visit);
             path.truncate(len);
@@ -298,5 +323,83 @@ mod tests {
         p.clear();
         assert!(p.flatten().is_empty());
         assert_eq!(p.get(&["x"]), None);
+        // The node comes back from zero when it is recorded again.
+        p.record(&["x"], 0.5);
+        assert_eq!(p.get(&["x"]), Some((1, 0.5)));
+    }
+
+    /// The span names the property draws from: six, so that a round reuses
+    /// some of the previous round's names and drops others.
+    const NAMES: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+
+    /// Applies one round of `(op, name, tick)` operations: `record` of a
+    /// one- or two-segment path, `enter`, or `exit` (skipped when no span
+    /// is open), with the injected clock reading `tick`. Open spans are
+    /// closed at the end, so the round leaves the profiler balanced.
+    fn apply(p: &mut SpanProfiler, ops: &[(u8, usize, u8)]) {
+        let mut open = 0;
+        for &(op, name, tick) in ops {
+            let (name, next) = (NAMES[name], NAMES[(name + 1) % NAMES.len()]);
+            let mut clock = || f64::from(tick);
+            match op {
+                0 => p.record(&[name], f64::from(tick)),
+                1 => p.record(&[name, next], f64::from(tick) / 4.0),
+                2 => {
+                    p.enter(name, &mut clock);
+                    open += 1;
+                }
+                _ if open > 0 => {
+                    p.exit(&mut clock);
+                    open -= 1;
+                }
+                _ => {}
+            }
+        }
+        for _ in 0..open {
+            p.exit(&mut || 9.0);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// A profiler cleared between rounds renders each round exactly as
+        /// a fresh profiler given the same round does: the same rows, the
+        /// same JSON, the same `get` at every path of up to three of the
+        /// names, and the same tree when absorbed into another profiler.
+        #[test]
+        fn a_cleared_profiler_renders_as_a_fresh_one(
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, 0usize..6, 0u8..8), 0..24),
+                1..6,
+            ),
+        ) {
+            let mut kept = SpanProfiler::new();
+            for ops in &rounds {
+                kept.clear();
+                apply(&mut kept, ops);
+                let mut fresh = SpanProfiler::new();
+                apply(&mut fresh, ops);
+                proptest::prop_assert_eq!(kept.flatten(), fresh.flatten());
+                proptest::prop_assert_eq!(kept.json_object(), fresh.json_object());
+                for a in NAMES {
+                    for b in NAMES {
+                        for c in NAMES {
+                            for path in [&[a][..], &[a, b], &[a, b, c]] {
+                                proptest::prop_assert_eq!(kept.get(path), fresh.get(path));
+                            }
+                        }
+                    }
+                }
+                let absorbed = |p: &SpanProfiler| {
+                    let mut into = SpanProfiler::new();
+                    into.record(&["a"], 1.0);
+                    into.absorb(p, &["a"]);
+                    into.absorb(p, &[]);
+                    into.flatten()
+                };
+                proptest::prop_assert_eq!(absorbed(&kept), absorbed(&fresh));
+            }
+        }
     }
 }

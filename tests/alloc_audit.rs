@@ -11,10 +11,17 @@
 //! crates, and fails the suite loudly if an allocation sneaks into the hot
 //! path).
 
-use chamelemon_repro::chamelemon::{DataPlaneConfig, EdgeDataPlane, Partition, RuntimeConfig};
+use chamelemon_repro::chamelemon::{
+    ChameleMon, Controller, DataPlaneConfig, EdgeDataPlane, EpochProbe, Partition, RuntimeConfig,
+};
 use chamelemon_repro::chm_fermat::{DecodeResult, DecodeScratch, FermatConfig, FermatSketch};
 use chamelemon_repro::chm_tower::{MracConfig, MracScratch, TowerConfig, TowerLevel, TowerSketch};
 use chamelemon_repro::chm_common::{FiveTuple, FlowId};
+use chamelemon_repro::chm_netsim::{with_core_share, SiteArray};
+use chamelemon_repro::chm_obs::SpanProfiler;
+use chamelemon_repro::chm_workloads::{
+    testbed_trace, LossPlan, Trace, VictimSelection, WorkloadKind,
+};
 use chm_counting_alloc::CountingAlloc;
 
 #[global_allocator]
@@ -54,6 +61,72 @@ fn hot_paths_do_not_allocate() {
     warmed_decode_allocates_only_its_flowset();
     flip_allocates_only_for_resized_encoders();
     warm_distribution_ends_at_its_estimate();
+    a_steady_run_epoch_stays_within_its_budget();
+    a_probed_close_epoch_allocates_as_an_unprobed_one();
+}
+
+/// A testbed deployment at paper scale over 10 k flows, 5 % of them
+/// victims, and its trace and plan: the same epoch again and again, so the
+/// runtime settles.
+fn steady_testbed() -> (ChameleMon<FiveTuple>, Trace<FiveTuple>, LossPlan<FiveTuple>) {
+    let trace = testbed_trace(WorkloadKind::Dctcp, 10_000, 8, 0x5eed);
+    let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.05), 0.01, 0x10ad);
+    (ChameleMon::testbed(DataPlaneConfig::paper_default(7)), trace, plan)
+}
+
+/// Allocator calls a steady [`ChameleMon::run_epoch`] may make on two
+/// cores. Measured 32: the two-shard, two-worker engine's 17 (its report,
+/// the plan's lost-count list, two scoped threads) and `close_epoch`'s 15
+/// (the analysis it returns — flowsets, loss report, estimates — and the
+/// delta encoder and EM tail it builds and drops). Under the test
+/// harness's output capture each spawn costs two calls more: 36. Before
+/// the engine kept its phase buffers and span tree, the same epoch made 50.
+const RUN_EPOCH_CALLS: u64 = 38;
+
+fn a_steady_run_epoch_stays_within_its_budget() {
+    with_core_share(2, || {
+        let (mut sys, trace, plan) = steady_testbed();
+        for _ in 0..6 {
+            drop(sys.run_epoch(&trace, &plan));
+        }
+        let n = steady_allocations_during(|| drop(sys.run_epoch(&trace, &plan)));
+        assert!(n <= RUN_EPOCH_CALLS, "a steady run_epoch made {n} allocator calls");
+    });
+}
+
+/// The probe costs nothing it measures: once the span tree has its nodes,
+/// a probed `close_epoch` makes exactly the allocator calls an unprobed one
+/// does (each decode's span label is formatted into a buffer the controller
+/// keeps). Two identical deployments step in lockstep, one probed.
+fn a_probed_close_epoch_allocates_as_an_unprobed_one() {
+    let (mut probed, trace, plan) = steady_testbed();
+    let (mut unprobed, _, _) = steady_testbed();
+    let mut spans = SpanProfiler::new();
+    let mut zero = || 0.0;
+    for epoch in 0..6 {
+        let mut calls = [0u64; 2];
+        for (i, (sys, n)) in [&mut probed, &mut unprobed].into_iter().zip(&mut calls).enumerate() {
+            let mut sites = SiteArray(&mut sys.edges);
+            let report = sys.simulator.run_epoch_burst(&trace, &plan, &mut sites);
+            let probe = EpochProbe { spans: &mut spans, clock: &mut zero, allocs: &|| 0 };
+            let probe = (i == 0).then_some(probe);
+            *n = allocations_during(|| {
+                drop(sys.controller.close_epoch(
+                    &mut sys.edges,
+                    report.epoch,
+                    None,
+                    &report.queue_depth,
+                    Controller::reconfigure,
+                    probe,
+                ))
+            });
+        }
+        if epoch > 0 {
+            let [with, without] = calls;
+            assert_eq!(with, without, "epoch {epoch}: probed {with} calls, unprobed {without}");
+        }
+    }
+    assert_eq!(spans.get(&["analyze", "decode", "delta_hl"]).map(|(c, _)| c), Some(6));
 }
 
 fn tower_insert_does_not_allocate() {
