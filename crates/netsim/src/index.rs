@@ -85,6 +85,12 @@ impl FabricIndex {
         index
     }
 
+    /// The index of a fabric with no switch and no link: a placeholder
+    /// for a kept realization that has not realized yet.
+    pub(crate) fn empty() -> Self {
+        FabricIndex { role_base: [0; 4], links: Vec::new(), first_link: Vec::new(), host_link: Vec::new() }
+    }
+
     /// Number of switches.
     pub fn n_switches(&self) -> usize {
         self.role_base[3]

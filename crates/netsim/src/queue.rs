@@ -58,6 +58,19 @@
 //! [`ImpairmentSet::realize_flow`](crate::impair::ImpairmentSet::realize_flow)
 //! identical [`LinkLoss::Slotted`](crate::impair::LinkLoss) views and stay
 //! byte-identical.
+//!
+//! # What an epoch keeps
+//!
+//! One body realizes the model, into a scratch: the realization itself,
+//! its `[link × slot]` and `[switch × slot]` work vectors, and the fabric
+//! index with a copy of the fabric it numbers. [`QueueModel::realize`] runs
+//! it in a fresh scratch; the [`Simulator`](crate::Simulator) keeps one
+//! across epochs for the prologue both replay drivers share. The index is
+//! rebuilt when the simulator's topology no longer equals that copy, and
+//! every vector is overwritten before it is read, so a warm epoch realizes
+//! exactly what a fresh call does (property-tested) and allocates only what
+//! it outputs: the depth telemetry, which moves into the epoch's report,
+//! and the nodes of [`QueueRealization::link_stats`].
 
 use crate::congestion::{derate_factor, link_class_to, CongestionModel, Derate, Hop, LinkId};
 use crate::index::FabricIndex;
@@ -138,25 +151,59 @@ impl QueueModel {
         epoch: u64,
         seed: u64,
     ) -> QueueRealization {
+        let mut kept = QueueScratch::default();
+        self.realize_kept(topology, trace, epoch, seed, &mut kept);
+        kept.real
+    }
+
+    /// [`realize`](Self::realize) into `kept`'s realization, with `kept`'s
+    /// work vectors: a scratch kept from epoch to epoch regrows nothing,
+    /// and its fabric index is rebuilt only when `topology` differs from
+    /// the one it numbers. The realization it returns is the one
+    /// `realize` would.
+    pub(crate) fn realize_kept<'a, F: Routable>(
+        &self,
+        topology: &Topology,
+        trace: &Trace<F>,
+        epoch: u64,
+        seed: u64,
+        kept: &'a mut QueueScratch,
+    ) -> &'a mut QueueRealization {
+        let QueueScratch { real, fabric, work } = kept;
+        if fabric.as_ref() != Some(topology) {
+            real.index = FabricIndex::new(topology);
+            *fabric = Some(topology.clone());
+        }
         let s = self.slots;
         let slot_seed = mix64(seed ^ QSLOT_SALT).wrapping_add(epoch);
-        let index = FabricIndex::new(topology);
+        let index = &real.index;
         let n_links = index.links().len();
         // Per-(link, slot) arrivals in packets, `[link × slot]` in link
         // order; `crossed` marks every link some flow's route takes.
-        let mut arrivals = vec![0u64; n_links * s];
-        let mut crossed = vec![false; n_links];
-        let mut route = Vec::with_capacity(topology.max_hops());
-        let mut hops = Vec::with_capacity(topology.max_hops());
-        let mut counts = Vec::with_capacity(s);
+        let QueueWork {
+            arrivals,
+            crossed,
+            route,
+            hops,
+            counts,
+            depth_by_switch,
+            drops_by_switch,
+            buffered,
+            dropped_at,
+            link_probs,
+            depth_series,
+            drop_series,
+        } = work;
+        refill(arrivals, n_links * s, 0);
+        refill(crossed, n_links, false);
         for &(f, pkts) in &trace.flows {
             let (src, dst) = (f.src_host(), f.dst_host());
-            topology.route_into(src, dst, f.key64(), &mut route);
-            self.profile.slot_counts(f.key64(), pkts, slot_seed, s, &mut counts);
-            index.route_links(&route, dst, &mut hops);
-            for &l in &hops {
+            topology.route_into(src, dst, f.key64(), route);
+            self.profile.slot_counts(f.key64(), pkts, slot_seed, s, counts);
+            index.route_links(route, dst, hops);
+            for &l in hops.iter() {
                 crossed[l] = true;
-                for (a, &n) in arrivals[l * s..(l + 1) * s].iter_mut().zip(&counts) {
+                for (a, &n) in arrivals[l * s..(l + 1) * s].iter_mut().zip(counts.iter()) {
                     *a += n;
                 }
             }
@@ -175,14 +222,17 @@ impl QueueModel {
         // Link order from here on: every float reduction below must be
         // order-deterministic. Per-switch series are `[switch × slot]`.
         let n_switches = index.n_switches();
-        let mut probs = vec![0.0f64; n_links * s];
-        let mut stats = BTreeMap::new();
-        let mut depth_by_switch = vec![0.0f64; n_switches * s];
-        let mut drops_by_switch = vec![0.0f64; n_switches * s];
-        let (mut buffered, mut dropped_at) = (vec![false; n_switches], vec![false; n_switches]);
-        let mut link_probs = vec![0.0f64; s];
-        let mut depth_series = vec![0.0f64; s];
-        let mut drop_series = vec![0.0f64; s];
+        let probs = &mut real.probs;
+        let stats = &mut real.stats;
+        refill(probs, n_links * s, 0.0);
+        stats.clear();
+        refill(depth_by_switch, n_switches * s, 0.0);
+        refill(drops_by_switch, n_switches * s, 0.0);
+        refill(buffered, n_switches, false);
+        refill(dropped_at, n_switches, false);
+        refill(link_probs, s, 0.0);
+        refill(depth_series, s, 0.0);
+        refill(drop_series, s, 0.0);
         for (l, &(from, to)) in index.links().iter().enumerate().filter(|&(l, _)| crossed[l]) {
             let a = &arrivals[l * s..(l + 1) * s];
             let (sum, count) = class_sum[class((from, to))];
@@ -219,7 +269,7 @@ impl QueueModel {
                 served_total += served;
             }
             if link_probs.iter().any(|&p| p > 0.0) {
-                probs[l * s..(l + 1) * s].copy_from_slice(&link_probs);
+                probs[l * s..(l + 1) * s].copy_from_slice(link_probs);
                 stats.insert(
                     (from, to),
                     QueueLinkStats {
@@ -233,8 +283,8 @@ impl QueueModel {
             }
             let sw = index.link_from(l);
             for (series, per_switch, seen) in [
-                (&depth_series, &mut depth_by_switch, &mut buffered),
-                (&drop_series, &mut drops_by_switch, &mut dropped_at),
+                (&*depth_series, &mut *depth_by_switch, &mut *buffered),
+                (&*drop_series, &mut *drops_by_switch, &mut *dropped_at),
             ] {
                 if series.iter().any(|&d| d > 0.0) {
                     seen[sw] = true;
@@ -244,7 +294,10 @@ impl QueueModel {
                 }
             }
         }
-        let mut depth: BTreeMap<SwitchId, QueueDepthStat> = BTreeMap::new();
+        // The depth telemetry is an output: the replay moves it into the
+        // epoch's report, so it is built fresh.
+        let depth = &mut real.depth;
+        depth.clear();
         for sw in (0..n_switches).filter(|&sw| buffered[sw] || dropped_at[sw]) {
             let mut stat = QueueDepthStat::default();
             if buffered[sw] {
@@ -257,16 +310,75 @@ impl QueueModel {
             }
             depth.insert(index.switch(sw), stat);
         }
-        QueueRealization {
-            n_slots: s,
-            profile: self.profile,
-            slot_seed,
-            index,
-            probs,
-            stats,
-            depth,
+        real.n_slots = s;
+        real.profile = self.profile;
+        real.slot_seed = slot_seed;
+        real
+    }
+}
+
+/// Clears `v` and fills it with `len` copies of `value`, in the capacity it
+/// already has when that is enough.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// What [`QueueModel::realize`] fills, kept across epochs by the
+/// [`Simulator`](crate::Simulator) beside its per-flow scratch: the
+/// realization itself, the fabric its index numbers, and the work vectors.
+/// Nothing in it is an input — every vector is overwritten before it is
+/// read, and the index is rebuilt whenever the fabric changed — so a kept
+/// scratch realizes exactly what a fresh one does.
+#[derive(Debug, Clone)]
+pub(crate) struct QueueScratch {
+    real: QueueRealization,
+    /// The fabric `real.index` numbers; `None` until the first realization.
+    fabric: Option<Topology>,
+    work: QueueWork,
+}
+
+impl Default for QueueScratch {
+    fn default() -> Self {
+        QueueScratch {
+            real: QueueRealization {
+                n_slots: 0,
+                profile: ArrivalProfile::Flat,
+                slot_seed: 0,
+                index: FabricIndex::empty(),
+                probs: Vec::new(),
+                stats: BTreeMap::new(),
+                depth: BTreeMap::new(),
+            },
+            fabric: None,
+            work: QueueWork::default(),
         }
     }
+}
+
+/// The work vectors of one realization, outside the
+/// [`QueueRealization`] so that its `PartialEq` sees only what it
+/// realized.
+#[derive(Debug, Clone, Default)]
+struct QueueWork {
+    /// `[link × slot]` offered packets.
+    arrivals: Vec<u64>,
+    /// Per link: some flow's route takes it.
+    crossed: Vec<bool>,
+    /// One flow's route, its link numbers and its slot layout.
+    route: Vec<SwitchId>,
+    hops: Vec<usize>,
+    counts: Vec<u64>,
+    /// `[switch × slot]` buffered and dropped packets over its out-links.
+    depth_by_switch: Vec<f64>,
+    drops_by_switch: Vec<f64>,
+    /// Per switch: some out-link buffered, some out-link dropped.
+    buffered: Vec<bool>,
+    dropped_at: Vec<bool>,
+    /// One link's per-slot drop probability, depth and drops.
+    link_probs: Vec<f64>,
+    depth_series: Vec<f64>,
+    drop_series: Vec<f64>,
 }
 
 /// Hard ceiling on the combined tail + RED drop probability of one slot.
@@ -417,7 +529,7 @@ impl QueueRealization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{FatTree, SwitchRole};
+    use crate::topology::{FatTree, KaryFatTree, LeafSpine, SwitchRole};
     use chm_common::FlowId;
     use chm_workloads::{testbed_trace, WorkloadKind};
 
@@ -556,6 +668,49 @@ mod tests {
             (0..8u64).any(|e| realize(&m, e).probs != r3.probs),
             "burst position must be epoch-seeded"
         );
+    }
+
+    /// The lossy model the kept-scratch proptest drives: `slots` slots, a
+    /// two-slot microburst and a half-speed edge 1, so every fabric has
+    /// dropping links, depth telemetry and per-slot drop series.
+    fn lossy_model(slots: usize) -> QueueModel {
+        let mut m = QueueModel::calibrated(slots);
+        m.profile = ArrivalProfile::Microburst { frac: 0.5, width: 2 };
+        m.derates.push(Derate::Switch { role: SwitchRole::Edge, index: 1, factor: 0.5 });
+        m
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// One scratch kept across a random sequence of fabrics, traces,
+        /// slot counts and epochs realizes exactly what a fresh
+        /// [`QueueModel::realize`] does at every step: the work vectors
+        /// carry nothing over, and the fabric index follows the fabric.
+        #[test]
+        fn a_kept_scratch_realizes_what_a_fresh_one_does(
+            steps in proptest::collection::vec(
+                (0usize..3, 0u64..4, 1usize..9, 0u64..16),
+                1..8,
+            ),
+        ) {
+            let fabrics: [Topology; 3] = [
+                FatTree::testbed().into(),
+                KaryFatTree::new(4).into(),
+                LeafSpine::new(4, 2, 3).into(),
+            ];
+            let mut kept = QueueScratch::default();
+            for (fabric, trace_seed, slots, epoch) in steps {
+                let topo = &fabrics[fabric];
+                let hosts = topo.n_hosts() as u32;
+                let trace = testbed_trace(WorkloadKind::Dctcp, 300, hosts, trace_seed);
+                let model = lossy_model(slots);
+                let fresh = model.realize(topo, &trace, epoch, 0x1234);
+                proptest::prop_assert!(!fresh.is_lossless());
+                let reused = model.realize_kept(topo, &trace, epoch, 0x1234, &mut kept);
+                proptest::prop_assert_eq!(&*reused, &fresh);
+            }
+        }
     }
 
     #[test]

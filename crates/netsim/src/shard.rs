@@ -159,8 +159,11 @@ pub struct ReportFragment<F> {
     pub victims: Vec<(usize, F, u64, usize)>,
     /// The victims' `(switch, count)` drops, each victim's sorted by switch.
     pub drops: Vec<(SwitchId, u64)>,
-    /// Route-length histogram contribution.
-    pub hops_histogram: BTreeMap<usize, u64>,
+    /// Route-length histogram contribution: entry `h` is the packets of the
+    /// flows whose route has `h` switches, `None` where no flow's has. Kept
+    /// from epoch to epoch with its capacity; the merge folds it into the
+    /// report's map.
+    pub hops_histogram: Vec<Option<u64>>,
     /// The merge's cursor: how many of `victims` it has taken. Zero outside
     /// a merge, which drains the fragment.
     merged: usize,
@@ -173,13 +176,23 @@ impl<F> Default for ReportFragment<F> {
         ReportFragment {
             victims: Vec::new(),
             drops: Vec::new(),
-            hops_histogram: BTreeMap::new(),
+            hops_histogram: Vec::new(),
             merged: 0,
         }
     }
 }
 
 impl<F> ReportFragment<F> {
+    /// Adds `pkts` packets of a flow whose route has `hops` switches to the
+    /// histogram.
+    #[inline]
+    pub fn add_hops(&mut self, hops: usize, pkts: u64) {
+        if self.hops_histogram.len() <= hops {
+            self.hops_histogram.resize(hops + 1, None);
+        }
+        *self.hops_histogram[hops].get_or_insert(0) += pkts;
+    }
+
     fn clear(&mut self) {
         self.victims.clear();
         self.drops.clear();
@@ -252,8 +265,10 @@ fn merge_runs<F: Copy, T: AsMut<ReportFragment<F>>>(report: &mut EpochReport<F>,
         *report.dropped_at.entry(s).or_insert(0) += c;
     }
     for frag in frags.iter_mut().map(AsMut::as_mut) {
-        for (&h, &c) in &frag.hops_histogram {
-            *report.hops_histogram.entry(h).or_insert(0) += c;
+        for (h, &c) in frag.hops_histogram.iter().enumerate() {
+            if let Some(c) = c {
+                *report.hops_histogram.entry(h).or_insert(0) += c;
+            }
         }
         frag.clear();
     }
@@ -1164,7 +1179,7 @@ mod tests {
                 frag.drops.push((edge(salt), 1));
                 frag.victims.push((row, trace.flows[row].0, 1, frag.drops.len()));
             }
-            *frag.hops_histogram.entry(3).or_insert(0) += salt as u64;
+            frag.add_hops(3, salt as u64);
             frag
         };
         let mut a = [mk(1), mk(2), mk(3), mk(4)];

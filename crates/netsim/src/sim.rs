@@ -13,7 +13,7 @@
 //! [`ImpairmentSet::none`].
 
 use crate::impair::{FabricFates, ImpairmentSet, LinkLoss};
-use crate::queue::{QueueDepthStat, QueueRealization};
+use crate::queue::{QueueDepthStat, QueueRealization, QueueScratch};
 use crate::shard::{merge_fragments, ReportFragment};
 use crate::topology::{Fabric, SwitchId, Topology};
 use chm_common::{FiveTuple, FlowId};
@@ -440,8 +440,9 @@ pub(crate) struct FlowScratch {
 /// What one epoch fixes before any flow replays: the fabric and its
 /// impairments, the timestamp bit, the seed, the plan's realized losses and
 /// the link-loss realization. Built once per epoch by
-/// [`Simulator::begin_epoch`]; both drivers replay every flow against it,
-/// then move its queue telemetry into the report
+/// [`Simulator::begin_epoch`], the link-loss realization in the simulator's
+/// kept [`QueueScratch`]; both drivers replay every flow against it, then
+/// move its queue telemetry into the report
 /// ([`take_queue_depth`](Self::take_queue_depth)).
 pub(crate) struct EpochSetup<'a> {
     pub(crate) topo: &'a Topology,
@@ -452,7 +453,7 @@ pub(crate) struct EpochSetup<'a> {
     /// The plan's realized losses, `(trace index, lost)` ascending.
     base_lost: Vec<(usize, u64)>,
     /// The epoch's one link-loss realization, if a model is configured.
-    link: Option<QueueRealization>,
+    link: Option<&'a mut QueueRealization>,
 }
 
 /// Reads the epoch's plan losses by position. Every driver — and every
@@ -523,7 +524,7 @@ impl EpochSetup<'_> {
         // its per-hop probabilities off it.
         let dst = f.dst_host();
         self.topo.route_into(f.src_host(), dst, f.key64(), &mut sc.route);
-        *acc.hops_histogram.entry(sc.route.len()).or_insert(0) += pkts;
+        acc.add_hops(sc.route.len(), pkts);
         // A route whose links drop in no slot draws nothing: it replays
         // exactly as under no link loss, and needs no slot layout.
         let link_loss = match &self.link {
@@ -589,8 +590,11 @@ fn attribute_drops(
 /// sharded driver ([`ShardedReplay`](crate::ShardedReplay)) is held to.
 ///
 /// Like each engine shard, it holds its per-flow scratch across epochs, so
-/// a warm simulator's replay regrows no buffer. The scratch is not state:
-/// every epoch is a function of `(seed, epoch)` alone, and a fresh
+/// a warm simulator's replay regrows no buffer. It also holds what the
+/// epoch prologue of both drivers realizes the link-loss layer in: the
+/// realization, its work vectors, and the fabric index it is laid out in
+/// (rebuilt when `topology` is replaced). None of it is state: every epoch
+/// is a function of `(seed, epoch)` and the fabric alone, and a fresh
 /// simulator placed at the same epoch ([`set_epoch`](Self::set_epoch))
 /// replays it identically.
 #[derive(Debug, Clone)]
@@ -601,13 +605,20 @@ pub struct Simulator {
     pub config: SimConfig,
     epoch: u64,
     scratch: FlowScratch,
+    link: QueueScratch,
 }
 
 impl Simulator {
     /// Creates a simulator over `topology` (any [`Topology`], or a bare
     /// fabric like [`FatTree`](crate::topology::FatTree) via `Into`).
     pub fn new(topology: impl Into<Topology>, config: SimConfig) -> Self {
-        Simulator { topology: topology.into(), config, epoch: 0, scratch: FlowScratch::default() }
+        Simulator {
+            topology: topology.into(),
+            config,
+            epoch: 0,
+            scratch: FlowScratch::default(),
+            link: QueueScratch::default(),
+        }
     }
 
     /// The epoch index about to run.
@@ -691,14 +702,16 @@ impl Simulator {
         let mut sc = std::mem::take(&mut self.scratch);
         let mut setup = self.begin_epoch(trace, plan, imp);
         let mut acc = ReportFragment::default();
-        // Room for the planned victims: an epoch's fresh fragment must not
-        // regrow its victim list row by row.
+        // Room for the planned victims and for every route length: an
+        // epoch's fresh fragment must not regrow its victim list row by row,
+        // nor its hop histogram as longer routes turn up.
         acc.victims.reserve(setup.planned_victims());
+        acc.hops_histogram.reserve(setup.topo.max_hops() + 1);
         let mut plan_lost = setup.plan_losses();
         // chm-lint: allow(map-iter-order, "trace.flows is the trace's Vec, walked in trace order -- it only shares a field name with the decoders' flow maps")
         for (i, &(f, pkts)) in trace.flows.iter().enumerate() {
-            let in_edge = self.topology.edge_of_host(f.src_host());
-            let out_edge = self.topology.edge_of_host(f.dst_host());
+            let in_edge = setup.topo.edge_of_host(f.src_host());
+            let out_edge = setup.topo.edge_of_host(f.dst_host());
             setup.realize_flow(i, (f, pkts), plan_lost.take(i), in_edge, &mut sc, &mut acc);
             let mut port = SitePort { sites: &mut *hooks.0, in_edge, out_edge };
             mode.walk(&f, pkts, setup.ts_bit, &sc.fates, &mut port);
@@ -712,28 +725,27 @@ impl Simulator {
 
     /// The epoch prologue both drivers share: realizes the plan's losses
     /// (victims only) and the fabric's link-loss layer for the epoch about
-    /// to run ([`ImpairmentSet::link_model`], whichever model configured it).
+    /// to run ([`ImpairmentSet::link_model`], whichever model configured
+    /// it), the latter in the simulator's kept [`QueueScratch`].
     pub(crate) fn begin_epoch<'a, F: Routable>(
-        &'a self,
+        &'a mut self,
         trace: &Trace<F>,
         plan: &LossPlan<F>,
         imp: &'a ImpairmentSet,
     ) -> EpochSetup<'a> {
-        let epoch_seed = self
-            .config
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(self.epoch);
+        let ts_bit = self.current_ts_bit();
+        let Simulator { topology, config, epoch, link, .. } = self;
+        let epoch_seed = config.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(*epoch);
         EpochSetup {
-            topo: &self.topology,
+            topo: topology,
             imp,
-            epoch: self.epoch,
-            ts_bit: self.current_ts_bit(),
+            epoch: *epoch,
+            ts_bit,
             epoch_seed,
             base_lost: plan.realize_losses(trace, epoch_seed),
             link: imp
                 .link_model()
-                .map(|m| m.realize(&self.topology, trace, self.epoch, imp.seed)),
+                .map(|m| m.realize_kept(topology, trace, *epoch, imp.seed, link)),
         }
     }
 }
@@ -786,6 +798,47 @@ mod tests {
 
     fn egress(sites: &[Counter]) -> u64 {
         sites.iter().map(|s| s.egress).sum()
+    }
+
+    /// A simulator whose `topology` is replaced between epochs replays each
+    /// epoch as a fresh simulator over the new fabric, placed at that epoch,
+    /// does: the link-loss realization it keeps is laid out over the new
+    /// fabric's links, not the old one's. The last two epochs keep the
+    /// fabric, so the kept index is reused too.
+    #[test]
+    fn a_replaced_topology_replays_as_a_fresh_simulator() {
+        use crate::congestion::Derate;
+        use crate::queue::QueueModel;
+        use crate::topology::{KaryFatTree, LeafSpine, SwitchRole};
+        use chm_workloads::ArrivalProfile;
+
+        let mut queue = QueueModel::calibrated(8);
+        queue.profile = ArrivalProfile::Microburst { frac: 0.5, width: 2 };
+        queue.derates.push(Derate::Switch { role: SwitchRole::Edge, index: 1, factor: 0.5 });
+        let imp = ImpairmentSet { seed: 5, queue: Some(queue), ..ImpairmentSet::none() };
+        let testbed = Topology::from(FatTree::testbed());
+        let fabrics = [
+            testbed.clone(),
+            KaryFatTree::new(4).into(),
+            LeafSpine::new(4, 2, 3).into(),
+            testbed.clone(),
+            testbed,
+        ];
+        let mut sim = Simulator::new(fabrics[0].clone(), SimConfig::default());
+        for (epoch, topo) in (0u64..).zip(fabrics) {
+            let trace = testbed_trace(WorkloadKind::Dctcp, 400, topo.n_hosts() as u32, epoch);
+            let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.05), 0.05, 3);
+            let n_edges = topo.n_edges();
+            let sites = || (0..n_edges).map(|_| Counter::default()).collect::<Vec<_>>();
+            let mut fresh = Simulator::new(topo.clone(), SimConfig::default());
+            fresh.set_epoch(epoch);
+            let want =
+                fresh.run_epoch_burst_scenario(&trace, &plan, &imp, &mut SiteArray(&mut sites()));
+            sim.topology = topo;
+            let got = sim.run_epoch_burst_scenario(&trace, &plan, &imp, &mut SiteArray(&mut sites()));
+            assert!(!got.queue_depth.is_empty(), "epoch {epoch}: the model must buffer");
+            assert_eq!(got, want, "epoch {epoch}");
+        }
     }
 
     #[test]

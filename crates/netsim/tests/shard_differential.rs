@@ -279,7 +279,7 @@ fn build_fragment(
             }
             frag.victims.push((row as usize, spec_flow(row), lost, frag.drops.len()));
         }
-        *frag.hops_histogram.entry(hops as usize).or_insert(0) += delivered + lost;
+        frag.add_hops(hops as usize, delivered + lost);
     }
     frag
 }

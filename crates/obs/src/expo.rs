@@ -2,7 +2,8 @@
 //!
 //! Both renderers walk the registry in name order, so output is sorted and
 //! bit-stable regardless of registration or update order, and both write
-//! straight into the one `String` they return. Float formatting is
+//! straight into one `String`: the caller's (the `_into` forms, which
+//! append), or the one they return. Float formatting is
 //! deterministic: plain `{}` for finite values, `NaN`/`+Inf`/`-Inf` spelled
 //! the Prometheus way (JSON uses `null` for non-finite, matching the rest of
 //! the workspace).
@@ -32,6 +33,12 @@ impl fmt::Display for PromF64 {
 /// `le="+Inf"` bucket equal to `_count`, then `_sum` and `_count`.
 pub fn render_prometheus(reg: &Registry) -> String {
     let mut out = String::new();
+    render_prometheus_into(reg, &mut out);
+    out
+}
+
+/// [`render_prometheus`], appended to `out`.
+pub fn render_prometheus_into(reg: &Registry, out: &mut String) {
     for m in reg.in_name_order() {
         let (name, help) = (&m.name, &m.help);
         let kind = match m.value {
@@ -63,16 +70,22 @@ pub fn render_prometheus(reg: &Registry) -> String {
             }
         };
     }
-    out
 }
 
 /// Render the registry as one flat JSON object in name order: counters as
 /// integers, gauges as numbers (`null` when non-finite), histograms as
 /// `{"sum":...,"count":...}`.
 pub fn render_json_metrics(reg: &Registry) -> String {
-    let mut out = String::from("{");
-    for m in reg.in_name_order() {
-        if out.len() > 1 {
+    let mut out = String::new();
+    render_json_metrics_into(reg, &mut out);
+    out
+}
+
+/// [`render_json_metrics`], appended to `out`.
+pub fn render_json_metrics_into(reg: &Registry, out: &mut String) {
+    out.push('{');
+    for (i, m) in reg.in_name_order().enumerate() {
+        if i > 0 {
             out.push(',');
         }
         let key = JsonStr(&m.name);
@@ -85,19 +98,31 @@ pub fn render_json_metrics(reg: &Registry) -> String {
         };
     }
     out.push('}');
-    out
 }
 
 /// A string as a JSON string literal, quotes included, for `write!`: `"`,
 /// `\\` and every control character below 0x20 escaped (`\n`, `\r`, `\t`,
-/// else `\u00XX`). The workspace's one JSON string escaper (`chm_lint`
-/// keeps its own copy: it is a zero-dependency crate).
-pub(crate) struct JsonStr<'a>(pub &'a str);
+/// else `\u00XX`). The string is anything that displays as one — a `&str`,
+/// or a span path written piece by piece — and is escaped as it is written,
+/// never collected first. The workspace's one JSON string escaper
+/// (`chm_lint` keeps its own copy: it is a zero-dependency crate).
+pub(crate) struct JsonStr<T>(pub T);
 
-impl fmt::Display for JsonStr<'_> {
+impl<T: fmt::Display> fmt::Display for JsonStr<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_char('"')?;
-        for c in self.0.chars() {
+        write!(JsonEscape(f), "{}", self.0)?;
+        f.write_char('"')
+    }
+}
+
+/// Writes what it is given into a JSON string body, escaped.
+struct JsonEscape<'a, 'b>(&'a mut fmt::Formatter<'b>);
+
+impl fmt::Write for JsonEscape<'_, '_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let f = &mut *self.0;
+        for c in s.chars() {
             match c {
                 '"' => f.write_str("\\\"")?,
                 '\\' => f.write_str("\\\\")?,
@@ -108,7 +133,7 @@ impl fmt::Display for JsonStr<'_> {
                 c => f.write_char(c)?,
             }
         }
-        f.write_char('"')
+        Ok(())
     }
 }
 

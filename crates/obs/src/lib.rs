@@ -21,7 +21,8 @@
 //!   (real clocks only ever come from `crates/bench`).
 //! * [`expo`] — Prometheus text-format 0.0.4 ([`render_prometheus`]) and
 //!   flat JSON ([`render_json_metrics`]) rendering, in name order so
-//!   emission is bit-stable, plus the workspace's JSON scalar formatters
+//!   emission is bit-stable — each also as an `_into` form that appends to
+//!   a caller's `String` — plus the workspace's JSON scalar formatters
 //!   ([`json_string`], [`JsonF64`]).
 //!
 //! ```
@@ -46,6 +47,9 @@ pub mod expo;
 pub mod registry;
 pub mod span;
 
-pub use expo::{json_f64, json_string, render_json_metrics, render_prometheus, JsonF64};
+pub use expo::{
+    json_f64, json_string, render_json_metrics, render_json_metrics_into, render_prometheus,
+    render_prometheus_into, JsonF64,
+};
 pub use registry::{metric_name_error, MetricId, Registry, UNIT_SUFFIXES};
 pub use span::SpanProfiler;

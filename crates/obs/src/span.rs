@@ -26,7 +26,7 @@
 //! after its first epoch; the arena keeps every path it has ever seen.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::expo::{JsonF64, JsonStr};
 
@@ -173,19 +173,19 @@ impl SpanProfiler {
     }
 
     /// Depth-first walk in BTreeMap child order: `visit(path, count, total
-    /// seconds)` for every node below `at`, the `a/b/c` path built in the
-    /// one reused `path` buffer.
-    fn walk(&self, at: usize, path: &mut String, visit: &mut dyn FnMut(&str, u64, f64)) {
+    /// seconds)` for every node below `at`, each node's path held on the
+    /// walk's call stack as its name below `parent`'s.
+    fn walk(
+        &self,
+        at: usize,
+        parent: Option<&SpanPath<'_>>,
+        visit: &mut dyn FnMut(&SpanPath<'_>, u64, f64),
+    ) {
         for (name, &idx) in &self.nodes[at].children {
             let Some(node) = self.live(idx) else { continue };
-            let len = path.len();
-            if len > 0 {
-                path.push('/');
-            }
-            path.push_str(name);
-            visit(path, node.count, node.total_s);
-            self.walk(idx, path, visit);
-            path.truncate(len);
+            let path = SpanPath { parent, name };
+            visit(&path, node.count, node.total_s);
+            self.walk(idx, Some(&path), visit);
         }
     }
 
@@ -193,7 +193,7 @@ impl SpanProfiler {
     /// rows, sorted by the BTreeMap child order at every level.
     pub fn flatten(&self) -> Vec<(String, u64, f64)> {
         let mut out = Vec::new();
-        self.walk(0, &mut String::new(), &mut |path, count, total| {
+        self.walk(0, None, &mut |path, count, total| {
             out.push((path.to_string(), count, total));
         });
         out
@@ -203,11 +203,21 @@ impl SpanProfiler {
     /// flatten order. Non-finite totals render as `null` (hand-rolled
     /// JSON, same convention as the rest of the workspace).
     pub fn json_object(&self) -> String {
-        let mut out = String::from("{");
-        self.walk(0, &mut String::new(), &mut |path, count, total| {
-            if out.len() > 1 {
+        let mut out = String::new();
+        self.json_object_into(&mut out);
+        out
+    }
+
+    /// [`json_object`](Self::json_object), appended to `out`: each path is
+    /// written, escaped, straight from the tree, so nothing but `out` grows.
+    pub fn json_object_into(&self, out: &mut String) {
+        out.push('{');
+        let mut first = true;
+        self.walk(0, None, &mut |path, count, total| {
+            if !first {
                 out.push(',');
             }
+            first = false;
             let _ = write!(
                 out,
                 "{}:{{\"count\":{count},\"total_s\":{}}}",
@@ -216,7 +226,23 @@ impl SpanProfiler {
             );
         });
         out.push('}');
-        out
+    }
+}
+
+/// A span's `a/b/c` path during a walk: its name below its parent's path
+/// (`None` for a child of the root), on the walk's call stack. Displays as
+/// the joined path.
+struct SpanPath<'a> {
+    parent: Option<&'a SpanPath<'a>>,
+    name: &'a str,
+}
+
+impl fmt::Display for SpanPath<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some(parent) = self.parent {
+            write!(f, "{parent}/")?;
+        }
+        f.write_str(self.name)
     }
 }
 

@@ -19,7 +19,10 @@
 //! restarted Prometheus target) and is therefore *not* part of
 //! [`ServeSnapshot`][crate::snapshot::ServeSnapshot].
 
-use chm_obs::{render_json_metrics, render_prometheus, MetricId, Registry, SpanProfiler};
+use std::cell::Cell;
+use std::fmt::Write as _;
+
+use chm_obs::{render_json_metrics_into, render_prometheus_into, MetricId, Registry, SpanProfiler};
 
 use crate::metrics::EpochRecord;
 
@@ -51,6 +54,11 @@ pub struct ServeObs {
     pub spans: SpanProfiler,
     /// One row per series: how it reads the record, and its handle.
     series: Vec<(Read, MetricId)>,
+    /// The lengths of the last [`jsonl_line`](Self::jsonl_line) and the
+    /// last [`prom_snapshot`](Self::prom_snapshot): each render reserves
+    /// its output once, from its predecessor's length.
+    line_len: Cell<usize>,
+    prom_len: Cell<usize>,
 }
 
 impl Default for ServeObs {
@@ -146,7 +154,13 @@ impl ServeObs {
                 &REACTION_BUCKETS,
             )),
         ];
-        ServeObs { registry: r, spans: SpanProfiler::new(), series }
+        ServeObs {
+            registry: r,
+            spans: SpanProfiler::new(),
+            series,
+            line_len: Cell::default(),
+            prom_len: Cell::default(),
+        }
     }
 
     /// Folds one epoch's record into the registry (counters accumulate,
@@ -169,18 +183,32 @@ impl ServeObs {
 
     /// Current Prometheus text-format 0.0.4 snapshot of the registry.
     pub fn prom_snapshot(&self) -> String {
-        render_prometheus(&self.registry)
+        let mut out = reserved(&self.prom_len);
+        render_prometheus_into(&self.registry, &mut out);
+        self.prom_len.set(out.len());
+        out
     }
 
     /// One JSONL trace line: the epoch number, the flat metrics object,
     /// and the cumulative span tree — the `--metrics-out` sink's format.
+    /// Both objects are written straight into the line.
     pub fn jsonl_line(&self, epoch: u64) -> String {
-        format!(
-            "{{\"epoch\":{epoch},\"metrics\":{},\"spans\":{}}}",
-            render_json_metrics(&self.registry),
-            self.spans.json_object()
-        )
+        let mut out = reserved(&self.line_len);
+        let _ = write!(out, "{{\"epoch\":{epoch},\"metrics\":");
+        render_json_metrics_into(&self.registry, &mut out);
+        out.push_str(",\"spans\":");
+        self.spans.json_object_into(&mut out);
+        out.push('}');
+        self.line_len.set(out.len());
+        out
     }
+}
+
+/// An empty render, with room for its predecessor's `last` bytes and an
+/// eighth more, as the counters gain digits and the gauges change from
+/// epoch to epoch: a steady stream writes each render into one allocation.
+fn reserved(last: &Cell<usize>) -> String {
+    String::with_capacity(last.get() + last.get() / 8)
 }
 
 #[cfg(test)]

@@ -175,9 +175,11 @@ impl ServeRuntime {
         self.obs.spans.enter("epoch", &mut zero);
 
         // Replay through the fabric and the edge data planes: one leaf span,
-        // whatever the shard layout.
+        // whatever the shard layout. Nothing after the replay reads the
+        // epoch's trace or plan, so they go before the controller runs.
         let imp = &self.serve.scenario.impairments;
         let report = self.stack.replay(&trace, &plan, imp, self.serve.mode, &|| 0.0);
+        drop((trace, plan));
         self.obs.spans.record(&["replay"], 0.0);
 
         // Faulted collection decides which reports reach the controller. A
