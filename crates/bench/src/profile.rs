@@ -131,7 +131,7 @@ pub fn run(
         // are identical at any worker count.
         let a0 = alloc_count();
         let report = stack.replay(&trace, &plan, &s.impairments, ReplayMode::Burst, clock);
-        spans.absorb(stack.replay_profile().expect("sharding is set above"), &[]);
+        spans.absorb(stack.replay_profile(), &[]);
         stage_allocs[0] += alloc_count() - a0;
 
         // The congested preset has a clean control channel, so every report

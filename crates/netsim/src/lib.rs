@@ -66,7 +66,7 @@ pub use index::FabricIndex;
 pub use queue::{QueueDepthStat, QueueLinkStats, QueueModel, QueueRealization, RedDrop};
 pub use shard::{
     core_share, merge_fragments, with_core_share, ReportFragment, ShardTiming, ShardedReplay,
-    Sharding,
+    Sharding, StagedDrop, StagedVictim,
 };
 pub use sim::{
     dominant_drop_switch, EdgeSite, EpochReport, FlowColumn, ReplayMode, SimConfig, Simulator,

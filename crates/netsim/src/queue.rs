@@ -69,8 +69,9 @@
 //! rebuilt when the simulator's topology no longer equals that copy, and
 //! every vector is overwritten before it is read, so a warm epoch realizes
 //! exactly what a fresh call does (property-tested) and allocates only what
-//! it outputs: the depth telemetry, which moves into the epoch's report,
-//! and the nodes of [`QueueRealization::link_stats`].
+//! it outputs: the depth telemetry, which moves into the epoch's report.
+//! The per-link conservation stats are one flat per-link table in the
+//! realization, refilled in place like the drop probabilities.
 
 use crate::congestion::{derate_factor, link_class_to, CongestionModel, Derate, Hop, LinkId};
 use crate::index::FabricIndex;
@@ -225,7 +226,7 @@ impl QueueModel {
         let probs = &mut real.probs;
         let stats = &mut real.stats;
         refill(probs, n_links * s, 0.0);
-        stats.clear();
+        refill(stats, n_links, None);
         refill(depth_by_switch, n_switches * s, 0.0);
         refill(drops_by_switch, n_switches * s, 0.0);
         refill(buffered, n_switches, false);
@@ -270,16 +271,13 @@ impl QueueModel {
             }
             if link_probs.iter().any(|&p| p > 0.0) {
                 probs[l * s..(l + 1) * s].copy_from_slice(link_probs);
-                stats.insert(
-                    (from, to),
-                    QueueLinkStats {
-                        arrivals: a.iter().sum(),
-                        served: served_total,
-                        dropped: dropped_total,
-                        residual: q,
-                        service,
-                    },
-                );
+                stats[l] = Some(QueueLinkStats {
+                    arrivals: a.iter().sum(),
+                    served: served_total,
+                    dropped: dropped_total,
+                    residual: q,
+                    service,
+                });
             }
             let sw = index.link_from(l);
             for (series, per_switch, seen) in [
@@ -347,7 +345,7 @@ impl Default for QueueScratch {
                 slot_seed: 0,
                 index: FabricIndex::empty(),
                 probs: Vec::new(),
-                stats: BTreeMap::new(),
+                stats: Vec::new(),
                 depth: BTreeMap::new(),
             },
             fabric: None,
@@ -444,7 +442,8 @@ pub struct QueueLinkStats {
 
 /// One epoch's realized queue dynamics: per-(link, slot) drop
 /// probabilities, per-link conservation stats of the dropping links, and
-/// per-switch depth telemetry.
+/// per-switch depth telemetry. The first two are flat tables in link-number
+/// order, refilled in place by a kept realization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueRealization {
     n_slots: usize,
@@ -455,7 +454,9 @@ pub struct QueueRealization {
     /// `[link × slot]` drop probabilities in link-number order; a link
     /// that never drops is all zeros.
     probs: Vec<f64>,
-    stats: BTreeMap<LinkId, QueueLinkStats>,
+    /// Per link in link-number order: its conservation stats if it drops
+    /// in some slot, `None` if it never does.
+    stats: Vec<Option<QueueLinkStats>>,
     depth: BTreeMap<SwitchId, QueueDepthStat>,
 }
 
@@ -468,7 +469,7 @@ impl QueueRealization {
     /// True when no link in the fabric drops in any slot (replay can take
     /// the congestion-free path).
     pub fn is_lossless(&self) -> bool {
-        self.stats.is_empty()
+        self.stats.iter().all(Option::is_none)
     }
 
     /// Fills `out` with the row-major `[hop][slot]` drop probabilities of
@@ -508,18 +509,19 @@ impl QueueRealization {
         std::mem::take(&mut self.depth)
     }
 
-    /// Exact per-link conservation stats of every dropping link.
-    pub fn link_stats(&self) -> &BTreeMap<LinkId, QueueLinkStats> {
-        &self.stats
+    /// Exact per-link conservation stats of every dropping link, in link
+    /// order.
+    pub fn link_stats(&self) -> impl Iterator<Item = (LinkId, &QueueLinkStats)> + '_ {
+        let links = self.index.links().iter().zip(&self.stats);
+        links.filter_map(|(&l, st)| st.as_ref().map(|st| (l, st)))
     }
 
     /// The dropping links with their epoch-aggregate drop probability
     /// (`dropped / arrivals`), highest first (ties in link order).
     pub fn hot_links(&self) -> Vec<(LinkId, f64)> {
         let mut v: Vec<(LinkId, f64)> = self
-            .stats
-            .iter()
-            .map(|(&l, st)| (l, st.dropped / (st.arrivals.max(1) as f64)))
+            .link_stats()
+            .map(|(l, st)| (l, st.dropped / (st.arrivals.max(1) as f64)))
             .collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
@@ -568,7 +570,7 @@ mod tests {
         let d = &r.depths()[&SwitchId { role: SwitchRole::Core, index: 0 }];
         assert!(d.max_depth > 0.0 && d.mean_depth > 0.0 && d.max_depth >= d.mean_depth);
         // The per-slot drop series agrees with the link-level accounting.
-        let link_drops: f64 = r.link_stats().values().map(|s| s.dropped).sum();
+        let link_drops: f64 = r.link_stats().map(|(_, s)| s.dropped).sum();
         assert!((d.drop_mass() - link_drops).abs() <= 1e-9 * link_drops.max(1.0));
         assert!(d.drop_concentration() > 0.0 && d.drop_concentration() <= 1.0);
     }
@@ -606,7 +608,7 @@ mod tests {
         let lm = realize(&memoryless, 0);
         let lc = realize(&coupled, 0);
         let drop = |r: &QueueRealization| {
-            r.link_stats().values().map(|s| s.dropped).sum::<f64>()
+            r.link_stats().map(|(_, s)| s.dropped).sum::<f64>()
         };
         assert!(
             drop(&lc) > drop(&lm),
@@ -647,12 +649,12 @@ mod tests {
         let rt = realize(&tail, 0);
         let rr = realize(&red, 0);
         let total = |r: &QueueRealization| {
-            r.link_stats().values().map(|s| s.dropped).sum::<f64>()
+            r.link_stats().map(|(_, s)| s.dropped).sum::<f64>()
         };
         assert!(total(&rr) > total(&rt), "RED must add early drops");
         // RED drains the queue: residual depth must not grow.
         let resid = |r: &QueueRealization| {
-            r.link_stats().values().map(|s| s.residual).sum::<f64>()
+            r.link_stats().map(|(_, s)| s.residual).sum::<f64>()
         };
         assert!(resid(&rr) <= resid(&rt) + 1e-9);
     }

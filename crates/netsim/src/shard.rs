@@ -53,9 +53,11 @@
 //! sites than a `u16` indexes is refused.
 //! No step hashes a flow, and nothing serial is trace-sized but one
 //! `memcpy`: the plan locates its victims by remembered trace row and hands
-//! their losses over by trace index, a shard records only the flows that
-//! lost packets — one row each, in trace order — and the merge interleaves
-//! those sorted runs and lowers the trace's own rows at them.
+//! their losses over by trace index, a shard stages only the flows that
+//! lost packets — one 16-byte record each, naming its trace row, in trace
+//! order, with 8-byte `(switch code, count)` drop entries — and the merge
+//! interleaves those sorted runs, reads each victim's flow off the trace
+//! and lowers the trace's own rows at them.
 //!
 //! `shards` fixes the split (and is what byte-identity is proven over);
 //! `workers` only scales execution — any worker count replays the same
@@ -79,6 +81,7 @@ use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
 /// How a trial is sharded.
 ///
@@ -145,20 +148,53 @@ pub fn with_core_share<R>(cores: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// One victim staged in a [`ReportFragment`]: trace row `row` lost `lost`
+/// packets, and its drop entries end at `drops_end` in the fragment's
+/// `drops` (they begin where the previous victim's end, or at 0). The flow
+/// is not copied: the merge reads it back from the trace. 16 bytes a victim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StagedVictim {
+    /// The victim's trace row.
+    pub row: u32,
+    /// One past the victim's last entry in the fragment's `drops`.
+    pub drops_end: u32,
+    /// Packets the victim lost.
+    pub lost: u64,
+}
+
+/// One staged drop entry: `count` of a victim's packets died at the switch
+/// whose [`SwitchId::code`] is `switch`. 8 bytes an entry. A count past
+/// `u32::MAX` takes several entries of one switch, which the merge sums,
+/// as a cross-shard egress run is split where it outgrows its record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StagedDrop {
+    /// The switch, as its order-preserving [`SwitchId::code`].
+    pub switch: u32,
+    /// Packets dropped there (one part of the count, if it was split).
+    pub count: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<StagedVictim>() == 16);
+const _: () = assert!(std::mem::size_of::<StagedDrop>() == 8);
+
 /// One shard's share of an [`EpochReport`], accumulated in phase A — or the
-/// serial driver's whole epoch, as one fragment. Each victim is recorded
+/// serial driver's whole epoch, as one fragment. Each victim is staged
 /// once, when the walk reaches it, so the list is ascending in trace row.
-/// Everything in it is victim- or switch-sized, and the fragments of one
-/// epoch name disjoint rows, so [`merge_fragments`] comes out the same
-/// whatever order they arrive in (property-tested).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportFragment<F> {
-    /// `(trace row, flow, lost, end of its drops)` per victim: victim `i`'s
-    /// drops are `drops[victims[i - 1].3..victims[i].3]` (from 0 for the
-    /// first).
-    pub victims: Vec<(usize, F, u64, usize)>,
-    /// The victims' `(switch, count)` drops, each victim's sorted by switch.
-    pub drops: Vec<(SwitchId, u64)>,
+/// Everything in it is victim- or switch-sized and names flows by trace
+/// row, so it holds no flow ID; the fragments of one epoch name disjoint
+/// rows, so [`merge_fragments`] comes out the same whatever order they
+/// arrive in (property-tested). An engine keeps its shards' fragments from
+/// epoch to epoch, drained, at the largest size an epoch gave them: 16
+/// bytes a victim and 8 a drop entry.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ReportFragment {
+    /// The staged victims, ascending in trace row: victim `i`'s drops are
+    /// `drops[victims[i - 1].drops_end..victims[i].drops_end]` (from 0 for
+    /// the first).
+    pub victims: Vec<StagedVictim>,
+    /// The victims' drop entries, each victim's sorted by switch code, so
+    /// by [`SwitchId`]; the entries of one switch are adjacent.
+    pub drops: Vec<StagedDrop>,
     /// Route-length histogram contribution: entry `h` is the packets of the
     /// flows whose route has `h` switches, `None` where no flow's has. Kept
     /// from epoch to epoch with its capacity; the merge folds it into the
@@ -169,20 +205,7 @@ pub struct ReportFragment<F> {
     merged: usize,
 }
 
-// Not derived: the derive would bound `F: Default`, and an empty fragment
-// needs no `F`.
-impl<F> Default for ReportFragment<F> {
-    fn default() -> Self {
-        ReportFragment {
-            victims: Vec::new(),
-            drops: Vec::new(),
-            hops_histogram: Vec::new(),
-            merged: 0,
-        }
-    }
-}
-
-impl<F> ReportFragment<F> {
+impl ReportFragment {
     /// Adds `pkts` packets of a flow whose route has `hops` switches to the
     /// histogram.
     #[inline]
@@ -193,6 +216,36 @@ impl<F> ReportFragment<F> {
         *self.hops_histogram[hops].get_or_insert(0) += pkts;
     }
 
+    /// Stages the victim at trace row `row`, which lost `lost` packets,
+    /// `per_hop[h]` of them at `route[h]`: one entry per hop that dropped
+    /// any (several where a count outgrows `u32`), sorted by switch code. A
+    /// route that crosses a switch twice gives it two entries, which the
+    /// merge sums like the parts of a split count.
+    // chm-lint: hot
+    pub(crate) fn push_victim(
+        &mut self,
+        row: usize,
+        lost: u64,
+        route: &[SwitchId],
+        per_hop: &[u64],
+    ) {
+        let start = self.drops.len();
+        for (&s, &c) in route.iter().zip(per_hop).filter(|&(_, &c)| c > 0) {
+            let switch = s.code();
+            let mut rest = c;
+            while rest > 0 {
+                let count = u32::try_from(rest).unwrap_or(u32::MAX);
+                self.drops.push(StagedDrop { switch, count });
+                rest -= u64::from(count);
+            }
+        }
+        self.drops[start..].sort_unstable_by_key(|d| d.switch);
+        let drops_end = u32::try_from(self.drops.len())
+            .expect("a fragment stages at most u32::MAX drop entries");
+        let row = u32::try_from(row).expect("trace rows fit u32 (asserted every epoch)");
+        self.victims.push(StagedVictim { row, drops_end, lost });
+    }
+
     fn clear(&mut self) {
         self.victims.clear();
         self.drops.clear();
@@ -201,28 +254,29 @@ impl<F> ReportFragment<F> {
     }
 }
 
-impl<F> AsMut<ReportFragment<F>> for ReportFragment<F> {
-    fn as_mut(&mut self) -> &mut ReportFragment<F> {
+impl AsMut<ReportFragment> for ReportFragment {
+    fn as_mut(&mut self) -> &mut ReportFragment {
         self
     }
 }
 
 /// The one place an [`EpochReport`] is made, for both drivers: the
-/// fragments' victims merged into one trace-ordered [`VictimTable`], the
+/// fragments' victims merged into one trace-ordered [`VictimTable`] — each
+/// row's flow read off the trace, its drop entries summed per switch — the
 /// report's other victim-derived parts read off it — each `delivered` row
 /// the trace's count less its `lost`, `dropped_at` the drops summed per
 /// switch — and the histograms summed. Fragments are drained (capacity
 /// kept). `queue_depth` becomes the report's telemetry as it is: both
 /// drivers move it out of the epoch's queue realization, never copy it.
 ///
-/// The fragments must name disjoint trace rows, as the ingress-edge split
-/// guarantees; the result is then invariant under any permutation
-/// of `frags` (the proptest in `tests/shard_differential.rs` pins it).
-/// A fragment may lie inside its holder (`T`): the engine merges its shards'
-/// fragments where they are, in the shard scratches.
+/// The fragments must name disjoint trace rows of `trace`, as the
+/// ingress-edge split guarantees; the result is then invariant under any
+/// permutation of `frags` (the proptest in `tests/shard_differential.rs`
+/// pins it). A fragment may lie inside its holder (`T`): the engine merges
+/// its shards' fragments where they are, in the shard scratches.
 /// `delivered` — the one trace-sized piece of an epoch — costs a `memcpy` of
 /// the trace's rows and one store per victim.
-pub fn merge_fragments<F: Copy, T: AsMut<ReportFragment<F>>>(
+pub fn merge_fragments<F: Copy, T: AsMut<ReportFragment>>(
     trace: &Trace<F>,
     epoch: u64,
     queue_depth: BTreeMap<SwitchId, QueueDepthStat>,
@@ -246,19 +300,20 @@ pub fn merge_fragments<F: Copy, T: AsMut<ReportFragment<F>>>(
 /// runs (each fragment's `merged` cursor is its next victim) into `report`,
 /// then the folds, draining every fragment.
 // chm-lint: hot
-fn merge_runs<F: Copy, T: AsMut<ReportFragment<F>>>(report: &mut EpochReport<F>, frags: &mut [T]) {
+fn merge_runs<F: Copy, T: AsMut<ReportFragment>>(report: &mut EpochReport<F>, frags: &mut [T]) {
     let next = |frags: &mut [T]| {
         let live = frags.iter_mut().map(AsMut::as_mut).enumerate();
         let live = live.filter(|(_, f)| f.merged < f.victims.len());
-        live.min_by_key(|(_, f)| f.victims[f.merged].0).map(|(k, _)| k)
+        live.min_by_key(|(_, f)| f.victims[f.merged].row).map(|(k, _)| k)
     };
     while let Some(k) = next(frags) {
         let frag = frags[k].as_mut();
         let (i, victims) = (frag.merged, &frag.victims);
-        let (row, f, lost, end) = victims[i];
-        let start = if i == 0 { 0 } else { victims[i - 1].3 };
-        report.delivered.rows[row].1 -= lost;
-        report.lost.push(f, lost, &frag.drops[start..end]);
+        let v = victims[i];
+        let start = if i == 0 { 0 } else { victims[i - 1].drops_end as usize };
+        let row = &mut report.delivered.rows[v.row as usize];
+        row.1 -= v.lost;
+        report.lost.push(row.0, v.lost, &frag.drops[start..v.drops_end as usize]);
         frag.merged += 1;
     }
     for &(s, c) in &report.lost.drops {
@@ -380,29 +435,18 @@ const _: () = assert!(std::mem::size_of::<EgressRun>() == 12);
 /// of a 40 ms phase A at 250 k flows, more or less of it depending on where
 /// the allocator put the `Vec` and how the workers' timing fell, so the
 /// fastest epoch of a run was a matter of luck.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 #[repr(align(128))]
-struct ShardScratch<F> {
+struct ShardScratch {
     outbox: Vec<Vec<EgressRun>>,
-    frag: ReportFragment<F>,
+    frag: ReportFragment,
     flow: FlowScratch,
     /// Phase A's duration on the injected clock, this epoch.
     time: f64,
 }
 
-impl<F> Default for ShardScratch<F> {
-    fn default() -> Self {
-        ShardScratch {
-            outbox: Vec::new(),
-            frag: ReportFragment::default(),
-            flow: FlowScratch::default(),
-            time: 0.0,
-        }
-    }
-}
-
-impl<F> AsMut<ReportFragment<F>> for ShardScratch<F> {
-    fn as_mut(&mut self) -> &mut ReportFragment<F> {
+impl AsMut<ReportFragment> for ShardScratch {
+    fn as_mut(&mut self) -> &mut ReportFragment {
         &mut self.frag
     }
 }
@@ -562,7 +606,7 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
     setup: &EpochSetup<'_>,
     tables: &EdgeTables,
     shard: usize,
-    scratch: &mut ShardScratch<F>,
+    scratch: &mut ShardScratch,
     sites: &mut [E],
 ) {
     let ShardScratch { outbox, frag, flow, .. } = scratch;
@@ -599,26 +643,28 @@ fn replay_shard<F: Routable, E: EdgeSite<F>>(
 /// reused across epochs (arena-style). One is trace-sized: the outboxes'
 /// 12-byte records, about one per flow that leaves through another shard's
 /// site (none at one shard, about half the flows at two); the rest is
-/// victim- or switch-sized. A layout whose shards would own more than
-/// 65 536 edge sites each is refused with a panic. Once their capacities
-/// stabilize, what an epoch allocates is the [`EpochReport`] it returns —
-/// one `delivered` row per flow (copied from the trace in one piece), the
-/// victim table in three exactly-sized pieces, its per-switch and per-length
-/// maps — plus the plan's victim-sized lost-count list, each fragment's
-/// route-length histogram (a one-node `BTreeMap`, emptied by the merge) and,
-/// past one worker, the phases' scoped threads. Nothing per phase is
-/// rebuilt: each worker gets its shards' scratches and sites as two
-/// sub-slices, the fragments merge where they lie, and the per-shard times
-/// and the span tree are kept and overwritten. `netsim/tests/alloc_budget.rs`
-/// holds an epoch to 1.1 × the report's own size, and its allocator calls
-/// to the serial driver's at one shard, to that plus the spawns and the
-/// second histogram at two shards on two workers, and to a count that does
-/// not grow with the victims.
+/// victim- or switch-sized: each shard's fragment keeps its staged victims
+/// (16 bytes each) and drop entries (8 bytes each) at the largest size an
+/// epoch gave them, and its route-length histogram. A layout whose shards
+/// would own more than 65 536 edge sites each is refused with a panic. Once
+/// their capacities stabilize, what an epoch allocates is the
+/// [`EpochReport`] it returns — one `delivered` row per flow (copied from
+/// the trace in one piece), the victim table in three pieces sized from the
+/// staging, its per-switch and per-length maps — plus the plan's
+/// victim-sized lost-count list and, past one worker, the phases' scoped
+/// threads. Nothing per phase is rebuilt: each worker gets its shards'
+/// scratches and sites as two sub-slices, the fragments merge where they
+/// lie, and the per-shard times and the span tree are kept and overwritten.
+/// `netsim/tests/alloc_budget.rs` holds an epoch to 1.1 × the report's own
+/// size, its allocator calls to the serial driver's at one shard, to that
+/// plus the spawns at two shards on two workers, and to a count that does
+/// not grow with the victims, and the staging a warm engine keeps to 24
+/// bytes per victim and drop entry.
 #[derive(Debug)]
 pub struct ShardedReplay<F> {
     sharding: Sharding,
     tables: EdgeTables,
-    scratches: Vec<ShardScratch<F>>,
+    scratches: Vec<ShardScratch>,
     /// The most recent epoch's per-phase times, overwritten in place.
     timing: ShardTiming,
     /// `shard_{i}` span names, one per shard, built once.
@@ -629,6 +675,8 @@ pub struct ShardedReplay<F> {
     /// return as a [`ShardTiming`]; a phase's own interval also holds its
     /// thread spawns and joins.
     last_profile: SpanProfiler,
+    /// The flow ID the engine replays; it stores none.
+    flow: PhantomData<fn() -> F>,
 }
 
 impl<F> ShardedReplay<F> {
@@ -645,6 +693,7 @@ impl<F> ShardedReplay<F> {
             timing: ShardTiming::default(),
             shard_names: (0..sharding.shards).map(|i| format!("shard_{i}")).collect(),
             last_profile: SpanProfiler::new(),
+            flow: PhantomData,
         }
     }
 }
@@ -743,10 +792,6 @@ impl<F: Routable> ShardedReplay<F> {
             edges.len(),
             topo.n_edges(),
             "one edge site per topology edge switch"
-        );
-        assert!(
-            trace.flows.len() <= u32::MAX as usize,
-            "an egress record names its trace row with u32"
         );
         let shards = self.sharding.shards;
         let workers = self.sharding.workers;
@@ -1174,10 +1219,9 @@ mod tests {
         let trace = testbed_trace(WorkloadKind::Dctcp, 10, 8, 7);
         let edge = |salt: usize| SwitchId { role: SwitchRole::Edge, index: salt };
         let mk = |salt: usize| {
-            let mut frag = ReportFragment::<FiveTuple>::default();
+            let mut frag = ReportFragment::default();
             for row in [salt - 1, salt + 3] {
-                frag.drops.push((edge(salt), 1));
-                frag.victims.push((row, trace.flows[row].0, 1, frag.drops.len()));
+                frag.push_victim(row, 1, &[edge(salt)], &[1]);
             }
             frag.add_hops(3, salt as u64);
             frag
@@ -1201,6 +1245,79 @@ mod tests {
             let mut b = order.map(mk);
             assert_eq!(merge_fragments(&trace, 5, qd.clone(), &mut b), merged, "{order:?}");
         }
+    }
+
+    /// A victim that lost more than `u32::MAX` packets at one switch: its
+    /// count is staged as several entries and summed back by the merge, so
+    /// the report at 1, 2 and 3 shards — each fragment staging the rows
+    /// whose ingress edge its shard owns — equals the serial driver's one
+    /// fragment and carries the whole `u64`. (No loss source can produce
+    /// such a victim cheaply through a driver: the plan draws, and the
+    /// link-loss layer stores, one fate per packet.)
+    #[test]
+    fn a_loss_count_past_u32_is_staged_in_parts_and_merged_whole() {
+        let topo = FatTree::testbed();
+        let mut trace = testbed_trace(WorkloadKind::Dctcp, 24, 8, 7);
+        let huge = u64::from(u32::MAX) + 7;
+        let big = 5;
+        trace.flows[big].1 = huge + 10;
+        let route = |row: usize| {
+            let (f, _) = trace.flows[row];
+            topo.route(f.src_host(), f.dst_host(), f.key64())
+        };
+        // Every third row is a victim: the whole count at its last hop, one
+        // more packet at its first. Row `big` loses `huge` at its last hop.
+        let victims: Vec<(usize, Vec<u64>)> = (0..24)
+            .filter(|row| row % 3 == 2 || *row == big)
+            .map(|row| {
+                let mut per_hop = vec![0; route(row).len()];
+                *per_hop.last_mut().expect("a route has a switch") +=
+                    if row == big { huge - 1 } else { 2 };
+                per_hop[0] += 1;
+                (row, per_hop)
+            })
+            .collect();
+        let stage = |frag: &mut ReportFragment, row: usize, per_hop: &[u64]| {
+            frag.push_victim(row, per_hop.iter().sum(), &route(row), per_hop);
+        };
+        let mut serial = [ReportFragment::default()];
+        for (row, per_hop) in &victims {
+            stage(&mut serial[0], *row, per_hop);
+        }
+        let parts = serial[0].drops.iter().filter(|d| d.count == u32::MAX).count();
+        assert_eq!(parts, 1, "the huge count is split: {:?}", serial[0].drops);
+        let want = merge_fragments(&trace, 3, BTreeMap::new(), &mut serial);
+        let big_flow = trace.flows[big].0;
+        let (f, lost, drops) = want.lost.with_drops().find(|&(&f, ..)| f == big_flow).unwrap();
+        assert_eq!(lost, huge);
+        let last = *route(big).last().unwrap();
+        let at_last = drops.iter().find(|&&(s, _)| s == last).map(|&(_, c)| c);
+        assert_eq!(at_last, Some(huge - 1 + u64::from(route(big).len() == 1)), "{f:?}: {drops:?}");
+        assert_eq!(want.delivered.rows[big].1, 10);
+        assert!(want.dropped_at.values().any(|&c| c >= huge - 1));
+        for shards in [1, 2, 3] {
+            let mut tables = EdgeTables::default();
+            tables.rebuild(topo.n_edges(), shards);
+            let mut frags = vec![ReportFragment::default(); shards];
+            for (row, per_hop) in &victims {
+                let (f, _) = trace.flows[*row];
+                let (owner, _) = tables.owner[topo.edge_of_host(f.src_host())];
+                stage(&mut frags[owner as usize], *row, per_hop);
+            }
+            let got = merge_fragments(&trace, 3, BTreeMap::new(), &mut frags);
+            assert_eq!(got, want, "{shards} shards");
+        }
+        // A route that crosses a switch twice stages two entries for it,
+        // and the report gives it one.
+        let (e, a) = (
+            SwitchId { role: SwitchRole::Edge, index: 0 },
+            SwitchId { role: SwitchRole::Aggregation, index: 0 },
+        );
+        let mut frag = [ReportFragment::default()];
+        frag[0].push_victim(0, 5, &[e, a, e], &[2, 0, 3]);
+        assert_eq!(frag[0].drops.len(), 2);
+        let r = merge_fragments(&trace, 0, BTreeMap::new(), &mut frag);
+        assert_eq!(r.lost.with_drops().map(|(_, _, d)| d.to_vec()).collect::<Vec<_>>(), [[(e, 5)]]);
     }
 
     #[test]

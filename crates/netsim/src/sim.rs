@@ -14,7 +14,7 @@
 
 use crate::impair::{FabricFates, ImpairmentSet, LinkLoss};
 use crate::queue::{QueueDepthStat, QueueRealization, QueueScratch};
-use crate::shard::{merge_fragments, ReportFragment};
+use crate::shard::{merge_fragments, ReportFragment, StagedDrop};
 use crate::topology::{Fabric, SwitchId, Topology};
 use chm_common::{FiveTuple, FlowId};
 use chm_workloads::trace::ip_host;
@@ -174,10 +174,19 @@ impl<F> VictimTable<F> {
         VictimTable { rows, bounds, drops: Vec::with_capacity(drops) }
     }
 
-    /// Appends the next victim in trace order.
-    pub(crate) fn push(&mut self, f: F, lost: u64, drops: &[(SwitchId, u64)]) {
+    /// Appends the next victim in trace order with its staged drop
+    /// entries, which are sorted by switch: the entries of one switch (the
+    /// parts of a split count) become one `(switch, count)` pair.
+    pub(crate) fn push(&mut self, f: F, lost: u64, staged: &[StagedDrop]) {
         self.rows.rows.push((f, lost));
-        self.drops.extend_from_slice(drops);
+        let start = self.drops.len();
+        for d in staged {
+            let (s, c) = (SwitchId::from_code(d.switch), u64::from(d.count));
+            match self.drops[start..].last_mut() {
+                Some(last) if last.0 == s => last.1 += c,
+                _ => self.drops.push((s, c)),
+            }
+        }
         self.bounds.push(self.drops.len());
     }
 
@@ -517,7 +526,7 @@ impl EpochSetup<'_> {
         base_lost: u64,
         in_edge: usize,
         sc: &mut FlowScratch,
-        acc: &mut ReportFragment<F>,
+        acc: &mut ReportFragment,
     ) {
         // The route lands in a reusable buffer (allocation-free); its length
         // is the hop count by definition, and the link-loss layer reads
@@ -555,35 +564,15 @@ impl EpochSetup<'_> {
         );
         let del = sc.fates.n_delivered();
         if del < pkts {
-            attribute_drops(&sc.route, &sc.fates, &mut sc.hop_drops, &mut acc.drops);
-            acc.victims.push((idx, f, pkts - del, acc.drops.len()));
+            // Every dropped packet is charged to the switch at its drop
+            // hop, counted per hop in a buffer reused from flow to flow.
+            let per_hop = &mut sc.hop_drops;
+            per_hop.clear();
+            per_hop.resize(sc.route.len(), 0);
+            sc.fates.for_each_drop(|_, hop| per_hop[hop as usize] += 1);
+            acc.push_victim(idx, pkts - del, &sc.route, per_hop);
         }
     }
-}
-
-/// Appends one victim's drops to `drops`: every dropped packet is charged to
-/// the switch at its drop hop on the flow's route — counted per hop in
-/// `per_hop`, a buffer reused from flow to flow — and each switch that
-/// dropped any gets one `(switch, count)` entry, sorted by switch.
-// chm-lint: hot
-fn attribute_drops(
-    route: &[SwitchId],
-    fates: &FabricFates,
-    per_hop: &mut Vec<u64>,
-    drops: &mut Vec<(SwitchId, u64)>,
-) {
-    per_hop.clear();
-    per_hop.resize(route.len(), 0);
-    fates.for_each_drop(|_, hop| per_hop[hop as usize] += 1);
-    let start = drops.len();
-    for (&s, &c) in route.iter().zip(per_hop.iter()).filter(|&(_, &c)| c > 0) {
-        // A route that crosses a switch twice still gives it one entry.
-        match drops[start..].iter_mut().find(|(t, _)| *t == s) {
-            Some(d) => d.1 += c,
-            None => drops.push((s, c)),
-        }
-    }
-    drops[start..].sort_unstable_by_key(|&(s, _)| s);
 }
 
 /// The fabric simulator: the serial replay driver, and the reference the
@@ -733,6 +722,10 @@ impl Simulator {
         plan: &LossPlan<F>,
         imp: &'a ImpairmentSet,
     ) -> EpochSetup<'a> {
+        assert!(
+            trace.flows.len() <= u32::MAX as usize,
+            "a staged victim and an egress record name their trace row with u32"
+        );
         let ts_bit = self.current_ts_bit();
         let Simulator { topology, config, epoch, link, .. } = self;
         let epoch_seed = config.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(*epoch);

@@ -67,6 +67,46 @@ pub struct SwitchId {
     pub index: usize,
 }
 
+impl SwitchId {
+    /// Bits of a [`code`](Self::code) that hold the index; the role takes
+    /// the two above them.
+    const INDEX_BITS: u32 = 30;
+
+    /// The largest index a [`code`](Self::code) holds.
+    pub const MAX_CODED_INDEX: usize = (1 << Self::INDEX_BITS) - 1;
+
+    /// The switch packed into 32 bits, its role above its index, so that
+    /// codes compare as the switches do: `a.code() < b.code()` exactly when
+    /// `a < b`. A report fragment stages drops by code.
+    ///
+    /// # Panics
+    /// When the index exceeds [`MAX_CODED_INDEX`](Self::MAX_CODED_INDEX).
+    #[inline]
+    pub fn code(self) -> u32 {
+        assert!(
+            self.index <= Self::MAX_CODED_INDEX,
+            "switch index {} does not fit a 30-bit switch code",
+            self.index
+        );
+        (self.role as u32) << Self::INDEX_BITS | self.index as u32
+    }
+
+    /// The switch a [`code`](Self::code) packs.
+    ///
+    /// # Panics
+    /// When `code` names no role (its top two bits are both set).
+    #[inline]
+    pub fn from_code(code: u32) -> SwitchId {
+        let role = match code >> Self::INDEX_BITS {
+            0 => SwitchRole::Edge,
+            1 => SwitchRole::Aggregation,
+            2 => SwitchRole::Core,
+            _ => panic!("{code:#x} is not a switch code"),
+        };
+        SwitchId { role, index: (code & Self::MAX_CODED_INDEX as u32) as usize }
+    }
+}
+
 /// The contract every fabric offers the replay stack: host/edge mapping,
 /// deterministic per-flow ECMP routes, hop counts, and link enumeration.
 ///

@@ -4,7 +4,8 @@
 //! The report's `delivered` column has one 24-byte row per flow — one copy of
 //! the trace's rows, lowered at the victims — so it *is* the epoch's
 //! allocation; everything else it requests is victim- or switch-sized. The
-//! sharded engine keeps arenas across epochs: the fragments and fate
+//! sharded engine keeps arenas across epochs: the fragments (16 bytes a
+//! staged victim, 8 a drop entry, bounded on the congested preset) and fate
 //! buffers, victim-sized, and one trace-sized one, the cross-shard egress
 //! outboxes (a 12-byte record per run that leaves through another shard's
 //! site; none at one shard). It keeps no per-flow state of its own. A
@@ -224,7 +225,8 @@ fn kept_per_flow(sharding: Sharding) -> f64 {
 
 /// The engine keeps no per-flow state of its own: at one shard no egress
 /// leaves through another shard's site, so what it keeps is victim- and
-/// switch-sized. Measured: 0.93 B a flow. A partition of the flows (a `u32`
+/// switch-sized. Measured: 0.44 B a flow (0.93 while each staged victim
+/// copied its flow). A partition of the flows (a `u32`
 /// each, in a `Vec` holding up to twice what it uses) kept 7.48.
 #[test]
 fn a_warm_one_shard_engine_keeps_no_per_flow_state() {
@@ -236,7 +238,7 @@ fn a_warm_one_shard_engine_keeps_no_per_flow_state() {
 /// At two shards one arena is trace-sized: the outboxes' 12-byte record per
 /// egress run that leaves through the other shard's site (about half of
 /// the flows), each `Vec` holding up to twice what it uses. Measured:
-/// 10.8 B a flow, bounded at 13; with a `u32` partition of the flows beside
+/// 10.3 B a flow, bounded at 13; with a `u32` partition of the flows beside
 /// it, 17.4. Queueing every egress run as a 32-byte record that copies the
 /// flow, own site or not, kept 60.0 B a flow.
 #[test]
@@ -261,23 +263,22 @@ fn congested() -> ImpairmentSet {
     }
 }
 
-/// A warm epoch's link-loss realization allocates only what it outputs: the
-/// queue telemetry that moves into the report (one map node, and one
-/// `slot_drops` vector per dropping switch) and the nodes of the
-/// realization's `link_stats` map. The simulator keeps the realization, its
-/// work vectors and the fabric index across epochs. Measured on the
-/// congested preset over 600 flows at one shard: 20 calls an epoch against
-/// 7 for the same epoch without a link model, and the 13 between them are
-/// 10 of telemetry and 3 of stats. A fresh `QueueModel::realize` makes 36.
+/// A warm epoch's link-loss realization allocates only what it outputs:
+/// the queue telemetry that moves into the report (one map node, and one
+/// `slot_drops` vector per dropping switch). The simulator keeps the
+/// realization — its drop probabilities and per-link stats are flat tables
+/// refilled in place — its work vectors and the fabric index across epochs.
+/// Measured on the congested preset over 600 flows at one shard: 17 calls
+/// an epoch against 7 for the same epoch without a link model, and the 10
+/// between them are all telemetry. A fresh `QueueModel::realize` makes 36;
+/// with the stats in a map rebuilt every epoch, a warm one made 20.
 #[test]
 fn a_warm_link_loss_realization_allocates_only_its_outputs() {
     let _turn = one_at_a_time();
     let trace = testbed_trace(WorkloadKind::Dctcp, 600, 8, 0xa110c);
     let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.01), 0.02, 0x10ad);
     let imp = congested();
-    let model = imp.link_model().expect("the preset configures a queue model");
-    let topo = chm_netsim::Topology::from(FatTree::testbed());
-    let mut sim = Simulator::new(topo.clone(), SimConfig::default());
+    let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
     let mut sites: Vec<CountingSite> = (0..4).map(|_| CountingSite::default()).collect();
     let mut eng = ShardedReplay::new(Sharding::single());
     // Each epoch twice, with and without the link model: the engine's
@@ -296,11 +297,70 @@ fn a_warm_link_loss_realization_allocates_only_its_outputs() {
             let (without, _) = run(epoch, &ImpairmentSet::none());
             let telemetry = ALLOC.calls_during(|| report.queue_depth.clone()).0;
             assert!(telemetry > 0, "the preset's queues must buffer");
-            let fresh = model.realize(&topo, &trace, epoch, imp.seed);
-            let stats = ALLOC.calls_during(|| fresh.link_stats().clone()).0;
-            with as i64 - (without + telemetry + stats) as i64
+            with as i64 - (without + telemetry) as i64
         })
         .min()
         .expect("three epochs");
     assert!(excess <= 0, "the realization made {excess} calls beyond its outputs");
+}
+
+/// Bytes a driver keeps live after four epochs over `trace` under `imp`,
+/// its reports dropped — the engine at one shard, or the serial driver —
+/// with the most victims and drop entries any of those epochs reported.
+fn kept_over_epochs(
+    engine: bool,
+    trace: &chm_workloads::Trace<FiveTuple>,
+    imp: &ImpairmentSet,
+) -> (i64, usize, usize) {
+    let plan = LossPlan::none();
+    let before = ALLOC.live();
+    let mut sim = Simulator::new(FatTree::testbed(), SimConfig::default());
+    let mut sites: Vec<CountingSite> = (0..4).map(|_| CountingSite::default()).collect();
+    let mut eng = engine.then(|| ShardedReplay::new(Sharding::single()));
+    let (mut victims, mut drops) = (0, 0);
+    for _ in 0..4 {
+        let report = match &mut eng {
+            Some(eng) => eng.run_epoch_burst_scenario(&mut sim, trace, &plan, imp, &mut sites),
+            None => sim.run_epoch_burst_scenario(trace, &plan, imp, &mut SiteArray(&mut sites)),
+        };
+        victims = victims.max(report.lost.len());
+        drops = drops.max(report.lost.with_drops().map(|(_, _, d)| d.len()).sum());
+    }
+    let kept = ALLOC.live() - before;
+    drop((eng, sim));
+    (kept, victims, drops)
+}
+
+/// What a warm one-shard engine keeps of its fragment staging on the
+/// congested preset, whose link losses make about 230 victims an epoch
+/// over 600 flows: at most 24 bytes per victim and drop entry of the
+/// largest epoch. A staged victim is 16 bytes (trace row, end of its
+/// drops, lost count) and a drop entry 8 (switch code, count), in vectors
+/// that hold up to twice what they use, and every victim has a drop
+/// entry. The staging is what the engine keeps beyond the serial driver,
+/// which stages in a fresh fragment every epoch, less that same difference
+/// on a clean epoch of the same flows (no victim, so no staging): the rest
+/// of what they keep — per-flow scratch, link-loss realization, span tree
+/// — is alike. Staging that copied the flow into each victim (40 bytes)
+/// and kept a full `SwitchId` per drop entry (24 bytes) kept more than 24.
+#[test]
+fn a_warm_engine_keeps_compact_victim_staging() {
+    let _turn = one_at_a_time();
+    let trace = testbed_trace(WorkloadKind::Dctcp, 600, 8, 0xa110c);
+    let excess = |imp: &ImpairmentSet| {
+        let (engine, victims, drops) = kept_over_epochs(true, &trace, imp);
+        let (serial, ..) = kept_over_epochs(false, &trace, imp);
+        (engine - serial, victims, drops)
+    };
+    let (clean, no_victims, _) = excess(&ImpairmentSet::none());
+    assert_eq!(no_victims, 0, "a clean fabric under no plan loses nothing");
+    let (congested, victims, drops) = excess(&congested());
+    assert!(victims > 100, "the preset must make victims: {victims}");
+    let staging = congested - clean;
+    let per_entry = staging as f64 / (victims + drops) as f64;
+    assert!(
+        per_entry <= 24.0,
+        "a warm engine keeps {staging} B of staging for {victims} victims and {drops} drop \
+         entries: {per_entry:.1} B an entry"
+    );
 }

@@ -16,8 +16,8 @@ use common::{sites, Site};
 use chm_netsim::{
     merge_fragments, ClockSkew, Derate, Duplication, FatTree, GilbertElliott,
     ImpairmentSet, KaryFatTree, LeafSpine, QueueModel, RedDrop, Reordering, ReplayMode,
-    ReportFragment, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray, SwitchId,
-    SwitchRole, Topology, WanGraph,
+    ReportFragment, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray, StagedDrop,
+    StagedVictim, SwitchId, SwitchRole, Topology, WanGraph,
 };
 use chm_workloads::ArrivalProfile;
 use chm_common::FiveTuple;
@@ -256,28 +256,28 @@ fn delivered_lists_the_trace_row_for_row() {
 // ---------------------------------------------------------------------
 
 /// Builds one fragment from a generated spec: a flow whose `lost` is
-/// positive is a victim — one row, its drops split between an edge and
-/// (past the first packet) a core, in switch order; every flow adds to the
-/// histogram. The fragment's `j`-th flow sits at trace row
-/// `j * n_frags + frag_id` — disjoint across fragments and interleaved with
-/// every other fragment's rows, mirroring the pipeline invariant that each
-/// flow is realized by exactly one shard.
-fn build_fragment(
-    frag_id: u64,
-    n_frags: u64,
-    flows: &[(u64, u64, u64, u8)],
-) -> ReportFragment<FiveTuple> {
-    let mut frag = ReportFragment::<FiveTuple>::default();
+/// positive is a victim — one staged row, its drops split between an edge
+/// and (past the first packet) a core, in switch-code order, the core's
+/// count in two entries when `salt` is odd (the parts of a split count);
+/// every flow adds to the histogram. The fragment's `j`-th flow sits at
+/// trace row `j * n_frags + frag_id` — disjoint across fragments and
+/// interleaved with every other fragment's rows, mirroring the pipeline
+/// invariant that each flow is realized by exactly one shard.
+fn build_fragment(frag_id: u64, n_frags: u64, flows: &[(u64, u64, u64, u8)]) -> ReportFragment {
+    let mut frag = ReportFragment::default();
     for (j, &(salt, delivered, lost, hops)) in flows.iter().enumerate() {
         let row = j as u64 * n_frags + frag_id;
         if lost > 0 {
             let edge = SwitchId { role: SwitchRole::Edge, index: (salt % 5) as usize };
             let core = SwitchId { role: SwitchRole::Core, index: (salt % 3) as usize };
-            frag.drops.push((edge, 1));
-            if lost > 1 {
-                frag.drops.push((core, lost - 1));
+            frag.drops.push(StagedDrop { switch: edge.code(), count: 1 });
+            let rest = (lost - 1) as u32;
+            let parts = if salt % 2 == 1 { [rest / 2, rest - rest / 2] } else { [0, rest] };
+            for count in parts.into_iter().filter(|&c| c > 0) {
+                frag.drops.push(StagedDrop { switch: core.code(), count });
             }
-            frag.victims.push((row as usize, spec_flow(row), lost, frag.drops.len()));
+            let drops_end = frag.drops.len() as u32;
+            frag.victims.push(StagedVictim { row: row as u32, drops_end, lost });
         }
         frag.add_hops(hops as usize, delivered + lost);
     }
@@ -312,7 +312,7 @@ proptest! {
         perm_seed in any::<u64>(),
     ) {
         let n_frags = specs.len() as u64;
-        let build = || -> Vec<ReportFragment<FiveTuple>> {
+        let build = || -> Vec<ReportFragment> {
             specs
                 .iter()
                 .enumerate()

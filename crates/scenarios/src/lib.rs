@@ -65,6 +65,7 @@ use chm_common::hash::mix64;
 use chm_common::FiveTuple;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// Salt separating the base-trace RNG stream from the scenario seed.
 const TRACE_SALT: u64 = 0x7261_6365; // "race"
@@ -252,18 +253,23 @@ impl Scenario {
     }
 
     /// The flow set live in `epoch`: the base trace evolved by churn, hit
-    /// by any flood due this epoch, then concentrated by any incast.
-    pub fn trace_for_epoch(&self, base: &Trace<FiveTuple>, epoch: u64) -> Trace<FiveTuple> {
+    /// by any flood due this epoch, then concentrated by any incast — or
+    /// `base` itself, borrowed, when none of them applies.
+    pub fn trace_for_epoch<'a>(
+        &self,
+        base: &'a Trace<FiveTuple>,
+        epoch: u64,
+    ) -> Cow<'a, Trace<FiveTuple>> {
         let evolved = match &self.churn {
-            Some(c) => c.evolve(base, epoch, self.n_hosts, self.workload),
-            None => base.clone(),
+            Some(c) => Cow::Owned(c.evolve(base, epoch, self.n_hosts, self.workload)),
+            None => Cow::Borrowed(base),
         };
         let flooded = match &self.flood {
-            Some(f) => f.apply(&evolved, epoch, self.n_hosts),
+            Some(f) => Cow::Owned(f.apply(&evolved, epoch, self.n_hosts)),
             None => evolved,
         };
         match &self.incast {
-            Some(i) => i.apply(&flooded),
+            Some(i) => Cow::Owned(i.apply(&flooded)),
             None => flooded,
         }
     }
@@ -667,6 +673,19 @@ mod tests {
         let t1 = s.trace_for_epoch(&base, 3);
         let t2 = s.trace_for_epoch(&base, 3);
         assert_eq!(t1.flows, t2.flows);
+        assert!(matches!(t1, Cow::Owned(_)), "churn evolves the base");
+    }
+
+    /// A scenario with no churn, flood or incast replays its base trace
+    /// every epoch, borrowed, not copied — the serve preset is one.
+    #[test]
+    fn a_trace_nothing_evolves_is_the_base_borrowed() {
+        let s = Scenario::serve_congested(7, 300);
+        let base = s.base_trace();
+        for epoch in [0, 5] {
+            let t = s.trace_for_epoch(&base, epoch);
+            assert!(matches!(t, Cow::Borrowed(b) if std::ptr::eq(b, &base)), "epoch {epoch}");
+        }
     }
 
     #[test]

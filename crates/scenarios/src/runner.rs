@@ -7,7 +7,8 @@
 //! that loses what [`Scenario::reports_received`] says, analysis,
 //! reconfiguration and flip, localization. [`ScenarioStack::step_epoch`]
 //! returns the ground truth, the groups of **all** switches and the decoded
-//! view, so the differential tests can compare replay paths epoch by epoch.
+//! view, so the differential tests can compare shard layouts, and the serial
+//! reference, epoch by epoch.
 
 use crate::Scenario;
 use chamelemon::config::DataPlaneConfig;
@@ -21,7 +22,7 @@ use chm_common::FiveTuple;
 use chm_netsim::sim::EpochReport;
 pub use chm_netsim::ReplayMode;
 use chm_netsim::{
-    dominant_drop_switch, ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator, SiteArray,
+    dominant_drop_switch, ImpairmentSet, ShardedReplay, Sharding, SimConfig, Simulator,
 };
 use chm_obs::SpanProfiler;
 use chm_workloads::{LossPlan, Trace};
@@ -165,7 +166,8 @@ pub struct ScenarioResult {
 }
 
 /// The live stack: per-edge data planes, the central controller, and the
-/// simulator, stepped one epoch at a time.
+/// simulator with the replay engine that drives it, stepped one epoch at a
+/// time.
 pub struct ScenarioStack {
     /// One data plane per edge switch.
     pub edges: Vec<EdgeDataPlane<FiveTuple>>,
@@ -176,8 +178,9 @@ pub struct ScenarioStack {
     /// The comparison tracks' localizers, LossRadar's then FlowRadar's (their
     /// decoded victims run through the same blame accumulation as ours).
     track_localizers: [Localizer; 2],
-    /// The sharded engine, once [`set_sharding`](Self::set_sharding) chose it.
-    sharded: Option<ShardedReplay<FiveTuple>>,
+    /// The replay engine: one shard until
+    /// [`set_sharding`](Self::set_sharding) lays out another.
+    engine: ShardedReplay<FiveTuple>,
 }
 
 impl ScenarioStack {
@@ -202,11 +205,11 @@ impl ScenarioStack {
             controller,
             simulator,
             track_localizers: [Localizer::new(topology.clone()), Localizer::new(topology)],
-            sharded: None,
+            engine: ShardedReplay::new(Sharding::single()),
         }
     }
 
-    /// Replays subsequent epochs through the sharded engine with `sharding`.
+    /// Replays subsequent epochs on an engine laid out as `sharding`.
     /// Output is byte-identical to the serial driver at any shard/worker
     /// count (the `sharded_matrix` differential suite pins it); the knob only
     /// changes how the replay work is scheduled.
@@ -219,12 +222,11 @@ impl ScenarioStack {
         let n = self.edges.len();
         let sharding =
             Sharding { shards: sharding.shards.min(n), workers: sharding.workers.min(n) };
-        self.sharded = Some(ShardedReplay::new(sharding));
+        self.engine = ShardedReplay::new(sharding);
     }
 
-    /// Replays one epoch through the fabric and every edge data plane: the
-    /// one place that chooses between the serial driver and the sharded
-    /// engine. `clock` times the engine's span tree
+    /// Replays one epoch through the fabric and every edge data plane, on
+    /// the stack's engine. `clock` times the engine's span tree
     /// ([`replay_profile`](Self::replay_profile)); `&|| 0.0` when nobody is.
     pub fn replay(
         &mut self,
@@ -234,23 +236,15 @@ impl ScenarioStack {
         mode: ReplayMode,
         clock: &(dyn Fn() -> f64 + Sync),
     ) -> EpochReport<FiveTuple> {
-        match &mut self.sharded {
-            Some(eng) => {
-                eng.run_epoch(&mut self.simulator, trace, plan, imp, mode, &mut self.edges, clock).0
-            }
-            None => {
-                let mut hooks = SiteArray(&mut self.edges);
-                self.simulator.run_epoch_scenario(trace, plan, imp, mode, &mut hooks)
-            }
-        }
+        let sim = &mut self.simulator;
+        self.engine.run_epoch(sim, trace, plan, imp, mode, &mut self.edges, clock).0
     }
 
-    /// The sharded engine's span tree of the last [`replay`](Self::replay)
-    /// (`prologue`, `phase_a` over its `phase_a/shard_i`,
-    /// `phase_b` over its `phase_b/shard_i`, `merge`); `None` on the serial
-    /// driver, which has no phases to time.
-    pub fn replay_profile(&self) -> Option<&SpanProfiler> {
-        self.sharded.as_ref().map(ShardedReplay::last_profile)
+    /// The engine's span tree of the last [`replay`](Self::replay)
+    /// (`prologue`, `phase_a` over its `phase_a/shard_i`, `phase_b` over its
+    /// `phase_b/shard_i`, `merge`).
+    pub fn replay_profile(&self) -> &SpanProfiler {
+        self.engine.last_profile()
     }
 
     /// Runs one epoch of `s` under `mode`: evolve the workload, replay with

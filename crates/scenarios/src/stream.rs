@@ -21,6 +21,7 @@
 use crate::Scenario;
 use chm_common::FiveTuple;
 use chm_workloads::{LossPlan, Trace};
+use std::borrow::Cow;
 
 /// An endless, randomly addressable stream of per-epoch workloads derived
 /// from one [`Scenario`]. See the module docs for the contract.
@@ -43,10 +44,11 @@ impl EpochStream {
         &self.scenario
     }
 
-    /// The workload of epoch `epoch`: the evolved flow set and its loss
-    /// plan. Pure in `epoch` — calling twice returns identical values, and
-    /// epochs may be requested in any order.
-    pub fn at(&self, epoch: u64) -> (Trace<FiveTuple>, LossPlan<FiveTuple>) {
+    /// The workload of epoch `epoch`: the evolved flow set — the base
+    /// trace itself, borrowed, when nothing evolves it — and its loss plan.
+    /// Pure in `epoch` — calling twice returns identical values, and epochs
+    /// may be requested in any order.
+    pub fn at(&self, epoch: u64) -> (Cow<'_, Trace<FiveTuple>>, LossPlan<FiveTuple>) {
         let trace = self.scenario.trace_for_epoch(&self.base, epoch);
         let plan = self.scenario.plan_for_epoch(&trace, epoch);
         (trace, plan)

@@ -9,15 +9,18 @@
 //! flows; past ~800 localized victims the sketches stop decoding them.)
 //!
 //! Nothing in the epoch allocates per victim: the replay's victim table is
-//! three exactly-sized vectors, its per-flow scratch and its link-loss
-//! realization (with the realization's work vectors) persist in the
-//! simulator, the queue telemetry moves into the report, and the
-//! localization's `VictimRoutes` is one flat table. What is left to differ
-//! is the doubling growth of the vectors and maps that the decoded
-//! flowsets fill, a step per factor of two: measured 54.4 → 66.8
-//! allocations at 261 → 1 114 victims (706 localized), 31.9 → 32.7 of them
-//! in the replay (74.4 → 87.1 and 51.9 → 52.7 while the realization rebuilt
-//! its fabric index and work vectors every epoch).
+//! three vectors sized from the engine's staging, which the stack's
+//! one-shard engine keeps across epochs with its per-flow scratch, the
+//! link-loss realization (with the realization's work vectors and per-link
+//! stats table) persists in the simulator, the queue telemetry moves into
+//! the report, and the localization's `VictimRoutes` is one flat table.
+//! What is left to differ is the doubling growth of the vectors and maps
+//! that the decoded flowsets fill, a step per factor of two: measured 38.1
+//! → 50.7 allocations at 261 → 1 114 victims (706 localized), 16.0 → 16.6
+//! of them in the replay (54.4 → 66.8 and 31.9 → 32.7 while the stack
+//! replayed on the serial driver, whose fresh fragment regrows its victim
+//! lists every epoch, and the realization rebuilt its stats map; 74.4 →
+//! 87.1 before the realization kept its workspace).
 //! Counted with the workspace's counting global allocator,
 //! `chm_counting_alloc`.
 

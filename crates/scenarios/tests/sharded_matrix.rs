@@ -1,45 +1,104 @@
-//! The sharded differential harness: a [`ScenarioStack`] running on the
-//! sharded epoch pipeline (`set_sharding`) must be observationally
-//! identical to the serial stack — same ground-truth reports, same
-//! collected sketch state on every edge every epoch, same decode,
-//! localization, staged reconfigurations, and scores — for **every**
-//! scenario in the golden matrix, on **every** fabric of the topology
-//! zoo, in **both** replay modes, at any shard/worker layout.
+//! The sharded differential harness: a [`ScenarioStack`] replays on the
+//! sharded engine — one shard, or any layout `set_sharding` gives it — and
+//! must be observationally identical to the serial reference,
+//! `Simulator::run_epoch_scenario` driven directly here over a stack's own
+//! edges and controller — same ground-truth reports, same collected sketch
+//! state on every edge every epoch, same decode, localization and staged
+//! reconfigurations — and score the same at every layout, for **every**
+//! scenario in the golden matrix, on **every** fabric of the topology zoo,
+//! in **both** replay modes.
 
-use chm_netsim::Sharding;
-use chm_scenarios::{standard_matrix, ReplayMode, Scenario, ScenarioStack, TopologySpec};
-use chm_workloads::VictimSelection;
+use chamelemon::{ClosedEpoch, CollectedGroup, Controller, Localization, RuntimeConfig};
+use chm_common::FiveTuple;
+use chm_netsim::sim::EpochReport;
+use chm_netsim::{Sharding, SiteArray};
+use chm_scenarios::{
+    standard_matrix, EpochTrace, ReplayMode, Scenario, ScenarioStack, TopologySpec,
+};
+use chm_workloads::{Trace, VictimSelection};
+use std::collections::HashMap;
 
-/// Steps the serial and sharded stacks epoch by epoch and asserts
-/// bit-identical observables throughout.
+/// What the serial reference observes of one epoch.
+struct Reference {
+    report: EpochReport<FiveTuple>,
+    received: Vec<bool>,
+    collected: Vec<CollectedGroup<FiveTuple>>,
+    loss_report: HashMap<FiveTuple, u64>,
+    localization: Localization<FiveTuple>,
+    staged: RuntimeConfig,
+}
+
+/// One epoch of `s` on the serial reference: the stack's parts stepped by
+/// hand — the serial driver over its edges, then the epoch body
+/// `ScenarioStack::step_epoch` closes with, over the same report-loss
+/// channel.
+fn reference_epoch(
+    stack: &mut ScenarioStack,
+    s: &Scenario,
+    base: &Trace<FiveTuple>,
+    mode: ReplayMode,
+) -> Reference {
+    let epoch = stack.simulator.current_epoch();
+    let trace = s.trace_for_epoch(base, epoch);
+    let plan = s.plan_for_epoch(&trace, epoch);
+    let mut hooks = SiteArray(&mut stack.edges);
+    let imp = &s.impairments;
+    let report = stack.simulator.run_epoch_scenario(&trace, &plan, imp, mode, &mut hooks);
+    let received = s.reports_received(report.epoch, stack.edges.len());
+    let ts_bit = (report.epoch & 1) as u8;
+    let collected = stack.edges.iter().map(|e| e.collect_group(ts_bit)).collect();
+    let ClosedEpoch { analysis, staged, localization, .. } = stack.controller.close_epoch(
+        &mut stack.edges,
+        report.epoch,
+        Some(&received),
+        &report.queue_depth,
+        Controller::reconfigure,
+        None,
+    );
+    let localization = localization.expect("the stack enables localization");
+    let loss_report = analysis.loss_report;
+    Reference { report, received, collected, loss_report, localization, staged }
+}
+
+/// Asserts that one stepped epoch observes what the reference did.
+fn assert_matches(want: &Reference, got: &EpochTrace, tag: &str) {
+    assert_eq!(want.report, got.report, "{tag}: epoch report");
+    assert_eq!(want.received, got.received, "{tag}: report-loss mask");
+    assert_eq!(want.collected.len(), got.collected.len(), "{tag}: edge count");
+    for (i, (ga, gb)) in want.collected.iter().zip(&got.collected).enumerate() {
+        assert_eq!(ga.runtime, gb.runtime, "{tag} edge{i}: runtime");
+        assert_eq!(ga.classifier, gb.classifier, "{tag} edge{i}: classifier");
+        assert_eq!(ga.ingress_pkts, gb.ingress_pkts, "{tag} edge{i}: ingress counter");
+        assert_eq!(ga.egress_pkts, gb.egress_pkts, "{tag} edge{i}: egress counter");
+        assert_eq!(ga.up_hh, gb.up_hh, "{tag} edge{i}: up_hh");
+        assert_eq!(ga.up_hl, gb.up_hl, "{tag} edge{i}: up_hl");
+        assert_eq!(ga.up_ll, gb.up_ll, "{tag} edge{i}: up_ll");
+        assert_eq!(ga.down_hl, gb.down_hl, "{tag} edge{i}: down_hl");
+        assert_eq!(ga.down_ll, gb.down_ll, "{tag} edge{i}: down_ll");
+    }
+    assert_eq!(want.loss_report, got.loss_report, "{tag}: loss report");
+    assert_eq!(want.localization, got.localization, "{tag}: localization");
+    assert_eq!(want.staged, got.staged, "{tag}: staged runtime");
+}
+
+/// Steps the serial reference, a default (one-shard) stack and a stack at
+/// `sharding` epoch by epoch: both stacks must observe what the reference
+/// does, and score alike.
 fn assert_sharded_identical(s: &Scenario, sharding: Sharding, mode: ReplayMode) {
-    let mut serial = ScenarioStack::new(s);
+    let mut reference = ScenarioStack::new(s);
+    let mut single = ScenarioStack::new(s);
     let mut sharded = ScenarioStack::new(s);
     sharded.set_sharding(sharding);
     let base = s.base_trace();
     for _ in 0..s.epochs {
-        let a = serial.step_epoch(s, &base, mode);
+        let want = reference_epoch(&mut reference, s, &base, mode);
+        let a = single.step_epoch(s, &base, mode);
         let b = sharded.step_epoch(s, &base, mode);
-        let e = a.report.epoch;
+        let e = want.report.epoch;
         let name = &s.name;
+        assert_matches(&want, &a, &format!("{name} e{e} {mode:?} one shard"));
         let tag = format!("{name} e{e} {mode:?} {sharding:?}");
-        assert_eq!(a.report, b.report, "{tag}: epoch report");
-        assert_eq!(a.received, b.received, "{tag}: report-loss mask");
-        assert_eq!(a.collected.len(), b.collected.len(), "{tag}: edge count");
-        for (i, (ga, gb)) in a.collected.iter().zip(&b.collected).enumerate() {
-            assert_eq!(ga.runtime, gb.runtime, "{tag} edge{i}: runtime");
-            assert_eq!(ga.classifier, gb.classifier, "{tag} edge{i}: classifier");
-            assert_eq!(ga.ingress_pkts, gb.ingress_pkts, "{tag} edge{i}: ingress counter");
-            assert_eq!(ga.egress_pkts, gb.egress_pkts, "{tag} edge{i}: egress counter");
-            assert_eq!(ga.up_hh, gb.up_hh, "{tag} edge{i}: up_hh");
-            assert_eq!(ga.up_hl, gb.up_hl, "{tag} edge{i}: up_hl");
-            assert_eq!(ga.up_ll, gb.up_ll, "{tag} edge{i}: up_ll");
-            assert_eq!(ga.down_hl, gb.down_hl, "{tag} edge{i}: down_hl");
-            assert_eq!(ga.down_ll, gb.down_ll, "{tag} edge{i}: down_ll");
-        }
-        assert_eq!(a.loss_report, b.loss_report, "{tag}: loss report");
-        assert_eq!(a.localization, b.localization, "{tag}: localization");
-        assert_eq!(a.staged, b.staged, "{tag}: staged runtime");
+        assert_matches(&want, &b, &tag);
         assert_eq!(a.metrics, b.metrics, "{tag}: metrics");
     }
 }
