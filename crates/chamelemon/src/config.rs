@@ -9,6 +9,7 @@
 //! encoders are partitioned into HH/HL/LL encoders, the classification
 //! thresholds `Th`/`Tl`, and the LL sample rate.
 
+use chm_common::hash::MAX_FAMILY;
 use chm_fermat::FermatConfig;
 use chm_tower::TowerConfig;
 
@@ -18,7 +19,7 @@ pub struct DataPlaneConfig {
     /// Flow classifier geometry.
     pub tower: TowerConfig,
     /// Number of bucket arrays `d` in every Fermat encoder (3 for the
-    /// highest memory efficiency, §5.2).
+    /// highest memory efficiency, §5.2), at most [`MAX_FAMILY`].
     pub arrays: usize,
     /// Buckets per array of the upstream flow encoder (`m_uf`, default 4096).
     pub m_uf: usize,
@@ -70,8 +71,8 @@ impl DataPlaneConfig {
 
     /// Validates the invariants the data plane relies on.
     pub fn validate(&self) -> Result<(), String> {
-        if self.arrays == 0 {
-            return Err("arrays must be >= 1".into());
+        if self.arrays == 0 || self.arrays > MAX_FAMILY {
+            return Err(format!("arrays must be in 1..={MAX_FAMILY}, not {}", self.arrays));
         }
         if self.m_df > self.m_uf {
             return Err(format!("m_df {} > m_uf {}", self.m_df, self.m_uf));
@@ -266,6 +267,15 @@ mod tests {
         let mut cfg2 = DataPlaneConfig::paper_default(6);
         cfg2.ill_partition.m_hh += 8;
         assert!(cfg2.validate().is_err());
+
+        // Every Fermat encoder's hash family holds at most `MAX_FAMILY`
+        // functions.
+        for arrays in [0, MAX_FAMILY + 1] {
+            let cfg3 = DataPlaneConfig { arrays, ..DataPlaneConfig::paper_default(7) };
+            assert!(cfg3.validate().is_err(), "{arrays} arrays");
+        }
+        let cfg4 = DataPlaneConfig { arrays: MAX_FAMILY, ..DataPlaneConfig::paper_default(7) };
+        assert_eq!(cfg4.validate(), Ok(()));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use chm_fermat::{DecodeResult, DecodeScratch, FermatSketch};
 use chm_netsim::sim::Routable;
 use chm_netsim::{QueueDepthStat, SwitchId, Topology};
 use chm_obs::SpanProfiler;
-use chm_tower::{MracConfig, MracScratch};
+use chm_tower::{MracConfig, MracScratch, TowerSketch};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -711,6 +711,7 @@ impl<F: FlowId> Controller<F> {
 
         // --- victim estimates (§4.3.2 "Monitoring real-time network state")
         let rate = runtime.sample_rate();
+        let classifiers = collected.iter().map(|g| &g.classifier);
         let (est_victims, victim_size_dist) = span(probe, "victims", &mut 0, |_| match self.state {
             NetworkState::Healthy => (est_hls, None),
             NetworkState::Ill => {
@@ -718,25 +719,15 @@ impl<F: FlowId> Controller<F> {
                     (Some(hl), Some(ll)) => {
                         // Sample the HLs with the same method/rate as LLs,
                         // merge with sampled LLs, scale by the rate.
-                        let sampled_hls: Vec<&F> = hl
+                        let sampled = hl
                             .keys()
                             .filter(|f| {
                                 (self.sample_hash.sample16(f.key64()) as u32)
                                     < runtime.sample_threshold
                             })
-                            .collect();
-                        let mut sampled: Vec<&F> = sampled_hls;
-                        for f in ll.keys() {
-                            if !hl.contains_key(f) {
-                                sampled.push(f);
-                            }
-                        }
-                        let est = if rate > 0.0 {
-                            sampled.len() as f64 / rate
-                        } else {
-                            0.0
-                        };
-                        let dist = self.victim_distribution(collected, sampled.iter().copied());
+                            .chain(ll.keys().filter(|f| !hl.contains_key(f)));
+                        let (n, dist) = victim_distribution(classifiers, sampled);
+                        let est = if rate > 0.0 { n as f64 / rate } else { 0.0 };
                         (est, Some(dist))
                     }
                     (None, Some(ll)) => {
@@ -746,7 +737,7 @@ impl<F: FlowId> Controller<F> {
                         } else {
                             est_hls
                         };
-                        let dist = self.victim_distribution(collected, ll.keys());
+                        let (_, dist) = victim_distribution(classifiers, ll.keys());
                         (est, Some(dist))
                     }
                     _ => {
@@ -776,32 +767,6 @@ impl<F: FlowId> Controller<F> {
             state_during: self.state,
             switches_reporting: collected.len(),
         }
-    }
-
-    /// Flow-size distribution of a set of (victim) flows, via classifier
-    /// queries (§4.3.2). A flow is only inserted at its ingress switch, so
-    /// we take the max over switches of the (min-)query.
-    fn victim_distribution<'a>(
-        &self,
-        collected: &[&CollectedGroup<F>],
-        flows: impl Iterator<Item = &'a F>,
-    ) -> Vec<f64>
-    where
-        F: 'a,
-    {
-        let mut dist = vec![0.0; 16];
-        for f in flows {
-            let size = collected
-                .iter()
-                .map(|g| g.classifier.query_clamped(f.key64()))
-                .max()
-                .unwrap_or(0) as usize;
-            if size >= dist.len() {
-                dist.resize(size + 1, 0.0);
-            }
-            dist[size] += 1.0;
-        }
-        dist
     }
 
     /// §4.3 "Reconfiguring ChameleMon data plane". Consumes the analysis and
@@ -1019,6 +984,37 @@ impl<F: FlowId> Controller<F> {
     }
 }
 
+/// The number of a set of (victim) flows and their flow-size distribution,
+/// via classifier queries (§4.3.2). A flow is only inserted at its ingress
+/// switch, so its size is the max over switches of the (min-)query.
+///
+/// Two passes over `flows`: the first counts them and finds the largest
+/// size, the second fills the distribution, allocated once at its final
+/// length `max(16, largest size + 1)`. Nothing else is allocated.
+fn victim_distribution<'a, F: FlowId + 'a>(
+    classifiers: impl Iterator<Item = &'a TowerSketch> + Clone,
+    flows: impl Iterator<Item = &'a F> + Clone,
+) -> (usize, Vec<f64>) {
+    let size_of = |f: &F| {
+        let key = f.key64();
+        classifiers
+            .clone()
+            .map(|t| t.query_clamped(key))
+            .max()
+            .unwrap_or(0) as usize
+    };
+    let (mut n, mut largest) = (0, 0);
+    for f in flows.clone() {
+        n += 1;
+        largest = largest.max(size_of(f));
+    }
+    let mut dist = vec![0.0; (largest + 1).max(16)];
+    for f in flows {
+        dist[size_of(f)] += 1.0;
+    }
+    (n, dist)
+}
+
 /// Largest element or 0 for empty slices.
 fn max_or_zero(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(0.0, f64::max)
@@ -1064,6 +1060,99 @@ pub fn threshold_for_target(dist: &[f64], n_flows: f64, target_count: f64) -> u6
 mod tests {
     use super::*;
     use chm_netsim::FatTree;
+
+    /// The victim distribution as it was before it counted and sized its
+    /// flows in two passes: grown as each larger size arrived.
+    fn victim_distribution_growing(classifiers: &[TowerSketch], flows: &[u32]) -> Vec<f64> {
+        let mut dist = vec![0.0; 16];
+        for f in flows {
+            let size = classifiers
+                .iter()
+                .map(|t| t.query_clamped(f.key64()))
+                .max()
+                .unwrap_or(0) as usize;
+            if size >= dist.len() {
+                dist.resize(size + 1, 0.0);
+            }
+            dist[size] += 1.0;
+        }
+        dist
+    }
+
+    /// Towers of `switches` edges after `inserts` bursts `(flow, edge,
+    /// packets)`, each burst cut to at most `cap` packets.
+    fn victim_towers(switches: usize, inserts: &[(u32, usize, u64)], cap: u64) -> Vec<TowerSketch> {
+        let cfg = chm_tower::TowerConfig {
+            levels: vec![
+                chm_tower::TowerLevel {
+                    width: 128,
+                    bits: 8,
+                },
+                chm_tower::TowerLevel {
+                    width: 64,
+                    bits: 16,
+                },
+            ],
+            seed: 0x51ce,
+        };
+        let mut towers = vec![TowerSketch::new(cfg); switches];
+        for &(f, at, n) in inserts {
+            if let Some(t) = towers.get_mut(at) {
+                t.insert_burst(f.key64(), 1 + n % cap, 1, 1);
+            }
+        }
+        towers
+    }
+
+    fn assert_victim_distribution_matches(towers: &[TowerSketch], queried: &[u32]) -> usize {
+        let (n, dist) = victim_distribution(towers.iter(), queried.iter());
+        let want = victim_distribution_growing(towers, queried);
+        assert_eq!(n, queried.len());
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&dist),
+            bits(&want),
+            "{} switches, {} flows",
+            towers.len(),
+            n
+        );
+        dist.len()
+    }
+
+    #[test]
+    fn victim_distribution_spans_short_and_long_sizes() {
+        let flows: Vec<u32> = (0..40).collect();
+        let inserts: Vec<(u32, usize, u64)> = flows
+            .iter()
+            .map(|&f| (f, f as usize % 3, 7 * u64::from(f)))
+            .collect();
+        // Every size below 16: the distribution keeps its 16 slots.
+        assert_eq!(
+            assert_victim_distribution_matches(&victim_towers(3, &inserts, 6), &flows),
+            16
+        );
+        // Sizes past the 8-bit level's saturation: it ends at the largest.
+        assert!(assert_victim_distribution_matches(&victim_towers(3, &inserts, 600), &flows) > 255);
+        // No flow, and no switch to ask.
+        assert_eq!(
+            assert_victim_distribution_matches(&victim_towers(3, &inserts, 600), &[]),
+            16
+        );
+        assert_eq!(assert_victim_distribution_matches(&[], &flows), 16);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+        #[test]
+        fn victim_distribution_matches_the_growing_one(
+            inserts in proptest::collection::vec((0u32..64, 0usize..4, 0u64..1_000), 0..80),
+            queried in proptest::collection::vec(0u32..80, 0..60),
+            switches in 0usize..4,
+            cap in 1u64..700,
+        ) {
+            assert_victim_distribution_matches(&victim_towers(switches, &inserts, cap), &queried);
+        }
+    }
 
     #[test]
     fn threshold_for_target_basics() {

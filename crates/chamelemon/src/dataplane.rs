@@ -137,16 +137,18 @@ impl<F: FlowId> SketchGroup<F> {
     }
 
     /// A zero-memory stand-in installed by [`EdgeDataPlane::take_group`]
-    /// while the real group is away. Inserting into it panics (zero-bucket
-    /// encoders), which makes any traffic arriving between the take and the
-    /// epoch flip a loud bug instead of silent data loss.
+    /// while the real group is away; building it allocates nothing. Its
+    /// classifier is [`TowerSketch::saturated`], so every ingress packet
+    /// classifies as an HH candidate, whatever the runtime's thresholds,
+    /// and reaches the zero-bucket `up_hh`, which panics: traffic arriving
+    /// between the take and the epoch flip is a loud bug instead of silent
+    /// data loss. Egress trusts the packet's tag: an HH, HL or sampled-LL
+    /// tag reaches a zero-bucket downstream encoder and panics, while a
+    /// non-sampled-LL tag encodes nothing at any group, so the tombstone
+    /// only counts it in `egress_pkts`.
     fn tombstone(cfg: &DataPlaneConfig, runtime: RuntimeConfig) -> Self {
-        let tower = chm_tower::TowerConfig {
-            levels: vec![chm_tower::TowerLevel { width: 1, bits: 8 }],
-            seed: 0,
-        };
         SketchGroup {
-            classifier: TowerSketch::new(tower),
+            classifier: TowerSketch::saturated(),
             up_hh: FermatSketch::new(cfg.fermat_for(0, salt::HH)),
             up_hl: FermatSketch::new(cfg.fermat_for(0, salt::HL)),
             up_ll: FermatSketch::new(cfg.fermat_for(0, salt::LL)),
@@ -324,9 +326,12 @@ impl<F: FlowId> EdgeDataPlane<F> {
     /// `ts`, leaving a zero-memory tombstone in its place — no sketch is
     /// copied. For callers that must keep a group past the flip (the repo
     /// benchmark's stage-by-stage pass, inspection); the epoch body
-    /// borrows instead. The caller must [`flip`](Self::flip) before traffic
-    /// with this timestamp bit arrives again (inserting into the tombstone
-    /// panics); the flip rebuilds the tombstone's every sketch.
+    /// borrows instead. The take allocates nothing. The caller must
+    /// [`flip`](Self::flip) before traffic with this timestamp bit arrives
+    /// again (every ingress into the tombstone panics, see
+    /// [`SketchGroup`]'s tombstone); the flip rebuilds the tombstone's
+    /// classifier and every encoder the staged runtime gives buckets, and
+    /// allocates exactly what those fresh sketches hold.
     pub fn take_group(&mut self, ts: u8) -> CollectedGroup<F> {
         let slot = (ts & 1) as usize;
         let rt = self.groups[slot].runtime;
@@ -343,8 +348,10 @@ impl<F: FlowId> EdgeDataPlane<F> {
     /// Allocation discipline: a group is zeroed in place under one rule —
     /// every sketch whose geometry matches the staged runtime is cleared,
     /// every sketch the partition resized is rebuilt. The ended group is
-    /// always zeroed (a [`take_group`](Self::take_group) tombstone matches
-    /// nothing and is rebuilt whole); the idle group only when the staged
+    /// always zeroed (a [`take_group`](Self::take_group) tombstone's
+    /// zero-memory classifier matches no configuration, and its zero-bucket
+    /// encoders match only a zero-size partition, so all but those are
+    /// rebuilt); the idle group only when the staged
     /// runtime actually changed. A steady-state flip therefore allocates
     /// nothing, and a reconfiguring one only the encoders whose size moved.
     ///
@@ -573,6 +580,68 @@ mod tests {
         assert_eq!(h, Hierarchy::HhCandidate);
     }
 
+    /// Every packet that reaches a tombstone is refused loudly, under the
+    /// initial runtime (`Th = 1`, where every packet is an HH candidate
+    /// anyway) and under an ill runtime whose thresholds would make most
+    /// packets non-sampled LLs that touch no encoder; egress refuses every
+    /// tag that encodes, and only counts a non-sampled LL. The flip then
+    /// restores a group equal to a fresh plane's under the same traffic.
+    #[test]
+    fn every_packet_into_a_tombstone_panics_until_the_flip() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cfg = DataPlaneConfig::small(3);
+        let mut ill = RuntimeConfig::initial(&cfg);
+        ill.partition = cfg.ill_partition;
+        ill.th = 50;
+        ill.tl = 10;
+        ill.sample_threshold = 8192;
+        for rt in [RuntimeConfig::initial(&cfg), ill] {
+            let mut d = EdgeDataPlane::<u32>::new(cfg.clone(), rt);
+            for f in 0..200u32 {
+                d.on_ingress(&f, 0);
+            }
+            drop(d.take_group(0));
+            for f in 0..200u32 {
+                let ingress = catch_unwind(AssertUnwindSafe(|| d.on_ingress(&f, 0)));
+                assert!(ingress.is_err(), "{rt:?}: flow {f} entered a tombstone");
+                let burst = catch_unwind(AssertUnwindSafe(|| d.on_ingress_burst(&f, 0, 3)));
+                assert!(
+                    burst.is_err(),
+                    "{rt:?}: a burst of flow {f} entered a tombstone"
+                );
+            }
+            for h in [
+                Hierarchy::HhCandidate,
+                Hierarchy::HlCandidate,
+                Hierarchy::SampledLl,
+            ] {
+                let egress = catch_unwind(AssertUnwindSafe(|| d.on_egress(&7, 0, h)));
+                assert!(
+                    egress.is_err(),
+                    "{rt:?}: a {h:?} packet left through a tombstone"
+                );
+            }
+            let counted = d.group(0).egress_pkts;
+            d.on_egress_burst(&7, 0, Hierarchy::NonSampledLl, 4);
+            assert_eq!(d.group(0).egress_pkts, counted + 4);
+
+            d.flip(0);
+            let mut fresh = EdgeDataPlane::<u32>::new(cfg.clone(), rt);
+            for plane in [&mut d, &mut fresh] {
+                for f in 0..200u32 {
+                    for (h, n) in plane.on_ingress_burst(&f, 0, 1 + u64::from(f % 60)) {
+                        plane.on_egress_burst(&f, 0, h, n);
+                    }
+                }
+            }
+            assert_eq!(
+                d.group(0),
+                fresh.group(0),
+                "{rt:?}: the flip restores encoding"
+            );
+        }
+    }
+
     #[test]
     fn take_then_flip_matches_collect_then_flip() {
         // The zero-clone path must be observationally identical to the
@@ -597,7 +666,7 @@ mod tests {
 
     /// The in-place flip against the rebuilding one: plane `a` flips with
     /// its ended group in place, plane `b` takes it first (the tombstone
-    /// path, which rebuilds every sketch). Staged runtimes go healthy →
+    /// path, which rebuilds every sketch with buckets). Staged runtimes go healthy →
     /// grown → ill → thresholds only → healthy, so partitions resize both
     /// ways, and a lagging clock lands early packets in the idle group.
     #[test]

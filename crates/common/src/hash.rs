@@ -195,47 +195,68 @@ impl BatchHasher {
     }
 }
 
-/// A family of `d` independent hash functions sharing a master seed.
+/// The most functions a [`HashFamily`] holds: FlowRadar's 10 Bloom hashes,
+/// the largest family any sketch in the workspace derives.
+pub const MAX_FAMILY: usize = 10;
+
+/// A family of `d ≤` [`MAX_FAMILY`] independent hash functions sharing a
+/// master seed.
 ///
 /// Sketches that need one function per array (`d` bucket arrays in
 /// FermatSketch, `l` counter arrays in TowerSketch) construct a family so the
 /// per-array seeds are reproducible and decorrelated.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The functions are held inline, so building or cloning a family
+/// allocates nothing: a sketch rebuilt at a new size pays for its counters
+/// only. `Debug` and `PartialEq` look at the first [`len`](Self::len)
+/// functions only.
+#[derive(Clone)]
 pub struct HashFamily {
-    fns: Vec<PairwiseHash>,
+    fns: [PairwiseHash; MAX_FAMILY],
+    len: usize,
     master_seed: u64,
 }
 
 impl HashFamily {
-    /// Builds `d` hash functions from `master_seed`.
+    /// Builds `d` hash functions from `master_seed`. Panics when `d`
+    /// exceeds [`MAX_FAMILY`].
     pub fn new(master_seed: u64, d: usize) -> Self {
-        let fns = (0..d)
-            .map(|i| PairwiseHash::from_seed(mix64(master_seed).wrapping_add(i as u64 * 0x9e37_79b9)))
-            .collect();
-        HashFamily { fns, master_seed }
+        assert!(d <= MAX_FAMILY, "a HashFamily holds at most {MAX_FAMILY} functions, not {d}");
+        let mut fns = [PairwiseHash { a: 1, b: 0 }; MAX_FAMILY];
+        for (i, h) in fns.iter_mut().enumerate().take(d) {
+            *h = Self::nth(master_seed, i);
+        }
+        HashFamily { fns, len: d, master_seed }
+    }
+
+    /// The `i`-th function of every family derived from `master_seed`,
+    /// whatever its size — for a sketch that keeps each function beside
+    /// the array it hashes into.
+    pub fn nth(master_seed: u64, i: usize) -> PairwiseHash {
+        PairwiseHash::from_seed(mix64(master_seed).wrapping_add(i as u64 * 0x9e37_79b9))
     }
 
     /// Number of functions in the family.
     pub fn len(&self) -> usize {
-        self.fns.len()
+        self.len
     }
 
     /// True when the family is empty (never the case for valid sketches).
     pub fn is_empty(&self) -> bool {
-        self.fns.is_empty()
+        self.len == 0
     }
 
     /// The `i`-th hash function.
     #[inline]
     pub fn get(&self, i: usize) -> &PairwiseHash {
-        &self.fns[i]
+        &self.as_slice()[i]
     }
 
     /// All functions as a slice — the hot loops iterate this together with a
     /// [`BatchHasher`] so the key is mixed once for the whole family.
     #[inline]
     pub fn as_slice(&self) -> &[PairwiseHash] {
-        &self.fns
+        &self.fns[..self.len]
     }
 
     /// The master seed the family was derived from (for config echo).
@@ -247,9 +268,26 @@ impl HashFamily {
     #[inline]
     // chm-lint: hot
     pub fn index(&self, i: usize, key: u64, m: usize) -> usize {
-        self.fns[i].index(key, m)
+        self.get(i).index(key, m)
     }
 }
+
+impl std::fmt::Debug for HashFamily {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HashFamily")
+            .field("fns", &self.as_slice())
+            .field("master_seed", &self.master_seed)
+            .finish()
+    }
+}
+
+impl PartialEq for HashFamily {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice() && self.master_seed == other.master_seed
+    }
+}
+
+impl Eq for HashFamily {}
 
 #[cfg(test)]
 mod tests {
@@ -306,6 +344,71 @@ mod tests {
             .filter(|&k| fam.index(0, k, m) != fam.index(1, k, m))
             .count();
         assert!(disagreements > 990, "only {disagreements} disagreements");
+    }
+
+    /// The family as it was derived into a `Vec` before it held its
+    /// functions inline: the oracle for every size the inline array takes.
+    mod vec_family {
+        use super::super::{mix64, PairwiseHash};
+
+        #[derive(Debug)]
+        pub struct HashFamily {
+            pub fns: Vec<PairwiseHash>,
+            pub master_seed: u64,
+        }
+
+        impl HashFamily {
+            pub fn new(master_seed: u64, d: usize) -> Self {
+                let fns = (0..d)
+                    .map(|i| {
+                        PairwiseHash::from_seed(
+                            mix64(master_seed).wrapping_add(i as u64 * 0x9e37_79b9),
+                        )
+                    })
+                    .collect();
+                HashFamily { fns, master_seed }
+            }
+        }
+    }
+
+    #[test]
+    fn inline_family_matches_the_vec_derivation() {
+        for seed in [0u64, 7, 0xb100_f11e, u64::MAX] {
+            for d in 0..=MAX_FAMILY {
+                let fam = HashFamily::new(seed, d);
+                let old = vec_family::HashFamily::new(seed, d);
+                assert_eq!(fam.as_slice(), old.fns.as_slice(), "seed {seed} d {d}");
+                assert_eq!((fam.len(), fam.is_empty()), (d, d == 0));
+                assert_eq!(fam.master_seed(), old.master_seed);
+                assert_eq!(format!("{fam:?}"), format!("{old:?}"));
+                assert_eq!(format!("{fam:#?}"), format!("{old:#?}"));
+                assert_eq!(fam, fam.clone());
+                for (i, h) in old.fns.iter().enumerate() {
+                    assert_eq!(fam.get(i), h);
+                    assert_eq!(HashFamily::nth(seed, i), *h);
+                    for key in [0u64, 1, 0xfeed_f00d] {
+                        for m in [1usize, 3, 4096] {
+                            assert_eq!(fam.index(i, key, m), h.index(key, m));
+                        }
+                    }
+                }
+            }
+        }
+        // Functions past `len` take no part in equality.
+        assert_ne!(HashFamily::new(3, 2), HashFamily::new(3, 3));
+        assert_ne!(HashFamily::new(3, 2), HashFamily::new(4, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 10 functions")]
+    fn a_family_past_its_inline_size_panics() {
+        HashFamily::new(1, MAX_FAMILY + 1);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_function_past_len_is_out_of_range() {
+        HashFamily::new(1, 2).get(2);
     }
 
     #[test]

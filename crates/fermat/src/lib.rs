@@ -52,7 +52,8 @@ pub fn c_d(d: usize) -> f64 {
 /// §3.1 "Addition/Subtraction operations").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FermatConfig {
-    /// Number of bucket arrays `d`.
+    /// Number of bucket arrays `d`, in `1..=`
+    /// [`MAX_FAMILY`](chm_common::hash::MAX_FAMILY): one hash function each.
     pub arrays: usize,
     /// Buckets per array `m`.
     pub buckets_per_array: usize,

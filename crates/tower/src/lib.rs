@@ -19,7 +19,7 @@ pub mod mrac;
 
 pub use mrac::{mrac_em, MracConfig, MracScratch};
 
-use chm_common::hash::{BatchHasher, FastRange, HashFamily};
+use chm_common::hash::{BatchHasher, FastRange, HashFamily, PairwiseHash};
 
 /// Configuration of one counter level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,20 +152,30 @@ fn add_saturating<C: Counter>(c: &mut C, n: u64, sat: u64) -> u64 {
     before
 }
 
+/// What a sketch keeps for one level: the level's hash function, its
+/// precomputed branch-free range reduction, and its counters at the level's
+/// width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct LevelState {
+    hash: PairwiseHash,
+    reducer: FastRange,
+    counters: Counters,
+}
+
 /// The TowerSketch data structure. `PartialEq` compares full counter state.
+///
+/// Building or cloning a sketch allocates one counter array per level plus
+/// the list of level records, and nothing else.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TowerSketch {
     cfg: TowerConfig,
-    hashes: HashFamily,
-    /// Precomputed branch-free range reduction per level.
-    reducers: Vec<FastRange>,
-    /// Counter storage per level, each at its level's width (saturation per
-    /// level).
-    counters: Vec<Counters>,
+    /// One record per level of `cfg.levels`, in the same order.
+    levels: Vec<LevelState>,
 }
 
 impl TowerSketch {
-    /// Creates an empty sketch.
+    /// Creates an empty sketch. Level `i` hashes with function `i` of the
+    /// [`HashFamily`] derived from `cfg.seed`.
     pub fn new(cfg: TowerConfig) -> Self {
         assert!(!cfg.levels.is_empty(), "TowerSketch needs at least one level");
         for w in cfg.levels.windows(2) {
@@ -178,10 +188,24 @@ impl TowerSketch {
             cfg.levels.iter().all(|l| l.bits >= 1 && l.bits <= 32 && l.width > 0),
             "level widths must be in 1..=32 bits with non-zero counters"
         );
-        let hashes = HashFamily::new(cfg.seed, cfg.levels.len());
-        let reducers = cfg.levels.iter().map(|l| FastRange::new(l.width)).collect();
-        let counters = cfg.levels.iter().map(Counters::zeroed).collect();
-        TowerSketch { cfg, hashes, reducers, counters }
+        let levels = (cfg.levels.iter().enumerate())
+            .map(|(i, level)| LevelState {
+                hash: HashFamily::nth(cfg.seed, i),
+                reducer: FastRange::new(level.width),
+                counters: Counters::zeroed(level),
+            })
+            .collect();
+        TowerSketch { cfg, levels }
+    }
+
+    /// A zero-memory sketch: no level and no counter, so it allocates
+    /// nothing, and every query reads as saturated (`u64::MAX`) — every
+    /// packet inserted into it classifies as an HH candidate. Its estimates
+    /// ([`query_clamped`](Self::query_clamped),
+    /// [`cardinality_estimate`](Self::cardinality_estimate), the level
+    /// reads) panic: there is no level to read.
+    pub fn saturated() -> Self {
+        TowerSketch { cfg: TowerConfig { levels: Vec::new(), seed: 0 }, levels: Vec::new() }
     }
 
     /// The sketch configuration.
@@ -202,11 +226,11 @@ impl TowerSketch {
     pub fn insert_and_query(&mut self, key: u64) -> u64 {
         let bh = BatchHasher::new(key);
         let mut min = u64::MAX;
-        for (i, level) in self.cfg.levels.iter().enumerate() {
-            let j = bh.index(self.hashes.get(i), self.reducers[i]);
+        for (level, state) in self.cfg.levels.iter().zip(&mut self.levels) {
+            let j = bh.index(&state.hash, state.reducer);
             let sat = level.saturation();
             // Saturating add: never wraps past 2^δ − 1.
-            let cells = &mut self.counters[i];
+            let cells = &mut state.counters;
             let before = with_counters!(cells, c => add_saturating(&mut c[j], 1, sat));
             let after = (before + 1).min(sat);
             let v = if after >= sat { u64::MAX } else { after };
@@ -244,10 +268,10 @@ impl TowerSketch {
         // Packets with size strictly below T: j < max_i (min(sat_i, T) − c_i).
         let mut k_tl = 0u64;
         let mut k_th = 0u64;
-        for (i, level) in self.cfg.levels.iter().enumerate() {
-            let j = bh.index(self.hashes.get(i), self.reducers[i]);
+        for (level, state) in self.cfg.levels.iter().zip(&mut self.levels) {
+            let j = bh.index(&state.hash, state.reducer);
             let sat = level.saturation();
-            let cells = &mut self.counters[i];
+            let cells = &mut state.counters;
             let before = with_counters!(cells, c => add_saturating(&mut c[j], n, sat));
             k_tl = k_tl.max(sat.min(tl).saturating_sub(before));
             k_th = k_th.max(sat.min(th).saturating_sub(before));
@@ -263,9 +287,9 @@ impl TowerSketch {
     pub fn query(&self, key: u64) -> u64 {
         let bh = BatchHasher::new(key);
         let mut min = u64::MAX;
-        for (i, level) in self.cfg.levels.iter().enumerate() {
-            let j = bh.index(self.hashes.get(i), self.reducers[i]);
-            let c = with_counters!(&self.counters[i], c => c[j].get());
+        for (level, state) in self.cfg.levels.iter().zip(&self.levels) {
+            let j = bh.index(&state.hash, state.reducer);
+            let c = with_counters!(&state.counters, c => c[j].get());
             let v = if c >= level.saturation() { u64::MAX } else { c };
             min = min.min(v);
         }
@@ -280,30 +304,30 @@ impl TowerSketch {
             .cfg
             .levels
             .last()
-            .expect("TowerSketch::new asserts at least one level")
+            .expect("a zero-memory tower has no size to clamp to")
             .saturation();
         q.min(max_sat)
     }
 
     /// Resets all counters (epoch rotation re-uses the physical arrays, §B).
     pub fn clear(&mut self) {
-        for level in &mut self.counters {
-            with_counters!(level, c => c.fill(0));
+        for state in &mut self.levels {
+            with_counters!(&mut state.counters, c => c.fill(0));
         }
     }
 
     /// A copy of level `i`'s counters, each widened to `u32` whatever the
     /// width it is stored at.
     pub fn level_counters(&self, i: usize) -> Vec<u32> {
-        with_counters!(&self.counters[i], c => c.iter().map(|&v| v.get() as u32).collect())
+        with_counters!(&self.levels[i].counters, c => c.iter().map(|&v| v.get() as u32).collect())
     }
 
     /// Bytes the counters occupy: [`TowerConfig::memory_bytes`] when every
     /// level's width is 8, 16 or 32 bits.
     pub fn counter_bytes(&self) -> usize {
-        self.counters
+        self.levels
             .iter()
-            .map(|level| with_counters!(level, c => std::mem::size_of_val(c.as_slice())))
+            .map(|state| with_counters!(&state.counters, c => std::mem::size_of_val(c.as_slice())))
             .sum()
     }
 
@@ -317,8 +341,10 @@ impl TowerSketch {
             .enumerate()
             .max_by_key(|(_, l)| l.width)
             .expect("at least one level");
-        let zero =
-            with_counters!(&self.counters[i], c => c.iter().filter(|v| v.get() == 0).count());
+        let zero = with_counters!(
+            &self.levels[i].counters,
+            c => c.iter().filter(|v| v.get() == 0).count()
+        );
         if zero == 0 {
             // Saturated: half-count continuity correction (V₀ = 0.5/w).
             let w = level.width as f64;
@@ -332,7 +358,7 @@ impl TowerSketch {
     pub fn level_histogram(&self, i: usize) -> Vec<f64> {
         let sat = self.cfg.levels[i].saturation() as usize;
         let mut hist = vec![0.0; sat + 1];
-        with_counters!(&self.counters[i], c => {
+        with_counters!(&self.levels[i].counters, c => {
             for &v in c {
                 hist[(v.get() as usize).min(sat)] += 1.0;
             }
@@ -386,9 +412,9 @@ impl TowerSketch {
         scratch: &mut MracScratch,
     ) {
         let mut prev_bound = 1usize; // sizes below 1 don't exist
-        for (level, counters) in self.cfg.levels.iter().zip(&self.counters) {
+        for (level, state) in self.cfg.levels.iter().zip(&self.levels) {
             let upper = level.saturation() as usize; // exclusive bound
-            with_counters!(counters, c => scratch.load_counters(c, upper));
+            with_counters!(&state.counters, c => scratch.load_counters(c, upper));
             scratch.run(level.width, em);
             scratch.stage_estimate(prev_bound..upper);
             prev_bound = upper;
@@ -522,6 +548,24 @@ mod tests {
         assert_eq!((ll, hl, hh), (1, 1, 98));
         assert_eq!(t.query(1), u64::MAX);
         assert_eq!(t.insert_burst(1, 0, 1, 1), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_saturated_tower_reads_every_flow_as_saturated() {
+        let mut t = TowerSketch::saturated();
+        assert_eq!(t.counter_bytes(), 0);
+        assert!(t.config().levels.is_empty());
+        for key in [0u64, 1, 0xfeed] {
+            assert_eq!(t.query(key), u64::MAX);
+            assert_eq!(t.insert_and_query(key), u64::MAX);
+            // Every packet of a burst is an HH candidate, whatever the
+            // thresholds.
+            assert_eq!(t.insert_burst(key, 7, 1, 1), (0, 0, 7));
+            assert_eq!(t.insert_burst(key, 7, 50, 200), (0, 0, 7));
+        }
+        t.clear();
+        assert_eq!(t, TowerSketch::saturated());
+        assert_ne!(t, TowerSketch::new(small()));
     }
 
     #[test]
