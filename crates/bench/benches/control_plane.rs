@@ -11,7 +11,7 @@ use chm_workloads::caida_like_trace;
 
 fn bench_tower_estimators(c: &mut Criterion) {
     let trace = caida_like_trace(30_000, 0xc0de);
-    let mut tower = TowerSketch::new(TowerConfig::paper_default(1));
+    let mut tower = TowerSketch::new(&TowerConfig::paper_default(1));
     for (f, pkts) in &trace.flows {
         for _ in 0..(*pkts).min(300) {
             tower.insert_and_query(*f as u64);
@@ -39,7 +39,7 @@ fn bench_tower_estimators(c: &mut Criterion) {
 /// the 16-bit level holds a few hundred distinct values out of 65 536).
 fn bench_flow_size_distribution(c: &mut Criterion) {
     let trace = caida_like_trace(12_500, 0xc0de);
-    let mut tower = TowerSketch::new(TowerConfig::paper_default(1));
+    let mut tower = TowerSketch::new(&TowerConfig::paper_default(1));
     for (f, pkts) in &trace.flows {
         tower.insert_burst(*f as u64, *pkts, 1, 1);
     }

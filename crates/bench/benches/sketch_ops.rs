@@ -31,7 +31,7 @@ fn bench_inserts(c: &mut Criterion) {
     });
     g.bench_function("tower", |b| {
         b.iter(|| {
-            let mut s = TowerSketch::new(TowerConfig::sized(128 * 1024, 1));
+            let mut s = TowerSketch::new(&TowerConfig::sized(128 * 1024, 1));
             for f in &stream {
                 s.insert_and_query(black_box(*f as u64));
             }

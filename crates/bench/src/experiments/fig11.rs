@@ -128,7 +128,7 @@ fn tower_fermat(mem: usize, streams: [&[u32]; 2], truths: [&Truth; 2]) -> TaskSc
     let fermat_buckets_total = 2_500usize;
     let fermat_bytes = fermat_buckets_total * 8;
     let run = |stream: &[u32], seed: u64| {
-        let mut tower = TowerSketch::new(TowerConfig::sized(mem - fermat_bytes, seed));
+        let mut tower = TowerSketch::new(&TowerConfig::sized(mem - fermat_bytes, seed));
         let mut fermat =
             FermatSketch::<u32>::new(FermatConfig::standard(fermat_buckets_total / 3, seed ^ 1));
         for f in stream {

@@ -135,13 +135,17 @@ pub fn run(
         stage_allocs[0] += alloc_count() - a0;
 
         // The congested preset has a clean control channel, so every report
-        // arrives — profiling measures the all-delivered path.
+        // arrives — profiling measures the all-delivered path. The analysis
+        // runs at the replay's width; its span paths and counts do not
+        // depend on it.
+        let width = stack.sharding().workers;
         let closed = stack.controller.close_epoch(
             &mut stack.edges,
             report.epoch,
             None,
             &report.queue_depth,
             Controller::reconfigure,
+            width,
             Some(EpochProbe { spans: &mut spans, clock: &mut span_clock, allocs: alloc_count }),
         );
         for (total, a) in stage_allocs[1..].iter_mut().zip(closed.stage_allocs) {

@@ -11,7 +11,7 @@
 
 use chm_common::hash::MAX_FAMILY;
 use chm_fermat::FermatConfig;
-use chm_tower::TowerConfig;
+use chm_tower::{TowerConfig, MAX_LEVELS};
 
 /// Static, compile-time data-plane parameters (§5.2 defaults).
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +73,10 @@ impl DataPlaneConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.arrays == 0 || self.arrays > MAX_FAMILY {
             return Err(format!("arrays must be in 1..={MAX_FAMILY}, not {}", self.arrays));
+        }
+        let levels = self.tower.levels.len();
+        if levels == 0 || levels > MAX_LEVELS {
+            return Err(format!("tower levels must be in 1..={MAX_LEVELS}, not {levels}"));
         }
         if self.m_df > self.m_uf {
             return Err(format!("m_df {} > m_uf {}", self.m_df, self.m_uf));
@@ -276,6 +280,17 @@ mod tests {
         }
         let cfg4 = DataPlaneConfig { arrays: MAX_FAMILY, ..DataPlaneConfig::paper_default(7) };
         assert_eq!(cfg4.validate(), Ok(()));
+
+        // A tower holds 1..=`MAX_LEVELS` levels inline.
+        let level = |bits| chm_tower::TowerLevel { width: 64, bits };
+        for n in [0, MAX_LEVELS + 1] {
+            let mut cfg5 = DataPlaneConfig::paper_default(8);
+            cfg5.tower.levels = (1..=n as u32).map(|i| level(4 * i)).collect();
+            assert!(cfg5.validate().is_err(), "{n} tower levels");
+        }
+        let mut cfg6 = DataPlaneConfig::paper_default(8);
+        cfg6.tower.levels = (1..=MAX_LEVELS as u32).map(|i| level(4 * i)).collect();
+        assert_eq!(cfg6.validate(), Ok(()));
     }
 
     #[test]

@@ -272,6 +272,52 @@ fn decode_spanned<F: FlowId>(
     r
 }
 
+/// The probe's clock, or `0.0` unprobed.
+fn now(probe: &mut Option<EpochProbe<'_>>) -> f64 {
+    probe.as_mut().map_or(0.0, |p| (p.clock)())
+}
+
+/// Runs `em` beside `decode`: at `width > 1` on one scoped worker while the
+/// calling thread runs `decode`, at width 1 inline, `em` first. Returns the
+/// seconds `em` took on the probe's clock — at width > 1 the caller cannot
+/// see the worker finish, so from the spawn to the join — and `decode`'s
+/// result. The scope's join is the only synchronisation: nothing is handed
+/// across mid-scope, so a panic on either side propagates from the join and
+/// neither side can be left waiting.
+fn beside<'p, R>(
+    width: usize,
+    probe: &mut Option<EpochProbe<'p>>,
+    em: impl FnOnce() + Send,
+    decode: impl FnOnce(&mut Option<EpochProbe<'p>>) -> R,
+) -> (f64, R) {
+    let t0 = now(probe);
+    if width <= 1 {
+        em();
+        let em_s = now(probe) - t0;
+        return (em_s, decode(probe));
+    }
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(em);
+        let decoded = decode(probe);
+        worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (now(probe) - t0, decoded)
+    })
+}
+
+/// What the decode chain of [`Controller::analyze_epoch`] recovers: the
+/// upstream HH flowsets, then the delta HL and delta LL flowsets, with the
+/// decoded (or linear-counted) HL and LL counts.
+struct Decodes<F> {
+    hh_flowsets: Vec<HashMap<F, i64>>,
+    hh_decode_ok: bool,
+    hl_flowset: Option<HashMap<F, i64>>,
+    /// The flows a failed delta-HL decode peeled before it stalled.
+    hl_partial: HashMap<F, i64>,
+    est_hls: f64,
+    ll_flowset: Option<HashMap<F, i64>>,
+    est_lls: f64,
+}
+
 /// The cumulative delta encoder of §4.2 — every edge's upstream sketch plus
 /// the decoded HH flows in `reinsert` (empty when they must not be
 /// re-inserted), minus every edge's downstream sketch — folded into one
@@ -490,13 +536,30 @@ impl<F: FlowId> Controller<F> {
     /// switches' `queue_depth` exports. No group is moved or copied, so a
     /// steady-state epoch body allocates no sketch memory.
     ///
+    /// `width` is the replay width the caller already chose — the workers
+    /// its engine replayed this epoch on. The analysis runs as two chains:
+    /// the Tower EM of every arrived edge, and the Fermat decode chain (each
+    /// edge's HH decode, then the delta-HL build and decode, then delta-LL),
+    /// each through the controller's one scratch of its kind. At `width > 1`
+    /// the EM chain runs on one scoped worker while the calling thread runs
+    /// the decode chain; at width 1 the two run inline, one after the
+    /// other. The HH tails, the distribution's sum, the loss report and the
+    /// victim estimate follow the join on the calling thread. The EM stages
+    /// only sizes below the tails' (see
+    /// [`TowerSketch::stage_tail`](chm_tower::TowerSketch::stage_tail)), so
+    /// no output bit depends on `width`.
+    ///
     /// With a `probe`, each stage gets a span and an allocation count.
     /// Inside `analyze`, every Fermat decode records `decode/edge_{i}`,
     /// `decode/delta_hl` or `decode/delta_ll`, and `decode/sparse` or
     /// `decode/loaded` ([`chm_fermat::DecodeStats`]); the blocks between
     /// them record `cardinality`, `fsd`, `delta_hl_build`, `delta_ll_build`
-    /// and `victims`. Under the zero clock every duration stays `0.0` while
-    /// the counts accumulate deterministically.
+    /// and `victims`, the same names and counts at every width. `fsd` is the
+    /// EM chain as the calling thread sees it — at width > 1 from the spawn
+    /// to the join, so it overlaps the decodes — plus the tails and the sum.
+    /// Under the zero clock every duration stays `0.0` while the counts
+    /// accumulate deterministically.
+    #[allow(clippy::too_many_arguments)]
     pub fn close_epoch(
         &mut self,
         edges: &mut [EdgeDataPlane<F>],
@@ -504,6 +567,7 @@ impl<F: FlowId> Controller<F> {
         arrived: Option<&[bool]>,
         queue_depth: &BTreeMap<SwitchId, QueueDepthStat>,
         decide: impl FnOnce(&mut Self, &EpochAnalysis<F>) -> RuntimeConfig,
+        width: usize,
         mut probe: Option<EpochProbe<'_>>,
     ) -> ClosedEpoch<F>
     where
@@ -519,7 +583,7 @@ impl<F: FlowId> Controller<F> {
         });
         let t_analyze = probe.as_mut().map(|p| (p.clock)());
         let analysis = span(&mut probe, "analyze", &mut allocs[1], |probe| {
-            self.analyze_epoch_inner(&collected, probe)
+            self.analyze_epoch_inner(&collected, width, probe)
         });
         let mut t_decided = None;
         let staged = span(&mut probe, "reconfigure", &mut allocs[2], |probe| {
@@ -554,14 +618,20 @@ impl<F: FlowId> Controller<F> {
     /// analysis (`switches_reporting == 0`, nothing decoded, estimates
     /// zero) and [`reconfigure`](Self::reconfigure) leaves the deployed
     /// runtime untouched.
+    ///
+    /// It runs [`close_epoch`](Self::close_epoch)'s analysis at width 1:
+    /// inline on the calling thread, the EM chain then the decode chain.
     pub fn analyze_epoch(&self, collected: &[CollectedGroup<F>]) -> EpochAnalysis<F> {
         let groups: Vec<&CollectedGroup<F>> = collected.iter().collect();
-        self.analyze_epoch_inner(&groups, &mut None)
+        self.analyze_epoch_inner(&groups, 1, &mut None)
     }
 
+    /// The analysis body: the EM chain runs beside the decode chain, on a
+    /// scoped worker when `width > 1` (see [`close_epoch`](Self::close_epoch)).
     fn analyze_epoch_inner(
         &self,
         collected: &[&CollectedGroup<F>],
+        width: usize,
         probe: &mut Option<EpochProbe<'_>>,
     ) -> EpochAnalysis<F> {
         if collected.is_empty() {
@@ -585,11 +655,9 @@ impl<F: FlowId> Controller<F> {
                 switches_reporting: 0,
             };
         }
-        let scratch = &mut *self.scratch.borrow_mut();
-        let label = &mut *self.span_label.borrow_mut();
         let runtime = collected[0].runtime;
 
-        // --- flows & flow-size distribution per switch -------------------
+        // --- flows per switch ---------------------------------------------
         let (est_flows_per_switch, est_flows) = span(probe, "cardinality", &mut 0, |_| {
             let per_switch: Vec<f64> =
                 collected.iter().map(|g| g.classifier.cardinality_estimate()).collect();
@@ -597,89 +665,47 @@ impl<F: FlowId> Controller<F> {
             (per_switch, est_flows)
         });
 
-        // --- decode upstream HH encoders ---------------------------------
-        let mut hh_flowsets = Vec::with_capacity(collected.len());
-        let mut hh_decode_ok = true;
-        for (i, g) in collected.iter().enumerate() {
-            if g.runtime.partition.m_hh == 0 {
-                hh_flowsets.push(HashMap::new());
-                continue;
+        // --- the EM chain beside the decode chain ---------------------------
+        // Every edge's Tower EM is staged, in edge order, while the decode
+        // chain runs: the level estimates read no HH decode, and they stage
+        // only sizes below the HH tails' (`TowerSketch::stage_tail`), so
+        // staging every tail after them gives each slot of the distribution
+        // its terms in edge order, as staging edge by edge would.
+        let (mrac, mrac_scratch) = (&self.mrac, &mut *self.mrac_scratch.borrow_mut());
+        let em_chain = || {
+            for g in collected {
+                g.classifier.stage_level_estimates(mrac, mrac_scratch);
             }
-            let r = decode_spanned(&g.up_hh, scratch, probe, label, format_args!("edge_{i}"));
-            if !r.success {
-                hh_decode_ok = false;
-            }
-            hh_flowsets.push(r.flows);
-        }
+        };
+        let decode_chain = |probe: &mut Option<EpochProbe<'_>>| self.decode_chain(collected, probe);
+        let (em_s, decodes) = beside(width, probe, em_chain, decode_chain);
+        let Decodes {
+            hh_flowsets,
+            hh_decode_ok,
+            hl_flowset,
+            hl_partial,
+            est_hls,
+            ll_flowset,
+            est_lls,
+        } = decodes;
 
-        // Aggregate flow-size distribution (classifier MRAC + HH tail): every
-        // edge's estimate is staged in edge order, then added into a
+        // Aggregate flow-size distribution (classifier MRAC + HH tail): the
+        // tails are staged straight from the decoded flowsets, in edge order
+        // after every level estimate, then everything is added into a
         // distribution allocated once, at the length the estimates end at.
-        let flow_size_dist = span(probe, "fsd", &mut 0, |_| {
-            let mrac_scratch = &mut *self.mrac_scratch.borrow_mut();
-            let mut tail: Vec<u64> = Vec::new();
-            for (g, hh) in collected.iter().zip(&hh_flowsets) {
-                tail.clear();
-                // chm-lint: allow(map-iter-order, "the tail is a multiset: its entries are staged as 1.0 terms added to integer-valued bins, exact in any order")
-                tail.extend(hh.values().map(|&q| runtime.th + q.max(0) as u64));
-                g.classifier.stage_flow_sizes(&tail, &self.mrac, mrac_scratch);
-            }
-            let mut dist = Vec::new();
-            mrac_scratch.add_staged_into(&mut dist);
-            dist
-        });
-
-        // --- delta HL encoder ---------------------------------------------
-        // If any HH decode failed we cannot re-insert; monitoring stops for
-        // the HL path (§4.3.1), but we still estimate counts.
-        let p = runtime.partition;
-        let mut delta_hl: Option<FermatSketch<F>> = None;
-        if p.m_hl > 0 {
-            let reinsert: &[HashMap<F, i64>] = if hh_decode_ok { &hh_flowsets } else { &[] };
-            delta_hl = Some(span(probe, "delta_hl_build", &mut 0, |_| {
-                delta_encoder(collected, |g| &g.up_hl, |g| &g.down_hl, reinsert)
-            }));
+        // Its span is the EM chain as the caller saw it (from the spawn to
+        // the join beside the decode chain) plus the tails and the sum.
+        let t_tail = now(probe);
+        for (g, hh) in collected.iter().zip(&hh_flowsets) {
+            // chm-lint: allow(map-iter-order, "the tail is a multiset: its entries are staged as 1.0 terms added to integer-valued bins, exact in any order")
+            let tail = hh.values().map(|&q| runtime.th + q.max(0) as u64);
+            g.classifier.stage_tail(tail, mrac_scratch);
         }
-        // On a failed decode the flows peeled before the stall are still
-        // verified extractions (pure-bucket test + negative-flow
-        // cancellation, §A.2) — only the residual 2-core is unrecoverable.
-        // Keep them for the loss report; `hl_flowset = None` still signals
-        // the reconfiguration logic that the encoder needs more memory.
-        let mut hl_partial: HashMap<F, i64> = HashMap::new();
-        let (hl_flowset, est_hls) = match &delta_hl {
-            Some(delta) if hh_decode_ok => {
-                let r = decode_spanned(delta, scratch, probe, label, format_args!("delta_hl"));
-                if r.success {
-                    let n = r.flows.len() as f64;
-                    (Some(r.flows), n)
-                } else {
-                    hl_partial = r.flows;
-                    (None, delta.linear_count(0))
-                }
-            }
-            Some(delta) => (None, delta.linear_count(0)),
-            None => (None, 0.0),
-        };
-
-        // --- delta LL encoder ---------------------------------------------
-        let mut delta_ll: Option<FermatSketch<F>> = None;
-        if p.m_ll > 0 {
-            delta_ll = Some(span(probe, "delta_ll_build", &mut 0, |_| {
-                delta_encoder(collected, |g| &g.up_ll, |g| &g.down_ll, &[])
-            }));
+        let mut flow_size_dist = Vec::new();
+        mrac_scratch.add_staged_into(&mut flow_size_dist);
+        if let Some(p) = probe.as_mut() {
+            p.spans.record(&["fsd"], em_s + ((p.clock)() - t_tail));
         }
-        let (ll_flowset, est_lls) = match &delta_ll {
-            Some(delta) => {
-                let r = decode_spanned(delta, scratch, probe, label, format_args!("delta_ll"));
-                if r.success {
-                    let n = r.flows.len() as f64;
-                    (Some(r.flows), n)
-                } else {
-                    (None, delta.linear_count(0))
-                }
-            }
-            None => (None, 0.0),
-        };
 
         // --- loss report (§4.2) -------------------------------------------
         // Full decodes report as-is. A *partial* HL decode may contain a
@@ -767,6 +793,87 @@ impl<F: FlowId> Controller<F> {
             state_during: self.state,
             switches_reporting: collected.len(),
         }
+    }
+
+    /// The decode chain of the analysis, through the controller's one
+    /// decode scratch: every arrived edge's upstream HH encoder in edge
+    /// order, then the delta HL encoder (built with the decoded HH flows
+    /// re-inserted when every HH decode succeeded) and the delta LL one.
+    fn decode_chain(
+        &self,
+        collected: &[&CollectedGroup<F>],
+        probe: &mut Option<EpochProbe<'_>>,
+    ) -> Decodes<F> {
+        let scratch = &mut *self.scratch.borrow_mut();
+        let label = &mut *self.span_label.borrow_mut();
+        let p = collected[0].runtime.partition;
+
+        // --- decode upstream HH encoders ---------------------------------
+        let mut hh_flowsets = Vec::with_capacity(collected.len());
+        let mut hh_decode_ok = true;
+        for (i, g) in collected.iter().enumerate() {
+            if g.runtime.partition.m_hh == 0 {
+                hh_flowsets.push(HashMap::new());
+                continue;
+            }
+            let r = decode_spanned(&g.up_hh, scratch, probe, label, format_args!("edge_{i}"));
+            if !r.success {
+                hh_decode_ok = false;
+            }
+            hh_flowsets.push(r.flows);
+        }
+
+        // --- delta HL encoder ---------------------------------------------
+        // If any HH decode failed we cannot re-insert; monitoring stops for
+        // the HL path (§4.3.1), but we still estimate counts.
+        let mut delta_hl: Option<FermatSketch<F>> = None;
+        if p.m_hl > 0 {
+            let reinsert: &[HashMap<F, i64>] = if hh_decode_ok { &hh_flowsets } else { &[] };
+            delta_hl = Some(span(probe, "delta_hl_build", &mut 0, |_| {
+                delta_encoder(collected, |g| &g.up_hl, |g| &g.down_hl, reinsert)
+            }));
+        }
+        // On a failed decode the flows peeled before the stall are still
+        // verified extractions (pure-bucket test + negative-flow
+        // cancellation, §A.2) — only the residual 2-core is unrecoverable.
+        // Keep them for the loss report; `hl_flowset = None` still signals
+        // the reconfiguration logic that the encoder needs more memory.
+        let mut hl_partial: HashMap<F, i64> = HashMap::new();
+        let (hl_flowset, est_hls) = match &delta_hl {
+            Some(delta) if hh_decode_ok => {
+                let r = decode_spanned(delta, scratch, probe, label, format_args!("delta_hl"));
+                if r.success {
+                    let n = r.flows.len() as f64;
+                    (Some(r.flows), n)
+                } else {
+                    hl_partial = r.flows;
+                    (None, delta.linear_count(0))
+                }
+            }
+            Some(delta) => (None, delta.linear_count(0)),
+            None => (None, 0.0),
+        };
+
+        // --- delta LL encoder ---------------------------------------------
+        let mut delta_ll: Option<FermatSketch<F>> = None;
+        if p.m_ll > 0 {
+            delta_ll = Some(span(probe, "delta_ll_build", &mut 0, |_| {
+                delta_encoder(collected, |g| &g.up_ll, |g| &g.down_ll, &[])
+            }));
+        }
+        let (ll_flowset, est_lls) = match &delta_ll {
+            Some(delta) => {
+                let r = decode_spanned(delta, scratch, probe, label, format_args!("delta_ll"));
+                if r.success {
+                    let n = r.flows.len() as f64;
+                    (Some(r.flows), n)
+                } else {
+                    (None, delta.linear_count(0))
+                }
+            }
+            None => (None, 0.0),
+        };
+        Decodes { hh_flowsets, hh_decode_ok, hl_flowset, hl_partial, est_hls, ll_flowset, est_lls }
     }
 
     /// §4.3 "Reconfiguring ChameleMon data plane". Consumes the analysis and
@@ -1095,7 +1202,7 @@ mod tests {
             ],
             seed: 0x51ce,
         };
-        let mut towers = vec![TowerSketch::new(cfg); switches];
+        let mut towers = vec![TowerSketch::new(&cfg); switches];
         for &(f, at, n) in inserts {
             if let Some(t) = towers.get_mut(at) {
                 t.insert_burst(f.key64(), 1 + n % cap, 1, 1);

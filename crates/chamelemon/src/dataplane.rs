@@ -93,7 +93,7 @@ impl<F: FlowId> SketchGroup<F> {
     fn new(cfg: &DataPlaneConfig, runtime: RuntimeConfig) -> Self {
         let p = runtime.partition;
         SketchGroup {
-            classifier: TowerSketch::new(cfg.tower.clone()),
+            classifier: TowerSketch::new(&cfg.tower),
             up_hh: FermatSketch::new(cfg.fermat_for(p.m_hh, salt::HH)),
             up_hl: FermatSketch::new(cfg.fermat_for(p.m_hl, salt::HL)),
             up_ll: FermatSketch::new(cfg.fermat_for(p.m_ll, salt::LL)),
@@ -111,10 +111,10 @@ impl<F: FlowId> SketchGroup<F> {
     /// cleared sketch equals a fresh one (its hashes derive from its
     /// configuration), so the result is exactly [`new`](Self::new)'s.
     fn reset(&mut self, cfg: &DataPlaneConfig, runtime: RuntimeConfig) {
-        if *self.classifier.config() == cfg.tower {
+        if self.classifier.has_config(&cfg.tower) {
             self.classifier.clear();
         } else {
-            self.classifier = TowerSketch::new(cfg.tower.clone());
+            self.classifier = TowerSketch::new(&cfg.tower);
         }
         let p = runtime.partition;
         for (sketch, m, salt) in [

@@ -139,12 +139,13 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
     }
 
     /// Runs one full epoch: replay the trace with losses on the sharded
-    /// engine, then close the epoch through [`Controller::close_epoch`] —
-    /// every report arrives, and the controller's own
-    /// [`Controller::reconfigure`] decides the runtime that functions next
-    /// epoch. The outcome is the one the serial `simulator.run_epoch_burst`
-    /// plus `close_epoch` produces, bit for bit, at whatever layout
-    /// [`new`](Self::new) chose.
+    /// engine, then close the epoch through [`Controller::close_epoch`] at
+    /// the engine's worker count — every report arrives, the analysis runs
+    /// its EM beside its decodes when the replay ran on more than one
+    /// worker, and the controller's own [`Controller::reconfigure`] decides
+    /// the runtime that functions next epoch. The outcome is the one the
+    /// serial `simulator.run_epoch_burst` plus a width-1 `close_epoch`
+    /// produces, bit for bit, at whatever layout [`new`](Self::new) chose.
     pub fn run_epoch(&mut self, trace: &Trace<F>, plan: &LossPlan<F>) -> EpochOutcome<F>
     where
         F: Routable,
@@ -203,6 +204,7 @@ impl<F: chm_common::FlowId> ChameleMon<F> {
             None,
             &report.queue_depth,
             Controller::reconfigure,
+            self.engine.sharding().workers,
             probe,
         );
         EpochOutcome {
@@ -264,6 +266,7 @@ mod tests {
                     None,
                     &report.queue_depth,
                     Controller::reconfigure,
+                    1,
                     None,
                 );
                 let at = format!("{shards} shards, epoch {epoch}");

@@ -62,6 +62,7 @@ fn assert_engine_matches_serial(cfg: DataPlaneConfig) -> Vec<(RuntimeConfig, Net
             None,
             &report.queue_depth,
             Controller::reconfigure,
+            1,
             None,
         );
 

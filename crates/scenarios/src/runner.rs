@@ -225,6 +225,14 @@ impl ScenarioStack {
         self.engine = ShardedReplay::new(sharding);
     }
 
+    /// The engine's layout: one shard and one worker until
+    /// [`set_sharding`](Self::set_sharding). Its `workers` is the width an
+    /// epoch closed by hand passes to
+    /// [`Controller::close_epoch`](chamelemon::Controller::close_epoch).
+    pub fn sharding(&self) -> Sharding {
+        self.engine.sharding()
+    }
+
     /// Replays one epoch through the fabric and every edge data plane, on
     /// the stack's engine. `clock` times the engine's span tree
     /// ([`replay_profile`](Self::replay_profile)); `&|| 0.0` when nobody is.
@@ -292,6 +300,7 @@ impl ScenarioStack {
                 Some(&received),
                 &report.queue_depth,
                 Controller::reconfigure,
+                self.engine.sharding().workers,
                 None,
             );
         let localization = localization.expect("stack always enables localization");

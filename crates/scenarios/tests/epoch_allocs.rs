@@ -59,6 +59,7 @@ fn epoch_allocs(s: &Scenario) -> (f64, f64, f64) {
                 None,
                 &report.queue_depth,
                 Controller::reconfigure,
+                1,
                 None,
             );
             let found = closed.localization.expect("the stack enables localization");

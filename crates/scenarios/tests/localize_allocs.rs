@@ -40,6 +40,7 @@ fn one_localization_allocates_a_constant() {
             None,
             &report.queue_depth,
             Controller::reconfigure,
+            1,
             None,
         );
         // One more pass over the same evidence, on tables that have

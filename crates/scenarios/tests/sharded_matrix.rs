@@ -53,6 +53,7 @@ fn reference_epoch(
         Some(&received),
         &report.queue_depth,
         Controller::reconfigure,
+        1,
         None,
     );
     let localization = localization.expect("the stack enables localization");

@@ -197,6 +197,7 @@ impl ServeRuntime {
         // decoded. Degraded mode never acts on a garbage decode: it
         // re-stages the last-known-good runtime.
         let mut state_after = ServeState::Live;
+        let width = self.stack.sharding().workers;
         let closed = self.stack.controller.close_epoch(
             &mut self.stack.edges,
             epoch,
@@ -215,6 +216,7 @@ impl ServeRuntime {
                 }
                 staged
             },
+            width,
             Some(EpochProbe { spans: &mut self.obs.spans, clock: &mut zero, allocs: &|| 0 }),
         );
         let (analysis, staged) = (&closed.analysis, closed.staged);

@@ -152,32 +152,72 @@ fn add_saturating<C: Counter>(c: &mut C, n: u64, sat: u64) -> u64 {
     before
 }
 
-/// What a sketch keeps for one level: the level's hash function, its
-/// precomputed branch-free range reduction, and its counters at the level's
-/// width.
+/// Most levels a [`TowerSketch`] holds. Its level records are inline, as a
+/// [`HashFamily`] holds its functions, so building or cloning a sketch
+/// allocates its counter arrays and nothing else; [`TowerSketch::new`]
+/// panics past it.
+pub const MAX_LEVELS: usize = 4;
+
+/// What a sketch keeps for one level: the level's geometry, its hash
+/// function, its precomputed branch-free range reduction, and its counters
+/// at the level's width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LevelState {
+    level: TowerLevel,
     hash: PairwiseHash,
     reducer: FastRange,
     counters: Counters,
 }
 
+impl LevelState {
+    /// The record of a level slot past the sketch's last level: no counter,
+    /// never read.
+    fn unused() -> Self {
+        LevelState {
+            level: TowerLevel { width: 0, bits: 0 },
+            hash: HashFamily::nth(0, 0),
+            reducer: FastRange::new(0),
+            counters: Counters::U8(Vec::new()),
+        }
+    }
+}
+
 /// The TowerSketch data structure. `PartialEq` compares full counter state.
 ///
-/// Building or cloning a sketch allocates one counter array per level plus
-/// the list of level records, and nothing else.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The sketch holds its level geometry once, in its inline level records:
+/// building or cloning one allocates one counter array per level and
+/// nothing else.
+#[derive(Clone, PartialEq, Eq)]
 pub struct TowerSketch {
-    cfg: TowerConfig,
-    /// One record per level of `cfg.levels`, in the same order.
-    levels: Vec<LevelState>,
+    seed: u64,
+    /// Levels in use: `levels[..len]`, in the configuration's order. The
+    /// records past them are [`LevelState::unused`].
+    len: usize,
+    levels: [LevelState; MAX_LEVELS],
+}
+
+impl std::fmt::Debug for TowerSketch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TowerSketch")
+            .field("seed", &self.seed)
+            .field("levels", &self.live())
+            .finish()
+    }
 }
 
 impl TowerSketch {
     /// Creates an empty sketch. Level `i` hashes with function `i` of the
-    /// [`HashFamily`] derived from `cfg.seed`.
-    pub fn new(cfg: TowerConfig) -> Self {
+    /// [`HashFamily`] derived from `cfg.seed`. Panics on an empty
+    /// configuration, on one of more than [`MAX_LEVELS`] levels, and on
+    /// levels whose counter widths do not strictly increase within 1..=32
+    /// bits.
+    pub fn new(cfg: &TowerConfig) -> Self {
         assert!(!cfg.levels.is_empty(), "TowerSketch needs at least one level");
+        assert!(
+            cfg.levels.len() <= MAX_LEVELS,
+            "a TowerSketch holds at most {MAX_LEVELS} levels, not {}",
+            cfg.levels.len()
+        );
         for w in cfg.levels.windows(2) {
             assert!(
                 w[0].bits < w[1].bits,
@@ -188,14 +228,16 @@ impl TowerSketch {
             cfg.levels.iter().all(|l| l.bits >= 1 && l.bits <= 32 && l.width > 0),
             "level widths must be in 1..=32 bits with non-zero counters"
         );
-        let levels = (cfg.levels.iter().enumerate())
-            .map(|(i, level)| LevelState {
+        let levels = std::array::from_fn(|i| match cfg.levels.get(i) {
+            Some(&level) => LevelState {
+                level,
                 hash: HashFamily::nth(cfg.seed, i),
                 reducer: FastRange::new(level.width),
-                counters: Counters::zeroed(level),
-            })
-            .collect();
-        TowerSketch { cfg, levels }
+                counters: Counters::zeroed(&level),
+            },
+            None => LevelState::unused(),
+        });
+        TowerSketch { seed: cfg.seed, len: cfg.levels.len(), levels }
     }
 
     /// A zero-memory sketch: no level and no counter, so it allocates
@@ -203,14 +245,37 @@ impl TowerSketch {
     /// packet inserted into it classifies as an HH candidate. Its estimates
     /// ([`query_clamped`](Self::query_clamped),
     /// [`cardinality_estimate`](Self::cardinality_estimate), the level
-    /// reads) panic: there is no level to read.
+    /// reads, the flow-size distribution) panic: there is no level to read.
     pub fn saturated() -> Self {
-        TowerSketch { cfg: TowerConfig { levels: Vec::new(), seed: 0 }, levels: Vec::new() }
+        TowerSketch { seed: 0, len: 0, levels: std::array::from_fn(|_| LevelState::unused()) }
     }
 
-    /// The sketch configuration.
-    pub fn config(&self) -> &TowerConfig {
-        &self.cfg
+    /// The levels in use.
+    fn live(&self) -> &[LevelState] {
+        &self.levels[..self.len]
+    }
+
+    /// The sketch configuration, rebuilt from the level records (its level
+    /// list is allocated; [`has_config`](Self::has_config) compares without
+    /// allocating).
+    pub fn config(&self) -> TowerConfig {
+        TowerConfig { levels: self.live().iter().map(|s| s.level).collect(), seed: self.seed }
+    }
+
+    /// Whether this sketch was built from `cfg`: the same seed and the same
+    /// levels in the same order.
+    pub fn has_config(&self, cfg: &TowerConfig) -> bool {
+        self.seed == cfg.seed && self.live().iter().map(|s| s.level).eq(cfg.levels.iter().copied())
+    }
+
+    /// The top level's saturation value: every size at or above it is the
+    /// HH tail's to estimate.
+    fn top_saturation(&self) -> u64 {
+        self.live()
+            .last()
+            .expect("a zero-memory tower has no size to clamp to")
+            .level
+            .saturation()
     }
 
     /// Inserts one packet of the flow identified by `key` (a pre-mixed
@@ -226,9 +291,9 @@ impl TowerSketch {
     pub fn insert_and_query(&mut self, key: u64) -> u64 {
         let bh = BatchHasher::new(key);
         let mut min = u64::MAX;
-        for (level, state) in self.cfg.levels.iter().zip(&mut self.levels) {
+        for state in &mut self.levels[..self.len] {
             let j = bh.index(&state.hash, state.reducer);
-            let sat = level.saturation();
+            let sat = state.level.saturation();
             // Saturating add: never wraps past 2^δ − 1.
             let cells = &mut state.counters;
             let before = with_counters!(cells, c => add_saturating(&mut c[j], 1, sat));
@@ -268,9 +333,9 @@ impl TowerSketch {
         // Packets with size strictly below T: j < max_i (min(sat_i, T) − c_i).
         let mut k_tl = 0u64;
         let mut k_th = 0u64;
-        for (level, state) in self.cfg.levels.iter().zip(&mut self.levels) {
+        for state in &mut self.levels[..self.len] {
             let j = bh.index(&state.hash, state.reducer);
-            let sat = level.saturation();
+            let sat = state.level.saturation();
             let cells = &mut state.counters;
             let before = with_counters!(cells, c => add_saturating(&mut c[j], n, sat));
             k_tl = k_tl.max(sat.min(tl).saturating_sub(before));
@@ -287,10 +352,10 @@ impl TowerSketch {
     pub fn query(&self, key: u64) -> u64 {
         let bh = BatchHasher::new(key);
         let mut min = u64::MAX;
-        for (level, state) in self.cfg.levels.iter().zip(&self.levels) {
+        for state in self.live() {
             let j = bh.index(&state.hash, state.reducer);
             let c = with_counters!(&state.counters, c => c[j].get());
-            let v = if c >= level.saturation() { u64::MAX } else { c };
+            let v = if c >= state.level.saturation() { u64::MAX } else { c };
             min = min.min(v);
         }
         min
@@ -299,19 +364,12 @@ impl TowerSketch {
     /// Like [`query`](Self::query) but saturates to the largest level's
     /// saturation value instead of `u64::MAX` (useful for size estimates).
     pub fn query_clamped(&self, key: u64) -> u64 {
-        let q = self.query(key);
-        let max_sat = self
-            .cfg
-            .levels
-            .last()
-            .expect("a zero-memory tower has no size to clamp to")
-            .saturation();
-        q.min(max_sat)
+        self.query(key).min(self.top_saturation())
     }
 
     /// Resets all counters (epoch rotation re-uses the physical arrays, §B).
     pub fn clear(&mut self) {
-        for state in &mut self.levels {
+        for state in &mut self.levels[..self.len] {
             with_counters!(&mut state.counters, c => c.fill(0));
         }
     }
@@ -319,13 +377,13 @@ impl TowerSketch {
     /// A copy of level `i`'s counters, each widened to `u32` whatever the
     /// width it is stored at.
     pub fn level_counters(&self, i: usize) -> Vec<u32> {
-        with_counters!(&self.levels[i].counters, c => c.iter().map(|&v| v.get() as u32).collect())
+        with_counters!(&self.live()[i].counters, c => c.iter().map(|&v| v.get() as u32).collect())
     }
 
     /// Bytes the counters occupy: [`TowerConfig::memory_bytes`] when every
     /// level's width is 8, 16 or 32 bits.
     pub fn counter_bytes(&self) -> usize {
-        self.levels
+        self.live()
             .iter()
             .map(|state| with_counters!(&state.counters, c => std::mem::size_of_val(c.as_slice())))
             .sum()
@@ -334,15 +392,14 @@ impl TowerSketch {
     /// Linear-counting cardinality estimate using the level with the most
     /// counters (§4.2): `n̂ = −w·ln(V₀)`.
     pub fn cardinality_estimate(&self) -> f64 {
-        let (i, level) = self
-            .cfg
-            .levels
+        let state = self
+            .live()
             .iter()
-            .enumerate()
-            .max_by_key(|(_, l)| l.width)
+            .max_by_key(|s| s.level.width)
             .expect("at least one level");
+        let level = state.level;
         let zero = with_counters!(
-            &self.levels[i].counters,
+            &state.counters,
             c => c.iter().filter(|v| v.get() == 0).count()
         );
         if zero == 0 {
@@ -356,9 +413,10 @@ impl TowerSketch {
     /// Histogram of counter values for level `i` (`hist[v]` = #counters with
     /// value `v`), input to MRAC.
     pub fn level_histogram(&self, i: usize) -> Vec<f64> {
-        let sat = self.cfg.levels[i].saturation() as usize;
+        let state = &self.live()[i];
+        let sat = state.level.saturation() as usize;
         let mut hist = vec![0.0; sat + 1];
-        with_counters!(&self.levels[i].counters, c => {
+        with_counters!(&state.counters, c => {
             for &v in c {
                 hist[(v.get() as usize).min(sat)] += 1.0;
             }
@@ -384,11 +442,14 @@ impl TowerSketch {
     /// [`flow_size_distribution`](Self::flow_size_distribution) *added* into
     /// `dist` (grown with zeros when shorter than this estimate's end), with
     /// the EM's working memory in `scratch`: this sketch's
-    /// [`stage_flow_sizes`](Self::stage_flow_sizes) then
+    /// [`stage_level_estimates`](Self::stage_level_estimates), then its
+    /// [`stage_tail`](Self::stage_tail), then
     /// [`MracScratch::add_staged_into`]. Adding `k` sketches this way equals
     /// the element-wise sum of their `flow_size_distribution`s bit for bit;
-    /// staging all `k` before one `add_staged_into` does too, and sizes
-    /// `dist` once.
+    /// staging all `k` before one `add_staged_into` does too — level
+    /// estimates and tails sketch by sketch, or every sketch's level
+    /// estimates before any tail (see [`stage_tail`](Self::stage_tail)) —
+    /// and sizes `dist` once.
     pub fn flow_size_distribution_into(
         &self,
         hh_tail_sizes: &[u64],
@@ -396,34 +457,47 @@ impl TowerSketch {
         scratch: &mut MracScratch,
         dist: &mut Vec<f64>,
     ) {
-        self.stage_flow_sizes(hh_tail_sizes, em, scratch);
+        self.stage_level_estimates(em, scratch);
+        self.stage_tail(hh_tail_sizes.iter().copied(), scratch);
         scratch.add_staged_into(dist);
     }
 
-    /// Runs the EM of every level and stages this sketch's estimate in
-    /// `scratch` as `(size, flows)` terms, after whatever is staged already:
-    /// level by level the in-range estimates in ascending size, then one
-    /// `(s, 1.0)` per tail size `s` at or above the top level's saturation
-    /// value, in the order given. [`MracScratch::add_staged_into`] adds them.
-    pub fn stage_flow_sizes(
-        &self,
-        hh_tail_sizes: &[u64],
-        em: &MracConfig,
-        scratch: &mut MracScratch,
-    ) {
+    /// The level-EM half of the estimate: runs the EM of every level and
+    /// stages its in-range estimates in `scratch` as `(size, flows)` terms,
+    /// after whatever is staged already, level by level in ascending size.
+    /// Level `i` stages sizes in `[2^{δ_{i−1}} − 1, 2^{δ_i} − 1)`, so every
+    /// term lies below the top level's saturation value.
+    /// [`MracScratch::add_staged_into`] adds them.
+    pub fn stage_level_estimates(&self, em: &MracConfig, scratch: &mut MracScratch) {
         let mut prev_bound = 1usize; // sizes below 1 don't exist
-        for (level, state) in self.cfg.levels.iter().zip(&self.levels) {
-            let upper = level.saturation() as usize; // exclusive bound
+        for state in self.live() {
+            let upper = state.level.saturation() as usize; // exclusive bound
             with_counters!(&state.counters, c => scratch.load_counters(c, upper));
-            scratch.run(level.width, em);
+            scratch.run(state.level.width, em);
             scratch.stage_estimate(prev_bound..upper);
             prev_bound = upper;
         }
-        // Tail from the HH flowset (flows ≥ top saturation).
-        for &s in hh_tail_sizes {
-            if s as usize >= prev_bound {
-                scratch.stage(s as usize, 1.0);
-            }
+        // `stage_tail` stages from the top saturation up: the two halves
+        // meet there and do not overlap.
+        debug_assert_eq!(prev_bound as u64, self.top_saturation(), "estimates end below the tail");
+    }
+
+    /// The tail half of the estimate: stages one `(s, 1.0)` term per size
+    /// `s` of `sizes` (the HH flowset's sizes) at or above the top level's
+    /// saturation value, in the order given, and skips the rest.
+    ///
+    /// The two halves never add into the same slot: the level estimates
+    /// stage only sizes below the top saturation and the tail only sizes at
+    /// or above it. So each slot of a distribution sees its terms in the
+    /// same order whether several sketches are staged estimate-then-tail one
+    /// after another, or every sketch's level estimates first and every
+    /// tail after them, in the same sketch order — and the distribution is
+    /// the same bit for bit. The controller stages the estimates while the
+    /// HH flowsets that carry the tails are still being decoded.
+    pub fn stage_tail(&self, sizes: impl IntoIterator<Item = u64>, scratch: &mut MracScratch) {
+        let top = self.top_saturation();
+        for s in sizes.into_iter().filter(|&s| s >= top) {
+            scratch.stage(s as usize, 1.0);
         }
     }
 }
@@ -446,7 +520,7 @@ mod tests {
 
     #[test]
     fn query_never_underestimates() {
-        let mut t = TowerSketch::new(small());
+        let mut t = TowerSketch::new(&small());
         let mut rng = StdRng::seed_from_u64(2);
         let mut truth = std::collections::HashMap::new();
         for _ in 0..5000 {
@@ -461,7 +535,7 @@ mod tests {
 
     #[test]
     fn single_flow_exact() {
-        let mut t = TowerSketch::new(small());
+        let mut t = TowerSketch::new(&small());
         for _ in 0..37 {
             t.insert_and_query(99);
         }
@@ -471,7 +545,7 @@ mod tests {
 
     #[test]
     fn insert_and_query_matches_query() {
-        let mut t = TowerSketch::new(small());
+        let mut t = TowerSketch::new(&small());
         for i in 0..10 {
             let r = t.insert_and_query(7);
             assert_eq!(r, t.query(7));
@@ -481,7 +555,7 @@ mod tests {
 
     #[test]
     fn saturation_is_infinity() {
-        let mut t = TowerSketch::new(TowerConfig {
+        let mut t = TowerSketch::new(&TowerConfig {
             levels: vec![TowerLevel { width: 4, bits: 2 }],
             seed: 3,
         });
@@ -495,7 +569,7 @@ mod tests {
 
     #[test]
     fn eight_bit_level_saturates_but_sixteen_bit_continues() {
-        let mut t = TowerSketch::new(small());
+        let mut t = TowerSketch::new(&small());
         for _ in 0..400 {
             t.insert_and_query(5);
         }
@@ -507,8 +581,8 @@ mod tests {
     fn burst_insert_matches_per_packet_classification() {
         let mut rng = StdRng::seed_from_u64(77);
         for (tl, th) in [(1u64, 1u64), (1, 10), (3, 9), (5, 5), (200, 300)] {
-            let mut a = TowerSketch::new(small());
-            let mut b = TowerSketch::new(small());
+            let mut a = TowerSketch::new(&small());
+            let mut b = TowerSketch::new(&small());
             // Interleave bursts of many flows, including repeats.
             for _ in 0..300 {
                 let key: u64 = rng.gen_range(0..60);
@@ -529,7 +603,7 @@ mod tests {
                 assert_eq!(burst, (ll, hl, hh), "key={key} n={n} tl={tl} th={th}");
             }
             // Counter state must be identical afterwards.
-            for i in 0..a.cfg.levels.len() {
+            for i in 0..a.len {
                 assert_eq!(a.level_counters(i), b.level_counters(i), "level {i}");
             }
         }
@@ -537,7 +611,7 @@ mod tests {
 
     #[test]
     fn burst_insert_saturation_and_degenerate_cases() {
-        let mut t = TowerSketch::new(TowerConfig {
+        let mut t = TowerSketch::new(&TowerConfig {
             levels: vec![TowerLevel { width: 4, bits: 2 }],
             seed: 3,
         });
@@ -555,6 +629,7 @@ mod tests {
         let mut t = TowerSketch::saturated();
         assert_eq!(t.counter_bytes(), 0);
         assert!(t.config().levels.is_empty());
+        assert!(!t.has_config(&small()));
         for key in [0u64, 1, 0xfeed] {
             assert_eq!(t.query(key), u64::MAX);
             assert_eq!(t.insert_and_query(key), u64::MAX);
@@ -565,12 +640,43 @@ mod tests {
         }
         t.clear();
         assert_eq!(t, TowerSketch::saturated());
-        assert_ne!(t, TowerSketch::new(small()));
+        assert_ne!(t, TowerSketch::new(&small()));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 levels")]
+    fn a_tower_past_its_inline_levels_panics() {
+        let levels = (1..=MAX_LEVELS as u32 + 1).map(|i| TowerLevel { width: 8, bits: 4 * i });
+        TowerSketch::new(&TowerConfig { levels: levels.collect(), seed: 0 });
+    }
+
+    /// A sketch reads back the configuration it was built from, at every
+    /// level count it holds, and knows it from any other.
+    #[test]
+    fn a_tower_holds_its_configuration() {
+        for n in 1..=MAX_LEVELS as u32 {
+            let levels = (1..=n).map(|i| TowerLevel { width: 64 >> i, bits: 7 * i });
+            let cfg = TowerConfig { levels: levels.collect(), seed: u64::from(n) };
+            let t = TowerSketch::new(&cfg);
+            assert_eq!(t.config(), cfg);
+            assert!(t.has_config(&cfg));
+            assert_eq!(t.clone(), t);
+            assert_eq!(format!("{t:?}").matches("LevelState").count(), n as usize);
+            let mut other = cfg.clone();
+            other.seed += 1;
+            assert!(!t.has_config(&other));
+            other = cfg.clone();
+            other.levels.pop();
+            assert!(!t.has_config(&other));
+            other = cfg.clone();
+            other.levels[0].width += 1;
+            assert!(!t.has_config(&other));
+        }
     }
 
     #[test]
     fn clear_resets() {
-        let mut t = TowerSketch::new(small());
+        let mut t = TowerSketch::new(&small());
         t.insert_and_query(1);
         t.clear();
         assert_eq!(t.query(1), 0);
@@ -578,7 +684,7 @@ mod tests {
 
     #[test]
     fn cardinality_estimate_close() {
-        let mut t = TowerSketch::new(small());
+        let mut t = TowerSketch::new(&small());
         let mut rng = StdRng::seed_from_u64(4);
         let n = 800u64;
         for k in 0..n {
@@ -609,7 +715,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "increasing")]
     fn non_increasing_widths_panic() {
-        TowerSketch::new(TowerConfig {
+        TowerSketch::new(&TowerConfig {
             levels: vec![
                 TowerLevel { width: 16, bits: 16 },
                 TowerLevel { width: 16, bits: 8 },
@@ -620,7 +726,7 @@ mod tests {
 
     #[test]
     fn level_histogram_sums_to_width() {
-        let mut t = TowerSketch::new(small());
+        let mut t = TowerSketch::new(&small());
         for k in 0..100 {
             t.insert_and_query(k);
         }
@@ -633,7 +739,7 @@ mod tests {
     fn distribution_estimate_shape() {
         // 300 flows of size 1, 60 of size 5: estimator should put clearly
         // more mass at 1 than at 5, with roughly correct totals.
-        let mut t = TowerSketch::new(small());
+        let mut t = TowerSketch::new(&small());
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..300 {
             let k: u64 = rng.gen();

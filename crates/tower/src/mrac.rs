@@ -129,8 +129,9 @@ pub struct MracScratch {
     /// where value `j − 1`'s end.
     split_ends: Vec<usize>,
     /// `(size, flows)` terms staged by
-    /// [`TowerSketch::stage_flow_sizes`](crate::TowerSketch::stage_flow_sizes),
-    /// in the order [`add_staged_into`](Self::add_staged_into) adds them.
+    /// [`TowerSketch::stage_level_estimates`](crate::TowerSketch::stage_level_estimates)
+    /// and [`TowerSketch::stage_tail`](crate::TowerSketch::stage_tail), in the
+    /// order [`add_staged_into`](Self::add_staged_into) adds them.
     staged: Vec<(usize, f64)>,
 }
 

@@ -160,7 +160,7 @@ fn seeded_case(case: u64) -> (TowerSketch, Vec<u64>) {
         _ => vec![TowerLevel { width: 300, bits: 16 }],
     };
     let top_sat = levels.last().unwrap().saturation();
-    let mut t = TowerSketch::new(TowerConfig { levels, seed: rng.gen() });
+    let mut t = TowerSketch::new(&TowerConfig { levels, seed: rng.gen() });
     // Cases 36.. stay empty: every level's histogram is all zeros.
     let flows = if case >= 36 { 0 } else { rng.gen_range(1..700usize) };
     for _ in 0..flows {
@@ -240,7 +240,7 @@ fn flow_size_distribution_matches_dense_composition() {
 fn paper_scale_edges_match_dense_composition() {
     let trace = testbed_trace(WorkloadKind::Dctcp, 50_000, 8, 0x3ac2);
     let mut edges: Vec<TowerSketch> =
-        (0..4).map(|e| TowerSketch::new(TowerConfig::paper_default(0x3ac3 + e))).collect();
+        (0..4).map(|e| TowerSketch::new(&TowerConfig::paper_default(0x3ac3 + e))).collect();
     let mut tails: Vec<Vec<u64>> = vec![Vec::new(); edges.len()];
     for (i, &(flow, pkts)) in trace.flows.iter().enumerate() {
         let e = i % edges.len();
@@ -318,7 +318,7 @@ fn degenerate_inputs_match_dense_oracle() {
 }
 
 fn loaded_tower(seed: u64, stream: &[(u64, u64)]) -> TowerSketch {
-    let mut t = TowerSketch::new(TowerConfig {
+    let mut t = TowerSketch::new(&TowerConfig {
         levels: vec![TowerLevel { width: 128, bits: 8 }, TowerLevel { width: 64, bits: 16 }],
         seed,
     });
@@ -342,7 +342,8 @@ proptest! {
 
     /// Accumulating N sketches through `_into` on one scratch is the
     /// element-wise sum of N `flow_size_distribution` calls, in order — and
-    /// so is staging all N and adding them once, the controller's path.
+    /// so is the controller's path: staging every sketch's level estimates,
+    /// then every sketch's tail, and adding them once.
     #[test]
     fn into_accumulates_the_elementwise_sum(inputs in sketch_inputs(), realtime in any::<bool>()) {
         let cfg = if realtime { MracConfig::realtime() } else { MracConfig::default() };
@@ -350,10 +351,11 @@ proptest! {
         let mut staging = MracScratch::default();
         let mut got: Vec<f64> = Vec::new();
         let mut want: Vec<f64> = Vec::new();
-        for (seed, stream, tail) in &inputs {
-            let t = loaded_tower(*seed, stream);
+        let towers: Vec<TowerSketch> =
+            inputs.iter().map(|(seed, stream, _)| loaded_tower(*seed, stream)).collect();
+        for (t, (_, _, tail)) in towers.iter().zip(&inputs) {
             t.flow_size_distribution_into(tail, &cfg, &mut scratch, &mut got);
-            t.stage_flow_sizes(tail, &cfg, &mut staging);
+            t.stage_level_estimates(&cfg, &mut staging);
             let dist = t.flow_size_distribution(tail, &cfg);
             if dist.len() > want.len() {
                 want.resize(dist.len(), 0.0);
@@ -361,6 +363,9 @@ proptest! {
             for (w, d) in want.iter_mut().zip(&dist) {
                 *w += d;
             }
+        }
+        for (t, (_, _, tail)) in towers.iter().zip(&inputs) {
+            t.stage_tail(tail.iter().copied(), &mut staging);
         }
         let mut staged = Vec::new();
         staging.add_staged_into(&mut staged);

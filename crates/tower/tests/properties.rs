@@ -111,7 +111,7 @@ fn packed_config(geometry: usize, seed: u64) -> TowerConfig {
 }
 
 fn small_tower(seed: u64) -> TowerSketch {
-    TowerSketch::new(TowerConfig {
+    TowerSketch::new(&TowerConfig {
         levels: vec![
             TowerLevel { width: 256, bits: 8 },
             TowerLevel { width: 128, bits: 16 },
@@ -208,7 +208,7 @@ proptest! {
         ops in vec((0u8..10, 0u64..48, any::<u64>()), 0..300),
     ) {
         let cfg = packed_config(geometry, seed);
-        let mut t = TowerSketch::new(cfg.clone());
+        let mut t = TowerSketch::new(&cfg);
         let mut oracle = U32Tower::new(&cfg);
         for &(kind, key, r) in &ops {
             if kind <= 4 {
@@ -263,13 +263,13 @@ proptest! {
 #[test]
 fn byte_aligned_levels_hold_memory_bytes() {
     let paper = TowerConfig::paper_default(1);
-    assert_eq!(TowerSketch::new(paper.clone()).counter_bytes(), 65_536);
+    assert_eq!(TowerSketch::new(&paper).counter_bytes(), 65_536);
     assert_eq!(paper.memory_bytes(), 65_536);
     for geometry in [0, 3] {
         let cfg = packed_config(geometry, 2);
-        assert_eq!(TowerSketch::new(cfg.clone()).counter_bytes(), cfg.memory_bytes());
+        assert_eq!(TowerSketch::new(&cfg).counter_bytes(), cfg.memory_bytes());
     }
     // 4 and 12 bits are held in 1 and 2 bytes, 24 bits in 4.
-    assert_eq!(TowerSketch::new(packed_config(1, 3)).counter_bytes(), 64 + 32 * 2);
-    assert_eq!(TowerSketch::new(packed_config(2, 4)).counter_bytes(), 64 + 32 * 2 + 16 * 4);
+    assert_eq!(TowerSketch::new(&packed_config(1, 3)).counter_bytes(), 64 + 32 * 2);
+    assert_eq!(TowerSketch::new(&packed_config(2, 4)).counter_bytes(), 64 + 32 * 2 + 16 * 4);
 }

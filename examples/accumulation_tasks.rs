@@ -24,7 +24,7 @@ fn main() {
 
     // Tower+Fermat at a 400 KB budget: classifier + HH encoder, Th = 250.
     let th: u64 = 250;
-    let mut tower = TowerSketch::new(TowerConfig::sized(300_000, 1));
+    let mut tower = TowerSketch::new(&TowerConfig::sized(300_000, 1));
     let mut fermat = FermatSketch::<u32>::new(FermatConfig::standard(4_000, 2));
     for (f, pkts) in &trace.flows {
         for _ in 0..*pkts {

@@ -3,18 +3,20 @@
 //! rests on it — and a warmed `FermatSketch::decode_with` allocates its
 //! result, once, and nothing else. Building or cloning a sketch allocates
 //! its counter arrays and nothing else (a `HashFamily` holds its functions
-//! inline). The epoch flip zeroes its groups in place: a steady flip
-//! allocates nothing, a reconfiguring one only the encoders whose size
-//! changed, and `take_group` leaves a tombstone that costs nothing. Over
-//! the repo benchmark's attention-shifting cycle a reconfiguring
-//! `close_epoch` pays one call per resized encoder over a steady one, and
-//! the ill-state victim estimate does not grow with the victims. A warm
-//! flow-size distribution requests the slots its estimate reaches, not one
-//! per value a 16-bit counter can hold. Verified with a counting global
-//! allocator (the test-binary equivalent of a debug-assertion-gated
-//! allocation counter: it only exists here, costs nothing in the shipped
-//! crates, and fails the suite loudly if an allocation sneaks into the hot
-//! path).
+//! inline, a `TowerSketch` its level records). The epoch flip zeroes its
+//! groups in place: a steady flip allocates nothing, a reconfiguring one
+//! only the encoders whose size changed, and `take_group` leaves a
+//! tombstone that costs nothing. Over the repo benchmark's
+//! attention-shifting cycle a reconfiguring `close_epoch` pays one call per
+//! resized encoder over a steady one, and the ill-state victim estimate
+//! does not grow with the victims; a steady close stages its HH tails with
+//! no list, and the scoped worker its EM runs on at width 2 costs its spawn
+//! and nothing a probe adds. A warm flow-size distribution requests the
+//! slots its estimate reaches, not one per value a 16-bit counter can hold.
+//! Verified with a counting global allocator (the test-binary equivalent
+//! of a debug-assertion-gated allocation counter: it only exists here,
+//! costs nothing in the shipped crates, and fails the suite loudly if an
+//! allocation sneaks into the hot path).
 
 use chamelemon_repro::chamelemon::{
     ChameleMon, Controller, DataPlaneConfig, EdgeDataPlane, EpochAnalysis, EpochProbe,
@@ -70,6 +72,7 @@ fn hot_paths_do_not_allocate() {
     warm_distribution_ends_at_its_estimate();
     a_steady_run_epoch_stays_within_its_budget();
     a_probed_close_epoch_allocates_as_an_unprobed_one();
+    a_steady_close_epoch_stages_its_tails_without_a_list();
     building_a_sketch_allocates_only_its_counters();
     take_group_allocates_nothing_and_its_flip_only_the_rebuilt_sketches();
     shifting_attention_allocates_only_the_resized_encoders();
@@ -85,13 +88,16 @@ fn steady_testbed() -> (ChameleMon<FiveTuple>, Trace<FiveTuple>, LossPlan<FiveTu
 }
 
 /// Allocator calls a steady [`ChameleMon::run_epoch`] may make on two
-/// cores. Measured 32: the two-shard, two-worker engine's 17 (its report,
-/// the plan's lost-count list, two scoped threads) and `close_epoch`'s 15
-/// (the analysis it returns — flowsets, loss report, estimates — and the
-/// delta encoder and EM tail it builds and drops). Under the test
-/// harness's output capture each spawn costs two calls more: 36. Before
-/// the engine kept its phase buffers and span tree, the same epoch made 50.
-const RUN_EPOCH_CALLS: u64 = 38;
+/// cores. Measured 32: the two-shard, two-worker engine's 15 (its report,
+/// the plan's lost-count list, two scoped threads at 4 calls each) and
+/// `close_epoch`'s 17 at width 2 — the 13 of a width-1 close on this
+/// trace (the analysis it returns, the delta encoder it builds and drops)
+/// plus the 4 of the scoped worker its EM chain runs on. Under the test
+/// harness's output capture each of the three spawns costs two calls
+/// more: 38. Before the engine kept its phase buffers and span tree, the
+/// same epoch made 50; before the EM ran beside the decodes, 29 (33 under
+/// capture), its tail list taking 1 call on this trace.
+const RUN_EPOCH_CALLS: u64 = 40;
 
 fn a_steady_run_epoch_stays_within_its_budget() {
     with_core_share(2, || {
@@ -107,8 +113,15 @@ fn a_steady_run_epoch_stays_within_its_budget() {
 /// The probe costs nothing it measures: once the span tree has its nodes,
 /// a probed `close_epoch` makes exactly the allocator calls an unprobed one
 /// does (each decode's span label is formatted into a buffer the controller
-/// keeps). Two identical deployments step in lockstep, one probed.
+/// keeps), inline at width 1 and with the EM on a scoped worker at width 2.
+/// Two identical deployments step in lockstep, one probed.
 fn a_probed_close_epoch_allocates_as_an_unprobed_one() {
+    for width in [1, 2] {
+        probed_against_unprobed(width);
+    }
+}
+
+fn probed_against_unprobed(width: usize) {
     let (mut probed, trace, plan) = steady_testbed();
     let (mut unprobed, _, _) = steady_testbed();
     let mut spans = SpanProfiler::new();
@@ -127,20 +140,72 @@ fn a_probed_close_epoch_allocates_as_an_unprobed_one() {
                     None,
                     &report.queue_depth,
                     Controller::reconfigure,
+                    width,
                     probe,
                 ))
             });
         }
         if epoch > 0 {
             let [with, without] = calls;
-            assert_eq!(with, without, "epoch {epoch}: probed {with} calls, unprobed {without}");
+            assert_eq!(
+                with, without,
+                "width {width}, epoch {epoch}: probed {with} calls, unprobed {without}"
+            );
         }
     }
     assert_eq!(spans.get(&["analyze", "decode", "delta_hl"]).map(|(c, _)| c), Some(6));
+    assert_eq!(spans.get(&["analyze", "fsd"]).map(|(c, _)| c), Some(6), "width {width}");
+}
+
+/// Allocator calls of a steady width-1 `close_epoch` over a testbed epoch
+/// at paper scale (10 k flows, 5 % victims, trace seed 1): the analysis it
+/// returns (four HH flowsets, the delta-HL flowset, the loss report, the
+/// per-switch estimates, the distribution, the two edge counter lists),
+/// the delta encoder it builds and drops, and the collected-group list.
+/// Measured 13. It was 15 while the HH tails went through a list: on this
+/// trace the last edge decodes the most HH flows, so that list was built
+/// for edge 0 and regrew for edge 3, 2 calls an epoch.
+const CLOSE_EPOCH_CALLS: u64 = 13;
+
+fn a_steady_close_epoch_stages_its_tails_without_a_list() {
+    let trace = testbed_trace(WorkloadKind::Dctcp, 10_000, 8, 1);
+    let plan = LossPlan::build(&trace, VictimSelection::RandomRatio(0.05), 0.01, 0x10ad);
+    let mut sys = ChameleMon::testbed(DataPlaneConfig::paper_default(7));
+    let mut calls = Vec::new();
+    let mut last = None;
+    for _ in 0..8 {
+        let mut sites = SiteArray(&mut sys.edges);
+        let report = sys.simulator.run_epoch_burst(&trace, &plan, &mut sites);
+        let (n, closed) = ALLOC.calls_during(|| {
+            let edges = &mut sys.edges;
+            let decide = Controller::reconfigure;
+            let depths = &report.queue_depth;
+            sys.controller.close_epoch(edges, report.epoch, None, depths, decide, 1, None)
+        });
+        calls.push(n);
+        last = Some(closed.analysis);
+    }
+    let steady = calls[2..].iter().copied().min().expect("steady epochs");
+    assert!(
+        steady <= CLOSE_EPOCH_CALLS,
+        "a steady width-1 close_epoch made {steady} allocator calls ({calls:?})"
+    );
+    // The list the tails went through before, rebuilt from the last epoch's
+    // flowsets in edge order: 2 calls on this trace.
+    let a = last.expect("eight epochs");
+    let list = allocations_during(|| {
+        let mut tail: Vec<u64> = Vec::new();
+        for hh in &a.hh_flowsets {
+            tail.clear();
+            tail.extend(hh.values().map(|&q| a.runtime.th + q.max(0) as u64));
+            std::hint::black_box(&tail);
+        }
+    });
+    assert_eq!(list, 2, "the fixture's tail list would cost {list} calls, not 2");
 }
 
 fn tower_insert_does_not_allocate() {
-    let mut t = TowerSketch::new(TowerConfig::paper_default(1));
+    let mut t = TowerSketch::new(&TowerConfig::paper_default(1));
     // Warm-up (first touches, lazy statics).
     for i in 0..64u64 {
         t.insert_and_query(i);
@@ -163,7 +228,7 @@ fn tower_insert_does_not_allocate() {
 /// `Vec` requests what its estimate reaches — a few hundred sizes here —
 /// not a dense slab of one `f64` per 16-bit counter value (512 KiB).
 fn warm_distribution_ends_at_its_estimate() {
-    let mut t = TowerSketch::new(TowerConfig {
+    let mut t = TowerSketch::new(&TowerConfig {
         levels: vec![TowerLevel { width: 2048, bits: 8 }, TowerLevel { width: 1024, bits: 16 }],
         seed: 1,
     });
@@ -350,7 +415,9 @@ fn flip_allocates_only_for_resized_encoders() {
 /// The allocation ledger of building a sketch: a hash family is held
 /// inline and costs nothing, a Fermat encoder is one bucket array (and a
 /// fingerprint column when it has fingerprints), built or cloned, and a
-/// tower is one counter array per level plus its list of level records.
+/// tower is one counter array per level, built or cloned: its level
+/// records are inline (`MAX_LEVELS`), and it keeps no copy of its
+/// configuration.
 fn building_a_sketch_allocates_only_its_counters() {
     for d in 0..=MAX_FAMILY {
         let (n, _) = ALLOC.calls_during(|| HashFamily::new(0xfa11, d));
@@ -366,11 +433,10 @@ fn building_a_sketch_allocates_only_its_counters() {
     let one_level = TowerConfig { levels: vec![TowerLevel { width: 64, bits: 8 }], seed: 3 };
     for cfg in [TowerConfig::paper_default(3), one_level] {
         let levels = cfg.levels.len() as u64;
-        let (n, built) = ALLOC.calls_during(|| TowerSketch::new(cfg));
-        assert_eq!(n, levels + 1, "TowerSketch::new of {levels} levels made {n} allocator calls");
-        // A clone copies the configuration's level list too.
+        let (n, built) = ALLOC.calls_during(|| TowerSketch::new(&cfg));
+        assert_eq!(n, levels, "TowerSketch::new of {levels} levels made {n} allocator calls");
         let n = allocations_during(|| drop(std::hint::black_box(built.clone())));
-        assert_eq!(n, levels + 2, "cloning a {levels}-level TowerSketch made {n} allocator calls");
+        assert_eq!(n, levels, "cloning a {levels}-level TowerSketch made {n} allocator calls");
     }
     let n = allocations_during(|| drop(std::hint::black_box(TowerSketch::saturated())));
     assert_eq!(n, 0, "TowerSketch::saturated made {n} allocator calls");
@@ -378,10 +444,11 @@ fn building_a_sketch_allocates_only_its_counters() {
 
 /// `take_group` hands the group over and leaves a tombstone that costs
 /// nothing; the flip after it, with the runtime unchanged, allocates
-/// exactly what the rebuilt sketches hold: the classifier (with the copy of
-/// its configuration) and every encoder the runtime gives buckets. Under
-/// the initial runtime and under an ill one, whose LL encoders have
-/// buckets.
+/// exactly what the rebuilt sketches hold: the classifier's counter arrays,
+/// one per level, and every encoder the runtime gives buckets. Under the
+/// initial runtime and under an ill one, whose LL encoders have buckets.
+/// (Before the tower held its level records inline and stopped keeping a
+/// copy of its configuration, its rebuild cost levels + 2 calls: 4.)
 fn take_group_allocates_nothing_and_its_flip_only_the_rebuilt_sketches() {
     let cfg = DataPlaneConfig::paper_default(23);
     let initial = RuntimeConfig::initial(&cfg);
@@ -394,7 +461,9 @@ fn take_group_allocates_nothing_and_its_flip_only_the_rebuilt_sketches() {
     let built = |m: usize| {
         allocations_during(|| drop(FermatSketch::<FiveTuple>::new(cfg.fermat_for(m, 0))))
     };
-    let tower = allocations_during(|| drop(TowerSketch::new(cfg.tower.clone())));
+    let tower = cfg.tower.levels.len() as u64;
+    let classifier = allocations_during(|| drop(TowerSketch::new(&cfg.tower)));
+    assert_eq!(classifier, tower, "a {tower}-level classifier made {classifier} allocator calls");
     for rt in [initial, ill] {
         let p = rt.partition;
         let encoders: u64 = [p.m_hh, p.m_hl, p.m_ll, p.m_hl, p.m_ll].map(built).iter().sum();
@@ -444,7 +513,8 @@ fn close_epoch_calls(
         };
         let (n, closed) = ALLOC.calls_during(|| {
             let edges = &mut sys.edges;
-            sys.controller.close_epoch(edges, report.epoch, None, &report.queue_depth, decide, None)
+            let depths = &report.queue_depth;
+            sys.controller.close_epoch(edges, report.epoch, None, depths, decide, 1, None)
         });
         let a = &closed.analysis;
         rows.push((n, a.runtime, closed.staged, a.state_during));

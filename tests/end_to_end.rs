@@ -65,7 +65,7 @@ fn tower_fermat_competitive_on_flow_size() {
     let budget = 200_000;
 
     let th = 250u64;
-    let mut tower = TowerSketch::new(TowerConfig::sized(budget * 3 / 4, 6));
+    let mut tower = TowerSketch::new(&TowerConfig::sized(budget * 3 / 4, 6));
     let mut fermat = FermatSketch::<u32>::new(FermatConfig::standard(budget / 4 / 8 / 3, 7));
     let mut cm = CmSketch::new(budget, 8);
     let mut elastic = ElasticSketch::<u32>::new(budget, 9);
@@ -121,7 +121,7 @@ fn tower_fermat_heavy_hitter_f1() {
     assert!(!truth_hh.is_empty());
 
     let th = 250u64;
-    let mut tower = TowerSketch::new(TowerConfig::sized(150_000, 11));
+    let mut tower = TowerSketch::new(&TowerConfig::sized(150_000, 11));
     let mut fermat = FermatSketch::<u32>::new(FermatConfig::standard(2_000, 12));
     for (f, pkts) in &trace.flows {
         for _ in 0..*pkts {

@@ -129,7 +129,7 @@ proptest! {
     fn tower_no_underestimate(
         inserts in vec(0u64..200, 1..400),
     ) {
-        let mut t = TowerSketch::new(TowerConfig {
+        let mut t = TowerSketch::new(&TowerConfig {
             levels: vec![
                 TowerLevel { width: 512, bits: 8 },
                 TowerLevel { width: 256, bits: 16 },
